@@ -167,8 +167,10 @@ def proportional_flow(tree: Tree, F: Sequence[float], depth: int,
     """Route `total` units from the root along the max-flow profile F,
     splitting at each vertex proportionally to the children's capacities.
 
-    The last positive child at each split receives the exact remainder, so
-    inflow equals outflow bitwise at every interior vertex."""
+    The last positive child at each split receives the exact remainder of
+    the inflow. Summing the children's shares in floating point can still
+    round, so outflow matches inflow to within one ulp per child, not
+    bitwise."""
     theta: dict[int, float] = {}
 
     def split(amount: float, kids: Sequence[int]) -> None:

@@ -354,11 +354,10 @@ class Runner:
     """Collects stdout lines and output files; writes files only at the end
     so refusals leave nothing behind."""
 
-    def __init__(self, opts: Options, threads: int):
+    def __init__(self, opts: Options):
         self.opts = opts
         self.lines: list[str] = []
         self.files: dict[str, str] = {}
-        self.threads = threads
 
     def say(self, text: str) -> None:
         self.lines.append(text)
@@ -367,8 +366,7 @@ class Runner:
         fmt = self.opts.get("format")
         if fmt not in (None, "csv", "json"):
             raise UsageError(f"unknown format {fmt!r} (want csv or json)")
-        echo = {"subcommand": self.opts.sub, "options": self.opts.effective(),
-                "threads": self.threads}
+        echo = {"subcommand": self.opts.sub, "options": self.opts.effective()}
         if fmt in (None, "csv"):
             self.files[f"{basename}.csv"] = _csv_text(header, rows)
         if fmt in (None, "json"):
@@ -705,8 +703,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         flag_values = {k.replace("_", "-"): v for k, v in vars(args).items()
                        if k not in ("subcommand", "config")}
         opts = Options(sub, flag_values, config)
-        threads = max(1, int(os.environ.get("GOERW_THREADS", "1")))
-        runner = Runner(opts, threads)
+        runner = Runner(opts)
         RUNNERS[sub](runner)
         runner.flush()
         return 0

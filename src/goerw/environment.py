@@ -107,8 +107,12 @@ class AlphaDistribution:
 class Environment:
     """Bias assignment bound to one tree, with cached potential theory.
 
-    The caches fill lazily along root paths, so asking for Psi of one deep
-    edge never touches the rest of the tree.
+    The potential tables R, phi, psi and log Psi are flat lists indexed by
+    vertex id. They hold a prefix 0..k of the breadth-first ids and grow by
+    one forward pass when a query names an id past k. Every parent precedes
+    its children in that order, so the prefix up to v contains v's whole
+    root path: a shallow query touches only the low ids, a full sweep costs
+    one pass over the tree, and nothing is computed before the first query.
     """
 
     tree: Tree
@@ -118,17 +122,25 @@ class Environment:
     m: float | None = None
     seed: int | None = None
     dist_spec: str | None = None
-    _R: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
-    _phi: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
-    _psi: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
-    _logPsi: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
+    _R: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _phi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _log_Psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    # (pf, pl): parent-step probabilities on first and later visits, filled
+    # by goerw.walk on the first direct walk
+    _trans: tuple[list[float], list[float]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.tree.n_vertices
         if len(self.lam) != n or len(self.mu) != n:
             raise ValueError("lam and mu must have one entry per vertex")
-        self.lam[0] = 1.0
-        self.mu[0] = 1.0
+        # the root's biases are fixed at 1; copy rather than write into the
+        # caller's lists
+        if self.lam[0] != 1.0:
+            self.lam = [1.0, *self.lam[1:]]
+        if self.mu[0] != 1.0:
+            self.mu = [1.0, *self.mu[1:]]
         for v in range(1, n):
             if self.lam[v] <= 0 or self.mu[v] <= 0:
                 raise ValueError(f"biases must be positive, vertex {v}")
@@ -166,45 +178,35 @@ def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) ->
 # potential theory
 
 
-def _fill_path(env: Environment, v: int) -> None:
-    """Populate R, phi and log Psi for every vertex on the root path of v."""
-    path = env.tree.root_path(v)
-    R_prev = None
-    phi_prev = 0.0
-    logpsi_prev = 0.0
-    for u in path[1:]:
-        if u in env._logPsi:
-            R_prev = env._R[u]
-            phi_prev = env._phi[u]
-            logpsi_prev = env._logPsi[u]
-            continue
-        parent = env.tree.parent[u]
-        if env.tree.depth[u] == 1:
-            R_u = 1.0
-        else:
-            if R_prev is None:
-                R_prev = env._R[parent]
-            R_u = R_prev * env.mu[parent]
-        phi_u = phi_prev + R_u
-        if env.tree.depth[u] == 1:
-            psi_u = 1.0
-        else:
-            grand = env.tree.parent[parent]
-            phi_grand = 0.0 if grand == 0 else env._phi[grand]
-            w = parent
-            degw = env.tree.deg(w)
-            lamw = env.lam[w]
-            muw = env.mu[w]
-            drop = 1.0 - phi_grand / phi_u
+def _extend(env: Environment, v: int) -> None:
+    """Fill the potential tables forward in id order through vertex v."""
+    R, ph, ps, lp = env._R, env._phi, env._psi, env._log_Psi
+    if not R:  # the root names no edge; phi 0 and an empty product
+        R.append(0.0)
+        ph.append(0.0)
+        ps.append(1.0)
+        lp.append(0.0)
+    tree = env.tree
+    parent, children = tree.parent, tree.children
+    lam, mu = env.lam, env.mu
+    log = math.log
+    for u in range(len(R), v + 1):
+        w = parent[u]
+        if w:
+            R_u = R[w] * mu[w]
+            phi_u = ph[w] + R_u
+            degw = len(children[w]) + 1
+            lamw = lam[w]
+            muw = mu[w]
+            drop = 1.0 - ph[parent[w]] / phi_u
             factor = (lamw + (degw - 2) * muw / (muw + 1.0)) / (lamw + degw - 1.0)
             psi_u = 1.0 - drop * factor
-        env._R[u] = R_u
-        env._phi[u] = phi_u
-        env._psi[u] = psi_u
-        env._logPsi[u] = logpsi_prev + math.log(psi_u)
-        R_prev = R_u
-        phi_prev = phi_u
-        logpsi_prev = env._logPsi[u]
+        else:
+            R_u = phi_u = psi_u = 1.0
+        R.append(R_u)
+        ph.append(phi_u)
+        ps.append(psi_u)
+        lp.append(lp[w] + log(psi_u))
 
 
 def resistance(env: Environment, e: int) -> float:
@@ -212,17 +214,15 @@ def resistance(env: Environment, e: int) -> float:
     path of edge e. Depth-1 edges have resistance 1."""
     if e == 0:
         raise ValueError("the root names no edge")
-    if e not in env._R:
-        _fill_path(env, e)
+    if e >= len(env._R):
+        _extend(env, e)
     return env._R[e]
 
 
 def phi(env: Environment, x: int) -> float:
     """Potential: sum of resistances along the root path (0 at the root)."""
-    if x == 0:
-        return 0.0
-    if x not in env._phi:
-        _fill_path(env, x)
+    if x >= len(env._phi):
+        _extend(env, x)
     return env._phi[x]
 
 
@@ -237,19 +237,17 @@ def psi(env: Environment, u: int) -> float:
     """
     if u == 0:
         raise ValueError("the root names no edge")
-    if env.tree.depth[u] == 1:
-        return 1.0
-    if u not in env._psi:
-        _fill_path(env, u)
+    if u >= len(env._psi):
+        _extend(env, u)
     return env._psi[u]
 
 
 def log_Psi(env: Environment, u: int) -> float:
     if u == 0:
         raise ValueError("the root names no edge")
-    if u not in env._logPsi:
-        _fill_path(env, u)
-    return env._logPsi[u]
+    if u >= len(env._log_Psi):
+        _extend(env, u)
+    return env._log_Psi[u]
 
 
 def Psi(env: Environment, u: int) -> float:
@@ -315,12 +313,7 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
         for g in gammas:
             values[(g, L)], _ = min_cutset_sum(
                 tree, lambda e, g=g: math.exp(g * logs[e]))
-    deepest = depths[-1]
-    estimate = None
-    for g in gammas:
-        if values[(g, deepest)] >= threshold:
-            estimate = g
-    return BranchingTable(gammas, depths, values, threshold, estimate)
+    return BranchingTable(gammas, depths, values, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,13 @@ class BranchingTable:
     depths: list[int]
     values: dict[tuple[float, int], float]
     threshold: float
-    estimate: float | None
+
+    @property
+    def estimate(self) -> float | None:
+        """None when no gamma clears the threshold."""
+        deepest = self.depths[-1]
+        return max((g for g in self.gammas if self.values[(g, deepest)] >= self.threshold),
+                   default=None)
 
     def rows(self) -> list[tuple[float, int, float]]:
         return [(g, L, self.values[(g, L)]) for g in self.gammas for L in self.depths]
@@ -429,12 +435,7 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
             tree = family.build(L)
             for g in gammas:
                 values[(g, L)], _ = min_cutset_sum(tree, lambda e, g=g: tree.depth[e] ** -g)
-    deepest = depths[-1]
-    estimate = None
-    for g in gammas:
-        if values[(g, deepest)] >= threshold:
-            estimate = g
-    return BranchingTable(gammas, depths, values, threshold, estimate)
+    return BranchingTable(gammas, depths, values, threshold)
 
 
 # ---------------------------------------------------------------------------

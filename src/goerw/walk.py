@@ -51,8 +51,6 @@ __all__ = [
     "StopRule",
     "WalkTrajectory",
     "derive_seed",
-    "rates",
-    "step_direct",
     "simulate",
     "simulate_rubin",
     "simulate_extension",
@@ -130,103 +128,26 @@ class WalkTrajectory:
     stop_reason: str
     seed: int | None = None
 
-    def visit_counts(self) -> dict[int, int]:
-        """Z_n per vertex, recomputed from the recorded positions."""
-        self._need_positions()
-        out: dict[int, int] = {}
-        for x in self.positions:
-            out[x] = out.get(x, 0) + 1
-        return out
-
-    def crossing_counts(self) -> dict[tuple[int, int], int]:
-        """C_n per oriented edge, recomputed from the recorded positions."""
-        self._need_positions()
-        out: dict[tuple[int, int], int] = {}
-        prev = self.positions[0]
-        for x in self.positions[1:]:
-            key = (prev, x)
-            out[key] = out.get(key, 0) + 1
-            prev = x
-        return out
-
-    def first_hits(self) -> dict[int, int]:
-        """First hitting time per visited vertex."""
-        self._need_positions()
-        out: dict[int, int] = {}
-        for n, x in enumerate(self.positions):
-            if x not in out:
-                out[x] = n
-        return out
-
-    def _need_positions(self):
-        if self.positions is None:
-            raise ValueError("trajectory was run without position recording")
-
 
 # ---------------------------------------------------------------------------
-# rates and the direct law
+# the direct law
 
 
-def rates(env: Environment, v: int, u: int) -> tuple[float, float]:
-    """The oriented-edge rates of the clock construction, as plain products
-    of inverse biases along the relevant root path (first-visit rate, then
-    later-visit rate).
-
-    Toward the parent the product runs over the path down to the parent;
-    toward a child it runs over the path down to v itself, which is why
-    r(v, parent) = bias_v * r(v, child) for both bias families. Only the
-    ratios matter to any race, so the simulators use locally normalized
-    rates instead; these exact products are for analysis and tests at desk
-    depth (they underflow on very deep paths by design, not by accident).
-    """
-    tree = env.tree
-    if tree.parent[v] == u:
-        upto = u
-    elif tree.parent[u] == v:
-        upto = v
-    else:
-        raise ValueError(f"{v} and {u} are not neighbors")
-    r_lam = 1.0
-    r_mu = 1.0
-    for w in tree.root_path(upto)[1:]:
-        r_lam /= env.lam[w]
-        r_mu /= env.mu[w]
-    return r_lam, r_mu
-
-
-def _transition_arrays(env: Environment):
-    cached = getattr(env, "_trans_arrays", None)
-    if cached is not None:
-        return cached
-    tree = env.tree
-    n = tree.n_vertices
-    pf = [0.0] * n
-    pl = [0.0] * n
-    for v in range(1, n):
-        d = tree.deg(v)
-        pf[v] = env.lam[v] / (env.lam[v] + d - 1)
-        pl[v] = env.mu[v] / (env.mu[v] + d - 1)
-    arrs = (tree.parent, tree.children, pf, pl, tree.depth)
-    env._trans_arrays = arrs
-    return arrs
-
-
-def step_direct(env: Environment, v: int, fresh: bool, rng: random.Random) -> int:
-    """One step of the law from v. fresh says whether this is the departure
-    from a first visit."""
-    parent, children, pf, pl, _ = _transition_arrays(env)
-    if v == 0:
-        kids = children[0]
-        idx = int(rng.random() * len(kids))
-        return kids[min(idx, len(kids) - 1)]
-    p = pf[v] if fresh else pl[v]
-    r = rng.random()
-    if r < p:
-        return parent[v]
-    kids = children[v]
-    k = len(kids)
-    idx = int((r - p) / (1.0 - p) * k)
-    return kids[min(idx, k - 1)]
+def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
+    """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
+    first visit and mu/(mu + deg - 1) on later ones. Built once per
+    environment."""
+    if env._trans is None:
+        tree = env.tree
+        n = tree.n_vertices
+        pf = [0.0] * n
+        pl = [0.0] * n
+        for v in range(1, n):
+            d = tree.deg(v)
+            pf[v] = env.lam[v] / (env.lam[v] + d - 1)
+            pl[v] = env.mu[v] / (env.mu[v] + d - 1)
+        env._trans = (pf, pl)
+    return env._trans
 
 
 def _finish(positions, steps, returns, maxd, reason, seed):
@@ -244,7 +165,9 @@ def _finish(positions, steps, returns, maxd, reason, seed):
 def simulate(env: Environment, stop: StopRule, seed: int,
              record: bool = True) -> WalkTrajectory:
     """Run the walk from the root by drawing the law directly."""
-    parent, children, pf, pl, depth = _transition_arrays(env)
+    pf, pl = _transition_table(env)
+    tree = env.tree
+    parent, children, depth = tree.parent, tree.children, tree.depth
     rng = random.Random(seed)
     rnd = rng.random
     cap = stop.effective_cap()

@@ -149,15 +149,9 @@ class TestOutputs:
         doc = json.loads((out / "percolate.json").read_text())
         assert set(doc) == {"config", "seed", "statistics", "timestamp"}
         assert doc["seed"] == 9
+        assert set(doc["config"]) == {"subcommand", "options"}
         assert doc["config"]["subcommand"] == "percolate"
         assert doc["config"]["options"]["trials"] == 300
-
-    def test_threads_env_var_echoed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GOERW_THREADS", "4")
-        out = tmp_path / "thr"
-        run(capsys, *self.args, "--out-dir", str(out))
-        doc = json.loads((out / "percolate.json").read_text())
-        assert doc["config"]["threads"] == 4
 
 
 class TestRefusalHygiene:

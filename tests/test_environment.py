@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from goerw.environment import (
     AlphaDistribution,
+    Environment,
     Psi,
     assign_deterministic,
     environment_from_alpha,
@@ -25,6 +26,63 @@ from goerw.environment import (
 from goerw.tree import branching_ruin_estimate, build_path, build_regular, polynomial_family
 
 from conftest import random_tree
+
+
+def reference_potentials(env):
+    """R, phi, psi, log Psi and Psi per vertex, each computed by walking the
+    vertex's own root path, in the same arithmetic order as the package."""
+    tree = env.tree
+    out = {}
+    for v in range(1, tree.n_vertices):
+        R_u = phi_u = logpsi = 0.0
+        phis = {0: 0.0}
+        for u in tree.root_path(v)[1:]:
+            w = tree.parent[u]
+            if tree.depth[u] == 1:
+                R_u = 1.0
+                psi_u = 1.0
+                phi_u = phi_u + R_u
+            else:
+                R_u = R_u * env.mu[w]
+                phi_u = phi_u + R_u
+                degw = tree.deg(w)
+                lamw, muw = env.lam[w], env.mu[w]
+                drop = 1.0 - phis[tree.parent[w]] / phi_u
+                factor = (lamw + (degw - 2) * muw / (muw + 1.0)) / (lamw + degw - 1.0)
+                psi_u = 1.0 - drop * factor
+            phis[u] = phi_u
+            logpsi = logpsi + math.log(psi_u)
+        out[v] = (R_u, phi_u, psi_u, logpsi, math.exp(logpsi))
+    return out
+
+
+class TestPotentialPass:
+    """The forward pass over breadth-first ids reproduces the root-path
+    computation bit for bit, whatever order the vertices are asked in."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_matches_root_path_reference_bitwise(self, rng, order):
+        for _ in range(60):
+            t = random_tree(rng, max_edges=30, max_depth=8)
+            lam = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            mu = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            ref = reference_potentials(Environment(t, lam, mu))
+            ids = list(range(1, t.n_vertices))
+            if order == "descending":
+                ids.reverse()
+            elif order == "shuffled":
+                rng.shuffle(ids)
+            for k, query in enumerate((resistance, phi, psi, log_Psi, Psi)):
+                env = Environment(t, lam, mu)
+                for v in ids:
+                    assert query(env, v) == ref[v][k]
+
+    def test_nothing_computed_before_first_query(self):
+        t = build_regular(3, 5)
+        env = assign_deterministic(t, lam=2.0)
+        assert env._R == [] and env._trans is None
+        psi(env, 4)
+        assert len(env._R) == 5
 
 
 class TestResistanceAndPotential:
@@ -258,6 +316,14 @@ class TestValidation:
             assign_deterministic(t, lam=0.0)
         with pytest.raises(ValueError, match="positive"):
             assign_deterministic(t, mu=-1.0)
+
+    def test_caller_lists_left_alone(self):
+        t = build_path(2)
+        lam = [5.0, 2.0, 2.0]
+        mu = [3.0, 1.0, 1.0]
+        env = Environment(t, lam, mu)
+        assert lam[0] == 5.0 and mu[0] == 3.0
+        assert env.lam[0] == 1.0 and env.mu[0] == 1.0
 
     def test_length_mismatch(self):
         t = build_path(2)

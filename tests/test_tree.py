@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goerw.tree import (
+    BranchingTable,
     branching_ruin_estimate,
     build_from_edge_list,
     build_path,
@@ -213,6 +214,14 @@ class TestBranchingEstimate:
     def test_rows_cover_grid(self):
         table = branching_ruin_estimate(path_family(), [0.5, 1.0], depths=[4, 8])
         assert len(table.rows()) == 4
+
+    def test_estimate_reads_deepest_depth(self):
+        values = {(0.5, 4): 0.05, (0.5, 8): 0.3, (1.0, 4): 0.9, (1.0, 8): 0.2,
+                  (2.0, 4): 0.5, (2.0, 8): 0.01}
+        table = BranchingTable([0.5, 1.0, 2.0], [4, 8], values, 0.1)
+        assert table.estimate == 1.0
+        table.threshold = 0.5
+        assert table.estimate is None
 
 
 class TestTreeFile:

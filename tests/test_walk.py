@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 
 import numpy as np
@@ -12,12 +11,10 @@ from goerw.walk import (
     ClockTable,
     StopRule,
     derive_seed,
-    rates,
     restriction,
     simulate,
     simulate_extension,
     simulate_rubin,
-    step_direct,
 )
 
 from conftest import random_tree
@@ -48,62 +45,51 @@ class TestClockTable:
         assert derive_seed(7, 3) != derive_seed(8, 3)
 
 
-class TestRates:
-    def test_doubling_bias_path(self):
-        t = build_path(3)
-        env = assign_deterministic(t, lam=2.0, mu=4.0)
-        r_lam, r_mu = rates(env, 2, 1)  # depth-2 vertex toward its parent
-        assert r_lam == pytest.approx(0.5)
-        assert r_mu == pytest.approx(0.25)
-        r_lam_root, _ = rates(env, 1, 0)
-        assert r_lam_root == 1.0
-
-    def test_parent_child_identity(self, rng):
-        t = random_tree(rng, max_edges=15, max_depth=5)
-        env = assign_deterministic(
-            t,
-            lam=lambda v, r=rng: r.uniform(0.2, 4.0),
-            mu=lambda v, r=rng: r.uniform(0.2, 4.0),
-        )
-        for v in range(1, t.n_vertices):
-            if not t.children[v]:
-                continue
-            c = t.children[v][0]
-            down_lam, down_mu = rates(env, v, c)
-            up_lam, up_mu = rates(env, v, t.parent[v])
-            assert up_lam == pytest.approx(env.lam[v] * down_lam, rel=1e-12)
-            assert up_mu == pytest.approx(env.mu[v] * down_mu, rel=1e-12)
-
-    def test_non_neighbors_rejected(self):
-        env = assign_deterministic(build_path(3))
-        with pytest.raises(ValueError, match="not neighbors"):
-            rates(env, 1, 3)
-
-
 class TestDirectLaw:
+    """The law as simulate draws it, tallied step by step on the 3-regular
+    tree of depth 2, whose depth-2 leaves always step back up."""
+
     def test_step_probabilities_fresh(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=3.0)
-        rng = random.Random(7)
-        hits = Counter(step_direct(env, 1, True, rng) for _ in range(40000))
+        trials = 40000
+        up = 0
+        by_child = Counter()
+        for i in range(trials):
+            _, v, w = simulate(env, StopRule(max_steps=2), seed=derive_seed(7, i)).positions
+            # step 1 reaches a depth-1 vertex, step 2 is its fresh departure
+            if w == 0:
+                up += 1
+            else:
+                by_child[t.children[v].index(w)] += 1
         # deg 3, lam 3: parent 3/5, each child 1/5
-        assert hits[0] / 40000 == pytest.approx(0.6, abs=0.012)
-        kids = t.children[1]
-        for c in kids:
-            assert hits[c] / 40000 == pytest.approx(0.2, abs=0.012)
+        assert up / trials == pytest.approx(0.6, abs=0.012)
+        for k in range(2):
+            assert by_child[k] / trials == pytest.approx(0.2, abs=0.012)
 
     def test_step_probabilities_later(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=3.0, mu=0.5)
-        rng = random.Random(8)
-        hits = Counter(step_direct(env, 1, False, rng) for _ in range(40000))
-        assert hits[0] / 40000 == pytest.approx(0.2, abs=0.012)  # 0.5/2.5
+        pos = simulate(env, StopRule(max_steps=100_000), seed=8).positions
+        seen = set()
+        departures = up = 0
+        for v, w in zip(pos, pos[1:]):
+            if t.depth[v] != 1:
+                continue
+            if v in seen:
+                departures += 1
+                up += w == 0
+            seen.add(v)
+        assert departures >= 40000
+        assert up / departures == pytest.approx(0.2, abs=0.012)  # 0.5/2.5
 
     def test_root_is_uniform(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=9.0)
-        rng = random.Random(9)
-        hits = Counter(step_direct(env, 0, False, rng) for _ in range(30000))
+        pos = simulate(env, StopRule(root_returns=30000), seed=9).positions
+        # the start and every return but the last are followed by a departure
+        hits = Counter(w for v, w in zip(pos, pos[1:]) if v == 0)
+        assert sum(hits.values()) == 30000
         for c in t.children[0]:
             assert hits[c] / 30000 == pytest.approx(1 / 3, abs=0.012)
 
@@ -139,23 +125,6 @@ class TestSimulate:
         for a, b in zip(traj.positions, traj.positions[1:]):
             assert t.parent[b] == a or t.parent[a] == b
 
-    def test_counts_recomputable(self):
-        env = assign_deterministic(build_regular(3, 4), lam=2.0)
-        traj = simulate(env, StopRule(max_steps=400), seed=5)
-        z = traj.visit_counts()
-        assert sum(z.values()) == len(traj.positions)
-        c = traj.crossing_counts()
-        assert sum(c.values()) == traj.steps
-        # crossings out of a vertex against its visit count
-        for v, count in z.items():
-            out = sum(n for (a, _), n in c.items() if a == v)
-            last = traj.positions[-1]
-            assert out == count - (1 if v == last else 0)
-        hits = traj.first_hits()
-        assert hits[0] == 0
-        for v, n in hits.items():
-            assert traj.positions[n] == v and v not in traj.positions[:n]
-
     def test_unrecorded_run_keeps_summary(self):
         env = assign_deterministic(build_regular(3, 4))
         full = simulate(env, StopRule(max_steps=300), seed=6)
@@ -164,8 +133,6 @@ class TestSimulate:
         assert slim.steps == full.steps
         assert slim.max_depth == full.max_depth
         assert slim.root_returns == full.root_returns
-        with pytest.raises(ValueError, match="recording"):
-            slim.visit_counts()
 
     def test_same_seed_same_trajectory(self):
         env = assign_deterministic(build_regular(3, 4), lam=0.5)
