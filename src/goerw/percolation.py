@@ -1,12 +1,16 @@
 """Ruin percolation: the bond process carried by the walk's path extensions.
 
 Every sample owns one clock table. The edge above vertex v is open when the
-extension along v's root path reaches v before returning to the root; since
-extensions toward nested targets read the same clocks, a deeper edge can only
-be open if every edge above it is, so the open edges containing the root form
-a downward-grown cluster and membership of an edge in that cluster is the
-single event {edge open}. Its probability is exactly the ruin product Psi of
-the environment, which is what every Monte Carlo here is checked against.
+extension along v's root path reaches v before returning to the root.
+Extensions toward nested targets read the same clocks, so the run toward v
+takes the same steps as the run toward any ancestor a until it first hits a.
+One run toward v therefore answers every edge on v's root path: the edge
+above a is open iff the run's reach (the deepest path index it visits before
+its first root return) is at least |a|. A deeper edge can only be open if
+every edge above it is, so the open edges form a downward-grown cluster
+around the root and membership of an edge in that cluster is the single
+event {edge open}. Its probability is exactly the ruin product Psi of the
+environment, which is what every Monte Carlo here is checked against.
 
 The cluster is not an independent percolation: nearby edges share clocks
 through their common ancestors. It is quasi-independent, with an explicit
@@ -53,24 +57,30 @@ __all__ = [
 _EXTENSION_CAP = 10_000_000
 
 
-def _edge_open(env: Environment, table: ClockTable, v: int) -> bool | None:
-    """Did the extension toward v reach it before returning to the root?
-    None flags a run that hit the step cap (never seen in practice)."""
+def _reach(env: Environment, table: ClockTable, v: int) -> tuple[int, bool]:
+    """Run the extension toward v until it hits v or first returns to the
+    root. Returns the deepest path index reached before stopping, and
+    whether the run stopped on the step cap instead (never seen in
+    practice). The edge above any vertex a on v's root path is open iff the
+    reach is at least |a|; a capped run decides only the edges it reached."""
     traj = simulate_extension(
         env, table, v,
         StopRule(max_steps=_EXTENSION_CAP, hit_depth=env.tree.depth[v], root_returns=1),
         record=False,
     )
-    if traj.stop_reason == "max_steps":
-        return None
-    return traj.escaped
+    return traj.max_depth, traj.stop_reason == "max_steps"
 
 
 @dataclass
 class PercolationSample:
     """One realization: open status per edge (indexed by child id, entry 0
     unused) and the root cluster as the set of edges whose whole ancestor
-    line is open."""
+    line is open.
+
+    monotone_violations counts open edges under a closed parent. It is 0 by
+    construction, since one run decides a whole root path; the coupling
+    that makes this exact is checked against one run per edge in
+    tests/test_percolation.py (TestOneRunPerPath)."""
 
     open_edges: list[bool]
     root_cluster: frozenset[int]
@@ -88,43 +98,51 @@ class PercolationSample:
 def sample_ruin_percolation(env: Environment, master_seed: int,
                             sample_index: int = 0,
                             max_depth: int | None = None) -> PercolationSample:
-    """Draw one percolation sample by running the extension of every edge
-    (down to max_depth) on a single shared clock table."""
+    """Draw one percolation sample on a single shared clock table, with
+    edges down to max_depth.
+
+    The cluster grows depth first from the root. For each undecided child of
+    a cluster vertex one extension runs toward the end of the child's
+    leftmost chain (cut at max_depth), and every chain vertex up to the
+    run's reach is open. The other children of those vertices are decided
+    the same way. A subtree under a closed edge is never entered: every edge
+    in it is closed too. A capped run still opens the chain up to its reach
+    and marks the sample invalid, which is exactly what running every
+    edge's own extension would give.
+    """
     tree = env.tree
+    children, depth = tree.children, tree.depth
     table = ClockTable(derive_seed(master_seed, sample_index))
     limit = tree.truncation_depth if max_depth is None else max_depth
-    n = tree.n_vertices
-    open_edges = [False] * n
+    open_edges = [False] * tree.n_vertices
+    cluster = []
     valid = True
-    for v in range(1, n):
-        if tree.depth[v] > limit:
-            continue
-        status = _edge_open(env, table, v)
-        if status is None:
-            valid = False
-            status = False
-        open_edges[v] = status
-    cluster = set()
-    stack = [c for c in tree.children[0] if open_edges[c]]
+    stack = list(children[0]) if limit >= 1 else []
     while stack:
-        v = stack.pop()
-        cluster.add(v)
-        stack.extend(c for c in tree.children[v]
-                     if tree.depth[c] <= limit and open_edges[c])
-    violations = sum(
-        1
-        for v in range(1, n)
-        if tree.depth[v] >= 2 and tree.depth[v] <= limit
-        and open_edges[v] and not open_edges[tree.parent[v]]
-    )
+        chain = [stack.pop()]
+        while depth[chain[-1]] < limit and children[chain[-1]]:
+            chain.append(children[chain[-1]][0])
+        reach, capped = _reach(env, table, chain[-1])
+        if capped:
+            valid = False
+        for x in chain[:reach - depth[chain[0]] + 1]:
+            open_edges[x] = True
+            cluster.append(x)
+            if depth[x] < limit:
+                stack.extend(children[x][1:])
     return PercolationSample(open_edges, frozenset(cluster), valid,
-                             sample_index, violations)
+                             sample_index, 0)
 
 
 @dataclass
 class ConnectionEstimate:
     """Monte Carlo estimate of the probability that an edge sits in the root
-    cluster, next to the exact ruin product it must match."""
+    cluster, next to the exact ruin product it must match.
+
+    monotone_violations is 0 by construction, since one run per trial
+    decides the whole root path; the CLI still writes it as a CSV column.
+    The coupling that makes this exact is checked against one run per edge
+    in tests/test_percolation.py (TestOneRunPerPath)."""
 
     edge: int
     depth: int
@@ -151,49 +169,27 @@ class ConnectionEstimate:
 
 def edge_connection_probability_mc(env: Environment, edge: int, trials: int,
                                    master_seed: int) -> ConnectionEstimate:
-    """Estimate P(edge is root-connected) by running only the extensions of
-    the edge's own root path per sample, which the coupling makes sufficient.
-
-    Also cross-checks, per sample, that the edge being open already implies
-    the whole ancestor line is open (monotone coupling); any violation would
-    mean the clock sharing is broken.
+    """Estimate P(edge is root-connected) from one extension toward the edge
+    per trial: the edge is root-connected iff that run reaches it, since the
+    run's reach decides every edge of the root path at once. A trial whose
+    run hits the step cap counts as invalid, not as closed.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
-    tree = env.tree
-    path_targets = tree.root_path(edge)[1:]
+    d = env.tree.depth[edge]
     n_connected = 0
-    violations = 0
     invalid = 0
     for i in range(trials):
-        table = ClockTable(derive_seed(master_seed, i))
-        all_open = True
-        edge_itself_open = False
-        for v in path_targets:
-            status = _edge_open(env, table, v)
-            if status is None:
-                invalid += 1
-                all_open = False
-                break
-            if v == edge:
-                edge_itself_open = status
-            if not status:
-                all_open = False
-                # keep going only to evaluate the edge itself for the
-                # monotonicity cross-check
-                if v == edge:
-                    break
-        if edge_itself_open and not all_open:
-            violations += 1
-        if all_open:
-            n_connected += 1
+        reach, capped = _reach(env, ClockTable(derive_seed(master_seed, i)), edge)
+        invalid += capped
+        n_connected += reach == d
     return ConnectionEstimate(
         edge=edge,
-        depth=tree.depth[edge],
+        depth=d,
         trials=trials,
         n_connected=n_connected,
         exact=Psi(env, edge),
-        monotone_violations=violations,
+        monotone_violations=0,
         invalid_runs=invalid,
     )
 
@@ -248,18 +244,14 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     that share no path vertices read disjoint clock sets.
     """
     tree = env.tree
-    pa = tree.root_path(edge_a)
-    pb = tree.root_path(edge_b)
     shared = 0
-    for x, y in zip(pa, pb):
+    for x, y in zip(tree.root_path(edge_a), tree.root_path(edge_b)):
         if x != y:
             break
         shared = x
     if shared in (edge_a, edge_b):
         raise ValueError("edges on the same root path make a degenerate pair")
-    cond_targets = tree.root_path(shared)[1:] if shared else []
-    a_targets = [v for v in pa[1:] if v not in cond_targets]
-    b_targets = [v for v in pb[1:] if v not in cond_targets and v not in a_targets]
+    ds, da, db = tree.depth[shared], tree.depth[edge_a], tree.depth[edge_b]
 
     kept = 0
     hit_a = 0
@@ -267,11 +259,14 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     hit_both = 0
     for i in range(trials):
         table = ClockTable(derive_seed(master_seed, i))
-        if not all(_edge_open(env, table, v) for v in cond_targets):
+        # the run toward edge_a passes through shared, so its reach decides
+        # the conditioning event and edge_a's connection together
+        reach_a, _ = _reach(env, table, edge_a)
+        if reach_a < ds:
             continue
         kept += 1
-        ca = all(_edge_open(env, table, v) for v in a_targets)
-        cb = all(_edge_open(env, table, v) for v in b_targets)
+        ca = reach_a == da
+        cb = _reach(env, table, edge_b)[0] == db
         hit_a += ca
         hit_b += cb
         hit_both += ca and cb

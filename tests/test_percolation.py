@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import goerw.percolation as percolation
 from goerw.environment import (
     AlphaDistribution,
+    Environment,
     Psi,
     assign_deterministic,
     environment_from_alpha,
@@ -18,11 +20,103 @@ from goerw.percolation import (
     sample_ruin_percolation,
 )
 from goerw.tree import build_path, build_regular
+from goerw.walk import ClockTable, StopRule, derive_seed, simulate_extension
+
+from conftest import random_tree
 
 
 def ternary_excited(depth):
     t = build_regular(3, depth)
     return t, environment_from_alpha(t, [1.0] * t.n_vertices)
+
+
+# ---------------------------------------------------------------------------
+# per-edge reference: one extension per edge, each asked on its own whether
+# it reaches its edge before the root
+
+
+def edge_open_ref(env, table, v):
+    """True/False per the extension toward v alone; None if it capped."""
+    traj = simulate_extension(
+        env, table, v,
+        StopRule(max_steps=percolation._EXTENSION_CAP,
+                 hit_depth=env.tree.depth[v], root_returns=1),
+        record=False,
+    )
+    if traj.stop_reason == "max_steps":
+        return None
+    return traj.escaped
+
+
+def sample_ref(env, master_seed, sample_index, max_depth=None):
+    """(open_edges, root_cluster, valid, violations) from every edge's own
+    extension; violations counts open edges under a closed parent."""
+    t = env.tree
+    table = ClockTable(derive_seed(master_seed, sample_index))
+    limit = t.truncation_depth if max_depth is None else max_depth
+    open_edges = [False] * t.n_vertices
+    valid = True
+    for v in range(1, t.n_vertices):
+        if t.depth[v] <= limit:
+            status = edge_open_ref(env, table, v)
+            if status is None:
+                valid = False
+            open_edges[v] = bool(status)
+    cluster = {v for v in range(1, t.n_vertices)
+               if all(open_edges[g] for g in t.root_path(v)[1:])}
+    violations = sum(1 for v in range(1, t.n_vertices)
+                     if t.depth[v] >= 2 and open_edges[v]
+                     and not open_edges[t.parent[v]])
+    return open_edges, frozenset(cluster), valid, violations
+
+
+def connection_ref(env, edge, trials, master_seed):
+    """(n_connected, invalid_runs): a trial is connected when every edge of
+    the root path is open, invalid when any of their runs capped."""
+    n_connected = invalid = 0
+    for i in range(trials):
+        table = ClockTable(derive_seed(master_seed, i))
+        status = [edge_open_ref(env, table, v) for v in env.tree.root_path(edge)[1:]]
+        if None in status:
+            invalid += 1
+        elif all(status):
+            n_connected += 1
+    return n_connected, invalid
+
+
+def quasi_ref(env, edge_a, edge_b, trials, master_seed):
+    """(kept, hit_a, hit_b, hit_both) with one extension per path edge."""
+    t = env.tree
+    pa, pb = t.root_path(edge_a), t.root_path(edge_b)
+    cond = [x for x, y in zip(pa[1:], pb[1:]) if x == y]
+    kept = hit_a = hit_b = hit_both = 0
+    for i in range(trials):
+        table = ClockTable(derive_seed(master_seed, i))
+        if not all(edge_open_ref(env, table, v) for v in cond):
+            continue
+        kept += 1
+        ca = all(edge_open_ref(env, table, v) for v in pa[1 + len(cond):])
+        cb = all(edge_open_ref(env, table, v) for v in pb[1 + len(cond):])
+        hit_a += ca
+        hit_b += cb
+        hit_both += ca and cb
+    return kept, hit_a, hit_b, hit_both
+
+
+def random_env(rng, max_edges=24, max_depth=6):
+    t = random_tree(rng, max_edges=max_edges, max_depth=max_depth)
+    lam = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
+    mu = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
+    return t, Environment(t, lam, mu)
+
+
+def disjoint_pair(t, rng):
+    """Two edges neither of which is on the other's root path, or None."""
+    for _ in range(20 if t.n_vertices > 2 else 0):
+        a, b = rng.sample(range(1, t.n_vertices), 2)
+        if a not in t.root_path(b) and b not in t.root_path(a):
+            return a, b
+    return None
 
 
 class TestSample:
@@ -63,6 +157,143 @@ class TestSample:
             if t.depth[v] > 2:
                 assert not s.is_open(v)
                 assert not s.in_root_cluster(v)
+
+
+class TestOneRunPerPath:
+    """One extension per root path must give exactly what one extension per
+    edge gives. This is the coupling check: nested extensions read the same
+    clocks, so a run decides every edge above its target."""
+
+    def test_sample_matches_per_edge_runs(self, rng):
+        open_deep = closed_deep = 0
+        for k in range(240):
+            t, env = random_env(rng)
+            max_depth = None if k % 2 else rng.randint(1, 5)
+            s = sample_ruin_percolation(env, master_seed=30, sample_index=k,
+                                        max_depth=max_depth)
+            open_edges, cluster, valid, violations = sample_ref(env, 30, k, max_depth)
+            assert s.open_edges == open_edges
+            assert s.root_cluster == cluster
+            assert s.valid == valid
+            assert violations == 0
+            assert s.monotone_violations == 0
+            for v in range(1, t.n_vertices):
+                if t.depth[v] >= 2 and (max_depth is None or t.depth[v] <= max_depth):
+                    open_deep += open_edges[v]
+                    closed_deep += not open_edges[v]
+        # both outcomes occur below depth 1, so the comparison is not vacuous
+        assert open_deep > 50 and closed_deep > 50
+
+    def test_connection_mc_matches_per_edge_runs(self, rng):
+        connected = closed = 0
+        for k in range(200):
+            t, env = random_env(rng, max_edges=12, max_depth=5)
+            edge = rng.randrange(1, t.n_vertices)
+            est = edge_connection_probability_mc(env, edge, trials=100,
+                                                 master_seed=40 + k)
+            n_connected, invalid = connection_ref(env, edge, 100, 40 + k)
+            assert est.n_connected == n_connected
+            assert est.invalid_runs == invalid
+            assert est.monotone_violations == 0
+            if t.depth[edge] >= 2:
+                connected += n_connected
+                closed += 100 - n_connected
+        assert connected > 0 and closed > 0
+
+    def test_quasi_independence_matches_per_edge_runs(self, rng):
+        compared = 0
+        while compared < 40:
+            t, env = random_env(rng, max_edges=16, max_depth=5)
+            pair = disjoint_pair(t, rng)
+            if pair is None:
+                continue
+            a, b = pair
+            seed = 50 + compared
+            kept, hit_a, hit_b, hit_both = quasi_ref(env, a, b, 150, seed)
+            if kept == 0:
+                with pytest.raises(RefusalError):
+                    quasi_independence_statistic(env, a, b, 150, seed,
+                                                 min_conditioned=1)
+                continue
+            rep = quasi_independence_statistic(env, a, b, 150, seed,
+                                               min_conditioned=1)
+            assert rep.kept == kept
+            assert rep.p_a == hit_a / kept
+            assert rep.p_b == hit_b / kept
+            assert rep.p_joint == hit_both / kept
+            compared += 1
+
+    def test_one_run_per_chain(self, rng, monkeypatch):
+        """A sample runs one extension per chain head (a root child, or a
+        child of a cluster vertex other than its first) and never enters a
+        subtree under a closed edge; the edge MC runs one per trial."""
+        runs = []
+
+        def counted(env, table, target, stop, record=True):
+            runs.append(target)
+            return simulate_extension(env, table, target, stop, record)
+
+        monkeypatch.setattr(percolation, "simulate_extension", counted)
+        for k in range(60):
+            t, env = random_env(rng)
+            runs.clear()
+            s = sample_ruin_percolation(env, master_seed=90, sample_index=k)
+            heads = [v for v in range(1, t.n_vertices)
+                     if t.parent[v] == 0
+                     or (t.parent[v] in s.root_cluster and t.children[t.parent[v]][0] != v)]
+            assert len(runs) == len(heads)
+            runs.clear()
+            edge_connection_probability_mc(env, t.n_vertices - 1, trials=100,
+                                           master_seed=90 + k)
+            assert runs == [t.n_vertices - 1] * 100
+
+
+class TestCapHits:
+    """With the step cap cut to a few steps, runs that dither stop on the
+    cap. Such a run is invalid, never an ordinary closed edge, and the
+    one-run-per-path answer still equals the per-edge one."""
+
+    CAP = 5
+
+    def test_sample_invalid_and_equal_to_per_edge_runs(self, rng, monkeypatch):
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", self.CAP)
+        invalid = 0
+        for k in range(120):
+            _, env = random_env(rng)
+            s = sample_ruin_percolation(env, master_seed=60, sample_index=k)
+            open_edges, cluster, valid, _ = sample_ref(env, 60, k)
+            assert (s.open_edges, s.root_cluster, s.valid) == (open_edges, cluster, valid)
+            invalid += not s.valid
+        assert 0 < invalid < 120
+
+    def test_trials_invalid_and_equal_to_per_edge_runs(self, rng, monkeypatch):
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", self.CAP)
+        invalid = 0
+        for k in range(60):
+            t, env = random_env(rng, max_edges=12, max_depth=5)
+            edge = rng.randrange(1, t.n_vertices)
+            est = edge_connection_probability_mc(env, edge, trials=100,
+                                                 master_seed=70 + k)
+            assert (est.n_connected, est.invalid_runs) == connection_ref(env, edge, 100, 70 + k)
+            invalid += est.invalid_runs
+        assert invalid > 0
+
+    def test_capped_trial_is_not_a_closed_edge(self, monkeypatch):
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", self.CAP)
+        t, env = ternary_excited(4)
+        edge = t.leftmost_at_depth(4)
+        est = edge_connection_probability_mc(env, edge, trials=400, master_seed=80)
+        capped = closed = 0
+        for i in range(400):
+            traj = simulate_extension(
+                env, ClockTable(derive_seed(80, i)), edge,
+                StopRule(max_steps=self.CAP, hit_depth=4, root_returns=1),
+                record=False)
+            capped += traj.stop_reason == "max_steps"
+            closed += traj.stop_reason == "root_returns"
+        assert capped > 0 and closed > 0
+        assert est.invalid_runs == capped
+        assert est.n_connected == 400 - capped - closed
 
 
 class TestConnectionEstimate:
