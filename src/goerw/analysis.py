@@ -30,7 +30,7 @@ from .environment import (
 )
 from .errors import RefusalError
 from .percolation import adapted_conductance
-from .tree import Tree, TreeFamily, branching_ruin_estimate, polynomial_family
+from .tree import Tree, TreeFamily, _cut_dp, branching_ruin_estimate, polynomial_family
 from .walk import StopRule, derive_seed, simulate
 
 
@@ -87,9 +87,13 @@ def gambler_ruin_exact(chain: GamblerChain):
     return 1 - phi_i / phi_N
 
 
+_SWEEP_CAP = 10_000_000
+
+
 def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the ruin probability with its binomial
-    standard error. All trials advance in lockstep on numpy arrays."""
+    standard error. All trials advance in lockstep on numpy arrays; a trial
+    still unabsorbed after _SWEEP_CAP sweeps is a refusal."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
     rng = np.random.default_rng(seed)
@@ -102,8 +106,9 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
     sweeps = 0
     while active.any():
         sweeps += 1
-        if sweeps > 10_000_000:
-            raise RuntimeError("absorption sweep cap exceeded")
+        if sweeps > _SWEEP_CAP:
+            raise RefusalError(f"absorption sweep cap {_SWEEP_CAP} exceeded "
+                               f"with {active.sum()} of {trials} trials unabsorbed")
         idx = np.flatnonzero(active)
         u = rng.random(idx.size)
         down = u < p_down[pos[idx]]
@@ -141,24 +146,13 @@ def tree_max_flow(tree: Tree, capacity: Callable[[int], float],
     capacities capacity(v) (v is the edge's lower endpoint).
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
-    capacity capped by the total its children can carry. Childless vertices
-    above the target depth carry nothing. Returns (max flow, per-edge flow
+    capacity capped by the total its children can carry, which is the min
+    cut DP of tree.min_cutset_sum cut at `depth`. Childless vertices above
+    the target depth carry nothing. Returns (max flow, per-edge flow
     capacity F indexed by vertex id)."""
     if not 1 <= depth <= tree.truncation_depth:
         raise ValueError(f"depth must lie in [1, {tree.truncation_depth}]")
-    F = [0.0] * tree.n_vertices
-    for v in range(tree.n_vertices - 1, 0, -1):
-        d = tree.depth[v]
-        if d > depth:
-            continue
-        if d == depth:
-            F[v] = capacity(v)
-        else:
-            s = 0.0
-            for c in tree.children[v]:
-                s += F[c]
-            F[v] = min(capacity(v), s)
-    total = sum(F[c] for c in tree.children[0])
+    total, F, _ = _cut_dp(tree, capacity, depth)
     return total, F
 
 

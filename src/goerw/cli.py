@@ -1,16 +1,19 @@
 """Command-line experiment runner.
 
-Every module is exposed as a subcommand. All options can also be supplied
-through a flat key=value config file (dotted keys scope an option to one
-subcommand, e.g. ``phase-scan.escape-depth = 48``); command-line flags
-override file values. All randomness flows from the single ``--seed``.
+Every module is exposed as a subcommand that accepts only the options its
+runner reads (``COMMANDS``). Options can also come from a flat key=value
+config file: a dotted key scopes an option to one subcommand
+(``phase-scan.escape-depth = 48``), an undotted one serves every subcommand
+that reads it. Flags override file values. All randomness flows from the
+single ``--seed``.
 
 Outputs are written only after an experiment finishes, atomically, so a
 refusal or a crash never leaves partial data files. JSON summaries carry a
 ``timestamp`` field; everything else is a pure function of config and seed,
 so reruns are byte-identical once that field is stripped.
 
-Exit codes: 0 success, 1 runtime refusal, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime refusal, 2 usage or validation error; a
+bug surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .analysis import (
     GamblerChain,
@@ -54,9 +57,6 @@ from .tree import (
     TreeFamily,
     _atomic_write,
     branching_ruin_estimate,
-    build_path,
-    build_polynomial,
-    build_regular,
     path_family,
     polynomial_family,
     read_tree_file,
@@ -68,48 +68,6 @@ from .walk import StopRule, derive_seed, simulate
 
 class UsageError(Exception):
     """Bad flags, bad config keys, malformed specs. Exits with status 2."""
-
-
-# ---------------------------------------------------------------------------
-# option registry: one table drives argparse, config validation, and help
-
-GLOBAL_OPTS: dict[str, Callable] = {
-    "tree": str,
-    "env": str,
-    "seed": int,
-    "trials": int,
-    "depth": int,
-    "gamma-grid": str,
-    "epsilon": float,
-    "out-dir": str,
-    "format": str,
-}
-
-SUB_OPTS: dict[str, dict[str, Callable]] = {
-    "gen-tree": {"family": str, "b": float, "d": int, "L": int, "output": str},
-    "compute-psi": {"edge-depth": int},
-    "simulate": {"max-steps": int, "returns": int},
-    "percolate": {"depths": str},
-    "estimate-br": {"depths": str, "threshold": float},
-    "estimate-rt": {"depths": str, "threshold": float},
-    "flow-check": {"gamma": float, "depths": str},
-    "phase-scan": {"escape-depth": int, "horizon": int},
-    "gambler": {"mu": str, "start": int},
-    "concentration": {"depths": str},
-}
-
-HELP = {
-    "gen-tree": "build a tree and write it to a text file",
-    "compute-psi": "exact per-edge ruin factor, ruin product, and conductance",
-    "simulate": "quenched walk trials with first-of stopping",
-    "percolate": "MC edge connection probabilities against the exact product",
-    "estimate-br": "branching-ruin table from min cutset sums",
-    "estimate-rt": "cutset table with ruin-product weights",
-    "flow-check": "max flow and energy with capacity Psi^gamma",
-    "phase-scan": "escape-frequency phase diagnostic with matched control",
-    "gambler": "exact biased gambler's ruin probability",
-    "concentration": "band-violation frequencies of the ruin product",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +91,10 @@ def parse_tree_spec(spec: str) -> Tree:
     or `file:PATH`."""
     kind, _, body = spec.partition(":")
     if kind == "file":
-        return read_tree_file(body)
+        try:
+            return read_tree_file(body)
+        except OSError as e:
+            raise UsageError(f"cannot read tree file {body}: {e.strerror}") from None
     fam, L = parse_family_spec(spec)
     return fam.build(L)
 
@@ -276,35 +237,40 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _validate_config_key(key: str, path: str, ln: int) -> None:
+    """A dotted key must name an option of its subcommand; an undotted key
+    must name an option of some subcommand."""
     if "." in key:
         sub, _, name = key.partition(".")
-        if sub not in SUB_OPTS:
+        if sub not in COMMANDS:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r} "
                              f"(no subcommand {sub!r})")
-        if name not in SUB_OPTS[sub] and name not in GLOBAL_OPTS:
-            raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
-    elif key not in GLOBAL_OPTS:
+        if name not in COMMANDS[sub].options:
+            raise UsageError(f"{path}:{ln}: unknown config key {key!r} "
+                             f"({sub} takes no --{name})")
+    elif key not in TYPES:
         raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
 
 
 class Options:
-    """Merged view of flags over config values, typed via the registry."""
+    """Merged view of flags over config values for one subcommand's
+    declared options, typed via the registry."""
 
     def __init__(self, sub: str, flag_values: dict[str, object],
                  config: dict[str, str]):
         self.sub = sub
+        self.names = COMMANDS[sub].options
         self._flags = flag_values
         self._config = config
-        self._types = dict(GLOBAL_OPTS)
-        self._types.update(SUB_OPTS[sub])
 
     def get(self, name: str, default=None):
+        if name not in self.names:
+            raise KeyError(f"{self.sub} declares no option {name!r}")
         v = self._flags.get(name)
         if v is not None:
             return v
         for key in (f"{self.sub}.{name}", name):
             if key in self._config:
-                conv = self._types[name]
+                conv = TYPES[name]
                 try:
                     return conv(self._config[key])
                 except ValueError:
@@ -321,7 +287,7 @@ class Options:
 
     def effective(self) -> dict[str, object]:
         out = {}
-        for name in sorted(self._types):
+        for name in sorted(self.names):
             v = self.get(name)
             if v is not None:
                 out[name] = v
@@ -370,8 +336,8 @@ class Runner:
         if fmt in (None, "csv"):
             self.files[f"{basename}.csv"] = _csv_text(header, rows)
         if fmt in (None, "json"):
-            self.files[f"{basename}.json"] = _json_text(
-                echo, self.opts.get("seed"), stats)
+            seed = self.opts.get("seed") if "seed" in self.opts.names else None
+            self.files[f"{basename}.json"] = _json_text(echo, seed, stats)
 
     def flush(self) -> None:
         out_dir = self.opts.get("out-dir")
@@ -389,22 +355,7 @@ class Runner:
 
 def _run_gen_tree(r: Runner) -> None:
     o = r.opts
-    spec = o.get("tree")
-    if spec is not None:
-        tree = parse_tree_spec(spec)
-    else:
-        family = o.require("family")
-        L = o.get("L", o.get("depth"))
-        if L is None:
-            raise UsageError("missing required option --L")
-        if family == "path":
-            tree = build_path(L)
-        elif family == "regular":
-            tree = build_regular(o.require("d"), L)
-        elif family == "poly":
-            tree = build_polynomial(o.require("b"), L)
-        else:
-            raise UsageError(f"unknown family {family!r}")
+    tree = parse_tree_spec(o.require("tree"))
     out = o.get("output")
     if out is None:
         out_dir = o.get("out-dir", ".")
@@ -418,9 +369,7 @@ def _run_compute_psi(r: Runner) -> None:
     o = r.opts
     tree = parse_tree_spec(o.require("tree"))
     env = build_environment(tree, o.require("env"), o.get("seed", 0))
-    d = o.get("edge-depth", o.get("depth"))
-    if d is None:
-        raise UsageError("missing required option --edge-depth")
+    d = o.require("edge-depth")
     edge = tree.leftmost_at_depth(d)
     psi_v = psi_of(env, edge)
     Psi_v = Psi_of(env, edge)
@@ -648,17 +597,51 @@ def _run_concentration(r: Runner) -> None:
     r.emit("concentration", ["depth", "violations", "frequency"], rows, stats)
 
 
-RUNNERS = {
-    "gen-tree": _run_gen_tree,
-    "compute-psi": _run_compute_psi,
-    "simulate": _run_simulate,
-    "percolate": _run_percolate,
-    "estimate-br": _run_estimate_br,
-    "estimate-rt": _run_estimate_rt,
-    "flow-check": _run_flow_check,
-    "phase-scan": _run_phase_scan,
-    "gambler": _run_gambler,
-    "concentration": _run_concentration,
+# ---------------------------------------------------------------------------
+# option registry: one table drives argparse, config validation, the typed
+# option view and the JSON echo
+
+TYPES: dict[str, Callable] = {
+    "tree": str, "env": str, "seed": int, "trials": int, "depth": int,
+    "depths": str, "edge-depth": int, "max-steps": int, "returns": int,
+    "gamma": float, "gamma-grid": str, "threshold": float, "epsilon": float,
+    "escape-depth": int, "horizon": int, "mu": str, "start": int,
+    "output": str, "format": str, "out-dir": str,
+}
+
+_OUT = ("format", "out-dir")
+_SAMPLED = ("tree", "env", "seed", "trials")
+_TABLE = ("tree", "depths", "gamma-grid", "threshold", *_OUT)
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[Runner], None]
+    options: tuple[str, ...]  # exactly the options `run` reads
+
+
+COMMANDS: dict[str, Command] = {
+    "gen-tree": Command("build a tree and write it to a text file", _run_gen_tree,
+                        ("tree", "output", "out-dir")),
+    "compute-psi": Command("exact per-edge ruin factor, ruin product, and conductance",
+                           _run_compute_psi, ("tree", "env", "seed", "edge-depth", *_OUT)),
+    "simulate": Command("quenched walk trials with first-of stopping", _run_simulate,
+                        (*_SAMPLED, "depth", "max-steps", "returns", *_OUT)),
+    "percolate": Command("MC edge connection probabilities against the exact product",
+                         _run_percolate, (*_SAMPLED, "depth", "depths", *_OUT)),
+    "estimate-br": Command("branching-ruin table from min cutset sums",
+                           _run_estimate_br, _TABLE),
+    "estimate-rt": Command("cutset table with ruin-product weights",
+                           _run_estimate_rt, ("env", "seed", *_TABLE)),
+    "flow-check": Command("max flow and energy with capacity Psi^gamma", _run_flow_check,
+                          ("tree", "env", "seed", "gamma", "depths", *_OUT)),
+    "phase-scan": Command("escape-frequency phase diagnostic with matched control",
+                          _run_phase_scan, (*_SAMPLED, "depth", "escape-depth",
+                                            "horizon", "epsilon", *_OUT)),
+    "gambler": Command("exact biased gambler's ruin probability", _run_gambler,
+                       ("mu", "start", "trials", "seed", *_OUT)),
+    "concentration": Command("band-violation frequencies of the ruin product",
+                             _run_concentration, (*_SAMPLED, "depths", "epsilon", *_OUT)),
 }
 
 ALIASES = {"psi": "compute-psi"}
@@ -677,16 +660,15 @@ def _build_parser():
                     "random walks on rooted trees.")
     p.add_argument("--config", help="flat key=value config file; flags override")
     subs = p.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in RUNNERS:
+    for name, cmd in COMMANDS.items():
         aliases = [a for a, target in ALIASES.items() if target == name]
-        sp = subs.add_parser(name, aliases=aliases, help=HELP[name])
-        for opt, conv in GLOBAL_OPTS.items():
+        # no abbreviations: `--depth` must not pass for `--depths`
+        sp = subs.add_parser(name, aliases=aliases, help=cmd.help, allow_abbrev=False)
+        for opt in cmd.options:
             if opt == "format":
                 sp.add_argument("--format", choices=["csv", "json"])
             else:
-                sp.add_argument(f"--{opt}", type=conv)
-        for opt, conv in SUB_OPTS[name].items():
-            sp.add_argument(f"--{opt}", type=conv)
+                sp.add_argument(f"--{opt}", type=TYPES[opt])
     return p
 
 
@@ -704,7 +686,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        if k not in ("subcommand", "config")}
         opts = Options(sub, flag_values, config)
         runner = Runner(opts)
-        RUNNERS[sub](runner)
+        COMMANDS[sub].run(runner)
         runner.flush()
         return 0
     except UsageError as e:
@@ -716,9 +698,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -217,6 +217,7 @@ class QuasiIndependenceReport:
     ancestor: int            # nearest common ancestor vertex (0 for disjoint)
     trials: int
     kept: int                # samples where the ancestor was root-connected
+    invalid_runs: int        # samples left out because a run hit the step cap
     p_a: float
     p_b: float
     p_joint: float
@@ -239,9 +240,11 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
 
     Conditioning is by rejection, so a pair whose ancestor is rarely reached
     can starve; fewer than min_conditioned kept samples is a refusal, not an
-    answer. For pairs in disjoint root subtrees the conditioning is empty and
-    the report also carries an exact-independence z score, since extensions
-    that share no path vertices read disjoint clock sets.
+    answer. A sample with a run stopped on the step cap decides nothing: it
+    is counted in invalid_runs and left out of kept and the hits. For pairs
+    in disjoint root subtrees the conditioning is empty and the report also
+    carries an exact-independence z score, since extensions that share no
+    path vertices read disjoint clock sets.
     """
     tree = env.tree
     shared = 0
@@ -254,6 +257,7 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     ds, da, db = tree.depth[shared], tree.depth[edge_a], tree.depth[edge_b]
 
     kept = 0
+    invalid = 0
     hit_a = 0
     hit_b = 0
     hit_both = 0
@@ -261,19 +265,25 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
         table = ClockTable(derive_seed(master_seed, i))
         # the run toward edge_a passes through shared, so its reach decides
         # the conditioning event and edge_a's connection together
-        reach_a, _ = _reach(env, table, edge_a)
-        if reach_a < ds:
+        reach_a, capped = _reach(env, table, edge_a)
+        if not capped:
+            if reach_a < ds:
+                continue
+            reach_b, capped = _reach(env, table, edge_b)
+        if capped:
+            invalid += 1
             continue
         kept += 1
         ca = reach_a == da
-        cb = _reach(env, table, edge_b)[0] == db
+        cb = reach_b == db
         hit_a += ca
         hit_b += cb
         hit_both += ca and cb
     if kept < min_conditioned:
         raise RefusalError(
-            f"conditioning on vertex {shared} kept {kept} of {trials} samples, "
-            f"fewer than the required {min_conditioned}; increase trials"
+            f"conditioning on vertex {shared} kept {kept} of {trials} samples "
+            f"({invalid} capped), fewer than the required {min_conditioned}; "
+            "increase trials"
         )
     p_a = hit_a / kept
     p_b = hit_b / kept
@@ -290,7 +300,7 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
         indep_z = d / math.sqrt(var)
     return QuasiIndependenceReport(
         edge_a=edge_a, edge_b=edge_b, ancestor=shared, trials=trials,
-        kept=kept, p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
+        kept=kept, invalid_runs=invalid, p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
         sigma_joint=sigma, holds=holds, ratio=ratio, independence_z=indep_z,
     )
 

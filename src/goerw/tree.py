@@ -240,30 +240,28 @@ def _weight_fn(tree: Tree, weights) -> Callable[[int], float]:
     raise TypeError("weights must be a mapping edge->weight or a callable")
 
 
-def min_cutset_sum(tree: Tree, weights) -> tuple[float, frozenset[int]]:
-    """Minimum total weight of a cutset separating the root from the
-    truncation boundary, and one optimal cutset (edges named by child id).
-
-    weights maps each edge (child id) to a positive weight, either as a
-    mapping or a callable. Ties between cutting an edge and cutting below it
-    go to the edge itself, so the reported cutset is the shallowest optimum.
-    Dead-end branches that stop short of the boundary need no cut.
-    """
-    w = _weight_fn(tree, weights)
+def _cut_dp(tree: Tree, w: Callable[[int], float],
+            depth: int) -> tuple[float, list[float], bytearray]:
+    """Bottom-up over BFS ids: F[v] = w(v) at `depth`, 0 at a dead end above
+    it, else min(w(v), sum of F over the children) with ties to w(v), marked
+    in cut_here. F[v] is both the least cut below v and, with capacities w,
+    the most flow through v. Returns (sum of F over the root's children, F,
+    cut_here)."""
     n = tree.n_vertices
-    L = tree.truncation_depth
     F = [0.0] * n
     cut_here = bytearray(n)
-    depth = tree.depth
+    tree_depth = tree.depth
     children = tree.children
     for v in range(n - 1, 0, -1):
-        if depth[v] == L:
-            F[v] = w(v)
-            cut_here[v] = 1
+        d = tree_depth[v]
+        if d >= depth:
+            if d == depth:
+                F[v] = w(v)
+                cut_here[v] = 1
             continue
         kids = children[v]
         if not kids:
-            continue  # dead end short of the boundary: nothing to separate
+            continue  # dead end short of the cut depth: nothing to separate
         below = 0.0
         for c in kids:
             below += F[c]
@@ -276,14 +274,28 @@ def min_cutset_sum(tree: Tree, weights) -> tuple[float, frozenset[int]]:
     value = 0.0
     for c in children[0]:
         value += F[c]
+    return value, F, cut_here
+
+
+def min_cutset_sum(tree: Tree, weights) -> tuple[float, frozenset[int]]:
+    """Minimum total weight of a cutset separating the root from the
+    truncation boundary, and one optimal cutset (edges named by child id).
+
+    weights maps each edge (child id) to a positive weight, either as a
+    mapping or a callable. Ties between cutting an edge and cutting below it
+    go to the edge itself, so the reported cutset is the shallowest optimum.
+    Dead-end branches that stop short of the boundary need no cut.
+    """
+    value, _, cut_here = _cut_dp(tree, _weight_fn(tree, weights),
+                                 tree.truncation_depth)
     cut = []
-    stack = list(children[0])
+    stack = list(tree.children[0])
     while stack:
         v = stack.pop()
         if cut_here[v]:
             cut.append(v)
         else:
-            stack.extend(children[v])
+            stack.extend(tree.children[v])
     return value, frozenset(cut)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import goerw.analysis as analysis
 from goerw.analysis import (
     FlowEnergyReport,
     GamblerChain,
@@ -109,6 +110,12 @@ class TestGamblerMC:
     def test_deterministic(self):
         chain = GamblerChain(N=5, mu=(0.5, 2.0, 1.0, 3.0), start=2)
         assert gambler_ruin_mc(chain, 500, 11) == gambler_ruin_mc(chain, 500, 11)
+
+    def test_sweep_cap_is_a_refusal_naming_the_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_SWEEP_CAP", 3)
+        chain = GamblerChain(N=40, mu=(1.0,) * 39, start=20)
+        with pytest.raises(RefusalError, match="sweep cap 3 exceeded"):
+            gambler_ruin_mc(chain, 200, 1)
 
 
 class TestHoeffding:

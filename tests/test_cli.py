@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import goerw.cli as cli
 from goerw.cli import main, parse_env_spec, parse_family_spec, parse_tree_spec
 from goerw.environment import AlphaDistribution
 
@@ -45,6 +46,12 @@ class TestSpecParsing:
         code, _, err = run(capsys, "simulate", "--tree", "poly:b=1.5",
                            "--env", "alpha:point=1")
         assert code == 2 and "L" in err
+
+    def test_missing_tree_file_is_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.txt")
+        code, _, err = run(capsys, "simulate", "--tree", f"file:{path}",
+                           "--env", "alpha:point=1")
+        assert code == 2 and path in err
 
 
 class TestGambler:
@@ -111,6 +118,26 @@ class TestConfigFile:
                            "--mu", "2,2")
         assert code == 0
         assert out.splitlines()[0] == "2/3"  # overridden biases, config start
+
+    def test_dotted_key_must_be_declared_by_its_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("percolate.epsilon = 3\n")
+        code, _, err = run(capsys, "--config", str(cfg), "percolate")
+        assert code == 2 and "percolate.epsilon" in err and "--epsilon" in err
+
+    def test_undotted_key_serves_only_subcommands_that_read_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("tree = path:L=8\nseed = 5\nepsilon = 0.3\n"
+                       "gamma-grid = 0.5,1.0\n")
+        out = tmp_path / "br"
+        code, _, _ = run(capsys, "--config", str(cfg), "estimate-br",
+                         "--out-dir", str(out), "--format", "json")
+        assert code == 0
+        doc = json.loads((out / "estimate-br.json").read_text())
+        assert doc["seed"] is None
+        assert doc["config"]["options"] == {
+            "format": "json", "gamma-grid": "0.5,1.0", "out-dir": str(out),
+            "tree": "path:L=8"}
 
     def test_comments_and_blanks_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
@@ -179,8 +206,8 @@ class TestRefusalHygiene:
 class TestRoundTrips:
     def test_gen_tree_then_simulate_from_file(self, tmp_path, capsys):
         path = str(tmp_path / "t.txt")
-        code, out, _ = run(capsys, "gen-tree", "--family", "poly", "--b", "1.2",
-                           "--L", "6", "--output", path)
+        code, out, _ = run(capsys, "gen-tree", "--tree", "poly:b=1.2,L=6",
+                           "--output", path)
         assert code == 0 and "vertices=" in out
         code, out, _ = run(capsys, "simulate", "--tree", f"file:{path}",
                            "--env", "det:lambda=2,mu=1", "--trials", "20",
@@ -192,6 +219,46 @@ class TestRoundTrips:
         code, out, _ = run(capsys, "gen-tree", "--tree", "regular:d=4,L=3",
                            "--output", path)
         assert code == 0 and "vertices=53" in out
+
+
+class TestOptionTable:
+    OLD_ONLY = ("family", "b", "d", "L")  # gen-tree's options before --tree specs
+
+    @staticmethod
+    def accepts(sub, name):
+        value = "csv" if name == "format" else "1"
+        try:
+            cli._build_parser().parse_args([sub, f"--{name}", value])
+        except SystemExit:
+            return False
+        return True
+
+    def test_each_subcommand_accepts_exactly_its_options(self, capsys):
+        total = 0
+        for sub, cmd in cli.COMMANDS.items():
+            accepted = {name for name in (*cli.TYPES, *self.OLD_ONLY)
+                        if self.accepts(sub, name)}
+            assert accepted == set(cmd.options), sub
+            total += len(accepted)
+        capsys.readouterr()
+        assert total == 71
+        assert set(cli.TYPES) == {n for c in cli.COMMANDS.values() for n in c.options}
+
+    def test_alias_takes_the_same_options(self, capsys):
+        assert self.accepts("psi", "edge-depth")
+        assert not self.accepts("psi", "depth")
+        capsys.readouterr()
+
+    def test_undeclared_flag_exits_2_naming_it(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["gambler", "--mu", "2,2,2", "--start", "1", "--tree", "x"])
+        assert e.value.code == 2
+        assert "--tree" in capsys.readouterr().err
+
+    def test_get_of_undeclared_option_is_a_bug(self):
+        opts = cli.Options("gambler", {}, {"tree": "path:L=3"})
+        with pytest.raises(KeyError, match="tree"):
+            opts.get("tree")
 
 
 class TestUsage:
@@ -212,6 +279,15 @@ class TestUsage:
         code, _, err = run(capsys, "flow-check", "--tree", "path:L=8",
                            "--env", "det:mu=1")
         assert code == 2 and "--gamma" in err
+
+    def test_runtime_error_propagates(self, monkeypatch):
+        def broken(r):
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "gambler",
+                            cli.COMMANDS["gambler"]._replace(run=broken))
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["gambler", "--mu", "2,2", "--start", "1"])
 
     def test_small_trial_count_is_usage_error(self, capsys):
         code, _, err = run(capsys, "percolate", "--tree", "path:L=3",

@@ -85,22 +85,30 @@ def connection_ref(env, edge, trials, master_seed):
 
 
 def quasi_ref(env, edge_a, edge_b, trials, master_seed):
-    """(kept, hit_a, hit_b, hit_both) with one extension per path edge."""
+    """(kept, hit_a, hit_b, hit_both, invalid) with one extension per path
+    edge. A trial is invalid when a run it needs capped: any run on edge_a's
+    path, or, once the ancestor is connected, any run below it toward
+    edge_b."""
     t = env.tree
     pa, pb = t.root_path(edge_a), t.root_path(edge_b)
-    cond = [x for x, y in zip(pa[1:], pb[1:]) if x == y]
-    kept = hit_a = hit_b = hit_both = 0
+    n_cond = sum(1 for x, y in zip(pa[1:], pb[1:]) if x == y)
+    kept = hit_a = hit_b = hit_both = invalid = 0
     for i in range(trials):
         table = ClockTable(derive_seed(master_seed, i))
-        if not all(edge_open_ref(env, table, v) for v in cond):
+        sa = [edge_open_ref(env, table, v) for v in pa[1:]]
+        if None not in sa and not all(sa[:n_cond]):
+            continue
+        sb = ([] if None in sa else
+              [edge_open_ref(env, table, v) for v in pb[1 + n_cond:]])
+        if None in sa or None in sb:
+            invalid += 1
             continue
         kept += 1
-        ca = all(edge_open_ref(env, table, v) for v in pa[1 + len(cond):])
-        cb = all(edge_open_ref(env, table, v) for v in pb[1 + len(cond):])
+        ca, cb = all(sa), all(sb)
         hit_a += ca
         hit_b += cb
         hit_both += ca and cb
-    return kept, hit_a, hit_b, hit_both
+    return kept, hit_a, hit_b, hit_both, invalid
 
 
 def random_env(rng, max_edges=24, max_depth=6):
@@ -209,7 +217,8 @@ class TestOneRunPerPath:
                 continue
             a, b = pair
             seed = 50 + compared
-            kept, hit_a, hit_b, hit_both = quasi_ref(env, a, b, 150, seed)
+            kept, hit_a, hit_b, hit_both, invalid = quasi_ref(env, a, b, 150, seed)
+            assert invalid == 0
             if kept == 0:
                 with pytest.raises(RefusalError):
                     quasi_independence_statistic(env, a, b, 150, seed,
@@ -217,7 +226,7 @@ class TestOneRunPerPath:
                 continue
             rep = quasi_independence_statistic(env, a, b, 150, seed,
                                                min_conditioned=1)
-            assert rep.kept == kept
+            assert (rep.kept, rep.invalid_runs) == (kept, 0)
             assert rep.p_a == hit_a / kept
             assert rep.p_b == hit_b / kept
             assert rep.p_joint == hit_both / kept
@@ -294,6 +303,38 @@ class TestCapHits:
         assert capped > 0 and closed > 0
         assert est.invalid_runs == capped
         assert est.n_connected == 400 - capped - closed
+
+    def test_quasi_independence_leaves_capped_trials_out(self, rng, monkeypatch):
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", self.CAP)
+        compared = invalid = 0
+        while compared < 40:
+            t, env = random_env(rng, max_edges=16, max_depth=5)
+            pair = disjoint_pair(t, rng)
+            if pair is None:
+                continue
+            a, b = pair
+            seed = 100 + compared
+            kept, hit_a, hit_b, hit_both, n_invalid = quasi_ref(env, a, b, 150, seed)
+            if kept == 0:
+                continue
+            rep = quasi_independence_statistic(env, a, b, 150, seed,
+                                               min_conditioned=1)
+            assert (rep.kept, rep.invalid_runs) == (kept, n_invalid)
+            assert (rep.p_a, rep.p_b, rep.p_joint) == (
+                hit_a / kept, hit_b / kept, hit_both / kept)
+            invalid += n_invalid
+            compared += 1
+        assert invalid > 0
+
+    def test_capped_trial_is_neither_kept_nor_rejected(self, monkeypatch):
+        """Two depth-5 edges in different root subtrees: the conditioning is
+        empty, so every trial is kept unless a run capped."""
+        t, env = ternary_excited(5)
+        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", 6)
+        rep = quasi_independence_statistic(env, a, b, 2000, master_seed=17)
+        assert rep.invalid_runs > 0
+        assert rep.kept + rep.invalid_runs == 2000
 
 
 class TestConnectionEstimate:
