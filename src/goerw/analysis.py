@@ -267,7 +267,12 @@ class PhaseVerdict:
     `transient-leaning` when the escape frequency clears 0.05 and exceeds
     the control by 3 sigma, `recurrent-leaning` when it sits below
     control + 3 sigma, `inconclusive` otherwise. sigma is the standard
-    error of the frequency difference with Laplace-smoothed proportions."""
+    error of the frequency difference with Laplace-smoothed proportions.
+
+    censored and control_censored count each lane's runs stopped by the
+    horizon. Such a run counts as a non-escape though it never decided, so
+    more than CENSORED_LIMIT of a lane's trials censored makes the verdict
+    `inconclusive`."""
 
     family: str
     env_spec: str
@@ -283,10 +288,12 @@ class PhaseVerdict:
     master_seed: int
     escape_freq: float
     mean_returns: float
+    censored: int
     control_family: str
     control_env_spec: str
     control_escape_freq: float
     control_mean_returns: float
+    control_censored: int
     sigma: float
     verdict: str
 
@@ -294,11 +301,17 @@ class PhaseVerdict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+# largest censored fraction of a lane that still admits a phase verdict
+CENSORED_LIMIT = 0.01
+
+
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                   horizon: int, trials: int, k_returns: int,
-                  seed_base: int, lane: int) -> tuple[float, float]:
+                  seed_base: int, lane: int) -> tuple[float, float, int]:
     """Annealed escape frequency: a fresh environment and a fresh walk per
-    trial. A point mass at zero needs no per-trial environment."""
+    trial. A point mass needs no per-trial environment. Returns the escape
+    frequency, the mean root returns and the count of runs stopped by the
+    horizon."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
                     root_returns=k_returns)
     fixed_env = None
@@ -308,6 +321,7 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                                            dist_spec=dist.spec_string())
     escapes = 0
     returns_sum = 0
+    censored = 0
     for t in range(trials):
         if fixed_env is not None:
             env = fixed_env
@@ -319,7 +333,8 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
         if traj.escaped:
             escapes += 1
         returns_sum += traj.root_returns
-    return escapes / trials, returns_sum / trials
+        censored += traj.stop_reason == "max_steps"
+    return escapes / trials, returns_sum / trials, censored
 
 
 def _smoothed_diff_sigma(p: float, q: float, n: int) -> float:
@@ -369,8 +384,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
             f"below the declared margin {epsilon_margin}; no verdict emitted")
 
     tree = tree_family.build(depth)
-    escape_freq, mean_ret = _escape_batch(tree, dist, escape_depth, horizon,
-                                          trials, k_returns, master_seed, 1)
+    escape_freq, mean_ret, censored = _escape_batch(
+        tree, dist, escape_depth, horizon, trials, k_returns, master_seed, 1)
 
     zero = AlphaDistribution.point(0.0)
     if m < 1.0:
@@ -379,12 +394,14 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     else:
         control_family = polynomial_family(0.25)
         control_tree = control_family.build(depth)
-    control_freq, control_ret = _escape_batch(control_tree, zero, escape_depth,
-                                              horizon, trials, k_returns,
-                                              master_seed, 2)
+    control_freq, control_ret, control_censored = _escape_batch(
+        control_tree, zero, escape_depth, horizon, trials, k_returns,
+        master_seed, 2)
 
     sigma = _smoothed_diff_sigma(escape_freq, control_freq, trials)
-    if escape_freq >= 0.05 and escape_freq > control_freq + 3.0 * sigma:
+    if max(censored, control_censored) > CENSORED_LIMIT * trials:
+        verdict = "inconclusive"
+    elif escape_freq >= 0.05 and escape_freq > control_freq + 3.0 * sigma:
         verdict = "transient-leaning"
     elif escape_freq < control_freq + 3.0 * sigma:
         verdict = "recurrent-leaning"
@@ -402,8 +419,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
         br_exact=br, br_estimate=estimate, threshold=threshold, depth=depth,
         escape_depth=escape_depth, horizon=horizon, trials=trials,
         k_returns=k_returns, master_seed=master_seed,
-        escape_freq=escape_freq, mean_returns=mean_ret,
+        escape_freq=escape_freq, mean_returns=mean_ret, censored=censored,
         control_family=control_family.name,
         control_env_spec=zero.spec_string(),
         control_escape_freq=control_freq, control_mean_returns=control_ret,
-        sigma=sigma, verdict=verdict)
+        control_censored=control_censored, sigma=sigma, verdict=verdict)

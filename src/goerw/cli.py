@@ -279,6 +279,10 @@ class Options:
                         f"{self._config[key]!r}") from None
         return default
 
+    def seed(self) -> int:
+        """The seed the run uses: --seed, else 0."""
+        return self.get("seed", 0)
+
     def require(self, name: str):
         v = self.get(name)
         if v is None:
@@ -336,7 +340,7 @@ class Runner:
         if fmt in (None, "csv"):
             self.files[f"{basename}.csv"] = _csv_text(header, rows)
         if fmt in (None, "json"):
-            seed = self.opts.get("seed") if "seed" in self.opts.names else None
+            seed = self.opts.seed() if "seed" in self.opts.names else None
             self.files[f"{basename}.json"] = _json_text(echo, seed, stats)
 
     def flush(self) -> None:
@@ -368,7 +372,7 @@ def _run_gen_tree(r: Runner) -> None:
 def _run_compute_psi(r: Runner) -> None:
     o = r.opts
     tree = parse_tree_spec(o.require("tree"))
-    env = build_environment(tree, o.require("env"), o.get("seed", 0))
+    env = build_environment(tree, o.require("env"), o.seed())
     d = o.require("edge-depth")
     edge = tree.leftmost_at_depth(d)
     psi_v = psi_of(env, edge)
@@ -386,7 +390,7 @@ def _run_compute_psi(r: Runner) -> None:
 def _run_simulate(r: Runner) -> None:
     o = r.opts
     tree = parse_tree_spec(o.require("tree"))
-    seed = o.get("seed", 0)
+    seed = o.seed()
     env = build_environment(tree, o.require("env"), seed)
     trials = o.get("trials", 100)
     stop = StopRule(max_steps=o.get("max-steps", 100_000),
@@ -423,7 +427,7 @@ def _run_simulate(r: Runner) -> None:
 def _run_percolate(r: Runner) -> None:
     o = r.opts
     tree = parse_tree_spec(o.require("tree"))
-    seed = o.get("seed", 0)
+    seed = o.seed()
     env = build_environment(tree, o.require("env"), seed)
     depths_text = o.get("depths")
     if depths_text is not None:
@@ -480,7 +484,7 @@ def _run_estimate_rt(r: Runner) -> None:
     family, L, depths = _family_and_depths(o)
     gammas = _parse_gamma_grid(o.get("gamma-grid", "0.1:3.0:0.1"))
     env_spec = o.require("env")
-    seed = o.get("seed", 0)
+    seed = o.seed()
 
     def pair(Lq: int) -> tuple[Tree, Environment]:
         tree = family.build(Lq)
@@ -498,7 +502,7 @@ def _run_estimate_rt(r: Runner) -> None:
 def _run_flow_check(r: Runner) -> None:
     o = r.opts
     tree = parse_tree_spec(o.require("tree"))
-    env = build_environment(tree, o.require("env"), o.get("seed", 0))
+    env = build_environment(tree, o.require("env"), o.seed())
     gamma = o.require("gamma")
     depths_text = o.get("depths")
     depths = (_parse_depths(depths_text) if depths_text
@@ -532,13 +536,15 @@ def _run_phase_scan(r: Runner) -> None:
         escape_depth=o.require("escape-depth"),
         horizon=o.get("horizon", 1_000_000),
         trials=o.get("trials", 1000),
-        master_seed=o.get("seed", 0),
+        master_seed=o.seed(),
         depth=o.get("depth", L))
     d = verdict.to_dict()
     r.say(f"verdict: {verdict.verdict} (escape {verdict.escape_freq!r} vs "
           f"control {verdict.control_escape_freq!r}, sigma {verdict.sigma!r})")
     r.say(f"m={verdict.m!r} threshold={verdict.threshold!r} "
           f"br_exact={verdict.br_exact!r} br_estimate={verdict.br_estimate!r}")
+    r.say(f"censored by the horizon: {verdict.censored} of {verdict.trials} "
+          f"(control {verdict.control_censored})")
     keys = sorted(d)
     r.emit("phase-scan", keys, [[d[k] for k in keys]], d)
 
@@ -570,7 +576,7 @@ def _run_gambler(r: Runner) -> None:
     if trials is not None:
         float_chain = GamblerChain(N=N, mu=tuple(float(m) for m in mu_all[:N - 1]),
                                    start=start)
-        est, se = gambler_ruin_mc(float_chain, trials, o.get("seed", 0))
+        est, se = gambler_ruin_mc(float_chain, trials, o.seed())
         r.say(f"mc = {est!r} stderr = {se!r}")
         stats.update({"mc_estimate": est, "mc_stderr": se, "trials": trials})
     r.emit("gambler", sorted(stats), [[stats[k] for k in sorted(stats)]], stats)
@@ -586,7 +592,7 @@ def _run_concentration(r: Runner) -> None:
     epsilon = o.require("epsilon")
     rep = concentration_experiment(tree, dist, epsilon, depths,
                                    env_samples=o.get("trials", 200),
-                                   master_seed=o.get("seed", 0))
+                                   master_seed=o.seed())
     rows = [[d, v, f] for d, v, f in
             zip(rep.depths, rep.violations, rep.frequencies)]
     for d, v, f in zip(rep.depths, rep.violations, rep.frequencies):

@@ -69,6 +69,9 @@ class AlphaDistribution:
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
             raise ValueError("need matching nonempty values and probs")
+        for x in (*self.values, *self.probs):
+            if not math.isfinite(x):
+                raise ValueError(f"alpha law entries must be finite, got {x!r}")
         if any(a < 0 for a in self.values):
             raise ValueError("alpha values must be >= 0")
         if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
@@ -107,6 +110,11 @@ class AlphaDistribution:
 class Environment:
     """Bias assignment bound to one tree, with cached potential theory.
 
+    lam and mu (lists or arrays, never written to) are stored twice: as
+    float lists for the kernels that index one vertex at a time, and as
+    float64 arrays (_tables) for whole-tree arithmetic. Every non-root bias
+    must be finite and positive; the first vertex that is not is named.
+
     The potential tables R, phi, psi and log Psi are flat lists indexed by
     vertex id. They hold a prefix 0..k of the breadth-first ids and grow by
     one forward pass when a query names an id past k. Every parent precedes
@@ -126,6 +134,7 @@ class Environment:
     _phi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _log_Psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     # (pf, pl): parent-step probabilities on first and later visits, filled
     # by goerw.walk on the first direct walk
     _trans: tuple[list[float], list[float]] | None = field(
@@ -135,15 +144,21 @@ class Environment:
         n = self.tree.n_vertices
         if len(self.lam) != n or len(self.mu) != n:
             raise ValueError("lam and mu must have one entry per vertex")
-        # the root's biases are fixed at 1; copy rather than write into the
-        # caller's lists
-        if self.lam[0] != 1.0:
-            self.lam = [1.0, *self.lam[1:]]
-        if self.mu[0] != 1.0:
-            self.mu = [1.0, *self.mu[1:]]
-        for v in range(1, n):
-            if self.lam[v] <= 0 or self.mu[v] <= 0:
-                raise ValueError(f"biases must be positive, vertex {v}")
+        # copies, so fixing the root's biases at 1 leaves the caller's alone
+        lam = np.array(self.lam, dtype=np.float64)
+        mu = np.array(self.mu, dtype=np.float64)
+        lam[0] = mu[0] = 1.0
+        self.lam, self.mu = lam.tolist(), mu.tolist()
+        # min and max propagate NaN, and NaN fails both comparisons
+        if not (lam.min() > 0 and mu.min() > 0 and lam.max() < math.inf
+                and mu.max() < math.inf):
+            for v in range(1, n):
+                for b in (self.lam[v], self.mu[v]):
+                    if not math.isfinite(b):
+                        raise ValueError(f"biases must be finite, vertex {v}")
+                    if b <= 0:
+                        raise ValueError(f"biases must be positive, vertex {v}")
+        self._tables = (lam, mu)
 
 
 def assign_deterministic(tree: Tree, lam=1.0, mu=1.0) -> Environment:
@@ -156,21 +171,26 @@ def assign_deterministic(tree: Tree, lam=1.0, mu=1.0) -> Environment:
 
 def environment_from_alpha(tree: Tree, alpha: Sequence[float], m: float | None = None,
                            seed: int | None = None, dist_spec: str | None = None) -> Environment:
-    """The alpha family: lam = 1 + alpha * deg, mu == 1."""
-    alpha = [float(a) for a in alpha]
-    if len(alpha) != tree.n_vertices:
+    """The alpha family: lam = 1 + alpha * deg, mu == 1.
+
+    alpha (a list or an array, never written to) has one entry per vertex;
+    the root's is read as 0. lam is float64 arithmetic on whole arrays, the
+    same operations per entry as the scalar 1.0 + alpha[v] * deg(v)."""
+    a = np.array(alpha, dtype=np.float64)
+    if a.shape != (tree.n_vertices,):
         raise ValueError("need one alpha per vertex")
-    alpha[0] = 0.0
-    lam = [1.0 + alpha[v] * tree.deg(v) for v in range(tree.n_vertices)]
-    mu = [1.0] * tree.n_vertices
-    return Environment(tree, lam, mu, alpha=alpha, m=m, seed=seed, dist_spec=dist_spec)
+    a[0] = 0.0
+    lam = 1.0 + a * tree.degrees
+    mu = np.ones(tree.n_vertices)
+    return Environment(tree, lam, mu, alpha=a.tolist(), m=m, seed=seed,
+                       dist_spec=dist_spec)
 
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
     """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1."""
     rng = np.random.default_rng(seed)
     alpha = dist.sample(rng, tree.n_vertices)
-    return environment_from_alpha(tree, alpha.tolist(), m=dist.m, seed=seed,
+    return environment_from_alpha(tree, alpha, m=dist.m, seed=seed,
                                   dist_spec=dist.spec_string())
 
 

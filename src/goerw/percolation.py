@@ -210,6 +210,10 @@ def quasi_independence_constant(env: Environment) -> tuple[float, float]:
     return K, (1.0 + K) ** 2 * math.exp(2.0 * K)
 
 
+# largest invalid fraction of a quasi-independence report that claims holds
+INVALID_LIMIT = 0.01
+
+
 @dataclass
 class QuasiIndependenceReport:
     edge_a: int
@@ -218,6 +222,7 @@ class QuasiIndependenceReport:
     trials: int
     kept: int                # samples where the ancestor was root-connected
     invalid_runs: int        # samples left out because a run hit the step cap
+    invalid_fraction: float  # invalid_runs / trials
     p_a: float
     p_b: float
     p_joint: float
@@ -225,7 +230,7 @@ class QuasiIndependenceReport:
     M: float
     bound: float             # M * p_a * p_b
     sigma_joint: float
-    holds: bool
+    holds: bool              # False whenever invalid_fraction > INVALID_LIMIT
     ratio: float | None      # p_joint / (p_a p_b) when defined
     independence_z: float | None  # only for disjoint pairs (ancestor 0)
 
@@ -241,7 +246,9 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     Conditioning is by rejection, so a pair whose ancestor is rarely reached
     can starve; fewer than min_conditioned kept samples is a refusal, not an
     answer. A sample with a run stopped on the step cap decides nothing: it
-    is counted in invalid_runs and left out of kept and the hits. For pairs
+    is counted in invalid_runs and left out of kept and the hits; the kept
+    samples then lean toward short runs, so holds is False whenever more
+    than INVALID_LIMIT of the trials are invalid. For pairs
     in disjoint root subtrees the conditioning is empty and the report also
     carries an exact-independence z score, since extensions that share no
     path vertices read disjoint clock sets.
@@ -291,7 +298,8 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     K, M = quasi_independence_constant(env)
     bound = M * p_a * p_b
     sigma = math.sqrt(max(p_joint * (1 - p_joint), 1e-12) / kept)
-    holds = p_joint <= bound + 3 * sigma
+    invalid_fraction = invalid / trials
+    holds = invalid_fraction <= INVALID_LIMIT and p_joint <= bound + 3 * sigma
     ratio = p_joint / (p_a * p_b) if p_a > 0 and p_b > 0 else None
     indep_z = None
     if shared == 0 and p_a > 0 and p_b > 0:
@@ -300,7 +308,8 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
         indep_z = d / math.sqrt(var)
     return QuasiIndependenceReport(
         edge_a=edge_a, edge_b=edge_b, ancestor=shared, trials=trials,
-        kept=kept, invalid_runs=invalid, p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
+        kept=kept, invalid_runs=invalid, invalid_fraction=invalid_fraction,
+        p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
         sigma_joint=sigma, holds=holds, ratio=ratio, independence_z=indep_z,
     )
 

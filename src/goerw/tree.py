@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from itertools import product as _iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "Tree",
     "TreeFamily",
@@ -52,6 +54,8 @@ class Tree:
 
     parent[v] is the id of v's parent (-1 for the root), children[v] the list
     of v's children in id order, depth[v] the distance from the root.
+    degrees holds every vertex's neighbor count as one read-only int64
+    array, built on first use.
     """
 
     parent: list[int]
@@ -59,6 +63,7 @@ class Tree:
     depth: list[int]
     truncation_depth: int
     _levels: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -68,12 +73,21 @@ class Tree:
     def n_edges(self) -> int:
         return len(self.parent) - 1
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Neighbor counts by vertex id: child count + 1, and at the root,
+        which has no parent, just its child count."""
+        if self._degrees is None:
+            deg = np.fromiter(map(len, self.children), dtype=np.int64,
+                              count=len(self.children)) + 1
+            deg[0] -= 1
+            deg.flags.writeable = False
+            self._degrees = deg
+        return self._degrees
+
     def deg(self, v: int) -> int:
-        """Neighbor count. The root has no parent, so its degree is just its
-        child count."""
-        if v == 0:
-            return len(self.children[0])
-        return len(self.children[v]) + 1
+        """Neighbor count of one vertex, read from degrees."""
+        return int(self.degrees[v])
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v, inclusive."""

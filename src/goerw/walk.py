@@ -135,18 +135,17 @@ class WalkTrajectory:
 
 def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
     """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
-    first visit and mu/(mu + deg - 1) on later ones. Built once per
-    environment."""
+    first visit and mu/(mu + deg - 1) on later ones, 0 at the root, as
+    lists for the walk. Built on the first walk in an environment, in
+    float64 on whole arrays as lam / ((lam + deg) - 1): the scalar
+    expression's operation order, so every entry is bitwise the same."""
     if env._trans is None:
-        tree = env.tree
-        n = tree.n_vertices
-        pf = [0.0] * n
-        pl = [0.0] * n
-        for v in range(1, n):
-            d = tree.deg(v)
-            pf[v] = env.lam[v] / (env.lam[v] + d - 1)
-            pl[v] = env.mu[v] / (env.mu[v] + d - 1)
-        env._trans = (pf, pl)
+        lam, mu = env._tables
+        d = env.tree.degrees
+        pf = lam / ((lam + d) - 1)
+        pl = mu / ((mu + d) - 1)
+        pf[0] = pl[0] = 0.0
+        env._trans = (pf.tolist(), pl.tolist())
     return env._trans
 
 

@@ -25,6 +25,7 @@ from goerw.tree import (
     build_polynomial,
     polynomial_family,
 )
+from goerw.walk import simulate
 
 
 class TestGamblerExact:
@@ -249,6 +250,41 @@ class TestPhaseDiagnostic:
         d = v.to_dict()
         assert d["verdict"] == v.verdict
         assert set(d) == set(PhaseVerdict.__dataclass_fields__)
+
+    def test_horizon_censoring_withholds_the_verdict(self, monkeypatch):
+        """With horizon 1000, 179 of 300 excited runs stop on the horizon.
+        Counted as non-escapes they would read recurrent-leaning."""
+        stops = []
+
+        def counted(*args, **kwargs):
+            traj = simulate(*args, **kwargs)
+            stops.append(traj.stop_reason)
+            return traj
+
+        monkeypatch.setattr(analysis, "simulate", counted)
+        v = phase_diagnostic(self.fam, AlphaDistribution.two_point(0.0, 3.0, 0.5),
+                             0.1, escape_depth=48, horizon=1000, trials=300,
+                             master_seed=1, depth=64)
+        assert (v.censored, v.control_censored) == (179, 110)
+        assert stops[:300].count("max_steps") == v.censored
+        assert stops[300:].count("max_steps") == v.control_censored
+        assert v.verdict == "inconclusive"
+        assert v.escape_freq < v.control_escape_freq + 3 * v.sigma
+
+    @pytest.mark.parametrize("censoring_lane", [1, 2])  # excited, control
+    def test_censoring_limit_is_one_percent(self, monkeypatch, censoring_lane):
+        """Three censored runs of 300 in either lane keep the verdict, four
+        withhold it."""
+        for n_censored, verdict in ((3, "recurrent-leaning"), (4, "inconclusive")):
+            def batch(*args):
+                lane = args[-1]
+                return (0.0 if lane == 1 else 0.5, 1.0,
+                        n_censored if lane == censoring_lane else 0)
+            monkeypatch.setattr(analysis, "_escape_batch", batch)
+            v = phase_diagnostic(self.fam, AlphaDistribution.point(1.0), 0.1,
+                                 escape_depth=12, horizon=10**4, trials=300,
+                                 master_seed=5, depth=20)
+            assert v.verdict == verdict
 
     def test_validation(self):
         dist = AlphaDistribution.point(1.0)

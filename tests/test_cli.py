@@ -47,6 +47,19 @@ class TestSpecParsing:
                            "--env", "alpha:point=1")
         assert code == 2 and "L" in err
 
+    @pytest.mark.parametrize("env", ["alpha:point=nan", "alpha:point=inf",
+                                     "alpha:two=0,nan,0.5",
+                                     "alpha:support=0,3;probs=0.5,nan",
+                                     "det:lambda=nan", "det:mu=inf"])
+    @pytest.mark.parametrize("sub", ["compute-psi", "simulate"])
+    def test_non_finite_bias_is_usage_error(self, tmp_path, capsys, sub, env):
+        extra = ["--edge-depth", "3"] if sub == "compute-psi" else ["--trials", "5"]
+        code, out, err = run(capsys, sub, "--tree", "path:L=8", "--env", env,
+                             *extra, "--out-dir", str(tmp_path / "never"))
+        assert code == 2
+        assert "finite" in err and out == ""
+        assert not (tmp_path / "never").exists()
+
     def test_missing_tree_file_is_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "absent.txt")
         code, _, err = run(capsys, "simulate", "--tree", f"file:{path}",
@@ -179,6 +192,35 @@ class TestOutputs:
         assert set(doc["config"]) == {"subcommand", "options"}
         assert doc["config"]["subcommand"] == "percolate"
         assert doc["config"]["options"]["trials"] == 300
+
+
+class TestSeedEcho:
+    """JSON names the seed the run used, which is 0 without --seed."""
+
+    def test_default_seed_echoed(self, tmp_path, capsys):
+        out = tmp_path / "psi"
+        code, _, _ = run(capsys, "compute-psi", "--tree", "path:L=8", "--env",
+                         "alpha:two=0,3,0.5", "--edge-depth", "3",
+                         "--format", "json", "--out-dir", str(out))
+        assert code == 0
+        assert json.loads((out / "compute-psi.json").read_text())["seed"] == 0
+
+    def test_default_seed_is_the_seed_used(self, tmp_path, capsys):
+        argv = ["compute-psi", "--tree", "poly:b=1.2,L=8", "--env",
+                "alpha:two=0,3,0.5", "--edge-depth", "5"]
+        assert run(capsys, *argv)[1] == run(capsys, *argv, "--seed", "0")[1]
+        assert run(capsys, *argv)[1] != run(capsys, *argv, "--seed", "1")[1]
+
+    @pytest.mark.parametrize("sub, argv, seed", [
+        ("flow-check", ["--tree", "poly:b=3,L=8", "--env", "det:mu=1",
+                        "--gamma", "1.5", "--depths", "8"], 0),
+        ("gambler", ["--mu", "2,2", "--start", "1", "--seed", "7"], 7),
+        ("estimate-br", ["--tree", "poly:b=1.5,L=8", "--gamma-grid", "1.0"], None),
+    ])
+    def test_each_subcommand(self, tmp_path, capsys, sub, argv, seed):
+        out = tmp_path / sub
+        assert run(capsys, sub, *argv, "--format", "json", "--out-dir", str(out))[0] == 0
+        assert json.loads((out / f"{sub}.json").read_text())["seed"] == seed
 
 
 class TestRefusalHygiene:

@@ -195,6 +195,15 @@ class TestAlphaDistribution:
         with pytest.raises(ValueError):
             AlphaDistribution((1.0, 2.0), (0.5,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_named(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+            AlphaDistribution.point(bad)
+        with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+            AlphaDistribution((0.0, 3.0), (bad, 0.5))
+        with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+            AlphaDistribution.two_point(0.0, bad, 0.5)
+
     def test_sampling_is_seeded_and_on_support(self):
         t = build_regular(3, 3)
         dist = AlphaDistribution.two_point(0.0, 3.0, 0.5)

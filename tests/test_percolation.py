@@ -336,6 +336,38 @@ class TestCapHits:
         assert rep.invalid_runs > 0
         assert rep.kept + rep.invalid_runs == 2000
 
+    def test_invalid_trials_withhold_holds(self, monkeypatch):
+        """Same pair at 4,000 trials: 868 invalid trials bias p_a to 0.0057
+        against 0.054 uncapped, so the report may not claim holds."""
+        t, env = ternary_excited(5)
+        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        monkeypatch.setattr(percolation, "_EXTENSION_CAP", 6)
+        rep = quasi_independence_statistic(env, a, b, 4000, master_seed=17)
+        assert (rep.invalid_runs, rep.invalid_fraction) == (868, 868 / 4000)
+        assert rep.p_joint <= rep.bound + 3 * rep.sigma_joint
+        assert not rep.holds
+
+    def test_invalid_fraction_limit(self, monkeypatch):
+        """holds survives invalid trials up to 1% of those attempted."""
+        t, env = ternary_excited(5)
+        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        reach = percolation._reach
+        for n_invalid, holds in ((0, True), (1, True), (2, False)):
+            runs_to_a = []
+
+            def first_runs_capped(env, table, v):
+                r, capped = reach(env, table, v)
+                if v == a:
+                    runs_to_a.append(r)
+                    capped = capped or len(runs_to_a) <= n_invalid
+                return r, capped
+
+            monkeypatch.setattr(percolation, "_reach", first_runs_capped)
+            rep = quasi_independence_statistic(env, a, b, 100, master_seed=17)
+            assert (rep.invalid_runs, rep.invalid_fraction) == (n_invalid, n_invalid / 100)
+            assert rep.p_joint <= rep.bound + 3 * rep.sigma_joint
+            assert rep.holds is holds
+
 
 class TestConnectionEstimate:
     def test_symmetric_edge_probability(self):
