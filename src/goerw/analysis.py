@@ -2,8 +2,8 @@
 
 Three groups live here:
 
-  * exact solvers small enough to verify by hand: the biased gambler's ruin
-    chain and the Hoeffding tail bound;
+  * an exact solver small enough to verify by hand: the biased gambler's
+    ruin chain, with a lockstep Monte Carlo of the same chain;
   * a flow-energy check that runs the tree max-flow / energy computation
     behind the transience criterion at a sequence of truncation depths;
   * the phase diagnostic, a directional Monte Carlo comparison of escape
@@ -16,7 +16,7 @@ The gambler solver keeps whatever numeric type it is given, so feeding it
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .environment import (
     AlphaDistribution,
     Environment,
-    environment_from_alpha,
+    environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
     log_Psi,
     sample_random_environment,
 )
@@ -117,23 +117,6 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
     p_hat = float(np.mean(pos == 0))
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
     return p_hat, stderr
-
-
-def hoeffding_bound(t: float, ranges: Sequence[tuple[float, float]]) -> float:
-    """Two-sided Hoeffding tail bound 2 exp(-2 t^2 / sum (b_i - a_i)^2),
-    capped at 1. Degenerate ranges contribute zero width."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if not ranges:
-        raise ValueError("ranges must be non-empty")
-    denom = 0.0
-    for a, b in ranges:
-        if b < a:
-            raise ValueError(f"range ({a}, {b}) has b < a")
-        denom += (b - a) ** 2
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +292,18 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                   horizon: int, trials: int, k_returns: int,
                   seed_base: int, lane: int) -> tuple[float, float, int]:
     """Annealed escape frequency: a fresh environment and a fresh walk per
-    trial. A point mass needs no per-trial environment. Returns the escape
-    frequency, the mean root returns and the count of runs stopped by the
-    horizon."""
+    trial. A point mass gives the same environment whatever the seed, so
+    it is built once. Returns the escape frequency, the mean root returns
+    and the count of runs stopped by the horizon."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
                     root_returns=k_returns)
-    fixed_env = None
-    if len(dist.values) == 1:
-        alpha = [float(dist.values[0])] * tree.n_vertices
-        fixed_env = environment_from_alpha(tree, alpha, m=dist.m,
-                                           dist_spec=dist.spec_string())
+    one_atom = len(dist.values) == 1
+    env = sample_random_environment(tree, dist, seed_base) if one_atom else None
     escapes = 0
     returns_sum = 0
     censored = 0
     for t in range(trials):
-        if fixed_env is not None:
-            env = fixed_env
-        else:
+        if not one_atom:
             env = sample_random_environment(tree, dist,
                                             derive_seed(seed_base, lane, t, 0))
         traj = simulate(env, stop, derive_seed(seed_base, lane, t, 1),

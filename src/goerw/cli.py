@@ -18,10 +18,10 @@ bug surfaces as a traceback.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -39,8 +39,7 @@ from .environment import (
     AlphaDistribution,
     Environment,
     assign_deterministic,
-    environment_from_alpha,
-    log_Psi,
+    environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
     psi as psi_of,
     Psi as Psi_of,
     rt_estimate,
@@ -170,12 +169,7 @@ def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
     if kind == "det":
         lam, mu = payload
         return assign_deterministic(tree, lam, mu)
-    dist = payload
-    if len(dist.values) == 1:
-        alpha = [float(dist.values[0])] * tree.n_vertices
-        return environment_from_alpha(tree, alpha, m=dist.m,
-                                      dist_spec=dist.spec_string())
-    return sample_random_environment(tree, dist, derive_seed(seed, 0xE17))
+    return sample_random_environment(tree, payload, derive_seed(seed, 0xE17))
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -277,6 +271,8 @@ class Options:
                     raise UsageError(
                         f"config key {key!r}: cannot parse "
                         f"{self._config[key]!r}") from None
+                except argparse.ArgumentTypeError as e:
+                    raise UsageError(f"config key {key!r}: {e}") from None
         return default
 
     def seed(self) -> int:
@@ -607,8 +603,17 @@ def _run_concentration(r: Runner) -> None:
 # option registry: one table drives argparse, config validation, the typed
 # option view and the JSON echo
 
+
+def count(text: str) -> int:
+    """A trial count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 TYPES: dict[str, Callable] = {
-    "tree": str, "env": str, "seed": int, "trials": int, "depth": int,
+    "tree": str, "env": str, "seed": int, "trials": count, "depth": int,
     "depths": str, "edge-depth": int, "max-steps": int, "returns": int,
     "gamma": float, "gamma-grid": str, "threshold": float, "epsilon": float,
     "escape-depth": int, "horizon": int, "mu": str, "start": int,
@@ -658,8 +663,6 @@ ALIASES = {"psi": "compute-psi"}
 
 
 def _build_parser():
-    import argparse
-
     p = argparse.ArgumentParser(
         prog="goerw",
         description="Simulation and exact computation for once-excited "

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import Tree, TreeFamily, BranchingTable, min_cutset_sum, _atomic_write
+from .tree import Tree, BranchingTable, min_cutset_sum
 
 __all__ = [
     "AlphaDistribution",
@@ -48,11 +48,8 @@ __all__ = [
     "psi",
     "Psi",
     "log_Psi",
-    "psi_simplified",
     "rt_hypothesis_sup",
     "rt_estimate",
-    "write_env_file",
-    "read_env_file",
 ]
 
 
@@ -127,9 +124,6 @@ class Environment:
     lam: list[float]
     mu: list[float]
     alpha: list[float] | None = None
-    m: float | None = None
-    seed: int | None = None
-    dist_spec: str | None = None
     _R: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _phi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
@@ -161,16 +155,13 @@ class Environment:
         self._tables = (lam, mu)
 
 
-def assign_deterministic(tree: Tree, lam=1.0, mu=1.0) -> Environment:
-    """Constant or rule-based biases. lam and mu may be numbers or callables
-    taking the vertex id."""
-    lam_list = [float(lam(v)) if callable(lam) else float(lam) for v in range(tree.n_vertices)]
-    mu_list = [float(mu(v)) if callable(mu) else float(mu) for v in range(tree.n_vertices)]
-    return Environment(tree, lam_list, mu_list)
+def assign_deterministic(tree: Tree, lam: float = 1.0, mu: float = 1.0) -> Environment:
+    """The same lam and mu at every vertex."""
+    n = tree.n_vertices
+    return Environment(tree, np.full(n, float(lam)), np.full(n, float(mu)))
 
 
-def environment_from_alpha(tree: Tree, alpha: Sequence[float], m: float | None = None,
-                           seed: int | None = None, dist_spec: str | None = None) -> Environment:
+def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
     """The alpha family: lam = 1 + alpha * deg, mu == 1.
 
     alpha (a list or an array, never written to) has one entry per vertex;
@@ -182,16 +173,17 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float], m: float | None =
     a[0] = 0.0
     lam = 1.0 + a * tree.degrees
     mu = np.ones(tree.n_vertices)
-    return Environment(tree, lam, mu, alpha=a.tolist(), m=m, seed=seed,
-                       dist_spec=dist_spec)
+    return Environment(tree, lam, mu, alpha=a.tolist())
 
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
-    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1."""
-    rng = np.random.default_rng(seed)
-    alpha = dist.sample(rng, tree.n_vertices)
-    return environment_from_alpha(tree, alpha, m=dist.m, seed=seed,
-                                  dist_spec=dist.spec_string())
+    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1.
+    A one-atom law draws nothing: every vertex gets the atom."""
+    if len(dist.values) == 1:
+        alpha = np.full(tree.n_vertices, dist.values[0])
+    else:
+        alpha = dist.sample(np.random.default_rng(seed), tree.n_vertices)
+    return environment_from_alpha(tree, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +268,6 @@ def Psi(env: Environment, u: int) -> float:
     return math.exp(log_Psi(env, u))
 
 
-def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
-    """Closed form of psi when mu == 1 and lam = 1 + alpha * deg: the vertex
-    degree cancels and only the parent's alpha and the depth remain."""
-    if edge_depth < 1:
-        raise ValueError("edges start at depth 1")
-    if edge_depth == 1:
-        return 1.0
-    return 1.0 - (2.0 * alpha_parent + 1.0) / ((alpha_parent + 1.0) * edge_depth)
-
-
 def rt_hypothesis_sup(env: Environment) -> float:
     """sup over edges at depth >= 2 of R(e) / phi(e's parent).
 
@@ -334,55 +316,3 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
             values[(g, L)], _ = min_cutset_sum(
                 tree, lambda e, g=g: math.exp(g * logs[e]))
     return BranchingTable(gammas, depths, values, threshold)
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def write_env_file(env: Environment, path: str) -> None:
-    """'# goerw-env v1 seed=<s> dist=<spec> m=<m>' then one line per vertex:
-    id, lam, mu and alpha when the environment carries one."""
-    seed = "none" if env.seed is None else str(env.seed)
-    dist = env.dist_spec or "none"
-    m = "none" if env.m is None else repr(env.m)
-    lines = [f"# goerw-env v1 seed={seed} dist={dist} m={m}"]
-    for v in range(env.tree.n_vertices):
-        row = f"{v} {env.lam[v]!r} {env.mu[v]!r}"
-        if env.alpha is not None:
-            row += f" {env.alpha[v]!r}"
-        lines.append(row)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_env_file(path: str, tree: Tree) -> Environment:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# goerw-env v1 "):
-            raise ValueError(f"{path}: not a goerw-env v1 file")
-        fields = dict(part.split("=", 1) for part in header[len("# goerw-env v1 "):].split())
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split())
-    if len(rows) != tree.n_vertices:
-        raise ValueError(
-            f"{path}: {len(rows)} vertex rows for a tree of {tree.n_vertices}")
-    lam = [0.0] * tree.n_vertices
-    mu = [0.0] * tree.n_vertices
-    alpha: list[float] | None = [0.0] * tree.n_vertices if len(rows[0]) == 4 else None
-    for row in rows:
-        v = int(row[0])
-        if not 0 <= v < tree.n_vertices:
-            raise ValueError(f"{path}: vertex id {v} out of range")
-        lam[v] = float(row[1])
-        mu[v] = float(row[2])
-        if alpha is not None:
-            alpha[v] = float(row[3])
-    lam[0], mu[0] = 1.0, 1.0
-    seed = None if fields.get("seed") in (None, "none") else int(fields["seed"])
-    m = None if fields.get("m") in (None, "none") else float(fields["m"])
-    dist_spec = None if fields.get("dist") in (None, "none") else fields["dist"]
-    return Environment(tree, lam, mu, alpha=alpha, m=m, seed=seed, dist_spec=dist_spec)

@@ -88,12 +88,6 @@ class PercolationSample:
     sample_index: int
     monotone_violations: int
 
-    def is_open(self, e: int) -> bool:
-        return self.open_edges[e]
-
-    def in_root_cluster(self, e: int) -> bool:
-        return e in self.root_cluster
-
 
 def sample_ruin_percolation(env: Environment, master_seed: int,
                             sample_index: int = 0,

@@ -85,10 +85,6 @@ class Tree:
             self._degrees = deg
         return self._degrees
 
-    def deg(self, v: int) -> int:
-        """Neighbor count of one vertex, read from degrees."""
-        return int(self.degrees[v])
-
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v, inclusive."""
         out = []

@@ -124,9 +124,11 @@ class WalkTrajectory:
     steps: int
     root_returns: int
     max_depth: int
-    escaped: bool
     stop_reason: str
-    seed: int | None = None
+
+    @property
+    def escaped(self) -> bool:
+        return self.stop_reason == "hit_depth"
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +149,6 @@ def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
         pf[0] = pl[0] = 0.0
         env._trans = (pf.tolist(), pl.tolist())
     return env._trans
-
-
-def _finish(positions, steps, returns, maxd, reason, seed):
-    return WalkTrajectory(
-        positions=positions,
-        steps=steps,
-        root_returns=returns,
-        max_depth=maxd,
-        escaped=(reason == "hit_depth"),
-        stop_reason=reason,
-        seed=seed,
-    )
 
 
 def simulate(env: Environment, stop: StopRule, seed: int,
@@ -213,18 +203,14 @@ def simulate(env: Environment, stop: StopRule, seed: int,
             if rr is not None and returns >= rr:
                 reason = "root_returns"
                 break
-    return _finish(positions, steps, returns, maxd, reason, seed)
+    return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 
 # ---------------------------------------------------------------------------
 # clock construction
 
 
-def _clocks_of(clocks) -> ClockTable:
-    return clocks if isinstance(clocks, ClockTable) else ClockTable(int(clocks))
-
-
-def simulate_rubin(env: Environment, stop: StopRule, clocks,
+def simulate_rubin(env: Environment, stop: StopRule, clocks: ClockTable,
                    record: bool = True) -> WalkTrajectory:
     """Run the walk by racing exponential clocks.
 
@@ -233,8 +219,7 @@ def simulate_rubin(env: Environment, stop: StopRule, clocks,
     children, which is ascending id order, so a strict minimum scan breaks
     the measure-zero ties toward the lowest id.
     """
-    table = _clocks_of(clocks)
-    xi = table.xi
+    xi = clocks.xi
     tree = env.tree
     parent, children, depth = tree.parent, tree.children, tree.depth
     lam, mu = env.lam, env.mu
@@ -303,10 +288,10 @@ def simulate_rubin(env: Environment, stop: StopRule, clocks,
             if rr is not None and returns >= rr:
                 reason = "root_returns"
                 break
-    return _finish(positions, steps, returns, maxd, reason, None)
+    return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 
-def simulate_extension(env: Environment, clocks, target: int,
+def simulate_extension(env: Environment, clocks: ClockTable, target: int,
                        stop: StopRule, record: bool = True) -> WalkTrajectory:
     """Run the coupled extension on the root path of target, reading the
     same clock table as the full walk.
@@ -318,8 +303,7 @@ def simulate_extension(env: Environment, clocks, target: int,
     """
     if target == 0:
         raise ValueError("extension needs a non-root target")
-    table = _clocks_of(clocks)
-    xi = table.xi
+    xi = clocks.xi
     tree = env.tree
     path = tree.root_path(target)
     k = len(path) - 1
@@ -396,7 +380,7 @@ def simulate_extension(env: Environment, clocks, target: int,
             if rr is not None and returns >= rr:
                 reason = "root_returns"
                 break
-    return _finish(positions, steps, returns, maxd, reason, None)
+    return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 
 def restriction(positions: Sequence[int], members) -> list[int]:

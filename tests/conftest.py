@@ -5,6 +5,16 @@ import pytest
 from goerw.tree import Tree, build_from_edge_list
 
 
+def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
+    """Closed form of psi when mu == 1 and lam = 1 + alpha * deg: the vertex
+    degree cancels and only the parent's alpha and the depth remain."""
+    if edge_depth < 1:
+        raise ValueError("edges start at depth 1")
+    if edge_depth == 1:
+        return 1.0
+    return 1.0 - (2.0 * alpha_parent + 1.0) / ((alpha_parent + 1.0) * edge_depth)
+
+
 def random_tree(rng: random.Random, max_edges: int = 20, max_depth: int = 6) -> Tree:
     """Random tree by preferential attachment to anything not yet at the
     depth cap. Always has at least one edge."""

@@ -26,7 +26,6 @@ from goerw.environment import (
     assign_deterministic,
     environment_from_alpha,
     psi,
-    psi_simplified,
 )
 from goerw.percolation import (
     adapted_conductance,
@@ -47,7 +46,7 @@ from goerw.tree import (
 )
 from goerw.walk import ClockTable, StopRule, derive_seed, restriction, simulate_extension, simulate_rubin
 
-from conftest import random_tree
+from conftest import psi_simplified, random_tree
 
 
 def report(number: int, ok: bool, name: str, detail: str) -> None:
@@ -88,11 +87,9 @@ def test_criterion_02_coincidence():
     tree = random_tree(rng, max_edges=28, max_depth=5)
     while tree.truncation_depth != 5:
         tree = random_tree(rng, max_edges=28, max_depth=5)
-    env = assign_deterministic(
-        tree,
-        lam=lambda v, r=rng: r.choice([0.5, 1.0, 2.0, 3.0]),
-        mu=lambda v, r=rng: r.choice([0.5, 1.0, 2.0]),
-    )
+    lam = [rng.choice([0.5, 1.0, 2.0, 3.0]) for _ in range(tree.n_vertices)]
+    mu = [rng.choice([0.5, 1.0, 2.0]) for _ in range(tree.n_vertices)]
+    env = Environment(tree, lam, mu)
     deep = [v for v in range(1, tree.n_vertices) if tree.depth[v] >= 2]
     mismatches = 0
     for trial in range(1000):
@@ -175,7 +172,7 @@ def test_criterion_05_simplified_psi():
         extra = [(w, n + j) for j in range(deg - 1)]        # w gets deg-1 kids
         tree = build_from_edge_list(edges + extra)
         u = tree.children[w][0]
-        assert tree.depth[u] == n and tree.deg(w) == deg
+        assert tree.depth[u] == n and tree.degrees[w] == deg
         lam = [1.0] * tree.n_vertices
         lam[w] = 1.0 + alpha * deg
         env = Environment(tree, lam, [1.0] * tree.n_vertices)

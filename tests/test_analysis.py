@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from goerw.analysis import (
     flow_energy_check,
     gambler_ruin_exact,
     gambler_ruin_mc,
-    hoeffding_bound,
     phase_diagnostic,
     proportional_flow,
     tree_max_flow,
@@ -117,41 +115,6 @@ class TestGamblerMC:
         chain = GamblerChain(N=40, mu=(1.0,) * 39, start=20)
         with pytest.raises(RefusalError, match="sweep cap 3 exceeded"):
             gambler_ruin_mc(chain, 200, 1)
-
-
-class TestHoeffding:
-    def test_frozen_value(self):
-        assert hoeffding_bound(1.0, [(0.0, 1.0)]) == pytest.approx(
-            2 * math.exp(-2), rel=1e-12)
-
-    def test_cap_at_one(self):
-        assert hoeffding_bound(1e-9, [(0.0, 1.0)]) == 1.0
-
-    def test_monotone_in_t_and_width(self):
-        ranges = [(0.0, 1.0), (0.0, 2.0)]
-        assert hoeffding_bound(2.0, ranges) < hoeffding_bound(1.0, ranges)
-        assert hoeffding_bound(1.0, [(0.0, 2.0)]) > hoeffding_bound(1.0, [(0.0, 1.0)])
-
-    def test_degenerate_ranges_give_zero(self):
-        assert hoeffding_bound(0.5, [(1.0, 1.0), (2.0, 2.0)]) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            hoeffding_bound(0.0, [(0.0, 1.0)])
-        with pytest.raises(ValueError, match="non-empty"):
-            hoeffding_bound(1.0, [])
-        with pytest.raises(ValueError, match="b < a"):
-            hoeffding_bound(1.0, [(2.0, 1.0)])
-
-    def test_log_squared_shape(self):
-        # ranges (1/n, 2/n) for n = 3..N with t = (eps/2) log N stay within
-        # the pi^2/6 slack of the closed form 2 exp(-(3 eps^2 / pi^2) log^2 N)
-        eps, N = 0.5, 200
-        ranges = [(1 / n, 2 / n) for n in range(3, N + 1)]
-        t = 0.5 * eps * math.log(N)
-        got = hoeffding_bound(t, ranges)
-        closed = 2 * math.exp(-(3 * eps**2 / math.pi**2) * math.log(N) ** 2)
-        assert got <= closed  # the true sum of widths is below pi^2/6
 
 
 class TestTreeFlow:

@@ -337,6 +337,27 @@ class TestUsage:
                            "--trials", "50")
         assert code == 2 and "100" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--tree", "path:L=4", "--env", "det:mu=1"],
+        ["concentration", "--tree", "path:L=16", "--env", "alpha:two=0,3,0.5",
+         "--depths", "8", "--epsilon", "0.5"],
+    ], ids=["simulate", "concentration"])
+    def test_trials_below_one_names_the_flag(self, capsys, argv, trials):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--trials", trials])
+        assert e.value.code == 2
+        assert f"--trials: must be at least 1, got {trials}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trials", "simulate.trials"])
+    def test_trials_below_one_in_config_names_the_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"{key} = 0\n")
+        code, out, err = run(capsys, "--config", str(cfg), "simulate",
+                             "--tree", "path:L=4", "--env", "det:mu=1")
+        assert code == 2 and out == ""
+        assert f"config key {key!r}: must be at least 1, got 0" in err
+
 
 class TestTables:
     def test_estimate_br_path_family(self, tmp_path, capsys):

@@ -15,17 +15,14 @@ from goerw.environment import (
     log_Psi,
     phi,
     psi,
-    psi_simplified,
-    read_env_file,
     resistance,
     rt_estimate,
     rt_hypothesis_sup,
     sample_random_environment,
-    write_env_file,
 )
 from goerw.tree import branching_ruin_estimate, build_path, build_regular, polynomial_family
 
-from conftest import random_tree
+from conftest import psi_simplified, random_tree
 
 
 def reference_potentials(env):
@@ -45,7 +42,7 @@ def reference_potentials(env):
             else:
                 R_u = R_u * env.mu[w]
                 phi_u = phi_u + R_u
-                degw = tree.deg(w)
+                degw = int(tree.degrees[w])
                 lamw, muw = env.lam[w], env.mu[w]
                 drop = 1.0 - phis[tree.parent[w]] / phi_u
                 factor = (lamw + (degw - 2) * muw / (muw + 1.0)) / (lamw + degw - 1.0)
@@ -153,11 +150,9 @@ class TestPsi:
     def test_psi_stays_in_unit_interval(self, rng):
         for _ in range(50):
             t = random_tree(rng, max_edges=20, max_depth=6)
-            env = assign_deterministic(
-                t,
-                lam=lambda v, r=rng: r.uniform(0.1, 5.0),
-                mu=lambda v, r=rng: r.uniform(0.1, 5.0),
-            )
+            lam = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            mu = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            env = Environment(t, lam, mu)
             for v in range(1, t.n_vertices):
                 assert 0.0 < psi(env, v) <= 1.0
 
@@ -213,7 +208,19 @@ class TestAlphaDistribution:
         assert e1.alpha == e2.alpha
         assert e1.alpha != e3.alpha
         assert set(e1.alpha) <= {0.0, 3.0}
-        assert e1.m == pytest.approx(0.625)
+
+    def test_point_mass_draws_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a one-atom law drew alphas")
+
+        monkeypatch.setattr(AlphaDistribution, "sample", no_draw)
+        t = build_regular(3, 3)
+        ref = environment_from_alpha(t, [1.5] * t.n_vertices)
+        for seed in (1, 2):
+            env = sample_random_environment(t, AlphaDistribution.point(1.5), seed)
+            assert env.lam == ref.lam
+            assert env.mu == ref.mu
+            assert env.alpha == ref.alpha
 
     def test_sampling_frequencies_rough(self):
         t = build_regular(3, 7)  # 190 vertices... more below
@@ -275,47 +282,6 @@ class TestRtEstimate:
                             [1.0], [8])
         excited = rt_estimate(pairs, [1.0], [8])
         assert excited.values[(1.0, 8)] < plain.values[(1.0, 8)]
-
-
-class TestEnvFile:
-    def test_round_trip_with_alpha(self, tmp_path):
-        t = build_regular(3, 3)
-        dist = AlphaDistribution.two_point(0.0, 3.0, 0.25)
-        env = sample_random_environment(t, dist, seed=42)
-        p = str(tmp_path / "e.env")
-        write_env_file(env, p)
-        back = read_env_file(p, t)
-        assert back.lam == env.lam
-        assert back.mu == env.mu
-        assert back.alpha == env.alpha
-        assert back.m == env.m
-        assert back.seed == 42
-        assert back.dist_spec == env.dist_spec
-
-    def test_round_trip_deterministic(self, tmp_path):
-        t = build_path(3)
-        env = assign_deterministic(t, lam=2.0, mu=0.5)
-        p = str(tmp_path / "e.env")
-        write_env_file(env, p)
-        back = read_env_file(p, t)
-        assert back.lam == env.lam
-        assert back.mu == env.mu
-        assert back.alpha is None
-        assert back.m is None and back.seed is None
-
-    def test_row_count_checked(self, tmp_path):
-        t = build_path(3)
-        env = assign_deterministic(t)
-        p = str(tmp_path / "e.env")
-        write_env_file(env, p)
-        with pytest.raises(ValueError, match="rows"):
-            read_env_file(p, build_path(5))
-
-    def test_header_checked(self, tmp_path):
-        p = tmp_path / "bad.env"
-        p.write_text("0 1.0 1.0\n")
-        with pytest.raises(ValueError, match="goerw-env"):
-            read_env_file(str(p), build_path(1))
 
 
 class TestValidation:

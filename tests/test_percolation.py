@@ -133,8 +133,8 @@ class TestSample:
         for i in range(20):
             s = sample_ruin_percolation(env, master_seed=7, sample_index=i)
             for c in t.children[0]:
-                assert s.is_open(c)
-                assert s.in_root_cluster(c)
+                assert s.open_edges[c]
+                assert c in s.root_cluster
 
     def test_cluster_is_upward_closed_and_no_violations(self):
         t, env = ternary_excited(3)
@@ -147,8 +147,8 @@ class TestSample:
                 assert p == 0 or p in s.root_cluster
             # cluster membership is exactly "all ancestors open"
             for v in range(1, t.n_vertices):
-                expected = all(s.is_open(g) for g in t.root_path(v)[1:])
-                assert s.in_root_cluster(v) == expected
+                expected = all(s.open_edges[g] for g in t.root_path(v)[1:])
+                assert (v in s.root_cluster) == expected
 
     def test_deterministic_in_seed_and_index(self):
         _, env = ternary_excited(3)
@@ -163,8 +163,8 @@ class TestSample:
         s = sample_ruin_percolation(env, master_seed=10, max_depth=2)
         for v in range(1, t.n_vertices):
             if t.depth[v] > 2:
-                assert not s.is_open(v)
-                assert not s.in_root_cluster(v)
+                assert not s.open_edges[v]
+                assert v not in s.root_cluster
 
 
 class TestOneRunPerPath:

@@ -54,9 +54,9 @@ class TestBuilders:
     def test_regular_level_sizes(self):
         t = build_regular(3, 2)
         assert t.level_sizes() == [1, 3, 6]
-        assert t.deg(0) == 3
-        assert t.deg(1) == 3
-        assert t.deg(4) == 1  # truncation leaf
+        assert t.degrees[0] == 3
+        assert t.degrees[1] == 3
+        assert t.degrees[4] == 1  # truncation leaf
 
     def test_regular_matches_family_sizes(self):
         fam = regular_family(3)

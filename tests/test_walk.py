@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from goerw.environment import Psi, assign_deterministic, environment_from_alpha
+from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
 from goerw.tree import build_path, build_regular
 from goerw.walk import (
     ClockTable,
@@ -260,11 +260,9 @@ class TestCoincidence:
             deep = [v for v in range(1, t.n_vertices) if t.depth[v] >= 2]
             if not deep:
                 continue
-            env = assign_deterministic(
-                t,
-                lam=lambda v, r=rng: r.choice([0.5, 1.0, 2.0, 3.0]),
-                mu=lambda v, r=rng: r.choice([0.5, 1.0, 2.0]),
-            )
+            lam = [rng.choice([0.5, 1.0, 2.0, 3.0]) for _ in range(t.n_vertices)]
+            mu = [rng.choice([0.5, 1.0, 2.0]) for _ in range(t.n_vertices)]
+            env = Environment(t, lam, mu)
             target = rng.choice(deep)
             table = ClockTable(derive_seed(4, trial))
             walk = simulate_rubin(env, StopRule(max_steps=300), table)
