@@ -12,7 +12,6 @@ from .tree import (
     build_from_edge_list,
     min_cutset_sum,
     min_level_cutset_sum,
-    enumerate_cutsets,
     branching_ruin_estimate,
     path_family,
     regular_family,

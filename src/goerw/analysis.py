@@ -135,8 +135,7 @@ def tree_max_flow(tree: Tree, capacity: Callable[[int], float],
     capacity F indexed by vertex id)."""
     if not 1 <= depth <= tree.truncation_depth:
         raise ValueError(f"depth must lie in [1, {tree.truncation_depth}]")
-    total, F, _ = _cut_dp(tree, capacity, depth)
-    return total, F
+    return _cut_dp(tree, capacity, depth)
 
 
 def proportional_flow(tree: Tree, F: Sequence[float], depth: int,
@@ -287,16 +286,22 @@ class PhaseVerdict:
 # largest censored fraction of a lane that still admits a phase verdict
 CENSORED_LIMIT = 0.01
 
+# a phase-diagnostic run stops at its K_RETURNS-th return to the root
+K_RETURNS = 10
+
+# the gamma grid 0.1, 0.2, ..., 3.0 of the branching-ruin reading
+_PHASE_GAMMAS = tuple(round(0.1 * g, 10) for g in range(1, 31))
+
 
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
-                  horizon: int, trials: int, k_returns: int,
-                  seed_base: int, lane: int) -> tuple[float, float, int]:
+                  horizon: int, trials: int, seed_base: int,
+                  lane: int) -> tuple[float, float, int]:
     """Annealed escape frequency: a fresh environment and a fresh walk per
     trial. A point mass gives the same environment whatever the seed, so
     it is built once. Returns the escape frequency, the mean root returns
     and the count of runs stopped by the horizon."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
-                    root_returns=k_returns)
+                    root_returns=K_RETURNS)
     one_atom = len(dist.values) == 1
     env = sample_random_environment(tree, dist, seed_base) if one_atom else None
     escapes = 0
@@ -324,14 +329,13 @@ def _smoothed_diff_sigma(p: float, q: float, n: int) -> float:
 
 def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
                      epsilon_margin: float, escape_depth: int, horizon: int,
-                     trials: int, master_seed: int, depth: int | None = None,
-                     k_returns: int = 10,
-                     gamma_grid: Sequence[float] | None = None) -> PhaseVerdict:
+                     trials: int, master_seed: int, depth: int) -> PhaseVerdict:
     """Directional recurrence/transience diagnostic via escape frequencies.
 
-    Runs `trials` annealed simulations stopped at the first of: reaching
-    `escape_depth`, returning to the root `k_returns` times, or `horizon`
-    steps. The escape frequency is compared against a matched control:
+    Runs `trials` annealed simulations on the family's depth-`depth` tree,
+    each stopped at the first of: reaching `escape_depth`, returning to the
+    root K_RETURNS times, or `horizon` steps. The escape frequency is
+    compared against a matched control:
 
       * excited runs (m < 1) use the same tree with the zero environment,
         isolating the excitation effect;
@@ -340,15 +344,13 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
 
     Refuses near-critical configurations: the family's exact branching-ruin
     index must sit at least epsilon_margin away from the threshold 2 - m.
+    The verdict also carries the family's branching-ruin estimate from min
+    cutset sums over the gamma grid 0.1, 0.2, ..., 3.0.
     """
-    if tree_family.br_index is None:
-        raise ValueError("tree family must declare its branching-ruin index")
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if escape_depth < 1:
         raise ValueError("escape depth must be positive")
-    if depth is None:
-        depth = escape_depth + 16
     if depth < escape_depth:
         raise ValueError("tree depth cannot be below the escape depth")
 
@@ -363,7 +365,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
 
     tree = tree_family.build(depth)
     escape_freq, mean_ret, censored = _escape_batch(
-        tree, dist, escape_depth, horizon, trials, k_returns, master_seed, 1)
+        tree, dist, escape_depth, horizon, trials, master_seed, 1)
 
     zero = AlphaDistribution.point(0.0)
     if m < 1.0:
@@ -373,8 +375,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
         control_family = polynomial_family(0.25)
         control_tree = control_family.build(depth)
     control_freq, control_ret, control_censored = _escape_batch(
-        control_tree, zero, escape_depth, horizon, trials, k_returns,
-        master_seed, 2)
+        control_tree, zero, escape_depth, horizon, trials, master_seed, 2)
 
     sigma = _smoothed_diff_sigma(escape_freq, control_freq, trials)
     if max(censored, control_censored) > CENSORED_LIMIT * trials:
@@ -386,17 +387,14 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     else:
         verdict = "inconclusive"
 
-    if gamma_grid is None:
-        gamma_grid = [round(0.1 * g, 10) for g in range(1, 31)]
     probe_depths = [d for d in (8, 16, 32, 64, 128) if d <= depth] or [depth]
-    table = branching_ruin_estimate(tree_family, gamma_grid, probe_depths)
-    estimate = table.estimate
+    table = branching_ruin_estimate(tree_family, _PHASE_GAMMAS, probe_depths)
 
     return PhaseVerdict(
         family=tree_family.name, env_spec=dist.spec_string(), m=m,
-        br_exact=br, br_estimate=estimate, threshold=threshold, depth=depth,
+        br_exact=br, br_estimate=table.estimate, threshold=threshold, depth=depth,
         escape_depth=escape_depth, horizon=horizon, trials=trials,
-        k_returns=k_returns, master_seed=master_seed,
+        k_returns=K_RETURNS, master_seed=master_seed,
         escape_freq=escape_freq, mean_returns=mean_ret, censored=censored,
         control_family=control_family.name,
         control_env_spec=zero.spec_string(),

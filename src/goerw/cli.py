@@ -358,9 +358,8 @@ def _run_gen_tree(r: Runner) -> None:
     tree = parse_tree_spec(o.require("tree"))
     out = o.get("output")
     if out is None:
-        out_dir = o.get("out-dir", ".")
-        out = os.path.join(out_dir, "tree.txt")
-        os.makedirs(out_dir, exist_ok=True)
+        out = os.path.join(o.get("out-dir", "."), "tree.txt")
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_tree_file(tree, out)
     r.say(f"wrote {out} (vertices={tree.n_vertices} depth={tree.truncation_depth})")
 
@@ -426,10 +425,13 @@ def _run_percolate(r: Runner) -> None:
     seed = o.seed()
     env = build_environment(tree, o.require("env"), seed)
     depths_text = o.get("depths")
+    depth = o.get("depth")
+    if depths_text is not None and depth is not None:
+        raise UsageError("give --depth or --depths, not both")
     if depths_text is not None:
         depths = _parse_depths(depths_text)
-    elif o.get("depth") is not None:
-        depths = [o.get("depth")]
+    elif depth is not None:
+        depths = [depth]
     else:
         raise UsageError("missing required option --depth or --depths")
     trials = o.get("trials", 10_000)
@@ -605,7 +607,7 @@ def _run_concentration(r: Runner) -> None:
 
 
 def count(text: str) -> int:
-    """A trial count: an integer of at least 1."""
+    """A count, depth or step budget: an integer of at least 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -613,10 +615,10 @@ def count(text: str) -> int:
 
 
 TYPES: dict[str, Callable] = {
-    "tree": str, "env": str, "seed": int, "trials": count, "depth": int,
-    "depths": str, "edge-depth": int, "max-steps": int, "returns": int,
+    "tree": str, "env": str, "seed": int, "trials": count, "depth": count,
+    "depths": str, "edge-depth": count, "max-steps": count, "returns": count,
     "gamma": float, "gamma-grid": str, "threshold": float, "epsilon": float,
-    "escape-depth": int, "horizon": int, "mu": str, "start": int,
+    "escape-depth": count, "horizon": count, "mu": str, "start": int,
     "output": str, "format": str, "out-dir": str,
 }
 

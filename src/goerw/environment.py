@@ -313,6 +313,6 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
         for v in range(1, tree.n_vertices):
             logs[v] = log_Psi(env, v)
         for g in gammas:
-            values[(g, L)], _ = min_cutset_sum(
+            values[(g, L)] = min_cutset_sum(
                 tree, lambda e, g=g: math.exp(g * logs[e]))
     return BranchingTable(gammas, depths, values, threshold)

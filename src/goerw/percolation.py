@@ -85,36 +85,33 @@ class PercolationSample:
     open_edges: list[bool]
     root_cluster: frozenset[int]
     valid: bool
-    sample_index: int
     monotone_violations: int
 
 
 def sample_ruin_percolation(env: Environment, master_seed: int,
-                            sample_index: int = 0,
-                            max_depth: int | None = None) -> PercolationSample:
-    """Draw one percolation sample on a single shared clock table, with
-    edges down to max_depth.
+                            sample_index: int = 0) -> PercolationSample:
+    """Draw one percolation sample of every edge of the tree on a single
+    clock table, seeded by (master_seed, sample_index).
 
     The cluster grows depth first from the root. For each undecided child of
     a cluster vertex one extension runs toward the end of the child's
-    leftmost chain (cut at max_depth), and every chain vertex up to the
-    run's reach is open. The other children of those vertices are decided
-    the same way. A subtree under a closed edge is never entered: every edge
-    in it is closed too. A capped run still opens the chain up to its reach
-    and marks the sample invalid, which is exactly what running every
-    edge's own extension would give.
+    leftmost chain, and every chain vertex up to the run's reach is open.
+    The other children of those vertices are decided the same way. A
+    subtree under a closed edge is never entered: every edge in it is
+    closed too. A capped run still opens the chain up to its reach and
+    marks the sample invalid, which is exactly what running every edge's
+    own extension would give.
     """
     tree = env.tree
     children, depth = tree.children, tree.depth
     table = ClockTable(derive_seed(master_seed, sample_index))
-    limit = tree.truncation_depth if max_depth is None else max_depth
     open_edges = [False] * tree.n_vertices
     cluster = []
     valid = True
-    stack = list(children[0]) if limit >= 1 else []
+    stack = list(children[0])
     while stack:
         chain = [stack.pop()]
-        while depth[chain[-1]] < limit and children[chain[-1]]:
+        while children[chain[-1]]:
             chain.append(children[chain[-1]][0])
         reach, capped = _reach(env, table, chain[-1])
         if capped:
@@ -122,10 +119,8 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
         for x in chain[:reach - depth[chain[0]] + 1]:
             open_edges[x] = True
             cluster.append(x)
-            if depth[x] < limit:
-                stack.extend(children[x][1:])
-    return PercolationSample(open_edges, frozenset(cluster), valid,
-                             sample_index, 0)
+            stack.extend(children[x][1:])
+    return PercolationSample(open_edges, frozenset(cluster), valid, 0)
 
 
 @dataclass

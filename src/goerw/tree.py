@@ -8,12 +8,12 @@ means the edge between vertex e and its parent, and the depth |e| of the edge
 equals the depth of that child vertex.
 
 A cutset is a set of edges meeting every path from the root to the truncation
-boundary (the vertices at maximal depth). The minimum-weight cutset is found
-by the usual downward dynamic program: for each edge, either cut it or recurse
-into all edges below it. On spherically symmetric trees with level-constant
-weights the optimum is always a full level, which gives a closed form that
-scales to trees far too large to materialize; that shortcut is what makes the
-growth-index estimates workable at large depth.
+boundary (the vertices at maximal depth). The least total weight of a cutset
+is found by the usual downward dynamic program: for each edge, either cut it
+or recurse into all edges below it. On spherically symmetric trees with
+level-constant weights the optimum is always a full level, which gives a
+closed form that scales to trees far too large to materialize; that shortcut
+is what makes the growth-index estimates workable at large depth.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from itertools import product as _iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "polynomial_level_sizes",
     "min_cutset_sum",
     "min_level_cutset_sum",
-    "enumerate_cutsets",
     "branching_ruin_estimate",
     "BranchingTable",
     "path_family",
@@ -68,10 +66,6 @@ class Tree:
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.parent) - 1
 
     @property
     def degrees(self) -> np.ndarray:
@@ -112,22 +106,22 @@ class Tree:
             raise ValueError(f"tree has no vertices at depth {d}")
         return verts[0]
 
-    def level_sizes(self) -> list[int]:
-        return [len(self.vertices_at_depth(d)) for d in range(self.truncation_depth + 1)]
+
+# vertex cap of build_regular and build_polynomial
+_MAX_VERTICES = 2_000_000
 
 
-def _grow(child_counts: Iterable[int] | Callable[[int, int], int], depth: int,
-          max_vertices: int) -> Tree:
-    """Generic breadth-first builder. child_counts(level, index_in_level)
-    gives the number of children of each vertex on that level."""
+def _grow(child_counts: Sequence[int], depth: int, max_vertices: int) -> Tree:
+    """Breadth-first construction: every vertex on level n < depth gets
+    child_counts[n] children."""
     parent = [-1]
     children: list[list[int]] = [[]]
     depths = [0]
     prev = [0]
     for n in range(depth):
+        k = child_counts[n]
         nxt = []
-        for i, p in enumerate(prev):
-            k = child_counts(n, i) if callable(child_counts) else child_counts[n]
+        for p in prev:
             for _ in range(k):
                 vid = len(parent)
                 parent.append(p)
@@ -148,16 +142,16 @@ def build_path(length: int) -> Tree:
     """A single path of the given length hanging off the root."""
     if length < 1:
         raise ValueError("path length must be at least 1")
-    return _grow([1] * length, length, max_vertices=10_000_000)
+    return _grow([1] * length, length, 10_000_000)
 
 
-def build_regular(d: int, depth: int, max_vertices: int = 2_000_000) -> Tree:
+def build_regular(d: int, depth: int) -> Tree:
     """The d-regular tree: the root has d children and every other internal
     vertex has d-1, so all non-root vertices have d neighbors."""
     if d < 2:
         raise ValueError("regular tree needs d >= 2")
     counts = [d] + [d - 1] * (depth - 1)
-    return _grow(counts, depth, max_vertices)
+    return _grow(counts, depth, _MAX_VERTICES)
 
 
 def _dyadic_floor(b: float, n: int) -> int:
@@ -175,7 +169,7 @@ def polynomial_level_sizes(b: float, depth: int) -> list[int]:
     return [1] + [1 << _dyadic_floor(b, n) for n in range(1, depth + 1)]
 
 
-def build_polynomial(b: float, depth: int, max_vertices: int = 2_000_000) -> Tree:
+def build_polynomial(b: float, depth: int) -> Tree:
     """Spherically symmetric tree whose level n holds exactly
     2**floor(b*log2 n) vertices.
 
@@ -184,13 +178,13 @@ def build_polynomial(b: float, depth: int, max_vertices: int = 2_000_000) -> Tre
     the dyadic staircase jumps more than one step at once).
     """
     sizes = polynomial_level_sizes(b, depth)
-    if sum(sizes) > max_vertices:
+    if sum(sizes) > _MAX_VERTICES:
         raise ValueError(
             f"polynomial tree b={b} depth={depth} has {sum(sizes)} vertices, "
-            f"over the {max_vertices} cap; use polynomial_family for analysis"
+            f"over the {_MAX_VERTICES} cap; use polynomial_family for analysis"
         )
     counts = [sizes[n + 1] // sizes[n] for n in range(depth)]
-    return _grow(counts, depth, max_vertices)
+    return _grow(counts, depth, _MAX_VERTICES)
 
 
 def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
@@ -242,24 +236,14 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
 # cutsets
 
 
-def _weight_fn(tree: Tree, weights) -> Callable[[int], float]:
-    if callable(weights):
-        return weights
-    if isinstance(weights, Mapping):
-        return weights.__getitem__
-    raise TypeError("weights must be a mapping edge->weight or a callable")
-
-
 def _cut_dp(tree: Tree, w: Callable[[int], float],
-            depth: int) -> tuple[float, list[float], bytearray]:
+            depth: int) -> tuple[float, list[float]]:
     """Bottom-up over BFS ids: F[v] = w(v) at `depth`, 0 at a dead end above
-    it, else min(w(v), sum of F over the children) with ties to w(v), marked
-    in cut_here. F[v] is both the least cut below v and, with capacities w,
-    the most flow through v. Returns (sum of F over the root's children, F,
-    cut_here)."""
+    it, else min(w(v), sum of F over the children). F[v] is both the least
+    cut below v and, with capacities w, the most flow through v. Returns
+    (sum of F over the root's children, F)."""
     n = tree.n_vertices
     F = [0.0] * n
-    cut_here = bytearray(n)
     tree_depth = tree.depth
     children = tree.children
     for v in range(n - 1, 0, -1):
@@ -267,7 +251,6 @@ def _cut_dp(tree: Tree, w: Callable[[int], float],
         if d >= depth:
             if d == depth:
                 F[v] = w(v)
-                cut_here[v] = 1
             continue
         kids = children[v]
         if not kids:
@@ -276,69 +259,25 @@ def _cut_dp(tree: Tree, w: Callable[[int], float],
         for c in kids:
             below += F[c]
         wv = w(v)
-        if wv <= below:
-            F[v] = wv
-            cut_here[v] = 1
-        else:
-            F[v] = below
+        F[v] = wv if wv <= below else below
     value = 0.0
     for c in children[0]:
         value += F[c]
-    return value, F, cut_here
+    return value, F
 
 
-def min_cutset_sum(tree: Tree, weights) -> tuple[float, frozenset[int]]:
+def min_cutset_sum(tree: Tree, weights: Callable[[int], float]) -> float:
     """Minimum total weight of a cutset separating the root from the
-    truncation boundary, and one optimal cutset (edges named by child id).
-
-    weights maps each edge (child id) to a positive weight, either as a
-    mapping or a callable. Ties between cutting an edge and cutting below it
-    go to the edge itself, so the reported cutset is the shallowest optimum.
-    Dead-end branches that stop short of the boundary need no cut.
-    """
-    value, _, cut_here = _cut_dp(tree, _weight_fn(tree, weights),
-                                 tree.truncation_depth)
-    cut = []
-    stack = list(tree.children[0])
-    while stack:
-        v = stack.pop()
-        if cut_here[v]:
-            cut.append(v)
-        else:
-            stack.extend(tree.children[v])
-    return value, frozenset(cut)
-
-
-def enumerate_cutsets(tree: Tree) -> list[frozenset[int]]:
-    """All minimal cutsets, by brute force. Guarded to 20 edges; this exists
-    as an oracle for the dynamic program, not for real use."""
-    if tree.n_edges > 20:
-        raise ValueError("enumerate_cutsets is capped at 20 edges")
-    L = tree.truncation_depth
-
-    def for_edge(v: int) -> list[frozenset[int]]:
-        if tree.depth[v] == L:
-            return [frozenset((v,))]
-        kids = tree.children[v]
-        if not kids:
-            # dead end: a minimal cutset never pays for this branch
-            return [frozenset()]
-        out = [frozenset((v,))]
-        out.extend(combine(kids))
-        return out
-
-    def combine(kids: list[int]) -> list[frozenset[int]]:
-        pools = [for_edge(c) for c in kids]
-        return [frozenset().union(*combo) for combo in _iproduct(*pools)]
-
-    return combine(tree.children[0])
+    truncation boundary. weights(e) is the positive weight of edge e (named
+    by its child id). Dead-end branches that stop short of the boundary
+    need no cut."""
+    return _cut_dp(tree, weights, tree.truncation_depth)[0]
 
 
 def min_level_cutset_sum(level_sizes: Sequence[int],
-                         weight_by_depth: Callable[[int], float]) -> tuple[float, int]:
-    """Minimum of s(m) * w(m) over levels m >= 1, with ties going to the
-    shallower level. Equals min_cutset_sum on a spherically symmetric tree
-    whose edge weights depend only on depth.
+                         weight_by_depth: Callable[[int], float]) -> float:
+    """Minimum of s(m) * w(m) over levels m >= 1. Equals min_cutset_sum on
+    a spherically symmetric tree whose edge weights depend only on depth.
 
     Why full levels suffice: weights are level-constant and the subtree below
     any vertex of level m is a copy of every other, so replacing the cheapest
@@ -348,14 +287,7 @@ def min_level_cutset_sum(level_sizes: Sequence[int],
     L = len(level_sizes) - 1
     if L < 1:
         raise ValueError("need at least one level below the root")
-    best = math.inf
-    best_m = 1
-    for m in range(1, L + 1):
-        val = level_sizes[m] * weight_by_depth(m)
-        if val < best:
-            best = val
-            best_m = m
-    return best, best_m
+    return min(level_sizes[m] * weight_by_depth(m) for m in range(1, L + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +298,16 @@ def min_level_cutset_sum(level_sizes: Sequence[int],
 class TreeFamily:
     """A tree family indexed by truncation depth.
 
-    level_sizes(L) is available for spherically symmetric families and lets
-    the cutset analysis run without materializing the tree. br_index is the
-    family's exact branching-ruin number where known (math.inf for
-    exponentially growing families).
+    Every family is spherically symmetric: level_sizes(L) lists the level
+    sizes of build(L), which lets the cutset analysis run without
+    materializing the tree. br_index is the family's exact branching-ruin
+    number (math.inf for exponentially growing families).
     """
 
     name: str
     build: Callable[[int], Tree]
-    level_sizes: Callable[[int], list[int]] | None = None
-    br_index: float | None = None
+    level_sizes: Callable[[int], list[int]]
+    br_index: float
 
 
 def path_family() -> TreeFamily:
@@ -451,14 +383,9 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
         raise ValueError("gamma grid and depth list must be nonempty")
     values: dict[tuple[float, int], float] = {}
     for L in depths:
-        if family.level_sizes is not None:
-            sizes = family.level_sizes(L)
-            for g in gammas:
-                values[(g, L)], _ = min_level_cutset_sum(sizes, lambda m, g=g: m ** -g)
-        else:
-            tree = family.build(L)
-            for g in gammas:
-                values[(g, L)], _ = min_cutset_sum(tree, lambda e, g=g: tree.depth[e] ** -g)
+        sizes = family.level_sizes(L)
+        for g in gammas:
+            values[(g, L)] = min_level_cutset_sum(sizes, lambda m, g=g: m ** -g)
     return BranchingTable(gammas, depths, values, threshold)
 
 

@@ -210,9 +210,9 @@ def simulate(env: Environment, stop: StopRule, seed: int,
 # clock construction
 
 
-def simulate_rubin(env: Environment, stop: StopRule, clocks: ClockTable,
-                   record: bool = True) -> WalkTrajectory:
-    """Run the walk by racing exponential clocks.
+def simulate_rubin(env: Environment, stop: StopRule,
+                   clocks: ClockTable) -> WalkTrajectory:
+    """Run the walk by racing exponential clocks, recording every position.
 
     Per visited vertex the race state is (neighbors, running totals, next
     clock index per direction). Neighbors are listed parent first then
@@ -227,7 +227,7 @@ def simulate_rubin(env: Environment, stop: StopRule, clocks: ClockTable,
     hd = stop.hit_depth
     rr = stop.root_returns
     state: dict[int, tuple[list[int], list[float], list[int]]] = {}
-    positions = [0] if record else None
+    positions = [0]
     v = 0
     steps = 0
     returns = 0
@@ -275,8 +275,7 @@ def simulate_rubin(env: Environment, stop: StopRule, clocks: ClockTable,
             nxt[widx] += 1
             v = neis[widx]
         steps += 1
-        if record:
-            positions.append(v)
+        positions.append(v)
         d = depth[v]
         if d > maxd:
             maxd = d

@@ -1,4 +1,5 @@
 import random
+from itertools import product as _iproduct
 
 import pytest
 
@@ -29,6 +30,31 @@ def random_tree(rng: random.Random, max_edges: int = 20, max_depth: int = 6) -> 
         if depths[child] < max_depth:
             frontier.append(child)
     return build_from_edge_list(edges)
+
+
+def enumerate_cutsets(tree: Tree) -> list[frozenset[int]]:
+    """All minimal cutsets, by brute force. Guarded to 20 edges; this exists
+    as an oracle for the dynamic program, not for real use."""
+    if tree.n_vertices - 1 > 20:
+        raise ValueError("enumerate_cutsets is capped at 20 edges")
+    L = tree.truncation_depth
+
+    def for_edge(v: int) -> list[frozenset[int]]:
+        if tree.depth[v] == L:
+            return [frozenset((v,))]
+        kids = tree.children[v]
+        if not kids:
+            # dead end: a minimal cutset never pays for this branch
+            return [frozenset()]
+        out = [frozenset((v,))]
+        out.extend(combine(kids))
+        return out
+
+    def combine(kids: list[int]) -> list[frozenset[int]]:
+        pools = [for_edge(c) for c in kids]
+        return [frozenset().union(*combo) for combo in _iproduct(*pools)]
+
+    return combine(tree.children[0])
 
 
 @pytest.fixture

@@ -252,9 +252,11 @@ class TestPhaseDiagnostic:
     def test_validation(self):
         dist = AlphaDistribution.point(1.0)
         with pytest.raises(ValueError, match="trials"):
-            phase_diagnostic(self.fam, dist, 0.1, 16, 10**4, 50, master_seed=1)
+            phase_diagnostic(self.fam, dist, 0.1, 16, 10**4, 50, master_seed=1,
+                             depth=20)
         with pytest.raises(ValueError, match="escape depth"):
-            phase_diagnostic(self.fam, dist, 0.1, 0, 10**4, 100, master_seed=1)
+            phase_diagnostic(self.fam, dist, 0.1, 0, 10**4, 100, master_seed=1,
+                             depth=20)
         with pytest.raises(ValueError, match="below the escape depth"):
             phase_diagnostic(self.fam, dist, 0.1, 16, 10**4, 100,
                              master_seed=1, depth=8)

@@ -256,6 +256,15 @@ class TestRoundTrips:
                            "--max-steps", "200", "--seed", "1")
         assert code == 0 and "trials=20" in out
 
+    def test_gen_tree_output_creates_its_directory(self, tmp_path, capsys):
+        path = tmp_path / "new" / "sub" / "tree.txt"
+        code, out, err = run(capsys, "gen-tree", "--tree", "regular:d=3,L=3",
+                             "--output", str(path))
+        assert code == 0 and err == "" and f"wrote {path}" in out
+        back = parse_tree_spec(f"file:{path}")
+        want = parse_tree_spec("regular:d=3,L=3")
+        assert (back.parent, back.truncation_depth) == (want.parent, 3)
+
     def test_gen_tree_spec_form(self, tmp_path, capsys):
         path = str(tmp_path / "r.txt")
         code, out, _ = run(capsys, "gen-tree", "--tree", "regular:d=4,L=3",
@@ -337,24 +346,53 @@ class TestUsage:
                            "--trials", "50")
         assert code == 2 and "100" in err
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--tree", "path:L=4", "--env", "det:mu=1"],
-        ["concentration", "--tree", "path:L=16", "--env", "alpha:two=0,3,0.5",
-         "--depths", "8", "--epsilon", "0.5"],
-    ], ids=["simulate", "concentration"])
-    def test_trials_below_one_names_the_flag(self, capsys, argv, trials):
-        with pytest.raises(SystemExit) as e:
-            main([*argv, "--trials", trials])
-        assert e.value.code == 2
-        assert f"--trials: must be at least 1, got {trials}" in capsys.readouterr().err
+    def test_percolate_depth_and_depths_together_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "percolate", "--tree", "path:L=3",
+                             "--env", "det:mu=1", "--depth", "2", "--depths", "3")
+        assert code == 2 and out == ""
+        assert "--depth" in err and "--depths" in err
 
-    @pytest.mark.parametrize("key", ["trials", "simulate.trials"])
-    def test_trials_below_one_in_config_names_the_key(self, tmp_path, capsys, key):
+    SIMULATE = ["simulate", "--tree", "path:L=4", "--env", "det:mu=1"]
+    CONCENTRATION = ["concentration", "--tree", "path:L=16", "--env",
+                     "alpha:two=0,3,0.5", "--depths", "8", "--epsilon", "0.5"]
+    PHASE_SCAN = ["phase-scan", "--tree", "poly:b=1.2,L=16", "--env",
+                  "alpha:point=1", "--escape-depth", "8"]
+    COMPUTE_PSI = ["compute-psi", "--tree", "path:L=4", "--env", "det:mu=1"]
+
+    # every integer option that counts, bounds a depth or a step budget
+    @pytest.mark.parametrize("argv,option,value", [
+        pytest.param(SIMULATE, "trials", "0", id="simulate-0"),
+        pytest.param(SIMULATE, "trials", "-3", id="simulate--3"),
+        pytest.param(CONCENTRATION, "trials", "0", id="concentration-0"),
+        pytest.param(CONCENTRATION, "trials", "-3", id="concentration--3"),
+        pytest.param(SIMULATE, "max-steps", "-1", id="simulate-max-steps--1"),
+        pytest.param(SIMULATE, "depth", "0", id="simulate-depth-0"),
+        pytest.param(SIMULATE, "returns", "0", id="simulate-returns-0"),
+        pytest.param(PHASE_SCAN, "horizon", "0", id="phase-scan-horizon-0"),
+        pytest.param(PHASE_SCAN, "escape-depth", "0", id="phase-scan-escape-depth-0"),
+        pytest.param(COMPUTE_PSI, "edge-depth", "0", id="compute-psi-edge-depth-0"),
+    ])
+    def test_trials_below_one_names_the_flag(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, f"--{option}", value])
+        assert e.value.code == 2
+        assert (f"--{option}: must be at least 1, got {value}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key,argv", [
+        pytest.param("trials", SIMULATE, id="trials"),
+        pytest.param("simulate.trials", SIMULATE, id="simulate.trials"),
+        pytest.param("max-steps", SIMULATE, id="max-steps"),
+        pytest.param("simulate.depth", SIMULATE, id="simulate.depth"),
+        pytest.param("returns", SIMULATE, id="returns"),
+        pytest.param("phase-scan.horizon", PHASE_SCAN, id="phase-scan.horizon"),
+        pytest.param("edge-depth", COMPUTE_PSI, id="edge-depth"),
+    ])
+    def test_trials_below_one_in_config_names_the_key(self, tmp_path, capsys,
+                                                      key, argv):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(f"{key} = 0\n")
-        code, out, err = run(capsys, "--config", str(cfg), "simulate",
-                             "--tree", "path:L=4", "--env", "det:mu=1")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == 2 and out == ""
         assert f"config key {key!r}: must be at least 1, got 0" in err
 

@@ -48,20 +48,18 @@ def edge_open_ref(env, table, v):
     return traj.escaped
 
 
-def sample_ref(env, master_seed, sample_index, max_depth=None):
+def sample_ref(env, master_seed, sample_index):
     """(open_edges, root_cluster, valid, violations) from every edge's own
     extension; violations counts open edges under a closed parent."""
     t = env.tree
     table = ClockTable(derive_seed(master_seed, sample_index))
-    limit = t.truncation_depth if max_depth is None else max_depth
     open_edges = [False] * t.n_vertices
     valid = True
     for v in range(1, t.n_vertices):
-        if t.depth[v] <= limit:
-            status = edge_open_ref(env, table, v)
-            if status is None:
-                valid = False
-            open_edges[v] = bool(status)
+        status = edge_open_ref(env, table, v)
+        if status is None:
+            valid = False
+        open_edges[v] = bool(status)
     cluster = {v for v in range(1, t.n_vertices)
                if all(open_edges[g] for g in t.root_path(v)[1:])}
     violations = sum(1 for v in range(1, t.n_vertices)
@@ -158,14 +156,6 @@ class TestSample:
         assert a.open_edges == b.open_edges
         assert a.open_edges != c.open_edges
 
-    def test_max_depth_limits_the_sample(self):
-        t, env = ternary_excited(3)
-        s = sample_ruin_percolation(env, master_seed=10, max_depth=2)
-        for v in range(1, t.n_vertices):
-            if t.depth[v] > 2:
-                assert not s.open_edges[v]
-                assert v not in s.root_cluster
-
 
 class TestOneRunPerPath:
     """One extension per root path must give exactly what one extension per
@@ -176,17 +166,15 @@ class TestOneRunPerPath:
         open_deep = closed_deep = 0
         for k in range(240):
             t, env = random_env(rng)
-            max_depth = None if k % 2 else rng.randint(1, 5)
-            s = sample_ruin_percolation(env, master_seed=30, sample_index=k,
-                                        max_depth=max_depth)
-            open_edges, cluster, valid, violations = sample_ref(env, 30, k, max_depth)
+            s = sample_ruin_percolation(env, master_seed=30, sample_index=k)
+            open_edges, cluster, valid, violations = sample_ref(env, 30, k)
             assert s.open_edges == open_edges
             assert s.root_cluster == cluster
             assert s.valid == valid
             assert violations == 0
             assert s.monotone_violations == 0
             for v in range(1, t.n_vertices):
-                if t.depth[v] >= 2 and (max_depth is None or t.depth[v] <= max_depth):
+                if t.depth[v] >= 2:
                     open_deep += open_edges[v]
                     closed_deep += not open_edges[v]
         # both outcomes occur below depth 1, so the comparison is not vacuous

@@ -1,19 +1,27 @@
-"""The benchmark's tracer wraps goerw functions by (owner, attribute). A
-name it patches that goerw no longer has makes every traced workload fail,
-so tier-1 checks the names without running the benchmark."""
+"""The benchmark's tracer wraps goerw functions by (owner, attribute), and
+its workloads call goerw's API directly. A name either one uses that goerw
+no longer has makes the benchmark fail, so tier-1 checks the names and runs
+one unit of every workload under the tracer, without timing anything."""
 
 import importlib.util
 import os
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "perfbench", "tracer.py")
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load("tracer")
 
 
 def test_every_patched_attribute_exists():
@@ -23,3 +31,18 @@ def test_every_patched_attribute_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in targets if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["edge-mc", "cluster", "phase-annealed", "ruin-tables"])
+def test_one_unit_of_each_workload_passes_its_checks(name):
+    tracer = load_tracer()
+    wl = load("workloads").WORKLOADS[name]
+    with tracer.patched(tracer.replacements(tracer.Tracer())):
+        st = wl.setup(5)
+        with tracer.patched(wl.observers(st)):
+            wl.prepare(st, 0)
+            ops, failed = wl.run(st, 0)
+            wl.settle(st, 0)
+    wl.check(st)
+    assert ops > 0 and failed == 0
+    assert st.failures == []
