@@ -207,7 +207,7 @@ def flow_energy_check(env: Environment, gamma: float,
     The flow is scaled so the total leaving the root is min(1, max flow).
     Bounded energy across growing depths is the desk-scale signature of the
     transient regime; a flow decaying toward zero is flagged degenerate."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     if not depths:
         raise ValueError("need at least one depth")

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -444,8 +445,8 @@ def _run_percolate(r: Runner) -> None:
         rows.append([d, edge, est.trials, est.n_connected, est.p_hat,
                      est.exact, est.stderr, est.z_score,
                      est.monotone_violations, est.invalid_runs])
-        stats["depths"][str(d)] = {"edge": edge, "p_hat": est.p_hat,
-                                   "exact": est.exact, "z": est.z_score}
+        stats["depths"][str(d)] = {"edge": edge, "p_hat": est.p_hat, "exact": est.exact,
+                                   "z": est.z_score, "steps": est.steps}
         r.say(f"depth={d} edge={edge} exact={est.exact!r} p_hat={est.p_hat!r} "
               f"z={est.z_score:.3f}")
     r.emit("percolate",
@@ -614,10 +615,26 @@ def count(text: str) -> int:
     return n
 
 
+def finite(text: str) -> float:
+    """A float other than nan and +-inf."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def margin(text: str) -> float:
+    """A finite float of at least 0."""
+    x = finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return x
+
+
 TYPES: dict[str, Callable] = {
     "tree": str, "env": str, "seed": int, "trials": count, "depth": count,
     "depths": str, "edge-depth": count, "max-steps": count, "returns": count,
-    "gamma": float, "gamma-grid": str, "threshold": float, "epsilon": float,
+    "gamma": finite, "gamma-grid": str, "threshold": finite, "epsilon": margin,
     "escape-depth": count, "horizon": count, "mu": str, "start": int,
     "output": str, "format": str, "out-dir": str,
 }

@@ -10,7 +10,9 @@ its first root return) is at least |a|. A deeper edge can only be open if
 every edge above it is, so the open edges form a downward-grown cluster
 around the root and membership of an edge in that cluster is the single
 event {edge open}. Its probability is exactly the ruin product Psi of the
-environment, which is what every Monte Carlo here is checked against.
+environment, which is what every Monte Carlo here is checked against. The
+connection Monte Carlo runs its trials in lockstep (walk.extension_reach),
+bitwise equal to the scalar runs the samples and statistics make.
 
 The cluster is not an independent percolation: nearby edges share clocks
 through their common ancestors. It is quasi-independent, with an explicit
@@ -39,7 +41,8 @@ from .environment import (
 )
 from .errors import RefusalError
 from .tree import Tree
-from .walk import ClockTable, StopRule, derive_seed, simulate_extension
+from .walk import (ClockTable, StopRule, derive_seed, derive_seeds,
+                   extension_reach, simulate_extension)
 
 __all__ = [
     "PercolationSample",
@@ -130,6 +133,7 @@ class ConnectionEstimate:
 
     monotone_violations is 0 by construction, since one run per trial
     decides the whole root path; the CLI still writes it as a CSV column.
+    steps is the total extension steps over the trials.
     The coupling that makes this exact is checked against one run per edge
     in tests/test_percolation.py (TestOneRunPerPath)."""
 
@@ -140,6 +144,7 @@ class ConnectionEstimate:
     exact: float
     monotone_violations: int
     invalid_runs: int
+    steps: int
 
     @property
     def p_hat(self) -> float:
@@ -161,25 +166,25 @@ def edge_connection_probability_mc(env: Environment, edge: int, trials: int,
     """Estimate P(edge is root-connected) from one extension toward the edge
     per trial: the edge is root-connected iff that run reaches it, since the
     run's reach decides every edge of the root path at once. A trial whose
-    run hits the step cap counts as invalid, not as closed.
+    run hits the step cap counts as invalid, not as closed. The runs go in
+    lockstep on numpy (walk.extension_reach), with each clock's log taken
+    by math.log, so the counts and steps are == those of one scalar run
+    per trial.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
     d = env.tree.depth[edge]
-    n_connected = 0
-    invalid = 0
-    for i in range(trials):
-        reach, capped = _reach(env, ClockTable(derive_seed(master_seed, i)), edge)
-        invalid += capped
-        n_connected += reach == d
+    reach, capped, steps = extension_reach(
+        env, edge, derive_seeds(master_seed, trials), _EXTENSION_CAP)
     return ConnectionEstimate(
         edge=edge,
         depth=d,
         trials=trials,
-        n_connected=n_connected,
+        n_connected=int((reach == d).sum()),
         exact=Psi(env, edge),
         monotone_violations=0,
-        invalid_runs=invalid,
+        invalid_runs=int(capped.sum()),
+        steps=int(steps.sum()),
     )
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,6 +169,12 @@ class TestTreeFlow:
             flow_energy_check(env, 1.5, [16])
         with pytest.raises(ValueError, match="depth"):
             flow_energy_check(env, 1.5, [])
+
+    @pytest.mark.parametrize("gamma", [math.nan, -math.inf])
+    def test_gamma_nan_or_minus_inf_refused(self, gamma):
+        env = assign_deterministic(build_path(8))
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
+            flow_energy_check(env, gamma, [4])
 
 
 class TestPhaseDiagnostic:

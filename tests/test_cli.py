@@ -6,6 +6,7 @@ import pytest
 import goerw.cli as cli
 from goerw.cli import main, parse_env_spec, parse_family_spec, parse_tree_spec
 from goerw.environment import AlphaDistribution
+from goerw.walk import ClockTable, StopRule, derive_seed, simulate_extension
 
 
 def run(capsys, *argv):
@@ -192,6 +193,22 @@ class TestOutputs:
         assert set(doc["config"]) == {"subcommand", "options"}
         assert doc["config"]["subcommand"] == "percolate"
         assert doc["config"]["options"]["trials"] == 300
+        assert set(doc["statistics"]["depths"]["2"]) == {"edge", "p_hat", "exact", "z", "steps"}
+
+    def test_json_steps_are_the_runs_steps(self, tmp_path, capsys):
+        """statistics.depths.<d>.steps sums the steps of every trial's run."""
+        out = tmp_path / "steps"
+        run(capsys, *self.args, "--out-dir", str(out))
+        doc = json.loads((out / "percolate.json").read_text())
+        tree = parse_tree_spec("regular:d=3,L=3")
+        env = cli.build_environment(tree, "alpha:point=1", 9)
+        edge = tree.leftmost_at_depth(2)
+        master = derive_seed(9, 2, 2)
+        want = sum(simulate_extension(env, ClockTable(derive_seed(master, i)), edge,
+                                      StopRule(hit_depth=2, root_returns=1),
+                                      record=False).steps
+                   for i in range(300))
+        assert doc["statistics"]["depths"]["2"]["steps"] == want
 
 
 class TestSeedEcho:
@@ -378,6 +395,40 @@ class TestUsage:
         assert e.value.code == 2
         assert (f"--{option}: must be at least 1, got {value}"
                 in capsys.readouterr().err)
+
+    ESTIMATE_BR = ["estimate-br", "--tree", "poly:b=1.2,L=16"]
+    ESTIMATE_RT = ["estimate-rt", "--tree", "poly:b=1.2,L=16", "--env", "det:mu=1"]
+    FLOW_CHECK = ["flow-check", "--tree", "poly:b=3,L=16", "--env", "det:mu=1"]
+
+    # every float option: finite, and a margin is not negative
+    @pytest.mark.parametrize("argv,option,value,message", [
+        pytest.param(PHASE_SCAN, "epsilon", "-1", "must be at least 0", id="phase-scan-epsilon--1"),
+        pytest.param(PHASE_SCAN, "epsilon", "nan", "must be finite", id="phase-scan-epsilon-nan"),
+        pytest.param(CONCENTRATION, "epsilon", "inf", "must be finite", id="concentration-epsilon-inf"),
+        pytest.param(ESTIMATE_BR, "threshold", "nan", "must be finite", id="estimate-br-threshold-nan"),
+        pytest.param(ESTIMATE_RT, "threshold", "-inf", "must be finite", id="estimate-rt-threshold--inf"),
+        pytest.param(FLOW_CHECK, "gamma", "nan", "must be finite", id="flow-check-gamma-nan"),
+        pytest.param(FLOW_CHECK, "gamma", "inf", "must be finite", id="flow-check-gamma-inf"),
+    ])
+    def test_bad_float_names_the_flag(self, capsys, argv, option, value, message):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, f"--{option}={value}"])
+        assert e.value.code == 2
+        assert f"--{option}: {message}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message,argv", [
+        pytest.param("epsilon", "-1", "must be at least 0", PHASE_SCAN, id="epsilon"),
+        pytest.param("estimate-br.threshold", "nan", "must be finite", ESTIMATE_BR,
+                     id="estimate-br.threshold"),
+        pytest.param("gamma", "nan", "must be finite", FLOW_CHECK, id="gamma"),
+    ])
+    def test_bad_float_in_config_names_the_key(self, tmp_path, capsys, key, value,
+                                               message, argv):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == ""
+        assert f"config key {key!r}: {message}, got {value}" in err
 
     @pytest.mark.parametrize("key,argv", [
         pytest.param("trials", SIMULATE, id="trials"),

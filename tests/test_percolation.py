@@ -20,7 +20,7 @@ from goerw.percolation import (
     sample_ruin_percolation,
 )
 from goerw.tree import build_path, build_regular
-from goerw.walk import ClockTable, StopRule, derive_seed, simulate_extension
+from goerw.walk import ClockTable, StopRule, derive_seed, extension_reach, simulate_extension
 
 from conftest import random_tree
 
@@ -80,6 +80,17 @@ def connection_ref(env, edge, trials, master_seed):
         elif all(status):
             n_connected += 1
     return n_connected, invalid
+
+
+def steps_ref(env, edge, trials, master_seed):
+    """Total steps of one scalar extension toward edge per trial."""
+    return sum(
+        simulate_extension(
+            env, ClockTable(derive_seed(master_seed, i)), edge,
+            StopRule(max_steps=percolation._EXTENSION_CAP,
+                     hit_depth=env.tree.depth[edge], root_returns=1),
+            record=False).steps
+        for i in range(trials))
 
 
 def quasi_ref(env, edge_a, edge_b, trials, master_seed):
@@ -191,6 +202,7 @@ class TestOneRunPerPath:
             assert est.n_connected == n_connected
             assert est.invalid_runs == invalid
             assert est.monotone_violations == 0
+            assert est.steps == steps_ref(env, edge, 100, 40 + k)
             if t.depth[edge] >= 2:
                 connected += n_connected
                 closed += 100 - n_connected
@@ -223,14 +235,20 @@ class TestOneRunPerPath:
     def test_one_run_per_chain(self, rng, monkeypatch):
         """A sample runs one extension per chain head (a root child, or a
         child of a cluster vertex other than its first) and never enters a
-        subtree under a closed edge; the edge MC runs one per trial."""
+        subtree under a closed edge; the edge MC runs one lockstep lane per
+        trial and no scalar run."""
         runs = []
 
         def counted(env, table, target, stop, record=True):
             runs.append(target)
             return simulate_extension(env, table, target, stop, record)
 
+        def counted_lanes(env, target, seeds, cap):
+            runs.extend([target] * seeds.size)
+            return extension_reach(env, target, seeds, cap)
+
         monkeypatch.setattr(percolation, "simulate_extension", counted)
+        monkeypatch.setattr(percolation, "extension_reach", counted_lanes)
         for k in range(60):
             t, env = random_env(rng)
             runs.clear()
@@ -272,6 +290,7 @@ class TestCapHits:
             est = edge_connection_probability_mc(env, edge, trials=100,
                                                  master_seed=70 + k)
             assert (est.n_connected, est.invalid_runs) == connection_ref(env, edge, 100, 70 + k)
+            assert est.steps == steps_ref(env, edge, 100, 70 + k)
             invalid += est.invalid_runs
         assert invalid > 0
 

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import goerw.walk as walk
 from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
 from goerw.tree import build_path, build_regular
 from goerw.walk import (
     ClockTable,
     StopRule,
     derive_seed,
+    derive_seeds,
+    extension_reach,
     restriction,
     simulate,
     simulate_extension,
@@ -239,6 +242,105 @@ class TestExtension:
         env = assign_deterministic(build_path(2))
         with pytest.raises(ValueError, match="non-root"):
             simulate_extension(env, ClockTable(1), 0, StopRule(max_steps=5))
+
+
+def scalar_runs(env, target, seeds, cap):
+    """(max_depth, capped, steps) of simulate_extension per clock seed, under
+    the stop rule extension_reach runs."""
+    out = []
+    for s in seeds.tolist():
+        traj = simulate_extension(
+            env, ClockTable(s), target,
+            StopRule(max_steps=cap, hit_depth=env.tree.depth[target], root_returns=1),
+            record=False)
+        out.append((traj.max_depth, traj.stop_reason == "max_steps", traj.steps))
+    return out
+
+
+def lockstep_runs(env, target, seeds, cap):
+    reach, capped, steps = extension_reach(env, target, seeds, cap)
+    return list(zip(reach.tolist(), capped.tolist(), steps.tolist()))
+
+
+class TestLockstep:
+    """The numpy lockstep extension reads the same clocks as the scalar one
+    and must give == the same runs."""
+
+    WORDS = [0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15]
+
+    def test_splitmix_and_seeds_equal_scalar(self, rng):
+        xs = self.WORDS + [rng.getrandbits(64) for _ in range(2000)]
+        got = walk._splitmix_array(np.array(xs, dtype=np.uint64)).tolist()
+        assert got == [walk._splitmix(x) for x in xs]
+        for master in (0, 7, -3, 2 ** 64 + 5, rng.getrandbits(64)):
+            assert derive_seeds(master, 500).tolist() == [derive_seed(master, i)
+                                                         for i in range(500)]
+        assert derive_seeds(1, 0).size == 0
+
+    def test_clocks_equal_clock_table(self, rng):
+        """10^4 random clocks ==, which an np.log in place of math.log
+        would break (a 1-ulp log differs in about 0.35% of draws)."""
+        n = 10_000
+        seeds = [rng.getrandbits(64) for _ in range(n)]
+        v = [rng.randrange(1 << 20) for _ in range(n)]
+        u = [rng.randrange(1 << 20) for _ in range(n)]
+        j = [rng.randrange(50) for _ in range(n)]
+        h = walk._splitmix_array(np.array(seeds, dtype=np.uint64) ^ np.array(v, dtype=np.uint64))
+        h = walk._splitmix_array(h ^ (np.array(u, dtype=np.uint64) << np.uint64(20)))
+        h = walk._splitmix_array(h ^ np.array(j, dtype=np.uint64))
+        want = [ClockTable(s).xi(a, b, c) for s, a, b, c in zip(seeds, v, u, j)]
+        assert walk._xi_array(h).tolist() == want
+        assert walk._xi_array(h.reshape(-1, 4)).ravel().tolist() == want
+
+    def test_random_trees_every_depth(self, rng):
+        """Random lam and mu (mu != 1), a target at every depth, and every
+        leaf."""
+        runs = Counter()
+        for k in range(40):
+            t = random_tree(rng, max_edges=30, max_depth=7)
+            lam = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
+            mu = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
+            env = Environment(t, lam, mu)
+            targets = {rng.choice(t.vertices_at_depth(d))
+                       for d in range(1, t.truncation_depth + 1)}
+            targets |= {v for v in range(1, t.n_vertices) if not t.children[v]}
+            for target in sorted(targets):
+                seeds = derive_seeds(k, 60)
+                got = lockstep_runs(env, target, seeds, 10_000_000)
+                assert got == scalar_runs(env, target, seeds, 10_000_000)
+                runs.update(r[0] == t.depth[target] for r in got)
+        assert runs[True] > 100 and runs[False] > 100
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 6])
+    def test_cap_hits(self, rng, cap):
+        capped = 0
+        for k in range(30):
+            t = random_tree(rng, max_edges=20, max_depth=6)
+            env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
+                              [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
+            target = rng.randrange(1, t.n_vertices)
+            seeds = derive_seeds(100 + k, 40)
+            got = lockstep_runs(env, target, seeds, cap)
+            assert got == scalar_runs(env, target, seeds, cap)
+            capped += sum(r[1] for r in got)
+        assert capped > 0
+
+    def test_runs_span_batches(self, rng, monkeypatch):
+        """A cell budget of 40 holds 4 lanes toward a depth-6 target in the
+        ternary tree, so 101 seeds take 26 batches."""
+        monkeypatch.setattr(walk, "_CELL_BUDGET", 40)
+        t = build_regular(3, 6)
+        env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
+                          [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
+        for target in (t.leftmost_at_depth(6), t.n_vertices - 1, 2):
+            seeds = derive_seeds(11, 101)
+            assert (lockstep_runs(env, target, seeds, 10_000_000)
+                    == scalar_runs(env, target, seeds, 10_000_000))
+
+    def test_needs_non_root_target(self):
+        env = assign_deterministic(build_path(2))
+        with pytest.raises(ValueError, match="non-root"):
+            extension_reach(env, 0, derive_seeds(1, 3), 5)
 
 
 class TestRestriction:
