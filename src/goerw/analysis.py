@@ -24,12 +24,13 @@ import numpy as np
 from .environment import (
     AlphaDistribution,
     Environment,
+    _each,
+    _potentials,
     environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
-    log_Psi,
+    log_Psi,  # likewise
     sample_random_environment,
 )
 from .errors import RefusalError
-from .percolation import adapted_conductance
 from .tree import Tree, TreeFamily, _cut_dp, branching_ruin_estimate, polynomial_family
 from .walk import StopRule, derive_seed, simulate
 
@@ -123,51 +124,74 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
 # flow-energy check
 
 
-def tree_max_flow(tree: Tree, capacity: Callable[[int], float],
-                  depth: int) -> tuple[float, list[float]]:
+def tree_max_flow(tree: Tree, capacity: Callable[[int], float] | np.ndarray,
+                  depth: int) -> tuple[float, np.ndarray]:
     """Max flow from the root to the depth-`depth` vertices with per-edge
-    capacities capacity(v) (v is the edge's lower endpoint).
+    capacities capacity(v) (v is the edge's lower endpoint), or an array of
+    capacities by vertex id.
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
     capacity capped by the total its children can carry, which is the min
     cut DP of tree.min_cutset_sum cut at `depth`. Childless vertices above
-    the target depth carry nothing. Returns (max flow, per-edge flow
-    capacity F indexed by vertex id)."""
+    the target depth carry nothing. Its child sums are sequential, so the
+    result does not depend on the interpreter. Returns (max flow, per-edge
+    flow capacity F indexed by vertex id)."""
     if not 1 <= depth <= tree.truncation_depth:
         raise ValueError(f"depth must lie in [1, {tree.truncation_depth}]")
     return _cut_dp(tree, capacity, depth)
 
 
-def proportional_flow(tree: Tree, F: Sequence[float], depth: int,
+def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
                       total: float) -> dict[int, float]:
     """Route `total` units from the root along the max-flow profile F,
     splitting at each vertex proportionally to the children's capacities.
 
-    The last positive child at each split receives the exact remainder of
-    the inflow. Summing the children's shares in floating point can still
-    round, so outflow matches inflow to within one ulp per child, not
-    bitwise."""
-    theta: dict[int, float] = {}
+    A vertex above `depth` with a positive inflow gives each child c with
+    F[c] > 0 the share inflow * F[c] / s, s the sum of those F[c]; the last
+    such child receives the exact remainder of the inflow instead. Both
+    sums add one child at a time in id order (Tree.child_sums), so theta
+    does not depend on the interpreter: from Python 3.12 the builtin sum()
+    compensates. Adding the shares up again can still round, so outflow
+    matches inflow to within one ulp per child, not bitwise.
 
-    def split(amount: float, kids: Sequence[int]) -> None:
-        live = [c for c in kids if F[c] > 0.0]
-        if not live:
-            return
-        s = sum(F[c] for c in live)
-        assigned = 0.0
-        for c in live[:-1]:
-            t = amount * F[c] / s
-            theta[c] = t
-            assigned += t
-        theta[live[-1]] = amount - assigned
-
-    if total > 0.0:
-        split(total, tree.children[0])
-    for v in range(1, tree.n_vertices):
-        amt = theta.get(v, 0.0)
-        if amt > 0.0 and tree.depth[v] < depth:
-            split(amt, tree.children[v])
-    return theta
+    The splits run level by level on arrays. theta maps each child given a
+    share to it, in increasing id order."""
+    F = np.asarray(F, dtype=np.float64)
+    n = tree.n_vertices
+    starts, parent = tree.levels.starts, tree.levels.parent
+    pos = F > 0.0
+    positive = np.where(pos, F, 0.0)
+    # last[c]: c is the last child of its parent with F[c] > 0
+    live = np.flatnonzero(pos)
+    ends = np.ones(live.size, dtype=bool)
+    ends[:-1] = parent[live[1:]] != parent[live[:-1]]
+    last = np.zeros(n, dtype=bool)
+    last[live[ends]] = True
+    theta = np.zeros(n)
+    theta[0] = total
+    given = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in discarded entries
+        for d, e, chain in tree.level_runs(0, min(depth, tree.truncation_depth), 1):
+            a, b = starts[d + 1], starts[e + 1]  # the levels d + 1 .. e
+            if chain:  # each inflow passes whole to the only child, while F > 0
+                inflow = theta[starts[d]:a]
+                live = np.logical_and.accumulate(pos[a:b].reshape(-1, a - starts[d]), axis=0)
+                live &= inflow > 0.0
+                theta[a:b] = np.where(live, inflow, 0.0).ravel()
+                given[a:b] = live.ravel()
+                continue
+            up = parent[a:b]
+            at = up - starts[d]
+            inflow = theta[up]
+            live = pos[a:b] & (inflow > 0.0)
+            if not live.any():
+                break
+            share = np.where(live, inflow * F[a:b] / tree.child_sums(positive[a:b], d)[at], 0.0)
+            rest = tree.child_sums(np.where(last[a:b], 0.0, share), d)
+            theta[a:b] = np.where(live & last[a:b], inflow - rest[at], share)
+            given[a:b] = live
+    ids = np.flatnonzero(given)
+    return dict(zip(ids.tolist(), theta[ids].tolist()))
 
 
 @dataclass(frozen=True)
@@ -217,23 +241,27 @@ def flow_energy_check(env: Environment, gamma: float,
         raise ValueError(f"depth {depths[-1]} exceeds the tree truncation "
                          f"depth {tree.truncation_depth}")
 
-    def cap(v: int) -> float:
-        return math.exp(gamma * log_Psi(env, v))
-
+    _, _, ps, lp = _potentials(env)
+    cap = _each(math.exp, gamma * lp)
+    # adapted_conductance on the whole tree: 1 at depth 1, else
+    # Psi(e) / (1 - psi(e))
+    conductance = np.ones(tree.n_vertices)
+    deep = slice(tree.levels.starts[2], None)
+    conductance[deep] = _each(math.exp, lp[deep]) / (1.0 - ps[deep])
     rows = []
     for L in depths:
         max_flow, F = tree_max_flow(tree, cap, L)
         total = min(1.0, max_flow)
         theta = proportional_flow(tree, F, L, total)
-        energy = 0.0
-        support = 0
-        for e, t in theta.items():
-            if t > 0.0:
-                support += 1
-                energy += t * t / adapted_conductance(env, e)
+        e = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
+        t = np.fromiter(theta.values(), dtype=np.float64, count=len(theta))
+        support = t > 0.0
+        e, t = e[support], t[support]
+        # np.cumsum adds in order, as the scalar loop did
+        energy = float(np.cumsum(t * t / conductance[e])[-1]) if t.size else 0.0
         rows.append(FlowEnergyRow(depth=L, max_flow=max_flow,
                                   flow_total=total, energy=energy,
-                                  support_edges=support))
+                                  support_edges=int(t.size)))
     return FlowEnergyReport(gamma=gamma, rows=rows)
 
 

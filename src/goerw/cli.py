@@ -700,9 +700,23 @@ def _build_parser():
     return p
 
 
+def _attach_float_values(argv: Sequence[str]) -> list[str]:
+    """Every float option takes the next token as its value: argparse
+    would read a token such as -1e-3 or -inf, which starts with '-' and is
+    not a plain negative number, as a flag. `--gamma -1e-3` is passed on as
+    `--gamma=-1e-3`."""
+    flags = {f"--{k}" for k, conv in TYPES.items() if conv in (finite, margin)}
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     if args.subcommand is None:
         parser.print_help()
         return 2

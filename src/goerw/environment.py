@@ -112,22 +112,18 @@ class Environment:
     float64 arrays (_tables) for whole-tree arithmetic. Every non-root bias
     must be finite and positive; the first vertex that is not is named.
 
-    The potential tables R, phi, psi and log Psi are flat lists indexed by
-    vertex id. They hold a prefix 0..k of the breadth-first ids and grow by
-    one forward pass when a query names an id past k. Every parent precedes
-    its children in that order, so the prefix up to v contains v's whole
-    root path: a shallow query touches only the low ids, a full sweep costs
-    one pass over the tree, and nothing is computed before the first query.
+    The potential tables R, phi, psi and log Psi are flat float64 arrays
+    indexed by vertex id, held in _pot. Nothing is computed before the
+    first query; that query fills all four for the whole tree in one pass,
+    level by level (see _potentials).
     """
 
     tree: Tree
     lam: list[float]
     mu: list[float]
     alpha: list[float] | None = None
-    _R: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    _phi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    _psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    _log_Psi: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
     _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     # (pf, pl): parent-step probabilities on first and later visits, filled
     # by goerw.walk on the first direct walk
@@ -190,35 +186,48 @@ def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) ->
 # potential theory
 
 
-def _extend(env: Environment, v: int) -> None:
-    """Fill the potential tables forward in id order through vertex v."""
-    R, ph, ps, lp = env._R, env._phi, env._psi, env._log_Psi
-    if not R:  # the root names no edge; phi 0 and an empty product
-        R.append(0.0)
-        ph.append(0.0)
-        ps.append(1.0)
-        lp.append(0.0)
-    tree = env.tree
-    parent, children = tree.parent, tree.children
-    lam, mu = env.lam, env.mu
-    log = math.log
-    for u in range(len(R), v + 1):
-        w = parent[u]
-        if w:
-            R_u = R[w] * mu[w]
-            phi_u = ph[w] + R_u
-            degw = len(children[w]) + 1
-            lamw = lam[w]
-            muw = mu[w]
-            drop = 1.0 - ph[parent[w]] / phi_u
-            factor = (lamw + (degw - 2) * muw / (muw + 1.0)) / (lamw + degw - 1.0)
-            psi_u = 1.0 - drop * factor
-        else:
-            R_u = phi_u = psi_u = 1.0
-        R.append(R_u)
-        ph.append(phi_u)
-        ps.append(psi_u)
-        lp.append(lp[w] + log(psi_u))
+def _each(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f applied to every entry of x as a Python float, in an array of x's
+    shape. For math.exp and math.log: np.exp and np.log do not round every
+    value as they do, and the tables are kept bitwise."""
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=np.float64,
+                       count=x.size).reshape(x.shape)
+
+
+def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables (R, phi, psi, log Psi) by vertex id, filled for
+    the whole tree on the first call.
+
+    R, phi and log Psi are running products and sums down the root paths
+    (Tree.scan_down), psi one whole-tree expression in between. Every entry
+    is the float64 operations of the scalar recursion in the same order, so
+    the tables are bitwise those of a vertex-by-vertex loop (the logs are
+    math.log's)."""
+    if env._pot is None:
+        tree = env.tree
+        n = tree.n_vertices
+        parent = tree.levels.parent
+        deep = slice(tree.levels.starts[2], None)  # the edges at depth >= 2
+        lam, mu = env._tables
+        deg = tree.degrees
+        # the root names no edge: R and phi 0 and an empty product; depth-1
+        # edges have R = phi = psi = 1
+        R, ph, ps = np.ones(n), np.zeros(n), np.ones(n)
+        R[0] = 0.0
+        tree.scan_down(np.multiply, R, mu[parent], 2)  # reads no y at the root
+        tree.scan_down(np.add, ph, R, 1)
+        # at the parent w, the mix of first- and later-visit bias that holds
+        # a fresh arrival there
+        w = parent[deep]
+        factor = (lam[w] + (deg[w] - 2) * mu[w] / (mu[w] + 1.0)) / (lam[w] + deg[w] - 1.0)
+        drop = 1.0 - ph[parent[w]] / ph[deep]
+        ps[deep] = 1.0 - drop * factor
+        lp = np.zeros(n)
+        tree.scan_down(np.add, lp, _each(math.log, ps), 1)
+        for table in (R, ph, ps, lp):
+            table.flags.writeable = False
+        env._pot = (R, ph, ps, lp)
+    return env._pot
 
 
 def resistance(env: Environment, e: int) -> float:
@@ -226,16 +235,12 @@ def resistance(env: Environment, e: int) -> float:
     path of edge e. Depth-1 edges have resistance 1."""
     if e == 0:
         raise ValueError("the root names no edge")
-    if e >= len(env._R):
-        _extend(env, e)
-    return env._R[e]
+    return float(_potentials(env)[0][e])
 
 
 def phi(env: Environment, x: int) -> float:
     """Potential: sum of resistances along the root path (0 at the root)."""
-    if x >= len(env._phi):
-        _extend(env, x)
-    return env._phi[x]
+    return float(_potentials(env)[1][x])
 
 
 def psi(env: Environment, u: int) -> float:
@@ -249,17 +254,13 @@ def psi(env: Environment, u: int) -> float:
     """
     if u == 0:
         raise ValueError("the root names no edge")
-    if u >= len(env._psi):
-        _extend(env, u)
-    return env._psi[u]
+    return float(_potentials(env)[2][u])
 
 
 def log_Psi(env: Environment, u: int) -> float:
     if u == 0:
         raise ValueError("the root names no edge")
-    if u >= len(env._log_Psi):
-        _extend(env, u)
-    return env._log_Psi[u]
+    return float(_potentials(env)[3][u])
 
 
 def Psi(env: Environment, u: int) -> float:
@@ -281,14 +282,10 @@ def rt_hypothesis_sup(env: Environment) -> float:
         warnings.warn("tree has no edges at depth >= 2; hypothesis is vacuous",
                       stacklevel=2)
         return 0.0
-    best = 0.0
-    for v in range(1, tree.n_vertices):
-        if tree.depth[v] < 2:
-            continue
-        val = resistance(env, v) / phi(env, tree.parent[v])
-        if val > best:
-            best = val
-    return best
+    R, ph = _potentials(env)[:2]
+    a = tree.levels.starts[2]
+    # fmax skips a NaN ratio, as the scalar running max did
+    return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))
 
 
 def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
@@ -309,10 +306,9 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     values: dict[tuple[float, int], float] = {}
     for L in depths:
         tree, env = pair_family(L)
-        logs = [0.0] * tree.n_vertices
-        for v in range(1, tree.n_vertices):
-            logs[v] = log_Psi(env, v)
-        for g in gammas:
-            values[(g, L)] = min_cutset_sum(
-                tree, lambda e, g=g: math.exp(g * logs[e]))
+        # w = exp(g * log Psi) for every gamma at once, one row each
+        weights = _each(math.exp, np.multiply.outer(
+            np.asarray(gammas, dtype=np.float64), _potentials(env)[3]))
+        for g, value in zip(gammas, min_cutset_sum(tree, weights)):
+            values[(g, L)] = value
     return BranchingTable(gammas, depths, values, threshold)

@@ -22,11 +22,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Levels",
     "Tree",
     "TreeFamily",
     "build_path",
@@ -46,6 +47,20 @@ __all__ = [
 ]
 
 
+class Levels(NamedTuple):
+    """A tree's breadth-first ids as arrays. Level d is the ids starts[d]
+    to starts[d + 1] - 1, for d up to one past the truncation depth (that
+    level is empty), and vertex v has kids[v] children, the ids first[v] to
+    first[v] + kids[v] - 1. parent[0] is -1. single[d] says that every
+    vertex of level d has exactly one child."""
+
+    parent: np.ndarray
+    starts: list[int]
+    kids: np.ndarray
+    first: np.ndarray
+    single: list[bool]
+
+
 @dataclass
 class Tree:
     """A rooted tree truncated at a fixed depth.
@@ -54,13 +69,19 @@ class Tree:
     of v's children in id order, depth[v] the distance from the root.
     degrees holds every vertex's neighbor count as one read-only int64
     array, built on first use.
+
+    Ids are breadth-first: every level and every vertex's children are
+    consecutive ids, in order, which is what lets whole-tree passes run
+    level by level on arrays (see levels, level_runs, child_sums and
+    scan_down).
     """
 
     parent: list[int]
     children: list[list[int]]
     depth: list[int]
     truncation_depth: int
-    _levels: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _levels: Levels | None = field(default=None, repr=False, compare=False)
+    _columns: list | None = field(default=None, repr=False, compare=False)
     _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -79,6 +100,86 @@ class Tree:
             self._degrees = deg
         return self._degrees
 
+    @property
+    def levels(self) -> Levels:
+        """The level and child ranges of the ids, built on first use."""
+        if self._levels is None:
+            parent = np.array(self.parent, dtype=np.int64)
+            depth = np.array(self.depth, dtype=np.int64)
+            if np.any(np.diff(depth) < 0) or np.any(np.diff(parent[1:]) < 0):
+                raise ValueError("vertex ids are not in breadth-first order")
+            kids = np.bincount(parent[1:], minlength=len(parent))
+            first = np.cumsum(kids) - kids + 1
+            starts = np.searchsorted(depth, np.arange(self.truncation_depth + 3))
+            width = np.diff(starts)
+            # per level, how many of its vertices have one child
+            ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
+            single = (ones == width) & (width > 0)
+            self._levels = Levels(parent, starts.tolist(), kids, first, single.tolist())
+        return self._levels
+
+    def level_runs(self, first: int, stop: int,
+                   step: int) -> Iterator[tuple[int, int, bool]]:
+        """Split the levels first, first + step, ... (stop excluded) into
+        pieces (d, e, chain), visited in that order. A piece is one level d
+        (e = d + step, chain False), or, where every vertex has one child,
+        the longest run d, d + step, ..., e - step of such levels (chain
+        True). Below a chain, each level repeats its width, and the vertex
+        at each position is the only child of the one above it."""
+        single = self.levels.single
+        d = first
+        while d * step < stop * step:
+            e = d + step
+            if single[d]:
+                while e != stop and single[e]:
+                    e += step
+            yield d, e, single[d]
+            d = e
+
+    def child_sums(self, X: np.ndarray, d: int) -> np.ndarray:
+        """For each vertex of level d, the sum of X over its children. The
+        last axis of X runs over level d + 1 and that of the result over
+        level d. Each sum starts from 0.0 and adds one child at a time in id
+        order, as a scalar loop does: never pairwise, so the result does not
+        depend on numpy's or the interpreter's summation."""
+        lv = self.levels
+        if self._columns is None:
+            self._columns = [None] * (self.truncation_depth + 1)
+        cols = self._columns[d]
+        if cols is None:
+            # cols[k]: the k-th child of every level-d vertex that has one,
+            # as offsets in level d + 1, and those vertices' offsets; slices
+            # where every vertex of the level has the same count
+            a, b = lv.starts[d], lv.starts[d + 1]
+            kids = lv.kids[a:b]
+            top = int(kids.max(initial=0))
+            if top and kids.min() == top:
+                cols = [(slice(k, None, top), slice(None)) for k in range(top)]
+            else:
+                cols = []
+                for k in range(top):
+                    at = np.flatnonzero(kids > k)
+                    cols.append((lv.first[a + at] + k - b, at))
+            self._columns[d] = cols
+        out = np.zeros(X.shape[:-1] + (lv.starts[d + 1] - lv.starts[d],))
+        for kid, at in cols:
+            out[..., at] += X[..., kid]
+        return out
+
+    def scan_down(self, op: np.ufunc, X: np.ndarray, y: np.ndarray, start: int) -> None:
+        """Set X[u] = op(X[parent of u], y[u]) for every u at depth >= start,
+        parents first: the scalar recursion down each root path, one level
+        at a time, and a chain of levels (see level_runs) in one
+        op.accumulate down its columns, the same operations in order."""
+        starts = self.levels.starts
+        for d, e, chain in self.level_runs(start - 1, self.truncation_depth, 1):
+            a, b = starts[d + 1], starts[e + 1]  # the levels d + 1 .. e
+            if chain:
+                run = np.concatenate((X[starts[d]:a], y[a:b]))
+                X[a:b] = op.accumulate(run.reshape(-1, a - starts[d]), axis=0)[1:].ravel()
+            else:
+                X[a:b] = op(X[self.levels.parent[a:b]], y[a:b])
+
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v, inclusive."""
         out = []
@@ -91,12 +192,8 @@ class Tree:
     def vertices_at_depth(self, d: int) -> list[int]:
         if not 0 <= d <= self.truncation_depth:
             raise ValueError(f"tree has no vertices at depth {d}")
-        if self._levels is None:
-            levels: list[list[int]] = [[] for _ in range(self.truncation_depth + 1)]
-            for v, dv in enumerate(self.depth):
-                levels[dv].append(v)
-            self._levels = levels
-        return self._levels[d]
+        starts = self.levels.starts
+        return list(range(starts[d], starts[d + 1]))
 
     def leftmost_at_depth(self, d: int) -> int:
         """Smallest vertex id at depth d. Breadth-first ids make this the
@@ -236,41 +333,56 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
 # cutsets
 
 
-def _cut_dp(tree: Tree, w: Callable[[int], float],
-            depth: int) -> tuple[float, list[float]]:
-    """Bottom-up over BFS ids: F[v] = w(v) at `depth`, 0 at a dead end above
-    it, else min(w(v), sum of F over the children). F[v] is both the least
-    cut below v and, with capacities w, the most flow through v. Returns
-    (sum of F over the root's children, F)."""
-    n = tree.n_vertices
-    F = [0.0] * n
-    tree_depth = tree.depth
-    children = tree.children
-    for v in range(n - 1, 0, -1):
-        d = tree_depth[v]
-        if d >= depth:
-            if d == depth:
-                F[v] = w(v)
-            continue
-        kids = children[v]
-        if not kids:
-            continue  # dead end short of the cut depth: nothing to separate
-        below = 0.0
-        for c in kids:
-            below += F[c]
-        wv = w(v)
-        F[v] = wv if wv <= below else below
-    value = 0.0
-    for c in children[0]:
-        value += F[c]
-    return value, F
+def _cut_dp(tree: Tree, w: Callable[[int], float] | np.ndarray,
+            depth: int) -> tuple[float | list[float], np.ndarray]:
+    """Bottom-up, level by level: F[v] = w(v) at `depth`, 0 at a dead end
+    above it, else min(w(v), sum of F over the children). F[v] is both the
+    least cut below v and, with capacities w, the most flow through v.
+
+    w is a callable, evaluated once at every non-root vertex down to
+    `depth`, or an array of weights by vertex id: 1-D, or 2-D with one
+    weighting per row, all solved in one pass. The child sums are
+    sequential (Tree.child_sums), and a chain of levels (Tree.level_runs)
+    is one running minimum with the scalar step's ties, so F is what a
+    scalar loop over the ids gives, on any interpreter. Returns (sum of F over the root's
+    children, F): a float and a 1-D F, or a list with one float per row and
+    a 2-D F."""
+    starts = tree.levels.starts
+    if callable(w):
+        w = [0.0, *map(w, range(1, starts[depth + 1]))]
+    w = np.asarray(w, dtype=np.float64)
+    F = np.zeros(w.shape[:-1] + (tree.n_vertices,))
+    F[..., starts[depth]:starts[depth + 1]] = w[..., starts[depth]:starts[depth + 1]]
+    kids = tree.levels.kids
+    for d, e, chain in tree.level_runs(depth - 1, 0, -1):
+        a, b = starts[e + 1], starts[d + 1]  # the levels e + 1 .. d
+        wl = w[..., a:b]
+        if chain:
+            # below a vertex is 0.0 + F of its only child, so down a chain
+            # F is a running minimum that passes over a NaN weight and keeps
+            # a NaN from below; a zero F is the weight if that is zero (and
+            # keeps its sign), else +0.0
+            width = starts[d + 2] - b
+            rows = wl.reshape(w.shape[:-1] + (d - e, width))[..., ::-1, :]
+            run = np.concatenate((F[..., None, b:b + width],
+                                  np.where(np.isnan(rows), np.inf, rows)), axis=-2)
+            run = np.minimum.accumulate(run, axis=-2)[..., 1:, :]
+            run = np.where(run == 0.0, np.where(rows == 0.0, rows, 0.0), run)
+            F[..., a:b] = run[..., ::-1, :].reshape(wl.shape)
+        else:
+            below = tree.child_sums(F[..., b:starts[d + 2]], d)
+            # a dead end short of the cut depth has nothing to separate
+            F[..., a:b] = np.where(kids[a:b] > 0, np.where(wl <= below, wl, below), 0.0)
+    return tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist(), F
 
 
-def min_cutset_sum(tree: Tree, weights: Callable[[int], float]) -> float:
+def min_cutset_sum(tree: Tree,
+                   weights: Callable[[int], float] | np.ndarray) -> float | list[float]:
     """Minimum total weight of a cutset separating the root from the
     truncation boundary. weights(e) is the positive weight of edge e (named
-    by its child id). Dead-end branches that stop short of the boundary
-    need no cut."""
+    by its child id); an array of weights by vertex id also serves, and a
+    2-D one gives one minimum per row, as a list. Dead-end branches that
+    stop short of the boundary need no cut."""
     return _cut_dp(tree, weights, tree.truncation_depth)[0]
 
 

@@ -1,8 +1,12 @@
+import math
 import random
 from itertools import product as _iproduct
 
 import pytest
 
+from goerw.analysis import FlowEnergyRow
+from goerw.environment import log_Psi
+from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
 
 
@@ -32,6 +36,25 @@ def random_tree(rng: random.Random, max_edges: int = 20, max_depth: int = 6) -> 
     return build_from_edge_list(edges)
 
 
+def random_broom(rng: random.Random, max_edges: int = 20, max_depth: int = 5) -> Tree:
+    """A random tree hung from the end of a path of 0 to 3 edges, its
+    deepest vertices each extended by a path of the same 0 to 3 edges:
+    levels in which every vertex has one child, above and below the
+    branching."""
+    t = random_tree(rng, max_edges, max_depth)
+    top = rng.randint(0, 3)
+    edges = [(k, k + 1) for k in range(top)]
+    edges += [(top + t.parent[v], top + v) for v in range(1, t.n_vertices)]
+    tail = rng.randint(0, 3)
+    nxt = top + t.n_vertices
+    for v in t.vertices_at_depth(t.truncation_depth):
+        end = top + v
+        for _ in range(tail):
+            edges.append((end, nxt))
+            end, nxt = nxt, nxt + 1
+    return build_from_edge_list(edges)
+
+
 def enumerate_cutsets(tree: Tree) -> list[frozenset[int]]:
     """All minimal cutsets, by brute force. Guarded to 20 edges; this exists
     as an oracle for the dynamic program, not for real use."""
@@ -55,6 +78,87 @@ def enumerate_cutsets(tree: Tree) -> list[frozenset[int]]:
         return [frozenset().union(*combo) for combo in _iproduct(*pools)]
 
     return combine(tree.children[0])
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles for the level-by-level array passes: one vertex at a time
+# over breadth-first ids, every sum a left-to-right loop
+
+
+def cut_dp_ref(tree: Tree, w, depth: int) -> tuple[float, list[float]]:
+    """Bottom-up over BFS ids: F[v] = w(v) at `depth`, 0 at a dead end above
+    it, else min(w(v), sum of F over the children). Returns (sum of F over
+    the root's children, F)."""
+    n = tree.n_vertices
+    F = [0.0] * n
+    for v in range(n - 1, 0, -1):
+        d = tree.depth[v]
+        if d >= depth:
+            if d == depth:
+                F[v] = w(v)
+            continue
+        kids = tree.children[v]
+        if not kids:
+            continue  # dead end short of the cut depth: nothing to separate
+        below = 0.0
+        for c in kids:
+            below += F[c]
+        wv = w(v)
+        F[v] = wv if wv <= below else below
+    value = 0.0
+    for c in tree.children[0]:
+        value += F[c]
+    return value, F
+
+
+def proportional_flow_ref(tree: Tree, F, depth: int, total: float) -> dict[int, float]:
+    """Route `total` from the root along F, splitting each positive inflow
+    above `depth` over the children with F > 0 in proportion to F, the last
+    of them taking the remainder. Sums are explicit loops: from Python 3.12
+    the builtin sum() compensates."""
+    theta: dict[int, float] = {}
+
+    def split(amount, kids):
+        live = [c for c in kids if F[c] > 0.0]
+        if not live:
+            return
+        s = 0.0
+        for c in live:
+            s += F[c]
+        assigned = 0.0
+        for c in live[:-1]:
+            t = amount * F[c] / s
+            theta[c] = t
+            assigned += t
+        theta[live[-1]] = amount - assigned
+
+    if total > 0.0:
+        split(total, tree.children[0])
+    for v in range(1, tree.n_vertices):
+        amt = theta.get(v, 0.0)
+        if amt > 0.0 and tree.depth[v] < depth:
+            split(amt, tree.children[v])
+    return theta
+
+
+def flow_energy_rows_ref(env, gamma: float, depths) -> list[FlowEnergyRow]:
+    """flow_energy_check's rows from the scalar accessors, the scalar DP and
+    flow above, and the energy summed edge by edge in theta's order."""
+    tree = env.tree
+    rows = []
+    for L in sorted(depths):
+        max_flow, F = cut_dp_ref(tree, lambda v: math.exp(gamma * log_Psi(env, v)), L)
+        total = min(1.0, max_flow)
+        theta = proportional_flow_ref(tree, F, L, total)
+        energy = 0.0
+        support = 0
+        for e, t in theta.items():
+            if t > 0.0:
+                support += 1
+                energy += t * t / adapted_conductance(env, e)
+        rows.append(FlowEnergyRow(depth=L, max_flow=max_flow, flow_total=total,
+                                  energy=energy, support_edges=support))
+    return rows
 
 
 @pytest.fixture

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goerw.analysis as analysis
 from goerw.analysis import (
@@ -25,6 +28,9 @@ from goerw.tree import (
     polynomial_family,
 )
 from goerw.walk import simulate
+
+from conftest import (cut_dp_ref, flow_energy_rows_ref, proportional_flow_ref, random_broom,
+                      random_tree)
 
 
 class TestGamblerExact:
@@ -175,6 +181,44 @@ class TestTreeFlow:
         env = assign_deterministic(build_path(8))
         with pytest.raises(ValueError, match="gamma must exceed 1"):
             flow_energy_check(env, gamma, [4])
+
+
+class TestFlowArrays:
+    """The level-by-level flow and energy against the scalar loops,
+    bitwise: theta's keys, values and order, and every FlowEnergyRow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_proportional_flow_equals_scalar(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=6)
+        pool = [0.0, 0.25, 1.0, rng.uniform(0.0, 2.0)]
+        w = [0.0] + [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+                     for _ in range(1, t.n_vertices)]
+        for depth in range(1, t.truncation_depth + 1):
+            value, F = cut_dp_ref(t, w.__getitem__, depth)
+            for total in (min(1.0, value), rng.uniform(0.0, 3.0), 0.0):
+                want = proportional_flow_ref(t, F, depth, total)
+                got = proportional_flow(t, np.array(F), depth, total)
+                assert repr(list(got.items())) == repr(list(want.items()))
+                assert all(type(k) is int and type(x) is float for k, x in got.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_flow_energy_rows_equal_scalar(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=6)
+        lam = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+        mu = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+        env = Environment(t, lam, mu)
+        gamma = rng.uniform(1.01, 3.0)
+        depths = rng.sample(range(1, t.truncation_depth + 1),
+                            rng.randint(1, t.truncation_depth))
+        rows = flow_energy_check(env, gamma, depths).rows
+        assert repr(rows) == repr(flow_energy_rows_ref(env, gamma, depths))
+        for r in rows:
+            assert [type(x) for x in (r.depth, r.max_flow, r.flow_total, r.energy,
+                                      r.support_edges)] == [int, float, float, float, int]
 
 
 class TestPhaseDiagnostic:

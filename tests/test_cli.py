@@ -401,7 +401,7 @@ class TestUsage:
     FLOW_CHECK = ["flow-check", "--tree", "poly:b=3,L=16", "--env", "det:mu=1"]
 
     # every float option: finite, and a margin is not negative
-    @pytest.mark.parametrize("argv,option,value,message", [
+    BAD_FLOATS = [
         pytest.param(PHASE_SCAN, "epsilon", "-1", "must be at least 0", id="phase-scan-epsilon--1"),
         pytest.param(PHASE_SCAN, "epsilon", "nan", "must be finite", id="phase-scan-epsilon-nan"),
         pytest.param(CONCENTRATION, "epsilon", "inf", "must be finite", id="concentration-epsilon-inf"),
@@ -409,12 +409,32 @@ class TestUsage:
         pytest.param(ESTIMATE_RT, "threshold", "-inf", "must be finite", id="estimate-rt-threshold--inf"),
         pytest.param(FLOW_CHECK, "gamma", "nan", "must be finite", id="flow-check-gamma-nan"),
         pytest.param(FLOW_CHECK, "gamma", "inf", "must be finite", id="flow-check-gamma-inf"),
-    ])
+        pytest.param(FLOW_CHECK, "gamma", "-inf", "must be finite", id="flow-check-gamma--inf"),
+        pytest.param(PHASE_SCAN, "epsilon", "-1e-3", "must be at least 0", id="phase-scan-epsilon--1e-3"),
+    ]
+
+    @pytest.mark.parametrize("argv,option,value,message", BAD_FLOATS)
     def test_bad_float_names_the_flag(self, capsys, argv, option, value, message):
         with pytest.raises(SystemExit) as e:
             main([*argv, f"--{option}={value}"])
         assert e.value.code == 2
         assert f"--{option}: {message}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,option,value,message", BAD_FLOATS)
+    def test_bad_float_as_next_token_names_the_flag(self, capsys, argv, option, value,
+                                                    message):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, f"--{option}", value])
+        assert e.value.code == 2
+        assert f"--{option}: {message}, got {value}" in capsys.readouterr().err
+
+    def test_negative_float_as_next_token_is_a_value(self, capsys):
+        code, out, err = run(capsys, *self.ESTIMATE_RT, "--threshold", "-1e-3")
+        assert code == 0 and err == ""
+        assert out == run(capsys, *self.ESTIMATE_RT, "--threshold=-1e-3")[1]
+        # reaches gamma's own check, past argparse
+        code, _, err = run(capsys, *self.FLOW_CHECK, "--gamma", "-1e-3")
+        assert code == 2 and "gamma must exceed 1" in err
 
     @pytest.mark.parametrize("key,value,message,argv", [
         pytest.param("epsilon", "-1", "must be at least 0", PHASE_SCAN, id="epsilon"),

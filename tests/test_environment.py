@@ -22,7 +22,7 @@ from goerw.environment import (
 )
 from goerw.tree import branching_ruin_estimate, build_path, build_regular, polynomial_family
 
-from conftest import psi_simplified, random_tree
+from conftest import cut_dp_ref, psi_simplified, random_broom, random_tree
 
 
 def reference_potentials(env):
@@ -74,12 +74,28 @@ class TestPotentialPass:
                 for v in ids:
                     assert query(env, v) == ref[v][k]
 
+    def test_chains_match_root_path_reference_bitwise(self, rng):
+        """Levels in which every vertex has one child go by accumulate."""
+        for _ in range(60):
+            t = random_broom(rng, max_edges=20, max_depth=5)
+            lam = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            mu = [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)]
+            env = Environment(t, lam, mu)
+            ref = reference_potentials(env)
+            for k, query in enumerate((resistance, phi, psi, log_Psi, Psi)):
+                for v in range(1, t.n_vertices):
+                    assert query(env, v) == ref[v][k]
+
+    def test_root_only_tree(self):
+        env = assign_deterministic(build_regular(3, 0))
+        assert (phi(env, 0), env._pot[0].tolist()) == (0.0, [0.0])
+
     def test_nothing_computed_before_first_query(self):
         t = build_regular(3, 5)
         env = assign_deterministic(t, lam=2.0)
-        assert env._R == [] and env._trans is None
+        assert env._pot is None and env._trans is None
         psi(env, 4)
-        assert len(env._R) == 5
+        assert [len(table) for table in env._pot] == [t.n_vertices] * 4
 
 
 class TestResistanceAndPotential:
@@ -248,6 +264,22 @@ class TestHypothesisSup:
         env = assign_deterministic(t)
         assert rt_hypothesis_sup(env) == pytest.approx(1.0)
 
+    def test_equals_scalar_max(self, rng):
+        for _ in range(60):
+            t = random_tree(rng, max_edges=30, max_depth=7)
+            if t.truncation_depth < 2:
+                continue
+            env = Environment(t, [1.0] * t.n_vertices,
+                              [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)])
+            best = 0.0
+            for v in range(1, t.n_vertices):
+                if t.depth[v] >= 2:
+                    val = resistance(env, v) / phi(env, t.parent[v])
+                    if val > best:
+                        best = val
+            got = rt_hypothesis_sup(env)
+            assert type(got) is float and got == best
+
     def test_shallow_tree_warns(self):
         t = build_path(1)
         env = assign_deterministic(t)
@@ -282,6 +314,21 @@ class TestRtEstimate:
                             [1.0], [8])
         excited = rt_estimate(pairs, [1.0], [8])
         assert excited.values[(1.0, 8)] < plain.values[(1.0, 8)]
+
+
+    def test_equals_scalar_tables(self, rng):
+        """One all-gamma DP per depth against one scalar DP per gamma."""
+        trees = {}
+        for L in (1, 2, 3):
+            t = random_tree(rng, max_edges=30, max_depth=6)
+            trees[L] = t, Environment(t, [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)],
+                                      [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)])
+        grid = [0.1 * g for g in range(1, 31)]
+        table = rt_estimate(trees.__getitem__, grid, list(trees))
+        for (g, L), value in table.values.items():
+            t, env = trees[L]
+            want = cut_dp_ref(t, lambda e: math.exp(g * log_Psi(env, e)), t.truncation_depth)[0]
+            assert type(value) is float and repr(value) == repr(want)
 
 
 class TestValidation:

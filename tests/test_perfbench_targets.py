@@ -46,3 +46,20 @@ def test_one_unit_of_each_workload_passes_its_checks(name):
     wl.check(st)
     assert ops > 0 and failed == 0
     assert st.failures == []
+
+
+def test_ruin_tables_match_the_reference_on_every_environment():
+    """The ruin-tables digests (perfbench/reference.json, read only) cover
+    ENV_POOL environments; one unit on each must reproduce its digest and
+    conserve flow."""
+    tracer = load_tracer()
+    wl = load("workloads").WORKLOADS["ruin-tables"]
+    failures = []
+    for seed in range(wl.ENV_POOL):
+        st = wl.setup(seed)
+        with tracer.patched(wl.observers(st)):
+            wl.run(st, 0)
+        wl.settle(st, 0)
+        wl.check(st)
+        failures += st.failures
+    assert failures == []

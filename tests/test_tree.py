@@ -1,12 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goerw.tree import (
     BranchingTable,
+    Tree,
+    _cut_dp,
+    _grow,
     branching_ruin_estimate,
     build_from_edge_list,
     build_path,
@@ -22,7 +26,7 @@ from goerw.tree import (
     write_tree_file,
 )
 
-from conftest import enumerate_cutsets, random_tree
+from conftest import cut_dp_ref, enumerate_cutsets, random_broom, random_tree
 
 
 def level_sizes(t):
@@ -154,6 +158,102 @@ class TestCutsets:
         candidates = enumerate_cutsets(t)
         best = min(sum(weights[v] for v in c) for c in candidates)
         assert value == pytest.approx(best, rel=1e-12)
+
+
+class TestCutDpArrays:
+    """The level-by-level DP against the scalar one, bitwise, on random
+    trees with dead ends, wide vertices, zero and tied weights."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_scalar_dp(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=30, max_depth=6)
+        pool = [0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)]
+        rows = [[0.0] + [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+                         for _ in range(1, t.n_vertices)] for _ in range(3)]
+        for depth in range(1, t.truncation_depth + 1):
+            refs = [cut_dp_ref(t, w.__getitem__, depth) for w in rows]
+            for w, (value, F) in zip(rows, refs):
+                for got in (_cut_dp(t, np.array(w), depth),
+                            _cut_dp(t, w.__getitem__, depth)):
+                    assert type(got[0]) is float
+                    assert repr((got[0], got[1].tolist())) == repr((value, F))
+            values, F2 = _cut_dp(t, np.array(rows), depth)
+            assert repr((values, F2.tolist())) == repr(tuple(map(list, zip(*refs))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_scalar_dp_on_signed_zero_inf_and_nan(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=20, max_depth=5)
+        pool = [0.0, -0.0, 0.5, 1.0, math.inf, math.nan]
+        w = [0.0] + [rng.choice(pool) for _ in range(1, t.n_vertices)]
+        for depth in range(1, t.truncation_depth + 1):
+            got = _cut_dp(t, np.array(w), depth)
+            assert repr((got[0], got[1].tolist())) == repr(cut_dp_ref(t, w.__getitem__, depth))
+
+    def test_root_only_tree_has_nothing_to_cut(self):
+        t = build_regular(3, 0)
+        assert t.n_vertices == 1 and min_cutset_sum(t, lambda e: 1.0) == 0.0
+        assert min_cutset_sum(t, np.ones((2, 1))) == [0.0, 0.0]
+
+    def test_callable_evaluated_once_per_non_root_vertex_to_the_cut(self):
+        t = build_regular(3, 4)
+        seen = []
+        min_cutset_sum(t, lambda e: seen.append(e) or 1.0)
+        assert seen == list(range(1, t.n_vertices))
+        seen.clear()
+        _cut_dp(t, lambda e: seen.append(e) or 1.0, 2)
+        assert seen == list(range(1, t.leftmost_at_depth(3)))
+
+
+class TestBreadthFirstLayout:
+    """The array passes rely on every level and every vertex's children
+    being consecutive ids in order; every way of building a tree gives that."""
+
+    @staticmethod
+    def check(t):
+        lv = t.levels
+        assert t.depth == sorted(t.depth)
+        assert len(lv.starts) == t.truncation_depth + 3
+        for d in range(t.truncation_depth + 2):
+            assert t.depth[lv.starts[d]:lv.starts[d + 1]] == [d] * (lv.starts[d + 1] - lv.starts[d])
+        assert lv.parent.tolist() == t.parent
+        following = 1
+        for v, kids in enumerate(t.children):
+            assert kids == list(range(following, following + len(kids)))
+            assert (int(lv.first[v]), int(lv.kids[v])) == (following, len(kids))
+            following += len(kids)
+        assert following == t.n_vertices
+
+    def test_build_functions(self):
+        for t in (build_path(7), build_regular(3, 4), build_polynomial(1.5, 12),
+                  build_polynomial(0.5, 9), full_binary(4)):
+            self.check(t)
+
+    def test_grow(self, rng):
+        for _ in range(30):
+            depth = rng.randint(1, 6)
+            self.check(_grow([rng.randint(1, 4) for _ in range(depth)], depth, 10_000))
+
+    def test_edge_lists_and_file_round_trip(self, rng, tmp_path):
+        path = str(tmp_path / "t.tree")
+        for _ in range(40):
+            # random labels, so the relabeling to breadth-first ids is exercised
+            t = random_tree(rng, max_edges=30, max_depth=6)
+            labels = rng.sample(range(1000), t.n_vertices)
+            t = build_from_edge_list([(labels[t.parent[v]], labels[v])
+                                      for v in range(1, t.n_vertices)])
+            self.check(t)
+            write_tree_file(t, path)
+            self.check(read_tree_file(path))
+
+    def test_non_breadth_first_ids_refused(self):
+        t = Tree(parent=[-1, 2, 0], children=[[2], [], [1]], depth=[0, 2, 1],
+                 truncation_depth=2)
+        with pytest.raises(ValueError, match="breadth-first"):
+            t.levels
 
 
 class TestLevelShortcut:
