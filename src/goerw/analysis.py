@@ -128,7 +128,7 @@ def tree_max_flow(tree: Tree, capacity: Callable[[int], float] | np.ndarray,
                   depth: int) -> tuple[float, np.ndarray]:
     """Max flow from the root to the depth-`depth` vertices with per-edge
     capacities capacity(v) (v is the edge's lower endpoint), or an array of
-    capacities by vertex id.
+    capacities by vertex id, at least through `depth`.
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
     capacity capped by the total its children can carry, which is the min
@@ -241,11 +241,12 @@ def flow_energy_check(env: Environment, gamma: float,
         raise ValueError(f"depth {depths[-1]} exceeds the tree truncation "
                          f"depth {tree.truncation_depth}")
 
-    _, _, ps, lp = _potentials(env)
+    # cap and conductance are needed down to the deepest cut only
+    m = tree.levels.starts[depths[-1] + 1]
+    _, _, ps, lp = (table[:m] for table in _potentials(env))
     cap = _each(math.exp, gamma * lp)
-    # adapted_conductance on the whole tree: 1 at depth 1, else
-    # Psi(e) / (1 - psi(e))
-    conductance = np.ones(tree.n_vertices)
+    # adapted_conductance: 1 at depth 1, else Psi(e) / (1 - psi(e))
+    conductance = np.ones(m)
     deep = slice(tree.levels.starts[2], None)
     conductance[deep] = _each(math.exp, lp[deep]) / (1.0 - ps[deep])
     rows = []

@@ -704,13 +704,15 @@ def _attach_float_values(argv: Sequence[str]) -> list[str]:
     """Every float option takes the next token as its value: argparse
     would read a token such as -1e-3 or -inf, which starts with '-' and is
     not a plain negative number, as a flag. `--gamma -1e-3` is passed on as
-    `--gamma=-1e-3`."""
+    `--gamma=-1e-3`. A next token that starts with '--' is an option, not a
+    value, and is left to argparse."""
     flags = {f"--{k}" for k, conv in TYPES.items() if conv in (finite, margin)}
     out: list[str] = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token in flags else None
-        out.append(token if value is None else f"{token}={value}")
+    for token in argv:
+        if out and out[-1] in flags and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
     return out
 
 

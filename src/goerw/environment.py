@@ -288,6 +288,10 @@ def rt_hypothesis_sup(env: Environment) -> float:
     return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))
 
 
+# weights per cutset pass of rt_estimate: bounds its memory on large trees
+_RT_CELLS = 1 << 18
+
+
 def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
                 gamma_grid: Sequence[float], depths: Sequence[int],
                 threshold: float = 0.1) -> BranchingTable:
@@ -306,9 +310,13 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     values: dict[tuple[float, int], float] = {}
     for L in depths:
         tree, env = pair_family(L)
-        # w = exp(g * log Psi) for every gamma at once, one row each
-        weights = _each(math.exp, np.multiply.outer(
-            np.asarray(gammas, dtype=np.float64), _potentials(env)[3]))
-        for g, value in zip(gammas, min_cutset_sum(tree, weights)):
-            values[(g, L)] = value
+        lp = _potentials(env)[3]
+        # w = exp(g * log Psi), one row per gamma, as many gammas per cutset
+        # pass as fit in _RT_CELLS weights
+        rows = max(1, _RT_CELLS // lp.size)
+        for k in range(0, len(gammas), rows):
+            chunk = gammas[k:k + rows]
+            weights = _each(math.exp, np.multiply.outer(np.asarray(chunk, dtype=np.float64), lp))
+            for g, value in zip(chunk, min_cutset_sum(tree, weights)):
+                values[(g, L)] = value
     return BranchingTable(gammas, depths, values, threshold)

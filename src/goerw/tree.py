@@ -93,8 +93,7 @@ class Tree:
         """Neighbor counts by vertex id: child count + 1, and at the root,
         which has no parent, just its child count."""
         if self._degrees is None:
-            deg = np.fromiter(map(len, self.children), dtype=np.int64,
-                              count=len(self.children)) + 1
+            deg = self.levels.kids + 1
             deg[0] -= 1
             deg.flags.writeable = False
             self._degrees = deg
@@ -148,18 +147,13 @@ class Tree:
         cols = self._columns[d]
         if cols is None:
             # cols[k]: the k-th child of every level-d vertex that has one,
-            # as offsets in level d + 1, and those vertices' offsets; slices
-            # where every vertex of the level has the same count
+            # as offsets in level d + 1, and those vertices' offsets
             a, b = lv.starts[d], lv.starts[d + 1]
             kids = lv.kids[a:b]
-            top = int(kids.max(initial=0))
-            if top and kids.min() == top:
-                cols = [(slice(k, None, top), slice(None)) for k in range(top)]
-            else:
-                cols = []
-                for k in range(top):
-                    at = np.flatnonzero(kids > k)
-                    cols.append((lv.first[a + at] + k - b, at))
+            cols = []
+            for k in range(int(kids.max(initial=0))):
+                at = np.flatnonzero(kids > k)
+                cols.append((lv.first[a + at] + k - b, at))
             self._columns[d] = cols
         out = np.zeros(X.shape[:-1] + (lv.starts[d + 1] - lv.starts[d],))
         for kid, at in cols:
@@ -189,19 +183,18 @@ class Tree:
         out.reverse()
         return out
 
-    def vertices_at_depth(self, d: int) -> list[int]:
+    def vertices_at_depth(self, d: int) -> range:
         if not 0 <= d <= self.truncation_depth:
             raise ValueError(f"tree has no vertices at depth {d}")
         starts = self.levels.starts
-        return list(range(starts[d], starts[d + 1]))
+        return range(starts[d], starts[d + 1])
 
     def leftmost_at_depth(self, d: int) -> int:
         """Smallest vertex id at depth d. Breadth-first ids make this the
         leftmost vertex of the level."""
-        verts = self.vertices_at_depth(d)
-        if not verts:
+        if not self.vertices_at_depth(d):
             raise ValueError(f"tree has no vertices at depth {d}")
-        return verts[0]
+        return self.levels.starts[d]
 
 
 # vertex cap of build_regular and build_polynomial
@@ -340,8 +333,8 @@ def _cut_dp(tree: Tree, w: Callable[[int], float] | np.ndarray,
     least cut below v and, with capacities w, the most flow through v.
 
     w is a callable, evaluated once at every non-root vertex down to
-    `depth`, or an array of weights by vertex id: 1-D, or 2-D with one
-    weighting per row, all solved in one pass. The child sums are
+    `depth`, or an array of weights by vertex id, at least through that
+    depth: 1-D, or 2-D with one weighting per row, all solved in one pass. The child sums are
     sequential (Tree.child_sums), and a chain of levels (Tree.level_runs)
     is one running minimum with the scalar step's ties, so F is what a
     scalar loop over the ids gives, on any interpreter. Returns (sum of F over the root's

@@ -436,6 +436,12 @@ class TestUsage:
         code, _, err = run(capsys, *self.FLOW_CHECK, "--gamma", "-1e-3")
         assert code == 2 and "gamma must exceed 1" in err
 
+    def test_float_option_followed_by_an_option_has_no_value(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([*self.FLOW_CHECK, "--gamma", "--depths", "4"])
+        assert e.value.code == 2
+        assert "--gamma: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value,message,argv", [
         pytest.param("epsilon", "-1", "must be at least 0", PHASE_SCAN, id="epsilon"),
         pytest.param("estimate-br.threshold", "nan", "must be finite", ESTIMATE_BR,

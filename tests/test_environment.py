@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goerw import environment
 from goerw.environment import (
     AlphaDistribution,
     Environment,
@@ -316,8 +317,16 @@ class TestRtEstimate:
         assert excited.values[(1.0, 8)] < plain.values[(1.0, 8)]
 
 
-    def test_equals_scalar_tables(self, rng):
-        """One all-gamma DP per depth against one scalar DP per gamma."""
+    @pytest.mark.parametrize("cells", [None, 1, 64])
+    def test_equals_scalar_tables(self, rng, monkeypatch, cells):
+        """Many-gamma DPs per depth, as many gammas per pass as fit in the
+        cell budget, against one scalar DP per gamma."""
+        if cells is not None:
+            monkeypatch.setattr(environment, "_RT_CELLS", cells)
+        shapes = []
+        solve = environment.min_cutset_sum
+        monkeypatch.setattr(environment, "min_cutset_sum",
+                            lambda t, w: shapes.append(w.shape) or solve(t, w))
         trees = {}
         for L in (1, 2, 3):
             t = random_tree(rng, max_edges=30, max_depth=6)
@@ -329,6 +338,9 @@ class TestRtEstimate:
             t, env = trees[L]
             want = cut_dp_ref(t, lambda e: math.exp(g * log_Psi(env, e)), t.truncation_depth)[0]
             assert type(value) is float and repr(value) == repr(want)
+        budget = environment._RT_CELLS
+        assert all(rows == 1 or rows * n <= budget for rows, n in shapes)
+        assert sum(rows for rows, _ in shapes) == len(grid) * len(trees)
 
 
 class TestValidation:
