@@ -573,8 +573,16 @@ def _run_gambler(r: Runner) -> None:
              "exact_fraction": str(exact)}
     trials = o.get("trials")
     if trials is not None:
-        float_chain = GamblerChain(N=N, mu=tuple(float(m) for m in mu_all[:N - 1]),
-                                   start=start)
+        mu_float = []
+        for site, m in enumerate(mu_all[:N - 1], 1):
+            try:
+                mu_float.append(float(m))
+            except OverflowError:
+                mu_float.append(math.inf)
+            if not 0.0 < mu_float[-1] < math.inf:
+                raise UsageError(f"--mu entry {site} ({mu_text.split(',')[site - 1]}) "
+                                 "has no positive finite float for the Monte Carlo")
+        float_chain = GamblerChain(N=N, mu=tuple(mu_float), start=start)
         est, se = gambler_ruin_mc(float_chain, trials, o.seed())
         r.say(f"mc = {est!r} stderr = {se!r}")
         stats.update({"mc_estimate": est, "mc_stderr": se, "trials": trials})

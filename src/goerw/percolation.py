@@ -11,8 +11,9 @@ every edge above it is, so the open edges form a downward-grown cluster
 around the root and membership of an edge in that cluster is the single
 event {edge open}. Its probability is exactly the ruin product Psi of the
 environment, which is what every Monte Carlo here is checked against. The
-connection Monte Carlo runs its trials in lockstep (walk.extension_reach),
-bitwise equal to the scalar runs the samples and statistics make.
+connection Monte Carlo and the quasi-independence statistic run their
+trials in lockstep (walk.extension_reach), bitwise equal to one scalar run
+per trial. A cluster sample reads one clock table, so it stays scalar.
 
 The cluster is not an independent percolation: nearby edges share clocks
 through their common ancestors. It is quasi-independent, with an explicit
@@ -60,20 +61,6 @@ __all__ = [
 _EXTENSION_CAP = 10_000_000
 
 
-def _reach(env: Environment, table: ClockTable, v: int) -> tuple[int, bool]:
-    """Run the extension toward v until it hits v or first returns to the
-    root. Returns the deepest path index reached before stopping, and
-    whether the run stopped on the step cap instead (never seen in
-    practice). The edge above any vertex a on v's root path is open iff the
-    reach is at least |a|; a capped run decides only the edges it reached."""
-    traj = simulate_extension(
-        env, table, v,
-        StopRule(max_steps=_EXTENSION_CAP, hit_depth=env.tree.depth[v], root_returns=1),
-        record=False,
-    )
-    return traj.max_depth, traj.stop_reason == "max_steps"
-
-
 @dataclass
 class PercolationSample:
     """One realization: open status per edge (indexed by child id, entry 0
@@ -104,6 +91,10 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     closed too. A capped run still opens the chain up to its reach and
     marks the sample invalid, which is exactly what running every edge's
     own extension would give.
+
+    The runs stay scalar: on one clock table the lockstep kernel runs each
+    chain as one lane, 36-43 ms a sample against 4.4 ms on regular:d=3,L=7
+    with alpha two-point (0, 3, 1/2) (2 cores, Python 3.11, numpy 2.4.6).
     """
     tree = env.tree
     children, depth = tree.children, tree.depth
@@ -116,10 +107,10 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
         chain = [stack.pop()]
         while children[chain[-1]]:
             chain.append(children[chain[-1]][0])
-        reach, capped = _reach(env, table, chain[-1])
-        if capped:
-            valid = False
-        for x in chain[:reach - depth[chain[0]] + 1]:
+        traj = simulate_extension(env, table, chain[-1], StopRule(
+            max_steps=_EXTENSION_CAP, hit_depth=depth[chain[-1]], root_returns=1), record=False)
+        valid &= traj.stop_reason != "max_steps"
+        for x in chain[:traj.max_depth - depth[chain[0]] + 1]:
             open_edges[x] = True
             cluster.append(x)
             stack.extend(children[x][1:])
@@ -246,49 +237,33 @@ def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
     in disjoint root subtrees the conditioning is empty and the report also
     carries an exact-independence z score, since extensions that share no
     path vertices read disjoint clock sets.
+
+    Trial i reads the clocks of derive_seeds(master_seed, trials)[i]. Its
+    run toward edge_a decides the conditioning and edge_a together; only the
+    trials it keeps run toward edge_b. Both go in lockstep, == scalar runs.
     """
     tree = env.tree
-    shared = 0
-    for x, y in zip(tree.root_path(edge_a), tree.root_path(edge_b)):
-        if x != y:
-            break
-        shared = x
+    # ids are breadth first: the deepest common vertex has the largest id
+    shared = max(set(tree.root_path(edge_a)) & set(tree.root_path(edge_b)))
     if shared in (edge_a, edge_b):
         raise ValueError("edges on the same root path make a degenerate pair")
     ds, da, db = tree.depth[shared], tree.depth[edge_a], tree.depth[edge_b]
 
-    kept = 0
-    invalid = 0
-    hit_a = 0
-    hit_b = 0
-    hit_both = 0
-    for i in range(trials):
-        table = ClockTable(derive_seed(master_seed, i))
-        # the run toward edge_a passes through shared, so its reach decides
-        # the conditioning event and edge_a's connection together
-        reach_a, capped = _reach(env, table, edge_a)
-        if not capped:
-            if reach_a < ds:
-                continue
-            reach_b, capped = _reach(env, table, edge_b)
-        if capped:
-            invalid += 1
-            continue
-        kept += 1
-        ca = reach_a == da
-        cb = reach_b == db
-        hit_a += ca
-        hit_b += cb
-        hit_both += ca and cb
+    seeds = derive_seeds(master_seed, trials)
+    reach_a, capped_a, _ = extension_reach(env, edge_a, seeds, _EXTENSION_CAP)
+    reached = ~capped_a & (reach_a >= ds)
+    reach_b, capped_b, _ = extension_reach(env, edge_b, seeds[reached], _EXTENSION_CAP)
+    ca = reach_a[reached][~capped_b] == da
+    cb = reach_b[~capped_b] == db
+    kept = ca.size
+    invalid = int(capped_a.sum() + capped_b.sum())
     if kept < min_conditioned:
         raise RefusalError(
             f"conditioning on vertex {shared} kept {kept} of {trials} samples "
             f"({invalid} capped), fewer than the required {min_conditioned}; "
             "increase trials"
         )
-    p_a = hit_a / kept
-    p_b = hit_b / kept
-    p_joint = hit_both / kept
+    p_a, p_b, p_joint = (int(hits.sum()) / kept for hits in (ca, cb, ca & cb))
     K, M = quasi_independence_constant(env)
     bound = M * p_a * p_b
     sigma = math.sqrt(max(p_joint * (1 - p_joint), 1e-12) / kept)

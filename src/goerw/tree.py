@@ -81,7 +81,6 @@ class Tree:
     depth: list[int]
     truncation_depth: int
     _levels: Levels | None = field(default=None, repr=False, compare=False)
-    _columns: list | None = field(default=None, repr=False, compare=False)
     _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -139,26 +138,16 @@ class Tree:
         """For each vertex of level d, the sum of X over its children. The
         last axis of X runs over level d + 1 and that of the result over
         level d. Each sum starts from 0.0 and adds one child at a time in id
-        order, as a scalar loop does: never pairwise, so the result does not
-        depend on numpy's or the interpreter's summation."""
+        order, as a scalar loop does: np.bincount adds its weights in index
+        order, never pairwise, so the result does not depend on numpy's or
+        the interpreter's summation."""
         lv = self.levels
-        if self._columns is None:
-            self._columns = [None] * (self.truncation_depth + 1)
-        cols = self._columns[d]
-        if cols is None:
-            # cols[k]: the k-th child of every level-d vertex that has one,
-            # as offsets in level d + 1, and those vertices' offsets
-            a, b = lv.starts[d], lv.starts[d + 1]
-            kids = lv.kids[a:b]
-            cols = []
-            for k in range(int(kids.max(initial=0))):
-                at = np.flatnonzero(kids > k)
-                cols.append((lv.first[a + at] + k - b, at))
-            self._columns[d] = cols
-        out = np.zeros(X.shape[:-1] + (lv.starts[d + 1] - lv.starts[d],))
-        for kid, at in cols:
-            out[..., at] += X[..., kid]
-        return out
+        a, b = lv.starts[d], lv.starts[d + 1]
+        rows = math.prod(X.shape[:-1])
+        at = np.arange(rows)[:, None] * (b - a) + (lv.parent[b:lv.starts[d + 2]] - a)
+        sums = np.bincount(at.ravel(), weights=X.ravel(), minlength=rows * (b - a))
+        # with no children at all, bincount gives integer zeros
+        return sums.reshape(X.shape[:-1] + (b - a,)).astype(np.float64, copy=False)
 
     def scan_down(self, op: np.ufunc, X: np.ndarray, y: np.ndarray, start: int) -> None:
         """Set X[u] = op(X[parent of u], y[u]) for every u at depth >= start,

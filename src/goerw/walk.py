@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, _each
 
 __all__ = [
     "ClockTable",
@@ -423,9 +423,7 @@ def derive_seeds(master: int, n: int) -> np.ndarray:
 def _xi_array(h: np.ndarray) -> np.ndarray:
     """ClockTable.xi from its last hashes h: the same float64 uniform, and
     its log by math.log, since np.log is not bitwise equal to it."""
-    u01 = ((h >> _S11) + 0.5) * (2.0 ** -53)
-    logs = np.fromiter(map(math.log, u01.ravel().tolist()), np.float64, h.size)
-    return -logs.reshape(h.shape)
+    return -_each(math.log, ((h >> _S11) + 0.5) * (2.0 ** -53))
 
 
 def extension_reach(env: Environment, target: int, seeds: np.ndarray,

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -362,6 +363,20 @@ class TestUsage:
                            "--env", "det:mu=1", "--depth", "2",
                            "--trials", "50")
         assert code == 2 and "100" in err
+
+    @pytest.mark.parametrize("mu,exact", [
+        pytest.param("1e400,1", Fraction(10**400, 10**400 + 1), id="overflow"),
+        pytest.param("1e-400,1", Fraction(1, 10**400 + 1), id="underflow"),
+    ])
+    def test_gambler_bias_without_a_float_is_usage_error(self, capsys, mu, exact):
+        """The exact chain takes any positive bias; the Monte Carlo needs a
+        positive finite float, and 1e400 and 1e-400 have none."""
+        code, out, err = run(capsys, "gambler", "--mu", mu, "--start", "1",
+                             "--trials", "100")
+        assert code == 2 and out == ""
+        assert f"--mu entry 1 ({mu.split(',')[0]}) has no positive finite float" in err
+        code, out, _ = run(capsys, "gambler", "--mu", mu, "--start", "1")
+        assert code == 0 and out.splitlines() == [str(exact)]
 
     def test_percolate_depth_and_depths_together_is_usage_error(self, capsys):
         code, out, err = run(capsys, "percolate", "--tree", "path:L=3",

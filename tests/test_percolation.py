@@ -236,7 +236,10 @@ class TestOneRunPerPath:
         """A sample runs one extension per chain head (a root child, or a
         child of a cluster vertex other than its first) and never enters a
         subtree under a closed edge; the edge MC runs one lockstep lane per
-        trial and no scalar run."""
+        trial and no scalar run. The quasi-independence statistic runs no
+        scalar run either: one lane toward edge_a per trial, then one toward
+        edge_b per trial whose edge_a run reached the common ancestor
+        without capping."""
         runs = []
 
         def counted(env, table, target, stop, record=True):
@@ -261,6 +264,25 @@ class TestOneRunPerPath:
             edge_connection_probability_mc(env, t.n_vertices - 1, trials=100,
                                            master_seed=90 + k)
             assert runs == [t.n_vertices - 1] * 100
+            pair = disjoint_pair(t, rng)
+            if pair is None or max(t.depth) < 2:  # K needs an edge at depth 2
+                continue
+            a, b = pair
+            ds = sum(x == y for x, y in zip(t.root_path(a), t.root_path(b))) - 1
+            conditioned = 0
+            for i in range(100):
+                traj = simulate_extension(
+                    env, ClockTable(derive_seed(90 + k, i)), a,
+                    StopRule(max_steps=percolation._EXTENSION_CAP,
+                             hit_depth=t.depth[a], root_returns=1),
+                    record=False)
+                conditioned += traj.stop_reason != "max_steps" and traj.max_depth >= ds
+            runs.clear()
+            try:
+                quasi_independence_statistic(env, a, b, 100, 90 + k, min_conditioned=1)
+            except RefusalError:
+                assert conditioned == 0
+            assert runs == [a] * 100 + [b] * conditioned
 
 
 class TestCapHits:
@@ -358,18 +380,14 @@ class TestCapHits:
         """holds survives invalid trials up to 1% of those attempted."""
         t, env = ternary_excited(5)
         a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
-        reach = percolation._reach
         for n_invalid, holds in ((0, True), (1, True), (2, False)):
-            runs_to_a = []
+            def first_lanes_capped(env, target, seeds, cap):
+                reach, capped, steps = extension_reach(env, target, seeds, cap)
+                if target == a:
+                    capped[:n_invalid] = True
+                return reach, capped, steps
 
-            def first_runs_capped(env, table, v):
-                r, capped = reach(env, table, v)
-                if v == a:
-                    runs_to_a.append(r)
-                    capped = capped or len(runs_to_a) <= n_invalid
-                return r, capped
-
-            monkeypatch.setattr(percolation, "_reach", first_runs_capped)
+            monkeypatch.setattr(percolation, "extension_reach", first_lanes_capped)
             rep = quasi_independence_statistic(env, a, b, 100, master_seed=17)
             assert (rep.invalid_runs, rep.invalid_fraction) == (n_invalid, n_invalid / 100)
             assert rep.p_joint <= rep.bound + 3 * rep.sigma_joint

@@ -208,6 +208,51 @@ class TestCutDpArrays:
         assert seen == list(range(1, t.leftmost_at_depth(3)))
 
 
+class TestChildSums:
+    """Tree.child_sums against a left-to-right scalar loop from 0.0, bitwise:
+    signed zeros, infinities, NaN and cancellations come out as the loop
+    gives them, which the DP tests, seeing the sums only through a
+    comparison, cannot tell apart."""
+
+    POOL = [0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan, 1e16, -1e16]
+
+    @staticmethod
+    def loop(t, row, d):
+        out = []
+        for v in t.vertices_at_depth(d):
+            total = 0.0
+            for c in t.children[v]:
+                total += row[c - t.levels.starts[d + 1]]
+            out.append(total)
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_scalar_loop_on_every_level(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=30, max_depth=6)
+        starts = t.levels.starts
+        for d in range(t.truncation_depth + 1):
+            rows = [[rng.choice(self.POOL) if rng.random() < 0.7 else rng.uniform(-2.0, 2.0)
+                     for _ in range(starts[d + 1], starts[d + 2])] for _ in range(3)]
+            X = np.array(rows).reshape(3, -1)
+            assert repr(t.child_sums(X, d).tolist()) == repr([self.loop(t, r, d) for r in rows])
+            assert repr(t.child_sums(X[1], d).tolist()) == repr(self.loop(t, rows[1], d))
+
+    def test_sums_in_id_order_from_zero(self):
+        t = build_regular(3, 1)
+        assert t.child_sums(np.array([1e16, 1.0, -1e16]), 0).tolist() == [0.0]
+        assert t.child_sums(np.array([1.0, 1e16, -1e16]), 0).tolist() == [0.0]
+        assert t.child_sums(np.array([1e16, -1e16, 1.0]), 0).tolist() == [1.0]
+        assert repr(t.child_sums(np.full((2, 3), -0.0), 0).tolist()) == "[[0.0], [0.0]]"
+
+    def test_root_only_tree(self):
+        t = build_regular(3, 0)
+        assert repr(t.child_sums(np.zeros((2, 0)), 0).tolist()) == "[[0.0], [0.0]]"
+        assert repr(t.child_sums(np.zeros(0), 0).tolist()) == "[0.0]"
+        assert repr(min_cutset_sum(t, np.ones((2, 1)))) == "[0.0, 0.0]"
+
+
 class TestBreadthFirstLayout:
     """The array passes rely on every level and every vertex's children
     being consecutive ids in order; every way of building a tree gives that."""
