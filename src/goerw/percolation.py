@@ -13,7 +13,9 @@ event {edge open}. Its probability is exactly the ruin product Psi of the
 environment, which is what every Monte Carlo here is checked against. The
 connection Monte Carlo and the quasi-independence statistic run their
 trials in lockstep (walk.extension_reach), bitwise equal to one scalar run
-per trial. A cluster sample reads one clock table, so it stays scalar.
+per trial. A cluster sample reads one clock table, so its runs stay
+scalar; each resumes from the state in which the run that opened its
+chain head's parent first arrived there, instead of restarting at the root.
 
 The cluster is not an independent percolation: nearby edges share clocks
 through their common ancestors. It is quasi-independent, with an explicit
@@ -42,7 +44,8 @@ from .environment import (
 )
 from .errors import RefusalError
 from .tree import Tree
-from .walk import (ClockTable, StopRule, derive_seed, derive_seeds,
+# simulate_extension is not called here; perfbench/tracer.py wraps this name
+from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
                    extension_reach, simulate_extension)
 
 __all__ = [
@@ -70,12 +73,16 @@ class PercolationSample:
     monotone_violations counts open edges under a closed parent. It is 0 by
     construction, since one run decides a whole root path; the coupling
     that makes this exact is checked against one run per edge in
-    tests/test_percolation.py (TestOneRunPerPath)."""
+    tests/test_percolation.py (TestOneRunPerPath). runs is the number of
+    extension runs (one per chain head) and steps the extension steps they
+    executed; both depend only on the environment and the seeds."""
 
     open_edges: list[bool]
     root_cluster: frozenset[int]
     valid: bool
     monotone_violations: int
+    runs: int = 0
+    steps: int = 0
 
 
 def sample_ruin_percolation(env: Environment, master_seed: int,
@@ -83,18 +90,23 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     """Draw one percolation sample of every edge of the tree on a single
     clock table, seeded by (master_seed, sample_index).
 
-    The cluster grows depth first from the root. For each undecided child of
-    a cluster vertex one extension runs toward the end of the child's
-    leftmost chain, and every chain vertex up to the run's reach is open.
-    The other children of those vertices are decided the same way. A
-    subtree under a closed edge is never entered: every edge in it is
-    closed too. A capped run still opens the chain up to its reach and
-    marks the sample invalid, which is exactly what running every edge's
-    own extension would give.
+    The cluster grows depth first from the root. For each undecided child c
+    of a cluster vertex x one extension runs toward the end of c's leftmost
+    chain, and every chain vertex up to the run's reach is open. The other
+    children of those vertices are decided the same way. A subtree under a
+    closed edge is never entered: every edge in it is closed too. A capped
+    run still opens the chain up to its reach and marks the sample invalid,
+    which is exactly what running every edge's own extension would give.
 
-    The runs stay scalar: on one clock table the lockstep kernel runs each
-    chain as one lane, 36-43 ms a sample against 4.4 ms on regular:d=3,L=7
-    with alpha two-point (0, 3, 1/2) (2 cores, Python 3.11, numpy 2.4.6).
+    No run restarts at the root: until its first arrival at x, the run for
+    c takes the steps of the run that opened x, on the same clocks, so it
+    starts from that run's race states above x and step count there (the
+    step cap binds where a restart's would). That and the clock table's
+    hash prefix cache took the benchmark's cluster workload (regular:d=3,
+    L=7, alpha two-point (0, 3, 1/2)) from 265 to 600 units a second
+    (median of 10 alternating pairs, 2 cores, Python 3.11). The runs stay
+    scalar: on one clock table the lockstep kernel would run each chain as
+    its own lane.
     """
     tree = env.tree
     children, depth = tree.children, tree.depth
@@ -102,19 +114,32 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     open_edges = [False] * tree.n_vertices
     cluster = []
     valid = True
-    stack = list(children[0])
+    runs = steps = 0
+    # pending chain heads, each with its parent x's snapshot: (root path of
+    # x, race states of its indices 1..|x|-1, steps) at the first arrival at x
+    stack = [(c, ([0], [], 0)) for c in children[0]]
     while stack:
-        chain = [stack.pop()]
-        while children[chain[-1]]:
-            chain.append(children[chain[-1]][0])
-        traj = simulate_extension(env, table, chain[-1], StopRule(
-            max_steps=_EXTENSION_CAP, hit_depth=depth[chain[-1]], root_returns=1), record=False)
+        head, (prefix, saved, t0) = stack.pop()
+        path = prefix + [head]
+        while children[path[-1]]:
+            path.append(children[path[-1]][0])
+        d = depth[head]
+        states = [None] * len(path)
+        states[1:d - 1] = [r.copy() for r in saved]
+        want = {i: None for i in range(d, len(path) - 1) if len(children[path[i]]) > 1}
+        traj = _extension_run(env, table, path, d - 1, states, t0, StopRule(
+            max_steps=_EXTENSION_CAP, hit_depth=len(path) - 1, root_returns=1), snaps=want)
+        runs += 1
+        steps += traj.steps - t0
         valid &= traj.stop_reason != "max_steps"
-        for x in chain[:traj.max_depth - depth[chain[0]] + 1]:
+        for i in range(d, traj.max_depth + 1):
+            x = path[i]
             open_edges[x] = True
             cluster.append(x)
-            stack.extend(children[x][1:])
-    return PercolationSample(open_edges, frozenset(cluster), valid, 0)
+            if i in want:
+                snap = (path[:i + 1], *want[i])
+                stack.extend((c, snap) for c in children[x][1:])
+    return PercolationSample(open_edges, frozenset(cluster), valid, 0, runs, steps)
 
 
 @dataclass

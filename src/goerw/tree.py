@@ -50,14 +50,12 @@ __all__ = [
 class Levels(NamedTuple):
     """A tree's breadth-first ids as arrays. Level d is the ids starts[d]
     to starts[d + 1] - 1, for d up to one past the truncation depth (that
-    level is empty), and vertex v has kids[v] children, the ids first[v] to
-    first[v] + kids[v] - 1. parent[0] is -1. single[d] says that every
-    vertex of level d has exactly one child."""
+    level is empty), and vertex v has kids[v] children. parent[0] is -1.
+    single[d] says that every vertex of level d has exactly one child."""
 
     parent: np.ndarray
     starts: list[int]
     kids: np.ndarray
-    first: np.ndarray
     single: list[bool]
 
 
@@ -107,13 +105,12 @@ class Tree:
             if np.any(np.diff(depth) < 0) or np.any(np.diff(parent[1:]) < 0):
                 raise ValueError("vertex ids are not in breadth-first order")
             kids = np.bincount(parent[1:], minlength=len(parent))
-            first = np.cumsum(kids) - kids + 1
             starts = np.searchsorted(depth, np.arange(self.truncation_depth + 3))
             width = np.diff(starts)
             # per level, how many of its vertices have one child
             ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
             single = (ones == width) & (width > 0)
-            self._levels = Levels(parent, starts.tolist(), kids, first, single.tolist())
+            self._levels = Levels(parent, starts.tolist(), kids, single.tolist())
         return self._levels
 
     def level_runs(self, first: int, stop: int,

@@ -25,6 +25,10 @@ Three ways to run it:
   races the two on-path j=1 clocks under the later-visit rates and consumes
   the winner. Later visits race the two on-path running totals. At the root
   it always moves down the path, and at the path's end it reflects.
+  One runner (_extension_run) holds this race: simulate_extension starts it
+  at the root, and the percolation sampler starts it from a snapshot, the
+  race states and step count another run had at its first arrival at a
+  vertex both paths share.
   extension_reach runs many of these runs, one per seed, in lockstep on
   numpy arrays: the clock hashes in uint64, each race in the same float64
   operations in the same order, and each log by math.log (np.log is not
@@ -92,17 +96,21 @@ class ClockTable:
 
     A clock is a pure function of (seed, v, u, j), so two processes handed
     the same table read literally the same numbers; that is the whole
-    coupling. Nothing is stored, clocks are recomputed on demand.
+    coupling. Clocks are recomputed on demand, but the table keeps the hash
+    of (seed, v, u) of each direction asked for, so a clock costs one
+    _splitmix, not three, for the table's life (one percolation sample).
     """
 
-    __slots__ = ("seed",)
+    __slots__ = ("seed", "_prefix")
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
+        self._prefix: dict[tuple[int, int], int] = {}
 
     def xi(self, v: int, u: int, j: int) -> float:
-        h = _splitmix(self.seed ^ v)
-        h = _splitmix(h ^ (u << 20))
+        h = self._prefix.get((v, u))
+        if h is None:
+            h = self._prefix[v, u] = _splitmix(_splitmix(self.seed ^ v) ^ (u << 20))
         h = _splitmix(h ^ j)
         u01 = ((h >> 11) + 0.5) * (2.0 ** -53)
         return -math.log(u01)
@@ -310,22 +318,29 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     """
     if target == 0:
         raise ValueError("extension needs a non-root target")
+    path = env.tree.root_path(target)
+    return _extension_run(env, clocks, path, 0, [None] * len(path), 0, stop,
+                          [0] if record else None)
+
+
+def _extension_run(env: Environment, clocks: ClockTable, path: list[int],
+                   pos: int, states: list, steps: int, stop: StopRule,
+                   positions: list | None = None, snaps: dict | None = None) -> WalkTrajectory:
+    """The extension on path from index pos, never yet passed, after steps
+    steps and no root return. states[i] is index i's race state, [total_up,
+    total_down, next_j_up, next_j_down] or None before its first visit,
+    updated in place; positions, unless None, gets each position. The
+    first arrival at an index i in snaps stores there (copies of states[1:i],
+    steps), from which a run on another path through path[i] can start."""
     xi = clocks.xi
-    tree = env.tree
-    path = tree.root_path(target)
     k = len(path) - 1
-    children = tree.children
+    children = env.tree.children
     lam, mu = env.lam, env.mu
     cap = stop.effective_cap()
     hd = stop.hit_depth
     rr = stop.root_returns
-    # per interior index: [total_up, total_down, next_j_up, next_j_down]
-    states: list[list | None] = [None] * (k + 1)
-    positions = [0] if record else None
-    pos = 0
-    steps = 0
     returns = 0
-    maxd = 0
+    maxd = pos
     reason = "max_steps"
     while steps < cap:
         if pos == 0:
@@ -375,10 +390,12 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
                     st[3] += 1
                     pos += 1
         steps += 1
-        if record:
+        if positions is not None:
             positions.append(path[pos])
         if pos > maxd:
             maxd = pos
+            if snaps is not None and pos in snaps:
+                snaps[pos] = ([r.copy() for r in states[1:pos]], steps)
             if hd is not None and pos >= hd:
                 reason = "hit_depth"
                 break

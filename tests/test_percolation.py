@@ -20,9 +20,10 @@ from goerw.percolation import (
     sample_ruin_percolation,
 )
 from goerw.tree import build_path, build_regular
-from goerw.walk import ClockTable, StopRule, derive_seed, extension_reach, simulate_extension
+from goerw.walk import (ClockTable, StopRule, _extension_run, derive_seed, extension_reach,
+                        simulate_extension)
 
-from conftest import random_tree
+from conftest import random_broom, random_tree
 
 
 def ternary_excited(depth):
@@ -120,11 +121,30 @@ def quasi_ref(env, edge_a, edge_b, trials, master_seed):
     return kept, hit_a, hit_b, hit_both, invalid
 
 
-def random_env(rng, max_edges=24, max_depth=6):
-    t = random_tree(rng, max_edges=max_edges, max_depth=max_depth)
+def chain_heads(t, s):
+    """The vertices a sample runs an extension for: the root's children and
+    every child of a cluster vertex other than its first."""
+    return [v for v in range(1, t.n_vertices)
+            if t.parent[v] == 0
+            or (t.parent[v] in s.root_cluster and t.children[t.parent[v]][0] != v)]
+
+
+def chain_end(t, v):
+    """The end of v's leftmost chain, which a run for head v targets."""
+    while t.children[v]:
+        v = t.children[v][0]
+    return v
+
+
+def random_lams(rng, t):
     lam = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
     mu = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
-    return t, Environment(t, lam, mu)
+    return Environment(t, lam, mu)
+
+
+def random_env(rng, max_edges=24, max_depth=6):
+    t = random_tree(rng, max_edges=max_edges, max_depth=max_depth)
+    return t, random_lams(rng, t)
 
 
 def disjoint_pair(t, rng):
@@ -166,6 +186,34 @@ class TestSample:
         c = sample_ruin_percolation(env, master_seed=9, sample_index=5)
         assert a.open_edges == b.open_edges
         assert a.open_edges != c.open_edges
+
+
+class TestWorkCounters:
+    """runs and steps count the work a sample did, deterministically: one
+    run per chain head, and only the steps each run executed, not the
+    prefix it resumed past."""
+
+    def test_runs_and_steps(self, rng):
+        shorter = 0
+        for k in range(60):
+            t, env = random_env(rng)
+            s = sample_ruin_percolation(env, master_seed=95, sample_index=k)
+            heads = chain_heads(t, s)
+            assert s.runs == len(heads)
+            again = sample_ruin_percolation(env, master_seed=95, sample_index=k)
+            assert (again.runs, again.steps) == (s.runs, s.steps)
+            table = ClockTable(derive_seed(95, k))
+            restart = 0
+            for h in heads:
+                end = chain_end(t, h)
+                restart += simulate_extension(
+                    env, table, end,
+                    StopRule(max_steps=percolation._EXTENSION_CAP,
+                             hit_depth=t.depth[end], root_returns=1),
+                    record=False).steps
+            assert 0 < s.steps <= restart
+            shorter += s.steps < restart
+        assert shorter > 0
 
 
 class TestOneRunPerPath:
@@ -242,24 +290,21 @@ class TestOneRunPerPath:
         without capping."""
         runs = []
 
-        def counted(env, table, target, stop, record=True):
-            runs.append(target)
-            return simulate_extension(env, table, target, stop, record)
+        def counted(env, table, path, *args, **kwargs):
+            runs.append(path[-1])
+            return _extension_run(env, table, path, *args, **kwargs)
 
         def counted_lanes(env, target, seeds, cap):
             runs.extend([target] * seeds.size)
             return extension_reach(env, target, seeds, cap)
 
-        monkeypatch.setattr(percolation, "simulate_extension", counted)
+        monkeypatch.setattr(percolation, "_extension_run", counted)
         monkeypatch.setattr(percolation, "extension_reach", counted_lanes)
         for k in range(60):
             t, env = random_env(rng)
             runs.clear()
             s = sample_ruin_percolation(env, master_seed=90, sample_index=k)
-            heads = [v for v in range(1, t.n_vertices)
-                     if t.parent[v] == 0
-                     or (t.parent[v] in s.root_cluster and t.children[t.parent[v]][0] != v)]
-            assert len(runs) == len(heads)
+            assert len(runs) == len(chain_heads(t, s))
             runs.clear()
             edge_connection_probability_mc(env, t.n_vertices - 1, trials=100,
                                            master_seed=90 + k)
@@ -392,6 +437,40 @@ class TestCapHits:
             assert (rep.invalid_runs, rep.invalid_fraction) == (n_invalid, n_invalid / 100)
             assert rep.p_joint <= rep.bound + 3 * rep.sigma_joint
             assert rep.holds is holds
+
+
+class TestResumedUnderCaps:
+    """A run that resumes from a parent chain's snapshot carries that
+    chain's step count, so under every step cap the sample equals one
+    restart-from-root run per edge, also when the cap binds in the middle
+    of a resumed run."""
+
+    def test_every_cap_equals_per_edge_runs(self, rng, monkeypatch):
+        trees = [random_tree(rng, max_edges=24, max_depth=6) for _ in range(20)]
+        trees += [random_broom(rng, max_edges=16, max_depth=4) for _ in range(8)]
+        trees += [build_path(6), build_regular(4, 1)]
+        envs = [random_lams(rng, t) for t in trees]
+        resumed_binds = []
+
+        def watched(env, table, path, pos, states, steps, stop, *args, **kwargs):
+            out = _extension_run(env, table, path, pos, states, steps, stop,
+                                 *args, **kwargs)
+            if pos > 0 and steps < stop.max_steps and out.stop_reason == "max_steps":
+                resumed_binds.append((pos, steps, stop.max_steps))
+            return out
+
+        monkeypatch.setattr(percolation, "_extension_run", watched)
+        invalid = 0
+        for cap in range(1, 41):
+            monkeypatch.setattr(percolation, "_EXTENSION_CAP", cap)
+            for k, env in enumerate(envs):
+                s = sample_ruin_percolation(env, master_seed=110 + cap, sample_index=k)
+                open_edges, cluster, valid, _ = sample_ref(env, 110 + cap, k)
+                assert (s.open_edges, s.root_cluster, s.valid) == (open_edges, cluster, valid)
+                invalid += not s.valid
+        assert 0 < invalid < 40 * len(envs)
+        # the cap bound inside runs that started below the root
+        assert len(resumed_binds) > 0
 
 
 class TestConnectionEstimate:

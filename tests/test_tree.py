@@ -268,7 +268,7 @@ class TestBreadthFirstLayout:
         following = 1
         for v, kids in enumerate(t.children):
             assert kids == list(range(following, following + len(kids)))
-            assert (int(lv.first[v]), int(lv.kids[v])) == (following, len(kids))
+            assert int(lv.kids[v]) == len(kids)
             following += len(kids)
         assert following == t.n_vertices
 

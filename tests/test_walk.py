@@ -48,6 +48,58 @@ class TestClockTable:
         assert derive_seed(7, 3) != derive_seed(8, 3)
 
 
+def xi_ref(seed, v, u, j):
+    """The clock with all three hashes computed, as before the prefix cache."""
+    h = walk._splitmix((seed & walk._M64) ^ v)
+    h = walk._splitmix(h ^ (u << 20))
+    h = walk._splitmix(h ^ j)
+    return -math.log(((h >> 11) + 0.5) * (2.0 ** -53))
+
+
+class TestClockPrefixCache:
+    """ClockTable keeps the hash of (seed, v, u); every clock it returns is
+    still == the three-hash formula."""
+
+    def test_repeated_and_interleaved_queries(self, rng):
+        t = ClockTable(2024)
+        keys = [(rng.randrange(50), rng.randrange(50)) for _ in range(20)]
+        for _ in range(3000):
+            v, u = rng.choice(keys)
+            j = rng.randrange(6)
+            assert t.xi(v, u, j) == xi_ref(2024, v, u, j)
+        assert len(t._prefix) == len(set(keys))
+
+    def test_wide_directions(self, rng):
+        """u << 20 passes 64 bits from u = 2^44 on; the cached prefix must
+        wrap exactly as the formula does."""
+        t = ClockTable(-7)
+        wide = [(1 << 30) + 1, (1 << 43) + 3, 1 << 44, (1 << 44) + 1, (1 << 50) + 12345,
+                (1 << 64) - 1, 1 << 70]
+        for _ in range(2):
+            for u in wide:
+                for v in (0, 3, (1 << 64) - 1):
+                    for j in (0, 1, 9):
+                        assert t.xi(v, u, j) == xi_ref(-7, v, u, j)
+
+    def test_large_clock_index(self, rng):
+        t = ClockTable(11)
+        for j in [1 << 20, 1 << 32, (1 << 63) + 5, (1 << 64) - 1, 1 << 66,
+                  *(rng.getrandbits(64) for _ in range(50))]:
+            assert t.xi(4, 5, j) == xi_ref(11, 4, 5, j)
+            assert t.xi(5, 4, j) == xi_ref(11, 5, 4, j)
+
+    def test_tables_never_share_a_prefix(self, rng):
+        a, b = ClockTable(1), ClockTable(2)
+        keys = [(rng.randrange(30), rng.randrange(30)) for _ in range(200)]
+        for v, u in keys:
+            j = rng.randrange(4)
+            assert a.xi(v, u, j) == xi_ref(1, v, u, j)
+            assert b.xi(v, u, j) == xi_ref(2, v, u, j)
+        assert a._prefix is not b._prefix
+        assert a._prefix.keys() == b._prefix.keys() == set(keys)
+        assert all(a._prefix[key] != b._prefix[key] for key in keys)
+
+
 class TestDirectLaw:
     """The law as simulate draws it, tallied step by step on the 3-regular
     tree of depth 2, whose depth-2 leaves always step back up."""
