@@ -4,7 +4,8 @@ Every module is exposed as a subcommand that accepts only the options its
 runner reads (``COMMANDS``). Options can also come from a flat key=value
 config file: a dotted key scopes an option to one subcommand
 (``phase-scan.escape-depth = 48``), an undotted one serves every subcommand
-that reads it. Flags override file values. All randomness flows from the
+that reads it. Flags override file values, and every option is resolved
+and checked before the experiment starts. All randomness flows from the
 single ``--seed``.
 
 Outputs are written only after an experiment finishes, atomically, so a
@@ -12,8 +13,9 @@ refusal or a crash never leaves partial data files. JSON summaries carry a
 ``timestamp`` field; everything else is a pure function of config and seed,
 so reruns are byte-identical once that field is stripped.
 
-Exit codes: 0 success, 1 runtime refusal, 2 usage or validation error; a
-bug surfaces as a traceback.
+Exit codes: 0 success, 1 runtime refusal, 2 usage or validation error
+(an unreadable input or an unwritable output among them); a bug surfaces
+as a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -74,11 +77,11 @@ class UsageError(Exception):
 # spec-string parsing
 
 
-def _kv_pairs(body: str, what: str) -> dict[str, str]:
+def _kv_pairs(body: str, what: str, sep: str = ",") -> dict[str, str]:
     out: dict[str, str] = {}
     if not body:
         return out
-    for part in body.split(","):
+    for part in body.split(sep):
         if "=" not in part:
             raise UsageError(f"malformed {what} entry {part!r} (want key=value)")
         k, v = part.split("=", 1)
@@ -127,42 +130,28 @@ def parse_env_spec(spec: str):
     hold comma lists: `alpha:point=1`, `alpha:two=0,3,0.5`,
     `alpha:support=0,3;probs=0.5,0.5`."""
     kind, _, body = spec.partition(":")
-    if kind == "alpha":
-        kv: dict[str, str] = {}
-        for part in body.split(";"):
-            if "=" not in part:
-                raise UsageError(f"malformed env spec entry {part!r} "
-                                 "(want key=value)")
-            k, v = part.split("=", 1)
-            kv[k.strip()] = v.strip()
-        unknown = set(kv) - {"point", "two", "support", "probs"}
-        if unknown:
-            raise UsageError(f"unknown env key {sorted(unknown)[0]!r}")
-        try:
-            if "point" in kv:
-                return "alpha", AlphaDistribution.point(float(kv["point"]))
-            if "two" in kv:
-                a0, a1, p1 = (float(x) for x in kv["two"].split(","))
-                return "alpha", AlphaDistribution.two_point(a0, a1, p1)
-            if "support" in kv:
-                vals = [float(x) for x in kv["support"].split(",")]
-                probs = [float(x) for x in kv["probs"].split(",")]
-                return "alpha", AlphaDistribution(tuple(vals), tuple(probs))
-        except (KeyError, ValueError) as e:
-            raise UsageError(f"env spec {spec!r}: {e}") from None
-        raise UsageError(f"env spec {spec!r} needs point=, two=, or support=")
-    if kind == "det":
-        kv = _kv_pairs(body, "env spec")
-        unknown = set(kv) - {"lambda", "mu"}
-        if unknown:
-            raise UsageError(f"unknown env key {sorted(unknown)[0]!r}")
-        try:
-            lam = float(kv.get("lambda", "1"))
-            mu = float(kv.get("mu", "1"))
-        except ValueError as e:
-            raise UsageError(f"env spec {spec!r}: {e}") from None
-        return "det", (lam, mu)
-    raise UsageError(f"unknown env kind {kind!r} (expected alpha or det)")
+    keys = {"alpha": {"point", "two", "support", "probs"}, "det": {"lambda", "mu"}}
+    if kind not in keys:
+        raise UsageError(f"unknown env kind {kind!r} (expected alpha or det)")
+    kv = _kv_pairs(body, "env spec", ";" if kind == "alpha" else ",")
+    unknown = set(kv) - keys[kind]
+    if unknown:
+        raise UsageError(f"unknown env key {sorted(unknown)[0]!r}")
+    try:
+        if kind == "det":
+            return "det", (float(kv.get("lambda", "1")), float(kv.get("mu", "1")))
+        if "point" in kv:
+            return "alpha", AlphaDistribution.point(float(kv["point"]))
+        if "two" in kv:
+            a0, a1, p1 = (float(x) for x in kv["two"].split(","))
+            return "alpha", AlphaDistribution.two_point(a0, a1, p1)
+        if "support" in kv:
+            vals = [float(x) for x in kv["support"].split(",")]
+            probs = [float(x) for x in kv["probs"].split(",")]
+            return "alpha", AlphaDistribution(tuple(vals), tuple(probs))
+    except (KeyError, ValueError) as e:
+        raise UsageError(f"env spec {spec!r}: {e}") from None
+    raise UsageError(f"env spec {spec!r} needs point=, two=, or support=")
 
 
 def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
@@ -191,11 +180,15 @@ def _parse_gamma_grid(text: str) -> list[float]:
                 raise ValueError("empty range")
             n = int(round((stop - start) / step))
             grid = [round(start + k * step, 10) for k in range(n + 1)]
-            return [g for g in grid if g <= stop + 1e-9]
-        return sorted(float(x) for x in text.split(","))
-    except ValueError:
+            grid = [g for g in grid if g <= stop + 1e-9]
+        else:
+            grid = sorted(float(x) for x in text.split(","))
+    except (ValueError, OverflowError):
         raise UsageError(f"bad gamma grid {text!r} "
                          "(want start:stop:step or a comma list)") from None
+    if not all(map(math.isfinite, grid)):
+        raise UsageError(f"gamma grid {text!r}: every gamma must be finite")
+    return grid
 
 
 def _default_depths(L: int) -> list[int]:
@@ -208,7 +201,7 @@ def _default_depths(L: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# config file
+# config file and the run
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -246,35 +239,46 @@ def _validate_config_key(key: str, path: str, ln: int) -> None:
         raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
 
 
-class Options:
-    """Merged view of flags over config values for one subcommand's
-    declared options, typed via the registry."""
+class Run:
+    """One run of one subcommand: its options and its outputs.
+
+    Each declared option is resolved once, before the experiment starts:
+    the flag, else the dotted config key, else the undotted one, converted
+    by its TYPES entry. Stdout lines and output files are held until flush,
+    so a refusal or a crash leaves no partial data files."""
 
     def __init__(self, sub: str, flag_values: dict[str, object],
                  config: dict[str, str]):
         self.sub = sub
-        self.names = COMMANDS[sub].options
-        self._flags = flag_values
-        self._config = config
+        self.options: dict[str, object] = {}
+        for name in COMMANDS[sub].options:
+            v = flag_values.get(name)
+            if v is None:
+                v = self._config_value(name, config)
+            if v is not None:
+                self.options[name] = v
+        if self.options.get("format") not in (None, "csv", "json"):
+            raise UsageError(f"unknown format {self.options['format']!r} "
+                             "(want csv or json)")
+        self.lines: list[str] = []
+        self.files: dict[str, str] = {}
 
-    def get(self, name: str, default=None):
-        if name not in self.names:
-            raise KeyError(f"{self.sub} declares no option {name!r}")
-        v = self._flags.get(name)
-        if v is not None:
-            return v
+    def _config_value(self, name: str, config: dict[str, str]):
         for key in (f"{self.sub}.{name}", name):
-            if key in self._config:
-                conv = TYPES[name]
+            if key in config:
                 try:
-                    return conv(self._config[key])
+                    return TYPES[name](config[key])
                 except ValueError:
-                    raise UsageError(
-                        f"config key {key!r}: cannot parse "
-                        f"{self._config[key]!r}") from None
+                    raise UsageError(f"config key {key!r}: cannot parse "
+                                     f"{config[key]!r}") from None
                 except argparse.ArgumentTypeError as e:
                     raise UsageError(f"config key {key!r}: {e}") from None
-        return default
+        return None
+
+    def get(self, name: str, default=None):
+        if name not in COMMANDS[self.sub].options:
+            raise KeyError(f"{self.sub} declares no option {name!r}")
+        return self.options.get(name, default)
 
     def seed(self) -> int:
         """The seed the run uses: --seed, else 0."""
@@ -286,147 +290,116 @@ class Options:
             raise UsageError(f"missing required option --{name}")
         return v
 
-    def effective(self) -> dict[str, object]:
-        out = {}
-        for name in sorted(self.names):
-            v = self.get(name)
-            if v is not None:
-                out[name] = v
-        return out
-
-
-# ---------------------------------------------------------------------------
-# output assembly
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(echo: dict, seed: int | None, stats: dict) -> str:
-    payload = {
-        "config": echo,
-        "seed": seed,
-        "statistics": stats,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-class Runner:
-    """Collects stdout lines and output files; writes files only at the end
-    so refusals leave nothing behind."""
-
-    def __init__(self, opts: Options):
-        self.opts = opts
-        self.lines: list[str] = []
-        self.files: dict[str, str] = {}
-
     def say(self, text: str) -> None:
         self.lines.append(text)
 
-    def emit(self, basename: str, header, rows, stats: dict) -> None:
-        fmt = self.opts.get("format")
-        if fmt not in (None, "csv", "json"):
-            raise UsageError(f"unknown format {fmt!r} (want csv or json)")
-        echo = {"subcommand": self.opts.sub, "options": self.opts.effective()}
-        if fmt in (None, "csv"):
-            self.files[f"{basename}.csv"] = _csv_text(header, rows)
-        if fmt in (None, "json"):
-            seed = self.opts.seed() if "seed" in self.opts.names else None
-            self.files[f"{basename}.json"] = _json_text(echo, seed, stats)
+    def emit(self, header: Sequence[str], rows: Sequence[Sequence],
+             stats: dict) -> None:
+        """Queue <sub>.csv (header and rows) and <sub>.json (the options,
+        the seed and stats) in --out-dir, as --format selects; without
+        --out-dir there is nothing to write."""
+        out_dir, fmt = self.get("out-dir"), self.get("format")
+        if out_dir is None:
+            return
+        path = os.path.join(out_dir, self.sub)
+        if fmt != "json":
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+            self.files[f"{path}.csv"] = buf.getvalue()
+        if fmt != "csv":
+            payload = {
+                "config": {"subcommand": self.sub, "options": self.options},
+                "seed": self.seed() if "seed" in COMMANDS[self.sub].options else None,
+                "statistics": stats,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            }
+            self.files[f"{path}.json"] = json.dumps(payload, sort_keys=True,
+                                                    indent=2) + "\n"
+
+    def record(self, stats: dict, keys: Sequence[str] | None = None) -> None:
+        """Emit stats as a one-row table, columns in the order of keys
+        (default sorted)."""
+        keys = sorted(stats) if keys is None else keys
+        self.emit(keys, [[stats[k] for k in keys]], stats)
 
     def flush(self) -> None:
-        out_dir = self.opts.get("out-dir")
-        if self.files and out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            for name, text in self.files.items():
-                _atomic_write(os.path.join(out_dir, name), text)
-                self.say(f"wrote {os.path.join(out_dir, name)}")
+        for path, text in self.files.items():
+            with _writing(path):
+                _atomic_write(path, text)
+            self.say(f"wrote {path}")
         print("\n".join(self.lines))
+
+
+@contextmanager
+def _writing(path: str):
+    """Create path's directory for the write in the body; an OSError is a
+    usage error naming the path."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
-def _run_gen_tree(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    out = o.get("output")
-    if out is None:
-        out = os.path.join(o.get("out-dir", "."), "tree.txt")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    write_tree_file(tree, out)
+def _run_gen_tree(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    out = r.get("output", os.path.join(r.get("out-dir", "."), "tree.txt"))
+    with _writing(out):
+        write_tree_file(tree, out)
     r.say(f"wrote {out} (vertices={tree.n_vertices} depth={tree.truncation_depth})")
 
 
-def _run_compute_psi(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    env = build_environment(tree, o.require("env"), o.seed())
-    d = o.require("edge-depth")
+def _run_compute_psi(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    env = build_environment(tree, r.require("env"), r.seed())
+    d = r.require("edge-depth")
     edge = tree.leftmost_at_depth(d)
-    psi_v = psi_of(env, edge)
-    Psi_v = Psi_of(env, edge)
-    c_v = adapted_conductance(env, edge)
+    stats = {"edge": edge, "depth": d, "psi": psi_of(env, edge),
+             "Psi": Psi_of(env, edge), "c": adapted_conductance(env, edge)}
     r.say(f"edge {edge} at depth {d}")
-    r.say(f"psi = {psi_v!r}")
-    r.say(f"Psi = {Psi_v!r}")
-    r.say(f"c = {c_v!r}")
-    r.emit("compute-psi", ["edge", "depth", "psi", "Psi", "c"],
-           [[edge, d, psi_v, Psi_v, c_v]],
-           {"edge": edge, "depth": d, "psi": psi_v, "Psi": Psi_v, "c": c_v})
+    for k in ("psi", "Psi", "c"):
+        r.say(f"{k} = {stats[k]!r}")
+    r.record(stats, list(stats))
 
 
-def _run_simulate(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    seed = o.seed()
-    env = build_environment(tree, o.require("env"), seed)
-    trials = o.get("trials", 100)
-    stop = StopRule(max_steps=o.get("max-steps", 100_000),
-                    hit_depth=o.get("depth"),
-                    root_returns=o.get("returns"))
-    rows = []
-    escapes = 0
-    steps_sum = 0
-    returns_sum = 0
-    deepest = 0
-    for t in range(trials):
-        traj = simulate(env, stop, derive_seed(seed, 1, t), record=False)
-        rows.append([t, traj.steps, traj.root_returns, traj.max_depth,
-                     int(traj.escaped), traj.stop_reason])
-        escapes += traj.escaped
-        steps_sum += traj.steps
-        returns_sum += traj.root_returns
-        deepest = max(deepest, traj.max_depth)
+def _run_simulate(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    seed = r.seed()
+    env = build_environment(tree, r.require("env"), seed)
+    trials = r.get("trials", 100)
+    stop = StopRule(max_steps=r.get("max-steps", 100_000),
+                    hit_depth=r.get("depth"),
+                    root_returns=r.get("returns"))
+    trajs = [simulate(env, stop, derive_seed(seed, 1, t), record=False)
+             for t in range(trials)]
+    escapes = sum(traj.escaped for traj in trajs)
     stats = {
         "trials": trials,
         "escapes": escapes,
         "escape_freq": escapes / trials,
-        "mean_steps": steps_sum / trials,
-        "mean_returns": returns_sum / trials,
-        "max_depth_seen": deepest,
+        "mean_steps": sum(traj.steps for traj in trajs) / trials,
+        "mean_returns": sum(traj.root_returns for traj in trajs) / trials,
+        "max_depth_seen": max(traj.max_depth for traj in trajs),
     }
-    r.say(f"trials={trials} escapes={escapes} escape_freq={escapes / trials!r} "
-          f"mean_steps={steps_sum / trials!r} mean_returns={returns_sum / trials!r} "
-          f"max_depth_seen={deepest}")
-    r.emit("simulate", ["trial", "steps", "root_returns", "max_depth",
-                        "escaped", "stop_reason"], rows, stats)
+    rows = [[t, traj.steps, traj.root_returns, traj.max_depth, int(traj.escaped),
+             traj.stop_reason] for t, traj in enumerate(trajs)]
+    r.say(" ".join(f"{k}={v!r}" for k, v in stats.items()))
+    r.emit(["trial", "steps", "root_returns", "max_depth", "escaped", "stop_reason"],
+           rows, stats)
 
 
-def _run_percolate(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    seed = o.seed()
-    env = build_environment(tree, o.require("env"), seed)
-    depths_text = o.get("depths")
-    depth = o.get("depth")
+def _run_percolate(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    seed = r.seed()
+    env = build_environment(tree, r.require("env"), seed)
+    depths_text = r.get("depths")
+    depth = r.get("depth")
     if depths_text is not None and depth is not None:
         raise UsageError("give --depth or --depths, not both")
     if depths_text is not None:
@@ -435,7 +408,7 @@ def _run_percolate(r: Runner) -> None:
         depths = [depth]
     else:
         raise UsageError("missing required option --depth or --depths")
-    trials = o.get("trials", 10_000)
+    trials = r.get("trials", 10_000)
     rows = []
     stats = {"depths": {}}
     for d in depths:
@@ -449,61 +422,55 @@ def _run_percolate(r: Runner) -> None:
                                    "z": est.z_score, "steps": est.steps}
         r.say(f"depth={d} edge={edge} exact={est.exact!r} p_hat={est.p_hat!r} "
               f"z={est.z_score:.3f}")
-    r.emit("percolate",
-           ["depth", "edge", "trials", "n_connected", "p_hat", "exact",
+    r.emit(["depth", "edge", "trials", "n_connected", "p_hat", "exact",
             "stderr", "z", "monotone_violations", "invalid_runs"],
            rows, stats)
 
 
-def _family_and_depths(o: Options) -> tuple[TreeFamily, int, list[int]]:
-    family, L = parse_family_spec(o.require("tree"))
-    depths_text = o.get("depths")
+def _table_inputs(r: Run) -> tuple[TreeFamily, list[int], list[float]]:
+    """The family, depths and gamma grid of a cutset table."""
+    family, L = parse_family_spec(r.require("tree"))
+    depths_text = r.get("depths")
     depths = _parse_depths(depths_text) if depths_text else _default_depths(L)
     if depths[-1] > L:
         raise UsageError(f"depth {depths[-1]} exceeds the family depth L={L}")
-    return family, L, depths
+    return family, depths, _parse_gamma_grid(r.get("gamma-grid", "0.1:3.0:0.1"))
 
 
-def _run_estimate_br(r: Runner) -> None:
-    o = r.opts
-    family, L, depths = _family_and_depths(o)
-    gammas = _parse_gamma_grid(o.get("gamma-grid", "0.1:3.0:0.1"))
-    table = branching_ruin_estimate(family, gammas, depths,
-                                    threshold=o.get("threshold", 0.1))
-    rows = [[g, d, v] for (g, d, v) in table.rows()]
-    stats = {"estimate": table.estimate, "threshold": table.threshold,
-             "deepest": depths[-1], "exact_index": family.br_index}
-    r.say(f"br estimate: {table.estimate} "
+def _emit_table(r: Run, table, depths: list[int], **stats) -> None:
+    """The estimate line, and the cutset table's rows and summary."""
+    r.say(f"{r.sub.removeprefix('estimate-')} estimate: {table.estimate} "
           f"(threshold {table.threshold}, deepest depth {depths[-1]})")
-    r.emit("estimate-br", ["gamma", "depth", "min_cutset_sum"], rows, stats)
+    r.emit(["gamma", "depth", "min_cutset_sum"], table.rows(),
+           {"estimate": table.estimate, "threshold": table.threshold,
+            "deepest": depths[-1], **stats})
 
 
-def _run_estimate_rt(r: Runner) -> None:
-    o = r.opts
-    family, L, depths = _family_and_depths(o)
-    gammas = _parse_gamma_grid(o.get("gamma-grid", "0.1:3.0:0.1"))
-    env_spec = o.require("env")
-    seed = o.seed()
+def _run_estimate_br(r: Run) -> None:
+    family, depths, gammas = _table_inputs(r)
+    table = branching_ruin_estimate(family, gammas, depths,
+                                    threshold=r.get("threshold", 0.1))
+    _emit_table(r, table, depths, exact_index=family.br_index)
+
+
+def _run_estimate_rt(r: Run) -> None:
+    family, depths, gammas = _table_inputs(r)
+    env_spec = r.require("env")
+    seed = r.seed()
 
     def pair(Lq: int) -> tuple[Tree, Environment]:
         tree = family.build(Lq)
         return tree, build_environment(tree, env_spec, seed)
 
-    table = rt_estimate(pair, gammas, depths, threshold=o.get("threshold", 0.1))
-    rows = [[g, d, v] for (g, d, v) in table.rows()]
-    stats = {"estimate": table.estimate, "threshold": table.threshold,
-             "deepest": depths[-1]}
-    r.say(f"rt estimate: {table.estimate} "
-          f"(threshold {table.threshold}, deepest depth {depths[-1]})")
-    r.emit("estimate-rt", ["gamma", "depth", "min_cutset_sum"], rows, stats)
+    table = rt_estimate(pair, gammas, depths, threshold=r.get("threshold", 0.1))
+    _emit_table(r, table, depths)
 
 
-def _run_flow_check(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    env = build_environment(tree, o.require("env"), o.seed())
-    gamma = o.require("gamma")
-    depths_text = o.get("depths")
+def _run_flow_check(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    env = build_environment(tree, r.require("env"), r.seed())
+    gamma = r.require("gamma")
+    depths_text = r.get("depths")
     depths = (_parse_depths(depths_text) if depths_text
               else _default_depths(tree.truncation_depth))
     try:
@@ -518,39 +485,33 @@ def _run_flow_check(r: Runner) -> None:
     r.say(f"degenerate: {rep.degenerate}")
     stats = {"gamma": gamma, "degenerate": rep.degenerate,
              "energies": [row.energy for row in rep.rows]}
-    r.emit("flow-check",
-           ["depth", "max_flow", "flow_total", "energy", "support_edges"],
-           rows, stats)
+    r.emit(["depth", "max_flow", "flow_total", "energy", "support_edges"], rows, stats)
 
 
-def _run_phase_scan(r: Runner) -> None:
-    o = r.opts
-    family, L = parse_family_spec(o.require("tree"))
-    kind, dist = parse_env_spec(o.require("env"))
+def _run_phase_scan(r: Run) -> None:
+    family, L = parse_family_spec(r.require("tree"))
+    kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
         raise UsageError("phase-scan needs an alpha env spec")
     verdict = phase_diagnostic(
         family, dist,
-        epsilon_margin=o.get("epsilon", 0.1),
-        escape_depth=o.require("escape-depth"),
-        horizon=o.get("horizon", 1_000_000),
-        trials=o.get("trials", 1000),
-        master_seed=o.seed(),
-        depth=o.get("depth", L))
-    d = verdict.to_dict()
+        epsilon_margin=r.get("epsilon", 0.1),
+        escape_depth=r.require("escape-depth"),
+        horizon=r.get("horizon", 1_000_000),
+        trials=r.get("trials", 1000),
+        master_seed=r.seed(),
+        depth=r.get("depth", L))
     r.say(f"verdict: {verdict.verdict} (escape {verdict.escape_freq!r} vs "
           f"control {verdict.control_escape_freq!r}, sigma {verdict.sigma!r})")
     r.say(f"m={verdict.m!r} threshold={verdict.threshold!r} "
           f"br_exact={verdict.br_exact!r} br_estimate={verdict.br_estimate!r}")
     r.say(f"censored by the horizon: {verdict.censored} of {verdict.trials} "
           f"(control {verdict.control_censored})")
-    keys = sorted(d)
-    r.emit("phase-scan", keys, [[d[k] for k in keys]], d)
+    r.record(verdict.to_dict())
 
 
-def _run_gambler(r: Runner) -> None:
-    o = r.opts
-    mu_text = o.require("mu")
+def _run_gambler(r: Run) -> None:
+    mu_text = r.require("mu")
     try:
         mu_all = [Fraction(x) for x in mu_text.split(",")]
     except (ValueError, ZeroDivisionError):
@@ -562,7 +523,7 @@ def _run_gambler(r: Runner) -> None:
         raise UsageError("need at least two sites (two --mu entries)")
     if any(m <= 0 for m in mu_all):
         raise UsageError("biases must be positive")
-    start = o.require("start")
+    start = r.require("start")
     try:
         chain = GamblerChain(N=N, mu=tuple(mu_all[:N - 1]), start=start)
     except ValueError as e:
@@ -571,7 +532,7 @@ def _run_gambler(r: Runner) -> None:
     r.say(str(exact))
     stats = {"N": N, "start": start, "exact": float(exact),
              "exact_fraction": str(exact)}
-    trials = o.get("trials")
+    trials = r.get("trials")
     if trials is not None:
         mu_float = []
         for site, m in enumerate(mu_all[:N - 1], 1):
@@ -583,36 +544,34 @@ def _run_gambler(r: Runner) -> None:
                 raise UsageError(f"--mu entry {site} ({mu_text.split(',')[site - 1]}) "
                                  "has no positive finite float for the Monte Carlo")
         float_chain = GamblerChain(N=N, mu=tuple(mu_float), start=start)
-        est, se = gambler_ruin_mc(float_chain, trials, o.seed())
+        est, se = gambler_ruin_mc(float_chain, trials, r.seed())
         r.say(f"mc = {est!r} stderr = {se!r}")
         stats.update({"mc_estimate": est, "mc_stderr": se, "trials": trials})
-    r.emit("gambler", sorted(stats), [[stats[k] for k in sorted(stats)]], stats)
+    r.record(stats)
 
 
-def _run_concentration(r: Runner) -> None:
-    o = r.opts
-    tree = parse_tree_spec(o.require("tree"))
-    kind, dist = parse_env_spec(o.require("env"))
+def _run_concentration(r: Run) -> None:
+    tree = parse_tree_spec(r.require("tree"))
+    kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
         raise UsageError("concentration needs an alpha env spec")
-    depths = _parse_depths(o.require("depths"))
-    epsilon = o.require("epsilon")
+    depths = _parse_depths(r.require("depths"))
+    epsilon = r.require("epsilon")
     rep = concentration_experiment(tree, dist, epsilon, depths,
-                                   env_samples=o.get("trials", 200),
-                                   master_seed=o.seed())
-    rows = [[d, v, f] for d, v, f in
-            zip(rep.depths, rep.violations, rep.frequencies)]
-    for d, v, f in zip(rep.depths, rep.violations, rep.frequencies):
+                                   env_samples=r.get("trials", 200),
+                                   master_seed=r.seed())
+    rows = [list(row) for row in zip(rep.depths, rep.violations, rep.frequencies)]
+    for d, v, f in rows:
         r.say(f"depth={d} violations={v}/{rep.n_environments} freq={f!r}")
     stats = {"m": rep.m, "epsilon": rep.epsilon,
              "n_environments": rep.n_environments,
              "violations": rep.violations, "frequencies": rep.frequencies}
-    r.emit("concentration", ["depth", "violations", "frequency"], rows, stats)
+    r.emit(["depth", "violations", "frequency"], rows, stats)
 
 
 # ---------------------------------------------------------------------------
-# option registry: one table drives argparse, config validation, the typed
-# option view and the JSON echo
+# option registry: one table drives argparse, config validation, option
+# resolution and the JSON echo
 
 
 def count(text: str) -> int:
@@ -654,7 +613,7 @@ _TABLE = ("tree", "depths", "gamma-grid", "threshold", *_OUT)
 
 class Command(NamedTuple):
     help: str
-    run: Callable[[Runner], None]
+    run: Callable[[Run], None]
     options: tuple[str, ...]  # exactly the options `run` reads
 
 
@@ -736,10 +695,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config) if args.config else {}
         flag_values = {k.replace("_", "-"): v for k, v in vars(args).items()
                        if k not in ("subcommand", "config")}
-        opts = Options(sub, flag_values, config)
-        runner = Runner(opts)
-        COMMANDS[sub].run(runner)
-        runner.flush()
+        run = Run(sub, flag_values, config)
+        COMMANDS[sub].run(run)
+        run.flush()
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,6 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -378,7 +379,23 @@ def min_level_cutset_sum(level_sizes: Sequence[int],
     L = len(level_sizes) - 1
     if L < 1:
         raise ValueError("need at least one level below the root")
-    return min(level_sizes[m] * weight_by_depth(m) for m in range(1, L + 1))
+    try:
+        return min(level_sizes[m] * weight_by_depth(m) for m in range(1, L + 1))
+    except OverflowError:  # a level size beyond the float range
+        return min(_level_product(level_sizes[m], weight_by_depth(m))
+                   for m in range(1, L + 1))
+
+
+def _level_product(n: int, w: float) -> float:
+    """n * w; where n has no float, the exact product rounded once, or
+    +-inf beyond the float range."""
+    try:
+        return n * w
+    except OverflowError:
+        try:
+            return float(n * Fraction(w))
+        except OverflowError:
+            return math.copysign(math.inf, w)
 
 
 # ---------------------------------------------------------------------------

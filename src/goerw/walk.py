@@ -41,6 +41,9 @@ only spend time, they never touch an on-path clock. That exact coincidence
 is what the percolation layer relies on, and it is asserted wholesale in the
 test suite.
 
+Every run stops at the first bound of its StopRule it meets. The step
+budget is required and honoured as given; no module-wide cap lowers it.
+
 All randomness is derived from explicit integer seeds by a splitmix-style
 mixer, so every run is reproducible bit for bit across platforms.
 """
@@ -67,10 +70,7 @@ __all__ = [
     "simulate_extension",
     "extension_reach",
     "restriction",
-    "HARD_STEP_CAP",
 ]
-
-HARD_STEP_CAP = 100_000_000
 
 _M64 = (1 << 64) - 1
 
@@ -118,17 +118,13 @@ class ClockTable:
 
 @dataclass(frozen=True)
 class StopRule:
-    """First-of stopping: a step budget, a probe depth, a count of returns
-    to the root. Unset bounds do not bind; the hard step cap always does."""
+    """First-of stopping: a step budget, always given and honoured as
+    given, and optionally a probe depth and a count of returns to the root,
+    which do not bind when unset."""
 
-    max_steps: int | None = None
+    max_steps: int
     hit_depth: int | None = None
     root_returns: int | None = None
-
-    def effective_cap(self) -> int:
-        if self.max_steps is None:
-            return HARD_STEP_CAP
-        return min(self.max_steps, HARD_STEP_CAP)
 
 
 @dataclass
@@ -175,7 +171,7 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     parent, children, depth = tree.parent, tree.children, tree.depth
     rng = random.Random(seed)
     rnd = rng.random
-    cap = stop.effective_cap()
+    cap = stop.max_steps
     hd = stop.hit_depth
     rr = stop.root_returns
     visited = bytearray(len(parent))
@@ -239,7 +235,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
     tree = env.tree
     parent, children, depth = tree.parent, tree.children, tree.depth
     lam, mu = env.lam, env.mu
-    cap = stop.effective_cap()
+    cap = stop.max_steps
     hd = stop.hit_depth
     rr = stop.root_returns
     state: dict[int, tuple[list[int], list[float], list[int]]] = {}
@@ -336,7 +332,7 @@ def _extension_run(env: Environment, clocks: ClockTable, path: list[int],
     k = len(path) - 1
     children = env.tree.children
     lam, mu = env.lam, env.mu
-    cap = stop.effective_cap()
+    cap = stop.max_steps
     hd = stop.hit_depth
     rr = stop.root_returns
     returns = 0
@@ -459,7 +455,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, children = env.tree.root_path(target), env.tree.children
-    k, cap, mu_path = len(path) - 1, min(cap, HARD_STEP_CAP), env._tables[1][path]
+    k, mu_path = len(path) - 1, env._tables[1][path]
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     wide = max((len(children[u]) + 1 for u in path[1:-1]), default=1)

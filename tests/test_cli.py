@@ -1,6 +1,8 @@
 import json
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +208,7 @@ class TestOutputs:
         edge = tree.leftmost_at_depth(2)
         master = derive_seed(9, 2, 2)
         want = sum(simulate_extension(env, ClockTable(derive_seed(master, i)), edge,
-                                      StopRule(hit_depth=2, root_returns=1),
+                                      StopRule(max_steps=10**8, hit_depth=2, root_returns=1),
                                       record=False).steps
                    for i in range(300))
         assert doc["statistics"]["depths"]["2"]["steps"] == want
@@ -324,10 +326,28 @@ class TestOptionTable:
         assert e.value.code == 2
         assert "--tree" in capsys.readouterr().err
 
+    def test_readme_option_rules_match_the_table(self):
+        """The README lists as count options the TYPES entries converted
+        by count, as float options those converted by finite or margin,
+        and as at least 0 those converted by margin."""
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+
+        def listed(lead):
+            body = re.search(re.escape(lead) + r" \(([^)]*)\)", readme).group(1)
+            return set(re.findall(r"`--([a-z-]+)`", body))
+
+        def typed(*convs):
+            return {name for name, conv in cli.TYPES.items() if conv in convs}
+
+        assert listed("Every integer option that counts or bounds something") == \
+            typed(cli.count)
+        assert listed("Every float option") == typed(cli.finite, cli.margin)
+        assert set(re.findall(r"`--([a-z-]+)` at least 0", readme)) == typed(cli.margin)
+
     def test_get_of_undeclared_option_is_a_bug(self):
-        opts = cli.Options("gambler", {}, {"tree": "path:L=3"})
+        run = cli.Run("gambler", {}, {"tree": "path:L=3"})
         with pytest.raises(KeyError, match="tree"):
-            opts.get("tree")
+            run.get("tree")
 
 
 class TestUsage:
@@ -487,6 +507,53 @@ class TestUsage:
         code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == 2 and out == ""
         assert f"config key {key!r}: must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize("grid", ["0.5,nan,inf", "0:1e308:1e-300"])
+    def test_non_finite_gamma_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, *self.ESTIMATE_BR, "--gamma-grid", grid,
+                             "--depths", "8,16")
+        assert code == 2 and out == ""
+        assert f"gamma grid {grid!r}" in err
+
+    @pytest.mark.parametrize("argv,path", [
+        pytest.param(["compute-psi", "--tree", "path:L=4", "--env", "det:mu=1",
+                      "--edge-depth", "2", "--out-dir"], "sub", id="out-dir"),
+        pytest.param(["gen-tree", "--tree", "path:L=4", "--output"], "tree.txt",
+                     id="gen-tree-output"),
+    ])
+    def test_unwritable_output_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                        argv, path):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file, not a directory\n")
+        target = str(blocker / path)
+        code, out, err = run(capsys, *argv, target)
+        assert code == 2 and out == ""
+        assert f"cannot write {target}" in err
+
+    def test_config_format_is_checked_before_the_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+        real = cli.edge_connection_probability_mc
+        monkeypatch.setattr(cli, "edge_connection_probability_mc",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("format = xml\n")
+        never = tmp_path / "never"
+        code, out, err = run(capsys, "--config", str(cfg), "percolate",
+                             "--tree", "path:L=3", "--env", "det:mu=1",
+                             "--depths", "1,2,3", "--trials", "100",
+                             "--out-dir", str(never))
+        assert code == 2 and out == ""
+        assert "unknown format 'xml'" in err
+        assert calls == []
+        assert not never.exists()
+
+    def test_level_sizes_beyond_the_float_range(self, capsys):
+        """3 * 2**1099 vertices at depth 1100: no float holds the count."""
+        code, out, err = run(capsys, "estimate-br", "--tree", "regular:d=3,L=1100",
+                             "--depths", "1100")
+        assert code == 0 and err == ""
+        assert out == "br estimate: 3.0 (threshold 0.1, deepest depth 1100)\n"
 
 
 class TestTables:

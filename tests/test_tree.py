@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,6 +322,19 @@ class TestLevelShortcut:
         # sizes 2, 4 with weights 1, 1/2 tie at value 2
         value = min_level_cutset_sum([1, 2, 4], lambda m: 1.0 if m == 1 else 0.5)
         assert value == 2.0
+
+    def test_level_size_beyond_the_float_range(self):
+        """Where a level size has no float, its product is the exact one
+        rounded once, or inf beyond the float range; every other product
+        stays the plain float one."""
+        huge = 10**400
+        value = min_level_cutset_sum([1, huge], lambda m: 1e-300)
+        assert value == float(Fraction(huge) * Fraction(1e-300)) == 1e100
+        assert min_level_cutset_sum([1, huge], lambda m: 0.5) == math.inf
+        # plain: float(2**53 + 1) * 3.0; the exact product rounds elsewhere
+        odd = 2**53 + 1
+        value = min_level_cutset_sum([1, huge, odd], lambda m: 3.0)
+        assert value == odd * 3.0 != float(3 * odd)
 
 
 class TestBranchingEstimate:

@@ -141,7 +141,7 @@ class TestDirectLaw:
     def test_root_is_uniform(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=9.0)
-        pos = simulate(env, StopRule(root_returns=30000), seed=9).positions
+        pos = simulate(env, StopRule(max_steps=10**8, root_returns=30000), seed=9).positions
         # the start and every return but the last are followed by a departure
         hits = Counter(w for v, w in zip(pos, pos[1:]) if v == 0)
         assert sum(hits.values()) == 30000
@@ -150,6 +150,11 @@ class TestDirectLaw:
 
 
 class TestSimulate:
+    def test_step_budget_is_required(self):
+        """Every run names its step budget; no implicit cap stands in."""
+        with pytest.raises(TypeError, match="max_steps"):
+            StopRule(hit_depth=2, root_returns=1)
+
     def test_max_steps_counts_moves(self):
         env = assign_deterministic(build_regular(3, 4))
         traj = simulate(env, StopRule(max_steps=25), seed=1)
@@ -264,7 +269,7 @@ class TestExtension:
         t = build_regular(3, 3)
         env = assign_deterministic(t)
         traj = simulate_extension(env, ClockTable(5), 1,
-                                  StopRule(hit_depth=1, root_returns=1))
+                                  StopRule(max_steps=10**8, hit_depth=1, root_returns=1))
         assert traj.escaped and traj.steps == 1
 
     def test_reflects_at_target(self):
@@ -283,7 +288,7 @@ class TestExtension:
         opens = 0
         for i in range(trials):
             traj = simulate_extension(env, ClockTable(derive_seed(3, i)), target,
-                                      StopRule(hit_depth=2, root_returns=1))
+                                      StopRule(max_steps=10**8, hit_depth=2, root_returns=1))
             opens += traj.escaped
         expect = Psi(env, target)
         assert expect == pytest.approx(0.25, rel=1e-12)
