@@ -77,15 +77,19 @@ class UsageError(Exception):
 # spec-string parsing
 
 
-def _kv_pairs(body: str, what: str, sep: str = ",") -> dict[str, str]:
+def _kv_pairs(body: str, what: str, keys: set[str], sep: str = ",") -> dict[str, str]:
+    """The key=value entries of a spec body; every key must be one of keys."""
     out: dict[str, str] = {}
     if not body:
         return out
     for part in body.split(sep):
         if "=" not in part:
-            raise UsageError(f"malformed {what} entry {part!r} (want key=value)")
+            raise UsageError(f"malformed {what} spec entry {part!r} (want key=value)")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
+    unknown = set(out) - keys
+    if unknown:
+        raise UsageError(f"unknown {what} key {sorted(unknown)[0]!r}")
     return out
 
 
@@ -104,23 +108,24 @@ def parse_tree_spec(spec: str) -> Tree:
 
 def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
     kind, _, body = spec.partition(":")
-    kv = _kv_pairs(body, "tree spec")
+    keys = {"path": {"L"}, "regular": {"d", "L"}, "poly": {"b", "L"}}
+    if kind == "file":
+        raise UsageError("this experiment needs a parametric tree family, "
+                         "not a tree file")
+    if kind not in keys:
+        raise UsageError(f"unknown tree family {kind!r} "
+                         "(expected path, regular, poly, or file)")
+    kv = _kv_pairs(body, "tree", keys[kind])
     try:
         if kind == "path":
-            return path_family(), int(kv.pop("L"))
+            return path_family(), int(kv["L"])
         if kind == "regular":
-            return regular_family(int(kv.pop("d"))), int(kv.pop("L"))
-        if kind == "poly":
-            return polynomial_family(float(kv.pop("b"))), int(kv.pop("L"))
+            return regular_family(int(kv["d"])), int(kv["L"])
+        return polynomial_family(float(kv["b"])), int(kv["L"])
     except KeyError as e:
         raise UsageError(f"tree spec {spec!r} is missing {e.args[0]}") from None
     except ValueError as e:
         raise UsageError(f"tree spec {spec!r}: {e}") from None
-    if kind == "file":
-        raise UsageError("this experiment needs a parametric tree family, "
-                         "not a tree file")
-    raise UsageError(f"unknown tree family {kind!r} "
-                     "(expected path, regular, poly, or file)")
 
 
 def parse_env_spec(spec: str):
@@ -133,10 +138,7 @@ def parse_env_spec(spec: str):
     keys = {"alpha": {"point", "two", "support", "probs"}, "det": {"lambda", "mu"}}
     if kind not in keys:
         raise UsageError(f"unknown env kind {kind!r} (expected alpha or det)")
-    kv = _kv_pairs(body, "env spec", ";" if kind == "alpha" else ",")
-    unknown = set(kv) - keys[kind]
-    if unknown:
-        raise UsageError(f"unknown env key {sorted(unknown)[0]!r}")
+    kv = _kv_pairs(body, "env", keys[kind], ";" if kind == "alpha" else ",")
     try:
         if kind == "det":
             return "det", (float(kv.get("lambda", "1")), float(kv.get("mu", "1")))
@@ -178,16 +180,19 @@ def _parse_gamma_grid(text: str) -> list[float]:
             start, stop, step = (float(x) for x in text.split(":"))
             if step <= 0 or stop < start:
                 raise ValueError("empty range")
-            n = int(round((stop - start) / step))
-            grid = [round(start + k * step, 10) for k in range(n + 1)]
+            q = (stop - start) / step  # counted before the grid is built
+            if q + 1 > 10_000:
+                raise UsageError(f"gamma grid {text!r} holds {q + 1:.6g} points; "
+                                 "a range may hold at most 10,000")
+            grid = [round(start + k * step, 10) for k in range(round(q) + 1)]
             grid = [g for g in grid if g <= stop + 1e-9]
         else:
             grid = sorted(float(x) for x in text.split(","))
-    except (ValueError, OverflowError):
+    except ValueError:
         raise UsageError(f"bad gamma grid {text!r} "
                          "(want start:stop:step or a comma list)") from None
-    if not all(map(math.isfinite, grid)):
-        raise UsageError(f"gamma grid {text!r}: every gamma must be finite")
+    if not all(0 <= g < math.inf for g in grid):  # NaN fails both
+        raise UsageError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
     return grid
 
 

@@ -103,32 +103,30 @@ class AlphaDistribution:
         return f"alpha:support={parts};probs={pp}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Environment:
     """Bias assignment bound to one tree, with cached potential theory.
 
-    lam and mu (lists or arrays, never written to) are stored twice: as
-    float lists for the kernels that index one vertex at a time, and as
-    float64 arrays (_tables) for whole-tree arithmetic. Every non-root bias
-    must be finite and positive; the first vertex that is not is named.
+    lam, mu and alpha (None outside the alpha family) are read-only float64
+    arrays by vertex id, each the environment's own copy, with the root's lam
+    and mu fixed at 1. Every non-root bias must be finite and positive; the
+    first vertex that is not is named.
 
     The potential tables R, phi, psi and log Psi are flat float64 arrays
     indexed by vertex id, held in _pot. Nothing is computed before the
     first query; that query fills all four for the whole tree in one pass,
-    level by level (see _potentials).
+    level by level (see _potentials), and _trans the direct walk's
+    parent-step probabilities (see _transition_table).
     """
 
     tree: Tree
-    lam: list[float]
-    mu: list[float]
-    alpha: list[float] | None = None
+    lam: np.ndarray
+    mu: np.ndarray
+    alpha: np.ndarray | None = None
     _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    # (pf, pl): parent-step probabilities on first and later visits, filled
-    # by goerw.walk on the first direct walk
+        default=None, init=False, repr=False)
     _trans: tuple[list[float], list[float]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.tree.n_vertices
@@ -138,17 +136,20 @@ class Environment:
         lam = np.array(self.lam, dtype=np.float64)
         mu = np.array(self.mu, dtype=np.float64)
         lam[0] = mu[0] = 1.0
-        self.lam, self.mu = lam.tolist(), mu.tolist()
         # min and max propagate NaN, and NaN fails both comparisons
         if not (lam.min() > 0 and mu.min() > 0 and lam.max() < math.inf
                 and mu.max() < math.inf):
             for v in range(1, n):
-                for b in (self.lam[v], self.mu[v]):
+                for b in (lam[v], mu[v]):
                     if not math.isfinite(b):
                         raise ValueError(f"biases must be finite, vertex {v}")
                     if b <= 0:
                         raise ValueError(f"biases must be positive, vertex {v}")
-        self._tables = (lam, mu)
+        lam.flags.writeable = mu.flags.writeable = False
+        self.lam, self.mu = lam, mu
+        if self.alpha is not None:
+            self.alpha = np.array(self.alpha, dtype=np.float64)
+            self.alpha.flags.writeable = False
 
 
 def assign_deterministic(tree: Tree, lam: float = 1.0, mu: float = 1.0) -> Environment:
@@ -162,14 +163,13 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
 
     alpha (a list or an array, never written to) has one entry per vertex;
     the root's is read as 0. lam is float64 arithmetic on whole arrays, the
-    same operations per entry as the scalar 1.0 + alpha[v] * deg(v)."""
+    same operations per entry as the scalar 1.0 + alpha[v] * deg(v), and no
+    table is ever turned into a list."""
     a = np.array(alpha, dtype=np.float64)
     if a.shape != (tree.n_vertices,):
         raise ValueError("need one alpha per vertex")
     a[0] = 0.0
-    lam = 1.0 + a * tree.degrees
-    mu = np.ones(tree.n_vertices)
-    return Environment(tree, lam, mu, alpha=a.tolist())
+    return Environment(tree, 1.0 + a * tree.degrees, np.ones(tree.n_vertices), alpha=a)
 
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
@@ -208,7 +208,7 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         n = tree.n_vertices
         parent = tree.levels.parent
         deep = slice(tree.levels.starts[2], None)  # the edges at depth >= 2
-        lam, mu = env._tables
+        lam, mu = env.lam, env.mu
         deg = tree.degrees
         # the root names no edge: R and phi 0 and an empty product; depth-1
         # edges have R = phi = psi = 1
@@ -228,6 +228,21 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
             table.flags.writeable = False
         env._pot = (R, ph, ps, lp)
     return env._pot
+
+
+def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
+    """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
+    first visit and mu/(mu + deg - 1) on later ones, 0 at the root, as
+    lists for the direct walk. Built on the first walk in an environment,
+    in float64 on whole arrays as lam / ((lam + deg) - 1): the scalar
+    expression's operation order, so every entry is bitwise the same."""
+    if env._trans is None:
+        d = env.tree.degrees
+        pf = env.lam / ((env.lam + d) - 1)
+        pl = env.mu / ((env.mu + d) - 1)
+        pf[0] = pl[0] = 0.0
+        env._trans = (pf.tolist(), pl.tolist())
+    return env._trans
 
 
 def resistance(env: Environment, e: int) -> float:

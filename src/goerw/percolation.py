@@ -111,6 +111,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     tree = env.tree
     children, depth = tree.children, tree.depth
     table = ClockTable(derive_seed(master_seed, sample_index))
+    lam, mu = memoryview(env.lam), memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
     cluster = []
     valid = True
@@ -127,7 +128,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
         states = [None] * len(path)
         states[1:d - 1] = [r.copy() for r in saved]
         want = {i: None for i in range(d, len(path) - 1) if len(children[path[i]]) > 1}
-        traj = _extension_run(env, table, path, d - 1, states, t0, StopRule(
+        traj = _extension_run(children, lam, mu, table, path, d - 1, states, t0, StopRule(
             max_steps=_EXTENSION_CAP, hit_depth=len(path) - 1, root_returns=1), snaps=want)
         runs += 1
         steps += traj.steps - t0

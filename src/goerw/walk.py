@@ -41,6 +41,10 @@ only spend time, they never touch an on-path clock. That exact coincidence
 is what the percolation layer relies on, and it is asserted wholesale in the
 test suite.
 
+The scalar clock kernels read lam and mu through memoryviews of the arrays,
+made once per call or percolation sample: they copy nothing and yield plain
+Python floats, which the loops read faster than np.float64 scalars.
+
 Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
 
@@ -57,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, _each
+from .environment import Environment, _each, _transition_table
 
 __all__ = [
     "ClockTable",
@@ -147,22 +151,6 @@ class WalkTrajectory:
 # the direct law
 
 
-def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
-    """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
-    first visit and mu/(mu + deg - 1) on later ones, 0 at the root, as
-    lists for the walk. Built on the first walk in an environment, in
-    float64 on whole arrays as lam / ((lam + deg) - 1): the scalar
-    expression's operation order, so every entry is bitwise the same."""
-    if env._trans is None:
-        lam, mu = env._tables
-        d = env.tree.degrees
-        pf = lam / ((lam + d) - 1)
-        pl = mu / ((mu + d) - 1)
-        pf[0] = pl[0] = 0.0
-        env._trans = (pf.tolist(), pl.tolist())
-    return env._trans
-
-
 def simulate(env: Environment, stop: StopRule, seed: int,
              record: bool = True) -> WalkTrajectory:
     """Run the walk from the root by drawing the law directly."""
@@ -234,7 +222,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
     xi = clocks.xi
     tree = env.tree
     parent, children, depth = tree.parent, tree.children, tree.depth
-    lam, mu = env.lam, env.mu
+    lam, mu = memoryview(env.lam), memoryview(env.mu)
     cap = stop.max_steps
     hd = stop.hit_depth
     rr = stop.root_returns
@@ -249,24 +237,15 @@ def simulate_rubin(env: Environment, stop: StopRule,
         st = state.get(v)
         if st is None:
             # excited departure: race the j=0 clocks under first-visit rates
-            if v:
-                neis = [parent[v]] + children[v]
-                best = xi(v, neis[0], 0) / lam[v]
-                widx = 0
-                for i in range(1, len(neis)):
-                    val = xi(v, neis[i], 0)
-                    if val < best:
-                        best = val
-                        widx = i
-            else:
-                neis = list(children[0])
-                best = math.inf
-                widx = 0
-                for i, u in enumerate(neis):
-                    val = xi(v, u, 0)
-                    if val < best:
-                        best = val
-                        widx = i
+            # (at the root, whose lam is 1, the first child's clock as it is)
+            neis = [parent[v]] + children[v] if v else list(children[0])
+            best = xi(v, neis[0], 0) / lam[v]
+            widx = 0
+            for i in range(1, len(neis)):
+                val = xi(v, neis[i], 0)
+                if val < best:
+                    best = val
+                    widx = i
             elapsed = [0.0] * len(neis)
             nxt = [1] * len(neis)
             nxt[widx] = 2  # the excited winner's j=1 clock is never raced
@@ -315,23 +294,23 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path = env.tree.root_path(target)
-    return _extension_run(env, clocks, path, 0, [None] * len(path), 0, stop,
-                          [0] if record else None)
+    return _extension_run(env.tree.children, memoryview(env.lam), memoryview(env.mu), clocks,
+                          path, 0, [None] * len(path), 0, stop, [0] if record else None)
 
 
-def _extension_run(env: Environment, clocks: ClockTable, path: list[int],
-                   pos: int, states: list, steps: int, stop: StopRule,
-                   positions: list | None = None, snaps: dict | None = None) -> WalkTrajectory:
+def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
+                   clocks: ClockTable, path: list[int], pos: int, states: list,
+                   steps: int, stop: StopRule, positions: list | None = None,
+                   snaps: dict | None = None) -> WalkTrajectory:
     """The extension on path from index pos, never yet passed, after steps
-    steps and no root return. states[i] is index i's race state, [total_up,
-    total_down, next_j_up, next_j_down] or None before its first visit,
-    updated in place; positions, unless None, gets each position. The
+    steps and no root return, under the float views lam and mu (memoryviews
+    of the environment's arrays). states[i] is index i's race state,
+    [total_up, total_down, next_j_up, next_j_down] or None before its first
+    visit, updated in place; positions, unless None, gets each position. The
     first arrival at an index i in snaps stores there (copies of states[1:i],
     steps), from which a run on another path through path[i] can start."""
     xi = clocks.xi
     k = len(path) - 1
-    children = env.tree.children
-    lam, mu = env.lam, env.mu
     cap = stop.max_steps
     hd = stop.hit_depth
     rr = stop.root_returns
@@ -455,7 +434,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, children = env.tree.root_path(target), env.tree.children
-    k, mu_path = len(path) - 1, env._tables[1][path]
+    k, mu_path = len(path) - 1, env.mu[path]
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     wide = max((len(children[u]) + 1 for u in path[1:-1]), default=1)

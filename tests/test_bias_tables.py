@@ -4,14 +4,15 @@ walk's parent-step probabilities pf and pl."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import goerw.cli as cli
-from goerw.environment import Environment, environment_from_alpha
+from goerw.environment import Environment, _transition_table, environment_from_alpha
 from goerw.tree import build_path, build_regular
-from goerw.walk import _transition_table, derive_seed
+from goerw.walk import derive_seed
 
 from conftest import random_tree
 
@@ -46,10 +47,12 @@ def ref_tables(tree, lam, mu):
 
 
 def assert_tables_equal(env, alpha, lam, mu):
-    assert env.alpha == alpha
-    assert env.lam == lam
-    assert env.mu == mu
-    assert all(type(x) is float for x in env.lam + env.mu)
+    assert (env.alpha is None) == (alpha is None)
+    if alpha is not None:
+        assert env.alpha.dtype == np.float64 and env.alpha.tolist() == alpha
+    assert env.lam.dtype == env.mu.dtype == np.float64
+    assert env.lam.tolist() == lam
+    assert env.mu.tolist() == mu
     pf, pl = _transition_table(env)
     assert (pf, pl) == ref_tables(env.tree, lam, mu)
     assert all(type(x) is float for x in pf + pl)
@@ -147,6 +150,50 @@ def test_table_is_built_on_first_walk_only():
     assert env._trans is None
     first = _transition_table(env)
     assert _transition_table(env) is first
+
+
+class TestStoredOnce:
+    """lam, mu and alpha are each stored once, as a read-only float64 array
+    that is the environment's own copy of its input."""
+
+    def test_read_only_float64_arrays(self):
+        t = build_regular(3, 2)
+        n = t.n_vertices
+        for env in (environment_from_alpha(t, [2.0] * n),
+                    Environment(t, [5.0] * n, np.full(n, 3.0), alpha=[0.5] * n)):
+            for table in (env.lam, env.mu, env.alpha):
+                assert type(table) is np.ndarray and table.dtype == np.float64
+                assert table.shape == (n,) and not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[1] = 7.0
+
+    def test_root_fix_leaves_the_input_alone(self):
+        t = build_regular(3, 2)
+        n = t.n_vertices
+        lam, mu, alpha = np.full(n, 5.0), np.full(n, 3.0), np.full(n, 2.0)
+        env = Environment(t, lam, mu)
+        assert (env.lam[0], env.mu[0]) == (1.0, 1.0)
+        assert not np.shares_memory(env.lam, lam) and not np.shares_memory(env.mu, mu)
+        fam = environment_from_alpha(t, alpha)
+        assert fam.alpha[0] == 0.0 and not np.shares_memory(fam.alpha, alpha)
+        for given, value in ((lam, 5.0), (mu, 3.0), (alpha, 2.0)):
+            assert given.flags.writeable and given.tolist() == [value] * n
+
+    def test_retained_bytes_per_vertex(self):
+        t = build_regular(3, 15)
+        n = t.n_vertices
+        alpha = np.random.default_rng(3).random(n)
+        t.degrees  # built once per tree, not per environment
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            env = environment_from_alpha(t, alpha)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert n == 98_302 and env.alpha is not None
+        # lam, mu and alpha: 24 bytes per vertex
+        assert retained <= 32 * n
 
 
 class TestRejection:

@@ -51,6 +51,15 @@ class TestSpecParsing:
                            "--env", "alpha:point=1")
         assert code == 2 and "L" in err
 
+    def test_unknown_tree_key_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "compute-psi", "--tree", "path:L=8,depth=3,foo=1",
+                             "--env", "det:mu=2", "--edge-depth", "3")
+        assert code == 2 and out == ""
+        assert "unknown tree key 'depth'" in err
+        for spec in ("regular:d=3,L=4,b=2", "poly:b=1.2,L=64,E=48"):
+            with pytest.raises(cli.UsageError, match="unknown tree key"):
+                parse_family_spec(spec)
+
     @pytest.mark.parametrize("env", ["alpha:point=nan", "alpha:point=inf",
                                      "alpha:two=0,nan,0.5",
                                      "alpha:support=0,3;probs=0.5,nan",
@@ -508,12 +517,23 @@ class TestUsage:
         assert code == 2 and out == ""
         assert f"config key {key!r}: must be at least 1, got 0" in err
 
-    @pytest.mark.parametrize("grid", ["0.5,nan,inf", "0:1e308:1e-300"])
-    def test_non_finite_gamma_grid_is_usage_error(self, capsys, grid):
-        code, out, err = run(capsys, *self.ESTIMATE_BR, "--gamma-grid", grid,
-                             "--depths", "8,16")
+    @pytest.mark.parametrize("argv,grid,message", [
+        pytest.param(ESTIMATE_BR + ["--depths", "8,16"], "0.5,nan,inf",
+                     "every gamma must be finite and at least 0",
+                     id="0.5,nan,inf"),
+        pytest.param(ESTIMATE_BR + ["--depths", "8,16"], "0:1e308:1e-300", "holds inf points",
+                     id="0:1e308:1e-300"),
+        pytest.param(["estimate-br", "--tree", "path:L=200"], "-200,1",
+                     "every gamma must be finite and at least 0", id="br-negative"),
+        pytest.param(["estimate-rt", "--tree", "poly:b=1.5,L=8", "--env", "alpha:point=1"],
+                     "-300,1", "every gamma must be finite and at least 0", id="rt-negative"),
+        pytest.param(ESTIMATE_BR + ["--depths", "8,16"], "0:1:1e-9",
+                     "holds 1e+09 points; a range may hold at most 10,000", id="range-too-long"),
+    ])
+    def test_non_finite_gamma_grid_is_usage_error(self, capsys, argv, grid, message):
+        code, out, err = run(capsys, *argv, f"--gamma-grid={grid}")
         assert code == 2 and out == ""
-        assert f"gamma grid {grid!r}" in err
+        assert f"gamma grid {grid!r}" in err and message in err
 
     @pytest.mark.parametrize("argv,path", [
         pytest.param(["compute-psi", "--tree", "path:L=4", "--env", "det:mu=1",

@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,9 +225,10 @@ class TestAlphaDistribution:
         e1 = sample_random_environment(t, dist, seed=11)
         e2 = sample_random_environment(t, dist, seed=11)
         e3 = sample_random_environment(t, dist, seed=12)
-        assert e1.alpha == e2.alpha
-        assert e1.alpha != e3.alpha
-        assert set(e1.alpha) <= {0.0, 3.0}
+        assert e1.alpha.dtype == e3.alpha.dtype == np.float64
+        assert e1.alpha.tolist() == e2.alpha.tolist()
+        assert e1.alpha.tolist() != e3.alpha.tolist()
+        assert set(e1.alpha.tolist()) <= {0.0, 3.0}
 
     def test_point_mass_draws_nothing(self, monkeypatch):
         def no_draw(*args):
@@ -235,9 +239,10 @@ class TestAlphaDistribution:
         ref = environment_from_alpha(t, [1.5] * t.n_vertices)
         for seed in (1, 2):
             env = sample_random_environment(t, AlphaDistribution.point(1.5), seed)
-            assert env.lam == ref.lam
-            assert env.mu == ref.mu
-            assert env.alpha == ref.alpha
+            assert env.lam.dtype == env.mu.dtype == env.alpha.dtype == np.float64
+            assert env.lam.tolist() == ref.lam.tolist()
+            assert env.mu.tolist() == ref.mu.tolist()
+            assert env.alpha.tolist() == ref.alpha.tolist()
 
     def test_sampling_frequencies_rough(self):
         t = build_regular(3, 7)  # 190 vertices... more below
@@ -363,3 +368,18 @@ class TestValidation:
         t = build_path(2)
         with pytest.raises(ValueError, match="per vertex"):
             environment_from_alpha(t, [1.0, 1.0])
+
+
+def test_only_environment_touches_private_fields():
+    """environment.py is the one module that reads or writes the private
+    fields of an Environment."""
+    private = {f.name for f in dataclasses.fields(Environment) if f.name.startswith("_")}
+    assert private
+    touched = []
+    for path in sorted(Path(environment.__file__).parent.glob("*.py")):
+        if path.name == "environment.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert touched == []

@@ -290,9 +290,9 @@ class TestOneRunPerPath:
         without capping."""
         runs = []
 
-        def counted(env, table, path, *args, **kwargs):
+        def counted(children, lam, mu, table, path, *args, **kwargs):
             runs.append(path[-1])
-            return _extension_run(env, table, path, *args, **kwargs)
+            return _extension_run(children, lam, mu, table, path, *args, **kwargs)
 
         def counted_lanes(env, target, seeds, cap):
             runs.extend([target] * seeds.size)
@@ -452,9 +452,10 @@ class TestResumedUnderCaps:
         envs = [random_lams(rng, t) for t in trees]
         resumed_binds = []
 
-        def watched(env, table, path, pos, states, steps, stop, *args, **kwargs):
-            out = _extension_run(env, table, path, pos, states, steps, stop,
-                                 *args, **kwargs)
+        def watched(children, lam, mu, table, path, pos, states, steps, stop,
+                    *args, **kwargs):
+            out = _extension_run(children, lam, mu, table, path, pos, states, steps,
+                                 stop, *args, **kwargs)
             if pos > 0 and steps < stop.max_steps and out.stop_reason == "max_steps":
                 resumed_binds.append((pos, steps, stop.max_steps))
             return out
