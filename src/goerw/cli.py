@@ -186,6 +186,9 @@ def _parse_gamma_grid(text: str) -> list[float]:
                                  "a range may hold at most 10,000")
             grid = [round(start + k * step, 10) for k in range(round(q) + 1)]
             grid = [g for g in grid if g <= stop + 1e-9]
+            if any(a >= b for a, b in zip(grid, grid[1:])):
+                raise UsageError(f"gamma grid {text!r}: step {step:g} is too small for "
+                                 "entries rounded to 10 decimals to stay distinct")
         else:
             grid = sorted(float(x) for x in text.split(","))
     except ValueError:

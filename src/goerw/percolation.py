@@ -15,7 +15,9 @@ connection Monte Carlo and the quasi-independence statistic run their
 trials in lockstep (walk.extension_reach), bitwise equal to one scalar run
 per trial. A cluster sample reads one clock table, so its runs stay
 scalar; each resumes from the state in which the run that opened its
-chain head's parent first arrived there, instead of restarting at the root.
+chain head's parent first arrived there, instead of restarting at the root,
+and the table keeps every clock value, so a clock read by several runs is
+hashed once.
 
 The cluster is not an independent percolation: nearby edges share clocks
 through their common ancestors. It is quasi-independent, with an explicit
@@ -101,10 +103,11 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     No run restarts at the root: until its first arrival at x, the run for
     c takes the steps of the run that opened x, on the same clocks, so it
     starts from that run's race states above x and step count there (the
-    step cap binds where a restart's would). That and the clock table's
-    hash prefix cache took the benchmark's cluster workload (regular:d=3,
-    L=7, alpha two-point (0, 3, 1/2)) from 265 to 600 units a second
-    (median of 10 alternating pairs, 2 cores, Python 3.11). The runs stay
+    step cap binds where a restart's would). That and the clock table,
+    which keeps every clock value it has computed, took the benchmark's
+    cluster workload (regular:d=3, L=7, alpha two-point (0, 3, 1/2)) from
+    265 to 764 units a second (medians of 10 alternating pairs, 2 cores,
+    Python 3.11; 579 with the hash prefixes alone). The runs stay
     scalar: on one clock table the lockstep kernel would run each chain as
     its own lane.
     """

@@ -49,7 +49,9 @@ Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
 
 All randomness is derived from explicit integer seeds by a splitmix-style
-mixer, so every run is reproducible bit for bit across platforms.
+mixer, so every run is reproducible bit for bit across platforms. A
+ClockTable keeps every clock value it has computed, not only each
+direction's hash prefix, so runs that share a table hash a clock once.
 """
 
 from __future__ import annotations
@@ -100,24 +102,30 @@ class ClockTable:
 
     A clock is a pure function of (seed, v, u, j), so two processes handed
     the same table read literally the same numbers; that is the whole
-    coupling. Clocks are recomputed on demand, but the table keeps the hash
-    of (seed, v, u) of each direction asked for, so a clock costs one
-    _splitmix, not three, for the table's life (one percolation sample).
+    coupling. The table computes each clock on its first read and keeps
+    every value it returns, keyed by (v, u, j), so a later read of it
+    hashes nothing; it also keeps the hash of (seed, v, u) of each direction
+    asked for, so a new clock costs one _splitmix, not three. Both grow with
+    the distinct clocks read over the table's life (one percolation sample
+    or one walk) and go with the table.
     """
 
-    __slots__ = ("seed", "_prefix")
+    __slots__ = ("seed", "_prefix", "_clock")
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
         self._prefix: dict[tuple[int, int], int] = {}
+        self._clock: dict[tuple[int, int, int], float] = {}
 
     def xi(self, v: int, u: int, j: int) -> float:
-        h = self._prefix.get((v, u))
-        if h is None:
-            h = self._prefix[v, u] = _splitmix(_splitmix(self.seed ^ v) ^ (u << 20))
-        h = _splitmix(h ^ j)
-        u01 = ((h >> 11) + 0.5) * (2.0 ** -53)
-        return -math.log(u01)
+        x = self._clock.get((v, u, j))
+        if x is None:
+            h = self._prefix.get((v, u))
+            if h is None:
+                h = self._prefix[v, u] = _splitmix(_splitmix(self.seed ^ v) ^ (u << 20))
+            h = _splitmix(h ^ j)
+            x = self._clock[v, u, j] = -math.log(((h >> 11) + 0.5) * (2.0 ** -53))
+        return x
 
 
 @dataclass(frozen=True)

@@ -529,6 +529,13 @@ class TestUsage:
                      "-300,1", "every gamma must be finite and at least 0", id="rt-negative"),
         pytest.param(ESTIMATE_BR + ["--depths", "8,16"], "0:1:1e-9",
                      "holds 1e+09 points; a range may hold at most 10,000", id="range-too-long"),
+        pytest.param(ESTIMATE_BR + ["--depths", "8,16"],
+                     "0.00000000001:0.00000000005:0.00000000001",
+                     "step 1e-11 is too small for entries rounded to 10 decimals to stay distinct",
+                     id="step-below-rounding"),
+        pytest.param(ESTIMATE_BR + ["--depths", "8,16"], "0:1e-12:1e-13",
+                     "step 1e-13 is too small for entries rounded to 10 decimals to stay distinct",
+                     id="step-far-below-rounding"),
     ])
     def test_non_finite_gamma_grid_is_usage_error(self, capsys, argv, grid, message):
         code, out, err = run(capsys, *argv, f"--gamma-grid={grid}")

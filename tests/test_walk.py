@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import goerw.cli as cli
+import goerw.percolation as percolation
 import goerw.walk as walk
 from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
 from goerw.tree import build_path, build_regular
@@ -57,7 +59,8 @@ def xi_ref(seed, v, u, j):
 
 
 class TestClockPrefixCache:
-    """ClockTable keeps the hash of (seed, v, u); every clock it returns is
+    """ClockTable keeps the hash of (seed, v, u) and every clock value it has
+    computed; every clock it returns, first or repeated, in any order, is
     still == the three-hash formula."""
 
     def test_repeated_and_interleaved_queries(self, rng):
@@ -98,6 +101,49 @@ class TestClockPrefixCache:
         assert a._prefix is not b._prefix
         assert a._prefix.keys() == b._prefix.keys() == set(keys)
         assert all(a._prefix[key] != b._prefix[key] for key in keys)
+
+    def test_shuffled_and_repeated_reads(self, rng):
+        t = ClockTable(31)
+        wanted = [(v, u, j) for v, u in [(0, 1), (1, 0), (1, 2), (5, 2)] for j in (2, 1, 0, 7)]
+        reads = [*wanted, *rng.choices(wanted, k=60)]
+        rng.shuffle(reads)
+        reads = [(1, 2, 2), (1, 2, 1), (1, 2, 2), *reads]  # j=2 before j=1, then again
+        for v, u, j in reads:
+            assert t.xi(v, u, j) == xi_ref(31, v, u, j)
+        assert t._clock.keys() == set(wanted)
+        assert t._prefix.keys() == {(v, u) for v, u, _ in wanted}
+
+    def test_a_cluster_sample_hashes_each_clock_once(self, monkeypatch):
+        """One sample on the cluster benchmark's tree: 2 hashes per
+        direction for its prefix, then 1 per distinct clock, however often
+        the sample's runs read it."""
+        tree = cli.parse_tree_spec("regular:d=3,L=7")
+        env = cli.build_environment(tree, "alpha:two=0,3,0.5", 12)
+        want = percolation.sample_ruin_percolation(env, 40, 3)
+        seed, tables, hashes, reads = derive_seed(40, 3), [], [], []
+
+        def table(s):
+            tables.append(ClockTable(s))
+            return tables[-1]
+
+        def splitmix(x, real=walk._splitmix):
+            hashes.append(x)
+            return real(x)
+
+        def xi(self, v, u, j, real=ClockTable.xi):
+            reads.append((v, u, j))
+            return real(self, v, u, j)
+
+        # the sample's seed is derived before the count starts: only the table hashes
+        monkeypatch.setattr(percolation, "derive_seed", lambda m, i: seed)
+        monkeypatch.setattr(percolation, "ClockTable", table)
+        monkeypatch.setattr(walk, "_splitmix", splitmix)
+        monkeypatch.setattr(ClockTable, "xi", xi)
+        got = percolation.sample_ruin_percolation(env, 40, 3)
+        assert got == want
+        (t,) = tables
+        assert len(hashes) == 2 * len(t._prefix) + len(t._clock)
+        assert t._clock.keys() == set(reads) and len(reads) > len(t._clock)
 
 
 class TestDirectLaw:
