@@ -394,6 +394,7 @@ def _run_simulate(r: Run) -> None:
         "mean_steps": sum(traj.steps for traj in trajs) / trials,
         "mean_returns": sum(traj.root_returns for traj in trajs) / trials,
         "max_depth_seen": max(traj.max_depth for traj in trajs),
+        "censored": sum(traj.stop_reason == "max_steps" for traj in trajs),
     }
     rows = [[t, traj.steps, traj.root_returns, traj.max_depth, int(traj.escaped),
              traj.stop_reason] for t, traj in enumerate(trajs)]

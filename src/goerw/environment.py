@@ -232,14 +232,19 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
     """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
-    first visit and mu/(mu + deg - 1) on later ones, 0 at the root, as
-    lists for the direct walk. Built on the first walk in an environment,
-    in float64 on whole arrays as lam / ((lam + deg) - 1): the scalar
-    expression's operation order, so every entry is bitwise the same."""
+    first visit and mu/(mu + deg - 1) on later ones, exactly 1 at a vertex
+    with no children and 0 at the root, as lists for the direct walk.
+    Built on the first walk in an environment, in float64 on whole arrays
+    as lam / ((lam + deg) - 1): the scalar expression's operation order, so
+    every entry is bitwise the same. At a childless vertex that expression
+    can round below 1 (0.9999999999999992 for lam = 0.1), which would let a
+    draw pick a child that is not there."""
     if env._trans is None:
         d = env.tree.degrees
         pf = env.lam / ((env.lam + d) - 1)
         pl = env.mu / ((env.mu + d) - 1)
+        leaf = d == 1
+        pf[leaf] = pl[leaf] = 1.0
         pf[0] = pl[0] = 0.0
         env._trans = (pf.tolist(), pl.tolist())
     return env._trans

@@ -67,7 +67,8 @@ class Tree:
     parent[v] is the id of v's parent (-1 for the root), children[v] the list
     of v's children in id order, depth[v] the distance from the root.
     degrees holds every vertex's neighbor count as one read-only int64
-    array, built on first use.
+    array, and only_child each vertex's only child (0 where it has none or
+    several) as a list, both built on first use.
 
     Ids are breadth-first: every level and every vertex's children are
     consecutive ids, in order, which is what lets whole-tree passes run
@@ -81,6 +82,7 @@ class Tree:
     truncation_depth: int
     _levels: Levels | None = field(default=None, repr=False, compare=False)
     _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _only_child: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -96,6 +98,15 @@ class Tree:
             deg.flags.writeable = False
             self._degrees = deg
         return self._degrees
+
+    @property
+    def only_child(self) -> list[int]:
+        """The only child of each vertex, or 0 (never a child) where it has
+        none or several: the direct walk's down-step from a single-child
+        vertex is one list read."""
+        if self._only_child is None:
+            self._only_child = [kids[0] if len(kids) == 1 else 0 for kids in self.children]
+        return self._only_child
 
     @property
     def levels(self) -> Levels:

@@ -7,8 +7,12 @@ At the root all children are uniform, every time.
 
 Three ways to run it:
 
-- simulate: draws the law directly from a seeded generator. Fastest, used
-  for phase scans where only the trajectory summary matters.
+- simulate: draws the law directly from a seeded generator, one draw per
+  step. Fastest, used for phase scans where only the trajectory summary
+  matters. A step down from a vertex with one child reads it from
+  Tree.only_child, which covers most vertices of a thin poly tree; the
+  trajectory is bitwise the one the plain loop draws, which computes the
+  child index at every step and is kept in the tests as the referee.
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -161,56 +165,55 @@ class WalkTrajectory:
 
 def simulate(env: Environment, stop: StopRule, seed: int,
              record: bool = True) -> WalkTrajectory:
-    """Run the walk from the root by drawing the law directly."""
+    """Run the walk from the root by drawing the law directly: one draw r
+    per step, up if r < p (the parent-step probability, lam's on a first
+    visit, mu's after), else to child int((r - p) / (1 - p) * k) of k, read
+    off Tree.only_child where k is 1. Up-steps check only for root returns,
+    down-steps only for a new depth (unset bounds are inf). Trajectories
+    are == the plain loop's, which checks both bounds at every step."""
     pf, pl = _transition_table(env)
     tree = env.tree
-    parent, children, depth = tree.parent, tree.children, tree.depth
-    rng = random.Random(seed)
-    rnd = rng.random
-    cap = stop.max_steps
-    hd = stop.hit_depth
-    rr = stop.root_returns
+    parent, children, depth, only = tree.parent, tree.children, tree.depth, tree.only_child
+    rnd = random.Random(seed).random
+    hd = math.inf if stop.hit_depth is None else stop.hit_depth
+    rr = math.inf if stop.root_returns is None else stop.root_returns
     visited = bytearray(len(parent))
     positions = [0] if record else None
-    v = 0
-    steps = 0
-    returns = 0
-    maxd = 0
+    v = steps = returns = maxd = 0
     reason = "max_steps"
-    while steps < cap:
-        if v:
-            if visited[v]:
-                p = pl[v]
-            else:
-                visited[v] = 1
-                p = pf[v]
-            r = rnd()
-            if r < p:
-                v = parent[v]
+    for steps in range(1, stop.max_steps + 1):
+        # at the root p is 0, so (r - p) / (1 - p) * k is r * k exactly
+        if visited[v]:
+            p = pl[v]
+        else:
+            visited[v] = 1
+            p = pf[v]
+        r = rnd()
+        if r < p:
+            v = parent[v]
+            if record:
+                positions.append(v)
+            if not v:
+                returns += 1
+                if returns >= rr:
+                    reason = "root_returns"
+                    break
+        else:
+            c = only[v]
+            if c:
+                v = c
             else:
                 kids = children[v]
                 k = len(kids)
                 idx = int((r - p) / (1.0 - p) * k)
                 v = kids[idx if idx < k else k - 1]
-        else:
-            kids = children[0]
-            k = len(kids)
-            idx = int(rnd() * k)
-            v = kids[idx if idx < k else k - 1]
-        steps += 1
-        if record:
-            positions.append(v)
-        d = depth[v]
-        if d > maxd:
-            maxd = d
-            if hd is not None and d >= hd:
-                reason = "hit_depth"
-                break
-        if v == 0:
-            returns += 1
-            if rr is not None and returns >= rr:
-                reason = "root_returns"
-                break
+            if record:
+                positions.append(v)
+            if depth[v] > maxd:
+                maxd = depth[v]
+                if maxd >= hd:
+                    reason = "hit_depth"
+                    break
     return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 

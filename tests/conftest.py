@@ -5,9 +5,10 @@ from itertools import product as _iproduct
 import pytest
 
 from goerw.analysis import FlowEnergyRow
-from goerw.environment import log_Psi
+from goerw.environment import Environment, _transition_table, log_Psi
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
+from goerw.walk import StopRule, WalkTrajectory
 
 
 def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
@@ -159,6 +160,67 @@ def flow_energy_rows_ref(env, gamma: float, depths) -> list[FlowEnergyRow]:
         rows.append(FlowEnergyRow(depth=L, max_flow=max_flow, flow_total=total,
                                   energy=energy, support_edges=support))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the direct walk's loop before the single-child table
+
+
+def simulate_ref(env: Environment, stop: StopRule, seed: int,
+                 record: bool = True) -> WalkTrajectory:
+    """walk.simulate as a plain loop: a visited flag per vertex, a branch
+    per bound and the child index computed at every down-step. The referee
+    its trajectories must equal bitwise."""
+    pf, pl = _transition_table(env)
+    tree = env.tree
+    parent, children, depth = tree.parent, tree.children, tree.depth
+    rng = random.Random(seed)
+    rnd = rng.random
+    cap = stop.max_steps
+    hd = stop.hit_depth
+    rr = stop.root_returns
+    visited = bytearray(len(parent))
+    positions = [0] if record else None
+    v = 0
+    steps = 0
+    returns = 0
+    maxd = 0
+    reason = "max_steps"
+    while steps < cap:
+        if v:
+            if visited[v]:
+                p = pl[v]
+            else:
+                visited[v] = 1
+                p = pf[v]
+            r = rnd()
+            if r < p:
+                v = parent[v]
+            else:
+                kids = children[v]
+                k = len(kids)
+                idx = int((r - p) / (1.0 - p) * k)
+                v = kids[idx if idx < k else k - 1]
+        else:
+            kids = children[0]
+            k = len(kids)
+            idx = int(rnd() * k)
+            v = kids[idx if idx < k else k - 1]
+        steps += 1
+        if record:
+            positions.append(v)
+        d = depth[v]
+        if d > maxd:
+            maxd = d
+            if hd is not None and d >= hd:
+                reason = "hit_depth"
+                break
+        if v == 0:
+            returns += 1
+            if rr is not None and returns >= rr:
+                reason = "root_returns"
+                break
+    return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 
 @pytest.fixture

@@ -35,11 +35,15 @@ def ref_alpha_env(tree, alpha):
 
 
 def ref_tables(tree, lam, mu):
-    """(pf, pl): lam/(lam + d - 1) and mu/(mu + d - 1), 0 at the root."""
+    """(pf, pl): lam/(lam + d - 1) and mu/(mu + d - 1), 1 at a vertex
+    without children, 0 at the root."""
     n = tree.n_vertices
     pf = [0.0] * n
     pl = [0.0] * n
     for v in range(1, n):
+        if not tree.children[v]:
+            pf[v] = pl[v] = 1.0
+            continue
         d = ref_deg(tree, v)
         pf[v] = lam[v] / (lam[v] + d - 1)
         pl[v] = mu[v] / (mu[v] + d - 1)

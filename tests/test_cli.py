@@ -1,6 +1,8 @@
+import csv
 import json
 import os
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,6 +223,21 @@ class TestOutputs:
                                       record=False).steps
                    for i in range(300))
         assert doc["statistics"]["depths"]["2"]["steps"] == want
+
+    def test_simulate_counts_censored_runs(self, tmp_path, capsys):
+        """Runs stopped by --max-steps are reported as censored, on the
+        summary line and in the JSON, never as an ordinary outcome."""
+        out = tmp_path / "sim"
+        code, text, _ = run(capsys, "simulate", "--tree", "path:L=30", "--env",
+                            "det:mu=1", "--trials", "200", "--max-steps", "6",
+                            "--returns", "1", "--seed", "3", "--out-dir", str(out))
+        assert code == 0
+        with open(out / "simulate.csv", newline="") as fh:
+            reasons = Counter(row["stop_reason"] for row in csv.DictReader(fh))
+        assert 0 < reasons["max_steps"] < 200
+        assert text.splitlines()[0].split()[-1] == f"censored={reasons['max_steps']}"
+        doc = json.loads((out / "simulate.json").read_text())
+        assert doc["statistics"]["censored"] == reasons["max_steps"]
 
 
 class TestSeedEcho:

@@ -63,3 +63,22 @@ def test_ruin_tables_match_the_reference_on_every_environment():
         wl.check(st)
         failures += st.failures
     assert failures == []
+
+
+def test_traced_phase_unit_sees_every_direct_walk():
+    """The tracer and the workload's censored-walk observer wrap
+    analysis.simulate, so one phase-annealed unit must show every walk of
+    both lanes there: a kernel the diagnostic called by another name would
+    leave both blind."""
+    tracer = load_tracer()
+    wl = load("workloads").WORKLOADS["phase-annealed"]
+    tr = tracer.Tracer()
+    with tracer.patched(tracer.replacements(tr)):
+        st = wl.setup(5)
+        with tracer.patched(wl.observers(st)):
+            wl.prepare(st, 0)
+            wl.run(st, 0)
+            wl.settle(st, 0)
+    assert tr.counts["walk.simulate.calls"] == 2 * wl.TRIALS
+    assert tr.counts["walk.simulate.steps"] > 0
+    assert st.longest > 0

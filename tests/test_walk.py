@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import goerw.cli as cli
 import goerw.percolation as percolation
 import goerw.walk as walk
 from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
-from goerw.tree import build_path, build_regular
+from goerw.tree import build_path, build_polynomial, build_regular, polynomial_level_sizes
 from goerw.walk import (
     ClockTable,
     StopRule,
@@ -22,7 +24,7 @@ from goerw.walk import (
     simulate_rubin,
 )
 
-from conftest import random_tree
+from conftest import random_broom, random_tree, simulate_ref
 
 
 class TestClockTable:
@@ -148,7 +150,8 @@ class TestClockPrefixCache:
 
 class TestDirectLaw:
     """The law as simulate draws it, tallied step by step on the 3-regular
-    tree of depth 2, whose depth-2 leaves always step back up."""
+    tree of depth 2, whose depth-2 leaves always step back up, and on a
+    path, whose interior vertices each have one child."""
 
     def test_step_probabilities_fresh(self):
         t = build_regular(3, 2)
@@ -194,8 +197,76 @@ class TestDirectLaw:
         for c in t.children[0]:
             assert hits[c] / 30000 == pytest.approx(1 / 3, abs=0.012)
 
+    def test_single_child_fresh_and_later(self):
+        """Every interior vertex of a path has one child, so each departure
+        from one is a single-child step: fresh ones go up with probability
+        lam/(lam + 1) = 3/4, later ones with mu/(mu + 1) = 1/3."""
+        L = 30
+        env = assign_deterministic(build_path(L), lam=3.0, mu=0.5)
+        fresh = fresh_up = later = later_up = 0
+        for i in range(2100):
+            pos = simulate(env, StopRule(max_steps=100), seed=derive_seed(12, i)).positions
+            seen = set()
+            for v, w in zip(pos, pos[1:]):
+                if not 0 < v < L:
+                    continue
+                if v in seen:
+                    later += 1
+                    later_up += w < v
+                else:
+                    fresh += 1
+                    fresh_up += w < v
+                seen.add(v)
+        assert fresh >= 40000 and later >= 40000
+        assert fresh_up / fresh == pytest.approx(0.75, abs=0.012)
+        assert later_up / later == pytest.approx(1 / 3, abs=0.012)
+
 
 class TestSimulate:
+    def test_equals_plain_loop_bitwise(self):
+        """The single-child table and the one-bound checks draw and
+        compare exactly as the plain loop does: positions and every
+        summary field are ==, on 2,400 random cases."""
+        rng = random.Random(0x5EED)
+        fixed = [build_path(7), build_regular(3, 3), build_polynomial(1.2, 12),
+                 build_polynomial(0.5, 9)]
+        for i in range(2400):
+            kind = i % 3
+            t = (random_tree(rng) if kind == 0 else random_broom(rng) if kind == 1
+                 else fixed[i // 3 % len(fixed)])
+            n = t.n_vertices
+            if rng.random() < 0.5:
+                pool = [0.0, 0.5, 3.0, rng.uniform(0.0, 20.0)]
+                env = environment_from_alpha(t, [rng.choice(pool) for _ in range(n)])
+            else:
+                env = Environment(t, [rng.uniform(0.05, 8.0) for _ in range(n)],
+                                  [rng.uniform(0.05, 8.0) for _ in range(n)])
+            stop = StopRule(max_steps=rng.choice([0, 1, 2, 3, 40, 400]),
+                            hit_depth=rng.choice([None, None, 1, 2, 3, t.truncation_depth]),
+                            root_returns=rng.choice([None, None, 0, 1, 2, 5]))
+            seed = derive_seed(31, i)
+            assert simulate(env, stop, seed) == simulate_ref(env, stop, seed)
+            a = simulate(env, stop, seed, record=False)
+            b = simulate_ref(env, stop, seed, record=False)
+            assert a == b and a.positions is None
+
+    def test_childless_vertex_steps_to_parent(self, monkeypatch):
+        """lam/((lam + deg) - 1) rounds to 0.9999999999999992 at the leaf
+        of a 2-edge path when lam = 0.1; the leaf's parent-step probability
+        is exactly 1, so no draw below 1 can ask it for a child."""
+
+        class Top:
+            def __init__(self, seed):
+                pass
+
+            def random(self):
+                return 0.9999999999999999
+
+        monkeypatch.setattr(walk.random, "Random", Top)
+        env = assign_deterministic(build_path(2), lam=0.1)
+        traj = simulate(env, StopRule(max_steps=3), seed=0)
+        assert traj.positions == [0, 1, 2, 1]
+
     def test_step_budget_is_required(self):
         """Every run names its step budget; no implicit cap stands in."""
         with pytest.raises(TypeError, match="max_steps"):
@@ -245,6 +316,30 @@ class TestSimulate:
         a = simulate(env, StopRule(max_steps=200), seed=11)
         b = simulate(env, StopRule(max_steps=200), seed=11)
         assert a.positions == b.positions
+
+
+class TestEscapeExact:
+    """End to end against the exact law. In the zero environment the walk
+    is simple random walk, and a poly tree is spherically symmetric, so an
+    excursion from the root reaches level E before it returns with
+    probability C / s(1), C = 1 / sum_{n <= E} 1/s(n) the effective
+    conductance to level E (Lyons-Peres ch. 2). The walk escapes within K
+    returns with probability 1 - (1 - C/s(1))^K."""
+
+    @pytest.mark.parametrize("b,E,K", [(1.0, 16, 2), (0.5, 8, 3), (2.0, 10, 1)])
+    def test_escape_frequency(self, b, E, K):
+        sizes = polynomial_level_sizes(b, E)
+        C = 1 / sum(Fraction(1, sizes[n]) for n in range(1, E + 1))
+        exact = float(1 - (1 - C / sizes[1]) ** K)
+        assert 0.1 <= exact <= 0.9
+        env = assign_deterministic(build_polynomial(b, E))
+        stop = StopRule(max_steps=10**6, hit_depth=E, root_returns=K)
+        trials = 4000
+        reasons = Counter(simulate(env, stop, derive_seed(41, E, t), record=False).stop_reason
+                          for t in range(trials))
+        assert reasons["max_steps"] == 0
+        z = (reasons["hit_depth"] / trials - exact) / math.sqrt(exact * (1 - exact) / trials)
+        assert abs(z) <= 4.5
 
 
 class TestRubin:
