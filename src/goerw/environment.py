@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,13 +88,16 @@ class AlphaDistribution:
         """Mass 1-p1 at a0 and p1 at a1."""
         return cls((float(a0), float(a1)), (1.0 - p1, p1))
 
+    @cached_property
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cumsum(self.probs), np.asarray(self.values, dtype=float)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw iid alphas. Uses inverse transform on the cumulative weights
-        so the output depends only on the generator's uniforms."""
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return np.asarray(self.values, dtype=float)[idx]
+        """Draw iid alphas. Uses inverse transform on the cumulative weights,
+        made once per law, so the output depends only on the generator's
+        uniforms."""
+        cum, atoms = self._inverse
+        return atoms.take(np.searchsorted(cum, rng.random(size), side="right"), mode="clip")
 
     def spec_string(self) -> str:
         if len(self.values) == 1:
@@ -125,7 +129,7 @@ class Environment:
     alpha: np.ndarray | None = None
     _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False)
-    _trans: tuple[list[float], list[float]] | None = field(
+    _trans: tuple[memoryview, Sequence[float]] | None = field(
         default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -164,7 +168,8 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
     alpha (a list or an array, never written to) has one entry per vertex;
     the root's is read as 0. lam is float64 arithmetic on whole arrays, the
     same operations per entry as the scalar 1.0 + alpha[v] * deg(v), and no
-    table is ever turned into a list."""
+    table is ever turned into a list: with mu == 1 the direct walk's
+    later-visit probabilities are the tree's (Tree.parent_step)."""
     a = np.array(alpha, dtype=np.float64)
     if a.shape != (tree.n_vertices,):
         raise ValueError("need one alpha per vertex")
@@ -230,23 +235,26 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return env._pot
 
 
-def _transition_table(env: Environment) -> tuple[list[float], list[float]]:
+def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
     """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
     first visit and mu/(mu + deg - 1) on later ones, exactly 1 at a vertex
-    with no children and 0 at the root, as lists for the direct walk.
-    Built on the first walk in an environment, in float64 on whole arrays
-    as lam / ((lam + deg) - 1): the scalar expression's operation order, so
-    every entry is bitwise the same. At a childless vertex that expression
-    can round below 1 (0.9999999999999992 for lam = 0.1), which would let a
-    draw pick a child that is not there."""
+    with no children and 0 at the root. Built on the first walk in an
+    environment, in float64 on whole arrays as lam / ((lam + deg) - 1): the
+    scalar expression's operation order, so every entry is bitwise the
+    same. At a childless vertex that expression can round below 1
+    (0.9999999999999992 for lam = 0.1), which would let a draw pick a child
+    that is not there. First visits read the array through a memoryview
+    (Python floats, no copy); later ones read a list, which where every mu
+    is 1 is exactly 1/deg, the tree's shared Tree.parent_step."""
     if env._trans is None:
         d = env.tree.degrees
-        pf = env.lam / ((env.lam + d) - 1)
-        pl = env.mu / ((env.mu + d) - 1)
-        leaf = d == 1
-        pf[leaf] = pl[leaf] = 1.0
-        pf[0] = pl[0] = 0.0
-        env._trans = (pf.tolist(), pl.tolist())
+        unit = (env.mu == 1.0).all()
+        p = [b / ((b + d) - 1) for b in ((env.lam,) if unit else (env.lam, env.mu))]
+        for q in p:
+            q[d == 1] = 1.0
+            q[0] = 0.0
+        p[0].flags.writeable = False
+        env._trans = (memoryview(p[0]), env.tree.parent_step if unit else p[1].tolist())
     return env._trans
 
 

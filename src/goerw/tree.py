@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -67,8 +68,9 @@ class Tree:
     parent[v] is the id of v's parent (-1 for the root), children[v] the list
     of v's children in id order, depth[v] the distance from the root.
     degrees holds every vertex's neighbor count as one read-only int64
-    array, and only_child each vertex's only child (0 where it has none or
-    several) as a list, both built on first use.
+    array, only_child each vertex's only child (0 where it has none or
+    several) as a list and parent_step each vertex's 1/deg (0 at the root)
+    as a tuple, all built on first use.
 
     Ids are breadth-first: every level and every vertex's children are
     consecutive ids, in order, which is what lets whole-tree passes run
@@ -80,50 +82,47 @@ class Tree:
     children: list[list[int]]
     depth: list[int]
     truncation_depth: int
-    _levels: Levels | None = field(default=None, repr=False, compare=False)
-    _degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _only_child: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Neighbor counts by vertex id: child count + 1, and at the root,
         which has no parent, just its child count."""
-        if self._degrees is None:
-            deg = self.levels.kids + 1
-            deg[0] -= 1
-            deg.flags.writeable = False
-            self._degrees = deg
-        return self._degrees
+        deg = self.levels.kids + 1
+        deg[0] -= 1
+        deg.flags.writeable = False
+        return deg
 
-    @property
+    @cached_property
     def only_child(self) -> list[int]:
         """The only child of each vertex, or 0 (never a child) where it has
         none or several: the direct walk's down-step from a single-child
         vertex is one list read."""
-        if self._only_child is None:
-            self._only_child = [kids[0] if len(kids) == 1 else 0 for kids in self.children]
-        return self._only_child
+        return [kids[0] if len(kids) == 1 else 0 for kids in self.children]
 
-    @property
+    @cached_property
+    def parent_step(self) -> tuple[float, ...]:
+        """1/deg of each vertex, 0 at the root: simple random walk's parent
+        step, shared as the later-visit one by every mu == 1 direct walk."""
+        return (0.0, *(1.0 / self.degrees[1:]).tolist())
+
+    @cached_property
     def levels(self) -> Levels:
         """The level and child ranges of the ids, built on first use."""
-        if self._levels is None:
-            parent = np.array(self.parent, dtype=np.int64)
-            depth = np.array(self.depth, dtype=np.int64)
-            if np.any(np.diff(depth) < 0) or np.any(np.diff(parent[1:]) < 0):
-                raise ValueError("vertex ids are not in breadth-first order")
-            kids = np.bincount(parent[1:], minlength=len(parent))
-            starts = np.searchsorted(depth, np.arange(self.truncation_depth + 3))
-            width = np.diff(starts)
-            # per level, how many of its vertices have one child
-            ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
-            single = (ones == width) & (width > 0)
-            self._levels = Levels(parent, starts.tolist(), kids, single.tolist())
-        return self._levels
+        parent = np.array(self.parent, dtype=np.int64)
+        depth = np.array(self.depth, dtype=np.int64)
+        if np.any(np.diff(depth) < 0) or np.any(np.diff(parent[1:]) < 0):
+            raise ValueError("vertex ids are not in breadth-first order")
+        kids = np.bincount(parent[1:], minlength=len(parent))
+        starts = np.searchsorted(depth, np.arange(self.truncation_depth + 3))
+        width = np.diff(starts)
+        # per level, how many of its vertices have one child
+        ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
+        single = (ones == width) & (width > 0)
+        return Levels(parent, starts.tolist(), kids, single.tolist())
 
     def level_runs(self, first: int, stop: int,
                    step: int) -> Iterator[tuple[int, int, bool]]:

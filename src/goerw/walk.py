@@ -12,7 +12,8 @@ Three ways to run it:
   matters. A step down from a vertex with one child reads it from
   Tree.only_child, which covers most vertices of a thin poly tree; the
   trajectory is bitwise the one the plain loop draws, which computes the
-  child index at every step and is kept in the tests as the referee.
+  child index at every step and is kept in the tests as the referee. Where
+  mu == 1 its later-visit list is the tree's (Tree.parent_step).
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -170,7 +171,9 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     visit, mu's after), else to child int((r - p) / (1 - p) * k) of k, read
     off Tree.only_child where k is 1. Up-steps check only for root returns,
     down-steps only for a new depth (unset bounds are inf). Trajectories
-    are == the plain loop's, which checks both bounds at every step."""
+    are == the plain loop's, which checks both bounds at every step. p is
+    read from _transition_table: first visits through a memoryview of an
+    array, later ones from a list, both yielding Python floats."""
     pf, pl = _transition_table(env)
     tree = env.tree
     parent, children, depth, only = tree.parent, tree.children, tree.depth, tree.only_child

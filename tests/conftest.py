@@ -2,13 +2,14 @@ import math
 import random
 from itertools import product as _iproduct
 
+import numpy as np
 import pytest
 
-from goerw.analysis import FlowEnergyRow
-from goerw.environment import Environment, _transition_table, log_Psi
+from goerw.analysis import K_RETURNS, FlowEnergyRow
+from goerw.environment import AlphaDistribution, Environment, environment_from_alpha, log_Psi
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
-from goerw.walk import StopRule, WalkTrajectory
+from goerw.walk import StopRule, WalkTrajectory, derive_seed
 
 
 def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
@@ -163,15 +164,37 @@ def flow_energy_rows_ref(env, gamma: float, depths) -> list[FlowEnergyRow]:
 
 
 # ---------------------------------------------------------------------------
-# the direct walk's loop before the single-child table
+# the direct walk's loop before the single-child table, on parent-step
+# probabilities computed one vertex at a time
+
+
+def ref_deg(tree: Tree, v: int) -> int:
+    return len(tree.children[v]) + (v != 0)
+
+
+def ref_tables(tree: Tree, lam, mu) -> tuple[list[float], list[float]]:
+    """(pf, pl): lam/(lam + d - 1) and mu/(mu + d - 1), 1 at a vertex
+    without children, 0 at the root."""
+    n = tree.n_vertices
+    pf = [0.0] * n
+    pl = [0.0] * n
+    for v in range(1, n):
+        if not tree.children[v]:
+            pf[v] = pl[v] = 1.0
+            continue
+        d = ref_deg(tree, v)
+        pf[v] = lam[v] / (lam[v] + d - 1)
+        pl[v] = mu[v] / (mu[v] + d - 1)
+    return pf, pl
 
 
 def simulate_ref(env: Environment, stop: StopRule, seed: int,
                  record: bool = True) -> WalkTrajectory:
     """walk.simulate as a plain loop: a visited flag per vertex, a branch
-    per bound and the child index computed at every down-step. The referee
-    its trajectories must equal bitwise."""
-    pf, pl = _transition_table(env)
+    per bound and the child index computed at every down-step, with the
+    parent-step probabilities of ref_tables. The referee its trajectories
+    must equal bitwise."""
+    pf, pl = ref_tables(env.tree, env.lam.tolist(), env.mu.tolist())
     tree = env.tree
     parent, children, depth = tree.parent, tree.children, tree.depth
     rng = random.Random(seed)
@@ -221,6 +244,30 @@ def simulate_ref(env: Environment, stop: StopRule, seed: int,
                 reason = "root_returns"
                 break
     return WalkTrajectory(positions, steps, returns, maxd, reason)
+
+
+def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
+                     horizon: int, trials: int, seed_base: int,
+                     lane: int) -> tuple[float, float, int]:
+    """analysis._escape_batch as a plain loop: every trial draws its alphas
+    by inverse transform from its own generator (even for a one-atom law,
+    whose draws all land on the atom), passes them to
+    environment_from_alpha and walks with simulate_ref. Returns (escape
+    frequency, mean root returns, censored runs)."""
+    stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
+                    root_returns=K_RETURNS)
+    n = tree.n_vertices
+    escapes = returns = censored = 0
+    for t in range(trials):
+        u = np.random.default_rng(derive_seed(seed_base, lane, t, 0)).random(n)
+        idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
+        alpha = np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)]
+        env = environment_from_alpha(tree, alpha)
+        traj = simulate_ref(env, stop, derive_seed(seed_base, lane, t, 1), record=False)
+        escapes += traj.escaped
+        returns += traj.root_returns
+        censored += traj.stop_reason == "max_steps"
+    return escapes / trials, returns / trials, censored
 
 
 @pytest.fixture

@@ -29,8 +29,8 @@ from goerw.tree import (
 )
 from goerw.walk import simulate
 
-from conftest import (cut_dp_ref, flow_energy_rows_ref, proportional_flow_ref, random_broom,
-                      random_tree)
+from conftest import (cut_dp_ref, escape_batch_ref, flow_energy_rows_ref,
+                      proportional_flow_ref, random_broom, random_tree)
 
 
 class TestGamblerExact:
@@ -219,6 +219,27 @@ class TestFlowArrays:
         for r in rows:
             assert [type(x) for x in (r.depth, r.max_flow, r.flow_total, r.energy,
                                       r.support_edges)] == [int, float, float, float, int]
+
+
+class TestEscapeBatch:
+    """The annealed lanes equal, bit for bit, the plain loop that draws
+    every trial's environment itself and walks it with the referee loop."""
+
+    @pytest.mark.parametrize("dist", [
+        AlphaDistribution.point(0.0),
+        AlphaDistribution.point(1.0),
+        AlphaDistribution.two_point(0.0, 3.0, 0.5),
+        AlphaDistribution((0.0, 0.25, 7.0), (0.2, 0.3, 0.5)),
+    ], ids=["zero", "point", "two", "three"])
+    @pytest.mark.parametrize("lane", [1, 2])  # excited, control
+    def test_equals_plain_loop_bitwise(self, dist, lane):
+        tree = build_polynomial(1.2, 40)
+        for seed, horizon in ((11, 10**6), (12, 400)):
+            args = (tree, dist, 30, horizon, 60, seed, lane)
+            got = analysis._escape_batch(*args)
+            assert got == escape_batch_ref(*args)
+            if horizon == 400:
+                assert got[2] > 0  # the short horizon censors some runs
 
 
 class TestPhaseDiagnostic:

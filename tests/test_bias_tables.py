@@ -2,6 +2,7 @@
 loops they replaced: lam, mu and alpha of the alpha family, and the direct
 walk's parent-step probabilities pf and pl."""
 
+import gc
 import math
 import random
 import tracemalloc
@@ -11,19 +12,16 @@ import pytest
 
 import goerw.cli as cli
 from goerw.environment import Environment, _transition_table, environment_from_alpha
-from goerw.tree import build_path, build_regular
-from goerw.walk import derive_seed
+from goerw.tree import build_path, build_polynomial, build_regular
+from goerw.walk import StopRule, derive_seed, simulate
 
-from conftest import random_tree
+from conftest import random_tree, ref_deg, ref_tables
 
 
 # ---------------------------------------------------------------------------
 # the per-vertex loops, kept as the reference; degrees are counted here from
-# the child lists, not read from Tree
-
-
-def ref_deg(tree, v):
-    return len(tree.children[v]) + (v != 0)
+# the child lists, not read from Tree (ref_deg and ref_tables are in
+# conftest.py, where the walk's referee loop reads them too)
 
 
 def ref_alpha_env(tree, alpha):
@@ -34,22 +32,6 @@ def ref_alpha_env(tree, alpha):
     return alpha, lam, [1.0] * tree.n_vertices
 
 
-def ref_tables(tree, lam, mu):
-    """(pf, pl): lam/(lam + d - 1) and mu/(mu + d - 1), 1 at a vertex
-    without children, 0 at the root."""
-    n = tree.n_vertices
-    pf = [0.0] * n
-    pl = [0.0] * n
-    for v in range(1, n):
-        if not tree.children[v]:
-            pf[v] = pl[v] = 1.0
-            continue
-        d = ref_deg(tree, v)
-        pf[v] = lam[v] / (lam[v] + d - 1)
-        pl[v] = mu[v] / (mu[v] + d - 1)
-    return pf, pl
-
-
 def assert_tables_equal(env, alpha, lam, mu):
     assert (env.alpha is None) == (alpha is None)
     if alpha is not None:
@@ -58,6 +40,9 @@ def assert_tables_equal(env, alpha, lam, mu):
     assert env.lam.tolist() == lam
     assert env.mu.tolist() == mu
     pf, pl = _transition_table(env)
+    # pf is a memoryview of an array, pl a list or the tree's tuple; every
+    # entry the walk reads is a Python float
+    pf, pl = list(pf), list(pl)
     assert (pf, pl) == ref_tables(env.tree, lam, mu)
     assert all(type(x) is float for x in pf + pl)
 
@@ -156,6 +141,41 @@ def test_table_is_built_on_first_walk_only():
     assert _transition_table(env) is first
 
 
+class TestSharedLaterVisits:
+    """Where every mu is 1 the later-visit table is the tree's parent_step,
+    one tuple for every such environment on the tree; any other mu gets
+    the environment's own list."""
+
+    def test_fresh_alpha_environments_share_one_table(self):
+        t = build_polynomial(1.2, 20)
+        n = t.n_vertices
+        envs = [cli.build_environment(t, "alpha:two=0,3,0.5", seed) for seed in (1, 2)]
+        envs.append(environment_from_alpha(t, np.full(n, 0.5)))
+        tables = [_transition_table(env) for env in envs]
+        assert all(pl is t.parent_step for _, pl in tables)
+        assert type(t.parent_step) is tuple
+        assert all(pf.readonly and pf.format == "d" for pf, _ in tables)
+        assert list(tables[0][0]) != list(tables[1][0])  # first visits differ
+
+    def test_alpha_with_other_mu_gets_its_own_list(self):
+        t = build_regular(3, 4)
+        n = t.n_vertices
+        alpha = np.full(n, 0.5)
+        lam = (1.0 + alpha * t.degrees).tolist()
+        env = Environment(t, lam, np.full(n, 3.0), alpha=alpha)
+        pl = _transition_table(env)[1]
+        assert pl is not t.parent_step and type(pl) is list
+        assert_tables_equal(env, [0.5] * n, [1.0, *lam[1:]], [1.0] + [3.0] * (n - 1))
+
+    @pytest.mark.parametrize("spec, shared", [
+        ("det:lambda=2,mu=1", True), ("det:lambda=1,mu=1", True),
+        ("det:lambda=2,mu=1.0000000000000002", False)])
+    def test_deterministic_mu_one_shares(self, spec, shared):
+        t = build_regular(3, 4)
+        env = cli.build_environment(t, spec, 0)
+        assert (_transition_table(env)[1] is t.parent_step) == shared
+
+
 class TestStoredOnce:
     """lam, mu and alpha are each stored once, as a read-only float64 array
     that is the environment's own copy of its input."""
@@ -198,6 +218,59 @@ class TestStoredOnce:
         assert n == 98_302 and env.alpha is not None
         # lam, mu and alpha: 24 bytes per vertex
         assert retained <= 32 * n
+
+    def test_walked_environment_bytes_per_vertex(self):
+        """A walked alpha environment keeps lam, mu, alpha and the
+        first-visit array, 32 bytes per vertex; the later-visit table is
+        the tree's."""
+        t = build_regular(3, 15)
+        n = t.n_vertices
+        stop = StopRule(max_steps=2000)
+        simulate(environment_from_alpha(t, np.zeros(n)), stop, 1)  # the tree's tables
+        alpha = np.random.default_rng(3).random(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            env = environment_from_alpha(t, alpha)
+            traj = simulate(env, stop, 2, record=False)
+            del traj
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert env._trans is not None
+        assert retained <= 40 * n
+
+    def test_fresh_trees_leave_memory_flat(self):
+        """Walking fresh environments on 200 freshly built trees keeps less
+        than one tree once they are dropped: no table outlives its tree."""
+        stop = StopRule(max_steps=100)
+        held = []
+
+        def walk_fresh(seed, hold=False):
+            t = build_regular(3, 7)
+            env = cli.build_environment(t, "alpha:two=0,3,0.5", seed)
+            simulate(env, stop, seed, record=False)
+            if hold:
+                held.append(env)
+
+        for seed in range(20):
+            walk_fresh(seed)
+        tracemalloc.start()
+        try:
+            for seed in range(20):  # the interpreter's free lists settle
+                walk_fresh(seed)
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for seed in range(200):
+                walk_fresh(seed)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+            walk_fresh(0, hold=True)
+            one_tree = tracemalloc.get_traced_memory()[0] - base - grown
+        finally:
+            tracemalloc.stop()
+        assert one_tree > 40_000
+        assert grown < one_tree
 
 
 class TestRejection:
