@@ -117,15 +117,17 @@ def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
                          "(expected path, regular, poly, or file)")
     kv = _kv_pairs(body, "tree", keys[kind])
     try:
-        if kind == "path":
-            return path_family(), int(kv["L"])
-        if kind == "regular":
-            return regular_family(int(kv["d"])), int(kv["L"])
-        return polynomial_family(float(kv["b"])), int(kv["L"])
+        family = (path_family() if kind == "path" else
+                  regular_family(int(kv["d"])) if kind == "regular" else
+                  polynomial_family(float(kv["b"])))
+        L = int(kv["L"])
     except KeyError as e:
         raise UsageError(f"tree spec {spec!r} is missing {e.args[0]}") from None
     except ValueError as e:
         raise UsageError(f"tree spec {spec!r}: {e}") from None
+    if L < 0:
+        raise UsageError(f"tree spec {spec!r}: L must be at least 0, got {L}")
+    return family, L
 
 
 def parse_env_spec(spec: str):
@@ -509,7 +511,7 @@ def _run_phase_scan(r: Run) -> None:
         horizon=r.get("horizon", 1_000_000),
         trials=r.get("trials", 1000),
         master_seed=r.seed(),
-        depth=r.get("depth", L))
+        depth=L)
     r.say(f"verdict: {verdict.verdict} (escape {verdict.escape_freq!r} vs "
           f"control {verdict.control_escape_freq!r}, sigma {verdict.sigma!r})")
     r.say(f"m={verdict.m!r} threshold={verdict.threshold!r} "
@@ -642,8 +644,8 @@ COMMANDS: dict[str, Command] = {
     "flow-check": Command("max flow and energy with capacity Psi^gamma", _run_flow_check,
                           ("tree", "env", "seed", "gamma", "depths", *_OUT)),
     "phase-scan": Command("escape-frequency phase diagnostic with matched control",
-                          _run_phase_scan, (*_SAMPLED, "depth", "escape-depth",
-                                            "horizon", "epsilon", *_OUT)),
+                          _run_phase_scan, (*_SAMPLED, "escape-depth", "horizon",
+                                            "epsilon", *_OUT)),
     "gambler": Command("exact biased gambler's ruin probability", _run_gambler,
                        ("mu", "start", "trials", "seed", *_OUT)),
     "concentration": Command("band-violation frequencies of the ruin product",

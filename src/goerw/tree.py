@@ -1,9 +1,9 @@
 """Rooted trees with a finite truncation depth, plus the cutset machinery
 used to measure how fast a tree grows.
 
-Trees are stored flat. Vertex ids are assigned in breadth-first order with
-the root at 0, and each vertex knows its parent, its children and its depth.
-An edge is identified by its child endpoint throughout the package: "edge e"
+A tree is stored as one flat parent list over vertex ids assigned in
+breadth-first order with the root at 0; children and depths are read from
+it. An edge is identified by its child endpoint throughout the package: "edge e"
 means the edge between vertex e and its parent, and the depth |e| of the edge
 equals the depth of that child vertex.
 
@@ -19,12 +19,15 @@ is what makes the growth-index estimates workable at large depth.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import groupby, islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,29 +66,51 @@ class Levels(NamedTuple):
 
 @dataclass
 class Tree:
-    """A rooted tree truncated at a fixed depth.
-
-    parent[v] is the id of v's parent (-1 for the root), children[v] the list
-    of v's children in id order, depth[v] the distance from the root.
-    degrees holds every vertex's neighbor count as one read-only int64
-    array, only_child each vertex's only child (0 where it has none or
-    several) as a list and parent_step each vertex's 1/deg (0 at the root)
-    as a tuple, all built on first use.
-
-    Ids are breadth-first: every level and every vertex's children are
-    consecutive ids, in order, which is what lets whole-tree passes run
-    level by level on arrays (see levels, level_runs, child_sums and
-    scan_down).
-    """
+    """A rooted tree truncated at a fixed depth, held as its parent list:
+    parent[v] is the id of v's parent, -1 for the root. Ids are
+    breadth-first (parent[0] == -1 <= 0 == parent[1] <= parent[2] <= ...,
+    each parent[v] < v; the constructor refuses any other list), so every
+    level and every vertex's children are consecutive ids, in order, which
+    lets whole-tree passes run level by level on arrays (see levels,
+    level_runs, child_sums and scan_down). Read from parent on first use:
+    children[v] in id order, depth[v], truncation_depth, degrees (neighbor
+    counts, a read-only int64 array), only_child (each vertex's only child,
+    0 where it has none or several) and parent_step (1/deg, 0 at the root,
+    a tuple). Trees are equal when their parent lists are."""
 
     parent: list[int]
-    children: list[list[int]]
-    depth: list[int]
-    truncation_depth: int
+
+    def __post_init__(self) -> None:
+        # parent[:2] == [-1, 0], parent nondecreasing, each parent[v] < v
+        parent = self.parent
+        if not (parent[:2] in ([-1], [-1, 0])
+                and all(map(operator.le, parent, islice(parent, 1, None)))
+                and all(map(operator.lt, parent, range(len(parent))))):
+            raise ValueError("vertex ids are not in breadth-first order")
 
     @property
     def n_vertices(self) -> int:
         return len(self.parent)
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        # a parent's id is the int object parent holds: each id stored once
+        ids = list(range(len(self.parent)))
+        for p in islice(self.parent, 1, None):
+            ids[p] = p
+        children: list[list[int]] = [[] for _ in ids]
+        for v, p in enumerate(islice(self.parent, 1, None), 1):
+            children[p].append(ids[v])
+        return children
+
+    @cached_property
+    def depth(self) -> list[int]:
+        starts = self.levels.starts
+        return np.repeat(np.arange(len(starts) - 2), np.diff(starts[:-1])).tolist()
+
+    @cached_property
+    def truncation_depth(self) -> int:
+        return len(self.levels.starts) - 3
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -112,17 +137,17 @@ class Tree:
     @cached_property
     def levels(self) -> Levels:
         """The level and child ranges of the ids, built on first use."""
+        # level d + 1 ends at the first id whose parent is past level d
+        starts = [0, 1]
+        while starts[-1] > starts[-2]:
+            starts.append(bisect_left(self.parent, starts[-1], starts[-1]))
         parent = np.array(self.parent, dtype=np.int64)
-        depth = np.array(self.depth, dtype=np.int64)
-        if np.any(np.diff(depth) < 0) or np.any(np.diff(parent[1:]) < 0):
-            raise ValueError("vertex ids are not in breadth-first order")
         kids = np.bincount(parent[1:], minlength=len(parent))
-        starts = np.searchsorted(depth, np.arange(self.truncation_depth + 3))
         width = np.diff(starts)
         # per level, how many of its vertices have one child
         ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
         single = (ones == width) & (width > 0)
-        return Levels(parent, starts.tolist(), kids, single.tolist())
+        return Levels(parent, starts, kids, single.tolist())
 
     def level_runs(self, first: int, stop: int,
                    step: int) -> Iterator[tuple[int, int, bool]]:
@@ -189,47 +214,55 @@ class Tree:
     def leftmost_at_depth(self, d: int) -> int:
         """Smallest vertex id at depth d. Breadth-first ids make this the
         leftmost vertex of the level."""
-        if not self.vertices_at_depth(d):
-            raise ValueError(f"tree has no vertices at depth {d}")
-        return self.levels.starts[d]
+        return self.vertices_at_depth(d).start
 
 
 # vertex cap of build_regular and build_polynomial
 _MAX_VERTICES = 2_000_000
 
 
-def _grow(child_counts: Sequence[int], depth: int, max_vertices: int) -> Tree:
-    """Breadth-first construction: every vertex on level n < depth gets
-    child_counts[n] children."""
-    parent = [-1]
-    children: list[list[int]] = [[]]
-    depths = [0]
-    prev = [0]
-    for n in range(depth):
-        k = child_counts[n]
-        nxt = []
-        for p in prev:
-            for _ in range(k):
-                vid = len(parent)
-                parent.append(p)
-                children.append([])
-                depths.append(n + 1)
-                children[p].append(vid)
-                nxt.append(vid)
-        if len(parent) > max_vertices:
-            raise ValueError(
-                f"tree exceeds {max_vertices} vertices by depth {n + 1}; "
-                "use the level-size shortcut instead of materializing it"
-            )
-        prev = nxt
-    return Tree(parent, children, depths, depth)
+def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
+    """The tree whose level n holds level_sizes[n] vertices (1 at the root,
+    each size dividing the next), every vertex of a level with as many
+    children as the next. The sizes are read a run of equal ones at a time
+    and counted before any level is built: a tree over max_vertices is
+    refused with no level built and no size read past the cap."""
+    runs: list[tuple[int, int]] = []  # (size, how many levels in a row have it)
+    total = 0
+    for size, run in groupby(level_sizes):
+        # room // size + 1 more levels of this size are over the cap
+        count = sum(islice(run, (max_vertices - total) // size + 1)) // size
+        runs.append((size, count))
+        total += size * count
+        if total > max_vertices:
+            raise ValueError(f"tree has {total} vertices by depth {sum(c for _, c in runs) - 1}, "
+                             f"over the {max_vertices} vertex cap; use the level-size "
+                             "shortcut instead of materializing it")
+    parent: list[int] = []
+    above = 1  # the root hangs from a level of one vertex, id -1
+    for size, count in runs:
+        a = len(parent) - above  # the level above: ids a .. a + above - 1
+        for p in range(a, a + above):
+            parent += [p] * (size // above)
+        # below the first level of a run every vertex has one child
+        parent += range(a + above, a + above + (count - 1) * size)
+        above = size
+    return Tree(parent)
+
+
+def _path_sizes(length: int) -> Iterator[int]:
+    return repeat(1, length + 1)
 
 
 def build_path(length: int) -> Tree:
     """A single path of the given length hanging off the root."""
     if length < 1:
         raise ValueError("path length must be at least 1")
-    return _grow([1] * length, length, 10_000_000)
+    return _grow(_path_sizes(length), 10_000_000)
+
+
+def _regular_sizes(d: int, depth: int) -> Iterator[int]:
+    return (d * (d - 1) ** (n - 1) if n else 1 for n in range(depth + 1))
 
 
 def build_regular(d: int, depth: int) -> Tree:
@@ -237,8 +270,7 @@ def build_regular(d: int, depth: int) -> Tree:
     vertex has d-1, so all non-root vertices have d neighbors."""
     if d < 2:
         raise ValueError("regular tree needs d >= 2")
-    counts = [d] + [d - 1] * (depth - 1)
-    return _grow(counts, depth, _MAX_VERTICES)
+    return _grow(_regular_sizes(d, depth), _MAX_VERTICES)
 
 
 def _dyadic_floor(b: float, n: int) -> int:
@@ -247,31 +279,25 @@ def _dyadic_floor(b: float, n: int) -> int:
     return math.floor(b * math.log2(n) + 1e-9)
 
 
+def _polynomial_sizes(b: float, depth: int) -> Iterator[int]:
+    if b <= 0:
+        raise ValueError("polynomial growth exponent must be positive")
+    return (1 << _dyadic_floor(b, n) if n else 1 for n in range(depth + 1))
+
+
 def polynomial_level_sizes(b: float, depth: int) -> list[int]:
     """Level sizes s(n) = 2**floor(b*log2 n), the dyadic staircase tracking
     n**b: n**b/2 < s(n) <= n**b for every n >= 1 (the upper end up to a
     factor 2**1e-9, from the rounding nudge in _dyadic_floor)."""
-    if b <= 0:
-        raise ValueError("polynomial growth exponent must be positive")
-    return [1] + [1 << _dyadic_floor(b, n) for n in range(1, depth + 1)]
+    return list(_polynomial_sizes(b, depth))
 
 
 def build_polynomial(b: float, depth: int) -> Tree:
     """Spherically symmetric tree whose level n holds exactly
-    2**floor(b*log2 n) vertices.
-
-    Every vertex on level n gets the same number of children, the ratio of
-    consecutive level sizes (a power of two; it can exceed 2 for b > 1 where
-    the dyadic staircase jumps more than one step at once).
-    """
-    sizes = polynomial_level_sizes(b, depth)
-    if sum(sizes) > _MAX_VERTICES:
-        raise ValueError(
-            f"polynomial tree b={b} depth={depth} has {sum(sizes)} vertices, "
-            f"over the {_MAX_VERTICES} cap; use polynomial_family for analysis"
-        )
-    counts = [sizes[n + 1] // sizes[n] for n in range(depth)]
-    return _grow(counts, depth, _MAX_VERTICES)
+    2**floor(b*log2 n) vertices. Each vertex of a level has the ratio of
+    consecutive level sizes as children: a power of two, above 2 for b > 1
+    where the dyadic staircase jumps more than one step at once."""
+    return _grow(_polynomial_sizes(b, depth), _MAX_VERTICES)
 
 
 def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
@@ -285,38 +311,25 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
         raise ValueError("empty edge list")
     kids: dict[int, list[int]] = {}
     par: dict[int, int] = {}
-    verts: set[int] = set()
     for p, c in edges:
-        verts.add(p)
-        verts.add(c)
         if c in par:
             raise ValueError(f"vertex {c} has two parents; not a tree")
         par[c] = p
         kids.setdefault(p, []).append(c)
-    roots = verts - par.keys()
+    roots = kids.keys() - par.keys()
     if len(roots) != 1:
         raise ValueError(f"expected one root, found {len(roots)}")
-    root = roots.pop()
 
-    order = [root]
-    new_id = {root: 0}
+    # the label of new id i is order[i]; the loop reads order as it grows
+    order = [roots.pop()]
     parent = [-1]
-    children: list[list[int]] = [[]]
-    depths = [0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    for i, v in enumerate(order):
         for c in sorted(kids.get(v, ())):
-            new_id[c] = len(order)
             order.append(c)
-            parent.append(new_id[v])
-            children.append([])
-            depths.append(depths[new_id[v]] + 1)
-            children[new_id[v]].append(new_id[c])
-    if len(order) != len(verts):
+            parent.append(i)
+    if len(order) != len(par) + 1:
         raise ValueError("edge list is disconnected or contains a cycle")
-    return Tree(parent, children, depths, max(depths))
+    return Tree(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -429,36 +442,19 @@ class TreeFamily:
 
 
 def path_family() -> TreeFamily:
-    return TreeFamily(
-        name="path",
-        build=build_path,
-        level_sizes=lambda L: [1] * (L + 1),
-        br_index=0.0,
-    )
+    return TreeFamily(name="path", build=build_path,
+                      level_sizes=lambda L: list(_path_sizes(L)), br_index=0.0)
 
 
 def regular_family(d: int) -> TreeFamily:
-    def sizes(L: int) -> list[int]:
-        out = [1]
-        for n in range(1, L + 1):
-            out.append(d if n == 1 else out[-1] * (d - 1))
-        return out
-
-    return TreeFamily(
-        name=f"regular-{d}",
-        build=lambda L: build_regular(d, L),
-        level_sizes=sizes,
-        br_index=math.inf if d >= 3 else 0.0,
-    )
+    return TreeFamily(name=f"regular-{d}", build=lambda L: build_regular(d, L),
+                      level_sizes=lambda L: list(_regular_sizes(d, L)),
+                      br_index=math.inf if d >= 3 else 0.0)
 
 
 def polynomial_family(b: float) -> TreeFamily:
-    return TreeFamily(
-        name=f"poly-{b:g}",
-        build=lambda L: build_polynomial(b, L),
-        level_sizes=lambda L: polynomial_level_sizes(b, L),
-        br_index=float(b),
-    )
+    return TreeFamily(name=f"poly-{b:g}", build=lambda L: build_polynomial(b, L),
+                      level_sizes=lambda L: polynomial_level_sizes(b, L), br_index=float(b))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +62,14 @@ class TestSpecParsing:
         for spec in ("regular:d=3,L=4,b=2", "poly:b=1.2,L=64,E=48"):
             with pytest.raises(cli.UsageError, match="unknown tree key"):
                 parse_family_spec(spec)
+
+    def test_negative_depth_is_usage_error(self):
+        """A negative L names no tree: the spec is refused before any
+        family builds from it."""
+        for spec in ("path:L=-1", "regular:d=3,L=-1", "poly:b=1.2,L=-3"):
+            with pytest.raises(cli.UsageError, match="L must be at least 0, got -"):
+                parse_family_spec(spec)
+        assert parse_family_spec("regular:d=3,L=0")[1] == 0
 
     @pytest.mark.parametrize("env", ["alpha:point=nan", "alpha:point=inf",
                                      "alpha:two=0,nan,0.5",
@@ -166,6 +175,23 @@ class TestConfigFile:
         assert doc["config"]["options"] == {
             "format": "json", "gamma-grid": "0.5,1.0", "out-dir": str(out),
             "tree": "path:L=8"}
+
+    def test_undotted_depth_does_not_cut_the_phase_scan_tree(self, tmp_path, capsys):
+        """phase-scan takes its tree depth from the spec's L alone: an
+        undotted depth meant for simulate leaves it whole, and --depth is
+        not a phase-scan flag."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("tree = poly:b=1.2,L=16\nenv = alpha:point=1\nseed = 3\n"
+                       "depth = 4\ntrials = 100\n")
+        code, out, err = run(capsys, "--config", str(cfg), "phase-scan", "--escape-depth",
+                             "8", "--out-dir", str(tmp_path), "--format", "json")
+        assert code == 0, err
+        assert out.startswith("verdict: ")
+        assert json.loads((tmp_path / "phase-scan.json").read_text())["statistics"]["depth"] == 16
+        with pytest.raises(SystemExit) as e:
+            main(["--config", str(cfg), "phase-scan", "--escape-depth", "8", "--depth", "16"])
+        assert e.value.code == 2
+        assert "--depth" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
@@ -338,7 +364,7 @@ class TestOptionTable:
             assert accepted == set(cmd.options), sub
             total += len(accepted)
         capsys.readouterr()
-        assert total == 71
+        assert total == 70
         assert set(cli.TYPES) == {n for c in cli.COMMANDS.values() for n in c.options}
 
     def test_alias_takes_the_same_options(self, capsys):
@@ -389,6 +415,14 @@ class TestUsage:
                      "estimate-br", "estimate-rt", "flow-check", "phase-scan",
                      "gambler", "concentration"):
             assert name in out
+
+    def test_oversize_tree_exits_2_before_it_is_built(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--tree", "regular:d=3,L=25",
+                             "--env", "det:mu=1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "3145726 vertices by depth 20, over the 2000000 vertex cap" in err
 
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "flow-check", "--tree", "path:L=8",

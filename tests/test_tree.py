@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goerw import tree as tree_module
 from goerw.tree import (
     BranchingTable,
     Tree,
@@ -66,10 +69,19 @@ class TestBuilders:
         assert t.degrees[1] == 3
         assert t.degrees[4] == 1  # truncation leaf
 
-    def test_regular_matches_family_sizes(self):
-        fam = regular_family(3)
-        t = build_regular(3, 4)
-        assert level_sizes(t) == fam.level_sizes(4)
+    @pytest.mark.parametrize("family", [path_family(), regular_family(2), regular_family(3),
+                                        regular_family(5), polynomial_family(0.5),
+                                        polynomial_family(1.2), polynomial_family(2.0)],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("depth", [0, 1, 2, 4, 9])
+    def test_build_matches_family_sizes(self, family, depth):
+        if family.name == "path" and depth == 0:
+            with pytest.raises(ValueError, match="at least 1"):
+                family.build(depth)
+            return
+        t = family.build(depth)
+        assert level_sizes(t) == family.level_sizes(depth)
+        assert t.truncation_depth == depth
 
     @pytest.mark.parametrize("b,depth", [(0.5, 64), (1.0, 64), (1.2, 64),
                                          (1.5, 32), (2.0, 32), (3.0, 12)])
@@ -87,6 +99,38 @@ class TestBuilders:
     def test_polynomial_vertex_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_polynomial(3.0, 128)
+
+    @pytest.mark.parametrize("build,args,depth", [
+        (build_regular, (3, 25), 20),
+        (build_regular, (3, 10**6), 20),
+        (build_path, (10_000_001,), 10_000_000),
+        (build_polynomial, (3.0, 128), 57),
+    ])
+    def test_oversize_tree_refused_before_it_is_built(self, build, args, depth):
+        """The vertices are counted level by level before any level is
+        built, so a tree over the cap costs neither its levels nor the
+        sizes of the levels past the one that crosses the cap."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=f"by depth {depth}, over the .* vertex cap"):
+                build(*args)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1.0
+        assert peak < 100 * 2**20
+
+    def test_a_tree_of_exactly_the_cap_builds(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "_MAX_VERTICES", 22)
+        assert build_regular(3, 3).n_vertices == 22
+        monkeypatch.setattr(tree_module, "_MAX_VERTICES", 21)
+        with pytest.raises(ValueError, match="22 vertices by depth 3, over the 21 vertex cap"):
+            build_regular(3, 3)
+        assert _grow([1] * 6, 6) == build_path(5)
+        with pytest.raises(ValueError, match="7 vertices by depth 6, over the 6 vertex cap"):
+            _grow([1] * 7, 6)
 
     def test_edge_list_two_parents(self):
         with pytest.raises(ValueError, match="two parents"):
@@ -280,8 +324,12 @@ class TestBreadthFirstLayout:
 
     def test_grow(self, rng):
         for _ in range(30):
-            depth = rng.randint(1, 6)
-            self.check(_grow([rng.randint(1, 4) for _ in range(depth)], depth, 10_000))
+            sizes = [1]
+            for _ in range(rng.randint(1, 6)):
+                sizes.append(sizes[-1] * rng.randint(1, 4))
+            t = _grow(sizes, 10_000)
+            self.check(t)
+            assert level_sizes(t) == sizes
 
     def test_edge_lists_and_file_round_trip(self, rng, tmp_path):
         path = str(tmp_path / "t.tree")
@@ -296,10 +344,14 @@ class TestBreadthFirstLayout:
             self.check(read_tree_file(path))
 
     def test_non_breadth_first_ids_refused(self):
-        t = Tree(parent=[-1, 2, 0], children=[[2], [], [1]], depth=[0, 2, 1],
-                 truncation_depth=2)
-        with pytest.raises(ValueError, match="breadth-first"):
-            t.levels
+        """A parent list is refused at construction unless it starts -1, 0,
+        never decreases and has each parent[v] < v."""
+        for parent in ([-1, 2, 0], [0], [-1, 1], [-1, 0, 1, 0], [-1, -1], [], [-1, 0, -1],
+                       [-1, 0, 2], [-1, 0, 0, 3]):
+            with pytest.raises(ValueError, match="vertex ids are not in breadth-first order"):
+                Tree(parent)
+        assert Tree([-1]).truncation_depth == 0
+        assert Tree([-1, 0, 0, 1, 2, 2]).children == [[1, 2], [3], [4, 5], [], [], []]
 
 
 class TestLevelShortcut:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -374,10 +375,39 @@ class TestRubin:
         assert up / n_used == pytest.approx(0.75, abs=4 * se)
 
     def test_same_table_same_trajectory(self):
+        """Two runs on one clock table are the same trajectory, and a run
+        under a depth or return bound is the unbounded run cut at the first
+        step that reaches depth h or makes the r-th return to the root."""
         env = assign_deterministic(build_regular(3, 4), lam=2.0, mu=0.7)
         a = simulate_rubin(env, StopRule(max_steps=300), ClockTable(42))
         b = simulate_rubin(env, StopRule(max_steps=300), ClockTable(42))
         assert a.positions == b.positions
+        # later visits lean to the parent, so the walk returns to the root
+        env = assign_deterministic(build_regular(3, 4), lam=2.0, mu=3.0)
+        depth = env.tree.depth
+        bounds = [(h, None) for h in (1, 2, 3, 4)] + [(None, r) for r in (1, 2, 3)]
+        bounds += [(4, 1), (2, 3), (4, 3), (3, 2)]
+        reasons = set()
+        for (hd, rr), seed in itertools.product(bounds, (42, 43)):
+            a = simulate_rubin(env, StopRule(max_steps=300), ClockTable(seed))
+            returns = 0
+            for i, v in enumerate(a.positions[1:], 1):
+                returns += v == 0
+                if hd is not None and depth[v] >= hd:
+                    reason = "hit_depth"
+                    break
+                if rr is not None and returns >= rr:
+                    reason = "root_returns"
+                    break
+            else:
+                pytest.fail(f"the unbounded run meets neither bound {hd}, {rr}")
+            c = simulate_rubin(env, StopRule(max_steps=300, hit_depth=hd, root_returns=rr),
+                               ClockTable(seed))
+            assert c.positions == a.positions[:i + 1]
+            assert (c.steps, c.root_returns, c.max_depth, c.stop_reason) == (
+                i, returns, max(depth[u] for u in c.positions), reason)
+            reasons.add(reason)
+        assert reasons == {"hit_depth", "root_returns"}
 
     def test_distribution_matches_direct(self):
         """The two constructions sample the same law: compare the depth
