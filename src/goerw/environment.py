@@ -89,15 +89,16 @@ class AlphaDistribution:
         return cls((float(a0), float(a1)), (1.0 - p1, p1))
 
     @cached_property
-    def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.cumsum(self.probs), np.asarray(self.values, dtype=float)
+    def _inverse(self) -> tuple[list[float], np.ndarray]:
+        return np.cumsum(self.probs)[:-1].tolist(), np.asarray(self.values, dtype=float)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw iid alphas. Uses inverse transform on the cumulative weights,
-        made once per law, so the output depends only on the generator's
-        uniforms."""
-        cum, atoms = self._inverse
-        return atoms.take(np.searchsorted(cum, rng.random(size), side="right"), mode="clip")
+        """Draw iid alphas by inverse transform: a uniform u gets the atom
+        whose index counts the first k-1 of the k cumulative weights (made
+        once per law) at or below u, so only the generator's uniforms count."""
+        cuts, atoms = self._inverse
+        u = rng.random(size)
+        return atoms.take(sum((c <= u for c in cuts), np.zeros(size, np.intp)))
 
     def spec_string(self) -> str:
         if len(self.values) == 1:

@@ -18,6 +18,7 @@ is what makes the growth-index estimates workable at large depth.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 import os
@@ -94,13 +95,19 @@ class Tree:
 
     @cached_property
     def children(self) -> list[list[int]]:
-        # a parent's id is the int object parent holds: each id stored once
-        ids = list(range(len(self.parent)))
-        for p in islice(self.parent, 1, None):
-            ids[p] = p
-        children: list[list[int]] = [[] for _ in ids]
-        for v, p in enumerate(islice(self.parent, 1, None), 1):
-            children[p].append(ids[v])
+        # a parent's id is the int object parent holds: each id stored once;
+        # lists of ints form no cycle, so the cyclic collector pauses meanwhile
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ids = list(range(len(self.parent)))
+            for p in islice(self.parent, 1, None):
+                ids[p] = p
+            children: list[list[int]] = [[] for _ in ids]
+            for v, p in enumerate(islice(self.parent, 1, None), 1):
+                children[p].append(ids[v])
+        finally:
+            (gc.enable if enabled else gc.disable)()
         return children
 
     @cached_property
@@ -250,6 +257,12 @@ def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
     return Tree(parent)
 
 
+def _levels(depth: int) -> range:
+    if depth < 0:
+        raise ValueError(f"tree depth must be at least 0, got {depth}")
+    return range(depth + 1)
+
+
 def _path_sizes(length: int) -> Iterator[int]:
     return repeat(1, length + 1)
 
@@ -262,7 +275,7 @@ def build_path(length: int) -> Tree:
 
 
 def _regular_sizes(d: int, depth: int) -> Iterator[int]:
-    return (d * (d - 1) ** (n - 1) if n else 1 for n in range(depth + 1))
+    return (d * (d - 1) ** (n - 1) if n else 1 for n in _levels(depth))
 
 
 def build_regular(d: int, depth: int) -> Tree:
@@ -282,7 +295,7 @@ def _dyadic_floor(b: float, n: int) -> int:
 def _polynomial_sizes(b: float, depth: int) -> Iterator[int]:
     if b <= 0:
         raise ValueError("polynomial growth exponent must be positive")
-    return (1 << _dyadic_floor(b, n) if n else 1 for n in range(depth + 1))
+    return (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
 
 
 def polynomial_level_sizes(b: float, depth: int) -> list[int]:

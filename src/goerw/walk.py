@@ -35,9 +35,9 @@ Three ways to run it:
   race states and step count another run had at its first arrival at a
   vertex both paths share.
   extension_reach runs many of these runs, one per seed, in lockstep on
-  numpy arrays: the clock hashes in uint64, each race in the same float64
-  operations in the same order, and each log by math.log (np.log is not
-  bitwise equal to it), so every run is == its scalar run.
+  numpy arrays and a batch's last few on _extension_run: uint64 hashes,
+  float64 races in the scalar order and math.log for every log kept
+  (np.log is not bitwise equal to it), so every run is == its scalar run.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -404,6 +404,8 @@ def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
 # host) and peak at half the memory, 38 MB instead of 77 MB.
 _CELL_BUDGET = 1 << 16
 
+_HANDOFF_LANES = 8  # live lanes at which a batch stops sweeping
+
 # 0-d arrays, which numpy combines with arrays faster than its scalars
 _GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (
     np.array(c, np.uint64) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
@@ -426,10 +428,11 @@ def derive_seeds(master: int, n: int) -> np.ndarray:
     return _splitmix_array(np.uint64(_splitmix(master & _M64)) ^ np.arange(n, dtype=np.uint64))
 
 
-def _xi_array(h: np.ndarray) -> np.ndarray:
+def _xi_array(h: np.ndarray, log=lambda u: _each(math.log, u)) -> np.ndarray:
     """ClockTable.xi from its last hashes h: the same float64 uniform, and
-    its log by math.log, since np.log is not bitwise equal to it."""
-    return -_each(math.log, ((h >> _S11) + 0.5) * (2.0 ** -53))
+    its log by math.log, since np.log is not bitwise equal to it; log=np.log
+    is about 30 times faster and at most an ulp off, enough to rank clocks."""
+    return -log(((h >> _S11) + 0.5) * (2.0 ** -53))
 
 
 def extension_reach(env: Environment, target: int, seeds: np.ndarray,
@@ -444,11 +447,15 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     running totals and next clock indices (parent side first), and the
     first visit's move if the excited winner is on the path, else 0 (that
     visit races the j=1 clocks as a later one does). A run is on a first
-    visit iff past the deepest index it has left."""
+    visit iff past the deepest index it has left. The excited race keeps no
+    value: np.log's clocks rank it unless two are within 1e-9 relative. A
+    batch down to _HANDOFF_LANES live lanes resumes each on _extension_run
+    from its cells' race states (None past the deepest index it has left)."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, children = env.tree.root_path(target), env.tree.children
     k, mu_path = len(path) - 1, env.mu[path]
+    lam, mu, stop = memoryview(env.lam), memoryview(env.mu), StopRule(cap, k, 1)
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     wide = max((len(children[u]) + 1 for u in path[1:-1]), default=1)
@@ -462,11 +469,11 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         first_mv[::k] = 1  # the root always steps down
         lane, pos, left = np.arange(n), np.zeros(n, np.int64), np.full(n, -1)
         raced = t = 0
-        while lane.size and t < cap:
+        while lane.size > _HANDOFF_LANES and t < cap:
             if raced < k - 1 and pos.max() > raced:
                 # when the first lane gets to a new index, the excited race
-                # over the full tree's j=0 clocks for every live lane; an
-                # on-path winner skips its own j=1 clock
+                # over the full tree's j=0 clocks for every live lane (near
+                # ties by math.log); an on-path winner skips its j=1 clock
                 raced += 1
                 u = path[raced]
                 row = [path[raced - 1]] + children[u]
@@ -476,8 +483,11 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                     _splitmix_array(seeds[lo + lane] ^ np.uint64(u))[:, None]
                     ^ np.array([(w << 20) & _M64 for w in row], np.uint64))
                 pre[c] = mid[:, [0, down]]
-                race = _xi_array(_splitmix_array(mid))
-                race[:, 0] /= env.lam[u]
+                h = _splitmix_array(mid)
+                rate = np.array([env.lam[u]] + [1.0] * len(children[u]))
+                race = _xi_array(h, np.log) / rate
+                near = (race <= race.min(axis=1, keepdims=True) * (1 + 1e-9)).sum(axis=1) > 1
+                race[near] = _xi_array(h[near]) / rate
                 win = race.argmin(axis=1)
                 first_mv[c] = mv = (win == down).astype(np.int8) - (win == 0)
                 nxt[c] = 1 + np.stack((mv < 0, mv > 0), axis=1)
@@ -502,8 +512,14 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                 reach[lo + lane[done]] = np.maximum(left, pos)[done]
                 steps[lo + lane[done]] = t
                 lane, pos, left = lane[~done], pos[~done], left[~done]
-        capped[lo + lane] = True
-        reach[lo + lane], steps[lo + lane] = np.maximum(left, pos), t
+        for j, p, lf in zip(lane.tolist(), pos.tolist(), left.tolist()):
+            c = slice(j * k + 1, j * k + lf + 1)
+            states = [None] * (k + 1)
+            states[1:lf + 1] = map(list.__add__, total[c].tolist(), nxt[c].tolist())
+            run = _extension_run(children, lam, mu, ClockTable(int(seeds[lo + j])),
+                                 path, p, states, t, stop)
+            reach[lo + j] = max(run.max_depth, lf)
+            capped[lo + j], steps[lo + j] = run.stop_reason == "max_steps", run.steps
     return reach, capped, steps
 
 

@@ -230,6 +230,31 @@ class TestAlphaDistribution:
         assert e1.alpha.tolist() != e3.alpha.tolist()
         assert set(e1.alpha.tolist()) <= {0.0, 3.0}
 
+    @pytest.mark.parametrize("values, probs", [
+        ((1.5,), (1.0,)),
+        ((0.0, 3.0), (0.5, 0.5)),
+        ((0.0, 1.0, 3.0), (0.2, 0.3, 0.5)),
+        ((2.0, 0.5, 1.0), (0.1, 0.2, 0.7)),  # cumulative 0.1, 0.30000000000000004, 1.0
+        ((2.0, 0.5, 1.0), (0.7, 0.2, 0.1)),  # the last is 0.9999999999999999: clipped
+    ])
+    def test_sample_equals_searchsorted(self, values, probs):
+        """The atom of each uniform is the inverse transform's: searchsorted
+        on the cumulative weights, side right, clipped to the last atom,
+        also for a uniform exactly at a cumulative weight or next to one."""
+        dist = AlphaDistribution(values, probs)
+        cum = np.cumsum(probs)
+        edges = cum.tolist() + [0.0, 1.0 - 2.0 ** -53]
+        u = np.array(edges + [math.nextafter(x, d) for x in edges for d in (0.0, 2.0)]
+                     + np.random.default_rng(3).random(1000).tolist())
+
+        class Uniforms:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        want = np.asarray(values).take(np.searchsorted(cum, u, side="right"), mode="clip")
+        assert dist.sample(Uniforms(), u.size).tolist() == want.tolist()
+
     def test_point_mass_draws_nothing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a one-atom law drew alphas")

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -132,6 +133,13 @@ class TestBuilders:
         with pytest.raises(ValueError, match="7 vertices by depth 6, over the 6 vertex cap"):
             _grow([1] * 7, 6)
 
+    @pytest.mark.parametrize("build,args", [(build_regular, (3, -1)), (build_regular, (2, -5)),
+                                            (build_polynomial, (1.2, -3)),
+                                            (build_polynomial, (0.5, -1))])
+    def test_negative_depth_refused(self, build, args):
+        with pytest.raises(ValueError, match=f"tree depth must be at least 0, got {args[1]}"):
+            build(*args)
+
     def test_edge_list_two_parents(self):
         with pytest.raises(ValueError, match="two parents"):
             build_from_edge_list([(0, 1), (2, 1)])
@@ -153,6 +161,31 @@ class TestBuilders:
         assert t.parent == [-1, 0, 0, 2]
         assert t.depth == [0, 1, 1, 2]
         assert t.truncation_depth == 2
+
+
+class TestChildren:
+    @pytest.mark.parametrize("t", [build_path(6), build_regular(2, 5), build_regular(3, 6),
+                                   build_polynomial(1.5, 12), build_polynomial(0.5, 20),
+                                   build_regular(3, 0)],
+                             ids=["path6", "regular2-5", "regular3-6", "poly1.5-12",
+                                  "poly0.5-20", "root"])
+    def test_children_of_family_trees(self, t):
+        want = [[] for _ in t.parent]
+        for v in range(1, t.n_vertices):
+            want[t.parent[v]].append(v)
+        assert t.children == want
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        """The cyclic collector is paused while the lists are built and
+        left as the caller had it."""
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert build_regular(3, 6).children[0] == [1, 2, 3]
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestCutsets:

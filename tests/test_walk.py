@@ -520,6 +520,50 @@ class TestLockstep:
         assert walk._xi_array(h).tolist() == want
         assert walk._xi_array(h.reshape(-1, 4)).ravel().tolist() == want
 
+    def test_np_log_ranks_within_an_ulp(self, rng):
+        """The excited race is ranked on np.log's clocks, redone on
+        math.log's where two racers are within 1e-9 relative; that is sound
+        while the two logs stay far closer, as they do (at most an ulp)."""
+        h = np.array(self.WORDS + [(2 ** 53 - 1) << 11, 1 << 11]
+                     + [rng.getrandbits(64) for _ in range(100_000)], dtype=np.uint64)
+        fast, exact = walk._xi_array(h, np.log), walk._xi_array(h)
+        assert np.all(np.abs(fast - exact) <= 1e-15 * exact)
+
+    def test_near_tie_is_raced_on_math_log(self, monkeypatch):
+        """lam at vertex 1 is set so that the first lane's parent clock over
+        lam ties its down clock exactly, and the ranking clocks put the
+        parent clock an ulp high (np.log's may be an ulp off): the tie is
+        redone on math.log's clocks and goes to the parent, as in the
+        scalar run."""
+        t = build_regular(3, 3)
+        dn, other = t.children[1]
+        seeds = derive_seeds(5, 30)
+        for s in seeds.tolist():
+            x, y, z = (ClockTable(s).xi(1, w, 0) for w in (0, dn, other))
+            if z > y:  # the tie is for the smallest
+                break
+        lam = x / y
+        for _ in range(100):
+            if x / lam == y:
+                break
+            lam = math.nextafter(lam, math.inf if x / lam > y else 0.0)
+        assert x / lam == y
+        env = Environment(t, [1.0, lam] + [2.0] * (t.n_vertices - 2), [0.5] * t.n_vertices)
+
+        def ranking_clocks(h, log=None, exact=walk._xi_array):
+            if log is None:
+                return exact(h)
+            x = exact(h)
+            x[:, 0] = np.nextafter(x[:, 0], np.inf)
+            return x
+
+        monkeypatch.setattr(walk, "_HANDOFF_LANES", 0)
+        monkeypatch.setattr(walk, "_xi_array", ranking_clocks)
+        target = t.children[dn][0]
+        got = lockstep_runs(env, target, seeds, 10_000_000)
+        assert got == scalar_runs(env, target, seeds, 10_000_000)
+        assert got[seeds.tolist().index(s)] == (1, False, 2)
+
     def test_random_trees_every_depth(self, rng):
         """Random lam and mu (mu != 1), a target at every depth, and every
         leaf."""
@@ -569,6 +613,89 @@ class TestLockstep:
         env = assign_deterministic(build_path(2))
         with pytest.raises(ValueError, match="non-root"):
             extension_reach(env, 0, derive_seeds(1, 3), 5)
+
+
+def handoff_cases(rng, n, seeds, caps):
+    """(env, target, seeds, cap, the scalar runs) on n random trees with
+    random lam and mu, toward the deepest vertex and a random one."""
+    cases = []
+    for k in range(n):
+        t = random_tree(rng, max_edges=25, max_depth=7)
+        env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
+                          [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
+        for target in {t.n_vertices - 1, rng.randrange(1, t.n_vertices)}:
+            for cap in caps:
+                s = derive_seeds(300 + k, seeds)
+                cases.append((env, target, s, cap, scalar_runs(env, target, s, cap)))
+    return cases
+
+
+class TestHandOff:
+    """Once a batch is down to _HANDOFF_LANES live lanes, each finishes on
+    the scalar runner from the race states its cells hold; the runs stay ==
+    the scalar ones whenever the hand-off happens."""
+
+    @staticmethod
+    def spy_tail(monkeypatch):
+        """Count the runs extension_reach hands off, by (whether the lane
+        had stepped before, how the run stopped)."""
+        tail = Counter()
+        run = walk._extension_run
+
+        def spy(*args):
+            traj = run(*args)
+            tail[args[7] > 0, traj.stop_reason] += 1
+            return traj
+
+        monkeypatch.setattr(walk, "_extension_run", spy)
+        return tail
+
+    def test_every_threshold_up_to_the_batch(self, rng, monkeypatch):
+        """From 0 (no hand-off) to the batch size (every lane handed off
+        before its first step), with caps that bind after the hand-off."""
+        cases = handoff_cases(rng, 10, 24, (1, 3, 6, 10, 10_000_000))
+        tail = self.spy_tail(monkeypatch)
+        for lanes in range(25):
+            monkeypatch.setattr(walk, "_HANDOFF_LANES", lanes)
+            for env, target, seeds, cap, want in cases:
+                assert lockstep_runs(env, target, seeds, cap) == want
+        assert tail[True, "max_steps"] > 0 and tail[False, "max_steps"] > 0
+        assert tail[True, "hit_depth"] > 0 and tail[True, "root_returns"] > 0
+
+    def test_single_lane_batches(self, rng, monkeypatch):
+        """A cell budget of 1 makes every batch one lane: handed off before
+        its first step at threshold 1; at 0 only a lane the cap stopped
+        reaches the scalar runner, which stops it at once."""
+        cases = handoff_cases(rng, 10, 12, (2, 5, 10_000_000))
+        monkeypatch.setattr(walk, "_CELL_BUDGET", 1)
+        tail = self.spy_tail(monkeypatch)
+        for lanes in (0, 1):
+            monkeypatch.setattr(walk, "_HANDOFF_LANES", lanes)
+            tail.clear()
+            for env, target, seeds, cap, want in cases:
+                assert lockstep_runs(env, target, seeds, cap) == want
+            if lanes:
+                assert tail.keys() <= {(False, r) for r in ("max_steps", "hit_depth",
+                                                            "root_returns")}
+                assert sum(tail.values()) == sum(c[2].size for c in cases)
+            else:
+                assert tail.keys() == {(True, "max_steps")}
+
+    def test_batches_each_hand_off(self, rng, monkeypatch):
+        """101 lanes in batches of 4 toward a depth-6 target, handing off at
+        2 live lanes: each batch finishes its own last lanes, and the lone
+        lane of the last batch is handed off before its first step."""
+        monkeypatch.setattr(walk, "_CELL_BUDGET", 40)
+        monkeypatch.setattr(walk, "_HANDOFF_LANES", 2)
+        t = build_regular(3, 6)
+        env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
+                          [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
+        seeds = derive_seeds(12, 101)
+        want = scalar_runs(env, t.leftmost_at_depth(6), seeds, 10_000_000)
+        tail = self.spy_tail(monkeypatch)
+        assert lockstep_runs(env, t.leftmost_at_depth(6), seeds, 10_000_000) == want
+        assert sum(n for (stepped, _), n in tail.items() if not stepped) == 1
+        assert sum(tail.values()) > 25
 
 
 class TestRestriction:
