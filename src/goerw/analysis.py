@@ -26,6 +26,7 @@ from .environment import (
     Environment,
     _each,
     _potentials,
+    _ruin_weights,
     environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
     log_Psi,  # likewise
     sample_random_environment,
@@ -228,6 +229,12 @@ def flow_energy_check(env: Environment, gamma: float,
     """Max flow with edge capacities Psi(e)**gamma and the Dirichlet energy
     sum theta(e)^2 / c(e) of the proportionally routed flow, at each depth.
 
+    The capacities are evaluated only where a cut can read them, on the
+    cut depths and at the vertices with two or more children, and are +inf
+    elsewhere (see environment._ruin_weights). That leaves F, so the max
+    flow, theta and the energy, bitwise those of every capacity evaluated:
+    Psi never increases down a root path, and gamma > 1.
+
     The flow is scaled so the total leaving the root is min(1, max flow).
     Bounded energy across growing depths is the desk-scale signature of the
     transient regime; a flow decaying toward zero is flagged degenerate."""
@@ -244,7 +251,7 @@ def flow_energy_check(env: Environment, gamma: float,
     # cap and conductance are needed down to the deepest cut only
     m = tree.levels.starts[depths[-1] + 1]
     _, _, ps, lp = (table[:m] for table in _potentials(env))
-    cap = _each(math.exp, gamma * lp)
+    cap = _ruin_weights(tree, lp, gamma, depths)
     # adapted_conductance: 1 at depth 1, else Psi(e) / (1 - psi(e))
     conductance = np.ones(m)
     deep = slice(tree.levels.starts[2], None)

@@ -208,7 +208,7 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     (Tree.scan_down), psi one whole-tree expression in between. Every entry
     is the float64 operations of the scalar recursion in the same order, so
     the tables are bitwise those of a vertex-by-vertex loop (the logs are
-    math.log's)."""
+    math.log's, and -inf where psi is 0)."""
     if env._pot is None:
         tree = env.tree
         n = tree.n_vertices
@@ -228,8 +228,13 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         factor = (lam[w] + (deg[w] - 2) * mu[w] / (mu[w] + 1.0)) / (lam[w] + deg[w] - 1.0)
         drop = 1.0 - ph[parent[w]] / ph[deep]
         ps[deep] = 1.0 - drop * factor
+        # psi rounds to 0 where the drop is 1 and the bracket rounds to 1;
+        # math.log refuses 0, its log is -inf, and Psi below is exactly 0
+        zero = ps == 0.0
+        logs = _each(math.log, np.where(zero, 1.0, ps))
+        logs[zero] = -math.inf
         lp = np.zeros(n)
-        tree.scan_down(np.add, lp, _each(math.log, ps), 1)
+        tree.scan_down(np.add, lp, logs, 1)
         for table in (R, ph, ps, lp):
             table.flags.writeable = False
         env._pot = (R, ph, ps, lp)
@@ -317,6 +322,34 @@ def rt_hypothesis_sup(env: Environment) -> float:
     return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))
 
 
+def _ruin_weights(tree: Tree, lp: np.ndarray, gamma: float | np.ndarray,
+                  cuts: Sequence[int]) -> np.ndarray:
+    """Psi**gamma = exp(gamma * log Psi) by vertex id, from lp = log Psi
+    through the deepest cut (one row per gamma if gamma is an array), where
+    a cutset DP (tree._cut_dp) at a depth in cuts can read it: on a cut
+    depth and at a vertex with two or more children. Every other entry is
+    +inf, and the DP's F stays bitwise the same for gamma >= 0:
+    - a dead end above a cut reads no weight, its F is 0;
+    - psi lies in [0, 1], so log Psi, and with it the weight, never
+      increases down a root path. At a vertex v above a cut with one child
+      c, F(c) <= w(c) <= w(v), so the DP returns F(c) at v whether w(v) is
+      that weight or +inf (a NaN weight, which only a NaN log Psi gives,
+      reads as +inf too).
+    A Psi of 0 weighs 0.0**gamma: 1 at gamma 0, where exp(0 * -inf) would
+    be NaN."""
+    starts = tree.levels.starts
+    read = tree.levels.kids[:lp.size] > 1
+    for d in cuts:
+        read[starts[d]:starts[d + 1]] = True
+    ids = np.flatnonzero(read)
+    with np.errstate(invalid="ignore"):  # 0 * -inf, mended next
+        x = np.multiply.outer(gamma, lp[ids])
+    x[np.isnan(x) & np.isneginf(lp[ids])] = 0.0
+    w = np.full(x.shape[:-1] + lp.shape, math.inf)
+    w[..., ids] = _each(math.exp, x)
+    return w
+
+
 # weights per cutset pass of rt_estimate: bounds its memory on large trees
 _RT_CELLS = 1 << 18
 
@@ -331,7 +364,15 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     pair_family(L) must return the truncated tree together with its
     environment, extending consistently as L grows (same seed and rule) so
     the depths are comparable.
+
+    Only the weights a cut can read are evaluated (see _ruin_weights): on
+    the truncation level and at the vertices with two or more children,
+    +inf elsewhere. For gamma >= 0 that is exact, every value bitwise that
+    of the DP on every weight, so a negative or NaN gamma is refused.
     """
+    for g in gamma_grid:
+        if not g >= 0:  # NaN fails too
+            raise ValueError(f"gamma must be at least 0, got {g!r}")
     gammas = sorted(gamma_grid)
     depths = sorted(depths)
     if not gammas or not depths:
@@ -345,7 +386,8 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
         rows = max(1, _RT_CELLS // lp.size)
         for k in range(0, len(gammas), rows):
             chunk = gammas[k:k + rows]
-            weights = _each(math.exp, np.multiply.outer(np.asarray(chunk, dtype=np.float64), lp))
+            weights = _ruin_weights(tree, lp, np.asarray(chunk, dtype=np.float64),
+                                    [tree.truncation_depth])
             for g, value in zip(chunk, min_cutset_sum(tree, weights)):
                 values[(g, L)] = value
     return BranchingTable(gammas, depths, values, threshold)

@@ -19,7 +19,8 @@ from goerw.analysis import (
     proportional_flow,
     tree_max_flow,
 )
-from goerw.environment import AlphaDistribution, Environment, assign_deterministic, phi
+from goerw.environment import (AlphaDistribution, Environment, assign_deterministic, phi,
+                               sample_random_environment)
 from goerw.errors import RefusalError
 from goerw.tree import (
     build_from_edge_list,
@@ -219,6 +220,17 @@ class TestFlowArrays:
         for r in rows:
             assert [type(x) for x in (r.depth, r.max_flow, r.flow_total, r.energy,
                                       r.support_edges)] == [int, float, float, float, int]
+
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_shapes_equal_scalar(self, seed):
+        """poly:b=1.5 under a two-atom law, cut at 8, 16 and 32: chains
+        128 wide below a branching level, where most capacities are never
+        evaluated."""
+        t = polynomial_family(1.5).build(32)
+        env = sample_random_environment(t, AlphaDistribution.two_point(0.0, 3.0, 0.5), seed)
+        rows = flow_energy_check(env, 1.5, [8, 16, 32]).rows
+        assert repr(rows) == repr(flow_energy_rows_ref(env, 1.5, [8, 16, 32]))
 
 
 class TestEscapeBatch:

@@ -132,6 +132,40 @@ class TestPsi:
         assert vals["c"] == pytest.approx(1.0, rel=1e-12)
 
 
+class TestZeroPsi:
+    """alpha = 1e300 makes the depth-2 drop term exactly 1 and the bias
+    bracket round to 1, so psi there is 0.0: log Psi is -inf and Psi is
+    exactly 0 from depth 2 down, where math.log(0.0) used to end each of
+    these subcommands in exit 2."""
+
+    ENV = ("--tree", "poly:b=1.5,L=8", "--env", "alpha:point=1e300", "--seed", "1")
+
+    def test_compute_psi_reports_zero(self, capsys):
+        code, out, err = run(capsys, "compute-psi", *self.ENV, "--edge-depth", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["Psi = 0.0", "c = 0.0"]
+
+    def test_percolate(self, capsys):
+        code, out, err = run(capsys, "percolate", *self.ENV, "--depth", "3",
+                             "--trials", "200")
+        assert (code, err) == (0, "") and "exact=0.0 p_hat=0.0" in out
+
+    def test_estimate_rt(self, tmp_path, capsys):
+        code, _, err = run(capsys, "estimate-rt", *self.ENV, "--depths", "4,8",
+                           "--gamma-grid", "0,1,2", "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "estimate-rt.csv").read_text().splitlines()[1:]
+        # every cut below depth 1 weighs 0.0 ** gamma: 1 at gamma 0, else 0
+        assert {r.split(",")[0]: r.split(",")[2] for r in rows} == {
+            "0.0": "1.0", "1.0": "0.0", "2.0": "0.0"}
+
+    def test_flow_check(self, capsys):
+        code, out, err = run(capsys, "flow-check", *self.ENV, "--gamma", "1.5",
+                             "--depths", "4,8")
+        assert (code, err) == (0, "")
+        assert "depth=8 max_flow=0.0 energy=0.0 support=0" in out
+
+
 class TestConfigFile:
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -90,6 +90,26 @@ class TestPotentialPass:
                 for v in range(1, t.n_vertices):
                     assert query(env, v) == ref[v][k]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_log_Psi_never_increases_down_a_path(self, seed):
+        """psi lies in [0, 1], so log Psi at a child is at most its
+        parent's: the property that lets the cutset passes skip weights.
+        Extreme biases round some psi to 0 or 1."""
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=8)
+
+        def bias(pool):
+            return rng.choice(pool) if rng.random() < 0.2 else rng.uniform(0.1, 5.0)
+
+        # a mu of 1e300 would overflow R two levels down
+        env = Environment(t, [bias([1e-300, 1e-8, 1e8, 1e300]) for _ in t.parent],
+                          [bias([1e-8, 1e8]) for _ in t.parent])
+        lp = [log_Psi(env, v) for v in range(1, t.n_vertices)]
+        assert all(x <= 0.0 for x in lp)
+        assert all(lp[v - 1] <= lp[t.parent[v] - 1] for v in range(1, t.n_vertices)
+                   if t.parent[v] > 0)
+
     def test_root_only_tree(self):
         env = assign_deterministic(build_regular(3, 0))
         assert (phi(env, 0), env._pot[0].tolist()) == (0.0, [0.0])
@@ -362,7 +382,7 @@ class TestRtEstimate:
             t = random_tree(rng, max_edges=30, max_depth=6)
             trees[L] = t, Environment(t, [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)],
                                       [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)])
-        grid = [0.1 * g for g in range(1, 31)]
+        grid = [0.0, *(0.1 * g for g in range(1, 31)), 250.0]
         table = rt_estimate(trees.__getitem__, grid, list(trees))
         for (g, L), value in table.values.items():
             t, env = trees[L]
@@ -371,6 +391,64 @@ class TestRtEstimate:
         budget = environment._RT_CELLS
         assert all(rows == 1 or rows * n <= budget for rows, n in shapes)
         assert sum(rows for rows, _ in shapes) == len(grid) * len(trees)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_shapes_equal_scalar_tables(self, seed):
+        """poly:b=1.5 under a two-atom law: chains 128 wide below a
+        branching level, where most weights are never evaluated."""
+        fam = polynomial_family(1.5)
+        dist = AlphaDistribution.two_point(0.0, 3.0, 0.5)
+        pairs = {}
+        for L in (8, 16, 32):
+            t = fam.build(L)
+            pairs[L] = t, sample_random_environment(t, dist, seed)
+        grid = [round(0.1 * g, 10) for g in range(1, 31)]
+        table = rt_estimate(pairs.__getitem__, grid, list(pairs))
+        for (g, L), value in table.values.items():
+            t, env = pairs[L]
+            want = cut_dp_ref(t, lambda e: math.exp(g * log_Psi(env, e)), L)[0]
+            assert repr(value) == repr(want)
+
+    def test_exp_only_where_a_cut_reads(self, monkeypatch):
+        """30 gammas on poly:b=1.5,L=32 (1,792 vertices) evaluate exp at
+        the 255 vertices with other than one child (127 with two, the 128
+        on the cut), 30 times each."""
+        calls = []
+        each = environment._each
+        monkeypatch.setattr(environment, "_each", lambda f, x: (
+            calls.append(x.size) if f is math.exp else None) or each(f, x))
+        t = polynomial_family(1.5).build(32)
+        env = environment_from_alpha(t, [1.0] * t.n_vertices)
+        rt_estimate(lambda L: (t, env), [0.1 * g for g in range(1, 31)], [32])
+        read = int((t.levels.kids != 1).sum())
+        assert (t.n_vertices, read, int((t.levels.kids > 1).sum())) == (1792, 255, 127)
+        assert sum(calls) == 30 * read
+
+    def test_zero_psi_weighs_zero_to_the_gamma(self):
+        """psi rounds to 0 at depth 2 under alpha = 1e300: every deeper edge
+        weighs 0.0 ** gamma, 1 at gamma 0, never NaN."""
+        fam = polynomial_family(1.5)
+
+        def pairs(L):
+            t = fam.build(L)
+            return t, environment_from_alpha(t, [1e300] * t.n_vertices)
+
+        def weight(env, g, e):
+            return 0.0 ** g if Psi(env, e) == 0.0 else math.exp(g * log_Psi(env, e))
+
+        grid = [0.0, 0.5, 1.0, 7.0]
+        table = rt_estimate(pairs, grid, [4, 8])
+        for (g, L), value in table.values.items():
+            t, env = pairs(L)
+            assert repr(value) == repr(cut_dp_ref(t, lambda e: weight(env, g, e), L)[0])
+        assert [table.values[(g, 8)] for g in grid] == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("gamma", [-0.5, -1e-300, math.nan, -math.inf])
+    def test_negative_or_nan_gamma_refused(self, gamma):
+        t = build_path(4)
+        with pytest.raises(ValueError, match=f"gamma must be at least 0, got {gamma!r}"):
+            rt_estimate(lambda L: (t, assign_deterministic(t)), [1.0, gamma], [4])
 
 
 class TestValidation:
