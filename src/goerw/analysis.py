@@ -6,8 +6,8 @@ Three groups live here:
     ruin chain, with a lockstep Monte Carlo of the same chain;
   * a flow-energy check that runs the tree max-flow / energy computation
     behind the transience criterion at a sequence of truncation depths;
-  * the phase diagnostic, a directional Monte Carlo comparison of escape
-    frequencies against a matched control configuration.
+  * the phase diagnostic, a directional Monte Carlo escape frequency
+    compared with the exact escape law of a matched control configuration.
 
 The gambler solver keeps whatever numeric type it is given, so feeding it
 ``fractions.Fraction`` biases yields exact rationals.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -252,10 +253,13 @@ def flow_energy_check(env: Environment, gamma: float,
     m = tree.levels.starts[depths[-1] + 1]
     _, _, ps, lp = (table[:m] for table in _potentials(env))
     cap = _ruin_weights(tree, lp, gamma, depths)
-    # adapted_conductance: 1 at depth 1, else Psi(e) / (1 - psi(e))
+    # adapted_conductance: 1 at depth 1, else Psi(e) / (1 - psi(e)), which
+    # is +inf where psi is 1; where Psi is 0 as well it is NaN, but such an
+    # edge has capacity 0 and no flow reads it
     conductance = np.ones(m)
     deep = slice(tree.levels.starts[2], None)
-    conductance[deep] = _each(math.exp, lp[deep]) / (1.0 - ps[deep])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conductance[deep] = _each(math.exp, lp[deep]) / (1.0 - ps[deep])
     rows = []
     for L in depths:
         max_flow, F = tree_max_flow(tree, cap, L)
@@ -285,12 +289,13 @@ class PhaseVerdict:
     `transient-leaning` when the escape frequency clears 0.05 and exceeds
     the control by 3 sigma, `recurrent-leaning` when it sits below
     control + 3 sigma, `inconclusive` otherwise. sigma is the standard
-    error of the frequency difference with Laplace-smoothed proportions.
+    error of the excited lane's Laplace-smoothed escape frequency: the
+    control values are exact (see _escape_law), so they add no variance.
 
-    censored and control_censored count each lane's runs stopped by the
-    horizon. Such a run counts as a non-escape though it never decided, so
-    more than CENSORED_LIMIT of a lane's trials censored makes the verdict
-    `inconclusive`."""
+    censored counts the excited runs stopped by the horizon. Such a run
+    counts as a non-escape though it never decided, so more than
+    CENSORED_LIMIT of the trials censored makes the verdict `inconclusive`.
+    The exact control law ignores the horizon, so it censors nothing."""
 
     family: str
     env_spec: str
@@ -311,7 +316,6 @@ class PhaseVerdict:
     control_env_spec: str
     control_escape_freq: float
     control_mean_returns: float
-    control_censored: int
     sigma: float
     verdict: str
 
@@ -319,7 +323,7 @@ class PhaseVerdict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-# largest censored fraction of a lane that still admits a phase verdict
+# largest censored fraction of the excited trials that still admits a verdict
 CENSORED_LIMIT = 0.01
 
 # a phase-diagnostic run stops at its K_RETURNS-th return to the root
@@ -330,8 +334,7 @@ _PHASE_GAMMAS = tuple(round(0.1 * g, 10) for g in range(1, 31))
 
 
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
-                  horizon: int, trials: int, seed_base: int,
-                  lane: int) -> tuple[float, float, int]:
+                  horizon: int, trials: int, seed_base: int) -> tuple[float, float, int]:
     """Annealed escape frequency: a fresh environment and a fresh walk per
     trial. A point mass gives the same environment whatever the seed, so
     it is built once. Returns the escape frequency, the mean root returns
@@ -346,8 +349,8 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
     for t in range(trials):
         if not one_atom:
             env = sample_random_environment(tree, dist,
-                                            derive_seed(seed_base, lane, t, 0))
-        traj = simulate(env, stop, derive_seed(seed_base, lane, t, 1),
+                                            derive_seed(seed_base, 1, t, 0))
+        traj = simulate(env, stop, derive_seed(seed_base, 1, t, 1),
                         record=False)
         if traj.escaped:
             escapes += 1
@@ -356,11 +359,16 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
     return escapes / trials, returns_sum / trials, censored
 
 
-def _smoothed_diff_sigma(p: float, q: float, n: int) -> float:
-    def v(x: float) -> float:
-        x = (x * n + 1.0) / (n + 2.0)
-        return x * (1.0 - x) / n
-    return math.sqrt(v(p) + v(q))
+def _escape_law(sizes: Sequence[int]) -> tuple[float, float]:
+    """The escape frequency within K_RETURNS root returns and the mean root
+    returns of simple random walk from the root of a spherically symmetric
+    tree, stopped on reaching the level of its last size. An excursion
+    reaches that level before it returns with probability p = C / s(1),
+    C = 1 / sum_{n >= 1} 1/s(n) the effective conductance to it
+    (Lyons-Peres ch. 2), so the values are 1 - (1 - p)^K and
+    sum_{j=1..K} (1 - p)^j, computed exactly and rounded once."""
+    q = 1 - 1 / sum(Fraction(1, s) for s in sizes[1:]) / sizes[1]
+    return float(1 - q ** K_RETURNS), float(sum(q ** j for j in range(1, K_RETURNS + 1)))
 
 
 def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
@@ -371,12 +379,17 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     Runs `trials` annealed simulations on the family's depth-`depth` tree,
     each stopped at the first of: reaching `escape_depth`, returning to the
     root K_RETURNS times, or `horizon` steps. The escape frequency is
-    compared against a matched control:
+    compared against a matched control, simple random walk (the zero
+    environment) under the same stop rule without the horizon:
 
-      * excited runs (m < 1) use the same tree with the zero environment,
-        isolating the excitation effect;
-      * unexcited runs use the zero environment on the thin b = 0.25
-        polynomial tree, a configuration deep in the recurrent regime.
+      * excited runs (m < 1) are compared with the same tree, isolating
+        the excitation effect;
+      * unexcited runs are compared with the thin b = 0.25 polynomial
+        tree, a configuration deep in the recurrent regime.
+
+    Every family is spherically symmetric, so the control walks nothing:
+    its escape frequency and mean returns are the exact law of
+    _escape_law, read from the control family's level sizes.
 
     Refuses near-critical configurations: the family's exact branching-ruin
     index must sit at least epsilon_margin away from the threshold 2 - m.
@@ -399,22 +412,15 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
             f"near-critical configuration: |br_r - (2 - m)| = {gap:.4f} is "
             f"below the declared margin {epsilon_margin}; no verdict emitted")
 
-    tree = tree_family.build(depth)
     escape_freq, mean_ret, censored = _escape_batch(
-        tree, dist, escape_depth, horizon, trials, master_seed, 1)
+        tree_family.build(depth), dist, escape_depth, horizon, trials, master_seed)
 
-    zero = AlphaDistribution.point(0.0)
-    if m < 1.0:
-        control_family = tree_family
-        control_tree = tree
-    else:
-        control_family = polynomial_family(0.25)
-        control_tree = control_family.build(depth)
-    control_freq, control_ret, control_censored = _escape_batch(
-        control_tree, zero, escape_depth, horizon, trials, master_seed, 2)
+    control_family = tree_family if m < 1.0 else polynomial_family(0.25)
+    control_freq, control_ret = _escape_law(control_family.level_sizes(escape_depth))
 
-    sigma = _smoothed_diff_sigma(escape_freq, control_freq, trials)
-    if max(censored, control_censored) > CENSORED_LIMIT * trials:
+    x = (escape_freq * trials + 1.0) / (trials + 2.0)  # Laplace-smoothed
+    sigma = math.sqrt(x * (1.0 - x) / trials)
+    if censored > CENSORED_LIMIT * trials:
         verdict = "inconclusive"
     elif escape_freq >= 0.05 and escape_freq > control_freq + 3.0 * sigma:
         verdict = "transient-leaning"
@@ -433,6 +439,6 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
         k_returns=K_RETURNS, master_seed=master_seed,
         escape_freq=escape_freq, mean_returns=mean_ret, censored=censored,
         control_family=control_family.name,
-        control_env_spec=zero.spec_string(),
+        control_env_spec=AlphaDistribution.point(0.0).spec_string(),
         control_escape_freq=control_freq, control_mean_returns=control_ret,
-        control_censored=control_censored, sigma=sigma, verdict=verdict)
+        sigma=sigma, verdict=verdict)

@@ -513,11 +513,10 @@ def _run_phase_scan(r: Run) -> None:
         master_seed=r.seed(),
         depth=L)
     r.say(f"verdict: {verdict.verdict} (escape {verdict.escape_freq!r} vs "
-          f"control {verdict.control_escape_freq!r}, sigma {verdict.sigma!r})")
+          f"exact control {verdict.control_escape_freq!r}, sigma {verdict.sigma!r})")
     r.say(f"m={verdict.m!r} threshold={verdict.threshold!r} "
           f"br_exact={verdict.br_exact!r} br_estimate={verdict.br_estimate!r}")
-    r.say(f"censored by the horizon: {verdict.censored} of {verdict.trials} "
-          f"(control {verdict.control_censored})")
+    r.say(f"censored by the horizon: {verdict.censored} of {verdict.trials}")
     r.record(verdict.to_dict())
 
 

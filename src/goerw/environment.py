@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import RefusalError
 from .tree import Tree, BranchingTable, min_cutset_sum
 
 __all__ = [
@@ -208,7 +209,9 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     (Tree.scan_down), psi one whole-tree expression in between. Every entry
     is the float64 operations of the scalar recursion in the same order, so
     the tables are bitwise those of a vertex-by-vertex loop (the logs are
-    math.log's, and -inf where psi is 0)."""
+    math.log's, and -inf where psi is 0). A product of mu or its running
+    sum that overflows is refused, naming the first vertex in id order
+    where R or phi is not finite, since psi would read NaN from it."""
     if env._pot is None:
         tree = env.tree
         n = tree.n_vertices
@@ -220,8 +223,14 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         # edges have R = phi = psi = 1
         R, ph, ps = np.ones(n), np.zeros(n), np.ones(n)
         R[0] = 0.0
-        tree.scan_down(np.multiply, R, mu[parent], 2)  # reads no y at the root
-        tree.scan_down(np.add, ph, R, 1)
+        with np.errstate(over="ignore"):  # refused below, by vertex
+            tree.scan_down(np.multiply, R, mu[parent], 2)  # reads no y at the root
+            tree.scan_down(np.add, ph, R, 1)
+        for name, table in (("R", R), ("phi", ph)):
+            bad = np.flatnonzero(~np.isfinite(table))
+            if bad.size:
+                raise RefusalError(f"{name} at vertex {bad[0]} is {float(table[bad[0]])!r}: "
+                                   "the potential pass overflows float64")
         # at the parent w, the mix of first- and later-visit bias that holds
         # a fresh arrival there
         w = parent[deep]

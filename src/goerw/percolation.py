@@ -211,10 +211,12 @@ def edge_connection_probability_mc(env: Environment, edge: int, trials: int,
 def adapted_conductance(env: Environment, e: int) -> float:
     """Conductance the percolation literature attaches to each edge:
     1 at depth 1, else P(root connected to the edge) over P(edge closed given
-    its parent end is connected), which here is Psi(e) / (1 - psi(e))."""
+    its parent end is connected), which here is Psi(e) / (1 - psi(e)). Where
+    psi is 1 the resistance (1 - psi) / Psi is 0 and the conductance +inf."""
     if env.tree.depth[e] == 1:
         return 1.0
-    return Psi(env, e) / (1.0 - psi(env, e))
+    p = psi(env, e)
+    return math.inf if p == 1.0 else Psi(env, e) / (1.0 - p)
 
 
 def quasi_independence_constant(env: Environment) -> tuple[float, float]:

@@ -25,7 +25,7 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -445,7 +445,10 @@ class TreeFamily:
     Every family is spherically symmetric: level_sizes(L) lists the level
     sizes of build(L), which lets the cutset analysis run without
     materializing the tree. br_index is the family's exact branching-ruin
-    number (math.inf for exponentially growing families).
+    number (math.inf for exponentially growing families). The families
+    below keep the last tree they built and return it again for the same
+    depth, so repeated experiments on one family share one tree and the
+    tables it caches.
     """
 
     name: str
@@ -455,18 +458,20 @@ class TreeFamily:
 
 
 def path_family() -> TreeFamily:
-    return TreeFamily(name="path", build=build_path,
+    return TreeFamily(name="path", build=lru_cache(maxsize=1)(build_path),
                       level_sizes=lambda L: list(_path_sizes(L)), br_index=0.0)
 
 
 def regular_family(d: int) -> TreeFamily:
-    return TreeFamily(name=f"regular-{d}", build=lambda L: build_regular(d, L),
+    return TreeFamily(name=f"regular-{d}",
+                      build=lru_cache(maxsize=1)(lambda L: build_regular(d, L)),
                       level_sizes=lambda L: list(_regular_sizes(d, L)),
                       br_index=math.inf if d >= 3 else 0.0)
 
 
 def polynomial_family(b: float) -> TreeFamily:
-    return TreeFamily(name=f"poly-{b:g}", build=lambda L: build_polynomial(b, L),
+    return TreeFamily(name=f"poly-{b:g}",
+                      build=lru_cache(maxsize=1)(lambda L: build_polynomial(b, L)),
                       level_sizes=lambda L: polynomial_level_sizes(b, L), br_index=float(b))
 
 

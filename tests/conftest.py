@@ -249,7 +249,8 @@ def simulate_ref(env: Environment, stop: StopRule, seed: int,
 def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                      horizon: int, trials: int, seed_base: int,
                      lane: int) -> tuple[float, float, int]:
-    """analysis._escape_batch as a plain loop: every trial draws its alphas
+    """analysis._escape_batch as a plain loop with its seeds derived under
+    `lane` (the shipped batch is lane 1): every trial draws its alphas
     by inverse transform from its own generator (even for a one-atom law,
     whose draws all land on the atom), passes them to
     environment_from_alpha and walks with simulate_ref. Returns (escape

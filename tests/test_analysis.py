@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goerw.analysis as analysis
+import goerw.tree as tree_module
 from goerw.analysis import (
     FlowEnergyReport,
     GamblerChain,
@@ -26,7 +28,9 @@ from goerw.tree import (
     build_from_edge_list,
     build_path,
     build_polynomial,
+    path_family,
     polynomial_family,
+    regular_family,
 )
 from goerw.walk import simulate
 
@@ -233,8 +237,23 @@ class TestFlowArrays:
         assert repr(rows) == repr(flow_energy_rows_ref(env, 1.5, [8, 16, 32]))
 
 
+class TestUnitPsiFlow:
+    """psi rounds to exactly 1 below a first-visit bias of 1e-300: the flow's
+    conductance there is +inf, as adapted_conductance's, and the flow warns
+    nothing, also where Psi is 0 above it (lam = 1e300 at vertex 1)."""
+
+    @pytest.mark.parametrize("lam", [
+        [1.0] + [1e-300] * 8,
+        [1.0, 1e300, 1e-300, 1e-300, 1.0, 1.0, 1.0, 1.0, 1.0],
+    ], ids=["unit-psi", "unit-psi-under-zero-Psi"])
+    def test_equals_scalar(self, lam):
+        env = Environment(build_path(8), lam, [1.0] * 9)
+        rows = flow_energy_check(env, 1.5, [2, 4, 8]).rows
+        assert repr(rows) == repr(flow_energy_rows_ref(env, 1.5, [2, 4, 8]))
+
+
 class TestEscapeBatch:
-    """The annealed lanes equal, bit for bit, the plain loop that draws
+    """The annealed lane equals, bit for bit, the plain loop that draws
     every trial's environment itself and walks it with the referee loop."""
 
     @pytest.mark.parametrize("dist", [
@@ -243,15 +262,87 @@ class TestEscapeBatch:
         AlphaDistribution.two_point(0.0, 3.0, 0.5),
         AlphaDistribution((0.0, 0.25, 7.0), (0.2, 0.3, 0.5)),
     ], ids=["zero", "point", "two", "three"])
-    @pytest.mark.parametrize("lane", [1, 2])  # excited, control
+    @pytest.mark.parametrize("lane", [1])  # the excited lane; the control walks nothing
     def test_equals_plain_loop_bitwise(self, dist, lane):
         tree = build_polynomial(1.2, 40)
         for seed, horizon in ((11, 10**6), (12, 400)):
-            args = (tree, dist, 30, horizon, 60, seed, lane)
+            args = (tree, dist, 30, horizon, 60, seed)
             got = analysis._escape_batch(*args)
-            assert got == escape_batch_ref(*args)
+            assert got == escape_batch_ref(*args, lane)
             if horizon == 400:
                 assert got[2] > 0  # the short horizon censors some runs
+
+
+def exact_control(sizes, K):
+    """Simple random walk from the root of a spherically symmetric tree: an
+    excursion reaches level E = len(sizes) - 1 before it returns with
+    probability C / s(1), C the effective conductance of the levels in
+    series; escape within K returns and the mean returns, exact and then
+    rounded once."""
+    q = 1 - 1 / (sizes[1] * sum(Fraction(1, s) for s in sizes[1:]))
+    return float(1 - q ** K), float(q * (1 - q ** K) / (1 - q))
+
+
+class TestControlLaw:
+    """The control lane is the exact escape law of simple random walk on
+    the control family's tree: no walk, no control tree built."""
+
+    @staticmethod
+    def level_counts(tree, E):
+        depths = Counter(tree.depth)
+        return [depths[n] for n in range(E + 1)]
+
+    @pytest.mark.parametrize("fam,dist,E,L,control", [
+        (path_family(), AlphaDistribution.point(1.0), 9, 12, "path"),
+        (path_family(), AlphaDistribution.point(0.0), 9, 12, "poly-0.25"),
+        (regular_family(3), AlphaDistribution.point(1.0), 6, 7, "regular-3"),
+        (regular_family(3), AlphaDistribution.point(0.0), 6, 7, "poly-0.25"),
+        (polynomial_family(1.2), AlphaDistribution.two_point(0.0, 3.0, 0.5), 48, 64,
+         "poly-1.2"),
+        (polynomial_family(1.2), AlphaDistribution.point(0.0), 48, 64, "poly-0.25"),
+        (polynomial_family(2.5), AlphaDistribution.point(0.0), 7, 9, "poly-0.25"),
+    ], ids=["path-same", "path-thin", "regular-same", "regular-thin", "poly-same",
+            "poly-thin", "poly-2.5-thin"])
+    def test_equals_fraction_formula(self, monkeypatch, fam, dist, E, L, control):
+        monkeypatch.setattr(analysis, "_escape_batch", lambda *args: (0.5, 1.0, 0))
+        v = phase_diagnostic(fam, dist, 0.1, escape_depth=E, horizon=10**4,
+                             trials=100, master_seed=3, depth=L)
+        assert v.control_family == control and v.control_env_spec == "alpha:point=0"
+        sizes = self.level_counts((fam if control == fam.name else
+                                   polynomial_family(0.25)).build(E), E)
+        assert (v.control_escape_freq, v.control_mean_returns) == exact_control(sizes, 10)
+        assert v.sigma == 0.05  # the excited lane's term alone: (50 + 1) / 102 is 1/2
+
+    def test_criterion_08_controls(self):
+        """The two exact controls of criterion 08's configuration."""
+        for dist, freq in ((AlphaDistribution.point(0.0), 0.27574),
+                           (AlphaDistribution.point(1.0), 0.93084)):
+            v = phase_diagnostic(polynomial_family(1.2), dist, 0.1, escape_depth=48,
+                                 horizon=10**6, trials=100, master_seed=1008, depth=64)
+            assert v.control_escape_freq == pytest.approx(freq, abs=5e-6)
+
+    @pytest.mark.parametrize("dist", [AlphaDistribution.point(0.0),
+                                      AlphaDistribution.two_point(0.0, 3.0, 0.5)],
+                             ids=["control-poly-0.25", "control-same-tree"])
+    def test_one_walk_per_trial_and_one_tree(self, monkeypatch, dist):
+        walks, built = [], []
+
+        def counted(*args, **kwargs):
+            walks.append(args[0].tree)
+            return simulate(*args, **kwargs)
+
+        def build(b, L):
+            built.append((b, L))
+            return build_polynomial(b, L)
+
+        monkeypatch.setattr(analysis, "simulate", counted)
+        monkeypatch.setattr(tree_module, "build_polynomial", build)
+        fam = polynomial_family(1.2)
+        for seed in (1, 2):
+            phase_diagnostic(fam, dist, 0.1, escape_depth=16, horizon=10**5,
+                             trials=120, master_seed=seed, depth=24)
+        assert len(walks) == 240 and built == [(1.2, 24)]
+        assert all(t is walks[0] for t in walks)  # one tree over both calls
 
 
 class TestPhaseDiagnostic:
@@ -312,21 +403,16 @@ class TestPhaseDiagnostic:
         v = phase_diagnostic(self.fam, AlphaDistribution.two_point(0.0, 3.0, 0.5),
                              0.1, escape_depth=48, horizon=1000, trials=300,
                              master_seed=1, depth=64)
-        assert (v.censored, v.control_censored) == (179, 110)
+        assert v.censored == 179
         assert stops[:300].count("max_steps") == v.censored
-        assert stops[300:].count("max_steps") == v.control_censored
         assert v.verdict == "inconclusive"
         assert v.escape_freq < v.control_escape_freq + 3 * v.sigma
 
-    @pytest.mark.parametrize("censoring_lane", [1, 2])  # excited, control
-    def test_censoring_limit_is_one_percent(self, monkeypatch, censoring_lane):
-        """Three censored runs of 300 in either lane keep the verdict, four
-        withhold it."""
+    def test_censoring_limit_is_one_percent(self, monkeypatch):
+        """Three censored runs of 300 keep the verdict, four withhold it."""
         for n_censored, verdict in ((3, "recurrent-leaning"), (4, "inconclusive")):
             def batch(*args):
-                lane = args[-1]
-                return (0.0 if lane == 1 else 0.5, 1.0,
-                        n_censored if lane == censoring_lane else 0)
+                return 0.0, 1.0, n_censored
             monkeypatch.setattr(analysis, "_escape_batch", batch)
             v = phase_diagnostic(self.fam, AlphaDistribution.point(1.0), 0.1,
                                  escape_depth=12, horizon=10**4, trials=300,

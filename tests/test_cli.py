@@ -3,6 +3,7 @@ import json
 import os
 import re
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -164,6 +165,47 @@ class TestZeroPsi:
                              "--depths", "4,8")
         assert (code, err) == (0, "")
         assert "depth=8 max_flow=0.0 energy=0.0 support=0" in out
+
+
+class TestUnitPsi:
+    """lambda = 1e-300 on a path makes the drop term's bracket round to 0,
+    so psi is exactly 1 from depth 2 down: the resistance (1 - psi)/Psi is 0
+    and the conductance +inf, where compute-psi used to end in a
+    ZeroDivisionError traceback and flow-check in a divide-by-zero warning."""
+
+    ENV = ("--tree", "path:L=8", "--env", "det:lambda=1e-300,mu=1")
+
+    def test_compute_psi_reports_infinite_conductance(self, capsys):
+        code, out, err = run(capsys, "compute-psi", *self.ENV, "--edge-depth", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["psi = 1.0", "Psi = 1.0", "c = inf"]
+
+    def test_flow_check_warns_nothing(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "flow-check", *self.ENV, "--gamma", "1.5",
+                                 "--depths", "4,8")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert (code, err) == (0, "")
+        # only the depth-1 edge has a finite conductance (1), and carries 1
+        assert "depth=8 max_flow=1.0 energy=1.0 support=8" in out
+
+
+class TestOverflowRefused:
+    """mu = 1e200 makes R = mu^(d-1) overflow at depth 3 of a path: the
+    potential pass refuses by vertex and value instead of printing NaN."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute-psi", "--edge-depth", "6"],
+        ["flow-check", "--gamma", "1.5", "--depths", "4,8"],
+        ["estimate-rt", "--depths", "4,8"],
+    ], ids=["compute-psi", "flow-check", "estimate-rt"])
+    def test_refused_naming_the_vertex(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tree", "path:L=8", "--env",
+                             "det:mu=1e200", "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == "refused: R at vertex 3 is inf: the potential pass overflows float64\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goerw import environment
+from goerw.errors import RefusalError
 from goerw.environment import (
     AlphaDistribution,
     Environment,
@@ -109,6 +110,25 @@ class TestPotentialPass:
         assert all(x <= 0.0 for x in lp)
         assert all(lp[v - 1] <= lp[t.parent[v] - 1] for v in range(1, t.n_vertices)
                    if t.parent[v] > 0)
+
+    @pytest.mark.parametrize("mu,table", [
+        ([1.0, 1e200, 1e200, 1.0, 1.0], "R"),   # R(3) = 1e400
+        ([1.0, 1e308, 1.0, 1.0, 1.0], "phi"),   # R(3) finite, phi(3) = 1 + 2e308
+    ])
+    def test_overflow_refused_naming_the_vertex(self, mu, table):
+        env = Environment(build_path(4), [1.0] * 5, mu)
+        with pytest.raises(RefusalError) as e:
+            psi(env, 1)
+        assert str(e.value) == f"{table} at vertex 3 is inf: the potential pass overflows float64"
+        assert env._pot is None
+
+    def test_largest_finite_tables_kept(self):
+        """mu = 1e154 leaves R(3) = 1e308 and phi(3) below the float range:
+        the pass computes, with the same values as the root-path loop."""
+        env = Environment(build_path(3), [1.0] * 4, [1.0, 1e154, 1e154, 1.0])
+        ref = reference_potentials(env)
+        assert resistance(env, 3) == ref[3][0] == 1e154 * 1e154
+        assert [phi(env, v) for v in (1, 2, 3)] == [ref[v][1] for v in (1, 2, 3)]
 
     def test_root_only_tree(self):
         env = assign_deterministic(build_regular(3, 0))

@@ -9,6 +9,7 @@ from goerw.environment import (
     Psi,
     assign_deterministic,
     environment_from_alpha,
+    psi,
 )
 from goerw.errors import RefusalError
 from goerw.percolation import (
@@ -517,6 +518,17 @@ class TestAdaptedConductance:
     def test_depth_one_convention(self):
         t, env = ternary_excited(2)
         assert adapted_conductance(env, 1) == 1.0
+
+    def test_unit_psi_is_infinite(self):
+        """lam = 1e-300 rounds psi to exactly 1 below depth 1: resistance 0,
+        conductance +inf, also under a Psi of 0 (lam = 1e300 at vertex 1
+        makes psi 0 at vertex 2)."""
+        env = assign_deterministic(build_path(6), lam=1e-300)
+        for v in range(2, 7):
+            assert (psi(env, v), adapted_conductance(env, v)) == (1.0, math.inf)
+        env = Environment(build_path(4), [1.0, 1e300, 1e-300, 1e-300, 1.0], [1.0] * 5)
+        assert (psi(env, 2), psi(env, 3), Psi(env, 3)) == (0.0, 1.0, 0.0)
+        assert adapted_conductance(env, 3) == math.inf
 
 
 class TestQuasiIndependence:

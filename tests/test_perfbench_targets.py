@@ -67,8 +67,9 @@ def test_ruin_tables_match_the_reference_on_every_environment():
 
 def test_traced_phase_unit_sees_every_direct_walk():
     """The tracer and the workload's censored-walk observer wrap
-    analysis.simulate, so one phase-annealed unit must show every walk of
-    both lanes there: a kernel the diagnostic called by another name would
+    analysis.simulate, so one phase-annealed unit must show every walk
+    there, one per trial of the excited lane (the control lane is exact and
+    walks nothing): a kernel the diagnostic called by another name would
     leave both blind."""
     tracer = load_tracer()
     wl = load("workloads").WORKLOADS["phase-annealed"]
@@ -79,6 +80,6 @@ def test_traced_phase_unit_sees_every_direct_walk():
             wl.prepare(st, 0)
             wl.run(st, 0)
             wl.settle(st, 0)
-    assert tr.counts["walk.simulate.calls"] == 2 * wl.TRIALS
+    assert tr.counts["walk.simulate.calls"] == wl.TRIALS
     assert tr.counts["walk.simulate.steps"] > 0
     assert st.longest > 0

@@ -403,6 +403,16 @@ class TestLevelShortcut:
         shortcut = min_level_cutset_sum(sizes, lambda m: m ** -gamma)
         assert shortcut == pytest.approx(explicit, rel=1e-12)
 
+    @pytest.mark.parametrize("family", [path_family(), regular_family(3),
+                                        polynomial_family(1.2)], ids=["path", "regular", "poly"])
+    def test_family_keeps_its_last_tree(self, family):
+        a = family.build(5)
+        assert family.build(5) is a
+        b = family.build(6)
+        assert b is not a and family.build(6) is b
+        assert family.build(5) is not a  # one tree kept, the last one built
+        assert [sum(1 for d in b.depth if d == n) for n in range(7)] == list(family.level_sizes(6))
+
     def test_tie_prefers_shallow_level(self):
         # sizes 2, 4 with weights 1, 1/2 tie at value 2
         value = min_level_cutset_sum([1, 2, 4], lambda m: 1.0 if m == 1 else 0.5)
