@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .environment import (
     AlphaDistribution,
     Environment,
-    _each,
+    _conductance,
     _potentials,
     _ruin_weights,
     environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
@@ -33,7 +33,8 @@ from .environment import (
     sample_random_environment,
 )
 from .errors import RefusalError
-from .tree import Tree, TreeFamily, _cut_dp, branching_ruin_estimate, polynomial_family
+from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_dp, branching_ruin_estimate,
+                   default_depths, polynomial_family)
 from .walk import StopRule, derive_seed, simulate
 
 
@@ -126,11 +127,10 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
 # flow-energy check
 
 
-def tree_max_flow(tree: Tree, capacity: Callable[[int], float] | np.ndarray,
-                  depth: int) -> tuple[float, np.ndarray]:
+def tree_max_flow(tree: Tree, capacity: np.ndarray, depth: int) -> tuple[float, np.ndarray]:
     """Max flow from the root to the depth-`depth` vertices with per-edge
-    capacities capacity(v) (v is the edge's lower endpoint), or an array of
-    capacities by vertex id, at least through `depth`.
+    capacities capacity[v] by vertex id (v is the edge's lower endpoint),
+    at least through `depth`.
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
     capacity capped by the total its children can carry, which is the min
@@ -228,7 +228,8 @@ class FlowEnergyReport:
 def flow_energy_check(env: Environment, gamma: float,
                       depths: Sequence[int]) -> FlowEnergyReport:
     """Max flow with edge capacities Psi(e)**gamma and the Dirichlet energy
-    sum theta(e)^2 / c(e) of the proportionally routed flow, at each depth.
+    sum theta(e)^2 / c(e) of the proportionally routed flow, at each depth,
+    c the adapted conductance (environment._conductance).
 
     The capacities are evaluated only where a cut can read them, on the
     cut depths and at the vertices with two or more children, and are +inf
@@ -251,15 +252,8 @@ def flow_energy_check(env: Environment, gamma: float,
 
     # cap and conductance are needed down to the deepest cut only
     m = tree.levels.starts[depths[-1] + 1]
-    _, _, ps, lp = (table[:m] for table in _potentials(env))
-    cap = _ruin_weights(tree, lp, gamma, depths)
-    # adapted_conductance: 1 at depth 1, else Psi(e) / (1 - psi(e)), which
-    # is +inf where psi is 1; where Psi is 0 as well it is NaN, but such an
-    # edge has capacity 0 and no flow reads it
-    conductance = np.ones(m)
-    deep = slice(tree.levels.starts[2], None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conductance[deep] = _each(math.exp, lp[deep]) / (1.0 - ps[deep])
+    cap = _ruin_weights(tree, _potentials(env)[3][:m], gamma, depths)
+    conductance = _conductance(env, 0, m)
     rows = []
     for L in depths:
         max_flow, F = tree_max_flow(tree, cap, L)
@@ -329,9 +323,6 @@ CENSORED_LIMIT = 0.01
 # a phase-diagnostic run stops at its K_RETURNS-th return to the root
 K_RETURNS = 10
 
-# the gamma grid 0.1, 0.2, ..., 3.0 of the branching-ruin reading
-_PHASE_GAMMAS = tuple(round(0.1 * g, 10) for g in range(1, 31))
-
 
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                   horizon: int, trials: int, seed_base: int) -> tuple[float, float, int]:
@@ -394,7 +385,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     Refuses near-critical configurations: the family's exact branching-ruin
     index must sit at least epsilon_margin away from the threshold 2 - m.
     The verdict also carries the family's branching-ruin estimate from min
-    cutset sums over the gamma grid 0.1, 0.2, ..., 3.0.
+    cutset sums over the default gamma grid and probe depths of every
+    cutset table (tree.DEFAULT_GAMMAS, tree.default_depths).
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -429,8 +421,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     else:
         verdict = "inconclusive"
 
-    probe_depths = [d for d in (8, 16, 32, 64, 128) if d <= depth] or [depth]
-    table = branching_ruin_estimate(tree_family, _PHASE_GAMMAS, probe_depths)
+    table = branching_ruin_estimate(tree_family, DEFAULT_GAMMAS, default_depths(depth))
 
     return PhaseVerdict(
         family=tree_family.name, env_spec=dist.spec_string(), m=m,

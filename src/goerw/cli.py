@@ -56,10 +56,12 @@ from .percolation import (
     edge_connection_probability_mc,
 )
 from .tree import (
+    DEFAULT_GAMMAS,
     Tree,
     TreeFamily,
     _atomic_write,
     branching_ruin_estimate,
+    default_depths,
     path_family,
     polynomial_family,
     read_tree_file,
@@ -201,15 +203,6 @@ def _parse_gamma_grid(text: str) -> list[float]:
     return grid
 
 
-def _default_depths(L: int) -> list[int]:
-    out = []
-    d = 8
-    while d <= L:
-        out.append(d)
-        d *= 2
-    return out or [L]
-
-
 # ---------------------------------------------------------------------------
 # config file and the run
 
@@ -307,7 +300,8 @@ class Run:
              stats: dict) -> None:
         """Queue <sub>.csv (header and rows) and <sub>.json (the options,
         the seed and stats) in --out-dir, as --format selects; without
-        --out-dir there is nothing to write."""
+        --out-dir there is nothing to write. The JSON is strict, with the
+        CSV's "inf", "-inf" and "nan" for non-finite floats."""
         out_dir, fmt = self.get("out-dir"), self.get("format")
         if out_dir is None:
             return
@@ -325,8 +319,8 @@ class Run:
                 "statistics": stats,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             }
-            self.files[f"{path}.json"] = json.dumps(payload, sort_keys=True,
-                                                    indent=2) + "\n"
+            self.files[f"{path}.json"] = json.dumps(_spelled(payload), sort_keys=True,
+                                                    indent=2, allow_nan=False) + "\n"
 
     def record(self, stats: dict, keys: Sequence[str] | None = None) -> None:
         """Emit stats as a one-row table, columns in the order of keys
@@ -340,6 +334,15 @@ class Run:
                 _atomic_write(path, text)
             self.say(f"wrote {path}")
         print("\n".join(self.lines))
+
+
+def _spelled(x):
+    """x with each non-finite float, in dicts and lists too, as its str."""
+    if isinstance(x, dict):
+        return {k: _spelled(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_spelled, x))
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 @contextmanager
@@ -384,8 +387,8 @@ def _run_simulate(r: Run) -> None:
     env = build_environment(tree, r.require("env"), seed)
     trials = r.get("trials", 100)
     stop = StopRule(max_steps=r.get("max-steps", 100_000),
-                    hit_depth=r.get("depth"),
-                    root_returns=r.get("returns"))
+                    hit_depth=r.get("depth", math.inf),
+                    root_returns=r.get("returns", math.inf))
     trajs = [simulate(env, stop, derive_seed(seed, 1, t), record=False)
              for t in range(trials)]
     escapes = sum(traj.escaped for traj in trajs)
@@ -427,25 +430,24 @@ def _run_percolate(r: Run) -> None:
         est = edge_connection_probability_mc(env, edge, trials,
                                              derive_seed(seed, 2, d))
         rows.append([d, edge, est.trials, est.n_connected, est.p_hat,
-                     est.exact, est.stderr, est.z_score,
-                     est.monotone_violations, est.invalid_runs])
+                     est.exact, est.stderr, est.z_score, est.invalid_runs])
         stats["depths"][str(d)] = {"edge": edge, "p_hat": est.p_hat, "exact": est.exact,
                                    "z": est.z_score, "steps": est.steps}
         r.say(f"depth={d} edge={edge} exact={est.exact!r} p_hat={est.p_hat!r} "
               f"z={est.z_score:.3f}")
     r.emit(["depth", "edge", "trials", "n_connected", "p_hat", "exact",
-            "stderr", "z", "monotone_violations", "invalid_runs"],
-           rows, stats)
+            "stderr", "z", "invalid_runs"], rows, stats)
 
 
 def _table_inputs(r: Run) -> tuple[TreeFamily, list[int], list[float]]:
-    """The family, depths and gamma grid of a cutset table."""
+    """The family, depths and gamma grid of a cutset table, by default
+    tree.default_depths and tree.DEFAULT_GAMMAS."""
     family, L = parse_family_spec(r.require("tree"))
-    depths_text = r.get("depths")
-    depths = _parse_depths(depths_text) if depths_text else _default_depths(L)
+    depths_text, grid = r.get("depths"), r.get("gamma-grid")
+    depths = _parse_depths(depths_text) if depths_text else default_depths(L)
     if depths[-1] > L:
         raise UsageError(f"depth {depths[-1]} exceeds the family depth L={L}")
-    return family, depths, _parse_gamma_grid(r.get("gamma-grid", "0.1:3.0:0.1"))
+    return family, depths, list(DEFAULT_GAMMAS) if grid is None else _parse_gamma_grid(grid)
 
 
 def _emit_table(r: Run, table, depths: list[int], **stats) -> None:
@@ -483,7 +485,7 @@ def _run_flow_check(r: Run) -> None:
     gamma = r.require("gamma")
     depths_text = r.get("depths")
     depths = (_parse_depths(depths_text) if depths_text
-              else _default_depths(tree.truncation_depth))
+              else default_depths(tree.truncation_depth))
     try:
         rep = flow_energy_check(env, gamma, depths)
     except ValueError as e:

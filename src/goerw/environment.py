@@ -45,8 +45,6 @@ __all__ = [
     "assign_deterministic",
     "environment_from_alpha",
     "sample_random_environment",
-    "resistance",
-    "phi",
     "psi",
     "Psi",
     "log_Psi",
@@ -181,7 +179,8 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
     """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1.
-    A one-atom law draws nothing: every vertex gets the atom."""
+    A one-atom law draws nothing: every vertex gets the atom, and a run on
+    point laws alone never loads numpy.random."""
     if len(dist.values) == 1:
         alpha = np.full(tree.n_vertices, dist.values[0])
     else:
@@ -250,6 +249,19 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return env._pot
 
 
+def _conductance(env: Environment, a: int, b: int) -> np.ndarray:
+    """The adapted conductance of the edges above the ids a .. b - 1: 1 at
+    depth 1, below it Psi(e) / (1 - psi(e)), the root-connection
+    probability over that of the edge closing under a connected parent
+    end, and +inf where psi is 1 (resistance 0), whatever Psi."""
+    _, _, ps, lp = (table[a:b] for table in _potentials(env))
+    with np.errstate(divide="ignore", invalid="ignore"):  # set below
+        c = _each(math.exp, lp) / (1.0 - ps)
+    c[ps == 1.0] = math.inf
+    c[:max(0, env.tree.levels.starts[2] - a)] = 1.0
+    return c
+
+
 def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
     """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
     first visit and mu/(mu + deg - 1) on later ones, exactly 1 at a vertex
@@ -271,19 +283,6 @@ def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
         p[0].flags.writeable = False
         env._trans = (memoryview(p[0]), env.tree.parent_step if unit else p[1].tolist())
     return env._trans
-
-
-def resistance(env: Environment, e: int) -> float:
-    """R(e): the product of mu over the vertices strictly inside the root
-    path of edge e. Depth-1 edges have resistance 1."""
-    if e == 0:
-        raise ValueError("the root names no edge")
-    return float(_potentials(env)[0][e])
-
-
-def phi(env: Environment, x: int) -> float:
-    """Potential: sum of resistances along the root path (0 at the root)."""
-    return float(_potentials(env)[1][x])
 
 
 def psi(env: Environment, u: int) -> float:

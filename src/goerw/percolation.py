@@ -40,7 +40,8 @@ from .environment import (
     AlphaDistribution,
     Environment,
     Psi,
-    psi,
+    _conductance,
+    psi,  # unused here; perfbench/tracer.py patches this name
     rt_hypothesis_sup,
     sample_random_environment,
 )
@@ -103,13 +104,10 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     No run restarts at the root: until its first arrival at x, the run for
     c takes the steps of the run that opened x, on the same clocks, so it
     starts from that run's race states above x and step count there (the
-    step cap binds where a restart's would). That and the clock table,
-    which keeps every clock value it has computed, took the benchmark's
-    cluster workload (regular:d=3, L=7, alpha two-point (0, 3, 1/2)) from
-    265 to 764 units a second (medians of 10 alternating pairs, 2 cores,
-    Python 3.11; 579 with the hash prefixes alone). The runs stay
-    scalar: on one clock table the lockstep kernel would run each chain as
-    its own lane.
+    step cap binds where a restart's would). The clock table keeps every
+    clock value it has computed, so a clock that several runs read is
+    hashed once. The runs stay scalar: on one clock table the lockstep
+    kernel would run each chain as its own lane.
     """
     tree = env.tree
     children, depth = tree.children, tree.depth
@@ -152,7 +150,7 @@ class ConnectionEstimate:
     cluster, next to the exact ruin product it must match.
 
     monotone_violations is 0 by construction, since one run per trial
-    decides the whole root path; the CLI still writes it as a CSV column.
+    decides the whole root path; only the benchmark's gates still read it.
     steps is the total extension steps over the trials.
     The coupling that makes this exact is checked against one run per edge
     in tests/test_percolation.py (TestOneRunPerPath)."""
@@ -209,14 +207,13 @@ def edge_connection_probability_mc(env: Environment, edge: int, trials: int,
 
 
 def adapted_conductance(env: Environment, e: int) -> float:
-    """Conductance the percolation literature attaches to each edge:
-    1 at depth 1, else P(root connected to the edge) over P(edge closed given
-    its parent end is connected), which here is Psi(e) / (1 - psi(e)). Where
-    psi is 1 the resistance (1 - psi) / Psi is 0 and the conductance +inf."""
-    if env.tree.depth[e] == 1:
-        return 1.0
-    p = psi(env, e)
-    return math.inf if p == 1.0 else Psi(env, e) / (1.0 - p)
+    """Conductance the percolation literature attaches to edge e, the entry
+    of environment._conductance: 1 at depth 1, else P(root connected to the
+    edge) over P(edge closed given its parent end is connected), which here
+    is Psi(e) / (1 - psi(e)), and +inf where psi is 1."""
+    if e == 0:
+        raise ValueError("the root names no edge")
+    return float(_conductance(env, e, e + 1)[0])
 
 
 def quasi_independence_constant(env: Environment) -> tuple[float, float]:

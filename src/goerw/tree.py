@@ -43,6 +43,8 @@ __all__ = [
     "polynomial_level_sizes",
     "min_cutset_sum",
     "min_level_cutset_sum",
+    "DEFAULT_GAMMAS",
+    "default_depths",
     "branching_ruin_estimate",
     "BranchingTable",
     "path_family",
@@ -349,23 +351,19 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
 # cutsets
 
 
-def _cut_dp(tree: Tree, w: Callable[[int], float] | np.ndarray,
-            depth: int) -> tuple[float | list[float], np.ndarray]:
-    """Bottom-up, level by level: F[v] = w(v) at `depth`, 0 at a dead end
-    above it, else min(w(v), sum of F over the children). F[v] is both the
+def _cut_dp(tree: Tree, w: np.ndarray, depth: int) -> tuple[float | list[float], np.ndarray]:
+    """Bottom-up, level by level: F[v] = w[v] at `depth`, 0 at a dead end
+    above it, else min(w[v], sum of F over the children). F[v] is both the
     least cut below v and, with capacities w, the most flow through v.
 
-    w is a callable, evaluated once at every non-root vertex down to
-    `depth`, or an array of weights by vertex id, at least through that
-    depth: 1-D, or 2-D with one weighting per row, all solved in one pass. The child sums are
-    sequential (Tree.child_sums), and a chain of levels (Tree.level_runs)
+    w is an array of weights by vertex id, at least through `depth`: 1-D,
+    or 2-D with one weighting per row, all solved in one pass. The child
+    sums are sequential (Tree.child_sums), and a chain of levels (Tree.level_runs)
     is one running minimum with the scalar step's ties, so F is what a
     scalar loop over the ids gives, on any interpreter. Returns (sum of F over the root's
     children, F): a float and a 1-D F, or a list with one float per row and
     a 2-D F."""
     starts = tree.levels.starts
-    if callable(w):
-        w = [0.0, *map(w, range(1, starts[depth + 1]))]
     w = np.asarray(w, dtype=np.float64)
     F = np.zeros(w.shape[:-1] + (tree.n_vertices,))
     F[..., starts[depth]:starts[depth + 1]] = w[..., starts[depth]:starts[depth + 1]]
@@ -392,13 +390,12 @@ def _cut_dp(tree: Tree, w: Callable[[int], float] | np.ndarray,
     return tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist(), F
 
 
-def min_cutset_sum(tree: Tree,
-                   weights: Callable[[int], float] | np.ndarray) -> float | list[float]:
+def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
     """Minimum total weight of a cutset separating the root from the
-    truncation boundary. weights(e) is the positive weight of edge e (named
-    by its child id); an array of weights by vertex id also serves, and a
-    2-D one gives one minimum per row, as a list. Dead-end branches that
-    stop short of the boundary need no cut."""
+    truncation boundary. weights[e] is the positive weight of edge e (named
+    by its child id) in an array by vertex id; a 2-D one gives one minimum
+    per row, as a list. Dead-end branches that stop short of the boundary
+    need no cut."""
     return _cut_dp(tree, weights, tree.truncation_depth)[0]
 
 
@@ -495,6 +492,16 @@ class BranchingTable:
 
     def rows(self) -> list[tuple[float, int, float]]:
         return [(g, L, self.values[(g, L)]) for g in self.gammas for L in self.depths]
+
+
+# the default gamma grid of a cutset table: 0.1, 0.2, ..., 3.0
+DEFAULT_GAMMAS = tuple(round(0.1 * g, 10) for g in range(1, 31))
+
+
+def default_depths(L: int) -> list[int]:
+    """The default probe depths of a cutset table on a depth-L tree: 8, 16,
+    32, ... up to L, else [L]."""
+    return [1 << k for k in range(3, L.bit_length())] or [L]
 
 
 def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],

@@ -8,12 +8,13 @@ At the root all children are uniform, every time.
 Three ways to run it:
 
 - simulate: draws the law directly from a seeded generator, one draw per
-  step. Fastest, used for phase scans where only the trajectory summary
-  matters. A step down from a vertex with one child reads it from
-  Tree.only_child, which covers most vertices of a thin poly tree; the
-  trajectory is bitwise the one the plain loop draws, which computes the
-  child index at every step and is kept in the tests as the referee. Where
-  mu == 1 its later-visit list is the tree's (Tree.parent_step).
+  step. Fastest; it serves `goerw simulate` and the phase diagnostic's
+  excited lane, where only the trajectory summary matters. A step down
+  from a vertex with one child reads it from Tree.only_child, which covers
+  most vertices of a thin poly tree; the trajectory is bitwise the one the
+  plain loop draws, which computes the child index at every step and is
+  kept in the tests as the referee. Where mu == 1 its later-visit list is
+  the tree's (Tree.parent_step).
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -22,7 +23,9 @@ Three ways to run it:
   j=1 clock skipped (its later-visit race starts at j=2), everyone else
   starts at j=1. Running totals per direction make this exactly the
   classical race: consumed time accumulates, and each comparison is between
-  totals since the vertex was first left.
+  totals since the vertex was first left. No command runs it: it is the
+  full walk that the coupling checks (criterion 02, the benchmark's
+  cluster replay) restrict to a path.
 - simulate_extension: a walk on a single root path that reads the same
   clock table. At a fresh interior vertex it first checks which neighbor of
   the full tree would have won the excited race; if that winner is on the
@@ -31,13 +34,16 @@ Three ways to run it:
   the winner. Later visits race the two on-path running totals. At the root
   it always moves down the path, and at the path's end it reflects.
   One runner (_extension_run) holds this race: simulate_extension starts it
-  at the root, and the percolation sampler starts it from a snapshot, the
-  race states and step count another run had at its first arrival at a
-  vertex both paths share.
-  extension_reach runs many of these runs, one per seed, in lockstep on
-  numpy arrays and a batch's last few on _extension_run: uint64 hashes,
-  float64 races in the scalar order and math.log for every log kept
-  (np.log is not bitwise equal to it), so every run is == its scalar run.
+  at the root for the coupling checks, and the percolation sampler
+  (sample_ruin_percolation) starts it from a snapshot, the race states and
+  step count another run had at its first arrival at a vertex both paths
+  share.
+  extension_reach, which serves the connection Monte Carlo (`goerw
+  percolate`) and the quasi-independence statistic, runs many of these
+  runs, one per seed, in lockstep on numpy arrays and a batch's last few
+  on _extension_run: uint64 hashes, float64 races in the scalar order and
+  math.log for every log kept (np.log is not bitwise equal to it), so
+  every run is == its scalar run.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -52,6 +58,7 @@ Python floats, which the loops read faster than np.float64 scalars.
 
 Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
+An unset probe depth or return count is math.inf, which no run reaches.
 
 All randomness is derived from explicit integer seeds by a splitmix-style
 mixer, so every run is reproducible bit for bit across platforms. A
@@ -137,11 +144,11 @@ class ClockTable:
 class StopRule:
     """First-of stopping: a step budget, always given and honoured as
     given, and optionally a probe depth and a count of returns to the root,
-    which do not bind when unset."""
+    which are math.inf, and so never bind, when unset."""
 
     max_steps: int
-    hit_depth: int | None = None
-    root_returns: int | None = None
+    hit_depth: float = math.inf
+    root_returns: float = math.inf
 
 
 @dataclass
@@ -170,7 +177,7 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     per step, up if r < p (the parent-step probability, lam's on a first
     visit, mu's after), else to child int((r - p) / (1 - p) * k) of k, read
     off Tree.only_child where k is 1. Up-steps check only for root returns,
-    down-steps only for a new depth (unset bounds are inf). Trajectories
+    down-steps only for a new depth. Trajectories
     are == the plain loop's, which checks both bounds at every step. p is
     read from _transition_table: first visits through a memoryview of an
     array, later ones from a list, both yielding Python floats."""
@@ -178,8 +185,7 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     tree = env.tree
     parent, children, depth, only = tree.parent, tree.children, tree.depth, tree.only_child
     rnd = random.Random(seed).random
-    hd = math.inf if stop.hit_depth is None else stop.hit_depth
-    rr = math.inf if stop.root_returns is None else stop.root_returns
+    hd, rr = stop.hit_depth, stop.root_returns
     visited = bytearray(len(parent))
     positions = [0] if record else None
     v = steps = returns = maxd = 0
@@ -237,9 +243,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
     tree = env.tree
     parent, children, depth = tree.parent, tree.children, tree.depth
     lam, mu = memoryview(env.lam), memoryview(env.mu)
-    cap = stop.max_steps
-    hd = stop.hit_depth
-    rr = stop.root_returns
+    cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     state: dict[int, tuple[list[int], list[float], list[int]]] = {}
     positions = [0]
     v = 0
@@ -284,12 +288,12 @@ def simulate_rubin(env: Environment, stop: StopRule,
         d = depth[v]
         if d > maxd:
             maxd = d
-            if hd is not None and d >= hd:
+            if d >= hd:
                 reason = "hit_depth"
                 break
         if v == 0:
             returns += 1
-            if rr is not None and returns >= rr:
+            if returns >= rr:
                 reason = "root_returns"
                 break
     return WalkTrajectory(positions, steps, returns, maxd, reason)
@@ -325,9 +329,7 @@ def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
     steps), from which a run on another path through path[i] can start."""
     xi = clocks.xi
     k = len(path) - 1
-    cap = stop.max_steps
-    hd = stop.hit_depth
-    rr = stop.root_returns
+    cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     returns = 0
     maxd = pos
     reason = "max_steps"
@@ -385,12 +387,12 @@ def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
             maxd = pos
             if snaps is not None and pos in snaps:
                 snaps[pos] = ([r.copy() for r in states[1:pos]], steps)
-            if hd is not None and pos >= hd:
+            if pos >= hd:
                 reason = "hit_depth"
                 break
         if pos == 0:
             returns += 1
-            if rr is not None and returns >= rr:
+            if returns >= rr:
                 reason = "root_returns"
                 break
     return WalkTrajectory(positions, steps, returns, maxd, reason)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from goerw.analysis import K_RETURNS, FlowEnergyRow
-from goerw.environment import AlphaDistribution, Environment, environment_from_alpha, log_Psi
+from goerw.environment import (AlphaDistribution, Environment, _potentials,
+                               environment_from_alpha, log_Psi)
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
 from goerw.walk import StopRule, WalkTrajectory, derive_seed
@@ -20,6 +21,22 @@ def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
     if edge_depth == 1:
         return 1.0
     return 1.0 - (2.0 * alpha_parent + 1.0) / ((alpha_parent + 1.0) * edge_depth)
+
+
+def resistance(env: Environment, e: int) -> float:
+    """R(e), read from the potential tables."""
+    return float(_potentials(env)[0][e])
+
+
+def phi(env: Environment, x: int) -> float:
+    """phi(x), read from the potential tables."""
+    return float(_potentials(env)[1][x])
+
+
+def weights_of(tree: Tree, w) -> np.ndarray:
+    """w(v) by vertex id, 0.0 at the root: a weight function as the array
+    that the cutset DP and the tree flow take."""
+    return np.array([0.0, *map(w, range(1, tree.n_vertices))])
 
 
 def random_tree(rng: random.Random, max_edges: int = 20, max_depth: int = 6) -> Tree:

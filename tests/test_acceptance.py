@@ -45,7 +45,7 @@ from goerw.tree import (
 )
 from goerw.walk import ClockTable, StopRule, derive_seed, restriction, simulate_extension, simulate_rubin
 
-from conftest import enumerate_cutsets, psi_simplified, random_tree
+from conftest import enumerate_cutsets, psi_simplified, random_tree, weights_of
 
 
 def report(number: int, ok: bool, name: str, detail: str) -> None:
@@ -201,7 +201,7 @@ def test_criterion_06_cutset_dp_vs_enumeration():
             # independent of summation order
             weights = {e: rng.randrange(1, 2049) / 1024
                        for e in range(1, tree.n_vertices)}
-            got = min_cutset_sum(tree, weights.__getitem__)
+            got = min_cutset_sum(tree, weights_of(tree, weights.__getitem__))
             want = min(sum(weights[e] for e in cs) for cs in cutsets)
             if got != want:
                 exact = False

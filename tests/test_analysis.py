@@ -21,7 +21,7 @@ from goerw.analysis import (
     proportional_flow,
     tree_max_flow,
 )
-from goerw.environment import (AlphaDistribution, Environment, assign_deterministic, phi,
+from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
                                sample_random_environment)
 from goerw.errors import RefusalError
 from goerw.tree import (
@@ -34,8 +34,8 @@ from goerw.tree import (
 )
 from goerw.walk import simulate
 
-from conftest import (cut_dp_ref, escape_batch_ref, flow_energy_rows_ref,
-                      proportional_flow_ref, random_broom, random_tree)
+from conftest import (cut_dp_ref, escape_batch_ref, flow_energy_rows_ref, phi,
+                      proportional_flow_ref, random_broom, random_tree, weights_of)
 
 
 class TestGamblerExact:
@@ -133,7 +133,7 @@ class TestTreeFlow:
     def test_blocked_root_edge_routes_around(self):
         # two depth-2 paths below the root; zero capacity on one root edge
         tree = build_from_edge_list([(0, 1), (0, 2), (1, 3), (2, 4)])
-        cap = lambda v: 0.0 if v == 1 else 1.0
+        cap = weights_of(tree, lambda v: 0.0 if v == 1 else 1.0)
         total, F = tree_max_flow(tree, cap, 2)
         assert total == 1.0
         theta = proportional_flow(tree, F, 2, total)
@@ -145,7 +145,7 @@ class TestTreeFlow:
         env = assign_deterministic(tree)
         rep = flow_energy_check(env, 1.5, [16])
         # rebuild theta to inspect conservation directly
-        cap = lambda v: (1.0 / tree.depth[v]) ** 1.5
+        cap = weights_of(tree, lambda v: (1.0 / tree.depth[v]) ** 1.5)
         total, F = tree_max_flow(tree, cap, 16)
         theta = proportional_flow(tree, F, 16, min(1.0, total))
         for v in range(1, tree.n_vertices):
@@ -418,6 +418,33 @@ class TestPhaseDiagnostic:
                                  escape_depth=12, horizon=10**4, trials=300,
                                  master_seed=5, depth=20)
             assert v.verdict == verdict
+
+    def test_probe_depths_are_the_shared_defaults(self, monkeypatch):
+        """The branching-ruin reading takes the default grid and probe
+        depths of every cutset table, so at L = 300 it reads depth 256."""
+        calls = []
+
+        def spy(family, gammas, depths, *args):
+            calls.append((family.name, tuple(gammas), list(depths)))
+            return tree_module.branching_ruin_estimate(family, gammas, depths, *args)
+
+        monkeypatch.setattr(analysis, "branching_ruin_estimate", spy)
+        v = phase_diagnostic(path_family(), AlphaDistribution.point(1.0), 0.1,
+                             escape_depth=2, horizon=10**4, trials=100,
+                             master_seed=5, depth=300)
+        gammas = tuple(round(0.1 * g, 10) for g in range(1, 31))
+        assert calls == [("path", gammas, [8, 16, 32, 64, 128, 256])]
+        assert gammas == tree_module.DEFAULT_GAMMAS
+        assert v.br_estimate == tree_module.branching_ruin_estimate(
+            path_family(), gammas, [8, 16, 32, 64, 128, 256]).estimate
+
+    def test_point_mass_under_a_negative_seed(self):
+        """A one-atom law builds one environment from the master seed
+        itself, which may be negative, as derive_seed takes it."""
+        kw = dict(escape_depth=12, horizon=10**4, trials=100, depth=20)
+        a = phase_diagnostic(self.fam, AlphaDistribution.point(1.0), 0.1,
+                             master_seed=-5, **kw)
+        assert a.master_seed == -5 and a.verdict == "recurrent-leaning"
 
     def test_validation(self):
         dist = AlphaDistribution.point(1.0)

@@ -190,6 +190,23 @@ class TestUnitPsi:
         # only the depth-1 edge has a finite conductance (1), and carries 1
         assert "depth=8 max_flow=1.0 energy=1.0 support=8" in out
 
+    def test_json_is_strict(self, tmp_path, capsys):
+        """The infinite conductance is the CSV's "inf" in the JSON too,
+        which a parser that refuses Infinity, -Infinity and NaN reads."""
+        code, _, err = run(capsys, "compute-psi", *self.ENV, "--edge-depth", "3",
+                           "--format", "json", "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        doc = json.loads((tmp_path / "compute-psi.json").read_text(), parse_constant=refuse)
+        assert doc["statistics"] == {"edge": 3, "depth": 3, "psi": 1.0, "Psi": 1.0, "c": "inf"}
+
+    def test_spelled_like_the_csv(self):
+        nested = {"a": [1.5, float("-inf"), (float("nan"), 2)], "b": {"c": float("inf")}}
+        assert cli._spelled(nested) == {"a": [1.5, "-inf", ["nan", 2]], "b": {"c": "inf"}}
+
 
 class TestOverflowRefused:
     """mu = 1e200 makes R = mu^(d-1) overflow at depth 3 of a path: the
@@ -310,6 +327,12 @@ class TestOutputs:
         assert doc["config"]["subcommand"] == "percolate"
         assert doc["config"]["options"]["trials"] == 300
         assert set(doc["statistics"]["depths"]["2"]) == {"edge", "p_hat", "exact", "z", "steps"}
+
+    def test_percolate_csv_columns(self, tmp_path, capsys):
+        out = tmp_path / "columns"
+        run(capsys, *self.args, "--out-dir", str(out), "--format", "csv")
+        header = (out / "percolate.csv").read_text().splitlines()[0]
+        assert header == "depth,edge,trials,n_connected,p_hat,exact,stderr,z,invalid_runs"
 
     def test_json_steps_are_the_runs_steps(self, tmp_path, capsys):
         """statistics.depths.<d>.steps sums the steps of every trial's run."""
@@ -743,3 +766,18 @@ class TestTables:
         doc = json.loads((out / "flow-check.json").read_text())
         assert doc["statistics"]["degenerate"] is False
         assert len(doc["statistics"]["energies"]) == 2
+
+    @pytest.mark.parametrize("sub,argv", [
+        ("estimate-br", []),
+        ("estimate-rt", ["--env", "alpha:two=0,3,0.5", "--seed", "4"]),
+    ])
+    def test_default_grid_and_depths(self, tmp_path, capsys, sub, argv):
+        """Without --gamma-grid and --depths a table reads the shared
+        defaults, byte for byte the table of the grid 0.1:3.0:0.1 at the
+        depths 8, 16, 32."""
+        base = [sub, "--tree", "poly:b=1.5,L=40", *argv, "--format", "csv"]
+        assert run(capsys, *base, "--out-dir", str(tmp_path / "a"))[0] == 0
+        assert run(capsys, *base, "--gamma-grid", "0.1:3.0:0.1", "--depths", "8,16,32",
+                   "--out-dir", str(tmp_path / "b"))[0] == 0
+        a, b = ((tmp_path / d / f"{sub}.csv").read_bytes() for d in "ab")
+        assert a == b and len(a.splitlines()) == 1 + 30 * 3

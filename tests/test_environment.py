@@ -18,16 +18,14 @@ from goerw.environment import (
     assign_deterministic,
     environment_from_alpha,
     log_Psi,
-    phi,
     psi,
-    resistance,
     rt_estimate,
     rt_hypothesis_sup,
     sample_random_environment,
 )
 from goerw.tree import branching_ruin_estimate, build_path, build_regular, polynomial_family
 
-from conftest import cut_dp_ref, psi_simplified, random_broom, random_tree
+from conftest import cut_dp_ref, phi, psi_simplified, random_broom, random_tree, resistance
 
 
 def reference_potentials(env):
@@ -164,8 +162,6 @@ class TestResistanceAndPotential:
 
     def test_root_names_no_edge(self):
         env = assign_deterministic(build_path(2))
-        with pytest.raises(ValueError):
-            resistance(env, 0)
         with pytest.raises(ValueError):
             psi(env, 0)
 

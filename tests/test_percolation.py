@@ -3,10 +3,12 @@ import math
 import pytest
 
 import goerw.percolation as percolation
+from goerw.analysis import flow_energy_check
 from goerw.environment import (
     AlphaDistribution,
     Environment,
     Psi,
+    _conductance,
     assign_deterministic,
     environment_from_alpha,
     psi,
@@ -20,11 +22,11 @@ from goerw.percolation import (
     quasi_independence_statistic,
     sample_ruin_percolation,
 )
-from goerw.tree import build_path, build_regular
+from goerw.tree import build_from_edge_list, build_path, build_regular
 from goerw.walk import (ClockTable, StopRule, _extension_run, derive_seed, extension_reach,
                         simulate_extension)
 
-from conftest import random_broom, random_tree
+from conftest import flow_energy_rows_ref, random_broom, random_tree
 
 
 def ternary_excited(depth):
@@ -529,6 +531,29 @@ class TestAdaptedConductance:
         env = Environment(build_path(4), [1.0, 1e300, 1e-300, 1e-300, 1.0], [1.0] * 5)
         assert (psi(env, 2), psi(env, 3), Psi(env, 3)) == (0.0, 1.0, 0.0)
         assert adapted_conductance(env, 3) == math.inf
+
+    def test_unit_psi_under_zero_Psi_on_a_branching_tree(self):
+        """Vertex 1 (lam 1e300, two children) rounds psi to 0 below it, so
+        Psi is 0 on its whole subtree; lam = 1e-300 at the single-child
+        vertices under it and under vertex 2 rounds psi to 1 there, with Psi
+        0 and 1. Every psi of 1 gives conductance +inf, whatever Psi, the
+        edge by edge reading is the whole table's, and the flow rows are
+        repr-equal to the scalar reference's."""
+        t = build_from_edge_list([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7),
+                                  (3, 8), (4, 9), (5, 10), (6, 11), (7, 12), (8, 13)])
+        n = t.n_vertices
+        lam = [1.0, 1e300, 1e-300, 2.0] + [1e-300] * 3 + [2.0] * (n - 7)
+        env = Environment(t, lam, [1.0] * n)
+        unit = [v for v in range(t.leftmost_at_depth(2), n) if psi(env, v) == 1.0]
+        assert unit == [6, 9, 10, 11]
+        assert [Psi(env, v) for v in unit] == [1.0, 0.0, 0.0, 1.0]
+        assert [adapted_conductance(env, v) for v in unit] == [math.inf] * 4
+        table = _conductance(env, 1, n).tolist()
+        assert [adapted_conductance(env, v) for v in range(1, n)] == table
+        assert table[:3] == [1.0] * 3 and math.isfinite(table[12 - 1])
+        for depths in ([2, 3], [3]):
+            rows = flow_energy_check(env, 1.5, depths).rows
+            assert repr(rows) == repr(flow_energy_rows_ref(env, 1.5, depths))
 
 
 class TestQuasiIndependence:

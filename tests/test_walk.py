@@ -243,8 +243,9 @@ class TestSimulate:
                 env = Environment(t, [rng.uniform(0.05, 8.0) for _ in range(n)],
                                   [rng.uniform(0.05, 8.0) for _ in range(n)])
             stop = StopRule(max_steps=rng.choice([0, 1, 2, 3, 40, 400]),
-                            hit_depth=rng.choice([None, None, 1, 2, 3, t.truncation_depth]),
-                            root_returns=rng.choice([None, None, 0, 1, 2, 5]))
+                            hit_depth=rng.choice([math.inf, math.inf, 1, 2, 3,
+                                                  t.truncation_depth]),
+                            root_returns=rng.choice([math.inf, math.inf, 0, 1, 2, 5]))
             seed = derive_seed(31, i)
             assert simulate(env, stop, seed) == simulate_ref(env, stop, seed)
             a = simulate(env, stop, seed, record=False)
@@ -385,7 +386,7 @@ class TestRubin:
         # later visits lean to the parent, so the walk returns to the root
         env = assign_deterministic(build_regular(3, 4), lam=2.0, mu=3.0)
         depth = env.tree.depth
-        bounds = [(h, None) for h in (1, 2, 3, 4)] + [(None, r) for r in (1, 2, 3)]
+        bounds = [(h, math.inf) for h in (1, 2, 3, 4)] + [(math.inf, r) for r in (1, 2, 3)]
         bounds += [(4, 1), (2, 3), (4, 3), (3, 2)]
         reasons = set()
         for (hd, rr), seed in itertools.product(bounds, (42, 43)):
@@ -393,10 +394,10 @@ class TestRubin:
             returns = 0
             for i, v in enumerate(a.positions[1:], 1):
                 returns += v == 0
-                if hd is not None and depth[v] >= hd:
+                if depth[v] >= hd:
                     reason = "hit_depth"
                     break
-                if rr is not None and returns >= rr:
+                if returns >= rr:
                     reason = "root_returns"
                     break
             else:
