@@ -70,8 +70,7 @@ class GamblerChain:
 
 def _potential(mu: Sequence, k: int):
     """phi(k) = sum_{j=1}^{k} prod_{h=1}^{j-1} mu_h, with phi(0) = 0."""
-    total = 0
-    term = 1
+    total, term = 0, 1
     for j in range(1, k + 1):
         total = total + term
         if j - 1 < len(mu):
@@ -137,7 +136,8 @@ def tree_max_flow(tree: Tree, capacity: np.ndarray, depth: int) -> tuple[float, 
     cut DP of tree.min_cutset_sum cut at `depth`. Childless vertices above
     the target depth carry nothing. Its child sums are sequential, so the
     result does not depend on the interpreter. Returns (max flow, per-edge
-    flow capacity F indexed by vertex id)."""
+    flow capacity F indexed by vertex id through `depth`: the ids below
+    tree.levels.starts[depth + 1], as _cut_dp sizes it)."""
     if not 1 <= depth <= tree.truncation_depth:
         raise ValueError(f"depth must lie in [1, {tree.truncation_depth}]")
     return _cut_dp(tree, capacity, depth)
@@ -147,6 +147,8 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
                       total: float) -> dict[int, float]:
     """Route `total` units from the root along the max-flow profile F,
     splitting at each vertex proportionally to the children's capacities.
+    F is indexed by vertex id at least through `depth`, as tree_max_flow
+    returns it; theta is read no deeper.
 
     A vertex above `depth` with a positive inflow gives each child c with
     F[c] > 0 the share inflow * F[c] / s, s the sum of those F[c]; the last
@@ -218,11 +220,9 @@ class FlowEnergyReport:
 
     @property
     def degenerate(self) -> bool:
-        if any(r.max_flow <= 0.0 for r in self.rows):
-            return True
-        if len(self.rows) >= 2 and self.rows[-1].max_flow < 0.5 * self.rows[0].max_flow:
-            return True
-        return False
+        # one row is never below half itself unless it is <= 0
+        return (any(r.max_flow <= 0.0 for r in self.rows)
+                or self.rows[-1].max_flow < 0.5 * self.rows[0].max_flow)
 
 
 def flow_energy_check(env: Environment, gamma: float,
@@ -261,13 +261,11 @@ def flow_energy_check(env: Environment, gamma: float,
         theta = proportional_flow(tree, F, L, total)
         e = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
         t = np.fromiter(theta.values(), dtype=np.float64, count=len(theta))
-        support = t > 0.0
-        e, t = e[support], t[support]
+        e, t = e[t > 0.0], t[t > 0.0]
         # np.cumsum adds in order, as the scalar loop did
         energy = float(np.cumsum(t * t / conductance[e])[-1]) if t.size else 0.0
-        rows.append(FlowEnergyRow(depth=L, max_flow=max_flow,
-                                  flow_total=total, energy=energy,
-                                  support_edges=int(t.size)))
+        rows.append(FlowEnergyRow(depth=L, max_flow=max_flow, flow_total=total,
+                                  energy=energy, support_edges=int(t.size)))
     return FlowEnergyReport(gamma=gamma, rows=rows)
 
 
@@ -334,17 +332,14 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                     root_returns=K_RETURNS)
     one_atom = len(dist.values) == 1
     env = sample_random_environment(tree, dist, seed_base) if one_atom else None
-    escapes = 0
-    returns_sum = 0
-    censored = 0
+    escapes = returns_sum = censored = 0
     for t in range(trials):
         if not one_atom:
             env = sample_random_environment(tree, dist,
                                             derive_seed(seed_base, 1, t, 0))
         traj = simulate(env, stop, derive_seed(seed_base, 1, t, 1),
                         record=False)
-        if traj.escaped:
-            escapes += 1
+        escapes += traj.escaped
         returns_sum += traj.root_returns
         censored += traj.stop_reason == "max_steps"
     return escapes / trials, returns_sum / trials, censored

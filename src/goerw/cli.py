@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from argparse import ArgumentTypeError
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -57,6 +58,8 @@ from .percolation import (
 )
 from .tree import (
     DEFAULT_GAMMAS,
+    DEFAULT_THRESHOLD,
+    BranchingTable,
     Tree,
     TreeFamily,
     _atomic_write,
@@ -168,41 +171,6 @@ def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
     return sample_random_environment(tree, payload, derive_seed(seed, 0xE17))
 
 
-def _parse_depths(text: str) -> list[int]:
-    try:
-        depths = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad depth list {text!r}") from None
-    if not depths or any(d < 1 for d in depths):
-        raise UsageError(f"bad depth list {text!r}")
-    return sorted(set(depths))
-
-
-def _parse_gamma_grid(text: str) -> list[float]:
-    try:
-        if ":" in text:
-            start, stop, step = (float(x) for x in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError("empty range")
-            q = (stop - start) / step  # counted before the grid is built
-            if q + 1 > 10_000:
-                raise UsageError(f"gamma grid {text!r} holds {q + 1:.6g} points; "
-                                 "a range may hold at most 10,000")
-            grid = [round(start + k * step, 10) for k in range(round(q) + 1)]
-            grid = [g for g in grid if g <= stop + 1e-9]
-            if any(a >= b for a, b in zip(grid, grid[1:])):
-                raise UsageError(f"gamma grid {text!r}: step {step:g} is too small for "
-                                 "entries rounded to 10 decimals to stay distinct")
-        else:
-            grid = sorted(float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad gamma grid {text!r} "
-                         "(want start:stop:step or a comma list)") from None
-    if not all(0 <= g < math.inf for g in grid):  # NaN fails both
-        raise UsageError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # config file and the run
 
@@ -220,8 +188,7 @@ def load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key = value")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
+        key, value = (x.strip() for x in line.split("=", 1))
         _validate_config_key(key, path, ln)
         out[key] = value
     return out
@@ -247,8 +214,9 @@ class Run:
 
     Each declared option is resolved once, before the experiment starts:
     the flag, else the dotted config key, else the undotted one, converted
-    by its TYPES entry. Stdout lines and output files are held until flush,
-    so a refusal or a crash leaves no partial data files."""
+    by its TYPES entry (by argparse, for a flag not in IN_RUN). Stdout lines
+    and output files are held until flush, so a refusal or a crash leaves
+    no partial data files."""
 
     def __init__(self, sub: str, flag_values: dict[str, object],
                  config: dict[str, str]):
@@ -256,6 +224,8 @@ class Run:
         self.options: dict[str, object] = {}
         for name in COMMANDS[sub].options:
             v = flag_values.get(name)
+            if v is not None and name in IN_RUN:
+                v = _converted(name, v, f"--{name}")
             if v is None:
                 v = self._config_value(name, config)
             if v is not None:
@@ -269,13 +239,7 @@ class Run:
     def _config_value(self, name: str, config: dict[str, str]):
         for key in (f"{self.sub}.{name}", name):
             if key in config:
-                try:
-                    return TYPES[name](config[key])
-                except ValueError:
-                    raise UsageError(f"config key {key!r}: cannot parse "
-                                     f"{config[key]!r}") from None
-                except argparse.ArgumentTypeError as e:
-                    raise UsageError(f"config key {key!r}: {e}") from None
+                return _converted(name, config[key], f"config key {key!r}")
         return None
 
     def get(self, name: str, default=None):
@@ -334,6 +298,16 @@ class Run:
                 _atomic_write(path, text)
             self.say(f"wrote {path}")
         print("\n".join(self.lines))
+
+
+def _converted(name: str, text: str, where: str):
+    """TYPES[name](text); a failure is a usage error naming where text is from."""
+    try:
+        return TYPES[name](text)
+    except ValueError:
+        raise UsageError(f"{where}: cannot parse {text!r}") from None
+    except ArgumentTypeError as e:
+        raise UsageError(f"{where}: {e}") from None
 
 
 def _spelled(x):
@@ -409,19 +383,16 @@ def _run_simulate(r: Run) -> None:
 
 
 def _run_percolate(r: Run) -> None:
+    depths, depth = r.get("depths"), r.get("depth")
+    if depths is not None and depth is not None:
+        raise UsageError("give --depth or --depths, not both")
+    if depth is not None:
+        depths = [depth]
+    elif depths is None:
+        raise UsageError("missing required option --depth or --depths")
     tree = parse_tree_spec(r.require("tree"))
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
-    depths_text = r.get("depths")
-    depth = r.get("depth")
-    if depths_text is not None and depth is not None:
-        raise UsageError("give --depth or --depths, not both")
-    if depths_text is not None:
-        depths = _parse_depths(depths_text)
-    elif depth is not None:
-        depths = [depth]
-    else:
-        raise UsageError("missing required option --depth or --depths")
     trials = r.get("trials", 10_000)
     rows = []
     stats = {"depths": {}}
@@ -439,57 +410,47 @@ def _run_percolate(r: Run) -> None:
             "stderr", "z", "invalid_runs"], rows, stats)
 
 
-def _table_inputs(r: Run) -> tuple[TreeFamily, list[int], list[float]]:
-    """The family, depths and gamma grid of a cutset table, by default
-    tree.default_depths and tree.DEFAULT_GAMMAS."""
+def _table_inputs(r: Run) -> tuple[TreeFamily, Sequence[float], list[int], float]:
+    """The family, gamma grid, depths and threshold of a cutset table, by
+    default tree.DEFAULT_GAMMAS, tree.default_depths and DEFAULT_THRESHOLD."""
     family, L = parse_family_spec(r.require("tree"))
-    depths_text, grid = r.get("depths"), r.get("gamma-grid")
-    depths = _parse_depths(depths_text) if depths_text else default_depths(L)
+    depths = r.get("depths", default_depths(L))
     if depths[-1] > L:
         raise UsageError(f"depth {depths[-1]} exceeds the family depth L={L}")
-    return family, depths, list(DEFAULT_GAMMAS) if grid is None else _parse_gamma_grid(grid)
+    return (family, r.get("gamma-grid", DEFAULT_GAMMAS), depths,
+            r.get("threshold", DEFAULT_THRESHOLD))
 
 
-def _emit_table(r: Run, table, depths: list[int], **stats) -> None:
+def _emit_table(r: Run, table: BranchingTable, **stats) -> None:
     """The estimate line, and the cutset table's rows and summary."""
     r.say(f"{r.sub.removeprefix('estimate-')} estimate: {table.estimate} "
-          f"(threshold {table.threshold}, deepest depth {depths[-1]})")
+          f"(threshold {table.threshold}, deepest depth {table.depths[-1]})")
     r.emit(["gamma", "depth", "min_cutset_sum"], table.rows(),
            {"estimate": table.estimate, "threshold": table.threshold,
-            "deepest": depths[-1], **stats})
+            "deepest": table.depths[-1], **stats})
 
 
 def _run_estimate_br(r: Run) -> None:
-    family, depths, gammas = _table_inputs(r)
-    table = branching_ruin_estimate(family, gammas, depths,
-                                    threshold=r.get("threshold", 0.1))
-    _emit_table(r, table, depths, exact_index=family.br_index)
+    family, *inputs = _table_inputs(r)
+    _emit_table(r, branching_ruin_estimate(family, *inputs), exact_index=family.br_index)
 
 
 def _run_estimate_rt(r: Run) -> None:
-    family, depths, gammas = _table_inputs(r)
-    env_spec = r.require("env")
-    seed = r.seed()
+    family, *inputs = _table_inputs(r)
+    env_spec, seed = r.require("env"), r.seed()
 
-    def pair(Lq: int) -> tuple[Tree, Environment]:
-        tree = family.build(Lq)
+    def pair(L: int) -> tuple[Tree, Environment]:
+        tree = family.build(L)
         return tree, build_environment(tree, env_spec, seed)
 
-    table = rt_estimate(pair, gammas, depths, threshold=r.get("threshold", 0.1))
-    _emit_table(r, table, depths)
+    _emit_table(r, rt_estimate(pair, *inputs))
 
 
 def _run_flow_check(r: Run) -> None:
     tree = parse_tree_spec(r.require("tree"))
     env = build_environment(tree, r.require("env"), r.seed())
     gamma = r.require("gamma")
-    depths_text = r.get("depths")
-    depths = (_parse_depths(depths_text) if depths_text
-              else default_depths(tree.truncation_depth))
-    try:
-        rep = flow_energy_check(env, gamma, depths)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    rep = flow_energy_check(env, gamma, r.get("depths", default_depths(tree.truncation_depth)))
     rows = [[row.depth, row.max_flow, row.flow_total, row.energy,
              row.support_edges] for row in rep.rows]
     for row in rep.rows:
@@ -536,10 +497,7 @@ def _run_gambler(r: Run) -> None:
     if any(m <= 0 for m in mu_all):
         raise UsageError("biases must be positive")
     start = r.require("start")
-    try:
-        chain = GamblerChain(N=N, mu=tuple(mu_all[:N - 1]), start=start)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    chain = GamblerChain(N=N, mu=tuple(mu_all[:N - 1]), start=start)
     exact = gambler_ruin_exact(chain)
     r.say(str(exact))
     stats = {"N": N, "start": start, "exact": float(exact),
@@ -567,7 +525,7 @@ def _run_concentration(r: Run) -> None:
     kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
         raise UsageError("concentration needs an alpha env spec")
-    depths = _parse_depths(r.require("depths"))
+    depths = r.require("depths")
     epsilon = r.require("epsilon")
     rep = concentration_experiment(tree, dist, epsilon, depths,
                                    env_samples=r.get("trials", 200),
@@ -590,7 +548,7 @@ def count(text: str) -> int:
     """A count, depth or step budget: an integer of at least 1."""
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        raise ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
@@ -598,7 +556,7 @@ def finite(text: str) -> float:
     """A float other than nan and +-inf."""
     x = float(text)
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        raise ArgumentTypeError(f"must be finite, got {text}")
     return x
 
 
@@ -606,17 +564,58 @@ def margin(text: str) -> float:
     """A finite float of at least 0."""
     x = finite(text)
     if x < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        raise ArgumentTypeError(f"must be at least 0, got {text}")
     return x
+
+
+def _parse_depths(text: str) -> list[int]:
+    """A comma list of depths of at least 1, sorted, each once."""
+    try:
+        depths = sorted({int(x) for x in text.split(",")})
+    except ValueError:
+        raise ArgumentTypeError(f"bad depth list {text!r}") from None
+    if depths[0] < 1:
+        raise ArgumentTypeError(f"bad depth list {text!r}")
+    return depths
+
+
+def _parse_gamma_grid(text: str) -> list[float]:
+    """start:stop:step (at most 10,000 points, rounded to 10 decimals) or a
+    comma list, sorted; every gamma finite and at least 0."""
+    try:
+        if ":" in text:
+            start, stop, step = (float(x) for x in text.split(":"))
+            if step <= 0 or stop < start:
+                raise ValueError("empty range")
+            q = (stop - start) / step  # counted before the grid is built
+            if q + 1 > 10_000:
+                raise ArgumentTypeError(f"gamma grid {text!r} holds {q + 1:.6g} points; "
+                                        "a range may hold at most 10,000")
+            grid = [round(start + k * step, 10) for k in range(round(q) + 1)]
+            grid = [g for g in grid if g <= stop + 1e-9]
+            if any(a >= b for a, b in zip(grid, grid[1:])):
+                raise ArgumentTypeError(f"gamma grid {text!r}: step {step:g} is too small "
+                                        "for entries rounded to 10 decimals to stay distinct")
+        else:
+            grid = sorted(float(x) for x in text.split(","))
+    except ValueError:
+        raise ArgumentTypeError(f"bad gamma grid {text!r} "
+                                "(want start:stop:step or a comma list)") from None
+    if not all(0 <= g < math.inf for g in grid):  # NaN fails both
+        raise ArgumentTypeError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
+    return grid
 
 
 TYPES: dict[str, Callable] = {
     "tree": str, "env": str, "seed": int, "trials": count, "depth": count,
-    "depths": str, "edge-depth": count, "max-steps": count, "returns": count,
-    "gamma": finite, "gamma-grid": str, "threshold": finite, "epsilon": margin,
+    "depths": _parse_depths, "edge-depth": count, "max-steps": count, "returns": count,
+    "gamma": finite, "gamma-grid": _parse_gamma_grid, "threshold": finite, "epsilon": margin,
     "escape-depth": count, "horizon": count, "mu": str, "start": int,
     "output": str, "format": str, "out-dir": str,
 }
+
+# converted by Run, not argparse, so that main reports a bad list (exit 2)
+IN_RUN = ("depths", "gamma-grid")
 
 _OUT = ("format", "out-dir")
 _SAMPLED = ("tree", "env", "seed", "trials")
@@ -675,7 +674,7 @@ def _build_parser():
             if opt == "format":
                 sp.add_argument("--format", choices=["csv", "json"])
             else:
-                sp.add_argument(f"--{opt}", type=TYPES[opt])
+                sp.add_argument(f"--{opt}", type=str if opt in IN_RUN else TYPES[opt])
     return p
 
 
@@ -711,15 +710,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         COMMANDS[sub].run(run)
         run.flush()
         return 0
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RefusalError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

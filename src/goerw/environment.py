@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RefusalError
-from .tree import Tree, BranchingTable, min_cutset_sum
+from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_dp
+from .tree import min_cutset_sum  # unused here; perfbench/tracer.py patches this name
 
 __all__ = [
     "AlphaDistribution",
@@ -364,18 +365,21 @@ _RT_CELLS = 1 << 18
 
 def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
                 gamma_grid: Sequence[float], depths: Sequence[int],
-                threshold: float = 0.1) -> BranchingTable:
+                threshold: float = DEFAULT_THRESHOLD) -> BranchingTable:
     """Branching-ruin style table with ruin weights: min cutset sums under
     w(e) = Psi(e)**gamma across depths, read the same way as the plain
     growth-index table.
 
-    pair_family(L) must return the truncated tree together with its
-    environment, extending consistently as L grows (same seed and rule) so
-    the depths are comparable.
+    pair_family(L) returns a tree of truncation depth at least L and its
+    environment. It is called once, for the deepest depth, and depth L cuts
+    that tree at level L, as in flow_energy_check; a depth below 1 or past
+    the tree is refused. psi at depth <= L reads no bias or degree at depth
+    L or below, so with environments that nest as a family's trees do (the
+    CLI's draw alphas in id order from one seed) each row is its own tree's.
 
     Only the weights a cut can read are evaluated (see _ruin_weights): on
-    the truncation level and at the vertices with two or more children,
-    +inf elsewhere. For gamma >= 0 that is exact, every value bitwise that
+    the cut level and at the vertices with two or more children, +inf
+    elsewhere. For gamma >= 0 that is exact, every value bitwise that
     of the DP on every weight, so a negative or NaN gamma is refused.
     """
     for g in gamma_grid:
@@ -385,17 +389,19 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     depths = sorted(depths)
     if not gammas or not depths:
         raise ValueError("gamma grid and depth list must be nonempty")
+    if depths[0] < 1:
+        raise ValueError(f"depth {depths[0]} is below 1")
+    tree, env = pair_family(depths[-1])
+    if depths[-1] > tree.truncation_depth:
+        raise ValueError(f"depth {depths[-1]} exceeds the tree depth {tree.truncation_depth}")
     values: dict[tuple[float, int], float] = {}
     for L in depths:
-        tree, env = pair_family(L)
-        lp = _potentials(env)[3]
+        lp = _potentials(env)[3][:tree.levels.starts[L + 1]]  # through the cut
         # w = exp(g * log Psi), one row per gamma, as many gammas per cutset
         # pass as fit in _RT_CELLS weights
         rows = max(1, _RT_CELLS // lp.size)
         for k in range(0, len(gammas), rows):
             chunk = gammas[k:k + rows]
-            weights = _ruin_weights(tree, lp, np.asarray(chunk, dtype=np.float64),
-                                    [tree.truncation_depth])
-            for g, value in zip(chunk, min_cutset_sum(tree, weights)):
-                values[(g, L)] = value
+            w = _ruin_weights(tree, lp, np.asarray(chunk, dtype=np.float64), [L])
+            values.update(zip([(g, L) for g in chunk], _cut_dp(tree, w, L)[0]))
     return BranchingTable(gammas, depths, values, threshold)

@@ -44,6 +44,7 @@ __all__ = [
     "min_cutset_sum",
     "min_level_cutset_sum",
     "DEFAULT_GAMMAS",
+    "DEFAULT_THRESHOLD",
     "default_depths",
     "branching_ruin_estimate",
     "BranchingTable",
@@ -362,10 +363,10 @@ def _cut_dp(tree: Tree, w: np.ndarray, depth: int) -> tuple[float | list[float],
     is one running minimum with the scalar step's ties, so F is what a
     scalar loop over the ids gives, on any interpreter. Returns (sum of F over the root's
     children, F): a float and a 1-D F, or a list with one float per row and
-    a 2-D F."""
+    a 2-D F. F stops at the cut level (ids below starts[depth + 1])."""
     starts = tree.levels.starts
     w = np.asarray(w, dtype=np.float64)
-    F = np.zeros(w.shape[:-1] + (tree.n_vertices,))
+    F = np.zeros(w.shape[:-1] + (starts[depth + 1],))
     F[..., starts[depth]:starts[depth + 1]] = w[..., starts[depth]:starts[depth + 1]]
     kids = tree.levels.kids
     for d, e, chain in tree.level_runs(depth - 1, 0, -1):
@@ -401,8 +402,8 @@ def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
 
 def min_level_cutset_sum(level_sizes: Sequence[int],
                          weight_by_depth: Callable[[int], float]) -> float:
-    """Minimum of s(m) * w(m) over levels m >= 1. Equals min_cutset_sum on
-    a spherically symmetric tree whose edge weights depend only on depth.
+    """Minimum of _level_product(s(m), w(m)) over levels m >= 1. Equals
+    min_cutset_sum on a spherically symmetric tree with level weights.
 
     Why full levels suffice: weights are level-constant and the subtree below
     any vertex of level m is a copy of every other, so replacing the cheapest
@@ -412,11 +413,7 @@ def min_level_cutset_sum(level_sizes: Sequence[int],
     L = len(level_sizes) - 1
     if L < 1:
         raise ValueError("need at least one level below the root")
-    try:
-        return min(level_sizes[m] * weight_by_depth(m) for m in range(1, L + 1))
-    except OverflowError:  # a level size beyond the float range
-        return min(_level_product(level_sizes[m], weight_by_depth(m))
-                   for m in range(1, L + 1))
+    return min(_level_product(level_sizes[m], weight_by_depth(m)) for m in range(1, L + 1))
 
 
 def _level_product(n: int, w: float) -> float:
@@ -441,7 +438,9 @@ class TreeFamily:
 
     Every family is spherically symmetric: level_sizes(L) lists the level
     sizes of build(L), which lets the cutset analysis run without
-    materializing the tree. br_index is the family's exact branching-ruin
+    materializing the tree. Depths nest: level_sizes(L) is the first L + 1
+    entries of level_sizes(L + k), and build(L) the breadth-first prefix of
+    build(L + k) through depth L. br_index is the family's exact branching-ruin
     number (math.inf for exponentially growing families). The families
     below keep the last tree they built and return it again for the same
     depth, so repeated experiments on one family share one tree and the
@@ -494,8 +493,9 @@ class BranchingTable:
         return [(g, L, self.values[(g, L)]) for g in self.gammas for L in self.depths]
 
 
-# the default gamma grid of a cutset table: 0.1, 0.2, ..., 3.0
+# a cutset table's default gamma grid (0.1, 0.2, ..., 3.0) and threshold
 DEFAULT_GAMMAS = tuple(round(0.1 * g, 10) for g in range(1, 31))
+DEFAULT_THRESHOLD = 0.1
 
 
 def default_depths(L: int) -> list[int]:
@@ -505,9 +505,11 @@ def default_depths(L: int) -> list[int]:
 
 
 def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
-                            depths: Sequence[int], threshold: float = 0.1) -> BranchingTable:
+                            depths: Sequence[int],
+                            threshold: float = DEFAULT_THRESHOLD) -> BranchingTable:
     """Estimate the branching-ruin number of a family from min cutset sums
     with weights |e|**-gamma across a grid of gammas and truncation depths.
+    The level sizes are read once, for the deepest depth (see TreeFamily).
 
     Below the true index the sums stay bounded away from zero as the depth
     grows; above it they decay to zero. The estimate reported is the largest
@@ -521,8 +523,9 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
     if not gammas or not depths:
         raise ValueError("gamma grid and depth list must be nonempty")
     values: dict[tuple[float, int], float] = {}
+    deepest = family.level_sizes(depths[-1])
     for L in depths:
-        sizes = family.level_sizes(L)
+        sizes = deepest[:L + 1]
         for g in gammas:
             values[(g, L)] = min_level_cutset_sum(sizes, lambda m, g=g: m ** -g)
     return BranchingTable(gammas, depths, values, threshold)
@@ -536,8 +539,7 @@ def write_tree_file(tree: Tree, path: str) -> None:
     """Write the tree as '# goerw-tree v1 depth=<L>' followed by one
     'parent child' line per edge in breadth-first order."""
     lines = [f"# goerw-tree v1 depth={tree.truncation_depth}"]
-    for v in range(1, tree.n_vertices):
-        lines.append(f"{tree.parent[v]} {v}")
+    lines += (f"{p} {v}" for v, p in enumerate(islice(tree.parent, 1, None), 1))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import goerw.cli as cli
+import goerw.tree as tree_module
 from goerw.cli import main, parse_env_spec, parse_family_spec, parse_tree_spec
 from goerw.environment import AlphaDistribution
 from goerw.walk import ClockTable, StopRule, derive_seed, simulate_extension
@@ -266,7 +267,7 @@ class TestConfigFile:
         doc = json.loads((out / "estimate-br.json").read_text())
         assert doc["seed"] is None
         assert doc["config"]["options"] == {
-            "format": "json", "gamma-grid": "0.5,1.0", "out-dir": str(out),
+            "format": "json", "gamma-grid": [0.5, 1.0], "out-dir": str(out),
             "tree": "path:L=8"}
 
     def test_undotted_depth_does_not_cut_the_phase_scan_tree(self, tmp_path, capsys):
@@ -725,6 +726,34 @@ class TestUsage:
         assert calls == []
         assert not never.exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["estimate-br", "--tree", "path:L=16"], id="estimate-br"),
+        pytest.param(["flow-check", "--tree", "path:L=16", "--env", "det:mu=1",
+                      "--gamma", "1.5"], id="flow-check"),
+    ])
+    def test_empty_depth_list_is_usage_error(self, tmp_path, capsys, argv):
+        """An empty --depths, or a config `depths =`, is no list: exit 2,
+        not the default depths."""
+        code, out, err = run(capsys, *argv, "--depths", "")
+        assert code == 2 and out == ""
+        assert "--depths: bad depth list ''" in err
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("depths =\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == ""
+        assert "config key 'depths': bad depth list ''" in err
+
+    def test_bad_depth_list_is_refused_before_the_tree_is_built(self, capsys,
+                                                               monkeypatch):
+        calls = []
+        real = cli.parse_tree_spec
+        monkeypatch.setattr(cli, "parse_tree_spec", lambda spec: calls.append(spec) or real(spec))
+        code, out, err = run(capsys, "percolate", "--tree", "path:L=16", "--env",
+                             "det:mu=1", "--depths", "x")
+        assert code == 2 and out == ""
+        assert "--depths: bad depth list 'x'" in err
+        assert calls == []
+
     def test_level_sizes_beyond_the_float_range(self, capsys):
         """3 * 2**1099 vertices at depth 1100: no float holds the count."""
         code, out, err = run(capsys, "estimate-br", "--tree", "regular:d=3,L=1100",
@@ -766,6 +795,17 @@ class TestTables:
         doc = json.loads((out / "flow-check.json").read_text())
         assert doc["statistics"]["degenerate"] is False
         assert len(doc["statistics"]["energies"]) == 2
+
+    def test_estimate_rt_builds_one_tree(self, capsys, monkeypatch):
+        """Every depth of the default 8, 16, 32 cuts the one L = 32 tree."""
+        built = []
+        grow = tree_module._grow
+        monkeypatch.setattr(tree_module, "_grow",
+                            lambda sizes, cap: built.append(1) or grow(sizes, cap))
+        code, out, _ = run(capsys, "estimate-rt", "--tree", "poly:b=1.5,L=32", "--env",
+                           "alpha:two=0,3,0.5", "--seed", "3")
+        assert code == 0 and out.startswith("rt estimate: ")
+        assert len(built) == 1
 
     @pytest.mark.parametrize("sub,argv", [
         ("estimate-br", []),

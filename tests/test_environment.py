@@ -23,7 +23,9 @@ from goerw.environment import (
     rt_hypothesis_sup,
     sample_random_environment,
 )
-from goerw.tree import branching_ruin_estimate, build_path, build_regular, polynomial_family
+from goerw.cli import build_environment
+from goerw.tree import (branching_ruin_estimate, build_path, build_regular, path_family,
+                        polynomial_family, regular_family)
 
 from conftest import cut_dp_ref, phi, psi_simplified, random_broom, random_tree, resistance
 
@@ -385,29 +387,63 @@ class TestRtEstimate:
 
     @pytest.mark.parametrize("cells", [None, 1, 64])
     def test_equals_scalar_tables(self, rng, monkeypatch, cells):
-        """Many-gamma DPs per depth, as many gammas per pass as fit in the
-        cell budget, against one scalar DP per gamma."""
+        """One random tree cut at every depth: many-gamma DPs per depth, as
+        many gammas per pass as fit in the cell budget, against one scalar
+        DP per gamma and depth."""
         if cells is not None:
             monkeypatch.setattr(environment, "_RT_CELLS", cells)
         shapes = []
-        solve = environment.min_cutset_sum
-        monkeypatch.setattr(environment, "min_cutset_sum",
-                            lambda t, w: shapes.append(w.shape) or solve(t, w))
-        trees = {}
-        for L in (1, 2, 3):
-            t = random_tree(rng, max_edges=30, max_depth=6)
-            trees[L] = t, Environment(t, [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)],
-                                      [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)])
+        solve = environment._cut_dp
+        monkeypatch.setattr(environment, "_cut_dp",
+                            lambda t, w, d: shapes.append(w.shape) or solve(t, w, d))
         grid = [0.0, *(0.1 * g for g in range(1, 31)), 250.0]
-        table = rt_estimate(trees.__getitem__, grid, list(trees))
-        for (g, L), value in table.values.items():
-            t, env = trees[L]
-            want = cut_dp_ref(t, lambda e: math.exp(g * log_Psi(env, e)), t.truncation_depth)[0]
-            assert type(value) is float and repr(value) == repr(want)
+        passes = 0
+        for _ in range(3):
+            t = random_tree(rng, max_edges=30, max_depth=6)
+            env = Environment(t, [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)],
+                              [rng.uniform(0.1, 5.0) for _ in range(t.n_vertices)])
+            depths = list(range(1, t.truncation_depth + 1))
+            table = rt_estimate(lambda L: (t, env), grid, depths)
+            assert sorted(table.values) == sorted((g, L) for g in grid for L in depths)
+            for (g, L), value in table.values.items():
+                want = cut_dp_ref(t, lambda e: math.exp(g * log_Psi(env, e)), L)[0]
+                assert type(value) is float and repr(value) == repr(want)
+            passes += len(grid) * len(depths)
         budget = environment._RT_CELLS
         assert all(rows == 1 or rows * n <= budget for rows, n in shapes)
-        assert sum(rows for rows, _ in shapes) == len(grid) * len(trees)
+        assert sum(rows for rows, _ in shapes) == passes
 
+    @pytest.mark.parametrize("family", [path_family(), regular_family(3),
+                                        polynomial_family(1.5)], ids=["path", "regular", "poly"])
+    @pytest.mark.parametrize("law", ["det:lambda=2,mu=1.5", "alpha:point=1",
+                                     "alpha:two=0,3,0.5", "alpha:support=0,1,3;probs=0.2,0.3,0.5"])
+    def test_one_pair_for_every_depth(self, family, law):
+        """The pair is built once, for the deepest depth, and each depth's
+        rows are repr-equal to the table of that depth's own pair."""
+        calls = []
+
+        def pair(L):
+            calls.append(L)
+            t = family.build(L)
+            return t, build_environment(t, law, 9)
+
+        grid = [0.0, 0.5, 1.0, 2.5]
+        depths = [1, 2, 5, 7] if family.name == "regular-3" else [1, 3, 8, 20]
+        table = rt_estimate(pair, grid, depths[::-1])
+        assert calls == [depths[-1]]
+        for L in depths:
+            single = rt_estimate(pair, grid, [L])
+            assert repr([row for row in table.rows() if row[1] == L]) == repr(single.rows())
+
+    @pytest.mark.parametrize("depths,message", [
+        ([0, 2], "depth 0 is below 1"),
+        ([-3, 4], "depth -3 is below 1"),
+        ([2, 5], "depth 5 exceeds the tree depth 4"),
+    ])
+    def test_depth_outside_the_tree_refused(self, depths, message):
+        t = build_path(4)
+        with pytest.raises(ValueError, match=message):
+            rt_estimate(lambda L: (t, assign_deterministic(t)), [1.0], depths)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_shapes_equal_scalar_tables(self, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -240,7 +241,17 @@ class TestCutsets:
 
 class TestCutDpArrays:
     """The level-by-level DP against the scalar one, bitwise, on random
-    trees with dead ends, wide vertices, zero and tied weights."""
+    trees with dead ends, wide vertices, zero and tied weights. F runs
+    through the cut; the scalar F is 0.0 past it."""
+
+    @staticmethod
+    def through_cut(t, depth, ref):
+        """The scalar (value, F) with F cut to the ids through `depth`,
+        after checking that its tail is all 0.0."""
+        value, F = ref
+        m = t.levels.starts[depth + 1]
+        assert repr(F[m:]) == repr([0.0] * (len(F) - m))
+        return value, F[:m]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -251,7 +262,8 @@ class TestCutDpArrays:
         rows = [[0.0] + [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
                          for _ in range(1, t.n_vertices)] for _ in range(3)]
         for depth in range(1, t.truncation_depth + 1):
-            refs = [cut_dp_ref(t, w.__getitem__, depth) for w in rows]
+            refs = [self.through_cut(t, depth, cut_dp_ref(t, w.__getitem__, depth))
+                    for w in rows]
             for w, (value, F) in zip(rows, refs):
                 got = _cut_dp(t, np.array(w), depth)
                 assert type(got[0]) is float
@@ -268,7 +280,8 @@ class TestCutDpArrays:
         w = [0.0] + [rng.choice(pool) for _ in range(1, t.n_vertices)]
         for depth in range(1, t.truncation_depth + 1):
             got = _cut_dp(t, np.array(w), depth)
-            assert repr((got[0], got[1].tolist())) == repr(cut_dp_ref(t, w.__getitem__, depth))
+            want = self.through_cut(t, depth, cut_dp_ref(t, w.__getitem__, depth))
+            assert repr((got[0], got[1].tolist())) == repr(want)
 
     def test_root_only_tree_has_nothing_to_cut(self):
         t = build_regular(3, 0)
@@ -446,6 +459,21 @@ class TestBranchingEstimate:
     def test_rows_cover_grid(self):
         table = branching_ruin_estimate(path_family(), [0.5, 1.0], depths=[4, 8])
         assert len(table.rows()) == 4
+
+    @pytest.mark.parametrize("family", [path_family(), regular_family(3),
+                                        polynomial_family(1.5)], ids=["path", "regular", "poly"])
+    def test_reads_level_sizes_once(self, family):
+        """One level_sizes list, for the deepest depth, cut to each depth:
+        every row equal to the table of that depth's own list."""
+        calls = []
+        counted = dataclasses.replace(
+            family, level_sizes=lambda L: calls.append(L) or family.level_sizes(L))
+        grid = [0.25, 1.0, 2.0]
+        table = branching_ruin_estimate(counted, grid, [40, 3, 9])
+        assert calls == [40]
+        for L in (3, 9, 40):
+            single = branching_ruin_estimate(family, grid, [L])
+            assert repr([row for row in table.rows() if row[1] == L]) == repr(single.rows())
 
     def test_estimate_reads_deepest_depth(self):
         values = {(0.5, 4): 0.05, (0.5, 8): 0.3, (1.0, 4): 0.9, (1.0, 8): 0.2,
