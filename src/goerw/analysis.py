@@ -133,7 +133,7 @@ def tree_max_flow(tree: Tree, capacity: np.ndarray, depth: int) -> tuple[float, 
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
     capacity capped by the total its children can carry, which is the min
-    cut DP of tree.min_cutset_sum cut at `depth`. Childless vertices above
+    cut DP (tree._cut_dp) at the one depth `depth`. Childless vertices above
     the target depth carry nothing. Its child sums are sequential, so the
     result does not depend on the interpreter. Returns (max flow, per-edge
     flow capacity F indexed by vertex id through `depth`: the ids below
@@ -153,18 +153,23 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
     A vertex above `depth` with a positive inflow gives each child c with
     F[c] > 0 the share inflow * F[c] / s, s the sum of those F[c]; the last
     such child receives the exact remainder of the inflow instead. Both
-    sums add one child at a time in id order (Tree.child_sums), so theta
-    does not depend on the interpreter: from Python 3.12 the builtin sum()
-    compensates. Adding the shares up again can still round, so outflow
-    matches inflow to within one ulp per child, not bitwise.
+    sums add one child at a time in id order, so theta does not depend on
+    the interpreter: from Python 3.12 the builtin sum() compensates. Adding
+    the shares up again can still round, so outflow matches inflow to
+    within one ulp per child, not bitwise.
 
-    The splits run level by level on arrays. theta maps each child given a
-    share to it, in increasing id order."""
+    Every vertex's s comes from one np.bincount through `depth`, the
+    additions of Tree.child_sums; the shares, the remainders and theta run
+    level by level on arrays, each level's inflow being the theta of the
+    level above. theta maps each child given a share to it, in increasing
+    id order."""
     F = np.asarray(F, dtype=np.float64)
     n = tree.n_vertices
     starts, parent = tree.levels.starts, tree.levels.parent
     pos = F > 0.0
-    positive = np.where(pos, F, 0.0)
+    # s by vertex, through the cut
+    m = starts[min(depth, tree.truncation_depth) + 1]
+    s = np.bincount(parent[1:m], weights=np.where(pos[1:m], F[1:m], 0.0), minlength=m)
     # last[c]: c is the last child of its parent with F[c] > 0
     live = np.flatnonzero(pos)
     ends = np.ones(live.size, dtype=bool)
@@ -190,7 +195,7 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
             live = pos[a:b] & (inflow > 0.0)
             if not live.any():
                 break
-            share = np.where(live, inflow * F[a:b] / tree.child_sums(positive[a:b], d)[at], 0.0)
+            share = np.where(live, inflow * F[a:b] / s[up], 0.0)
             rest = tree.child_sums(np.where(last[a:b], 0.0, share), d)
             theta[a:b] = np.where(live & last[a:b], inflow - rest[at], share)
             given[a:b] = live

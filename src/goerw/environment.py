@@ -344,8 +344,9 @@ def _ruin_weights(tree: Tree, lp: np.ndarray, gamma: float | np.ndarray,
       c, F(c) <= w(c) <= w(v), so the DP returns F(c) at v whether w(v) is
       that weight or +inf (a NaN weight, which only a NaN log Psi gives,
       reads as +inf too).
-    A Psi of 0 weighs 0.0**gamma: 1 at gamma 0, where exp(0 * -inf) would
-    be NaN."""
+    A vertex on a cut with one child is such a vertex for every deeper
+    cut, so one table serves every depth in cuts. A Psi of 0 weighs
+    0.0**gamma: 1 at gamma 0, where exp(0 * -inf) would be NaN."""
     starts = tree.levels.starts
     read = tree.levels.kids[:lp.size] > 1
     for d in cuts:
@@ -359,7 +360,8 @@ def _ruin_weights(tree: Tree, lp: np.ndarray, gamma: float | np.ndarray,
     return w
 
 
-# weights per cutset pass of rt_estimate: bounds its memory on large trees
+# weights per cutset pass of rt_estimate, counted over its depth blocks
+# (blocks x gammas x vertices): bounds its memory on large trees
 _RT_CELLS = 1 << 18
 
 
@@ -378,9 +380,13 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     CLI's draw alphas in id order from one seed) each row is its own tree's.
 
     Only the weights a cut can read are evaluated (see _ruin_weights): on
-    the cut level and at the vertices with two or more children, +inf
+    the cut levels and at the vertices with two or more children, +inf
     elsewhere. For gamma >= 0 that is exact, every value bitwise that
-    of the DP on every weight, so a negative or NaN gamma is refused.
+    of the DP on every weight, so a negative or NaN gamma is refused. One
+    weight table serves every depth, and one cutset pass (tree._cut_dp)
+    cuts it at all of them, one block per depth, for as many gammas as fit
+    in _RT_CELLS block cells; a tree too large for one gamma's blocks is
+    cut one depth per pass.
     """
     for g in gamma_grid:
         if not g >= 0:  # NaN fails too
@@ -394,14 +400,18 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     tree, env = pair_family(depths[-1])
     if depths[-1] > tree.truncation_depth:
         raise ValueError(f"depth {depths[-1]} exceeds the tree depth {tree.truncation_depth}")
+    starts = tree.levels.starts
+    # every depth in one pass where one gamma's blocks fit in _RT_CELLS,
+    # else one depth per pass
+    fits = len(depths) * starts[depths[-1] + 1] <= _RT_CELLS
     values: dict[tuple[float, int], float] = {}
-    for L in depths:
-        lp = _potentials(env)[3][:tree.levels.starts[L + 1]]  # through the cut
-        # w = exp(g * log Psi), one row per gamma, as many gammas per cutset
-        # pass as fit in _RT_CELLS weights
-        rows = max(1, _RT_CELLS // lp.size)
+    for cuts in [depths] if fits else [[L] for L in depths]:
+        lp = _potentials(env)[3][:starts[cuts[-1] + 1]]  # through the deepest cut
+        rows = max(1, _RT_CELLS // (len(cuts) * lp.size))
         for k in range(0, len(gammas), rows):
+            # w = exp(g * log Psi), one row per gamma of the chunk
             chunk = gammas[k:k + rows]
-            w = _ruin_weights(tree, lp, np.asarray(chunk, dtype=np.float64), [L])
-            values.update(zip([(g, L) for g in chunk], _cut_dp(tree, w, L)[0]))
+            w = _ruin_weights(tree, lp, np.asarray(chunk, dtype=np.float64), cuts)
+            for L, cut in zip(cuts, _cut_dp(tree, w, cuts)[0]):
+                values.update(zip([(g, L) for g in chunk], cut))
     return BranchingTable(gammas, depths, values, threshold)

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import groupby, islice, repeat
+from itertools import accumulate, groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -352,43 +352,60 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
 # cutsets
 
 
-def _cut_dp(tree: Tree, w: np.ndarray, depth: int) -> tuple[float | list[float], np.ndarray]:
-    """Bottom-up, level by level: F[v] = w[v] at `depth`, 0 at a dead end
-    above it, else min(w[v], sum of F over the children). F[v] is both the
-    least cut below v and, with capacities w, the most flow through v.
+def _cut_dp(tree: Tree, w: np.ndarray,
+            depths: int | Sequence[int]) -> tuple[float | list, np.ndarray]:
+    """Bottom-up, level by level: F[v] = w[v] at the cut depth, 0 at a dead
+    end above it, else min(w[v], sum of F over the children). F[v] is both
+    the least cut below v and, with capacities w, the most flow through v.
 
-    w is an array of weights by vertex id, at least through `depth`: 1-D,
-    or 2-D with one weighting per row, all solved in one pass. The child
-    sums are sequential (Tree.child_sums), and a chain of levels (Tree.level_runs)
-    is one running minimum with the scalar step's ties, so F is what a
-    scalar loop over the ids gives, on any interpreter. Returns (sum of F over the root's
-    children, F): a float and a 1-D F, or a list with one float per row and
-    a 2-D F. F stops at the cut level (ids below starts[depth + 1])."""
+    depths is one cut depth or a sorted list of them (repeats allowed), all
+    cut in one upward pass from the deepest: F has one block per listed
+    depth L, set to w at level L and updated above it, so level d is solved
+    at once for every block cut below d, and a block's levels below its
+    cut are never read or written (they stay 0.0).
+
+    w is an array of weights by vertex id, at least through the deepest
+    cut: 1-D, or 2-D with one weighting per row, all solved in one pass.
+    The child sums are sequential (Tree.child_sums), and a chain of levels
+    (Tree.level_runs) is one running minimum with the scalar step's ties,
+    so each block is what a scalar loop over the ids gives at its depth, on
+    any interpreter. Returns (sum of F over the root's children, F): for
+    one depth a float and a 1-D F, or a list with one float per row and a
+    2-D F; for a list, a list of those per block and F with a leading block
+    axis. F stops at the deepest cut level (ids below starts[max + 1])."""
+    one = np.ndim(depths) == 0
+    cuts = [depths] if one else list(depths)
     starts = tree.levels.starts
     w = np.asarray(w, dtype=np.float64)
-    F = np.zeros(w.shape[:-1] + (starts[depth + 1],))
-    F[..., starts[depth]:starts[depth + 1]] = w[..., starts[depth]:starts[depth + 1]]
+    F = np.zeros((len(cuts),) + w.shape[:-1] + (starts[cuts[-1] + 1],))
+    for block, L in zip(F, cuts):
+        block[..., starts[L]:starts[L + 1]] = w[..., starts[L]:starts[L + 1]]
     kids = tree.levels.kids
-    for d, e, chain in tree.level_runs(depth - 1, 0, -1):
-        a, b = starts[e + 1], starts[d + 1]  # the levels e + 1 .. d
-        wl = w[..., a:b]
-        if chain:
-            # below a vertex is 0.0 + F of its only child, so down a chain
-            # F is a running minimum that passes over a NaN weight and keeps
-            # a NaN from below; a zero F is the weight if that is zero (and
-            # keeps its sign), else +0.0
-            width = starts[d + 2] - b
-            rows = wl.reshape(w.shape[:-1] + (d - e, width))[..., ::-1, :]
-            run = np.concatenate((F[..., None, b:b + width],
-                                  np.where(np.isnan(rows), np.inf, rows)), axis=-2)
-            run = np.minimum.accumulate(run, axis=-2)[..., 1:, :]
-            run = np.where(run == 0.0, np.where(rows == 0.0, rows, 0.0), run)
-            F[..., a:b] = run[..., ::-1, :].reshape(wl.shape)
-        else:
-            below = tree.child_sums(F[..., b:starts[d + 2]], d)
-            # a dead end short of the cut depth has nothing to separate
-            F[..., a:b] = np.where(kids[a:b] > 0, np.where(wl <= below, wl, below), 0.0)
-    return tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist(), F
+    # deepest first: the levels hi - 1 .. lo (.. 1 below the shallowest
+    # cut), for the blocks F[i:], those cut at hi or deeper
+    for i in reversed(range(len(cuts))):
+        lo, hi, G = cuts[i - 1] if i else 0, cuts[i], F[i:]
+        for d, e, chain in tree.level_runs(hi - 1, max(lo, 1) - 1, -1):
+            a, b = starts[e + 1], starts[d + 1]  # the levels e + 1 .. d
+            wl = w[..., a:b]
+            if chain:
+                # below a vertex is 0.0 + F of its only child, so up a chain
+                # F is the least of F below and a running minimum of the
+                # weights, shared by the blocks, that passes over a NaN weight
+                # and keeps a NaN from below; a zero F is the weight if that
+                # is zero (and keeps its sign), else +0.0
+                width = starts[d + 2] - b
+                rows = wl.reshape(w.shape[:-1] + (d - e, width))[..., ::-1, :]
+                least = np.minimum.accumulate(np.where(np.isnan(rows), np.inf, rows), axis=-2)
+                run = np.minimum(G[..., None, b:b + width], least)
+                run = np.where(run == 0.0, np.where(rows == 0.0, rows, 0.0), run)
+                G[..., a:b] = run[..., ::-1, :].reshape(G.shape[:-1] + (b - a,))
+            else:
+                below = tree.child_sums(G[..., b:starts[d + 2]], d)
+                # a dead end short of the cut depth has nothing to separate
+                G[..., a:b] = np.where(kids[a:b] > 0, np.where(wl <= below, wl, below), 0.0)
+    values = tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist()
+    return (values[0], F[0]) if one else (values, F)
 
 
 def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
@@ -396,24 +413,31 @@ def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
     truncation boundary. weights[e] is the positive weight of edge e (named
     by its child id) in an array by vertex id; a 2-D one gives one minimum
     per row, as a list. Dead-end branches that stop short of the boundary
-    need no cut."""
+    need no cut. This is _cut_dp at one depth, the truncation depth."""
     return _cut_dp(tree, weights, tree.truncation_depth)[0]
 
 
-def min_level_cutset_sum(level_sizes: Sequence[int],
-                         weight_by_depth: Callable[[int], float]) -> float:
+def min_level_cutset_sum(level_sizes: Sequence[int], weight_by_depth: Callable[[int], float],
+                         depths: Sequence[int] | None = None) -> float | list[float]:
     """Minimum of _level_product(s(m), w(m)) over levels m >= 1. Equals
     min_cutset_sum on a spherically symmetric tree with level weights.
+    With a sorted list of depths, one pass over the levels keeps a running
+    minimum and reads it at each depth L: a list of the minima over levels
+    1 .. L, each level's product computed once.
 
     Why full levels suffice: weights are level-constant and the subtree below
     any vertex of level m is a copy of every other, so replacing the cheapest
     mixed cutset's deepest fragment by the corresponding full level never
     increases the total.
     """
-    L = len(level_sizes) - 1
-    if L < 1:
+    reads = [len(level_sizes) - 1] if depths is None else depths
+    if reads[0] < 1:
         raise ValueError("need at least one level below the root")
-    return min(_level_product(level_sizes[m], weight_by_depth(m)) for m in range(1, L + 1))
+    # min(a, b) keeps a unless b < a, as min over the whole run does
+    minima = list(accumulate((_level_product(level_sizes[m], weight_by_depth(m))
+                              for m in range(1, reads[-1] + 1)), min))
+    out = [minima[L - 1] for L in reads]
+    return out[0] if depths is None else out
 
 
 def _level_product(n: int, w: float) -> float:
@@ -509,7 +533,9 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
                             threshold: float = DEFAULT_THRESHOLD) -> BranchingTable:
     """Estimate the branching-ruin number of a family from min cutset sums
     with weights |e|**-gamma across a grid of gammas and truncation depths.
-    The level sizes are read once, for the deepest depth (see TreeFamily).
+    The level sizes are read once, for the deepest depth (see TreeFamily),
+    and each gamma makes one pass over them that reads every depth
+    (min_level_cutset_sum with depths), each level's product computed once.
 
     Below the true index the sums stay bounded away from zero as the depth
     grows; above it they decay to zero. The estimate reported is the largest
@@ -524,10 +550,9 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
         raise ValueError("gamma grid and depth list must be nonempty")
     values: dict[tuple[float, int], float] = {}
     deepest = family.level_sizes(depths[-1])
-    for L in depths:
-        sizes = deepest[:L + 1]
-        for g in gammas:
-            values[(g, L)] = min_level_cutset_sum(sizes, lambda m, g=g: m ** -g)
+    for g in gammas:
+        minima = min_level_cutset_sum(deepest, lambda m: m ** -g, depths)
+        values.update(zip([(g, L) for L in depths], minima))
     return BranchingTable(gammas, depths, values, threshold)
 
 

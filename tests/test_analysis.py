@@ -208,6 +208,22 @@ class TestFlowArrays:
                 assert repr(list(got.items())) == repr(list(want.items()))
                 assert all(type(k) is int and type(x) is float for k, x in got.items())
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_proportional_flow_skips_what_is_not_positive(self, seed):
+        """On any profile F, not only a max-flow one: children whose F is
+        -0.0, negative or NaN get no share and add nothing to the sum the
+        shares divide by, bitwise as in the scalar loop."""
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=6)
+        pool = [0.0, -0.0, -1.0, math.nan, 0.5, 2.0]
+        F = [0.0] + [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+                     for _ in range(1, t.n_vertices)]
+        for depth in range(1, t.truncation_depth + 1):
+            want = proportional_flow_ref(t, F, depth, 1.0)
+            got = proportional_flow(t, np.array(F), depth, 1.0)
+            assert repr(list(got.items())) == repr(list(want.items()))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_flow_energy_rows_equal_scalar(self, seed):

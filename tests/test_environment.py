@@ -387,15 +387,16 @@ class TestRtEstimate:
 
     @pytest.mark.parametrize("cells", [None, 1, 64])
     def test_equals_scalar_tables(self, rng, monkeypatch, cells):
-        """One random tree cut at every depth: many-gamma DPs per depth, as
-        many gammas per pass as fit in the cell budget, against one scalar
+        """One random tree cut at every depth: many-gamma DPs that cut every
+        depth in one pass, one block per depth, as many gammas per pass as
+        fit in the cell budget (blocks x rows x cells), against one scalar
         DP per gamma and depth."""
         if cells is not None:
             monkeypatch.setattr(environment, "_RT_CELLS", cells)
         shapes = []
         solve = environment._cut_dp
-        monkeypatch.setattr(environment, "_cut_dp",
-                            lambda t, w, d: shapes.append(w.shape) or solve(t, w, d))
+        monkeypatch.setattr(environment, "_cut_dp", lambda t, w, d: shapes.append(
+            (len(d),) + w.shape) or solve(t, w, d))
         grid = [0.0, *(0.1 * g for g in range(1, 31)), 250.0]
         passes = 0
         for _ in range(3):
@@ -410,8 +411,9 @@ class TestRtEstimate:
                 assert type(value) is float and repr(value) == repr(want)
             passes += len(grid) * len(depths)
         budget = environment._RT_CELLS
-        assert all(rows == 1 or rows * n <= budget for rows, n in shapes)
-        assert sum(rows for rows, _ in shapes) == passes
+        assert all(blocks * rows * n <= budget or blocks == rows == 1
+                   for blocks, rows, n in shapes)
+        assert sum(blocks * rows for blocks, rows, _ in shapes) == passes
 
     @pytest.mark.parametrize("family", [path_family(), regular_family(3),
                                         polynomial_family(1.5)], ids=["path", "regular", "poly"])

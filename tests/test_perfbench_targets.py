@@ -83,3 +83,26 @@ def test_traced_phase_unit_sees_every_direct_walk():
     assert tr.counts["walk.simulate.calls"] == wl.TRIALS
     assert tr.counts["walk.simulate.steps"] > 0
     assert st.longest > 0
+
+
+def test_ruin_tables_unit_hands_every_flow_to_the_observer():
+    """The flow-conservation gate checks only the flows that the workload's
+    observer of analysis.proportional_flow collects, so one ruin-tables unit
+    must hand it one flow per FLOW_DEPTHS entry before settle, as the tracer
+    counts one tree_max_flow and one proportional_flow call per depth: a
+    flow routed by another name would leave the gate checking nothing."""
+    tracer = load_tracer()
+    wl = load("workloads").WORKLOADS["ruin-tables"]
+    tr = tracer.Tracer()
+    with tracer.patched(tracer.replacements(tr)):
+        st = wl.setup(5)
+        with tracer.patched(wl.observers(st)):
+            wl.prepare(st, 0)
+            wl.run(st, 0)
+            assert [depth for _, depth, _, _ in st.flows] == wl.FLOW_DEPTHS
+            assert all(total > 0.0 and theta for _, _, total, theta in st.flows)
+            wl.settle(st, 0)
+    assert st.flows == [] and st.misses == 0
+    depths = len(wl.FLOW_DEPTHS)
+    assert tr.counts["analysis.tree_max_flow.calls"] == depths
+    assert tr.counts["analysis.proportional_flow.calls"] == depths

@@ -17,6 +17,7 @@ from goerw.tree import (
     Tree,
     _cut_dp,
     _grow,
+    _level_product,
     branching_ruin_estimate,
     build_from_edge_list,
     build_path,
@@ -283,6 +284,33 @@ class TestCutDpArrays:
             want = self.through_cut(t, depth, cut_dp_ref(t, w.__getitem__, depth))
             assert repr((got[0], got[1].tolist())) == repr(want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_depth_in_one_pass(self, seed):
+        """A sorted depth list with 1, the truncation depth and a repeat,
+        cut in one pass, 1-D and 2-D, signed zeros, inf and NaN among the
+        weights: each block is the scalar DP at its depth through its cut,
+        and 0.0 below it."""
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=30, max_depth=6)
+        top = t.truncation_depth
+        pool = [0.0, -0.0, 0.5, 1.0, math.inf, math.nan]
+        rows = [[0.0] + [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+                         for _ in range(1, t.n_vertices)] for _ in range(3)]
+        again = rng.randint(1, top)
+        depths = sorted([1, top, again, again,
+                         *rng.choices(range(1, top + 1), k=rng.randint(0, 3))])
+        for w in (rows[0], rows):
+            values, F = _cut_dp(t, np.array(w), depths)
+            assert F.shape == (len(depths),) + np.shape(w)[:-1] + (t.levels.starts[top + 1],)
+            for L, value, block in zip(depths, values, F):
+                m = t.levels.starts[L + 1]
+                refs = [self.through_cut(t, L, cut_dp_ref(t, r.__getitem__, L))
+                        for r in (rows if w is rows else [w])]
+                want = refs[0] if w is not rows else tuple(map(list, zip(*refs)))
+                assert repr((value, block[..., :m].tolist())) == repr(want)
+                assert repr(block[..., m:].tolist()) == repr(np.zeros(block[..., m:].shape).tolist())
+
     def test_root_only_tree_has_nothing_to_cut(self):
         t = build_regular(3, 0)
         assert t.n_vertices == 1 and min_cutset_sum(t, np.ones(1)) == 0.0
@@ -474,6 +502,26 @@ class TestBranchingEstimate:
         for L in (3, 9, 40):
             single = branching_ruin_estimate(family, grid, [L])
             assert repr([row for row in table.rows() if row[1] == L]) == repr(single.rows())
+
+    @pytest.mark.parametrize("family", [path_family(), regular_family(3), polynomial_family(0.25),
+                                        polynomial_family(1.2), polynomial_family(1.5)],
+                             ids=["path", "regular", "poly-0.25", "poly-1.2", "poly-1.5"])
+    def test_one_pass_per_gamma_equals_plain_minimum(self, family):
+        """Each gamma's one pass over the deepest level list reads, at every
+        depth L, the builtin min of the level products over levels 1 .. L."""
+        grid = [0.0, 0.25, 1.2, 1.5, 3.0]
+        depths = [1, 2, 7, 7, 40]
+        table = branching_ruin_estimate(family, grid, depths)
+        sizes = family.level_sizes(40)
+        for g in grid:
+            for L in depths:
+                want = min(_level_product(sizes[m], m ** -g) for m in range(1, L + 1))
+                assert repr(table.values[(g, L)]) == repr(want)
+
+    @pytest.mark.parametrize("depths", [[0], [0, 8], [-2, 8]])
+    def test_depth_below_one_refused(self, depths):
+        with pytest.raises(ValueError, match="need at least one level below the root"):
+            branching_ruin_estimate(polynomial_family(1.5), [1.0], depths)
 
     def test_estimate_reads_deepest_depth(self):
         values = {(0.5, 4): 0.05, (0.5, 8): 0.3, (1.0, 4): 0.9, (1.0, 8): 0.2,
