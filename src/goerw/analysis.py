@@ -33,8 +33,8 @@ from .environment import (
     sample_random_environment,
 )
 from .errors import RefusalError
-from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_dp, branching_ruin_estimate,
-                   default_depths, polynomial_family)
+from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp,
+                   branching_ruin_estimate, default_depths, polynomial_family)
 from .walk import StopRule, derive_seed, simulate
 
 
@@ -133,14 +133,13 @@ def tree_max_flow(tree: Tree, capacity: np.ndarray, depth: int) -> tuple[float, 
 
     One bottom-up pass suffices on a tree: the flow through an edge is its
     capacity capped by the total its children can carry, which is the min
-    cut DP (tree._cut_dp) at the one depth `depth`. Childless vertices above
-    the target depth carry nothing. Its child sums are sequential, so the
-    result does not depend on the interpreter. Returns (max flow, per-edge
-    flow capacity F indexed by vertex id through `depth`: the ids below
-    tree.levels.starts[depth + 1], as _cut_dp sizes it)."""
-    if not 1 <= depth <= tree.truncation_depth:
-        raise ValueError(f"depth must lie in [1, {tree.truncation_depth}]")
-    return _cut_dp(tree, capacity, depth)
+    cut DP (tree._cut_dp) at the one depth `depth` (see tree._cut_depths);
+    childless vertices above it carry nothing. Its child sums are
+    sequential, so the result does not depend on the interpreter. Returns
+    (max flow, F): F is the per-edge flow capacity by vertex id through
+    `depth`, the ids below tree.levels.starts[depth + 1]."""
+    (value,), (F,) = _cut_dp(tree, capacity, _cut_depths([depth], tree.truncation_depth))
+    return value, F
 
 
 def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
@@ -247,13 +246,8 @@ def flow_energy_check(env: Environment, gamma: float,
     transient regime; a flow decaying toward zero is flagged degenerate."""
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
-    if not depths:
-        raise ValueError("need at least one depth")
-    depths = sorted(depths)
     tree = env.tree
-    if depths[-1] > tree.truncation_depth:
-        raise ValueError(f"depth {depths[-1]} exceeds the tree truncation "
-                         f"depth {tree.truncation_depth}")
+    depths = _cut_depths(depths, tree.truncation_depth)
 
     # cap and conductance are needed down to the deepest cut only
     m = tree.levels.starts[depths[-1] + 1]

@@ -63,6 +63,7 @@ from .tree import (
     Tree,
     TreeFamily,
     _atomic_write,
+    _cut_depths,
     branching_ruin_estimate,
     default_depths,
     path_family,
@@ -213,34 +214,23 @@ class Run:
     """One run of one subcommand: its options and its outputs.
 
     Each declared option is resolved once, before the experiment starts:
-    the flag, else the dotted config key, else the undotted one, converted
-    by its TYPES entry (by argparse, for a flag not in IN_RUN). Stdout lines
-    and output files are held until flush, so a refusal or a crash leaves
-    no partial data files."""
+    the flag, else the dotted config key, else the undotted one, each text
+    converted by its TYPES entry. Stdout lines and output files are held
+    until flush, so a refusal or a crash leaves no partial data files."""
 
-    def __init__(self, sub: str, flag_values: dict[str, object],
+    def __init__(self, sub: str, flag_values: dict[str, str | None],
                  config: dict[str, str]):
         self.sub = sub
         self.options: dict[str, object] = {}
         for name in COMMANDS[sub].options:
-            v = flag_values.get(name)
-            if v is not None and name in IN_RUN:
-                v = _converted(name, v, f"--{name}")
-            if v is None:
-                v = self._config_value(name, config)
-            if v is not None:
-                self.options[name] = v
-        if self.options.get("format") not in (None, "csv", "json"):
-            raise UsageError(f"unknown format {self.options['format']!r} "
-                             "(want csv or json)")
+            found = [(flag_values.get(name), f"--{name}"),
+                     *((config.get(k), f"config key {k!r}") for k in (f"{sub}.{name}", name))]
+            for text, where in found:
+                if text is not None:
+                    self.options[name] = _converted(name, text, where)
+                    break
         self.lines: list[str] = []
         self.files: dict[str, str] = {}
-
-    def _config_value(self, name: str, config: dict[str, str]):
-        for key in (f"{self.sub}.{name}", name):
-            if key in config:
-                return _converted(name, config[key], f"config key {key!r}")
-        return None
 
     def get(self, name: str, default=None):
         if name not in COMMANDS[self.sub].options:
@@ -414,9 +404,7 @@ def _table_inputs(r: Run) -> tuple[TreeFamily, Sequence[float], list[int], float
     """The family, gamma grid, depths and threshold of a cutset table, by
     default tree.DEFAULT_GAMMAS, tree.default_depths and DEFAULT_THRESHOLD."""
     family, L = parse_family_spec(r.require("tree"))
-    depths = r.get("depths", default_depths(L))
-    if depths[-1] > L:
-        raise UsageError(f"depth {depths[-1]} exceeds the family depth L={L}")
+    depths = _cut_depths(r.get("depths", default_depths(L)), L)
     return (family, r.get("gamma-grid", DEFAULT_GAMMAS), depths,
             r.get("threshold", DEFAULT_THRESHOLD))
 
@@ -569,14 +557,23 @@ def margin(text: str) -> float:
 
 
 def _parse_depths(text: str) -> list[int]:
-    """A comma list of depths of at least 1, sorted, each once."""
+    """A comma list of integers, each once, sorted and checked as a depth
+    list (tree._cut_depths)."""
     try:
-        depths = sorted({int(x) for x in text.split(",")})
+        depths = {int(x) for x in text.split(",")}
     except ValueError:
         raise ArgumentTypeError(f"bad depth list {text!r}") from None
-    if depths[0] < 1:
-        raise ArgumentTypeError(f"bad depth list {text!r}")
-    return depths
+    try:
+        return _cut_depths(depths)
+    except ValueError as e:
+        raise ArgumentTypeError(e) from None
+
+
+def _format(text: str) -> str:
+    """csv or json."""
+    if text not in ("csv", "json"):
+        raise ArgumentTypeError(f"unknown format {text!r} (want csv or json)")
+    return text
 
 
 def _parse_gamma_grid(text: str) -> list[float]:
@@ -611,11 +608,8 @@ TYPES: dict[str, Callable] = {
     "depths": _parse_depths, "edge-depth": count, "max-steps": count, "returns": count,
     "gamma": finite, "gamma-grid": _parse_gamma_grid, "threshold": finite, "epsilon": margin,
     "escape-depth": count, "horizon": count, "mu": str, "start": int,
-    "output": str, "format": str, "out-dir": str,
+    "output": str, "format": _format, "out-dir": str,
 }
-
-# converted by Run, not argparse, so that main reports a bad list (exit 2)
-IN_RUN = ("depths", "gamma-grid")
 
 _OUT = ("format", "out-dir")
 _SAMPLED = ("tree", "env", "seed", "trials")
@@ -670,11 +664,8 @@ def _build_parser():
         aliases = [a for a, target in ALIASES.items() if target == name]
         # no abbreviations: `--depth` must not pass for `--depths`
         sp = subs.add_parser(name, aliases=aliases, help=cmd.help, allow_abbrev=False)
-        for opt in cmd.options:
-            if opt == "format":
-                sp.add_argument("--format", choices=["csv", "json"])
-            else:
-                sp.add_argument(f"--{opt}", type=str if opt in IN_RUN else TYPES[opt])
+        for opt in cmd.options:  # as text: Run converts every value
+            sp.add_argument(f"--{opt}")
     return p
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RefusalError
-from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_dp
+from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp
 from .tree import min_cutset_sum  # unused here; perfbench/tracer.py patches this name
 
 __all__ = [
@@ -273,8 +273,11 @@ def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
     (0.9999999999999992 for lam = 0.1), which would let a draw pick a child
     that is not there. First visits read the array through a memoryview
     (Python floats, no copy); later ones read a list, which where every mu
-    is 1 is exactly 1/deg, the tree's shared Tree.parent_step."""
+    is 1 is exactly 1/deg, the tree's shared Tree.parent_step. A root-only
+    tree is refused: the walk has no edge to step along."""
     if env._trans is None:
+        if env.tree.n_vertices == 1:
+            raise ValueError("a walk needs a tree with an edge; this one is a root only (depth 0)")
         d = env.tree.degrees
         unit = (env.mu == 1.0).all()
         p = [b / ((b + d) - 1) for b in ((env.lam,) if unit else (env.lam, env.mu))]
@@ -374,10 +377,10 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
 
     pair_family(L) returns a tree of truncation depth at least L and its
     environment. It is called once, for the deepest depth, and depth L cuts
-    that tree at level L, as in flow_energy_check; a depth below 1 or past
-    the tree is refused. psi at depth <= L reads no bias or degree at depth
-    L or below, so with environments that nest as a family's trees do (the
-    CLI's draw alphas in id order from one seed) each row is its own tree's.
+    that tree at level L, as in flow_energy_check (tree._cut_depths checks
+    the depths). psi at depth <= L reads no bias or degree at depth L or
+    below, so with environments that nest as a family's trees do (the CLI's
+    draw alphas in id order from one seed) each row is its own tree's.
 
     Only the weights a cut can read are evaluated (see _ruin_weights): on
     the cut levels and at the vertices with two or more children, +inf
@@ -392,14 +395,11 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
         if not g >= 0:  # NaN fails too
             raise ValueError(f"gamma must be at least 0, got {g!r}")
     gammas = sorted(gamma_grid)
-    depths = sorted(depths)
-    if not gammas or not depths:
-        raise ValueError("gamma grid and depth list must be nonempty")
-    if depths[0] < 1:
-        raise ValueError(f"depth {depths[0]} is below 1")
+    if not gammas:
+        raise ValueError("empty gamma grid")
+    depths = _cut_depths(depths)
     tree, env = pair_family(depths[-1])
-    if depths[-1] > tree.truncation_depth:
-        raise ValueError(f"depth {depths[-1]} exceeds the tree depth {tree.truncation_depth}")
+    _cut_depths(depths, tree.truncation_depth)
     starts = tree.levels.starts
     # every depth in one pass where one gamma's blocks fit in _RT_CELLS,
     # else one depth per pass

@@ -46,7 +46,7 @@ from .environment import (
     sample_random_environment,
 )
 from .errors import RefusalError
-from .tree import Tree
+from .tree import Tree, _cut_depths
 # simulate_extension is not called here; perfbench/tracer.py wraps this name
 from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
                    extension_reach, simulate_extension)
@@ -336,12 +336,12 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
         kappa^{-1} * n^(m - 2 - eps)  <=  Psi  <=  n^(m - 2 + eps)
 
     where kappa = 1 + the largest alpha among the root's children. Returns
-    violation counts per depth; the law of large numbers in the annealed mean
-    makes these die out as the depth grows."""
+    violation counts per depth, sorted (see tree._cut_depths); the law of
+    large numbers in the annealed mean makes these die out as the depth
+    grows."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if max(depths) > tree.truncation_depth:
-        raise ValueError("probe depth exceeds the tree's truncation depth")
+    depths = _cut_depths(depths, tree.truncation_depth)
     if len(dist.values) < 2:
         raise RefusalError(
             "concentration over a degenerate (single-point) alpha law says "
@@ -359,4 +359,4 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
             hi = d ** (m - 2.0 + epsilon)
             if not (lo <= val <= hi):
                 violations[k] += 1
-    return ConcentrationReport(list(depths), env_samples, epsilon, m, violations)
+    return ConcentrationReport(depths, env_samples, epsilon, m, violations)

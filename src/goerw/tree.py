@@ -267,13 +267,11 @@ def _levels(depth: int) -> range:
 
 
 def _path_sizes(length: int) -> Iterator[int]:
-    return repeat(1, length + 1)
+    return repeat(1, len(_levels(length)))
 
 
 def build_path(length: int) -> Tree:
     """A single path of the given length hanging off the root."""
-    if length < 1:
-        raise ValueError("path length must be at least 1")
     return _grow(_path_sizes(length), 10_000_000)
 
 
@@ -352,14 +350,26 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
 # cutsets
 
 
-def _cut_dp(tree: Tree, w: np.ndarray,
-            depths: int | Sequence[int]) -> tuple[float | list, np.ndarray]:
+def _cut_depths(depths: Iterable[int], deepest: float = math.inf) -> list[int]:
+    """A cutset table's probe depths, sorted; none, one below 1 or one past
+    deepest is refused."""
+    cuts = sorted(depths)
+    if not cuts:
+        raise ValueError("empty depth list")
+    if cuts[0] < 1:
+        raise ValueError(f"depth {cuts[0]} is below 1")
+    if cuts[-1] > deepest:
+        raise ValueError(f"depth {cuts[-1]} exceeds the tree depth {deepest}")
+    return cuts
+
+
+def _cut_dp(tree: Tree, w: np.ndarray, cuts: Sequence[int]) -> tuple[list, np.ndarray]:
     """Bottom-up, level by level: F[v] = w[v] at the cut depth, 0 at a dead
     end above it, else min(w[v], sum of F over the children). F[v] is both
     the least cut below v and, with capacities w, the most flow through v.
 
-    depths is one cut depth or a sorted list of them (repeats allowed), all
-    cut in one upward pass from the deepest: F has one block per listed
+    cuts is a sorted list of cut depths (see _cut_depths; repeats allowed),
+    all cut in one upward pass from the deepest: F has one block per listed
     depth L, set to w at level L and updated above it, so level d is solved
     at once for every block cut below d, and a block's levels below its
     cut are never read or written (they stay 0.0).
@@ -369,12 +379,10 @@ def _cut_dp(tree: Tree, w: np.ndarray,
     The child sums are sequential (Tree.child_sums), and a chain of levels
     (Tree.level_runs) is one running minimum with the scalar step's ties,
     so each block is what a scalar loop over the ids gives at its depth, on
-    any interpreter. Returns (sum of F over the root's children, F): for
-    one depth a float and a 1-D F, or a list with one float per row and a
-    2-D F; for a list, a list of those per block and F with a leading block
-    axis. F stops at the deepest cut level (ids below starts[max + 1])."""
-    one = np.ndim(depths) == 0
-    cuts = [depths] if one else list(depths)
+    any interpreter. Returns (values, F): values holds, per block, the sum
+    of F over the root's children (a float for 1-D w, a list with one float
+    per row for 2-D w), and F has a leading block axis and stops at the
+    deepest cut level (ids below starts[cuts[-1] + 1])."""
     starts = tree.levels.starts
     w = np.asarray(w, dtype=np.float64)
     F = np.zeros((len(cuts),) + w.shape[:-1] + (starts[cuts[-1] + 1],))
@@ -404,8 +412,7 @@ def _cut_dp(tree: Tree, w: np.ndarray,
                 below = tree.child_sums(G[..., b:starts[d + 2]], d)
                 # a dead end short of the cut depth has nothing to separate
                 G[..., a:b] = np.where(kids[a:b] > 0, np.where(wl <= below, wl, below), 0.0)
-    values = tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist()
-    return (values[0], F[0]) if one else (values, F)
+    return tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist(), F
 
 
 def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
@@ -413,31 +420,29 @@ def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
     truncation boundary. weights[e] is the positive weight of edge e (named
     by its child id) in an array by vertex id; a 2-D one gives one minimum
     per row, as a list. Dead-end branches that stop short of the boundary
-    need no cut. This is _cut_dp at one depth, the truncation depth."""
-    return _cut_dp(tree, weights, tree.truncation_depth)[0]
+    need no cut. This is _cut_dp's one block at the truncation depth."""
+    (value,), _ = _cut_dp(tree, weights, [tree.truncation_depth])
+    return value
 
 
 def min_level_cutset_sum(level_sizes: Sequence[int], weight_by_depth: Callable[[int], float],
-                         depths: Sequence[int] | None = None) -> float | list[float]:
-    """Minimum of _level_product(s(m), w(m)) over levels m >= 1. Equals
-    min_cutset_sum on a spherically symmetric tree with level weights.
-    With a sorted list of depths, one pass over the levels keeps a running
-    minimum and reads it at each depth L: a list of the minima over levels
-    1 .. L, each level's product computed once.
+                         depths: Iterable[int]) -> list[float]:
+    """Per depth L of a depth list (see _cut_depths; the deepest level is
+    len(level_sizes) - 1), the minimum of _level_product(s(m), w(m)) over
+    levels m = 1 .. L. Equals min_cutset_sum on a spherically symmetric tree
+    with level weights. One pass over the levels keeps a running minimum and
+    reads it at each depth, each level's product computed once.
 
     Why full levels suffice: weights are level-constant and the subtree below
     any vertex of level m is a copy of every other, so replacing the cheapest
     mixed cutset's deepest fragment by the corresponding full level never
     increases the total.
     """
-    reads = [len(level_sizes) - 1] if depths is None else depths
-    if reads[0] < 1:
-        raise ValueError("need at least one level below the root")
+    reads = _cut_depths(depths, len(level_sizes) - 1)
     # min(a, b) keeps a unless b < a, as min over the whole run does
     minima = list(accumulate((_level_product(level_sizes[m], weight_by_depth(m))
                               for m in range(1, reads[-1] + 1)), min))
-    out = [minima[L - 1] for L in reads]
-    return out[0] if depths is None else out
+    return [minima[L - 1] for L in reads]
 
 
 def _level_product(n: int, w: float) -> float:
@@ -535,7 +540,7 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
     with weights |e|**-gamma across a grid of gammas and truncation depths.
     The level sizes are read once, for the deepest depth (see TreeFamily),
     and each gamma makes one pass over them that reads every depth
-    (min_level_cutset_sum with depths), each level's product computed once.
+    (min_level_cutset_sum), each level's product computed once.
 
     Below the true index the sums stay bounded away from zero as the depth
     grows; above it they decay to zero. The estimate reported is the largest
@@ -545,9 +550,9 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
     exact index in TreeFamily.br_index.
     """
     gammas = sorted(gamma_grid)
-    depths = sorted(depths)
-    if not gammas or not depths:
-        raise ValueError("gamma grid and depth list must be nonempty")
+    if not gammas:
+        raise ValueError("empty gamma grid")
+    depths = _cut_depths(depths)
     values: dict[tuple[float, int], float] = {}
     deepest = family.level_sizes(depths[-1])
     for g in gammas:
@@ -582,7 +587,7 @@ def read_tree_file(path: str) -> Tree:
                 continue
             p, c = line.split()
             edges.append((int(p), int(c)))
-    tree = build_from_edge_list(edges)
+    tree = build_from_edge_list(edges) if edges else Tree([-1])
     if tree.truncation_depth != declared:
         raise ValueError(
             f"{path}: header says depth {declared} but edges reach "

@@ -229,7 +229,7 @@ def test_criterion_07_branching_ruin_trend():
     for b in (0.5, 1.5, 3.0):
         for L in (8, 16, 32, 64, 128):
             sizes = polynomial_level_sizes(b, L)
-            lo = min_level_cutset_sum(sizes, lambda m, g=b - 0.3: m ** -g)
+            (lo,) = min_level_cutset_sum(sizes, lambda m, g=b - 0.3: m ** -g, [L])
             if lo < 0.1:
                 lower_ok = False
 
@@ -241,7 +241,7 @@ def test_criterion_07_branching_ruin_trend():
         at = {}
         for L in depths:
             sizes = polynomial_level_sizes(b, L)
-            hi = min_level_cutset_sum(sizes, lambda m, g=b + 0.5: m ** -g)
+            (hi,) = min_level_cutset_sum(sizes, lambda m, g=b + 0.5: m ** -g, [L])
             at[L] = hi
             if hi > prev:
                 broken.append(f"1 (non-increasing) b={b:g} L={L}: "

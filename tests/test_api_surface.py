@@ -1,8 +1,10 @@
 """Every name a goerw module exports in __all__ exists there and serves the
 program: the package's own code reads it outside its definition, or the
-benchmark (perfbench/) calls, reads or patches it. A name only the tests
-use is either shipping code's or goes; one kept for now is listed in
-ALLOWED with the reason, and must still be unused."""
+benchmark (perfbench/) calls, reads or patches it. A module without
+__all__ is held to the same rule for each public top-level def, class or
+assignment (imported names are the defining module's). A name only the
+tests use is either shipping code's or goes; one kept for now is listed
+in ALLOWED with the reason, and must still be unused."""
 
 import ast
 from pathlib import Path
@@ -88,6 +90,21 @@ def test_export_exists_and_is_used(stem, name):
     if name not in ALLOWED:
         assert not unused(stem, name), (f"{stem}.{name} is exported, but no code in src/ "
                                         "outside its definition and nothing in perfbench/ uses it")
+
+
+PUBLIC = [(stem, name) for stem, module in MODULES.items() if not exported(module)
+          for name, stmt in defined(module).items()
+          if not name.startswith("_") and not isinstance(stmt, (ast.Import, ast.ImportFrom))]
+
+
+def test_modules_without_all_define_something():
+    assert {stem for stem, _ in PUBLIC} == {"analysis", "cli", "errors"}
+
+
+@pytest.mark.parametrize("stem,name", PUBLIC, ids=[f"{s}.{n}" for s, n in PUBLIC])
+def test_public_name_is_used(stem, name):
+    assert not unused(stem, name), (f"{stem}.{name} is public, but no code in src/ outside "
+                                    "its definition and nothing in perfbench/ uses it")
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWED))

@@ -428,6 +428,20 @@ class TestRoundTrips:
                            "--max-steps", "200", "--seed", "1")
         assert code == 0 and "trials=20" in out
 
+    @pytest.mark.parametrize("spec", ["regular:d=3,L=0", "path:L=0", "poly:b=1.5,L=0"])
+    def test_root_only_tree_round_trip_and_walk(self, tmp_path, capsys, spec):
+        """A depth-0 tree is written and read back, and a walk on it, from
+        a spec or from its file, is refused by name (exit 2)."""
+        path = str(tmp_path / "t.txt")
+        code, out, err = run(capsys, "gen-tree", "--tree", spec, "--output", path)
+        assert code == 0 and err == "" and "(vertices=1 depth=0)" in out
+        assert parse_tree_spec(f"file:{path}").parent == [-1]
+        for tree in (spec, f"file:{path}"):
+            code, out, err = run(capsys, "simulate", "--tree", tree, "--env", "det:mu=1")
+            assert (code, out) == (2, "")
+            assert err == ("error: a walk needs a tree with an edge; "
+                           "this one is a root only (depth 0)\n")
+
     def test_gen_tree_output_creates_its_directory(self, tmp_path, capsys):
         path = tmp_path / "new" / "sub" / "tree.txt"
         code, out, err = run(capsys, "gen-tree", "--tree", "regular:d=3,L=3",
@@ -585,11 +599,9 @@ class TestUsage:
         pytest.param(COMPUTE_PSI, "edge-depth", "0", id="compute-psi-edge-depth-0"),
     ])
     def test_trials_below_one_names_the_flag(self, capsys, argv, option, value):
-        with pytest.raises(SystemExit) as e:
-            main([*argv, f"--{option}", value])
-        assert e.value.code == 2
-        assert (f"--{option}: must be at least 1, got {value}"
-                in capsys.readouterr().err)
+        code, _, err = run(capsys, *argv, f"--{option}", value)
+        assert code == 2
+        assert f"--{option}: must be at least 1, got {value}" in err
 
     ESTIMATE_BR = ["estimate-br", "--tree", "poly:b=1.2,L=16"]
     ESTIMATE_RT = ["estimate-rt", "--tree", "poly:b=1.2,L=16", "--env", "det:mu=1"]
@@ -610,18 +622,16 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv,option,value,message", BAD_FLOATS)
     def test_bad_float_names_the_flag(self, capsys, argv, option, value, message):
-        with pytest.raises(SystemExit) as e:
-            main([*argv, f"--{option}={value}"])
-        assert e.value.code == 2
-        assert f"--{option}: {message}, got {value}" in capsys.readouterr().err
+        code, _, err = run(capsys, *argv, f"--{option}={value}")
+        assert code == 2
+        assert f"--{option}: {message}, got {value}" in err
 
     @pytest.mark.parametrize("argv,option,value,message", BAD_FLOATS)
     def test_bad_float_as_next_token_names_the_flag(self, capsys, argv, option, value,
                                                     message):
-        with pytest.raises(SystemExit) as e:
-            main([*argv, f"--{option}", value])
-        assert e.value.code == 2
-        assert f"--{option}: {message}, got {value}" in capsys.readouterr().err
+        code, _, err = run(capsys, *argv, f"--{option}", value)
+        assert code == 2
+        assert f"--{option}: {message}, got {value}" in err
 
     def test_negative_float_as_next_token_is_a_value(self, capsys):
         code, out, err = run(capsys, *self.ESTIMATE_RT, "--threshold", "-1e-3")
@@ -707,6 +717,20 @@ class TestUsage:
         code, out, err = run(capsys, *argv, target)
         assert code == 2 and out == ""
         assert f"cannot write {target}" in err
+
+    def test_bad_format_fails_one_way(self, tmp_path, capsys):
+        """--format xml and a config format = xml are refused by the same
+        converter, each naming where the value came from."""
+        argv = ["gambler", "--mu", "2,2", "--start", "1", "--out-dir", str(tmp_path / "o")]
+        code, out, err = run(capsys, *argv, "--format", "xml")
+        assert (code, out) == (2, "")
+        assert err == "error: --format: unknown format 'xml' (want csv or json)\n"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: config key 'format': unknown format 'xml' (want csv or json)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_format_is_checked_before_the_run(self, tmp_path, capsys,
                                                      monkeypatch):

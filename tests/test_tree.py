@@ -12,9 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goerw import tree as tree_module
+from goerw.analysis import flow_energy_check, tree_max_flow
+from goerw.cli import main
+from goerw.environment import AlphaDistribution, assign_deterministic, rt_estimate
+from goerw.percolation import concentration_experiment
 from goerw.tree import (
     BranchingTable,
     Tree,
+    TreeFamily,
     _cut_dp,
     _grow,
     _level_product,
@@ -78,10 +83,6 @@ class TestBuilders:
                              ids=lambda f: f.name)
     @pytest.mark.parametrize("depth", [0, 1, 2, 4, 9])
     def test_build_matches_family_sizes(self, family, depth):
-        if family.name == "path" and depth == 0:
-            with pytest.raises(ValueError, match="at least 1"):
-                family.build(depth)
-            return
         t = family.build(depth)
         assert level_sizes(t) == family.level_sizes(depth)
         assert t.truncation_depth == depth
@@ -137,9 +138,10 @@ class TestBuilders:
 
     @pytest.mark.parametrize("build,args", [(build_regular, (3, -1)), (build_regular, (2, -5)),
                                             (build_polynomial, (1.2, -3)),
-                                            (build_polynomial, (0.5, -1))])
+                                            (build_polynomial, (0.5, -1)),
+                                            (build_path, (-1,)), (build_path, (-4,))])
     def test_negative_depth_refused(self, build, args):
-        with pytest.raises(ValueError, match=f"tree depth must be at least 0, got {args[1]}"):
+        with pytest.raises(ValueError, match=f"tree depth must be at least 0, got {args[-1]}"):
             build(*args)
 
     def test_edge_list_two_parents(self):
@@ -266,10 +268,10 @@ class TestCutDpArrays:
             refs = [self.through_cut(t, depth, cut_dp_ref(t, w.__getitem__, depth))
                     for w in rows]
             for w, (value, F) in zip(rows, refs):
-                got = _cut_dp(t, np.array(w), depth)
-                assert type(got[0]) is float
-                assert repr((got[0], got[1].tolist())) == repr((value, F))
-            values, F2 = _cut_dp(t, np.array(rows), depth)
+                (got,), (F1,) = _cut_dp(t, np.array(w), [depth])
+                assert type(got) is float
+                assert repr((got, F1.tolist())) == repr((value, F))
+            (values,), (F2,) = _cut_dp(t, np.array(rows), [depth])
             assert repr((values, F2.tolist())) == repr(tuple(map(list, zip(*refs))))
 
     @settings(max_examples=100, deadline=None)
@@ -280,9 +282,9 @@ class TestCutDpArrays:
         pool = [0.0, -0.0, 0.5, 1.0, math.inf, math.nan]
         w = [0.0] + [rng.choice(pool) for _ in range(1, t.n_vertices)]
         for depth in range(1, t.truncation_depth + 1):
-            got = _cut_dp(t, np.array(w), depth)
+            (got,), (F,) = _cut_dp(t, np.array(w), [depth])
             want = self.through_cut(t, depth, cut_dp_ref(t, w.__getitem__, depth))
-            assert repr((got[0], got[1].tolist())) == repr(want)
+            assert repr((got, F.tolist())) == repr(want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -431,7 +433,7 @@ class TestLevelShortcut:
         tree = family.build(depth)
         explicit = min_cutset_sum(tree, weights_of(tree, lambda e: tree.depth[e] ** -gamma))
         sizes = family.level_sizes(depth)
-        shortcut = min_level_cutset_sum(sizes, lambda m: m ** -gamma)
+        (shortcut,) = min_level_cutset_sum(sizes, lambda m: m ** -gamma, [depth])
         assert shortcut == pytest.approx(explicit, rel=1e-12)
 
     @pytest.mark.parametrize("family", [path_family(), regular_family(3),
@@ -446,7 +448,7 @@ class TestLevelShortcut:
 
     def test_tie_prefers_shallow_level(self):
         # sizes 2, 4 with weights 1, 1/2 tie at value 2
-        value = min_level_cutset_sum([1, 2, 4], lambda m: 1.0 if m == 1 else 0.5)
+        (value,) = min_level_cutset_sum([1, 2, 4], lambda m: 1.0 if m == 1 else 0.5, [2])
         assert value == 2.0
 
     def test_level_size_beyond_the_float_range(self):
@@ -454,12 +456,12 @@ class TestLevelShortcut:
         rounded once, or inf beyond the float range; every other product
         stays the plain float one."""
         huge = 10**400
-        value = min_level_cutset_sum([1, huge], lambda m: 1e-300)
+        (value,) = min_level_cutset_sum([1, huge], lambda m: 1e-300, [1])
         assert value == float(Fraction(huge) * Fraction(1e-300)) == 1e100
-        assert min_level_cutset_sum([1, huge], lambda m: 0.5) == math.inf
+        assert min_level_cutset_sum([1, huge], lambda m: 0.5, [1]) == [math.inf]
         # plain: float(2**53 + 1) * 3.0; the exact product rounds elsewhere
         odd = 2**53 + 1
-        value = min_level_cutset_sum([1, huge, odd], lambda m: 3.0)
+        (value,) = min_level_cutset_sum([1, huge, odd], lambda m: 3.0, [2])
         assert value == odd * 3.0 != float(3 * odd)
 
 
@@ -520,7 +522,7 @@ class TestBranchingEstimate:
 
     @pytest.mark.parametrize("depths", [[0], [0, 8], [-2, 8]])
     def test_depth_below_one_refused(self, depths):
-        with pytest.raises(ValueError, match="need at least one level below the root"):
+        with pytest.raises(ValueError, match=f"depth {min(depths)} is below 1"):
             branching_ruin_estimate(polynomial_family(1.5), [1.0], depths)
 
     def test_estimate_reads_deepest_depth(self):
@@ -530,6 +532,54 @@ class TestBranchingEstimate:
         assert table.estimate == 1.0
         table.threshold = 0.5
         assert table.estimate is None
+
+
+class TestCutDepths:
+    @pytest.mark.parametrize("depths,message,cli", [
+        pytest.param([], "empty depth list", None, id="empty"),
+        pytest.param([0], "depth 0 is below 1", ("poly:b=1.5,L=0", []), id="0"),
+        pytest.param([-2, 8], "depth -2 is below 1", ("regular:d=3,L=4", ["--depths=-2,8"]),
+                     id="-2,8"),
+        pytest.param([5, 2], "depth 5 exceeds the tree depth 4",
+                     ("regular:d=3,L=4", ["--depths", "5,2"]), id="one-past"),
+    ])
+    def test_every_cutset_table_refuses_a_bad_depth_list(self, capsys, depths, message, cli):
+        """Every reader of a depth list refuses it with one message, on a
+        depth-4 tree (and a family whose levels end there). tree_max_flow
+        takes one depth a call, so it is given each depth in turn, and has
+        no empty list to refuse. The CLI's three cutset tables print that
+        message too: on a depth-0 tree, whose default depth list is [0],
+        and with --depths, where a depth below 1 is refused as the flag's."""
+        t = build_regular(3, 4)
+        env = assign_deterministic(t)
+        sizes = regular_family(3).level_sizes(4)
+        ends_at_4 = TreeFamily("regular-3 to depth 4", lambda L: t,
+                               lambda L: sizes[:L + 1], math.inf)
+        callers = {
+            "rt_estimate": lambda d: rt_estimate(lambda L: (t, env), [1.0], d),
+            "branching_ruin_estimate": lambda d: branching_ruin_estimate(ends_at_4, [1.0], d),
+            "min_level_cutset_sum": lambda d: min_level_cutset_sum(sizes, lambda m: 1.0, d),
+            "flow_energy_check": lambda d: flow_energy_check(env, 2.0, d),
+            "concentration_experiment": lambda d: concentration_experiment(
+                t, AlphaDistribution.two_point(0.0, 3.0, 0.5), 0.5, d, 1, 0),
+            "tree_max_flow": lambda d: [tree_max_flow(t, np.ones(t.n_vertices), L)
+                                        for L in sorted(d)],
+        }
+        if not depths:
+            del callers["tree_max_flow"]
+        for name, call in callers.items():
+            with pytest.raises(ValueError) as e:
+                call(depths)
+            assert str(e.value) == message, name
+        if cli is None:
+            return
+        spec, flags = cli
+        where = "--depths: " if depths[0] < 1 and flags else ""
+        for argv in (["estimate-br"], ["estimate-rt", "--env", "det:mu=1"],
+                     ["flow-check", "--env", "det:mu=1", "--gamma", "2"]):
+            code = main([*argv, "--tree", spec, *flags])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {where}{message}\n"), argv[0]
 
 
 class TestTreeFile:
@@ -542,6 +592,17 @@ class TestTreeFile:
         assert back.children == t.children
         assert back.depth == t.depth
         assert back.truncation_depth == t.truncation_depth
+
+    def test_root_only_round_trip(self, tmp_path):
+        """A depth-0 tree's file is its header alone, read back as the root."""
+        t = build_regular(3, 0)
+        p = tmp_path / "t.tree"
+        write_tree_file(t, str(p))
+        assert p.read_text() == "# goerw-tree v1 depth=0\n"
+        assert read_tree_file(str(p)) == t == Tree([-1])
+        p.write_text("# goerw-tree v1 depth=2\n")
+        with pytest.raises(ValueError, match="header says depth 2 but edges reach 0"):
+            read_tree_file(str(p))
 
     def test_header_required(self, tmp_path):
         p = tmp_path / "bad.tree"

@@ -224,6 +224,14 @@ class TestDirectLaw:
 
 
 class TestSimulate:
+    def test_root_only_tree_refused(self):
+        """A root-only tree has no edge to step along: refused by name, not
+        an IndexError on the first down-step."""
+        env = assign_deterministic(build_regular(3, 0))
+        for _ in range(2):  # nothing half-built is kept
+            with pytest.raises(ValueError, match="root only"):
+                simulate(env, StopRule(max_steps=10), 0)
+
     def test_equals_plain_loop_bitwise(self):
         """The single-child table and the one-bound checks draw and
         compare exactly as the plain loop does: positions and every
