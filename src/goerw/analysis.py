@@ -32,7 +32,7 @@ from .environment import (
     log_Psi,  # likewise
     sample_random_environment,
 )
-from .errors import RefusalError
+from .errors import RefusalError, _enough_trials
 from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp,
                    branching_ruin_estimate, default_depths, polynomial_family)
 from .walk import StopRule, derive_seed, simulate
@@ -97,8 +97,7 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
     """Monte Carlo estimate of the ruin probability with its binomial
     standard error. All trials advance in lockstep on numpy arrays; a trial
     still unabsorbed after _SWEEP_CAP sweeps is a refusal."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    _enough_trials(trials)
     rng = np.random.default_rng(seed)
     p_down = np.zeros(chain.N + 1)
     for i in range(1, chain.N):
@@ -382,8 +381,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     cutset sums over the default gamma grid and probe depths of every
     cutset table (tree.DEFAULT_GAMMAS, tree.default_depths).
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    _enough_trials(trials)
     if escape_depth < 1:
         raise ValueError("escape depth must be positive")
     if depth < escape_depth:

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import RefusalError
-from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp
+from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp, _gammas
 from .tree import min_cutset_sum  # unused here; perfbench/tracer.py patches this name
 
 __all__ = [
@@ -391,12 +391,7 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     in _RT_CELLS block cells; a tree too large for one gamma's blocks is
     cut one depth per pass.
     """
-    for g in gamma_grid:
-        if not g >= 0:  # NaN fails too
-            raise ValueError(f"gamma must be at least 0, got {g!r}")
-    gammas = sorted(gamma_grid)
-    if not gammas:
-        raise ValueError("empty gamma grid")
+    gammas = _gammas(gamma_grid)
     depths = _cut_depths(depths)
     tree, env = pair_family(depths[-1])
     _cut_depths(depths, tree.truncation_depth)

@@ -1,4 +1,4 @@
-"""Package-level error types."""
+"""Package-level error types and the Monte Carlo trial floor."""
 
 
 class RefusalError(RuntimeError):
@@ -6,3 +6,8 @@ class RefusalError(RuntimeError):
     the answer meaningless (too close to criticality, too few conditioned
     samples, and so on). Runners turn this into a nonzero exit with no
     output files."""
+
+
+def _enough_trials(trials: int) -> None:
+    if trials < 100:
+        raise ValueError("need at least 100 trials")

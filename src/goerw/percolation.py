@@ -45,7 +45,7 @@ from .environment import (
     rt_hypothesis_sup,
     sample_random_environment,
 )
-from .errors import RefusalError
+from .errors import RefusalError, _enough_trials
 from .tree import Tree, _cut_depths
 # simulate_extension is not called here; perfbench/tracer.py wraps this name
 from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
@@ -110,7 +110,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     kernel would run each chain as its own lane.
     """
     tree = env.tree
-    children, depth = tree.children, tree.depth
+    depth, first = tree.depth, memoryview(tree.levels.first)
     table = ClockTable(derive_seed(master_seed, sample_index))
     lam, mu = memoryview(env.lam), memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
@@ -119,17 +119,18 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     runs = steps = 0
     # pending chain heads, each with its parent x's snapshot: (root path of
     # x, race states of its indices 1..|x|-1, steps) at the first arrival at x
-    stack = [(c, ([0], [], 0)) for c in children[0]]
+    stack = [(c, ([0], [], 0)) for c in range(first[0], first[1])]
     while stack:
         head, (prefix, saved, t0) = stack.pop()
         path = prefix + [head]
-        while children[path[-1]]:
-            path.append(children[path[-1]][0])
+        while first[path[-1]] < first[path[-1] + 1]:
+            path.append(first[path[-1]])
         d = depth[head]
         states = [None] * len(path)
         states[1:d - 1] = [r.copy() for r in saved]
-        want = {i: None for i in range(d, len(path) - 1) if len(children[path[i]]) > 1}
-        traj = _extension_run(children, lam, mu, table, path, d - 1, states, t0, StopRule(
+        want = {i: None for i in range(d, len(path) - 1)
+                if first[path[i] + 1] - first[path[i]] > 1}
+        traj = _extension_run(first, lam, mu, table, path, d - 1, states, t0, StopRule(
             max_steps=_EXTENSION_CAP, hit_depth=len(path) - 1, root_returns=1), snaps=want)
         runs += 1
         steps += traj.steps - t0
@@ -140,7 +141,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
             cluster.append(x)
             if i in want:
                 snap = (path[:i + 1], *want[i])
-                stack.extend((c, snap) for c in children[x][1:])
+                stack.extend((c, snap) for c in range(first[x] + 1, first[x + 1]))
     return PercolationSample(open_edges, frozenset(cluster), valid, 0, runs, steps)
 
 
@@ -189,8 +190,7 @@ def edge_connection_probability_mc(env: Environment, edge: int, trials: int,
     by math.log, so the counts and steps are == those of one scalar run
     per trial.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
+    _enough_trials(trials)
     d = env.tree.depth[edge]
     reach, capped, steps = extension_reach(
         env, edge, derive_seeds(master_seed, trials), _EXTENSION_CAP)
@@ -352,7 +352,7 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
     violations = [0] * len(depths)
     for i in range(env_samples):
         env = sample_random_environment(tree, dist, derive_seed(master_seed, i))
-        kappa = 1.0 + max(env.alpha[c] for c in tree.children[0])
+        kappa = 1.0 + max(env.alpha[1:tree.levels.first[1]])  # ids of the root's children
         for k, (d, e) in enumerate(zip(depths, edges)):
             val = Psi(env, e)
             lo = d ** (m - 2.0 - epsilon) / kappa

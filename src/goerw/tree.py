@@ -2,10 +2,10 @@
 used to measure how fast a tree grows.
 
 A tree is stored as one flat parent list over vertex ids assigned in
-breadth-first order with the root at 0; children and depths are read from
-it. An edge is identified by its child endpoint throughout the package: "edge e"
-means the edge between vertex e and its parent, and the depth |e| of the edge
-equals the depth of that child vertex.
+breadth-first order with the root at 0; child ranges and depths are read
+from it. An edge is identified by its child endpoint throughout the
+package: "edge e" means the edge between vertex e and its parent, and the
+depth |e| of the edge equals the depth of that child vertex.
 
 A cutset is a set of edges meeting every path from the root to the truncation
 boundary (the vertices at maximal depth). The least total weight of a cutset
@@ -18,7 +18,6 @@ is what makes the growth-index estimates workable at large depth.
 
 from __future__ import annotations
 
-import gc
 import math
 import operator
 import os
@@ -27,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, repeat
+from itertools import accumulate, groupby, islice, pairwise, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -59,12 +58,14 @@ __all__ = [
 class Levels(NamedTuple):
     """A tree's breadth-first ids as arrays. Level d is the ids starts[d]
     to starts[d + 1] - 1, for d up to one past the truncation depth (that
-    level is empty), and vertex v has kids[v] children. parent[0] is -1.
-    single[d] says that every vertex of level d has exactly one child."""
+    level is empty); vertex v has kids[v] children, the ids first[v] to
+    first[v + 1] - 1 (first is read-only, first[0] == 1, first[n] == n).
+    parent[0] is -1. single[d] says every vertex of level d has one child."""
 
     parent: np.ndarray
     starts: list[int]
     kids: np.ndarray
+    first: np.ndarray
     single: list[bool]
 
 
@@ -74,13 +75,14 @@ class Tree:
     parent[v] is the id of v's parent, -1 for the root. Ids are
     breadth-first (parent[0] == -1 <= 0 == parent[1] <= parent[2] <= ...,
     each parent[v] < v; the constructor refuses any other list), so every
-    level and every vertex's children are consecutive ids, in order, which
-    lets whole-tree passes run level by level on arrays (see levels,
-    level_runs, child_sums and scan_down). Read from parent on first use:
-    children[v] in id order, depth[v], truncation_depth, degrees (neighbor
-    counts, a read-only int64 array), only_child (each vertex's only child,
-    0 where it has none or several) and parent_step (1/deg, 0 at the root,
-    a tuple). Trees are equal when their parent lists are."""
+    level and every vertex's children are consecutive ids, in order: the
+    kernels read v's children as range(first[v], first[v + 1]) (Levels),
+    and whole-tree passes run level by level on arrays (level_runs,
+    child_sums, scan_down). Read from parent on first use: depth[v],
+    truncation_depth, levels, degrees (neighbor counts, read-only int64),
+    only_child (v's only child, 0 where it has none or several) and
+    parent_step (1/deg, 0 at the root, a tuple). Equal parent lists make
+    equal trees."""
 
     parent: list[int]
 
@@ -98,20 +100,9 @@ class Tree:
 
     @cached_property
     def children(self) -> list[list[int]]:
-        # a parent's id is the int object parent holds: each id stored once;
-        # lists of ints form no cycle, so the cyclic collector pauses meanwhile
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            ids = list(range(len(self.parent)))
-            for p in islice(self.parent, 1, None):
-                ids[p] = p
-            children: list[list[int]] = [[] for _ in ids]
-            for v, p in enumerate(islice(self.parent, 1, None), 1):
-                children[p].append(ids[v])
-        finally:
-            (gc.enable if enabled else gc.disable)()
-        return children
+        """Each vertex's child ids as a list, built from levels.first; only
+        the benchmark's flow-conservation check and the tests read it."""
+        return [list(range(a, b)) for a, b in pairwise(memoryview(self.levels.first))]
 
     @cached_property
     def depth(self) -> list[int]:
@@ -136,7 +127,7 @@ class Tree:
         """The only child of each vertex, or 0 (never a child) where it has
         none or several: the direct walk's down-step from a single-child
         vertex is one list read."""
-        return [kids[0] if len(kids) == 1 else 0 for kids in self.children]
+        return np.where(self.levels.kids == 1, self.levels.first[:-1], 0).tolist()
 
     @cached_property
     def parent_step(self) -> tuple[float, ...]:
@@ -153,11 +144,13 @@ class Tree:
             starts.append(bisect_left(self.parent, starts[-1], starts[-1]))
         parent = np.array(self.parent, dtype=np.int64)
         kids = np.bincount(parent[1:], minlength=len(parent))
+        first = np.concatenate(([1], 1 + np.cumsum(kids)))
         width = np.diff(starts)
         # per level, how many of its vertices have one child
         ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
         single = (ones == width) & (width > 0)
-        return Levels(parent, starts, kids, single.tolist())
+        first.flags.writeable = False
+        return Levels(parent, starts, kids, first, single.tolist())
 
     def level_runs(self, first: int, stop: int,
                    step: int) -> Iterator[tuple[int, int, bool]]:
@@ -363,6 +356,17 @@ def _cut_depths(depths: Iterable[int], deepest: float = math.inf) -> list[int]:
     return cuts
 
 
+def _gammas(grid: Sequence[float]) -> list[float]:
+    """A cutset table's gamma grid, sorted; an empty one, a NaN or a
+    negative gamma is refused."""
+    for g in grid:
+        if not g >= 0:  # NaN fails too
+            raise ValueError(f"gamma must be at least 0, got {g!r}")
+    if not grid:
+        raise ValueError("empty gamma grid")
+    return sorted(grid)
+
+
 def _cut_dp(tree: Tree, w: np.ndarray, cuts: Sequence[int]) -> tuple[list, np.ndarray]:
     """Bottom-up, level by level: F[v] = w[v] at the cut depth, 0 at a dead
     end above it, else min(w[v], sum of F over the children). F[v] is both
@@ -549,9 +553,7 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
     treat it as an upper bracket; families built by this module carry their
     exact index in TreeFamily.br_index.
     """
-    gammas = sorted(gamma_grid)
-    if not gammas:
-        raise ValueError("empty gamma grid")
+    gammas = _gammas(gamma_grid)
     depths = _cut_depths(depths)
     values: dict[tuple[float, int], float] = {}
     deepest = family.level_sizes(depths[-1])

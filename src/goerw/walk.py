@@ -10,11 +10,10 @@ Three ways to run it:
 - simulate: draws the law directly from a seeded generator, one draw per
   step. Fastest; it serves `goerw simulate` and the phase diagnostic's
   excited lane, where only the trajectory summary matters. A step down
-  from a vertex with one child reads it from Tree.only_child, which covers
-  most vertices of a thin poly tree; the trajectory is bitwise the one the
-  plain loop draws, which computes the child index at every step and is
-  kept in the tests as the referee. Where mu == 1 its later-visit list is
-  the tree's (Tree.parent_step).
+  reads its child off Levels.first, or off Tree.only_child from a vertex
+  with one child (most vertices of a thin poly tree); the trajectory is
+  bitwise the plain loop's, kept in the tests as the referee. Where
+  mu == 1 its later-visit list is the tree's (Tree.parent_step).
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -52,9 +51,9 @@ only spend time, they never touch an on-path clock. That exact coincidence
 is what the percolation layer relies on, and it is asserted wholesale in the
 test suite.
 
-The scalar clock kernels read lam and mu through memoryviews of the arrays,
-made once per call or percolation sample: they copy nothing and yield plain
-Python floats, which the loops read faster than np.float64 scalars.
+The scalar kernels read lam, mu and the child offsets Levels.first through
+memoryviews made once per call or percolation sample: no copy, no child
+lists, and plain Python floats and ints, faster to read than numpy scalars.
 
 Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
@@ -175,15 +174,16 @@ def simulate(env: Environment, stop: StopRule, seed: int,
              record: bool = True) -> WalkTrajectory:
     """Run the walk from the root by drawing the law directly: one draw r
     per step, up if r < p (the parent-step probability, lam's on a first
-    visit, mu's after), else to child int((r - p) / (1 - p) * k) of k, read
-    off Tree.only_child where k is 1. Up-steps check only for root returns,
-    down-steps only for a new depth. Trajectories
-    are == the plain loop's, which checks both bounds at every step. p is
-    read from _transition_table: first visits through a memoryview of an
-    array, later ones from a list, both yielding Python floats."""
+    visit, mu's after), else to child first[v] + int((r - p) / (1 - p) * k)
+    of its k (Levels.first), Tree.only_child's where k is 1. Up-steps check
+    only for root returns, down-steps only for a new depth. Trajectories are
+    == the plain loop's, which checks both bounds at every step. p is read
+    from _transition_table: first visits through a memoryview of an array,
+    later ones from a list, both yielding Python floats."""
     pf, pl = _transition_table(env)
     tree = env.tree
-    parent, children, depth, only = tree.parent, tree.children, tree.depth, tree.only_child
+    parent, depth, only = tree.parent, tree.depth, tree.only_child
+    first = memoryview(tree.levels.first)
     rnd = random.Random(seed).random
     hd, rr = stop.hit_depth, stop.root_returns
     visited = bytearray(len(parent))
@@ -212,10 +212,10 @@ def simulate(env: Environment, stop: StopRule, seed: int,
             if c:
                 v = c
             else:
-                kids = children[v]
-                k = len(kids)
+                a = first[v]
+                k = first[v + 1] - a
                 idx = int((r - p) / (1.0 - p) * k)
-                v = kids[idx if idx < k else k - 1]
+                v = a + (idx if idx < k else k - 1)
             if record:
                 positions.append(v)
             if depth[v] > maxd:
@@ -241,22 +241,20 @@ def simulate_rubin(env: Environment, stop: StopRule,
     """
     xi = clocks.xi
     tree = env.tree
-    parent, children, depth = tree.parent, tree.children, tree.depth
+    parent, depth, first = tree.parent, tree.depth, memoryview(tree.levels.first)
     lam, mu = memoryview(env.lam), memoryview(env.mu)
     cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     state: dict[int, tuple[list[int], list[float], list[int]]] = {}
     positions = [0]
-    v = 0
-    steps = 0
-    returns = 0
-    maxd = 0
+    v = steps = returns = maxd = 0
     reason = "max_steps"
     while steps < cap:
         st = state.get(v)
         if st is None:
             # excited departure: race the j=0 clocks under first-visit rates
             # (at the root, whose lam is 1, the first child's clock as it is)
-            neis = [parent[v]] + children[v] if v else list(children[0])
+            kids = range(first[v], first[v + 1])
+            neis = [parent[v], *kids] if v else list(kids)
             best = xi(v, neis[0], 0) / lam[v]
             widx = 0
             for i in range(1, len(neis)):
@@ -312,21 +310,22 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path = env.tree.root_path(target)
-    return _extension_run(env.tree.children, memoryview(env.lam), memoryview(env.mu), clocks,
+    return _extension_run(*map(memoryview, (env.tree.levels.first, env.lam, env.mu)), clocks,
                           path, 0, [None] * len(path), 0, stop, [0] if record else None)
 
 
-def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
+def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
                    clocks: ClockTable, path: list[int], pos: int, states: list,
                    steps: int, stop: StopRule, positions: list | None = None,
                    snaps: dict | None = None) -> WalkTrajectory:
     """The extension on path from index pos, never yet passed, after steps
-    steps and no root return, under the float views lam and mu (memoryviews
-    of the environment's arrays). states[i] is index i's race state,
-    [total_up, total_down, next_j_up, next_j_down] or None before its first
-    visit, updated in place; positions, unless None, gets each position. The
-    first arrival at an index i in snaps stores there (copies of states[1:i],
-    steps), from which a run on another path through path[i] can start."""
+    steps and no root return, reading lam, mu and the child offsets first
+    through memoryviews (of the environment's arrays and Levels.first).
+    states[i] is index i's race state, [total_up, total_down, next_j_up,
+    next_j_down] or None before its first visit, updated in place;
+    positions, unless None, gets each position. The first arrival at an
+    index i in snaps stores there (copies of states[1:i], steps), from
+    which a run on another path through path[i] can start."""
     xi = clocks.xi
     k = len(path) - 1
     cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
@@ -347,7 +346,7 @@ def _extension_run(children: list[list[int]], lam: memoryview, mu: memoryview,
                 # who would have won the excited race in the full tree
                 best = xi(u, par, 0) / lam[u]
                 gwin = par
-                for w in children[u]:
+                for w in range(first[u], first[u + 1]):
                     val = xi(u, w, 0)
                     if val < best:
                         best = val
@@ -455,12 +454,12 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     from its cells' race states (None past the deepest index it has left)."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
-    path, children = env.tree.root_path(target), env.tree.children
+    path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
     lam, mu, stop = memoryview(env.lam), memoryview(env.mu), StopRule(cap, k, 1)
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
-    wide = max((len(children[u]) + 1 for u in path[1:-1]), default=1)
+    wide = max((first[u + 1] - first[u] + 1 for u in path[1:-1]), default=1)
     batch = max(1, _CELL_BUDGET // (k + 1 + wide))
     for lo in range(0, seeds.size, batch):
         n = min(batch, seeds.size - lo)
@@ -478,7 +477,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                 # ties by math.log); an on-path winner skips its j=1 clock
                 raced += 1
                 u = path[raced]
-                row = [path[raced - 1]] + children[u]
+                row = [path[raced - 1], *range(first[u], first[u + 1])]
                 down = row.index(path[raced + 1])
                 c = lane * k + raced
                 mid = _splitmix_array(
@@ -486,7 +485,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                     ^ np.array([(w << 20) & _M64 for w in row], np.uint64))
                 pre[c] = mid[:, [0, down]]
                 h = _splitmix_array(mid)
-                rate = np.array([env.lam[u]] + [1.0] * len(children[u]))
+                rate = np.array([env.lam[u]] + [1.0] * (len(row) - 1))
                 race = _xi_array(h, np.log) / rate
                 near = (race <= race.min(axis=1, keepdims=True) * (1 + 1e-9)).sum(axis=1) > 1
                 race[near] = _xi_array(h[near]) / rate
@@ -518,7 +517,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
             c = slice(j * k + 1, j * k + lf + 1)
             states = [None] * (k + 1)
             states[1:lf + 1] = map(list.__add__, total[c].tolist(), nxt[c].tolist())
-            run = _extension_run(children, lam, mu, ClockTable(int(seeds[lo + j])),
+            run = _extension_run(first, lam, mu, ClockTable(int(seeds[lo + j])),
                                  path, p, states, t, stop)
             reach[lo + j] = max(run.max_depth, lf)
             capped[lo + j], steps[lo + j] = run.stop_reason == "max_steps", run.steps

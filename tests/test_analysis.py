@@ -24,6 +24,7 @@ from goerw.analysis import (
 from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
                                sample_random_environment)
 from goerw.errors import RefusalError
+from goerw.percolation import edge_connection_probability_mc
 from goerw.tree import (
     build_from_edge_list,
     build_path,
@@ -127,6 +128,19 @@ class TestGamblerMC:
         chain = GamblerChain(N=40, mu=(1.0,) * 39, start=20)
         with pytest.raises(RefusalError, match="sweep cap 3 exceeded"):
             gambler_ruin_mc(chain, 200, 1)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda trials: gambler_ruin_mc(GamblerChain(2, (1.0,), 1), trials, 1),
+    lambda trials: phase_diagnostic(polynomial_family(1.2), AlphaDistribution.point(1.0), 0.1,
+                                    escape_depth=4, horizon=100, trials=trials,
+                                    master_seed=1, depth=8),
+    lambda trials: edge_connection_probability_mc(assign_deterministic(build_path(3)), 3,
+                                                  trials, 1),
+], ids=["gambler", "phase", "edge-mc"])
+def test_every_estimate_refuses_99_trials_alike(estimate):
+    with pytest.raises(ValueError, match="^need at least 100 trials$"):
+        estimate(99)
 
 
 class TestTreeFlow:

@@ -1,10 +1,11 @@
+import ast
 import dataclasses
-import gc
 import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from goerw import tree as tree_module
 from goerw.analysis import flow_energy_check, tree_max_flow
 from goerw.cli import main
-from goerw.environment import AlphaDistribution, assign_deterministic, rt_estimate
-from goerw.percolation import concentration_experiment
+from goerw.environment import (AlphaDistribution, assign_deterministic, environment_from_alpha,
+                               rt_estimate)
+from goerw.percolation import concentration_experiment, sample_ruin_percolation
 from goerw.tree import (
     BranchingTable,
     Tree,
@@ -37,6 +39,8 @@ from goerw.tree import (
     regular_family,
     write_tree_file,
 )
+from goerw.walk import (ClockTable, StopRule, derive_seeds, extension_reach, simulate,
+                        simulate_extension, simulate_rubin)
 
 from conftest import cut_dp_ref, enumerate_cutsets, random_broom, random_tree, weights_of
 
@@ -167,29 +171,101 @@ class TestBuilders:
         assert t.truncation_depth == 2
 
 
+FAMILY_TREES = pytest.mark.parametrize(
+    "t", [build_path(6), build_regular(2, 5), build_regular(3, 6), build_polynomial(1.5, 12),
+          build_polynomial(0.5, 20), build_regular(3, 0)],
+    ids=["path6", "regular2-5", "regular3-6", "poly1.5-12", "poly0.5-20", "root"])
+
+
+@st.composite
+def bfs_trees(draw):
+    """A tree from drawn child counts, vertex by vertex in breadth-first order."""
+    counts = draw(st.lists(st.integers(0, 3), max_size=40))
+    parent = [-1]
+    for v, k in enumerate(counts):
+        if v == len(parent):
+            break
+        parent += [v] * k
+    return Tree(parent)
+
+
 class TestChildren:
-    @pytest.mark.parametrize("t", [build_path(6), build_regular(2, 5), build_regular(3, 6),
-                                   build_polynomial(1.5, 12), build_polynomial(0.5, 20),
-                                   build_regular(3, 0)],
-                             ids=["path6", "regular2-5", "regular3-6", "poly1.5-12",
-                                  "poly0.5-20", "root"])
+    @FAMILY_TREES
     def test_children_of_family_trees(self, t):
         want = [[] for _ in t.parent]
         for v in range(1, t.n_vertices):
             want[t.parent[v]].append(v)
         assert t.children == want
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_state_restored(self, enabled):
-        """The cyclic collector is paused while the lists are built and
-        left as the caller had it."""
-        was = gc.isenabled()
+    @staticmethod
+    def check_first(t):
+        lv = t.levels
+        first = lv.first
+        assert first.dtype == np.int64 and first.shape == (t.n_vertices + 1,)
+        assert not first.flags.writeable
+        assert first[0] == 1 and first[-1] == t.n_vertices
+        assert (first[1:] - first[:-1] == lv.kids).all()
+        for v in range(t.n_vertices):
+            assert all(t.parent[u] == v for u in range(first[v], first[v + 1]))
+
+    @FAMILY_TREES
+    def test_first_matches_the_parent_list(self, t):
+        self.check_first(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bfs_trees())
+    def test_first_matches_drawn_parent_lists(self, t):
+        self.check_first(t)
+
+    @FAMILY_TREES
+    def test_only_child_from_first(self, t):
+        want = [kids[0] if len(kids) == 1 else 0 for kids in t.children]
+        assert t.only_child == want
+
+
+class TestNoChildLists:
+    """The walk, extension and cluster kernels read child ranges from
+    Levels.first; no module of the package builds per-vertex child lists."""
+
+    def test_kernels_leave_no_child_lists(self):
+        t = build_regular(3, 5)
+        env = environment_from_alpha(t, [0.5] * t.n_vertices)
+        stop = StopRule(max_steps=500, hit_depth=5)
+        simulate(env, stop, 1)
+        simulate_rubin(env, stop, ClockTable(2))
+        simulate_extension(env, ClockTable(3), t.n_vertices - 1, stop)
+        extension_reach(env, t.n_vertices - 1, derive_seeds(4, 50), 10_000)
+        sample_ruin_percolation(env, 5)
+        concentration_experiment(t, AlphaDistribution.two_point(0.0, 2.0, 0.5), 0.5,
+                                 [2, 4], 3, 6)
+        assert "children" not in t.__dict__
+
+    def test_walk_bytes_per_vertex(self):
+        """The first walk on a fresh tree (its level arrays, with the child
+        offsets, came with the environment) keeps depth, only_child,
+        parent_step and the first-visit array: under 96 bytes a vertex.
+        Per-vertex child lists alone took about that much again."""
+        t = build_regular(3, 10)
+        n = t.n_vertices
+        env = environment_from_alpha(t, np.zeros(n))
+        tracemalloc.start()
         try:
-            (gc.enable if enabled else gc.disable)()
-            assert build_regular(3, 6).children[0] == [1, 2, 3]
-            assert gc.isenabled() is enabled
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(env, StopRule(max_steps=1000), 1, record=False)
+            retained = tracemalloc.get_traced_memory()[0] - base
         finally:
-            (gc.enable if was else gc.disable)()
+            tracemalloc.stop()
+        assert n == 3070 and "levels" in t.__dict__
+        assert retained <= 96 * n
+
+    def test_no_module_reads_children(self):
+        """Only the benchmark and the tests read Tree.children."""
+        src = Path(tree_module.__file__).parent
+        reads = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute) and node.attr == "children"]
+        assert reads == []
 
 
 class TestCutsets:
@@ -519,6 +595,17 @@ class TestBranchingEstimate:
             for L in depths:
                 want = min(_level_product(sizes[m], m ** -g) for m in range(1, L + 1))
                 assert repr(table.values[(g, L)]) == repr(want)
+
+    @pytest.mark.parametrize("grid,message", [
+        ([math.nan, 0.5], "gamma must be at least 0, got nan"),
+        ([-1.0], "gamma must be at least 0, got -1.0"),
+        ([], "empty gamma grid")], ids=["nan", "negative", "empty"])
+    def test_bad_gamma_grid_refused_as_in_rt_estimate(self, grid, message):
+        t = build_path(16)
+        for table in (lambda: branching_ruin_estimate(polynomial_family(1.5), grid, [8, 16]),
+                      lambda: rt_estimate(lambda L: (t, assign_deterministic(t)), grid, [8, 16])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                table()
 
     @pytest.mark.parametrize("depths", [[0], [0, 8], [-2, 8]])
     def test_depth_below_one_refused(self, depths):

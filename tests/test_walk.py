@@ -224,6 +224,28 @@ class TestDirectLaw:
 
 
 class TestSimulate:
+    def test_top_draw_takes_the_last_child(self, monkeypatch):
+        """Below the root of regular:d=4 with lam = 0.068, a draw of
+        1 - 2**-53 rounds the child index up to k = 3. It is clipped to the
+        last child, as in the plain loop, and never read as an id past the
+        vertex's own child range."""
+        top = 1 - 2 ** -53
+
+        class Top(random.Random):
+            def random(self):
+                return top
+
+        t = build_regular(4, 5)
+        env = assign_deterministic(t, lam=0.068)
+        p = 0.068 / ((0.068 + 4) - 1)  # lam / ((lam + deg) - 1), as the kernel rounds it
+        assert int((top - p) / (1.0 - p) * 3) == 3
+        monkeypatch.setattr(random, "Random", Top)
+        stop = StopRule(max_steps=10, hit_depth=5)
+        traj = simulate(env, stop, 1)
+        assert traj == simulate_ref(env, stop, 1)
+        assert traj.steps == 5 and traj.escaped
+        assert all(b == t.children[a][-1] for a, b in zip(traj.positions, traj.positions[1:]))
+
     def test_root_only_tree_refused(self):
         """A root-only tree has no edge to step along: refused by name, not
         an IndexError on the first down-step."""
