@@ -32,7 +32,7 @@ from .environment import (
     log_Psi,  # likewise
     sample_random_environment,
 )
-from .errors import RefusalError, _enough_trials
+from .errors import InputError, RefusalError, _enough_trials
 from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp,
                    branching_ruin_estimate, default_depths, polynomial_family)
 from .walk import StopRule, derive_seed, simulate
@@ -62,7 +62,7 @@ class GamblerChain:
         if len(self.mu) != self.N - 1:
             raise ValueError(f"need {self.N - 1} interior biases, got {len(self.mu)}")
         if not 0 <= self.start <= self.N:
-            raise ValueError("start must lie in [0, N]")
+            raise InputError("start must lie in [0, N]")
         for i, m in enumerate(self.mu):
             if not m > 0:
                 raise ValueError(f"bias at site {i + 1} must be positive")
@@ -98,6 +98,8 @@ def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float,
     standard error. All trials advance in lockstep on numpy arrays; a trial
     still unabsorbed after _SWEEP_CAP sweeps is a refusal."""
     _enough_trials(trials)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise InputError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     p_down = np.zeros(chain.N + 1)
     for i in range(1, chain.N):
@@ -244,7 +246,7 @@ def flow_energy_check(env: Environment, gamma: float,
     Bounded energy across growing depths is the desk-scale signature of the
     transient regime; a flow decaying toward zero is flagged degenerate."""
     if not gamma > 1.0:
-        raise ValueError("gamma must exceed 1")
+        raise InputError("gamma must exceed 1")
     tree = env.tree
     depths = _cut_depths(depths, tree.truncation_depth)
 
@@ -383,9 +385,9 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     """
     _enough_trials(trials)
     if escape_depth < 1:
-        raise ValueError("escape depth must be positive")
+        raise InputError("escape depth must be positive")
     if depth < escape_depth:
-        raise ValueError("tree depth cannot be below the escape depth")
+        raise InputError("tree depth cannot be below the escape depth")
 
     m = dist.m
     threshold = 2.0 - m

@@ -13,9 +13,9 @@ refusal or a crash never leaves partial data files. JSON summaries carry a
 ``timestamp`` field; everything else is a pure function of config and seed,
 so reruns are byte-identical once that field is stripped.
 
-Exit codes: 0 success, 1 runtime refusal, 2 usage or validation error
-(an unreadable input or an unwritable output among them); a bug surfaces
-as a traceback.
+Exit codes (errors.py): 0 success, 1 a RefusalError, 2 an InputError (a bad
+key, spec or value, an unreadable input or an unwritable output) or
+argparse's rejection of a flag; anything else is a bug (a traceback).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from argparse import ArgumentTypeError
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -50,7 +49,7 @@ from .environment import (
     rt_estimate,
     sample_random_environment,
 )
-from .errors import RefusalError
+from .errors import InputError, RefusalError
 from .percolation import (
     adapted_conductance,
     concentration_experiment,
@@ -75,10 +74,6 @@ from .tree import (
 from .walk import StopRule, derive_seed, simulate
 
 
-class UsageError(Exception):
-    """Bad flags, bad config keys, malformed specs. Exits with status 2."""
-
-
 # ---------------------------------------------------------------------------
 # spec-string parsing
 
@@ -90,12 +85,12 @@ def _kv_pairs(body: str, what: str, keys: set[str], sep: str = ",") -> dict[str,
         return out
     for part in body.split(sep):
         if "=" not in part:
-            raise UsageError(f"malformed {what} spec entry {part!r} (want key=value)")
+            raise InputError(f"malformed {what} spec entry {part!r} (want key=value)")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     unknown = set(out) - keys
     if unknown:
-        raise UsageError(f"unknown {what} key {sorted(unknown)[0]!r}")
+        raise InputError(f"unknown {what} key {sorted(unknown)[0]!r}")
     return out
 
 
@@ -107,7 +102,7 @@ def parse_tree_spec(spec: str) -> Tree:
         try:
             return read_tree_file(body)
         except OSError as e:
-            raise UsageError(f"cannot read tree file {body}: {e.strerror}") from None
+            raise InputError(f"cannot read tree file {body}: {e.strerror}") from None
     fam, L = parse_family_spec(spec)
     return fam.build(L)
 
@@ -116,10 +111,10 @@ def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
     kind, _, body = spec.partition(":")
     keys = {"path": {"L"}, "regular": {"d", "L"}, "poly": {"b", "L"}}
     if kind == "file":
-        raise UsageError("this experiment needs a parametric tree family, "
+        raise InputError("this experiment needs a parametric tree family, "
                          "not a tree file")
     if kind not in keys:
-        raise UsageError(f"unknown tree family {kind!r} "
+        raise InputError(f"unknown tree family {kind!r} "
                          "(expected path, regular, poly, or file)")
     kv = _kv_pairs(body, "tree", keys[kind])
     try:
@@ -128,11 +123,11 @@ def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
                   polynomial_family(float(kv["b"])))
         L = int(kv["L"])
     except KeyError as e:
-        raise UsageError(f"tree spec {spec!r} is missing {e.args[0]}") from None
+        raise InputError(f"tree spec {spec!r} is missing {e.args[0]}") from None
     except ValueError as e:
-        raise UsageError(f"tree spec {spec!r}: {e}") from None
+        raise InputError(f"tree spec {spec!r}: {e}") from None
     if L < 0:
-        raise UsageError(f"tree spec {spec!r}: L must be at least 0, got {L}")
+        raise InputError(f"tree spec {spec!r}: L must be at least 0, got {L}")
     return family, L
 
 
@@ -145,7 +140,7 @@ def parse_env_spec(spec: str):
     kind, _, body = spec.partition(":")
     keys = {"alpha": {"point", "two", "support", "probs"}, "det": {"lambda", "mu"}}
     if kind not in keys:
-        raise UsageError(f"unknown env kind {kind!r} (expected alpha or det)")
+        raise InputError(f"unknown env kind {kind!r} (expected alpha or det)")
     kv = _kv_pairs(body, "env", keys[kind], ";" if kind == "alpha" else ",")
     try:
         if kind == "det":
@@ -160,8 +155,8 @@ def parse_env_spec(spec: str):
             probs = [float(x) for x in kv["probs"].split(",")]
             return "alpha", AlphaDistribution(tuple(vals), tuple(probs))
     except (KeyError, ValueError) as e:
-        raise UsageError(f"env spec {spec!r}: {e}") from None
-    raise UsageError(f"env spec {spec!r} needs point=, two=, or support=")
+        raise InputError(f"env spec {spec!r}: {e}") from None
+    raise InputError(f"env spec {spec!r} needs point=, two=, or support=")
 
 
 def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
@@ -181,14 +176,16 @@ def load_config(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
-        raise UsageError(f"cannot read config {path}: {e.strerror}") from None
+        raise InputError(f"cannot read config {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read config {path}: {e}") from None
     out: dict[str, str] = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected key = value")
+            raise InputError(f"{path}:{ln}: expected key = value")
         key, value = (x.strip() for x in line.split("=", 1))
         _validate_config_key(key, path, ln)
         out[key] = value
@@ -201,13 +198,13 @@ def _validate_config_key(key: str, path: str, ln: int) -> None:
     if "." in key:
         sub, _, name = key.partition(".")
         if sub not in COMMANDS:
-            raise UsageError(f"{path}:{ln}: unknown config key {key!r} "
+            raise InputError(f"{path}:{ln}: unknown config key {key!r} "
                              f"(no subcommand {sub!r})")
         if name not in COMMANDS[sub].options:
-            raise UsageError(f"{path}:{ln}: unknown config key {key!r} "
+            raise InputError(f"{path}:{ln}: unknown config key {key!r} "
                              f"({sub} takes no --{name})")
     elif key not in TYPES:
-        raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
+        raise InputError(f"{path}:{ln}: unknown config key {key!r}")
 
 
 class Run:
@@ -244,7 +241,7 @@ class Run:
     def require(self, name: str):
         v = self.get(name)
         if v is None:
-            raise UsageError(f"missing required option --{name}")
+            raise InputError(f"missing required option --{name}")
         return v
 
     def say(self, text: str) -> None:
@@ -291,13 +288,13 @@ class Run:
 
 
 def _converted(name: str, text: str, where: str):
-    """TYPES[name](text); a failure is a usage error naming where text is from."""
+    """TYPES[name](text); a failure is an InputError naming where text is from."""
     try:
         return TYPES[name](text)
+    except InputError as e:
+        raise InputError(f"{where}: {e}") from None
     except ValueError:
-        raise UsageError(f"{where}: cannot parse {text!r}") from None
-    except ArgumentTypeError as e:
-        raise UsageError(f"{where}: {e}") from None
+        raise InputError(f"{where}: cannot parse {text!r}") from None
 
 
 def _spelled(x):
@@ -311,13 +308,13 @@ def _spelled(x):
 
 @contextmanager
 def _writing(path: str):
-    """Create path's directory for the write in the body; an OSError is a
-    usage error naming the path."""
+    """Create path's directory for the write in the body; an OSError is an
+    InputError naming the path."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         yield
     except OSError as e:
-        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +372,11 @@ def _run_simulate(r: Run) -> None:
 def _run_percolate(r: Run) -> None:
     depths, depth = r.get("depths"), r.get("depth")
     if depths is not None and depth is not None:
-        raise UsageError("give --depth or --depths, not both")
+        raise InputError("give --depth or --depths, not both")
     if depth is not None:
         depths = [depth]
     elif depths is None:
-        raise UsageError("missing required option --depth or --depths")
+        raise InputError("missing required option --depth or --depths")
     tree = parse_tree_spec(r.require("tree"))
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
@@ -454,7 +451,7 @@ def _run_phase_scan(r: Run) -> None:
     family, L = parse_family_spec(r.require("tree"))
     kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
-        raise UsageError("phase-scan needs an alpha env spec")
+        raise InputError("phase-scan needs an alpha env spec")
     verdict = phase_diagnostic(
         family, dist,
         epsilon_margin=r.get("epsilon", 0.1),
@@ -476,14 +473,14 @@ def _run_gambler(r: Run) -> None:
     try:
         mu_all = [Fraction(x) for x in mu_text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad bias list {mu_text!r}") from None
+        raise InputError(f"bad bias list {mu_text!r}") from None
     # Biases are listed per site 1..N along the path; the final site is
     # absorbing, so its bias never enters the answer.
     N = len(mu_all)
     if N < 2:
-        raise UsageError("need at least two sites (two --mu entries)")
+        raise InputError("need at least two sites (two --mu entries)")
     if any(m <= 0 for m in mu_all):
-        raise UsageError("biases must be positive")
+        raise InputError("biases must be positive")
     start = r.require("start")
     chain = GamblerChain(N=N, mu=tuple(mu_all[:N - 1]), start=start)
     exact = gambler_ruin_exact(chain)
@@ -499,7 +496,7 @@ def _run_gambler(r: Run) -> None:
             except OverflowError:
                 mu_float.append(math.inf)
             if not 0.0 < mu_float[-1] < math.inf:
-                raise UsageError(f"--mu entry {site} ({mu_text.split(',')[site - 1]}) "
+                raise InputError(f"--mu entry {site} ({mu_text.split(',')[site - 1]}) "
                                  "has no positive finite float for the Monte Carlo")
         float_chain = GamblerChain(N=N, mu=tuple(mu_float), start=start)
         est, se = gambler_ruin_mc(float_chain, trials, r.seed())
@@ -512,7 +509,7 @@ def _run_concentration(r: Run) -> None:
     tree = parse_tree_spec(r.require("tree"))
     kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
-        raise UsageError("concentration needs an alpha env spec")
+        raise InputError("concentration needs an alpha env spec")
     depths = r.require("depths")
     epsilon = r.require("epsilon")
     rep = concentration_experiment(tree, dist, epsilon, depths,
@@ -536,7 +533,7 @@ def count(text: str) -> int:
     """A count, depth or step budget: an integer of at least 1."""
     n = int(text)
     if n < 1:
-        raise ArgumentTypeError(f"must be at least 1, got {n}")
+        raise InputError(f"must be at least 1, got {n}")
     return n
 
 
@@ -544,7 +541,7 @@ def finite(text: str) -> float:
     """A float other than nan and +-inf."""
     x = float(text)
     if not math.isfinite(x):
-        raise ArgumentTypeError(f"must be finite, got {text}")
+        raise InputError(f"must be finite, got {text}")
     return x
 
 
@@ -552,7 +549,7 @@ def margin(text: str) -> float:
     """A finite float of at least 0."""
     x = finite(text)
     if x < 0:
-        raise ArgumentTypeError(f"must be at least 0, got {text}")
+        raise InputError(f"must be at least 0, got {text}")
     return x
 
 
@@ -562,17 +559,14 @@ def _parse_depths(text: str) -> list[int]:
     try:
         depths = {int(x) for x in text.split(",")}
     except ValueError:
-        raise ArgumentTypeError(f"bad depth list {text!r}") from None
-    try:
-        return _cut_depths(depths)
-    except ValueError as e:
-        raise ArgumentTypeError(e) from None
+        raise InputError(f"bad depth list {text!r}") from None
+    return _cut_depths(depths)
 
 
 def _format(text: str) -> str:
     """csv or json."""
     if text not in ("csv", "json"):
-        raise ArgumentTypeError(f"unknown format {text!r} (want csv or json)")
+        raise InputError(f"unknown format {text!r} (want csv or json)")
     return text
 
 
@@ -586,20 +580,22 @@ def _parse_gamma_grid(text: str) -> list[float]:
                 raise ValueError("empty range")
             q = (stop - start) / step  # counted before the grid is built
             if q + 1 > 10_000:
-                raise ArgumentTypeError(f"gamma grid {text!r} holds {q + 1:.6g} points; "
-                                        "a range may hold at most 10,000")
+                raise InputError(f"gamma grid {text!r} holds {q + 1:.6g} points; "
+                                 "a range may hold at most 10,000")
             grid = [round(start + k * step, 10) for k in range(round(q) + 1)]
             grid = [g for g in grid if g <= stop + 1e-9]
             if any(a >= b for a, b in zip(grid, grid[1:])):
-                raise ArgumentTypeError(f"gamma grid {text!r}: step {step:g} is too small "
-                                        "for entries rounded to 10 decimals to stay distinct")
+                raise InputError(f"gamma grid {text!r}: step {step:g} is too small "
+                                 "for entries rounded to 10 decimals to stay distinct")
         else:
             grid = sorted(float(x) for x in text.split(","))
-    except ValueError:
-        raise ArgumentTypeError(f"bad gamma grid {text!r} "
-                                "(want start:stop:step or a comma list)") from None
+    except InputError:
+        raise
+    except ValueError:  # a bad float or field count, an empty range or a NaN bound
+        raise InputError(f"bad gamma grid {text!r} "
+                         "(want start:stop:step or a comma list)") from None
     if not all(0 <= g < math.inf for g in grid):  # NaN fails both
-        raise ArgumentTypeError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
+        raise InputError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
     return grid
 
 
@@ -701,7 +697,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         COMMANDS[sub].run(run)
         run.flush()
         return 0
-    except (UsageError, ValueError) as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RefusalError as e:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RefusalError
+from .errors import InputError, RefusalError
 from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp, _gammas
 from .tree import min_cutset_sum  # unused here; perfbench/tracer.py patches this name
 
@@ -66,14 +66,14 @@ class AlphaDistribution:
 
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
-            raise ValueError("need matching nonempty values and probs")
+            raise InputError("need matching nonempty values and probs")
         for x in (*self.values, *self.probs):
             if not math.isfinite(x):
-                raise ValueError(f"alpha law entries must be finite, got {x!r}")
+                raise InputError(f"alpha law entries must be finite, got {x!r}")
         if any(a < 0 for a in self.values):
-            raise ValueError("alpha values must be >= 0")
+            raise InputError("alpha values must be >= 0")
         if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
+            raise InputError("probs must be nonnegative and sum to 1")
 
     @property
     def m(self) -> float:
@@ -147,9 +147,9 @@ class Environment:
             for v in range(1, n):
                 for b in (lam[v], mu[v]):
                     if not math.isfinite(b):
-                        raise ValueError(f"biases must be finite, vertex {v}")
+                        raise InputError(f"biases must be finite, vertex {v}")
                     if b <= 0:
-                        raise ValueError(f"biases must be positive, vertex {v}")
+                        raise InputError(f"biases must be positive, vertex {v}")
         lam.flags.writeable = mu.flags.writeable = False
         self.lam, self.mu = lam, mu
         if self.alpha is not None:
@@ -277,7 +277,7 @@ def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
     tree is refused: the walk has no edge to step along."""
     if env._trans is None:
         if env.tree.n_vertices == 1:
-            raise ValueError("a walk needs a tree with an edge; this one is a root only (depth 0)")
+            raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
         d = env.tree.degrees
         unit = (env.mu == 1.0).all()
         p = [b / ((b + d) - 1) for b in ((env.lam,) if unit else (env.lam, env.mu))]

@@ -1,13 +1,19 @@
-"""Package-level error types and the Monte Carlo trial floor."""
+"""Error types, the exit-code policy and the Monte Carlo trial floor. An
+InputError exits 2 and a RefusalError 1; anything else, a ValueError from a
+broken invariant among them, is a bug and ends in a traceback."""
+
+
+class InputError(ValueError):
+    """The caller's input is wrong. A ValueError, so library callers that
+    catch ValueError keep working."""
 
 
 class RefusalError(RuntimeError):
     """An experiment declined to run because its preconditions would make
     the answer meaningless (too close to criticality, too few conditioned
-    samples, and so on). Runners turn this into a nonzero exit with no
-    output files."""
+    samples, and so on). It leaves no output files."""
 
 
 def _enough_trials(trials: int) -> None:
     if trials < 100:
-        raise ValueError("need at least 100 trials")
+        raise InputError("need at least 100 trials")

@@ -45,7 +45,7 @@ from .environment import (
     rt_hypothesis_sup,
     sample_random_environment,
 )
-from .errors import RefusalError, _enough_trials
+from .errors import InputError, RefusalError, _enough_trials
 from .tree import Tree, _cut_depths
 # simulate_extension is not called here; perfbench/tracer.py wraps this name
 from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
@@ -340,7 +340,7 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
     large numbers in the annealed mean makes these die out as the depth
     grows."""
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     depths = _cut_depths(depths, tree.truncation_depth)
     if len(dist.values) < 2:
         raise RefusalError(

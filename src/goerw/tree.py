@@ -31,6 +31,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "Levels",
     "Tree",
@@ -210,7 +212,7 @@ class Tree:
 
     def vertices_at_depth(self, d: int) -> range:
         if not 0 <= d <= self.truncation_depth:
-            raise ValueError(f"tree has no vertices at depth {d}")
+            raise InputError(f"tree has no vertices at depth {d}")
         starts = self.levels.starts
         return range(starts[d], starts[d + 1])
 
@@ -238,7 +240,9 @@ def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
         runs.append((size, count))
         total += size * count
         if total > max_vertices:
-            raise ValueError(f"tree has {total} vertices by depth {sum(c for _, c in runs) - 1}, "
+            # a count past 100 bits is shown as a power of 2: str() refuses 4,300 digits
+            shown = total if total.bit_length() <= 100 else f"at least 2**{total.bit_length() - 1}"
+            raise InputError(f"tree has {shown} vertices by depth {sum(c for _, c in runs) - 1}, "
                              f"over the {max_vertices} vertex cap; use the level-size "
                              "shortcut instead of materializing it")
     parent: list[int] = []
@@ -255,7 +259,7 @@ def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
 
 def _levels(depth: int) -> range:
     if depth < 0:
-        raise ValueError(f"tree depth must be at least 0, got {depth}")
+        raise InputError(f"tree depth must be at least 0, got {depth}")
     return range(depth + 1)
 
 
@@ -269,14 +273,14 @@ def build_path(length: int) -> Tree:
 
 
 def _regular_sizes(d: int, depth: int) -> Iterator[int]:
+    if d < 2:
+        raise InputError("regular tree needs d >= 2")
     return (d * (d - 1) ** (n - 1) if n else 1 for n in _levels(depth))
 
 
 def build_regular(d: int, depth: int) -> Tree:
     """The d-regular tree: the root has d children and every other internal
     vertex has d-1, so all non-root vertices have d neighbors."""
-    if d < 2:
-        raise ValueError("regular tree needs d >= 2")
     return _grow(_regular_sizes(d, depth), _MAX_VERTICES)
 
 
@@ -287,8 +291,8 @@ def _dyadic_floor(b: float, n: int) -> int:
 
 
 def _polynomial_sizes(b: float, depth: int) -> Iterator[int]:
-    if b <= 0:
-        raise ValueError("polynomial growth exponent must be positive")
+    if not 0 < b < math.inf:  # NaN fails both
+        raise InputError(f"polynomial growth exponent b must be positive and finite, got {b!r}")
     return (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
 
 
@@ -315,17 +319,17 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
     breadth-first order (children sorted by their original label).
     """
     if not edges:
-        raise ValueError("empty edge list")
+        raise InputError("empty edge list")
     kids: dict[int, list[int]] = {}
     par: dict[int, int] = {}
     for p, c in edges:
         if c in par:
-            raise ValueError(f"vertex {c} has two parents; not a tree")
+            raise InputError(f"vertex {c} has two parents; not a tree")
         par[c] = p
         kids.setdefault(p, []).append(c)
     roots = kids.keys() - par.keys()
     if len(roots) != 1:
-        raise ValueError(f"expected one root, found {len(roots)}")
+        raise InputError(f"expected one root, found {len(roots)}")
 
     # the label of new id i is order[i]; the loop reads order as it grows
     order = [roots.pop()]
@@ -335,7 +339,7 @@ def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
             order.append(c)
             parent.append(i)
     if len(order) != len(par) + 1:
-        raise ValueError("edge list is disconnected or contains a cycle")
+        raise InputError("edge list is disconnected or contains a cycle")
     return Tree(parent)
 
 
@@ -348,11 +352,11 @@ def _cut_depths(depths: Iterable[int], deepest: float = math.inf) -> list[int]:
     deepest is refused."""
     cuts = sorted(depths)
     if not cuts:
-        raise ValueError("empty depth list")
+        raise InputError("empty depth list")
     if cuts[0] < 1:
-        raise ValueError(f"depth {cuts[0]} is below 1")
+        raise InputError(f"depth {cuts[0]} is below 1")
     if cuts[-1] > deepest:
-        raise ValueError(f"depth {cuts[-1]} exceeds the tree depth {deepest}")
+        raise InputError(f"depth {cuts[-1]} exceeds the tree depth {deepest}")
     return cuts
 
 
@@ -361,9 +365,9 @@ def _gammas(grid: Sequence[float]) -> list[float]:
     negative gamma is refused."""
     for g in grid:
         if not g >= 0:  # NaN fails too
-            raise ValueError(f"gamma must be at least 0, got {g!r}")
+            raise InputError(f"gamma must be at least 0, got {g!r}")
     if not grid:
-        raise ValueError("empty gamma grid")
+        raise InputError("empty gamma grid")
     return sorted(grid)
 
 
@@ -576,22 +580,30 @@ def write_tree_file(tree: Tree, path: str) -> None:
 
 
 def read_tree_file(path: str) -> Tree:
-    with open(path, "r", encoding="utf-8") as fh:
+    """A write_tree_file text's tree; a bad header or edge line is refused by path and line."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         prefix = "# goerw-tree v1 depth="
         if not header.startswith(prefix):
-            raise ValueError(f"{path}: not a goerw-tree v1 file")
-        declared = int(header[len(prefix):])
+            raise InputError(f"{path}: not a goerw-tree v1 file")
+        try:
+            declared = int(header[len(prefix):])
+        except ValueError:
+            raise InputError(f"{path}:1: bad depth {header[len(prefix):]!r}") from None
         edges = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for ln, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            p, c = line.split()
-            edges.append((int(p), int(c)))
+            try:
+                p, c = map(int, fields)
+            except ValueError:  # not two fields, or not integers
+                raise InputError(f"{path}:{ln}: want 'parent child', "
+                                 f"got {line.strip()!r}") from None
+            edges.append((p, c))
     tree = build_from_edge_list(edges) if edges else Tree([-1])
     if tree.truncation_depth != declared:
-        raise ValueError(
+        raise InputError(
             f"{path}: header says depth {declared} but edges reach "
             f"{tree.truncation_depth}"
         )

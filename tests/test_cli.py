@@ -14,6 +14,7 @@ import goerw.cli as cli
 import goerw.tree as tree_module
 from goerw.cli import main, parse_env_spec, parse_family_spec, parse_tree_spec
 from goerw.environment import AlphaDistribution
+from goerw.errors import InputError
 from goerw.walk import ClockTable, StopRule, derive_seed, simulate_extension
 
 
@@ -62,14 +63,14 @@ class TestSpecParsing:
         assert code == 2 and out == ""
         assert "unknown tree key 'depth'" in err
         for spec in ("regular:d=3,L=4,b=2", "poly:b=1.2,L=64,E=48"):
-            with pytest.raises(cli.UsageError, match="unknown tree key"):
+            with pytest.raises(InputError, match="unknown tree key"):
                 parse_family_spec(spec)
 
     def test_negative_depth_is_usage_error(self):
         """A negative L names no tree: the spec is refused before any
         family builds from it."""
         for spec in ("path:L=-1", "regular:d=3,L=-1", "poly:b=1.2,L=-3"):
-            with pytest.raises(cli.UsageError, match="L must be at least 0, got -"):
+            with pytest.raises(InputError, match="L must be at least 0, got -"):
                 parse_family_spec(spec)
         assert parse_family_spec("regular:d=3,L=0")[1] == 0
 
