@@ -16,6 +16,8 @@ The gambler solver keeps whatever numeric type it is given, so feeding it
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -143,8 +145,40 @@ def tree_max_flow(tree: Tree, capacity: np.ndarray, depth: int) -> tuple[float, 
     return value, F
 
 
+class FlowShares(Mapping):
+    """theta, the proportional flow, as a read-only mapping from each vertex
+    given a share (an int) to its share (a float), in increasing id order,
+    over two read-only arrays that array readers such as flow_energy_check
+    read directly: ids, the vertices given a share, and theta, the share by
+    vertex id (0 where none, the total at the root). A key that is not an
+    integer (operator.index) or names no vertex given a share is missing."""
+
+    __slots__ = ("ids", "theta", "_given")
+
+    def __init__(self, given: np.ndarray, theta: np.ndarray):
+        self.ids = np.flatnonzero(given)
+        self.theta, self._given = theta, given
+        for a in (self.ids, theta, given):
+            a.flags.writeable = False
+
+    def __getitem__(self, v) -> float:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise KeyError(v) from None
+        if not (0 <= i < self._given.size and self._given[i]):
+            raise KeyError(v)
+        return float(self.theta[i])
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+
 def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
-                      total: float) -> dict[int, float]:
+                      total: float) -> FlowShares:
     """Route `total` units from the root along the max-flow profile F,
     splitting at each vertex proportionally to the children's capacities.
     F is indexed by vertex id at least through `depth`, as tree_max_flow
@@ -161,8 +195,8 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
     Every vertex's s comes from one np.bincount through `depth`, the
     additions of Tree.child_sums; the shares, the remainders and theta run
     level by level on arrays, each level's inflow being the theta of the
-    level above. theta maps each child given a share to it, in increasing
-    id order."""
+    level above. The result maps each child given a share to it, in
+    increasing id order, over those arrays (see FlowShares)."""
     F = np.asarray(F, dtype=np.float64)
     n = tree.n_vertices
     starts, parent = tree.levels.starts, tree.levels.parent
@@ -199,8 +233,7 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
             rest = tree.child_sums(np.where(last[a:b], 0.0, share), d)
             theta[a:b] = np.where(live & last[a:b], inflow - rest[at], share)
             given[a:b] = live
-    ids = np.flatnonzero(given)
-    return dict(zip(ids.tolist(), theta[ids].tolist()))
+    return FlowShares(given, theta)
 
 
 @dataclass(frozen=True)
@@ -243,8 +276,11 @@ def flow_energy_check(env: Environment, gamma: float,
     Psi never increases down a root path, and gamma > 1.
 
     The flow is scaled so the total leaving the root is min(1, max flow).
-    Bounded energy across growing depths is the desk-scale signature of the
-    transient regime; a flow decaying toward zero is flagged degenerate."""
+    It is read as arrays, the ids given a share and theta by id
+    (FlowShares.ids and .theta), the energy summed in id order over the
+    shares above 0. Bounded energy across growing depths is the desk-scale
+    signature of the transient regime; a flow decaying toward zero is
+    flagged degenerate."""
     if not gamma > 1.0:
         raise InputError("gamma must exceed 1")
     tree = env.tree
@@ -258,9 +294,8 @@ def flow_energy_check(env: Environment, gamma: float,
     for L in depths:
         max_flow, F = tree_max_flow(tree, cap, L)
         total = min(1.0, max_flow)
-        theta = proportional_flow(tree, F, L, total)
-        e = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
-        t = np.fromiter(theta.values(), dtype=np.float64, count=len(theta))
+        flow = proportional_flow(tree, F, L, total)
+        e, t = flow.ids, flow.theta[flow.ids]
         e, t = e[t > 0.0], t[t > 0.0]
         # np.cumsum adds in order, as the scalar loop did
         energy = float(np.cumsum(t * t / conductance[e])[-1]) if t.size else 0.0

@@ -196,7 +196,10 @@ def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) ->
 def _each(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """f applied to every entry of x as a Python float, in an array of x's
     shape. For math.exp and math.log: np.exp and np.log do not round every
-    value as they do, and the tables are kept bitwise."""
+    value as they do, and the tables are kept bitwise. One call per entry,
+    repeated or not: the exp arguments of the weights and conductances and
+    the clock logs are nearly all distinct, so finding the repeats first
+    would cost more than it saves (_potentials, whose psi repeat, does)."""
     return np.fromiter(map(f, x.ravel().tolist()), dtype=np.float64,
                        count=x.size).reshape(x.shape)
 
@@ -211,7 +214,13 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     the tables are bitwise those of a vertex-by-vertex loop (the logs are
     math.log's, and -inf where psi is 0). A product of mu or its running
     sum that overflows is refused, naming the first vertex in id order
-    where R or phi is not finite, since psi would read NaN from it."""
+    where R or phi is not finite, since psi would read NaN from it.
+
+    psi depends only on the edge's parent, so it repeats: under a finitely
+    supported law or det: on a family tree it takes at most one value per
+    (atom, degree) pair on a level. math.log is taken once per distinct
+    psi and gathered back to every edge, which is exact since equal floats
+    have equal logs."""
     if env._pot is None:
         tree = env.tree
         n = tree.n_vertices
@@ -239,11 +248,12 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         ps[deep] = 1.0 - drop * factor
         # psi rounds to 0 where the drop is 1 and the bracket rounds to 1;
         # math.log refuses 0, its log is -inf, and Psi below is exactly 0
-        zero = ps == 0.0
-        logs = _each(math.log, np.where(zero, 1.0, ps))
+        values, at = np.unique(ps, return_inverse=True)
+        zero = values == 0.0
+        logs = _each(math.log, np.where(zero, 1.0, values))
         logs[zero] = -math.inf
         lp = np.zeros(n)
-        tree.scan_down(np.add, lp, logs, 1)
+        tree.scan_down(np.add, lp, logs[at], 1)
         for table in (R, ph, ps, lp):
             table.flags.writeable = False
         env._pot = (R, ph, ps, lp)

@@ -1,4 +1,4 @@
-"""Error types, the exit-code policy and the Monte Carlo trial floor. An
+"""Error types, the exit-code policy and the Monte Carlo trial bounds. An
 InputError exits 2 and a RefusalError 1; anything else, a ValueError from a
 broken invariant among them, is a bug and ends in a traceback."""
 
@@ -14,6 +14,13 @@ class RefusalError(RuntimeError):
     samples, and so on). It leaves no output files."""
 
 
+# most trials one Monte Carlo estimate takes: they run in lockstep on arrays,
+# and a larger count would exhaust memory or numpy's index range
+MAX_TRIALS = 10_000_000
+
+
 def _enough_trials(trials: int) -> None:
     if trials < 100:
         raise InputError("need at least 100 trials")
+    if trials > MAX_TRIALS:
+        raise InputError(f"need at most {MAX_TRIALS} trials, got {trials}")

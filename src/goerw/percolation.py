@@ -348,15 +348,23 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
             "nothing; use a distribution with at least two atoms"
         )
     m = dist.m
+
+    def upper(d: int) -> float:
+        # an end past the float range is +inf: Psi <= 1 never leaves upward
+        try:
+            return d ** (m - 2.0 + epsilon)
+        except OverflowError:
+            return math.inf
+
     edges = [tree.leftmost_at_depth(d) for d in depths]
+    his = [upper(d) for d in depths]
     violations = [0] * len(depths)
     for i in range(env_samples):
         env = sample_random_environment(tree, dist, derive_seed(master_seed, i))
         kappa = 1.0 + max(env.alpha[1:tree.levels.first[1]])  # ids of the root's children
-        for k, (d, e) in enumerate(zip(depths, edges)):
+        for k, (d, e, hi) in enumerate(zip(depths, edges, his)):
             val = Psi(env, e)
             lo = d ** (m - 2.0 - epsilon) / kappa
-            hi = d ** (m - 2.0 + epsilon)
             if not (lo <= val <= hi):
                 violations[k] += 1
     return ConcentrationReport(depths, env_samples, epsilon, m, violations)

@@ -284,10 +284,20 @@ def build_regular(d: int, depth: int) -> Tree:
     return _grow(_regular_sizes(d, depth), _MAX_VERTICES)
 
 
+# largest level-size exponent of a poly tree, a 128 KiB integer: the
+# level-size path (the tables) has no vertex cap to stop a larger one
+_MAX_LEVEL_BITS = 1 << 20
+
+
 def _dyadic_floor(b: float, n: int) -> int:
     # floor(b * log2 n), nudged so that products landing exactly on an
-    # integer are not pulled down by float rounding.
-    return math.floor(b * math.log2(n) + 1e-9)
+    # integer are not pulled down by float rounding; refused past the bound
+    # before any 1 << k
+    k = b * math.log2(n) + 1e-9
+    if k > _MAX_LEVEL_BITS:
+        raise InputError(f"polynomial growth exponent b={b!r} gives about 2**{k:.6g} vertices at "
+                         f"depth {n}, past the 2**{_MAX_LEVEL_BITS} level-size bound")
+    return math.floor(k)
 
 
 def _polynomial_sizes(b: float, depth: int) -> Iterator[int]:

@@ -130,6 +130,28 @@ def cut_dp_ref(tree: Tree, w, depth: int) -> tuple[float, list[float]]:
     return value, F
 
 
+def potentials_ref(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(R, phi, psi, log Psi) by vertex id, one vertex at a time over
+    breadth-first ids: each log Psi is its parent's plus math.log of the
+    vertex's own psi, one call per entry (-inf where psi is 0), and the
+    root holds R = phi = log Psi = 0 and psi = 1."""
+    tree = env.tree
+    n = tree.n_vertices
+    lam, mu, deg = env.lam.tolist(), env.mu.tolist(), tree.degrees.tolist()
+    R, ph, ps, lp = [0.0] * n, [0.0] * n, [1.0] * n, [0.0] * n
+    for v in range(1, n):
+        w = tree.parent[v]
+        if w == 0:
+            R[v] = ph[v] = 1.0
+        else:
+            R[v] = R[w] * mu[w]
+            ph[v] = ph[w] + R[v]
+            factor = (lam[w] + (deg[w] - 2) * mu[w] / (mu[w] + 1.0)) / (lam[w] + deg[w] - 1.0)
+            ps[v] = 1.0 - (1.0 - ph[tree.parent[w]] / ph[v]) * factor
+        lp[v] = lp[w] + (math.log(ps[v]) if ps[v] != 0.0 else -math.inf)
+    return tuple(np.array(t) for t in (R, ph, ps, lp))
+
+
 def proportional_flow_ref(tree: Tree, F, depth: int, total: float) -> dict[int, float]:
     """Route `total` from the root along F, splitting each positive inflow
     above `depth` over the children with F > 0 in proportion to F, the last

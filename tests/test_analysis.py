@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from goerw.analysis import (
     proportional_flow,
     tree_max_flow,
 )
+from goerw.cli import build_environment, parse_tree_spec
 from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
                                sample_random_environment)
 from goerw.errors import RefusalError
@@ -220,6 +222,7 @@ class TestFlowArrays:
                 want = proportional_flow_ref(t, F, depth, total)
                 got = proportional_flow(t, np.array(F), depth, total)
                 assert repr(list(got.items())) == repr(list(want.items()))
+                assert dict(got) == want and list(got) == sorted(want)
                 assert all(type(k) is int and type(x) is float for k, x in got.items())
 
     @settings(max_examples=100, deadline=None)
@@ -237,6 +240,44 @@ class TestFlowArrays:
             want = proportional_flow_ref(t, F, depth, 1.0)
             got = proportional_flow(t, np.array(F), depth, 1.0)
             assert repr(list(got.items())) == repr(list(want.items()))
+
+    def test_reads_as_a_dict_would(self):
+        """theta is a read-only Mapping: a key that is not an int, names no
+        vertex or names one given no share is missing, and len and bool are
+        those of the dict it stands for."""
+        tree = build_from_edge_list([(0, 1), (0, 2), (1, 3), (2, 4)])
+        F = tree_max_flow(tree, weights_of(tree, lambda v: 0.0 if v == 1 else 1.0), 2)[1]
+        theta = proportional_flow(tree, F, 2, 1.0)
+        want = {2: 1.0, 4: 1.0}
+        assert isinstance(theta, Mapping) and dict(theta) == want and theta == want
+        assert (len(theta), bool(theta), list(theta.items())) == (2, True, list(want.items()))
+        assert theta.get(np.int64(4)) == 1.0 and 2 in theta
+        for key in (0, 1, 3, -1, -4, 5, 10**30, "2", 2.5, None, (2,)):
+            assert theta.get(key) is None and theta.get(key, -7.0) == -7.0 and key not in theta
+            with pytest.raises(KeyError):
+                theta[key]
+        with pytest.raises(TypeError):
+            theta[2] = 0.5
+        with pytest.raises(TypeError):
+            del theta[2]
+        for a in (theta.ids, theta.theta):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 3
+        empty = proportional_flow(tree, F, 2, 0.0)
+        assert (len(empty), bool(empty), dict(empty), empty.get(2)) == (0, False, {}, None)
+
+    def test_energy_reads_only_the_arrays(self, monkeypatch):
+        """flow_energy_check reads the flow's ids and theta arrays: its rows
+        stay the same when the mapping cannot be iterated or indexed."""
+        env = build_environment(parse_tree_spec("poly:b=1.5,L=64"), "alpha:two=0,3,0.5", 5)
+        want = repr(flow_energy_check(env, 1.5, [8, 16, 32, 64]).rows)
+
+        def refuse(*args):
+            raise AssertionError("read as a mapping")
+
+        monkeypatch.setattr(analysis.FlowShares, "__iter__", refuse)
+        monkeypatch.setattr(analysis.FlowShares, "__getitem__", refuse)
+        assert repr(flow_energy_check(env, 1.5, [8, 16, 32, 64]).rows) == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))

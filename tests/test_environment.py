@@ -15,6 +15,7 @@ from goerw.environment import (
     AlphaDistribution,
     Environment,
     Psi,
+    _potentials,
     assign_deterministic,
     environment_from_alpha,
     log_Psi,
@@ -23,11 +24,12 @@ from goerw.environment import (
     rt_hypothesis_sup,
     sample_random_environment,
 )
-from goerw.cli import build_environment
+from goerw.cli import build_environment, parse_tree_spec
 from goerw.tree import (branching_ruin_estimate, build_path, build_regular, path_family,
                         polynomial_family, regular_family)
 
-from conftest import cut_dp_ref, phi, psi_simplified, random_broom, random_tree, resistance
+from conftest import (cut_dp_ref, phi, potentials_ref, psi_simplified, random_broom,
+                      random_tree, resistance)
 
 
 def reference_potentials(env):
@@ -140,6 +142,64 @@ class TestPotentialPass:
         assert env._pot is None and env._trans is None
         psi(env, 4)
         assert [len(table) for table in env._pot] == [t.n_vertices] * 4
+
+
+class TestOneLogPerDistinctPsi:
+    """_potentials takes math.log once per distinct psi and gathers it back
+    to every edge: the four tables are bitwise the per-entry form
+    (conftest.potentials_ref) where no psi repeats, where they repeat and
+    where one is 0."""
+
+    @staticmethod
+    def assert_bitwise(env):
+        got, want = _potentials(env), potentials_ref(env)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_continuous_biases(self, seed):
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=8)
+        env = Environment(t, [rng.uniform(0.1, 5.0) for _ in t.parent],
+                          [rng.uniform(0.1, 5.0) for _ in t.parent])
+        deep = slice(t.levels.starts[2], None)  # psi is one value per parent there
+        assert np.unique(_potentials(env)[2][deep]).size == np.unique(t.levels.parent[deep]).size
+        self.assert_bitwise(env)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["path:L=24", "regular:d=3,L=6", "poly:b=1.2,L=24",
+                            "poly:b=1.5,L=16"]),
+           st.sampled_from(["alpha:point=1", "alpha:two=0,3,0.5",
+                            "alpha:support=0,1,3;probs=0.5,0.25,0.25",
+                            "det:lambda=2,mu=1", "det:lambda=0.5,mu=3"]),
+           st.integers(0, 2**32 - 1))
+    def test_atom_laws_on_family_trees(self, tree_spec, env_spec, seed):
+        self.assert_bitwise(build_environment(parse_tree_spec(tree_spec), env_spec, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_zero_psi(self, seed):
+        """A first-visit bias of 1e300 at depth 1 rounds psi below it to 0,
+        and log Psi to -inf from there down."""
+        rng = random.Random(seed)
+        t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=8)
+        lam = [1e300 if t.depth[v] == 1 else rng.uniform(0.1, 5.0) for v in range(t.n_vertices)]
+        env = Environment(t, lam, [rng.uniform(0.1, 5.0) for _ in t.parent])
+        ps = _potentials(env)[2]
+        assert (ps == 0.0).any() == (t.truncation_depth >= 2)
+        self.assert_bitwise(env)
+
+    def test_one_log_per_distinct_psi(self, monkeypatch):
+        """The benchmark's flow tree, poly:b=1.5,L=64 under a two-atom law:
+        9,216 vertices and about a hundred distinct psi values."""
+        env = build_environment(parse_tree_spec("poly:b=1.5,L=64"), "alpha:two=0,3,0.5", 5)
+        calls = []
+        log = math.log
+        with monkeypatch.context() as m:
+            m.setattr(math, "log", lambda x: calls.append(x) or log(x))
+            ps = _potentials(env)[2]
+        assert len(calls) == np.unique(ps).size < env.tree.n_vertices // 50
+        assert sorted(calls) == np.unique(ps).tolist()
 
 
 class TestResistanceAndPotential:

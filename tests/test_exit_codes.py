@@ -124,6 +124,11 @@ BAD_ARGV = [
     ("cap-past-the-str-limit", "compute-psi --tree poly:b=1e5,L=3 --env alpha:point=1 "
      "--edge-depth 1", "tree has at least 2**100000 vertices by depth 2, over the 2000000 "
      "vertex cap"),
+    ("poly-level-past-bound", "estimate-br --tree poly:b=1e300,L=16",
+     "polynomial growth exponent b=1e+300 gives about 2**1e+300 vertices at depth 2, past "
+     "the 2**1048576 level-size bound"),
+    ("poly-level-past-bound-walk", f"{WALK} poly:b=1.7e308,L=3",
+     "polynomial growth exponent b=1.7e+308 gives about 2**1.7e+308 vertices at depth 2"),
     ("regular-d-1-table", "estimate-br --tree regular:d=1,L=10", "regular tree needs d >= 2"),
     # library rules a command line reaches
     ("flow-gamma", "flow-check --tree path:L=8 --env det:mu=1 --gamma 0.5", "gamma must exceed 1"),
@@ -136,6 +141,10 @@ BAD_ARGV = [
      "tree has no vertices at depth 9"),
     ("few-trials", "percolate --tree path:L=3 --env det:mu=1 --depth 2 --trials 50",
      "need at least 100 trials"),
+    ("trials-past-ceiling-gambler", "gambler --mu 2,2 --start 1 --trials 99999999999999999999",
+     "need at most 10000000 trials, got 99999999999999999999"),
+    ("trials-past-ceiling-percolate", "percolate --tree path:L=4 --env det:mu=1 --depth 2 "
+     "--trials 99999999999999999999", "need at most 10000000 trials, got 99999999999999999999"),
     ("escape-past-tree", "phase-scan --tree poly:b=1.2,L=16 --env alpha:point=1 "
      "--escape-depth 32", "tree depth cannot be below the escape depth"),
     ("two-parents", f"{WALK} file:{{tmp}}/parents.txt",
@@ -182,6 +191,14 @@ def test_bad_argv_exits_2_with_one_error_line(inputs, argv, message):
     lines = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(lines) == 1 and message.format(tmp=inputs) in lines[0]
     assert "Traceback" not in err
+
+
+def test_a_band_end_past_the_float_range_exits_0():
+    code, out, err = exit_code(shlex.split(
+        "concentration --tree path:L=16 --env alpha:two=0,3,0.5 --depths 8 --epsilon 1e308 "
+        "--trials 3"))
+    assert (code, err) == (0, "")
+    assert "depth=8 violations=0/3" in out
 
 
 # tree-file texts near the format: headers with good and bad depths, edge

@@ -628,3 +628,10 @@ class TestConcentration:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
             concentration_experiment(build_path(8), self.dist, 0.0, [4], 10, 21)
+
+    @pytest.mark.parametrize("epsilon", [1e308, 400.0])
+    def test_band_ends_past_the_float_range(self, epsilon):
+        """An upper end d**(m - 2 + eps) past the float range reads +inf,
+        which Psi <= 1 never exceeds, and the lower end underflows to 0."""
+        rep = concentration_experiment(build_path(16), self.dist, epsilon, [1, 8, 16], 20, 22)
+        assert rep.violations == [0, 0, 0]
