@@ -372,8 +372,7 @@ def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
         if not one_atom:
             env = sample_random_environment(tree, dist,
                                             derive_seed(seed_base, 1, t, 0))
-        traj = simulate(env, stop, derive_seed(seed_base, 1, t, 1),
-                        record=False)
+        traj = simulate(env, stop, derive_seed(seed_base, 1, t, 1))
         escapes += traj.escaped
         returns_sum += traj.root_returns
         censored += traj.stop_reason == "max_steps"

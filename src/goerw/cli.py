@@ -49,7 +49,7 @@ from .environment import (
     rt_estimate,
     sample_random_environment,
 )
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, _enough_trials
 from .percolation import (
     adapted_conductance,
     concentration_experiment,
@@ -187,24 +187,28 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}:{ln}: expected key = value")
         key, value = (x.strip() for x in line.split("=", 1))
-        _validate_config_key(key, path, ln)
-        out[key] = value
+        out[_config_key(key, path, ln)] = value
     return out
 
 
-def _validate_config_key(key: str, path: str, ln: int) -> None:
-    """A dotted key must name an option of its subcommand; an undotted key
-    must name an option of some subcommand."""
+def _config_key(key: str, path: str, ln: int) -> str:
+    """key as Run looks it up, a dotted key under an alias read as its
+    subcommand's (psi.edge-depth is compute-psi.edge-depth). A dotted key
+    must name an option of its subcommand; an undotted key must name an
+    option of some subcommand."""
     if "." in key:
         sub, _, name = key.partition(".")
+        sub = ALIASES.get(sub, sub)
         if sub not in COMMANDS:
             raise InputError(f"{path}:{ln}: unknown config key {key!r} "
                              f"(no subcommand {sub!r})")
         if name not in COMMANDS[sub].options:
             raise InputError(f"{path}:{ln}: unknown config key {key!r} "
                              f"({sub} takes no --{name})")
-    elif key not in TYPES:
+        return f"{sub}.{name}"
+    if key not in TYPES:
         raise InputError(f"{path}:{ln}: unknown config key {key!r}")
+    return key
 
 
 class Run:
@@ -343,15 +347,15 @@ def _run_compute_psi(r: Run) -> None:
 
 
 def _run_simulate(r: Run) -> None:
+    trials = r.get("trials", 100)
+    _enough_trials(trials, 1)
     tree = parse_tree_spec(r.require("tree"))
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
-    trials = r.get("trials", 100)
     stop = StopRule(max_steps=r.get("max-steps", 100_000),
                     hit_depth=r.get("depth", math.inf),
                     root_returns=r.get("returns", math.inf))
-    trajs = [simulate(env, stop, derive_seed(seed, 1, t), record=False)
-             for t in range(trials)]
+    trajs = [simulate(env, stop, derive_seed(seed, 1, t)) for t in range(trials)]
     escapes = sum(traj.escaped for traj in trajs)
     stats = {
         "trials": trials,

@@ -29,7 +29,6 @@ trees, so the distribution object computes m analytically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -49,7 +48,6 @@ __all__ = [
     "psi",
     "Psi",
     "log_Psi",
-    "rt_hypothesis_sup",
     "rt_estimate",
 ]
 
@@ -323,25 +321,6 @@ def Psi(env: Environment, u: int) -> float:
     """Product of psi along the root path, the exact probability that the
     edge above u is connected to the root in the ruin percolation."""
     return math.exp(log_Psi(env, u))
-
-
-def rt_hypothesis_sup(env: Environment) -> float:
-    """sup over edges at depth >= 2 of R(e) / phi(e's parent).
-
-    The recurrence criterion is stated under the standing assumption that
-    this is finite along the tree; at desk scale we report the exact max over
-    the truncation. Trees of depth < 2 have no such edges, which is reported
-    as 0 with a warning since the hypothesis is then vacuous.
-    """
-    tree = env.tree
-    if tree.truncation_depth < 2:
-        warnings.warn("tree has no edges at depth >= 2; hypothesis is vacuous",
-                      stacklevel=2)
-        return 0.0
-    R, ph = _potentials(env)[:2]
-    a = tree.levels.starts[2]
-    # fmax skips a NaN ratio, as the scalar running max did
-    return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))
 
 
 def _ruin_weights(tree: Tree, lp: np.ndarray, gamma: float | np.ndarray,

@@ -14,13 +14,17 @@ class RefusalError(RuntimeError):
     samples, and so on). It leaves no output files."""
 
 
-# most trials one Monte Carlo estimate takes: they run in lockstep on arrays,
-# and a larger count would exhaust memory or numpy's index range
+# most trials one Monte Carlo run takes: the estimates run them in lockstep on
+# arrays and simulate keeps each run's summary, so a larger count would
+# exhaust memory or numpy's index range
 MAX_TRIALS = 10_000_000
 
 
-def _enough_trials(trials: int) -> None:
-    if trials < 100:
-        raise InputError("need at least 100 trials")
+def _enough_trials(trials: int, least: int = 100) -> None:
+    """Refuse a trial count below least or above MAX_TRIALS. The floor is
+    100 for the estimates that report a standard error or a z score, and 1
+    for simulate and the concentration experiment, which report neither."""
+    if trials < least:
+        raise InputError(f"need at least {least} trials")
     if trials > MAX_TRIALS:
         raise InputError(f"need at most {MAX_TRIALS} trials, got {trials}")

@@ -11,19 +11,12 @@ every edge above it is, so the open edges form a downward-grown cluster
 around the root and membership of an edge in that cluster is the single
 event {edge open}. Its probability is exactly the ruin product Psi of the
 environment, which is what every Monte Carlo here is checked against. The
-connection Monte Carlo and the quasi-independence statistic run their
-trials in lockstep (walk.extension_reach), bitwise equal to one scalar run
-per trial. A cluster sample reads one clock table, so its runs stay
-scalar; each resumes from the state in which the run that opened its
-chain head's parent first arrived there, instead of restarting at the root,
-and the table keeps every clock value, so a clock read by several runs is
-hashed once.
-
-The cluster is not an independent percolation: nearby edges share clocks
-through their common ancestors. It is quasi-independent, with an explicit
-constant M = (1+K)^2 exp(2K) built from the environment's resistance-to-
-potential ratio, and the statistic that certifies this at desk scale is
-computed by rejection conditioning on the common ancestor being reached.
+connection Monte Carlo runs its trials in lockstep (walk.extension_reach),
+bitwise equal to one scalar run per trial. A cluster sample reads one clock
+table, so its runs stay scalar; each resumes from the state in which the
+run that opened its chain head's parent first arrived there, instead of
+restarting at the root, and the table keeps every clock value, so a clock
+read by several runs is hashed once.
 
 The concentration experiment samples fresh random environments and asks how
 often the exact Psi of a deep edge leaves its polynomial band; under the
@@ -42,7 +35,6 @@ from .environment import (
     Psi,
     _conductance,
     psi,  # unused here; perfbench/tracer.py patches this name
-    rt_hypothesis_sup,
     sample_random_environment,
 )
 from .errors import InputError, RefusalError, _enough_trials
@@ -54,13 +46,10 @@ from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_see
 __all__ = [
     "PercolationSample",
     "ConnectionEstimate",
-    "QuasiIndependenceReport",
     "ConcentrationReport",
     "sample_ruin_percolation",
     "edge_connection_probability_mc",
     "adapted_conductance",
-    "quasi_independence_constant",
-    "quasi_independence_statistic",
     "concentration_experiment",
 ]
 
@@ -216,101 +205,6 @@ def adapted_conductance(env: Environment, e: int) -> float:
     return float(_conductance(env, e, e + 1)[0])
 
 
-def quasi_independence_constant(env: Environment) -> tuple[float, float]:
-    """(K, M): K is 2 plus the environment's resistance-to-potential sup,
-    and M = (1+K)^2 exp(2K) is the quasi-independence constant."""
-    K = 2.0 + rt_hypothesis_sup(env)
-    return K, (1.0 + K) ** 2 * math.exp(2.0 * K)
-
-
-# largest invalid fraction of a quasi-independence report that claims holds
-INVALID_LIMIT = 0.01
-
-
-@dataclass
-class QuasiIndependenceReport:
-    edge_a: int
-    edge_b: int
-    ancestor: int            # nearest common ancestor vertex (0 for disjoint)
-    trials: int
-    kept: int                # samples where the ancestor was root-connected
-    invalid_runs: int        # samples left out because a run hit the step cap
-    invalid_fraction: float  # invalid_runs / trials
-    p_a: float
-    p_b: float
-    p_joint: float
-    K: float
-    M: float
-    bound: float             # M * p_a * p_b
-    sigma_joint: float
-    holds: bool              # False whenever invalid_fraction > INVALID_LIMIT
-    ratio: float | None      # p_joint / (p_a p_b) when defined
-    independence_z: float | None  # only for disjoint pairs (ancestor 0)
-
-
-def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
-                                 trials: int, master_seed: int,
-                                 min_conditioned: int = 50) -> QuasiIndependenceReport:
-    """Empirical check of the quasi-independence inequality for one pair of
-    edges: conditioned on their nearest common ancestor being root-connected,
-    the joint connection frequency must stay below M times the product of the
-    marginals (plus Monte Carlo noise).
-
-    Conditioning is by rejection, so a pair whose ancestor is rarely reached
-    can starve; fewer than min_conditioned kept samples is a refusal, not an
-    answer. A sample with a run stopped on the step cap decides nothing: it
-    is counted in invalid_runs and left out of kept and the hits; the kept
-    samples then lean toward short runs, so holds is False whenever more
-    than INVALID_LIMIT of the trials are invalid. For pairs
-    in disjoint root subtrees the conditioning is empty and the report also
-    carries an exact-independence z score, since extensions that share no
-    path vertices read disjoint clock sets.
-
-    Trial i reads the clocks of derive_seeds(master_seed, trials)[i]. Its
-    run toward edge_a decides the conditioning and edge_a together; only the
-    trials it keeps run toward edge_b. Both go in lockstep, == scalar runs.
-    """
-    tree = env.tree
-    # ids are breadth first: the deepest common vertex has the largest id
-    shared = max(set(tree.root_path(edge_a)) & set(tree.root_path(edge_b)))
-    if shared in (edge_a, edge_b):
-        raise ValueError("edges on the same root path make a degenerate pair")
-    ds, da, db = tree.depth[shared], tree.depth[edge_a], tree.depth[edge_b]
-
-    seeds = derive_seeds(master_seed, trials)
-    reach_a, capped_a, _ = extension_reach(env, edge_a, seeds, _EXTENSION_CAP)
-    reached = ~capped_a & (reach_a >= ds)
-    reach_b, capped_b, _ = extension_reach(env, edge_b, seeds[reached], _EXTENSION_CAP)
-    ca = reach_a[reached][~capped_b] == da
-    cb = reach_b[~capped_b] == db
-    kept = ca.size
-    invalid = int(capped_a.sum() + capped_b.sum())
-    if kept < min_conditioned:
-        raise RefusalError(
-            f"conditioning on vertex {shared} kept {kept} of {trials} samples "
-            f"({invalid} capped), fewer than the required {min_conditioned}; "
-            "increase trials"
-        )
-    p_a, p_b, p_joint = (int(hits.sum()) / kept for hits in (ca, cb, ca & cb))
-    K, M = quasi_independence_constant(env)
-    bound = M * p_a * p_b
-    sigma = math.sqrt(max(p_joint * (1 - p_joint), 1e-12) / kept)
-    invalid_fraction = invalid / trials
-    holds = invalid_fraction <= INVALID_LIMIT and p_joint <= bound + 3 * sigma
-    ratio = p_joint / (p_a * p_b) if p_a > 0 and p_b > 0 else None
-    indep_z = None
-    if shared == 0 and p_a > 0 and p_b > 0:
-        d = p_joint - p_a * p_b
-        var = max(p_a * p_b * (1 - p_a) * (1 - p_b), 1e-12) / kept
-        indep_z = d / math.sqrt(var)
-    return QuasiIndependenceReport(
-        edge_a=edge_a, edge_b=edge_b, ancestor=shared, trials=trials,
-        kept=kept, invalid_runs=invalid, invalid_fraction=invalid_fraction,
-        p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
-        sigma_joint=sigma, holds=holds, ratio=ratio, independence_z=indep_z,
-    )
-
-
 @dataclass
 class ConcentrationReport:
     """Per-depth frequency of the exact ruin product leaving its polynomial
@@ -341,6 +235,7 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
     grows."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    _enough_trials(env_samples, 1)
     depths = _cut_depths(depths, tree.truncation_depth)
     if len(dist.values) < 2:
         raise RefusalError(

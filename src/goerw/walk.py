@@ -9,11 +9,12 @@ Three ways to run it:
 
 - simulate: draws the law directly from a seeded generator, one draw per
   step. Fastest; it serves `goerw simulate` and the phase diagnostic's
-  excited lane, where only the trajectory summary matters. A step down
-  reads its child off Levels.first, or off Tree.only_child from a vertex
-  with one child (most vertices of a thin poly tree); the trajectory is
-  bitwise the plain loop's, kept in the tests as the referee. Where
-  mu == 1 its later-visit list is the tree's (Tree.parent_step).
+  excited lane, which read only the trajectory summary, so it records no
+  positions. A step down reads its child off Levels.first, or off
+  Tree.only_child from a vertex with one child (most vertices of a thin
+  poly tree); the trajectory is bitwise the plain loop's, kept in the
+  tests as the referee. Where mu == 1 its later-visit list is the tree's
+  (Tree.parent_step).
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -38,11 +39,10 @@ Three ways to run it:
   step count another run had at its first arrival at a vertex both paths
   share.
   extension_reach, which serves the connection Monte Carlo (`goerw
-  percolate`) and the quasi-independence statistic, runs many of these
-  runs, one per seed, in lockstep on numpy arrays and a batch's last few
-  on _extension_run: uint64 hashes, float64 races in the scalar order and
-  math.log for every log kept (np.log is not bitwise equal to it), so
-  every run is == its scalar run.
+  percolate`), runs many of these runs, one per seed, in lockstep on
+  numpy arrays and a batch's last few on _extension_run: uint64 hashes,
+  float64 races in the scalar order and math.log for every log kept
+  (np.log is not bitwise equal to it), so every run is == its scalar run.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -152,8 +152,9 @@ class StopRule:
 
 @dataclass
 class WalkTrajectory:
-    """One run. positions is X_0..X_n when recording was on, else None and
-    only the summary fields are filled."""
+    """One run. positions is X_0..X_n from the clock and extension kernels
+    that record it; simulate fills only the summary fields and leaves it
+    None."""
 
     positions: list[int] | None
     steps: int
@@ -170,8 +171,7 @@ class WalkTrajectory:
 # the direct law
 
 
-def simulate(env: Environment, stop: StopRule, seed: int,
-             record: bool = True) -> WalkTrajectory:
+def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     """Run the walk from the root by drawing the law directly: one draw r
     per step, up if r < p (the parent-step probability, lam's on a first
     visit, mu's after), else to child first[v] + int((r - p) / (1 - p) * k)
@@ -179,7 +179,8 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     only for root returns, down-steps only for a new depth. Trajectories are
     == the plain loop's, which checks both bounds at every step. p is read
     from _transition_table: first visits through a memoryview of an array,
-    later ones from a list, both yielding Python floats."""
+    later ones from a list, both yielding Python floats. Only the summary
+    is kept: positions is None."""
     pf, pl = _transition_table(env)
     tree = env.tree
     parent, depth, only = tree.parent, tree.depth, tree.only_child
@@ -187,7 +188,6 @@ def simulate(env: Environment, stop: StopRule, seed: int,
     rnd = random.Random(seed).random
     hd, rr = stop.hit_depth, stop.root_returns
     visited = bytearray(len(parent))
-    positions = [0] if record else None
     v = steps = returns = maxd = 0
     reason = "max_steps"
     for steps in range(1, stop.max_steps + 1):
@@ -200,8 +200,6 @@ def simulate(env: Environment, stop: StopRule, seed: int,
         r = rnd()
         if r < p:
             v = parent[v]
-            if record:
-                positions.append(v)
             if not v:
                 returns += 1
                 if returns >= rr:
@@ -216,14 +214,12 @@ def simulate(env: Environment, stop: StopRule, seed: int,
                 k = first[v + 1] - a
                 idx = int((r - p) / (1.0 - p) * k)
                 v = a + (idx if idx < k else k - 1)
-            if record:
-                positions.append(v)
             if depth[v] > maxd:
                 maxd = depth[v]
                 if maxd >= hd:
                     reason = "hit_depth"
                     break
-    return WalkTrajectory(positions, steps, returns, maxd, reason)
+    return WalkTrajectory(None, steps, returns, maxd, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 import math
 import random
+import warnings
+from dataclasses import dataclass, replace
 from itertools import product as _iproduct
 
 import numpy as np
 import pytest
 
+import goerw.percolation as percolation
 from goerw.analysis import K_RETURNS, FlowEnergyRow
 from goerw.environment import (AlphaDistribution, Environment, _potentials,
                                environment_from_alpha, log_Psi)
+from goerw.errors import RefusalError
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
-from goerw.walk import StopRule, WalkTrajectory, derive_seed
+from goerw.walk import StopRule, WalkTrajectory, derive_seed, derive_seeds, simulate
 
 
 def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
@@ -285,6 +289,43 @@ def simulate_ref(env: Environment, stop: StopRule, seed: int,
     return WalkTrajectory(positions, steps, returns, maxd, reason)
 
 
+class _ReadLog(list):
+    """A list that appends to log what each read of one entry names: the
+    entry itself (value=True) or its index."""
+
+    def __init__(self, items, log: list, value: bool):
+        super().__init__(items)
+        self.log, self.value = log, value
+
+    def __getitem__(self, i):
+        x = list.__getitem__(self, i)
+        self.log.append(x if self.value else i)
+        return x
+
+
+def simulate_recorded(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
+    """walk.simulate(env, stop, seed) with its positions, read off the
+    kernel's own moves: for the one call, tree.parent and tree.depth are
+    lists that log each read. An up-step reads parent[v], the vertex it
+    moves to; a down-step reads depth[c] of the child c it moves to, twice
+    on a new maximum. The walk never stays put, so the positions are 0 and
+    the log with consecutive repeats collapsed. The tree's tables that
+    read parent are built first, and its own lists put back after, since
+    family trees are shared."""
+    tree = env.tree
+    tree.levels, tree.only_child  # built from the plain lists
+    parent, depth = tree.parent, tree.depth
+    log: list[int] = []
+    tree.parent, tree.depth = _ReadLog(parent, log, True), _ReadLog(depth, log, False)
+    try:
+        traj = simulate(env, stop, seed)
+    finally:
+        tree.parent, tree.depth = parent, depth
+    positions = [0]
+    positions += (v for v, u in zip(log, [0, *log]) if v != u)
+    return replace(traj, positions=positions)
+
+
 def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                      horizon: int, trials: int, seed_base: int,
                      lane: int) -> tuple[float, float, int]:
@@ -308,6 +349,130 @@ def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
         returns += traj.root_returns
         censored += traj.stop_reason == "max_steps"
     return escapes / trials, returns / trials, censored
+
+
+# ---------------------------------------------------------------------------
+# the quasi-independence chain: the constant M = (1 + K)^2 e^(2K) of the
+# transience proof, from the sup of R/phi, and the desk-scale statistic that
+# checks the inequality on one pair of edges by rejection conditioning
+
+
+def rt_hypothesis_sup(env: Environment) -> float:
+    """sup over edges at depth >= 2 of R(e) / phi(e's parent).
+
+    The recurrence criterion is stated under the standing assumption that
+    this is finite along the tree; at desk scale we report the exact max over
+    the truncation. Trees of depth < 2 have no such edges, which is reported
+    as 0 with a warning since the hypothesis is then vacuous.
+    """
+    tree = env.tree
+    if tree.truncation_depth < 2:
+        warnings.warn("tree has no edges at depth >= 2; hypothesis is vacuous",
+                      stacklevel=2)
+        return 0.0
+    R, ph = _potentials(env)[:2]
+    a = tree.levels.starts[2]
+    # fmax skips a NaN ratio, as the scalar running max did
+    return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))
+
+
+
+def quasi_independence_constant(env: Environment) -> tuple[float, float]:
+    """(K, M): K is 2 plus the environment's resistance-to-potential sup,
+    and M = (1+K)^2 exp(2K) is the quasi-independence constant."""
+    K = 2.0 + rt_hypothesis_sup(env)
+    return K, (1.0 + K) ** 2 * math.exp(2.0 * K)
+
+
+# largest invalid fraction of a quasi-independence report that claims holds
+INVALID_LIMIT = 0.01
+
+
+@dataclass
+class QuasiIndependenceReport:
+    edge_a: int
+    edge_b: int
+    ancestor: int            # nearest common ancestor vertex (0 for disjoint)
+    trials: int
+    kept: int                # samples where the ancestor was root-connected
+    invalid_runs: int        # samples left out because a run hit the step cap
+    invalid_fraction: float  # invalid_runs / trials
+    p_a: float
+    p_b: float
+    p_joint: float
+    K: float
+    M: float
+    bound: float             # M * p_a * p_b
+    sigma_joint: float
+    holds: bool              # False whenever invalid_fraction > INVALID_LIMIT
+    ratio: float | None      # p_joint / (p_a p_b) when defined
+    independence_z: float | None  # only for disjoint pairs (ancestor 0)
+
+
+def quasi_independence_statistic(env: Environment, edge_a: int, edge_b: int,
+                                 trials: int, master_seed: int,
+                                 min_conditioned: int = 50) -> QuasiIndependenceReport:
+    """Empirical check of the quasi-independence inequality for one pair of
+    edges: conditioned on their nearest common ancestor being root-connected,
+    the joint connection frequency must stay below M times the product of the
+    marginals (plus Monte Carlo noise).
+
+    Conditioning is by rejection, so a pair whose ancestor is rarely reached
+    can starve; fewer than min_conditioned kept samples is a refusal, not an
+    answer. A sample with a run stopped on the step cap decides nothing: it
+    is counted in invalid_runs and left out of kept and the hits; the kept
+    samples then lean toward short runs, so holds is False whenever more
+    than INVALID_LIMIT of the trials are invalid. For pairs
+    in disjoint root subtrees the conditioning is empty and the report also
+    carries an exact-independence z score, since extensions that share no
+    path vertices read disjoint clock sets.
+
+    Trial i reads the clocks of derive_seeds(master_seed, trials)[i]. Its
+    run toward edge_a decides the conditioning and edge_a together; only the
+    trials it keeps run toward edge_b. Both go in lockstep, == scalar runs,
+    on the percolation layer's extension_reach and step cap, read from
+    goerw.percolation, so a test that patches either there patches this too.
+    """
+    tree = env.tree
+    # ids are breadth first: the deepest common vertex has the largest id
+    shared = max(set(tree.root_path(edge_a)) & set(tree.root_path(edge_b)))
+    if shared in (edge_a, edge_b):
+        raise ValueError("edges on the same root path make a degenerate pair")
+    ds, da, db = tree.depth[shared], tree.depth[edge_a], tree.depth[edge_b]
+
+    seeds = derive_seeds(master_seed, trials)
+    reach, cap = percolation.extension_reach, percolation._EXTENSION_CAP
+    reach_a, capped_a, _ = reach(env, edge_a, seeds, cap)
+    reached = ~capped_a & (reach_a >= ds)
+    reach_b, capped_b, _ = reach(env, edge_b, seeds[reached], cap)
+    ca = reach_a[reached][~capped_b] == da
+    cb = reach_b[~capped_b] == db
+    kept = ca.size
+    invalid = int(capped_a.sum() + capped_b.sum())
+    if kept < min_conditioned:
+        raise RefusalError(
+            f"conditioning on vertex {shared} kept {kept} of {trials} samples "
+            f"({invalid} capped), fewer than the required {min_conditioned}; "
+            "increase trials"
+        )
+    p_a, p_b, p_joint = (int(hits.sum()) / kept for hits in (ca, cb, ca & cb))
+    K, M = quasi_independence_constant(env)
+    bound = M * p_a * p_b
+    sigma = math.sqrt(max(p_joint * (1 - p_joint), 1e-12) / kept)
+    invalid_fraction = invalid / trials
+    holds = invalid_fraction <= INVALID_LIMIT and p_joint <= bound + 3 * sigma
+    ratio = p_joint / (p_a * p_b) if p_a > 0 and p_b > 0 else None
+    indep_z = None
+    if shared == 0 and p_a > 0 and p_b > 0:
+        d = p_joint - p_a * p_b
+        var = max(p_a * p_b * (1 - p_a) * (1 - p_b), 1e-12) / kept
+        indep_z = d / math.sqrt(var)
+    return QuasiIndependenceReport(
+        edge_a=edge_a, edge_b=edge_b, ancestor=shared, trials=trials,
+        kept=kept, invalid_runs=invalid, invalid_fraction=invalid_fraction,
+        p_a=p_a, p_b=p_b, p_joint=p_joint, K=K, M=M, bound=bound,
+        sigma_joint=sigma, holds=holds, ratio=ratio, independence_z=indep_z,
+    )
 
 
 @pytest.fixture

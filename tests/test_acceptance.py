@@ -31,8 +31,6 @@ from goerw.percolation import (
     adapted_conductance,
     concentration_experiment,
     edge_connection_probability_mc,
-    quasi_independence_constant,
-    quasi_independence_statistic,
 )
 from goerw.tree import (
     build_from_edge_list,
@@ -45,7 +43,8 @@ from goerw.tree import (
 )
 from goerw.walk import ClockTable, StopRule, derive_seed, restriction, simulate_extension, simulate_rubin
 
-from conftest import enumerate_cutsets, psi_simplified, random_tree, weights_of
+from conftest import (enumerate_cutsets, psi_simplified, quasi_independence_constant,
+                      quasi_independence_statistic, random_tree, weights_of)
 
 
 def report(number: int, ok: bool, name: str, detail: str) -> None:

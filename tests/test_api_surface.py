@@ -3,10 +3,17 @@ program: the package's own code reads it outside its definition, or the
 benchmark (perfbench/) calls, reads or patches it. A module without
 __all__ is held to the same rule for each public top-level def, class or
 assignment (imported names are the defining module's). A name only the
-tests use is either shipping code's or goes; one kept for now is listed
-in ALLOWED with the reason, and must still be unused."""
+tests use is either shipping code's or goes: the rule has no exceptions.
+
+An import a module never reads is there only for the benchmark's tracer,
+which wraps names by (owner module, attribute): each such import must be
+one the tracer patches, so a leftover import, or one the tracer stopped
+patching, is named for deletion."""
 
 import ast
+import functools
+import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -14,12 +21,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "goerw").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
-
-ALLOWED = {
-    "quasi_independence_statistic": "only the tests run it (criterion 09); ROADMAP items 2 "
-                                    "and 5 decide whether it ships or goes",
-}
-
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -87,9 +88,8 @@ def test_modules_export_something():
 @pytest.mark.parametrize("stem,name", EXPORTS, ids=[f"{s}.{n}" for s, n in EXPORTS])
 def test_export_exists_and_is_used(stem, name):
     assert name in defined(MODULES[stem]), f"{stem}.__all__ names {name}, which it lacks"
-    if name not in ALLOWED:
-        assert not unused(stem, name), (f"{stem}.{name} is exported, but no code in src/ "
-                                        "outside its definition and nothing in perfbench/ uses it")
+    assert not unused(stem, name), (f"{stem}.{name} is exported, but no code in src/ "
+                                    "outside its definition and nothing in perfbench/ uses it")
 
 
 PUBLIC = [(stem, name) for stem, module in MODULES.items() if not exported(module)
@@ -107,8 +107,36 @@ def test_public_name_is_used(stem, name):
                                     "its definition and nothing in perfbench/ uses it")
 
 
-@pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allowed_names_are_still_unused(name):
-    """An allowed name that has found a caller comes off the list."""
-    (stem,) = [s for s, n in EXPORTS if n == name]
-    assert unused(stem, name)
+def unread_imports(module: ast.Module) -> set[str]:
+    """The names a module's top-level imports bind that no other statement
+    of the module reads (__future__ imports aside)."""
+    imports = (ast.Import, ast.ImportFrom)
+    bound = {a.asname or a.name.split(".")[0] for stmt in module.body
+             if isinstance(stmt, imports) and getattr(stmt, "module", None) != "__future__"
+             for a in stmt.names}
+    read = {node.id for stmt in module.body if not isinstance(stmt, imports)
+            for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+@functools.cache
+def patched() -> set[tuple[str, str]]:
+    """(goerw module, attribute) of every module-level name the benchmark's
+    tracer patches (perfbench/tracer.py replacements)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(owner.__name__.removeprefix("goerw."), attr)
+            for owner, attr, _ in tracer.replacements(tracer.Tracer())
+            if isinstance(owner, types.ModuleType)}
+
+
+UNREAD = sorted((stem, name) for stem, module in MODULES.items() if stem != "__init__"
+                for name in unread_imports(module))
+
+
+@pytest.mark.parametrize("stem,name", UNREAD, ids=[f"{s}.{n}" for s, n in UNREAD])
+def test_unread_import_is_patched_by_the_tracer(stem, name):
+    assert (stem, name) in patched(), (f"{stem} imports {name} but never reads it, and "
+                                       "perfbench/tracer.py does not patch it there: delete it")

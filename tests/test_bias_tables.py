@@ -232,7 +232,7 @@ class TestStoredOnce:
         try:
             base = tracemalloc.get_traced_memory()[0]
             env = environment_from_alpha(t, alpha)
-            traj = simulate(env, stop, 2, record=False)
+            traj = simulate(env, stop, 2)
             del traj
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
@@ -249,7 +249,7 @@ class TestStoredOnce:
         def walk_fresh(seed, hold=False):
             t = build_regular(3, 7)
             env = cli.build_environment(t, "alpha:two=0,3,0.5", seed)
-            simulate(env, stop, seed, record=False)
+            simulate(env, stop, seed)
             if hold:
                 held.append(env)
 

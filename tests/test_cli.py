@@ -288,6 +288,24 @@ class TestConfigFile:
         assert e.value.code == 2
         assert "--depth" in capsys.readouterr().err
 
+    def test_dotted_key_under_an_alias(self, tmp_path, capsys):
+        """psi.edge-depth is compute-psi.edge-depth, under either spelling
+        of the subcommand; an option the alias lacks is named."""
+        outputs = []
+        for key in ("psi", "compute-psi"):
+            cfg = tmp_path / f"{key}.ini"
+            cfg.write_text(f"{key}.edge-depth = 3\n")
+            for sub in ("psi", "compute-psi"):
+                outputs.append(run(capsys, "--config", str(cfg), sub, "--tree", "path:L=4",
+                                   "--env", "det:mu=1"))
+        assert outputs[0][:2] == (0, "edge 3 at depth 3\npsi = 0.6666666666666666\n"
+                                     "Psi = 0.3333333333333333\nc = 0.9999999999999999\n")
+        assert outputs == [outputs[0]] * 4
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("psi.depth = 3\n")
+        code, _, err = run(capsys, "--config", str(cfg), "psi")
+        assert code == 2 and "'psi.depth' (compute-psi takes no --depth)" in err
+
     def test_comments_and_blanks_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("# recipe\n\ngambler.mu = 2,2  # biased\n"

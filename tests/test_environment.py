@@ -21,7 +21,6 @@ from goerw.environment import (
     log_Psi,
     psi,
     rt_estimate,
-    rt_hypothesis_sup,
     sample_random_environment,
 )
 from goerw.cli import build_environment, parse_tree_spec
@@ -29,7 +28,7 @@ from goerw.tree import (branching_ruin_estimate, build_path, build_regular, path
                         polynomial_family, regular_family)
 
 from conftest import (cut_dp_ref, phi, potentials_ref, psi_simplified, random_broom,
-                      random_tree, resistance)
+                      random_tree, resistance, rt_hypothesis_sup)
 
 
 def reference_potentials(env):

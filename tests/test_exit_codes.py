@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goerw.cli as cli
+import goerw.percolation as percolation
 from goerw.cli import main
 from goerw.environment import (Environment, assign_deterministic, environment_from_alpha,
                                log_Psi, psi)
 from goerw.errors import InputError
-from goerw.percolation import adapted_conductance, quasi_independence_statistic
+from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_path, build_regular
 from goerw.walk import ClockTable, StopRule, extension_reach, simulate_extension
 
@@ -193,6 +194,27 @@ def test_bad_argv_exits_2_with_one_error_line(inputs, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "simulate --tree path:L=4 --env det:mu=1 --max-steps 10",
+    "concentration --tree path:L=16 --env alpha:two=0,3,0.5 --depths 8 --epsilon 0.5",
+], ids=["simulate", "concentration"])
+def test_trial_ceiling_comes_before_any_environment(monkeypatch, argv):
+    """simulate and concentration have no floor of 100, but the one
+    ceiling, checked before an environment is built or a walk run; a
+    count at the ceiling still starts."""
+
+    def never(*args):
+        raise AssertionError("ran past the trial ceiling")
+
+    monkeypatch.setattr(cli, "build_environment", never)
+    monkeypatch.setattr(percolation, "sample_random_environment", never)
+    code, out, err = exit_code(shlex.split(f"{argv} --trials 99999999999999999999"))
+    assert (code, out, err) == (
+        2, "", "error: need at most 10000000 trials, got 99999999999999999999\n")
+    with pytest.raises(AssertionError, match="ceiling"):
+        exit_code(shlex.split(f"{argv} --trials 10000000"))
+
+
 def test_a_band_end_past_the_float_range_exits_0():
     code, out, err = exit_code(shlex.split(
         "concentration --tree path:L=16 --env alpha:two=0,3,0.5 --depths 8 --epsilon 1e308 "
@@ -243,7 +265,6 @@ def _invariants():
         "conductance-of-root": lambda: adapted_conductance(env, 0),
         "extension-to-root": lambda: simulate_extension(env, ClockTable(1), 0, stop),
         "reach-of-root": lambda: extension_reach(env, 0, np.arange(2, dtype=np.uint64), 10),
-        "degenerate-pair": lambda: quasi_independence_statistic(env, 1, 4, 100, 1),
     }
 
 

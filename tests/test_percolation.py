@@ -18,15 +18,14 @@ from goerw.percolation import (
     adapted_conductance,
     concentration_experiment,
     edge_connection_probability_mc,
-    quasi_independence_constant,
-    quasi_independence_statistic,
     sample_ruin_percolation,
 )
 from goerw.tree import build_from_edge_list, build_path, build_regular
 from goerw.walk import (ClockTable, StopRule, _extension_run, derive_seed, extension_reach,
                         simulate_extension)
 
-from conftest import flow_energy_rows_ref, random_broom, random_tree
+from conftest import (flow_energy_rows_ref, quasi_independence_constant,
+                      quasi_independence_statistic, random_broom, random_tree)
 
 
 def ternary_excited(depth):

@@ -251,7 +251,7 @@ class TestNoChildLists:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulate(env, StopRule(max_steps=1000), 1, record=False)
+            simulate(env, StopRule(max_steps=1000), 1)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()

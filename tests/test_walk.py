@@ -25,7 +25,7 @@ from goerw.walk import (
     simulate_rubin,
 )
 
-from conftest import random_broom, random_tree, simulate_ref
+from conftest import random_broom, random_tree, simulate_recorded, simulate_ref
 
 
 class TestClockTable:
@@ -161,7 +161,7 @@ class TestDirectLaw:
         up = 0
         by_child = Counter()
         for i in range(trials):
-            _, v, w = simulate(env, StopRule(max_steps=2), seed=derive_seed(7, i)).positions
+            _, v, w = simulate_recorded(env, StopRule(max_steps=2), derive_seed(7, i)).positions
             # step 1 reaches a depth-1 vertex, step 2 is its fresh departure
             if w == 0:
                 up += 1
@@ -175,7 +175,7 @@ class TestDirectLaw:
     def test_step_probabilities_later(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=3.0, mu=0.5)
-        pos = simulate(env, StopRule(max_steps=100_000), seed=8).positions
+        pos = simulate_recorded(env, StopRule(max_steps=100_000), 8).positions
         seen = set()
         departures = up = 0
         for v, w in zip(pos, pos[1:]):
@@ -191,7 +191,7 @@ class TestDirectLaw:
     def test_root_is_uniform(self):
         t = build_regular(3, 2)
         env = assign_deterministic(t, lam=9.0)
-        pos = simulate(env, StopRule(max_steps=10**8, root_returns=30000), seed=9).positions
+        pos = simulate_recorded(env, StopRule(max_steps=10**8, root_returns=30000), 9).positions
         # the start and every return but the last are followed by a departure
         hits = Counter(w for v, w in zip(pos, pos[1:]) if v == 0)
         assert sum(hits.values()) == 30000
@@ -206,7 +206,7 @@ class TestDirectLaw:
         env = assign_deterministic(build_path(L), lam=3.0, mu=0.5)
         fresh = fresh_up = later = later_up = 0
         for i in range(2100):
-            pos = simulate(env, StopRule(max_steps=100), seed=derive_seed(12, i)).positions
+            pos = simulate_recorded(env, StopRule(max_steps=100), derive_seed(12, i)).positions
             seen = set()
             for v, w in zip(pos, pos[1:]):
                 if not 0 < v < L:
@@ -241,7 +241,7 @@ class TestSimulate:
         assert int((top - p) / (1.0 - p) * 3) == 3
         monkeypatch.setattr(random, "Random", Top)
         stop = StopRule(max_steps=10, hit_depth=5)
-        traj = simulate(env, stop, 1)
+        traj = simulate_recorded(env, stop, 1)
         assert traj == simulate_ref(env, stop, 1)
         assert traj.steps == 5 and traj.escaped
         assert all(b == t.children[a][-1] for a, b in zip(traj.positions, traj.positions[1:]))
@@ -277,8 +277,8 @@ class TestSimulate:
                                                   t.truncation_depth]),
                             root_returns=rng.choice([math.inf, math.inf, 0, 1, 2, 5]))
             seed = derive_seed(31, i)
-            assert simulate(env, stop, seed) == simulate_ref(env, stop, seed)
-            a = simulate(env, stop, seed, record=False)
+            assert simulate_recorded(env, stop, seed) == simulate_ref(env, stop, seed)
+            a = simulate(env, stop, seed)
             b = simulate_ref(env, stop, seed, record=False)
             assert a == b and a.positions is None
 
@@ -296,7 +296,7 @@ class TestSimulate:
 
         monkeypatch.setattr(walk.random, "Random", Top)
         env = assign_deterministic(build_path(2), lam=0.1)
-        traj = simulate(env, StopRule(max_steps=3), seed=0)
+        traj = simulate_recorded(env, StopRule(max_steps=3), 0)
         assert traj.positions == [0, 1, 2, 1]
 
     def test_step_budget_is_required(self):
@@ -306,7 +306,7 @@ class TestSimulate:
 
     def test_max_steps_counts_moves(self):
         env = assign_deterministic(build_regular(3, 4))
-        traj = simulate(env, StopRule(max_steps=25), seed=1)
+        traj = simulate_recorded(env, StopRule(max_steps=25), 1)
         assert traj.steps == 25
         assert len(traj.positions) == 26
         assert traj.stop_reason == "max_steps"
@@ -314,7 +314,7 @@ class TestSimulate:
 
     def test_hit_depth_stops_and_flags(self):
         env = assign_deterministic(build_regular(3, 6))
-        traj = simulate(env, StopRule(max_steps=10**6, hit_depth=4), seed=2)
+        traj = simulate_recorded(env, StopRule(max_steps=10**6, hit_depth=4), 2)
         assert traj.escaped
         assert traj.stop_reason == "hit_depth"
         assert traj.max_depth == 4
@@ -322,22 +322,22 @@ class TestSimulate:
 
     def test_root_returns_stop(self):
         env = assign_deterministic(build_path(30))
-        traj = simulate(env, StopRule(max_steps=10**6, root_returns=3), seed=3)
+        traj = simulate_recorded(env, StopRule(max_steps=10**6, root_returns=3), 3)
         assert traj.stop_reason == "root_returns"
         assert traj.root_returns == 3
         assert traj.positions.count(0) == 4  # start plus three returns
 
     def test_steps_are_nearest_neighbor(self):
         env = assign_deterministic(build_regular(3, 4))
-        traj = simulate(env, StopRule(max_steps=500), seed=4)
+        traj = simulate_recorded(env, StopRule(max_steps=500), 4)
         t = env.tree
         for a, b in zip(traj.positions, traj.positions[1:]):
             assert t.parent[b] == a or t.parent[a] == b
 
     def test_unrecorded_run_keeps_summary(self):
         env = assign_deterministic(build_regular(3, 4))
-        full = simulate(env, StopRule(max_steps=300), seed=6)
-        slim = simulate(env, StopRule(max_steps=300), seed=6, record=False)
+        full = simulate_recorded(env, StopRule(max_steps=300), 6)
+        slim = simulate(env, StopRule(max_steps=300), seed=6)
         assert slim.positions is None
         assert slim.steps == full.steps
         assert slim.max_depth == full.max_depth
@@ -345,9 +345,39 @@ class TestSimulate:
 
     def test_same_seed_same_trajectory(self):
         env = assign_deterministic(build_regular(3, 4), lam=0.5)
-        a = simulate(env, StopRule(max_steps=200), seed=11)
-        b = simulate(env, StopRule(max_steps=200), seed=11)
+        a = simulate_recorded(env, StopRule(max_steps=200), 11)
+        b = simulate_recorded(env, StopRule(max_steps=200), 11)
         assert a.positions == b.positions
+
+
+class TestRecorder:
+    """conftest.simulate_recorded reads simulate's moves off its reads of
+    tree.parent and tree.depth; every other test of positions relies on it."""
+
+    def test_positions_equal_the_plain_loop(self):
+        """Regular, poly, path and random trees (a family's shared tree
+        among them), det and alpha laws, each stop bound: 252 runs == the
+        plain loop's, and the tree keeps its own lists."""
+        rng = random.Random(0x2EC0)
+        trees = [build_regular(3, 5), build_polynomial(1.5, 20), build_path(12),
+                 cli.parse_family_spec("poly:b=1.5,L=20")[0].build(20)]
+        runs = 0
+        for i in range(14):
+            for t in [*trees, random_tree(rng), random_broom(rng)][i % 2::2]:
+                parent, depth = t.parent, t.depth
+                stops = [StopRule(max_steps=300),
+                         StopRule(max_steps=5000, hit_depth=min(4, t.truncation_depth)),
+                         StopRule(max_steps=5000, root_returns=2)]
+                laws = [assign_deterministic(t, lam=rng.uniform(0.2, 4.0),
+                                             mu=rng.uniform(0.2, 4.0)),
+                        cli.build_environment(t, "alpha:two=0,3,0.5", i)]
+                for env, stop in itertools.product(laws, stops):
+                    seed = derive_seed(77, runs)
+                    assert simulate_recorded(env, stop, seed) == simulate_ref(env, stop, seed)
+                    runs += 1
+                assert t.parent is parent and t.depth is depth
+                assert type(parent) is list and type(depth) is list
+        assert runs == 252
 
 
 class TestEscapeExact:
@@ -367,7 +397,7 @@ class TestEscapeExact:
         env = assign_deterministic(build_polynomial(b, E))
         stop = StopRule(max_steps=10**6, hit_depth=E, root_returns=K)
         trials = 4000
-        reasons = Counter(simulate(env, stop, derive_seed(41, E, t), record=False).stop_reason
+        reasons = Counter(simulate(env, stop, derive_seed(41, E, t)).stop_reason
                           for t in range(trials))
         assert reasons["max_steps"] == 0
         z = (reasons["hit_depth"] / trials - exact) / math.sqrt(exact * (1 - exact) / trials)
@@ -451,7 +481,7 @@ class TestRubin:
         ret_direct = Counter()
         ret_rubin = Counter()
         for i in range(trials):
-            a = simulate(env, StopRule(max_steps=8), seed=derive_seed(100, i))
+            a = simulate_recorded(env, StopRule(max_steps=8), derive_seed(100, i))
             b = simulate_rubin(env, StopRule(max_steps=8), ClockTable(derive_seed(200, i)))
             depth_direct[t.depth[a.positions[-1]]] += 1
             depth_rubin[t.depth[b.positions[-1]]] += 1
