@@ -180,6 +180,7 @@ def load_config(path: str) -> dict[str, str]:
     except UnicodeDecodeError as e:
         raise InputError(f"cannot read config {path}: {e}") from None
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # the line that set each key
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,7 +188,11 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise InputError(f"{path}:{ln}: expected key = value")
         key, value = (x.strip() for x in line.split("=", 1))
-        out[_config_key(key, path, ln)] = value
+        name = _config_key(key, path, ln)
+        if name in first:
+            raise InputError(f"{path}:{ln}: config key {key!r} is set again "
+                             f"(first at line {first[name]})")
+        out[name], first[name] = value, ln
     return out
 
 

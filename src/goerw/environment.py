@@ -96,6 +96,8 @@ class AlphaDistribution:
         once per law) at or below u, so only the generator's uniforms count."""
         cuts, atoms = self._inverse
         u = rng.random(size)
+        if len(cuts) == 1:  # two atoms: the comparison is the index
+            return atoms.take(cuts[0] <= u)
         return atoms.take(sum((c <= u for c in cuts), np.zeros(size, np.intp)))
 
     def spec_string(self) -> str:
@@ -111,7 +113,8 @@ class Environment:
     """Bias assignment bound to one tree, with cached potential theory.
 
     lam, mu and alpha (None outside the alpha family) are read-only float64
-    arrays by vertex id, each the environment's own copy, with the root's lam
+    arrays by vertex id, each the environment's own copy (an alpha
+    environment's mu is its tree's shared Tree.ones), with the root's lam
     and mu fixed at 1. Every non-root bias must be finite and positive; the
     first vertex that is not is named.
 
@@ -166,20 +169,30 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
 
     alpha (a list or an array, never written to) has one entry per vertex;
     the root's is read as 0. lam is float64 arithmetic on whole arrays, the
-    same operations per entry as the scalar 1.0 + alpha[v] * deg(v), and no
-    table is ever turned into a list: with mu == 1 the direct walk's
-    later-visit probabilities are the tree's (Tree.parent_step)."""
+    same operations per entry as the scalar 1.0 + alpha[v] * deg(v), and
+    is refused as Environment refuses it. alpha is copied once; neither it
+    nor lam is copied or checked again, and mu is the tree's Tree.ones, so
+    the later-visit probabilities are Tree.parent_step."""
     a = np.array(alpha, dtype=np.float64)
     if a.shape != (tree.n_vertices,):
         raise ValueError("need one alpha per vertex")
     a[0] = 0.0
-    return Environment(tree, 1.0 + a * tree.degrees, np.ones(tree.n_vertices), alpha=a)
+    with np.errstate(over="ignore"):  # refused below, by vertex
+        lam = 1.0 + a * tree.float_degrees  # exactly 1 at the root
+    if not (lam.min() > 0 and lam.max() < math.inf):  # as in Environment
+        Environment(tree, lam, tree.ones)  # refuses the first bad vertex
+    lam.flags.writeable = a.flags.writeable = False
+    env = object.__new__(Environment)  # no __post_init__: made and checked here
+    env.tree, env.lam, env.mu, env.alpha = tree, lam, tree.ones, a
+    env._pot = env._trans = None
+    return env
 
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
-    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1.
-    A one-atom law draws nothing: every vertex gets the atom, and a run on
-    point laws alone never loads numpy.random."""
+    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1:
+    one generator and one uniform per vertex. A one-atom law draws nothing:
+    every vertex gets the atom, and a run on point laws alone never loads
+    numpy.random."""
     if len(dist.values) == 1:
         alpha = np.full(tree.n_vertices, dist.values[0])
     else:
@@ -279,21 +292,23 @@ def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
     scalar expression's operation order, so every entry is bitwise the
     same. At a childless vertex that expression can round below 1
     (0.9999999999999992 for lam = 0.1), which would let a draw pick a child
-    that is not there. First visits read the array through a memoryview
-    (Python floats, no copy); later ones read a list, which where every mu
-    is 1 is exactly 1/deg, the tree's shared Tree.parent_step. A root-only
-    tree is refused: the walk has no edge to step along."""
+    that is not there, so Tree.leaves are set to 1. First visits read the
+    array through a memoryview (Python floats, no copy); later ones read a
+    list, which where mu is the tree's Tree.ones or every mu is 1 is exactly
+    1/deg, the tree's shared Tree.parent_step. A root-only tree is refused:
+    the walk has no edge to step along."""
     if env._trans is None:
-        if env.tree.n_vertices == 1:
+        tree = env.tree
+        if tree.n_vertices == 1:
             raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
-        d = env.tree.degrees
-        unit = (env.mu == 1.0).all()
-        p = [b / ((b + d) - 1) for b in ((env.lam,) if unit else (env.lam, env.mu))]
+        unit = env.mu is tree.ones or (env.mu == 1.0).all()
+        d = tree.float_degrees
+        p = [b / ((b + d) - 1.0) for b in ((env.lam,) if unit else (env.lam, env.mu))]
         for q in p:
-            q[d == 1] = 1.0
+            q[tree.leaves] = 1.0
             q[0] = 0.0
         p[0].flags.writeable = False
-        env._trans = (memoryview(p[0]), env.tree.parent_step if unit else p[1].tolist())
+        env._trans = (memoryview(p[0]), tree.parent_step if unit else p[1].tolist())
     return env._trans
 
 

@@ -71,6 +71,11 @@ class Levels(NamedTuple):
     single: list[bool]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class Tree:
     """A rooted tree truncated at a fixed depth, held as its parent list:
@@ -81,10 +86,12 @@ class Tree:
     kernels read v's children as range(first[v], first[v + 1]) (Levels),
     and whole-tree passes run level by level on arrays (level_runs,
     child_sums, scan_down). Read from parent on first use: depth[v],
-    truncation_depth, levels, degrees (neighbor counts, read-only int64),
-    only_child (v's only child, 0 where it has none or several) and
-    parent_step (1/deg, 0 at the root, a tuple). Equal parent lists make
-    equal trees."""
+    truncation_depth, levels, degrees (neighbor counts, read-only int64;
+    float_degrees as float64), ones (a read-only 1.0 per vertex, the mu
+    every alpha environment on the tree shares), leaves (the ids of the
+    childless vertices but the root), only_child (v's only child, 0 where
+    it has none or several) and parent_step (1/deg, 0 at the root, a
+    tuple). Equal parent lists make equal trees."""
 
     parent: list[int]
 
@@ -121,8 +128,19 @@ class Tree:
         which has no parent, just its child count."""
         deg = self.levels.kids + 1
         deg[0] -= 1
-        deg.flags.writeable = False
-        return deg
+        return _frozen(deg)
+
+    @cached_property
+    def float_degrees(self) -> np.ndarray:
+        return _frozen(self.degrees.astype(np.float64))
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        return _frozen(np.ones(self.n_vertices))
+
+    @cached_property
+    def leaves(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.levels.kids[1:] == 0) + 1)
 
     @cached_property
     def only_child(self) -> list[int]:
@@ -151,8 +169,7 @@ class Tree:
         # per level, how many of its vertices have one child
         ones = np.diff(np.concatenate(([0], np.cumsum(kids == 1)))[starts])
         single = (ones == width) & (width > 0)
-        first.flags.writeable = False
-        return Levels(parent, starts, kids, first, single.tolist())
+        return Levels(parent, starts, kids, _frozen(first), single.tolist())
 
     def level_runs(self, first: int, stop: int,
                    step: int) -> Iterator[tuple[int, int, bool]]:

@@ -9,8 +9,7 @@ import pytest
 
 import goerw.percolation as percolation
 from goerw.analysis import K_RETURNS, FlowEnergyRow
-from goerw.environment import (AlphaDistribution, Environment, _potentials,
-                               environment_from_alpha, log_Psi)
+from goerw.environment import AlphaDistribution, Environment, _potentials, log_Psi
 from goerw.errors import RefusalError
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
@@ -215,6 +214,14 @@ def ref_deg(tree: Tree, v: int) -> int:
     return len(tree.children[v]) + (v != 0)
 
 
+def ref_alpha_env(tree: Tree, alpha) -> tuple[list[float], list[float], list[float]]:
+    """(alpha, lam, mu) of the alpha family, one vertex at a time."""
+    alpha = [float(a) for a in alpha]
+    alpha[0] = 0.0
+    lam = [1.0 + alpha[v] * ref_deg(tree, v) for v in range(tree.n_vertices)]
+    return alpha, lam, [1.0] * tree.n_vertices
+
+
 def ref_tables(tree: Tree, lam, mu) -> tuple[list[float], list[float]]:
     """(pf, pl): lam/(lam + d - 1) and mu/(mu + d - 1), 1 at a vertex
     without children, 0 at the root."""
@@ -328,13 +335,15 @@ def simulate_recorded(env: Environment, stop: StopRule, seed: int) -> WalkTrajec
 
 def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                      horizon: int, trials: int, seed_base: int,
-                     lane: int) -> tuple[float, float, int]:
+                     lane: int, tables: list | None = None) -> tuple[float, float, int]:
     """analysis._escape_batch as a plain loop with its seeds derived under
     `lane` (the shipped batch is lane 1): every trial draws its alphas
     by inverse transform from its own generator (even for a one-atom law,
-    whose draws all land on the atom), passes them to
-    environment_from_alpha and walks with simulate_ref. Returns (escape
-    frequency, mean root returns, censored runs)."""
+    whose draws all land on the atom), builds lam and mu one vertex at a
+    time (ref_alpha_env), hands them to Environment, which copies and
+    checks them, and walks with simulate_ref; each trial's ref_tables are
+    appended to tables if it is given. Returns (escape frequency, mean
+    root returns, censored runs)."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
                     root_returns=K_RETURNS)
     n = tree.n_vertices
@@ -343,7 +352,10 @@ def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
         u = np.random.default_rng(derive_seed(seed_base, lane, t, 0)).random(n)
         idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
         alpha = np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)]
-        env = environment_from_alpha(tree, alpha)
+        alpha, lam, mu = ref_alpha_env(tree, alpha.tolist())
+        env = Environment(tree, lam, mu, alpha=alpha)
+        if tables is not None:
+            tables.append(ref_tables(tree, lam, mu))
         traj = simulate_ref(env, stop, derive_seed(seed_base, lane, t, 1), record=False)
         escapes += traj.escaped
         returns += traj.root_returns

@@ -23,9 +23,9 @@ from goerw.analysis import (
     tree_max_flow,
 )
 from goerw.cli import build_environment, parse_tree_spec
-from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
-                               sample_random_environment)
-from goerw.errors import RefusalError
+from goerw.environment import (AlphaDistribution, Environment, _transition_table,
+                               assign_deterministic, sample_random_environment)
+from goerw.errors import InputError, RefusalError
 from goerw.percolation import edge_connection_probability_mc
 from goerw.tree import (
     build_from_edge_list,
@@ -323,6 +323,11 @@ class TestUnitPsiFlow:
         assert repr(rows) == repr(flow_energy_rows_ref(env, 1.5, [2, 4, 8]))
 
 
+# the random tree has leaves above its deepest level
+ANNEALED_TREES = [build_polynomial(1.2, 24), regular_family(3).build(6),
+                  random_tree(random.Random(0x1EAF), max_edges=80, max_depth=9)]
+
+
 class TestEscapeBatch:
     """The annealed lane equals, bit for bit, the plain loop that draws
     every trial's environment itself and walks it with the referee loop."""
@@ -342,6 +347,48 @@ class TestEscapeBatch:
             assert got == escape_batch_ref(*args, lane)
             if horizon == 400:
                 assert got[2] > 0  # the short horizon censors some runs
+
+    @pytest.mark.parametrize("dist", [
+        AlphaDistribution.two_point(0.2, 3.0, 0.5),
+        AlphaDistribution((0.0, 0.2, 7.0), (0.2, 0.3, 0.5)),
+        AlphaDistribution((0.3, 0.7, 1e6, 0.2), (0.25, 0.25, 0.25, 0.25)),
+    ], ids=["two", "three", "four"])
+    @pytest.mark.parametrize("tree", ANNEALED_TREES, ids=["poly", "regular", "random"])
+    def test_equals_the_per_vertex_loop(self, monkeypatch, tree, dist):
+        """Each trial's environment and first-visit table equal those of
+        the per-vertex loop too. At a leaf, lam = 1.2 (alpha 0.2) makes
+        (lam + 1) - 1 != lam, so a first-visit entry there is 1 only by
+        the leaf fix; 0.3 rounds it above 1, 0.7 below."""
+        leaf = 1.0 + 0.2
+        assert leaf / ((leaf + 1) - 1) != 1.0
+        walked = []
+
+        def spy(env, stop, seed):
+            walked.append(tuple(map(list, _transition_table(env))))
+            return simulate(env, stop, seed)
+
+        monkeypatch.setattr(analysis, "simulate", spy)
+        depth = tree.truncation_depth
+        for seed, horizon in ((21, 10**6), (22, 60)):
+            args = (tree, dist, depth, horizon, 40, seed)
+            tables = []
+            got = analysis._escape_batch(*args)
+            assert got == escape_batch_ref(*args, 1, tables)
+            assert walked == tables
+            walked.clear()
+
+    @pytest.mark.parametrize("tree", ANNEALED_TREES, ids=["poly", "regular", "random"])
+    def test_an_overflowing_draw_is_refused_as_the_loop_refuses_it(self, tree):
+        """alpha = 1e308 overflows lam at every vertex with two or more
+        neighbors; both refuse the first such vertex a trial draws."""
+        dist = AlphaDistribution((0.0, 1e308), (0.9, 0.1))
+        args = (tree, dist, tree.truncation_depth, 1000, 40, 5)
+        with pytest.raises(InputError) as ref:
+            escape_batch_ref(*args, 1)
+        with pytest.raises(InputError) as got:
+            analysis._escape_batch(*args)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("biases must be finite, vertex ")
 
 
 def exact_control(sizes, K):

@@ -15,21 +15,13 @@ from goerw.environment import Environment, _transition_table, environment_from_a
 from goerw.tree import build_path, build_polynomial, build_regular
 from goerw.walk import StopRule, derive_seed, simulate
 
-from conftest import random_tree, ref_deg, ref_tables
+from conftest import random_tree, ref_alpha_env, ref_deg, ref_tables
 
 
 # ---------------------------------------------------------------------------
-# the per-vertex loops, kept as the reference; degrees are counted here from
-# the child lists, not read from Tree (ref_deg and ref_tables are in
-# conftest.py, where the walk's referee loop reads them too)
-
-
-def ref_alpha_env(tree, alpha):
-    """(alpha, lam, mu) of the alpha family, one vertex at a time."""
-    alpha = [float(a) for a in alpha]
-    alpha[0] = 0.0
-    lam = [1.0 + alpha[v] * ref_deg(tree, v) for v in range(tree.n_vertices)]
-    return alpha, lam, [1.0] * tree.n_vertices
+# the per-vertex loops, kept as the reference, are in conftest.py, where the
+# walk's and the annealed lane's referee loops read them too; degrees are
+# counted there from the child lists, not read from Tree
 
 
 def assert_tables_equal(env, alpha, lam, mu):
@@ -178,7 +170,8 @@ class TestSharedLaterVisits:
 
 class TestStoredOnce:
     """lam, mu and alpha are each stored once, as a read-only float64 array
-    that is the environment's own copy of its input."""
+    that is the environment's own copy of its input; the alpha family's mu
+    is the tree's one unit array."""
 
     def test_read_only_float64_arrays(self):
         t = build_regular(3, 2)
@@ -207,7 +200,7 @@ class TestStoredOnce:
         t = build_regular(3, 15)
         n = t.n_vertices
         alpha = np.random.default_rng(3).random(n)
-        t.degrees  # built once per tree, not per environment
+        t.degrees, t.float_degrees, t.ones, t.leaves  # built once per tree, not per environment
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -216,13 +209,14 @@ class TestStoredOnce:
         finally:
             tracemalloc.stop()
         assert n == 98_302 and env.alpha is not None
-        # lam, mu and alpha: 24 bytes per vertex
-        assert retained <= 32 * n
+        # lam and alpha: 16 bytes per vertex; mu is the tree's
+        assert env.mu is t.ones
+        assert retained <= 24 * n
 
     def test_walked_environment_bytes_per_vertex(self):
-        """A walked alpha environment keeps lam, mu, alpha and the
-        first-visit array, 32 bytes per vertex; the later-visit table is
-        the tree's."""
+        """A walked alpha environment keeps lam, alpha and the first-visit
+        array, 24 bytes per vertex; mu and the later-visit table are the
+        tree's."""
         t = build_regular(3, 15)
         n = t.n_vertices
         stop = StopRule(max_steps=2000)
@@ -238,7 +232,23 @@ class TestStoredOnce:
         finally:
             tracemalloc.stop()
         assert env._trans is not None
-        assert retained <= 40 * n
+        assert retained <= 32 * n
+
+    def test_alpha_environments_share_one_read_only_mu(self):
+        t = build_polynomial(1.2, 20)
+        n = t.n_vertices
+        envs = [cli.build_environment(t, spec, seed)
+                for spec, seed in (("alpha:two=0,3,0.5", 1), ("alpha:two=0,3,0.5", 2),
+                                   ("alpha:point=1", 0))]
+        envs.append(environment_from_alpha(t, np.full(n, 0.5)))
+        assert all(env.mu is t.ones for env in envs)
+        assert t.ones.dtype == np.float64 and t.ones.tolist() == [1.0] * n
+        with pytest.raises(ValueError):
+            envs[0].mu[1] = 2.0
+        # built directly, an environment keeps its own copy of an all-1 mu
+        direct = Environment(t, envs[0].lam, t.ones)
+        assert direct.mu is not t.ones and not np.shares_memory(direct.mu, t.ones)
+        assert direct.lam is not envs[0].lam
 
     def test_fresh_trees_leave_memory_flat(self):
         """Walking fresh environments on 200 freshly built trees keeps less

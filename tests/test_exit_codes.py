@@ -106,6 +106,11 @@ BAD_ARGV = [
      "config key 'depths': bad depth list ''"),
     ("config-not-utf8", "--config {tmp}/bytes.ini gambler --mu 2,2 --start 1",
      "cannot read config {tmp}/bytes.ini: 'utf-8' codec can't decode byte 0xe9"),
+    ("config-key-twice", "--config {tmp}/twice.ini simulate --tree path:L=3 --env det:mu=1",
+     "{tmp}/twice.ini:3: config key 'trials' is set again (first at line 1)"),
+    ("config-alias-twice", "--config {tmp}/alias.ini compute-psi --tree path:L=4 "
+     "--env det:mu=1", "{tmp}/alias.ini:2: config key 'compute-psi.edge-depth' is set "
+     "again (first at line 1)"),
     # malformed tree files, named by path and line
     ("file-three-fields", f"{WALK} file:{{tmp}}/three.txt",
      "{tmp}/three.txt:2: want 'parent child', got '0 1 2'"),
@@ -161,6 +166,8 @@ def inputs(tmp_path):
         "trials.ini": "trials = 0\n",
         "format.ini": "format = xml\n",
         "depths.ini": "depths =\n",
+        "twice.ini": "trials = 5\n# a comment\ntrials = 7\n",
+        "alias.ini": "psi.edge-depth = 2\ncompute-psi.edge-depth = 3\n",
         "three.txt": "# goerw-tree v1 depth=2\n0 1 2\n",
         "depth.txt": "# goerw-tree v1 depth=x\n0 1\n",
         "vertex.txt": "# goerw-tree v1 depth=1\n0 1\n0 a\n",
@@ -213,6 +220,24 @@ def test_trial_ceiling_comes_before_any_environment(monkeypatch, argv):
         2, "", "error: need at most 10000000 trials, got 99999999999999999999\n")
     with pytest.raises(AssertionError, match="ceiling"):
         exit_code(shlex.split(f"{argv} --trials 10000000"))
+
+
+def test_an_undotted_and_a_dotted_key_are_two_keys(tmp_path):
+    (tmp_path / "both.ini").write_text("trials = 5\nsimulate.trials = 3\n")
+    code, out, err = exit_code(shlex.split(
+        f"--config {tmp_path}/both.ini simulate --tree path:L=3 --env det:mu=1 "
+        "--max-steps 5"))
+    assert (code, err) == (0, "")
+    assert out.startswith("trials=3 ")
+
+
+def test_an_overflowing_alpha_law_prints_only_the_refusal():
+    """lam = 1 + 1e308 * 3 overflows at vertex 1: the refusal names it,
+    and numpy's overflow warning (an error under the test suite's warning
+    filter) is not raised first."""
+    code, out, err = exit_code(shlex.split(
+        "simulate --tree regular:d=3,L=3 --env alpha:point=1e308 --max-steps 5 --trials 1"))
+    assert (code, out, err) == (2, "", "error: biases must be finite, vertex 1\n")
 
 
 def test_a_band_end_past_the_float_range_exits_0():

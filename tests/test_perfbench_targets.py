@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps goerw functions by (owner, attribute), and
 its workloads call goerw's API directly. A name either one uses that goerw
 no longer has makes the benchmark fail, so tier-1 checks the names and runs
-one unit of every workload under the tracer, without timing anything."""
+one unit of every workload under the tracer, without timing anything. Each
+unit's outputs must also be bitwise the recorded ones."""
 
 import importlib.util
 import os
@@ -33,6 +34,16 @@ def test_every_patched_attribute_exists():
     assert missing == []
 
 
+# the output digest of one seed-5 unit of each workload that walks, as the
+# unit above runs it; a change that moves a trajectory, a clock or a sample
+# moves it. ruin-tables is gated by perfbench/reference.json instead.
+UNIT_DIGESTS = {
+    "edge-mc": "36d7378929d7f4b283c6b46ea9565e96d5573a92f9b640740be4f23d628b13a8",
+    "cluster": "3f5063c53b4a6c2de340fb5640bd434d2d34c44ab6fdde58b920ac07a5bc697e",
+    "phase-annealed": "b513738739c8b396e635a33e77c93a5cd1673cfff9a6633679885b08c087d62f",
+}
+
+
 @pytest.mark.parametrize("name", ["edge-mc", "cluster", "phase-annealed", "ruin-tables"])
 def test_one_unit_of_each_workload_passes_its_checks(name):
     tracer = load_tracer()
@@ -46,6 +57,8 @@ def test_one_unit_of_each_workload_passes_its_checks(name):
     wl.check(st)
     assert ops > 0 and failed == 0
     assert st.failures == []
+    if name in UNIT_DIGESTS:
+        assert st.digest.hexdigest() == UNIT_DIGESTS[name]
 
 
 def test_ruin_tables_match_the_reference_on_every_environment():
