@@ -355,11 +355,12 @@ def _run_simulate(r: Run) -> None:
     trials = r.get("trials", 100)
     _enough_trials(trials, 1)
     tree = parse_tree_spec(r.require("tree"))
+    stop = StopRule(max_steps=r.get("max-steps", 100_000), hit_depth=r.get("depth", math.inf),
+                    root_returns=r.get("returns", math.inf))
+    if tree.truncation_depth < stop.hit_depth < math.inf:
+        raise InputError(f"depth {stop.hit_depth} exceeds the tree depth {tree.truncation_depth}")
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
-    stop = StopRule(max_steps=r.get("max-steps", 100_000),
-                    hit_depth=r.get("depth", math.inf),
-                    root_returns=r.get("returns", math.inf))
     trajs = [simulate(env, stop, derive_seed(seed, 1, t)) for t in range(trials)]
     escapes = sum(traj.escaped for traj in trajs)
     stats = {

@@ -238,7 +238,7 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         parent = tree.levels.parent
         deep = slice(tree.levels.starts[2], None)  # the edges at depth >= 2
         lam, mu = env.lam, env.mu
-        deg = tree.degrees
+        deg = tree.float_degrees
         # the root names no edge: R and phi 0 and an empty product; depth-1
         # edges have R = phi = psi = 1
         R, ph, ps = np.ones(n), np.zeros(n), np.ones(n)
@@ -303,7 +303,8 @@ def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
             raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
         unit = env.mu is tree.ones or (env.mu == 1.0).all()
         d = tree.float_degrees
-        p = [b / ((b + d) - 1.0) for b in ((env.lam,) if unit else (env.lam, env.mu))]
+        with np.errstate(divide="ignore"):  # a leaf's (lam + 1) - 1 can be 0: set below
+            p = [b / ((b + d) - 1.0) for b in ((env.lam,) if unit else (env.lam, env.mu))]
         for q in p:
             q[tree.leaves] = 1.0
             q[0] = 0.0
@@ -359,7 +360,7 @@ def _ruin_weights(tree: Tree, lp: np.ndarray, gamma: float | np.ndarray,
     for d in cuts:
         read[starts[d]:starts[d + 1]] = True
     ids = np.flatnonzero(read)
-    with np.errstate(invalid="ignore"):  # 0 * -inf, mended next
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf is weight 0; 0 * -inf mended next
         x = np.multiply.outer(gamma, lp[ids])
     x[np.isnan(x) & np.isneginf(lp[ids])] = 0.0
     w = np.full(x.shape[:-1] + lp.shape, math.inf)

@@ -86,12 +86,12 @@ class Tree:
     kernels read v's children as range(first[v], first[v + 1]) (Levels),
     and whole-tree passes run level by level on arrays (level_runs,
     child_sums, scan_down). Read from parent on first use: depth[v],
-    truncation_depth, levels, degrees (neighbor counts, read-only int64;
-    float_degrees as float64), ones (a read-only 1.0 per vertex, the mu
-    every alpha environment on the tree shares), leaves (the ids of the
-    childless vertices but the root), only_child (v's only child, 0 where
-    it has none or several) and parent_step (1/deg, 0 at the root, a
-    tuple). Equal parent lists make equal trees."""
+    truncation_depth, levels, float_degrees (neighbor counts, read-only
+    float64), ones (a read-only 1.0 per vertex, the mu every alpha
+    environment on the tree shares), leaves (the ids of the childless
+    vertices but the root), only_child (v's only child, 0 where it has none
+    or several) and parent_step (1/deg, 0 at the root, a tuple). Equal
+    parent lists make equal trees."""
 
     parent: list[int]
 
@@ -123,16 +123,11 @@ class Tree:
         return len(self.levels.starts) - 3
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """Neighbor counts by vertex id: child count + 1, and at the root,
-        which has no parent, just its child count."""
-        deg = self.levels.kids + 1
-        deg[0] -= 1
-        return _frozen(deg)
-
-    @cached_property
     def float_degrees(self) -> np.ndarray:
-        return _frozen(self.degrees.astype(np.float64))
+        """Child count + 1, and at the root, which has no parent, the child count."""
+        deg = self.levels.kids + 1.0
+        deg[0] -= 1.0
+        return _frozen(deg)
 
     @cached_property
     def ones(self) -> np.ndarray:
@@ -153,7 +148,7 @@ class Tree:
     def parent_step(self) -> tuple[float, ...]:
         """1/deg of each vertex, 0 at the root: simple random walk's parent
         step, shared as the later-visit one by every mu == 1 direct walk."""
-        return (0.0, *(1.0 / self.degrees[1:]).tolist())
+        return (0.0, *(1.0 / self.float_degrees[1:]).tolist())
 
     @cached_property
     def levels(self) -> Levels:

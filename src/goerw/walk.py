@@ -10,11 +10,10 @@ Three ways to run it:
 - simulate: draws the law directly from a seeded generator, one draw per
   step. Fastest; it serves `goerw simulate` and the phase diagnostic's
   excited lane, which read only the trajectory summary, so it records no
-  positions. A step down reads its child off Levels.first, or off
-  Tree.only_child from a vertex with one child (most vertices of a thin
-  poly tree); the trajectory is bitwise the plain loop's, kept in the
-  tests as the referee. Where mu == 1 its later-visit list is the tree's
-  (Tree.parent_step).
+  positions. A step reads the bias of the vertex it reaches, a child off
+  Levels.first or Tree.only_child, and the depth only on a first visit;
+  where mu == 1 its later-visit list is the tree's (Tree.parent_step). The
+  trajectory is bitwise the plain loop's, kept in the tests as the referee.
 - simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
   sequence of unit exponential clocks xi(v, u, j); a visit to v races the
   pending clock of each neighbor scaled by that direction's rate, the
@@ -175,12 +174,13 @@ def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     """Run the walk from the root by drawing the law directly: one draw r
     per step, up if r < p (the parent-step probability, lam's on a first
     visit, mu's after), else to child first[v] + int((r - p) / (1 - p) * k)
-    of its k (Levels.first), Tree.only_child's where k is 1. Up-steps check
-    only for root returns, down-steps only for a new depth. Trajectories are
-    == the plain loop's, which checks both bounds at every step. p is read
-    from _transition_table: first visits through a memoryview of an array,
-    later ones from a list, both yielding Python floats. Only the summary
-    is kept: positions is None."""
+    of its k (Levels.first), Tree.only_child's where k is 1. A step reads
+    the p of the vertex it reaches and tests only what its move can change:
+    an up-step, onto a visited vertex, a root return; a down-step the visited
+    flag, and a first visit, the only arrival that can go deeper, the depth.
+    Trajectories are == the plain loop's, which tests both bounds at every
+    step. p comes from _transition_table: first visits read a memoryview of
+    an array, later ones a list, both Python floats. positions is None."""
     pf, pl = _transition_table(env)
     tree = env.tree
     parent, depth, only = tree.parent, tree.depth, tree.only_child
@@ -188,15 +188,12 @@ def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     rnd = random.Random(seed).random
     hd, rr = stop.hit_depth, stop.root_returns
     visited = bytearray(len(parent))
+    visited[0] = 1
+    p = pf[0]
     v = steps = returns = maxd = 0
     reason = "max_steps"
     for steps in range(1, stop.max_steps + 1):
         # at the root p is 0, so (r - p) / (1 - p) * k is r * k exactly
-        if visited[v]:
-            p = pl[v]
-        else:
-            visited[v] = 1
-            p = pf[v]
         r = rnd()
         if r < p:
             v = parent[v]
@@ -205,6 +202,7 @@ def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
                 if returns >= rr:
                     reason = "root_returns"
                     break
+            p = pl[v]
         else:
             c = only[v]
             if c:
@@ -214,11 +212,16 @@ def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
                 k = first[v + 1] - a
                 idx = int((r - p) / (1.0 - p) * k)
                 v = a + (idx if idx < k else k - 1)
-            if depth[v] > maxd:
-                maxd = depth[v]
-                if maxd >= hd:
-                    reason = "hit_depth"
-                    break
+            if visited[v]:
+                p = pl[v]
+            else:
+                visited[v] = 1
+                p = pf[v]
+                if depth[v] > maxd:
+                    maxd = depth[v]
+                    if maxd >= hd:
+                        reason = "hit_depth"
+                        break
     return WalkTrajectory(None, steps, returns, maxd, reason)
 
 

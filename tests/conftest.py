@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import goerw.percolation as percolation
+import goerw.walk as walk
 from goerw.analysis import K_RETURNS, FlowEnergyRow
 from goerw.environment import AlphaDistribution, Environment, _potentials, log_Psi
 from goerw.errors import RefusalError
@@ -140,7 +141,8 @@ def potentials_ref(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray
     root holds R = phi = log Psi = 0 and psi = 1."""
     tree = env.tree
     n = tree.n_vertices
-    lam, mu, deg = env.lam.tolist(), env.mu.tolist(), tree.degrees.tolist()
+    lam, mu = env.lam.tolist(), env.mu.tolist()
+    deg = [ref_deg(tree, v) for v in range(n)]
     R, ph, ps, lp = [0.0] * n, [0.0] * n, [1.0] * n, [0.0] * n
     for v in range(1, n):
         w = tree.parent[v]
@@ -312,24 +314,27 @@ class _ReadLog(list):
 
 def simulate_recorded(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     """walk.simulate(env, stop, seed) with its positions, read off the
-    kernel's own moves: for the one call, tree.parent and tree.depth are
-    lists that log each read. An up-step reads parent[v], the vertex it
-    moves to; a down-step reads depth[c] of the child c it moves to, twice
-    on a new maximum. The walk never stays put, so the positions are 0 and
-    the log with consecutive repeats collapsed. The tree's tables that
-    read parent are built first, and its own lists put back after, since
-    family trees are shared."""
+    kernel's own reads: for the one call, both tables of the pair
+    _transition_table hands it and tree.parent are lists that log each
+    read. Every arrival reads the bias of the vertex it arrives at, one of
+    the two tables (the root's first-visit bias before the first step), and
+    an up-step reads parent[v], the vertex it moves to, first, so a run that
+    ends on a root return, which reads no bias after it, is recorded too.
+    The walk never stays put, so the positions are the log with
+    consecutive repeats collapsed. The tree's tables that read parent are
+    built first, and the tree's list and the kernel's table reader put back
+    after, since family trees are shared."""
     tree = env.tree
-    tree.levels, tree.only_child  # built from the plain lists
-    parent, depth = tree.parent, tree.depth
+    tree.levels, tree.only_child  # built from the plain list
+    parent, table = tree.parent, walk._transition_table
     log: list[int] = []
-    tree.parent, tree.depth = _ReadLog(parent, log, True), _ReadLog(depth, log, False)
+    pair = tuple(_ReadLog(t, log, False) for t in table(env))
+    tree.parent, walk._transition_table = _ReadLog(parent, log, True), lambda env: pair
     try:
         traj = simulate(env, stop, seed)
     finally:
-        tree.parent, tree.depth = parent, depth
-    positions = [0]
-    positions += (v for v, u in zip(log, [0, *log]) if v != u)
+        tree.parent, walk._transition_table = parent, table
+    positions = [v for v, u in zip(log, [-1, *log]) if v != u]
     return replace(traj, positions=positions)
 
 

@@ -170,7 +170,7 @@ def test_criterion_05_simplified_psi():
         extra = [(w, n + j) for j in range(deg - 1)]        # w gets deg-1 kids
         tree = build_from_edge_list(edges + extra)
         u = tree.children[w][0]
-        assert tree.depth[u] == n and tree.degrees[w] == deg
+        assert tree.depth[u] == n and len(tree.children[w]) + 1 == deg
         lam = [1.0] * tree.n_vertices
         lam[w] = 1.0 + alpha * deg
         env = Environment(tree, lam, [1.0] * tree.n_vertices)

@@ -47,11 +47,11 @@ def random_alpha(rng, n):
 
 def test_degrees_count_neighbors():
     t = build_regular(3, 3)
-    assert t.degrees.dtype == np.int64
-    assert t.degrees.tolist() == [ref_deg(t, v) for v in range(t.n_vertices)]
-    assert t.degrees is t.degrees
+    assert t.float_degrees.dtype == np.float64
+    assert t.float_degrees.tolist() == [ref_deg(t, v) for v in range(t.n_vertices)]
+    assert t.float_degrees is t.float_degrees
     with pytest.raises(ValueError):
-        t.degrees[1] = 7
+        t.float_degrees[1] = 7.0
 
 
 def test_alpha_family_matches_loop_on_random_trees():
@@ -153,7 +153,7 @@ class TestSharedLaterVisits:
         t = build_regular(3, 4)
         n = t.n_vertices
         alpha = np.full(n, 0.5)
-        lam = (1.0 + alpha * t.degrees).tolist()
+        lam = (1.0 + alpha * t.float_degrees).tolist()
         env = Environment(t, lam, np.full(n, 3.0), alpha=alpha)
         pl = _transition_table(env)[1]
         assert pl is not t.parent_step and type(pl) is list
@@ -200,7 +200,7 @@ class TestStoredOnce:
         t = build_regular(3, 15)
         n = t.n_vertices
         alpha = np.random.default_rng(3).random(n)
-        t.degrees, t.float_degrees, t.ones, t.leaves  # built once per tree, not per environment
+        t.float_degrees, t.ones, t.leaves  # built once per tree, not per environment
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -48,7 +48,7 @@ def reference_potentials(env):
             else:
                 R_u = R_u * env.mu[w]
                 phi_u = phi_u + R_u
-                degw = int(tree.degrees[w])
+                degw = len(tree.children[w]) + 1
                 lamw, muw = env.lam[w], env.mu[w]
                 drop = 1.0 - phis[tree.parent[w]] / phi_u
                 factor = (lamw + (degw - 2) * muw / (muw + 1.0)) / (lamw + degw - 1.0)

@@ -151,6 +151,8 @@ BAD_ARGV = [
      "need at most 10000000 trials, got 99999999999999999999"),
     ("trials-past-ceiling-percolate", "percolate --tree path:L=4 --env det:mu=1 --depth 2 "
      "--trials 99999999999999999999", "need at most 10000000 trials, got 99999999999999999999"),
+    ("probe-past-tree", "simulate --tree path:L=3 --env det:mu=1 --depth 9 --trials 2 "
+     "--max-steps 10", "depth 9 exceeds the tree depth 3"),
     ("escape-past-tree", "phase-scan --tree poly:b=1.2,L=16 --env alpha:point=1 "
      "--escape-depth 32", "tree depth cannot be below the escape depth"),
     ("two-parents", f"{WALK} file:{{tmp}}/parents.txt",
@@ -238,6 +240,23 @@ def test_an_overflowing_alpha_law_prints_only_the_refusal():
     code, out, err = exit_code(shlex.split(
         "simulate --tree regular:d=3,L=3 --env alpha:point=1e308 --max-steps 5 --trials 1"))
     assert (code, out, err) == (2, "", "error: biases must be finite, vertex 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "estimate-rt --tree regular:d=3,L=5 --env alpha:point=1 --seed 3 --depths 1,2,3 "
+    "--gamma-grid 1e308",
+    "flow-check --tree regular:d=3,L=5 --env alpha:point=1 --seed 3 --gamma 1e308 "
+    "--depths 1,2,3",
+    "simulate --tree regular:d=3,L=5 --env det:lambda=1e-300 --seed 3 --trials 100 "
+    "--depth 3 --max-steps 1000 --returns 2",
+], ids=["estimate-rt", "flow-check", "simulate"])
+def test_valid_input_prints_no_numpy_warning(argv):
+    """gamma * log Psi overflows to -inf, whose weight 0 is right, and at a
+    leaf (1e-300 + 1) - 1 is 0, whose parent step is set to 1: numpy's
+    warnings (errors under the test suite's warning filter) stay silent."""
+    code, out, err = exit_code(shlex.split(argv))
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_a_band_end_past_the_float_range_exits_0():

@@ -77,9 +77,9 @@ class TestBuilders:
     def test_regular_level_sizes(self):
         t = build_regular(3, 2)
         assert level_sizes(t) == [1, 3, 6]
-        assert t.degrees[0] == 3
-        assert t.degrees[1] == 3
-        assert t.degrees[4] == 1  # truncation leaf
+        assert t.float_degrees[0] == 3
+        assert t.float_degrees[1] == 3
+        assert t.float_degrees[4] == 1  # truncation leaf
 
     @pytest.mark.parametrize("family", [path_family(), regular_family(2), regular_family(3),
                                         regular_family(5), polynomial_family(0.5),

@@ -11,7 +11,8 @@ from scipy import stats
 import goerw.cli as cli
 import goerw.percolation as percolation
 import goerw.walk as walk
-from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
+from goerw.environment import (Environment, Psi, _transition_table, assign_deterministic,
+                               environment_from_alpha)
 from goerw.tree import build_path, build_polynomial, build_regular, polynomial_level_sizes
 from goerw.walk import (
     ClockTable,
@@ -282,6 +283,35 @@ class TestSimulate:
             b = simulate_ref(env, stop, seed, record=False)
             assert a == b and a.positions is None
 
+    def test_summary_equals_plain_loop_under_every_bound(self):
+        """Read without the recorder: the summary is == the plain loop's
+        under every step cap from 1 to 40, return count 1, 2, 3 or none and
+        probe depth 1 to L or none, one walk cut at each bound, on random
+        trees with multi-child vertices under a det law with mu != 1 (the
+        later-visit list), a det law with mu == 1 (the tree's shared
+        parent_step) and a two-atom alpha law."""
+        rng = random.Random(0x5CA9)
+        reasons = Counter()
+        for i in range(4):
+            t = random_tree(rng, max_edges=16, max_depth=5)
+            while not (t.levels.kids > 1).any():
+                t = random_tree(rng, max_edges=16, max_depth=5)
+            laws = [assign_deterministic(t, lam=rng.uniform(0.2, 4.0), mu=rng.uniform(0.2, 0.9)),
+                    assign_deterministic(t, lam=rng.uniform(0.2, 4.0)),
+                    cli.build_environment(t, "alpha:two=0,3,0.5", i)]
+            assert [_transition_table(env)[1] is t.parent_step for env in laws] == [
+                False, True, True]
+            bounds = itertools.product(
+                laws, (1, 2, 3, math.inf), (*range(1, t.truncation_depth + 1), math.inf))
+            for j, (law, rr, hd) in enumerate(bounds):
+                seed = derive_seed(53, i, j)
+                for cap in range(1, 41):
+                    stop = StopRule(max_steps=cap, hit_depth=hd, root_returns=rr)
+                    a = simulate(law, stop, seed)
+                    assert a == simulate_ref(law, stop, seed, record=False)
+                    reasons[a.stop_reason] += 1
+        assert min(reasons.values()) >= 500 and len(reasons) == 3
+
     def test_childless_vertex_steps_to_parent(self, monkeypatch):
         """lam/((lam + deg) - 1) rounds to 0.9999999999999992 at the leaf
         of a 2-edge path when lam = 0.1; the leaf's parent-step probability
@@ -352,12 +382,14 @@ class TestSimulate:
 
 class TestRecorder:
     """conftest.simulate_recorded reads simulate's moves off its reads of
-    tree.parent and tree.depth; every other test of positions relies on it."""
+    the bias tables and tree.parent; every other test of positions relies
+    on it."""
 
     def test_positions_equal_the_plain_loop(self):
         """Regular, poly, path and random trees (a family's shared tree
         among them), det and alpha laws, each stop bound: 252 runs == the
-        plain loop's, and the tree keeps its own lists."""
+        plain loop's, and the tree keeps its own lists and the kernel its
+        table reader."""
         rng = random.Random(0x2EC0)
         trees = [build_regular(3, 5), build_polynomial(1.5, 20), build_path(12),
                  cli.parse_family_spec("poly:b=1.5,L=20")[0].build(20)]
@@ -376,6 +408,7 @@ class TestRecorder:
                     assert simulate_recorded(env, stop, seed) == simulate_ref(env, stop, seed)
                     runs += 1
                 assert t.parent is parent and t.depth is depth
+                assert walk._transition_table is _transition_table
                 assert type(parent) is list and type(depth) is list
         assert runs == 252
 
