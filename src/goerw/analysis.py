@@ -411,17 +411,15 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     its escape frequency and mean returns are the exact law of
     _escape_law, read from the control family's level sizes.
 
-    Refuses near-critical configurations: the family's exact branching-ruin
+    Refuses an escape_depth past depth (tree._cut_depths, as every command
+    does) and near-critical configurations: the family's exact branching-ruin
     index must sit at least epsilon_margin away from the threshold 2 - m.
     The verdict also carries the family's branching-ruin estimate from min
     cutset sums over the default gamma grid and probe depths of every
     cutset table (tree.DEFAULT_GAMMAS, tree.default_depths).
     """
     _enough_trials(trials)
-    if escape_depth < 1:
-        raise InputError("escape depth must be positive")
-    if depth < escape_depth:
-        raise InputError("tree depth cannot be below the escape depth")
+    _cut_depths([escape_depth], depth)
 
     m = dist.m
     threshold = 2.0 - m

@@ -340,8 +340,8 @@ def _run_gen_tree(r: Run) -> None:
 
 def _run_compute_psi(r: Run) -> None:
     tree = parse_tree_spec(r.require("tree"))
+    (d,) = _cut_depths([r.require("edge-depth")], tree.truncation_depth)
     env = build_environment(tree, r.require("env"), r.seed())
-    d = r.require("edge-depth")
     edge = tree.leftmost_at_depth(d)
     stats = {"edge": edge, "depth": d, "psi": psi_of(env, edge),
              "Psi": Psi_of(env, edge), "c": adapted_conductance(env, edge)}
@@ -355,10 +355,11 @@ def _run_simulate(r: Run) -> None:
     trials = r.get("trials", 100)
     _enough_trials(trials, 1)
     tree = parse_tree_spec(r.require("tree"))
-    stop = StopRule(max_steps=r.get("max-steps", 100_000), hit_depth=r.get("depth", math.inf),
+    depth = r.get("depth", math.inf)
+    if depth < math.inf:
+        _cut_depths([depth], tree.truncation_depth)
+    stop = StopRule(max_steps=r.get("max-steps", 100_000), hit_depth=depth,
                     root_returns=r.get("returns", math.inf))
-    if tree.truncation_depth < stop.hit_depth < math.inf:
-        raise InputError(f"depth {stop.hit_depth} exceeds the tree depth {tree.truncation_depth}")
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
     trajs = [simulate(env, stop, derive_seed(seed, 1, t)) for t in range(trials)]
@@ -380,14 +381,8 @@ def _run_simulate(r: Run) -> None:
 
 
 def _run_percolate(r: Run) -> None:
-    depths, depth = r.get("depths"), r.get("depth")
-    if depths is not None and depth is not None:
-        raise InputError("give --depth or --depths, not both")
-    if depth is not None:
-        depths = [depth]
-    elif depths is None:
-        raise InputError("missing required option --depth or --depths")
     tree = parse_tree_spec(r.require("tree"))
+    depths = _cut_depths(r.require("depths"), tree.truncation_depth)
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
     trials = r.get("trials", 10_000)
@@ -443,9 +438,11 @@ def _run_estimate_rt(r: Run) -> None:
 
 def _run_flow_check(r: Run) -> None:
     tree = parse_tree_spec(r.require("tree"))
+    L = tree.truncation_depth
+    depths = _cut_depths(r.get("depths", default_depths(L)), L)
     env = build_environment(tree, r.require("env"), r.seed())
     gamma = r.require("gamma")
-    rep = flow_energy_check(env, gamma, r.get("depths", default_depths(tree.truncation_depth)))
+    rep = flow_energy_check(env, gamma, depths)
     rows = [[row.depth, row.max_flow, row.flow_total, row.energy,
              row.support_edges] for row in rep.rows]
     for row in rep.rows:
@@ -636,7 +633,7 @@ COMMANDS: dict[str, Command] = {
     "simulate": Command("quenched walk trials with first-of stopping", _run_simulate,
                         (*_SAMPLED, "depth", "max-steps", "returns", *_OUT)),
     "percolate": Command("MC edge connection probabilities against the exact product",
-                         _run_percolate, (*_SAMPLED, "depth", "depths", *_OUT)),
+                         _run_percolate, (*_SAMPLED, "depths", *_OUT)),
     "estimate-br": Command("branching-ruin table from min cutset sums",
                            _run_estimate_br, _TABLE),
     "estimate-rt": Command("cutset table with ruin-product weights",

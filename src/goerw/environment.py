@@ -112,11 +112,11 @@ class AlphaDistribution:
 class Environment:
     """Bias assignment bound to one tree, with cached potential theory.
 
-    lam, mu and alpha (None outside the alpha family) are read-only float64
-    arrays by vertex id, each the environment's own copy (an alpha
-    environment's mu is its tree's shared Tree.ones), with the root's lam
-    and mu fixed at 1. Every non-root bias must be finite and positive; the
-    first vertex that is not is named.
+    lam and mu are read-only float64 arrays by vertex id, each the
+    environment's own copy, with the root's lam and mu fixed at 1. Every
+    non-root bias must be finite and positive; the first vertex that is not
+    is named. alpha is None; only environment_from_alpha sets it (a
+    read-only array) and shares its tree's Tree.ones as mu.
 
     The potential tables R, phi, psi and log Psi are flat float64 arrays
     indexed by vertex id, held in _pot. Nothing is computed before the
@@ -128,7 +128,7 @@ class Environment:
     tree: Tree
     lam: np.ndarray
     mu: np.ndarray
-    alpha: np.ndarray | None = None
+    alpha: np.ndarray | None = field(default=None, init=False)
     _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False)
     _trans: tuple[memoryview, Sequence[float]] | None = field(
@@ -153,9 +153,6 @@ class Environment:
                         raise InputError(f"biases must be positive, vertex {v}")
         lam.flags.writeable = mu.flags.writeable = False
         self.lam, self.mu = lam, mu
-        if self.alpha is not None:
-            self.alpha = np.array(self.alpha, dtype=np.float64)
-            self.alpha.flags.writeable = False
 
 
 def assign_deterministic(tree: Tree, lam: float = 1.0, mu: float = 1.0) -> Environment:

@@ -222,16 +222,11 @@ class Tree:
         out.reverse()
         return out
 
-    def vertices_at_depth(self, d: int) -> range:
-        if not 0 <= d <= self.truncation_depth:
-            raise InputError(f"tree has no vertices at depth {d}")
-        starts = self.levels.starts
-        return range(starts[d], starts[d + 1])
-
     def leftmost_at_depth(self, d: int) -> int:
-        """Smallest vertex id at depth d. Breadth-first ids make this the
-        leftmost vertex of the level."""
-        return self.vertices_at_depth(d).start
+        """The first (leftmost) id at depth d; a d outside 0..L is a bug."""
+        if not 0 <= d <= self.truncation_depth:
+            raise ValueError(f"tree has no vertices at depth {d}")
+        return self.levels.starts[d]
 
 
 # vertex cap of build_regular and build_polynomial

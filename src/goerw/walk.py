@@ -297,20 +297,21 @@ def simulate_rubin(env: Environment, stop: StopRule,
 
 
 def simulate_extension(env: Environment, clocks: ClockTable, target: int,
-                       stop: StopRule, record: bool = True) -> WalkTrajectory:
+                       stop: StopRule) -> WalkTrajectory:
     """Run the coupled extension on the root path of target, reading the
     same clock table as the full walk.
 
     The path is indexed by depth; hit_depth in the stop rule refers to that
     depth, so StopRule(hit_depth=|target|, root_returns=1) asks the ruin
     question directly: did the path walk reach the target before coming back
-    to the root. At the target the process reflects to the parent.
+    to the root. At the target the process reflects to the parent. It
+    records every position, as the coupling checks read them.
     """
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path = env.tree.root_path(target)
     return _extension_run(*map(memoryview, (env.tree.levels.first, env.lam, env.mu)), clocks,
-                          path, 0, [None] * len(path), 0, stop, [0] if record else None)
+                          path, 0, [None] * len(path), 0, stop, [0])
 
 
 def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,

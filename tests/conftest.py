@@ -70,7 +70,7 @@ def random_broom(rng: random.Random, max_edges: int = 20, max_depth: int = 5) ->
     edges += [(top + t.parent[v], top + v) for v in range(1, t.n_vertices)]
     tail = rng.randint(0, 3)
     nxt = top + t.n_vertices
-    for v in t.vertices_at_depth(t.truncation_depth):
+    for v in range(*t.levels.starts[t.truncation_depth:t.truncation_depth + 2]):
         end = top + v
         for _ in range(tail):
             edges.append((end, nxt))
@@ -357,8 +357,8 @@ def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
         u = np.random.default_rng(derive_seed(seed_base, lane, t, 0)).random(n)
         idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
         alpha = np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)]
-        alpha, lam, mu = ref_alpha_env(tree, alpha.tolist())
-        env = Environment(tree, lam, mu, alpha=alpha)
+        _, lam, mu = ref_alpha_env(tree, alpha.tolist())
+        env = Environment(tree, lam, mu)
         if tables is not None:
             tables.append(ref_tables(tree, lam, mu))
         traj = simulate_ref(env, stop, derive_seed(seed_base, lane, t, 1), record=False)

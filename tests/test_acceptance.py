@@ -347,7 +347,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         ["simulate", "--tree", "regular:d=3,L=6", "--env", "alpha:point=1",
          "--trials", "50", "--max-steps", "200", "--seed", "3"],
         ["percolate", "--tree", "regular:d=3,L=3", "--env", "alpha:point=1",
-         "--depth", "2", "--trials", "300", "--seed", "4"],
+         "--depths", "2", "--trials", "300", "--seed", "4"],
         ["estimate-br", "--tree", "poly:b=1.5,L=16",
          "--gamma-grid", "0.5:2.0:0.5"],
         ["estimate-rt", "--tree", "poly:b=1.2,L=8", "--env",

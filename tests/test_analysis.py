@@ -569,9 +569,9 @@ class TestPhaseDiagnostic:
         with pytest.raises(ValueError, match="trials"):
             phase_diagnostic(self.fam, dist, 0.1, 16, 10**4, 50, master_seed=1,
                              depth=20)
-        with pytest.raises(ValueError, match="escape depth"):
+        with pytest.raises(ValueError, match="^depth 0 is below 1$"):
             phase_diagnostic(self.fam, dist, 0.1, 0, 10**4, 100, master_seed=1,
                              depth=20)
-        with pytest.raises(ValueError, match="below the escape depth"):
+        with pytest.raises(ValueError, match="^depth 16 exceeds the tree depth 8$"):
             phase_diagnostic(self.fam, dist, 0.1, 16, 10**4, 100,
                              master_seed=1, depth=8)

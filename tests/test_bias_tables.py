@@ -154,10 +154,10 @@ class TestSharedLaterVisits:
         n = t.n_vertices
         alpha = np.full(n, 0.5)
         lam = (1.0 + alpha * t.float_degrees).tolist()
-        env = Environment(t, lam, np.full(n, 3.0), alpha=alpha)
+        env = Environment(t, lam, np.full(n, 3.0))
         pl = _transition_table(env)[1]
         assert pl is not t.parent_step and type(pl) is list
-        assert_tables_equal(env, [0.5] * n, [1.0, *lam[1:]], [1.0] + [3.0] * (n - 1))
+        assert_tables_equal(env, None, [1.0, *lam[1:]], [1.0] + [3.0] * (n - 1))
 
     @pytest.mark.parametrize("spec, shared", [
         ("det:lambda=2,mu=1", True), ("det:lambda=1,mu=1", True),
@@ -176,13 +176,21 @@ class TestStoredOnce:
     def test_read_only_float64_arrays(self):
         t = build_regular(3, 2)
         n = t.n_vertices
-        for env in (environment_from_alpha(t, [2.0] * n),
-                    Environment(t, [5.0] * n, np.full(n, 3.0), alpha=[0.5] * n)):
-            for table in (env.lam, env.mu, env.alpha):
-                assert type(table) is np.ndarray and table.dtype == np.float64
-                assert table.shape == (n,) and not table.flags.writeable
-                with pytest.raises(ValueError):
-                    table[1] = 7.0
+        fam = environment_from_alpha(t, [2.0] * n)
+        direct = Environment(t, [5.0] * n, np.full(n, 3.0))
+        assert direct.alpha is None
+        for table in (fam.lam, fam.mu, fam.alpha, direct.lam, direct.mu):
+            assert type(table) is np.ndarray and table.dtype == np.float64
+            assert table.shape == (n,) and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[1] = 7.0
+
+    def test_alpha_is_not_a_constructor_argument(self):
+        """Only environment_from_alpha sets alpha."""
+        t = build_regular(3, 2)
+        n = t.n_vertices
+        with pytest.raises(TypeError, match="alpha"):
+            Environment(t, [5.0] * n, [1.0] * n, alpha=[0.5] * n)
 
     def test_root_fix_leaves_the_input_alone(self):
         t = build_regular(3, 2)

@@ -149,7 +149,7 @@ class TestZeroPsi:
         assert out.splitlines()[2:] == ["Psi = 0.0", "c = 0.0"]
 
     def test_percolate(self, capsys):
-        code, out, err = run(capsys, "percolate", *self.ENV, "--depth", "3",
+        code, out, err = run(capsys, "percolate", *self.ENV, "--depths", "3",
                              "--trials", "200")
         assert (code, err) == (0, "") and "exact=0.0 p_hat=0.0" in out
 
@@ -316,7 +316,7 @@ class TestConfigFile:
 
 class TestOutputs:
     args = ("percolate", "--tree", "regular:d=3,L=3", "--env", "alpha:point=1",
-            "--depth", "2", "--trials", "300", "--seed", "9")
+            "--depths", "2", "--trials", "300", "--seed", "9")
 
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -364,8 +364,7 @@ class TestOutputs:
         edge = tree.leftmost_at_depth(2)
         master = derive_seed(9, 2, 2)
         want = sum(simulate_extension(env, ClockTable(derive_seed(master, i)), edge,
-                                      StopRule(max_steps=10**8, hit_depth=2, root_returns=1),
-                                      record=False).steps
+                                      StopRule(max_steps=10**8, hit_depth=2, root_returns=1)).steps
                    for i in range(300))
         assert doc["statistics"]["depths"]["2"]["steps"] == want
 
@@ -497,7 +496,7 @@ class TestOptionTable:
             assert accepted == set(cmd.options), sub
             total += len(accepted)
         capsys.readouterr()
-        assert total == 70
+        assert total == 69
         assert set(cli.TYPES) == {n for c in cli.COMMANDS.values() for n in c.options}
 
     def test_alias_takes_the_same_options(self, capsys):
@@ -573,7 +572,7 @@ class TestUsage:
 
     def test_small_trial_count_is_usage_error(self, capsys):
         code, _, err = run(capsys, "percolate", "--tree", "path:L=3",
-                           "--env", "det:mu=1", "--depth", "2",
+                           "--env", "det:mu=1", "--depths", "2",
                            "--trials", "50")
         assert code == 2 and "100" in err
 
@@ -590,12 +589,6 @@ class TestUsage:
         assert f"--mu entry 1 ({mu.split(',')[0]}) has no positive finite float" in err
         code, out, _ = run(capsys, "gambler", "--mu", mu, "--start", "1")
         assert code == 0 and out.splitlines() == [str(exact)]
-
-    def test_percolate_depth_and_depths_together_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "percolate", "--tree", "path:L=3",
-                             "--env", "det:mu=1", "--depth", "2", "--depths", "3")
-        assert code == 2 and out == ""
-        assert "--depth" in err and "--depths" in err
 
     SIMULATE = ["simulate", "--tree", "path:L=4", "--env", "det:mu=1"]
     CONCENTRATION = ["concentration", "--tree", "path:L=16", "--env",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goerw.analysis as analysis
 import goerw.cli as cli
 import goerw.percolation as percolation
 from goerw.cli import main
@@ -78,8 +79,6 @@ BAD_ARGV = [
     ("depths-0", "estimate-br --tree path:L=16 --depths 0", "--depths: depth 0 is below 1"),
     ("depth-past-tree", "estimate-br --tree poly:b=1.2,L=4 --depths 5",
      "depth 5 exceeds the tree depth 4"),
-    ("depth-and-depths", "percolate --tree path:L=3 --env det:mu=1 --depth 2 --depths 3",
-     "give --depth or --depths, not both"),
     ("br-on-depth-0", "estimate-br --tree poly:b=1.5,L=0", "error: depth 0 is below 1"),
     ("rt-on-depth-0", "estimate-rt --tree poly:b=1.5,L=0 --env alpha:point=1",
      "error: depth 0 is below 1"),
@@ -96,6 +95,8 @@ BAD_ARGV = [
     ("unwritable-output", "gen-tree --tree path:L=4 --output {tmp}/F/tree.txt",
      "cannot write {tmp}/F/tree.txt"),
     ("undeclared-flag", f"{SIM} det:mu=1 --horizon 5", "unrecognized arguments: --horizon 5"),
+    ("percolate-depth", "percolate --tree path:L=3 --env det:mu=1 --depth 2",
+     "unrecognized arguments: --depth 2"),
     ("config-unknown-key", "--config {tmp}/unknown.ini simulate --tree path:L=4",
      "unknown config key 'bogus'"),
     ("config-trials-0", "--config {tmp}/trials.ini simulate --tree path:L=4 --env det:mu=1",
@@ -144,17 +145,17 @@ BAD_ARGV = [
     ("gambler-negative-seed", "gambler --mu 2,2 --start 1 --trials 100 --seed -1",
      "seed must be at least 0, got -1"),
     ("edge-past-tree", "compute-psi --tree path:L=3 --env det:mu=1 --edge-depth 9",
-     "tree has no vertices at depth 9"),
-    ("few-trials", "percolate --tree path:L=3 --env det:mu=1 --depth 2 --trials 50",
+     "depth 9 exceeds the tree depth 3"),
+    ("few-trials", "percolate --tree path:L=3 --env det:mu=1 --depths 2 --trials 50",
      "need at least 100 trials"),
     ("trials-past-ceiling-gambler", "gambler --mu 2,2 --start 1 --trials 99999999999999999999",
      "need at most 10000000 trials, got 99999999999999999999"),
-    ("trials-past-ceiling-percolate", "percolate --tree path:L=4 --env det:mu=1 --depth 2 "
+    ("trials-past-ceiling-percolate", "percolate --tree path:L=4 --env det:mu=1 --depths 2 "
      "--trials 99999999999999999999", "need at most 10000000 trials, got 99999999999999999999"),
     ("probe-past-tree", "simulate --tree path:L=3 --env det:mu=1 --depth 9 --trials 2 "
      "--max-steps 10", "depth 9 exceeds the tree depth 3"),
     ("escape-past-tree", "phase-scan --tree poly:b=1.2,L=16 --env alpha:point=1 "
-     "--escape-depth 32", "tree depth cannot be below the escape depth"),
+     "--escape-depth 32", "depth 32 exceeds the tree depth 16"),
     ("two-parents", f"{WALK} file:{{tmp}}/parents.txt",
      "vertex 2 has two parents; not a tree"),
 ]
@@ -222,6 +223,43 @@ def test_trial_ceiling_comes_before_any_environment(monkeypatch, argv):
         2, "", "error: need at most 10000000 trials, got 99999999999999999999\n")
     with pytest.raises(AssertionError, match="ceiling"):
         exit_code(shlex.split(f"{argv} --trials 10000000"))
+
+
+# every command that reads a depth, given one past its tree's depth L
+DEPTH_PAST_THE_TREE = [
+    ("simulate", "simulate --tree path:L=3 --env det:mu=1 --depth 4", 4, 3),
+    ("percolate", "percolate --tree path:L=3 --env det:mu=1 --depths 4", 4, 3),
+    ("percolate-valid-first", "percolate --tree regular:d=3,L=5 --env alpha:point=1 "
+     "--depths 5,9 --trials 2000000", 9, 5),
+    ("compute-psi", "compute-psi --tree path:L=3 --env det:mu=1 --edge-depth 4", 4, 3),
+    ("phase-scan", "phase-scan --tree poly:b=1.2,L=16 --env alpha:point=1 "
+     "--escape-depth 17", 17, 16),
+    ("estimate-br", "estimate-br --tree poly:b=1.2,L=16 --depths 8,17", 17, 16),
+    ("estimate-rt", "estimate-rt --tree poly:b=1.2,L=16 --env alpha:point=1 --depths 8,17",
+     17, 16),
+    ("flow-check", "flow-check --tree poly:b=1.2,L=16 --env alpha:point=1 --gamma 1.5 "
+     "--depths 8,17", 17, 16),
+    ("concentration", "concentration --tree path:L=16 --env alpha:two=0,3,0.5 "
+     "--depths 8,17 --epsilon 0.5", 17, 16),
+]
+
+
+@pytest.mark.parametrize("argv,depth,L", [pytest.param(a, d, L, id=i)
+                                          for i, a, d, L in DEPTH_PAST_THE_TREE])
+def test_a_depth_past_the_tree_is_refused_before_any_work(monkeypatch, argv, depth, L):
+    """One rule (tree._cut_depths) and one message for every depth a command
+    reads, checked before an environment is built, a walk or a trial run or
+    a table computed, whichever depth of a list is the bad one."""
+    calls = []
+    for owner, name in [(cli, "build_environment"), (analysis, "sample_random_environment"),
+                        (percolation, "sample_random_environment"), (cli, "simulate"),
+                        (analysis, "simulate"), (cli, "edge_connection_probability_mc"),
+                        (percolation, "extension_reach"), (cli, "branching_ruin_estimate"),
+                        (cli, "rt_estimate"), (cli, "flow_energy_check")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+    code, out, err = exit_code(shlex.split(argv))
+    assert (code, out, err) == (2, "", f"error: depth {depth} exceeds the tree depth {L}\n")
+    assert calls == []
 
 
 def test_an_undotted_and_a_dotted_key_are_two_keys(tmp_path):

@@ -43,8 +43,7 @@ def edge_open_ref(env, table, v):
     traj = simulate_extension(
         env, table, v,
         StopRule(max_steps=percolation._EXTENSION_CAP,
-                 hit_depth=env.tree.depth[v], root_returns=1),
-        record=False,
+                 hit_depth=env.tree.depth[v], root_returns=1)
     )
     if traj.stop_reason == "max_steps":
         return None
@@ -91,8 +90,7 @@ def steps_ref(env, edge, trials, master_seed):
         simulate_extension(
             env, ClockTable(derive_seed(master_seed, i)), edge,
             StopRule(max_steps=percolation._EXTENSION_CAP,
-                     hit_depth=env.tree.depth[edge], root_returns=1),
-            record=False).steps
+                     hit_depth=env.tree.depth[edge], root_returns=1)).steps
         for i in range(trials))
 
 
@@ -211,8 +209,7 @@ class TestWorkCounters:
                 restart += simulate_extension(
                     env, table, end,
                     StopRule(max_steps=percolation._EXTENSION_CAP,
-                             hit_depth=t.depth[end], root_returns=1),
-                    record=False).steps
+                             hit_depth=t.depth[end], root_returns=1)).steps
             assert 0 < s.steps <= restart
             shorter += s.steps < restart
         assert shorter > 0
@@ -321,8 +318,7 @@ class TestOneRunPerPath:
                 traj = simulate_extension(
                     env, ClockTable(derive_seed(90 + k, i)), a,
                     StopRule(max_steps=percolation._EXTENSION_CAP,
-                             hit_depth=t.depth[a], root_returns=1),
-                    record=False)
+                             hit_depth=t.depth[a], root_returns=1))
                 conditioned += traj.stop_reason != "max_steps" and traj.max_depth >= ds
             runs.clear()
             try:
@@ -372,8 +368,7 @@ class TestCapHits:
         for i in range(400):
             traj = simulate_extension(
                 env, ClockTable(derive_seed(80, i)), edge,
-                StopRule(max_steps=self.CAP, hit_depth=4, root_returns=1),
-                record=False)
+                StopRule(max_steps=self.CAP, hit_depth=4, root_returns=1))
             capped += traj.stop_reason == "max_steps"
             closed += traj.stop_reason == "root_returns"
         assert capped > 0 and closed > 0
@@ -406,7 +401,7 @@ class TestCapHits:
         """Two depth-5 edges in different root subtrees: the conditioning is
         empty, so every trial is kept unless a run capped."""
         t, env = ternary_excited(5)
-        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        a, b = t.levels.starts[5], t.levels.starts[6] - 1
         monkeypatch.setattr(percolation, "_EXTENSION_CAP", 6)
         rep = quasi_independence_statistic(env, a, b, 2000, master_seed=17)
         assert rep.invalid_runs > 0
@@ -416,7 +411,7 @@ class TestCapHits:
         """Same pair at 4,000 trials: 868 invalid trials bias p_a to 0.0057
         against 0.054 uncapped, so the report may not claim holds."""
         t, env = ternary_excited(5)
-        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        a, b = t.levels.starts[5], t.levels.starts[6] - 1
         monkeypatch.setattr(percolation, "_EXTENSION_CAP", 6)
         rep = quasi_independence_statistic(env, a, b, 4000, master_seed=17)
         assert (rep.invalid_runs, rep.invalid_fraction) == (868, 868 / 4000)
@@ -426,7 +421,7 @@ class TestCapHits:
     def test_invalid_fraction_limit(self, monkeypatch):
         """holds survives invalid trials up to 1% of those attempted."""
         t, env = ternary_excited(5)
-        a, b = t.vertices_at_depth(5)[0], t.vertices_at_depth(5)[-1]
+        a, b = t.levels.starts[5], t.levels.starts[6] - 1
         for n_invalid, holds in ((0, True), (1, True), (2, False)):
             def first_lanes_capped(env, target, seeds, cap):
                 reach, capped, steps = extension_reach(env, target, seeds, cap)

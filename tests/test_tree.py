@@ -46,7 +46,7 @@ from conftest import cut_dp_ref, enumerate_cutsets, random_broom, random_tree, w
 
 
 def level_sizes(t):
-    return [len(t.vertices_at_depth(d)) for d in range(t.truncation_depth + 1)]
+    return [len(range(*t.levels.starts[d:d + 2])) for d in range(t.truncation_depth + 1)]
 
 
 def full_binary(depth):
@@ -406,7 +406,7 @@ class TestChildSums:
     @staticmethod
     def loop(t, row, d):
         out = []
-        for v in t.vertices_at_depth(d):
+        for v in range(*t.levels.starts[d:d + 2]):
             total = 0.0
             for c in t.children[v]:
                 total += row[c - t.levels.starts[d + 1]]
@@ -709,3 +709,7 @@ class TestTreeFile:
         assert t.leftmost_at_depth(2) == 4
         with pytest.raises(ValueError):
             build_path(2).leftmost_at_depth(9)
+        # the level past the tree and a negative depth name no vertex
+        for d in (3, -1):
+            with pytest.raises(ValueError, match=f"^tree has no vertices at depth {d}$"):
+                t.leftmost_at_depth(d)

@@ -573,8 +573,7 @@ def scalar_runs(env, target, seeds, cap):
     for s in seeds.tolist():
         traj = simulate_extension(
             env, ClockTable(s), target,
-            StopRule(max_steps=cap, hit_depth=env.tree.depth[target], root_returns=1),
-            record=False)
+            StopRule(max_steps=cap, hit_depth=env.tree.depth[target], root_returns=1))
         out.append((traj.max_depth, traj.stop_reason == "max_steps", traj.steps))
     return out
 
@@ -667,7 +666,7 @@ class TestLockstep:
             lam = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
             mu = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
             env = Environment(t, lam, mu)
-            targets = {rng.choice(t.vertices_at_depth(d))
+            targets = {rng.choice(range(*t.levels.starts[d:d + 2]))
                        for d in range(1, t.truncation_depth + 1)}
             targets |= {v for v in range(1, t.n_vertices) if not t.children[v]}
             for target in sorted(targets):
