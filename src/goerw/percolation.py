@@ -66,8 +66,9 @@ class PercolationSample:
     construction, since one run decides a whole root path; the coupling
     that makes this exact is checked against one run per edge in
     tests/test_percolation.py (TestOneRunPerPath). runs is the number of
-    extension runs (one per chain head) and steps the extension steps they
-    executed; both depend only on the environment and the seeds."""
+    extension runs (one per chain head), steps the extension steps they
+    executed and clocks the distinct clocks the sample's table computed;
+    all three depend only on the environment and the seeds."""
 
     open_edges: list[bool]
     root_cluster: frozenset[int]
@@ -75,6 +76,7 @@ class PercolationSample:
     monotone_violations: int
     runs: int = 0
     steps: int = 0
+    clocks: int = 0
 
 
 def sample_ruin_percolation(env: Environment, master_seed: int,
@@ -92,11 +94,11 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
 
     No run restarts at the root: until its first arrival at x, the run for
     c takes the steps of the run that opened x, on the same clocks, so it
-    starts from that run's race states above x and step count there (the
-    step cap binds where a restart's would). The clock table keeps every
-    clock value it has computed, so a clock that several runs read is
-    hashed once. The runs stay scalar: on one clock table the lockstep
-    kernel would run each chain as its own lane.
+    starts from that run's race states above x, pending times included,
+    and step count there (the step cap binds where a restart's would). The
+    clock table keeps every clock value it has computed, so a clock that
+    several runs read is hashed once. The runs stay scalar: on one clock
+    table the lockstep kernel would run each chain as its own lane.
     """
     tree = env.tree
     depth, first = tree.depth, memoryview(tree.levels.first)
@@ -131,7 +133,8 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
             if i in want:
                 snap = (path[:i + 1], *want[i])
                 stack.extend((c, snap) for c in range(first[x] + 1, first[x + 1]))
-    return PercolationSample(open_edges, frozenset(cluster), valid, 0, runs, steps)
+    return PercolationSample(open_edges, frozenset(cluster), valid, 0, runs, steps,
+                             len(table._clock))
 
 
 @dataclass

@@ -22,15 +22,19 @@ Three ways to run it:
   j=1 clock skipped (its later-visit race starts at j=2), everyone else
   starts at j=1. Running totals per direction make this exactly the
   classical race: consumed time accumulates, and each comparison is between
-  totals since the vertex was first left. No command runs it: it is the
+  totals since the vertex was first left. As in Gibson and Bruck's
+  next-reaction method, each direction keeps its pending time (total plus
+  next clock over rate) from the race that first needs it until it wins, so
+  a later visit reads at most one clock. No command runs it: it is the
   full walk that the coupling checks (criterion 02, the benchmark's
   cluster replay) restrict to a path.
 - simulate_extension: a walk on a single root path that reads the same
   clock table. At a fresh interior vertex it first checks which neighbor of
   the full tree would have won the excited race; if that winner is on the
   path it moves there (skipping that direction's j=1 clock), otherwise it
-  races the two on-path j=1 clocks under the later-visit rates and consumes
-  the winner. Later visits race the two on-path running totals. At the root
+  races the two on-path j=1 clocks under the later-visit rates, consumes
+  the winner and keeps the loser's pending time. Later visits race the two
+  on-path pending times, kept as in simulate_rubin. At the root
   it always moves down the path, and at the path's end it reflects.
   One runner (_extension_run) holds this race: simulate_extension starts it
   at the root for the coupling checks, and the percolation sampler
@@ -60,8 +64,9 @@ An unset probe depth or return count is math.inf, which no run reaches.
 
 All randomness is derived from explicit integer seeds by a splitmix-style
 mixer, so every run is reproducible bit for bit across platforms. A
-ClockTable keeps every clock value it has computed, not only each
-direction's hash prefix, so runs that share a table hash a clock once.
+ClockTable keeps three memo levels: the hash of (seed, v) per vertex, of
+(seed, v, u) per direction and every clock value, so a new direction costs
+one hash and runs that share a table hash a clock once.
 """
 
 from __future__ import annotations
@@ -114,16 +119,18 @@ class ClockTable:
     the same table read literally the same numbers; that is the whole
     coupling. The table computes each clock on its first read and keeps
     every value it returns, keyed by (v, u, j), so a later read of it
-    hashes nothing; it also keeps the hash of (seed, v, u) of each direction
-    asked for, so a new clock costs one _splitmix, not three. Both grow with
+    hashes nothing; it also keeps the hash of (seed, v) of each vertex and
+    of (seed, v, u) of each direction asked for, so a new clock costs one
+    _splitmix, and a new direction one more, not two. All three grow with
     the distinct clocks read over the table's life (one percolation sample
     or one walk) and go with the table.
     """
 
-    __slots__ = ("seed", "_prefix", "_clock")
+    __slots__ = ("seed", "_vertex", "_prefix", "_clock")
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
+        self._vertex: dict[int, int] = {}
         self._prefix: dict[tuple[int, int], int] = {}
         self._clock: dict[tuple[int, int, int], float] = {}
 
@@ -132,7 +139,10 @@ class ClockTable:
         if x is None:
             h = self._prefix.get((v, u))
             if h is None:
-                h = self._prefix[v, u] = _splitmix(_splitmix(self.seed ^ v) ^ (u << 20))
+                g = self._vertex.get(v)
+                if g is None:
+                    g = self._vertex[v] = _splitmix(self.seed ^ v)
+                h = self._prefix[v, u] = _splitmix(g ^ (u << 20))
             h = _splitmix(h ^ j)
             x = self._clock[v, u, j] = -math.log(((h >> 11) + 0.5) * (2.0 ** -53))
         return x
@@ -234,7 +244,9 @@ def simulate_rubin(env: Environment, stop: StopRule,
     """Run the walk by racing exponential clocks, recording every position.
 
     Per visited vertex the race state is (neighbors, running totals, next
-    clock index per direction). Neighbors are listed parent first then
+    clock indices, pending times) per direction. A pending time, the total
+    plus the next clock over the rate, is None until a later race needs it
+    and again once its direction wins. Neighbors are listed parent first then
     children, which is ascending id order, so a strict minimum scan breaks
     the measure-zero ties toward the lowest id.
     """
@@ -261,24 +273,24 @@ def simulate_rubin(env: Environment, stop: StopRule,
                 if val < best:
                     best = val
                     widx = i
-            elapsed = [0.0] * len(neis)
             nxt = [1] * len(neis)
             nxt[widx] = 2  # the excited winner's j=1 clock is never raced
-            state[v] = (neis, elapsed, nxt)
+            state[v] = (neis, [0.0] * len(neis), nxt, [None] * len(neis))
             v = neis[widx]
         else:
-            neis, elapsed, nxt = st
-            muv = mu[v]
+            neis, elapsed, nxt, pending = st
             best = math.inf
             widx = 0
-            for i, u in enumerate(neis):
-                pend = elapsed[i] + (xi(v, u, nxt[i]) / muv if (v and i == 0)
-                                     else xi(v, u, nxt[i]))
-                if pend < best:
-                    best = pend
+            for i, p in enumerate(pending):
+                if p is None:
+                    x = xi(v, neis[i], nxt[i])
+                    p = pending[i] = elapsed[i] + (x / mu[v] if (v and i == 0) else x)
+                if p < best:
+                    best = p
                     widx = i
             elapsed[widx] = best
             nxt[widx] += 1
+            pending[widx] = None
             v = neis[widx]
         steps += 1
         positions.append(v)
@@ -322,7 +334,9 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
     steps and no root return, reading lam, mu and the child offsets first
     through memoryviews (of the environment's arrays and Levels.first).
     states[i] is index i's race state, [total_up, total_down, next_j_up,
-    next_j_down] or None before its first visit, updated in place;
+    next_j_down, pending_up, pending_down] or None before its first visit,
+    updated in place; a pending time (total plus next clock over rate) is
+    None until a race needs it and again once its side wins;
     positions, unless None, gets each position. The first arrival at an
     index i in snaps stores there (copies of states[1:i], steps), from
     which a run on another path through path[i] can start."""
@@ -352,32 +366,39 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
                         best = val
                         gwin = w
                 if gwin == par:
-                    states[pos] = [0.0, 0.0, 2, 1]
+                    states[pos] = [0.0, 0.0, 2, 1, None, None]
                     pos -= 1
                 elif gwin == dn:
-                    states[pos] = [0.0, 0.0, 1, 2]
+                    states[pos] = [0.0, 0.0, 1, 2, None, None]
                     pos += 1
                 else:
                     # excited step went off the path: race the two on-path
-                    # j=1 clocks under later-visit rates and consume the winner
+                    # j=1 clocks under later-visit rates, consume the winner
+                    # and keep the loser's (a total of 0.0 plus it is itself)
                     a = xi(u, par, 1) / mu[u]
                     b = xi(u, dn, 1)
                     if a <= b:
-                        states[pos] = [a, 0.0, 2, 1]
+                        states[pos] = [a, 0.0, 2, 1, None, b]
                         pos -= 1
                     else:
-                        states[pos] = [0.0, b, 1, 2]
+                        states[pos] = [0.0, b, 1, 2, a, None]
                         pos += 1
             else:
-                a = st[0] + xi(u, par, st[2]) / mu[u]
-                b = st[1] + xi(u, dn, st[3])
+                a = st[4]
+                if a is None:
+                    a = st[4] = st[0] + xi(u, par, st[2]) / mu[u]
+                b = st[5]
+                if b is None:
+                    b = st[5] = st[1] + xi(u, dn, st[3])
                 if a <= b:
                     st[0] = a
                     st[2] += 1
+                    st[4] = None
                     pos -= 1
                 else:
                     st[1] = b
                     st[3] += 1
+                    st[5] = None
                     pos += 1
         steps += 1
         if positions is not None:
@@ -436,6 +457,7 @@ def _xi_array(h: np.ndarray, log=lambda u: _each(math.log, u)) -> np.ndarray:
     return -log(((h >> _S11) + 0.5) * (2.0 ** -53))
 
 
+@np.errstate(over="ignore")  # a clock over a tiny lam or mu is +inf, as in the scalar run
 def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                     cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """simulate_extension toward target under StopRule(max_steps=cap,
@@ -451,7 +473,8 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     visit iff past the deepest index it has left. The excited race keeps no
     value: np.log's clocks rank it unless two are within 1e-9 relative. A
     batch down to _HANDOFF_LANES live lanes resumes each on _extension_run
-    from its cells' race states (None past the deepest index it has left)."""
+    from its cells' race states, with no pending time kept (None past the
+    deepest index it has left)."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
@@ -516,7 +539,8 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         for j, p, lf in zip(lane.tolist(), pos.tolist(), left.tolist()):
             c = slice(j * k + 1, j * k + lf + 1)
             states = [None] * (k + 1)
-            states[1:lf + 1] = map(list.__add__, total[c].tolist(), nxt[c].tolist())
+            states[1:lf + 1] = ([*tot, *nx, None, None]
+                                for tot, nx in zip(total[c].tolist(), nxt[c].tolist()))
             run = _extension_run(first, lam, mu, ClockTable(int(seeds[lo + j])),
                                  path, p, states, t, stop)
             reach[lo + j] = max(run.max_depth, lf)

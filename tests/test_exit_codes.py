@@ -287,11 +287,17 @@ def test_an_overflowing_alpha_law_prints_only_the_refusal():
     "--depths 1,2,3",
     "simulate --tree regular:d=3,L=5 --env det:lambda=1e-300 --seed 3 --trials 100 "
     "--depth 3 --max-steps 1000 --returns 2",
-], ids=["estimate-rt", "flow-check", "simulate"])
+    "percolate --tree regular:d=3,L=3 --env det:lambda=1e-308,mu=1 --depths 3 --trials 100 "
+    "--seed 1",
+    "percolate --tree regular:d=3,L=3 --env det:lambda=1,mu=1e-320 --depths 3 --trials 100 "
+    "--seed 1",
+], ids=["estimate-rt", "flow-check", "simulate", "percolate-tiny-lambda", "percolate-tiny-mu"])
 def test_valid_input_prints_no_numpy_warning(argv):
-    """gamma * log Psi overflows to -inf, whose weight 0 is right, and at a
-    leaf (1e-300 + 1) - 1 is 0, whose parent step is set to 1: numpy's
-    warnings (errors under the test suite's warning filter) stay silent."""
+    """gamma * log Psi overflows to -inf, whose weight 0 is right; at a
+    leaf (1e-300 + 1) - 1 is 0, whose parent step is set to 1; and a clock
+    over a tiny lam or mu overflows to +inf, which ranks as the scalar
+    run's inf does: numpy's warnings (errors under the test suite's warning
+    filter) stay silent."""
     code, out, err = exit_code(shlex.split(argv))
     assert (code, err) == (0, "")
     assert out

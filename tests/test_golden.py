@@ -3,10 +3,12 @@
 Each pin is the digest of one artifact: the stdout and written files of a
 README recipe run exactly as the README writes it (the JSON timestamp
 removed), the potential, parent-step and conductance tables as raw float64
-bytes on the trees and laws of test_bias_tables.py, and the rows of the
-three cutset and flow tables on fixed inputs. A change that moves any
-number the program prints or tabulates moves a pin; a change that does so
-on purpose records the pins again and says which moved and why.
+bytes on the trees and laws of test_bias_tables.py, the rows of the three
+cutset and flow tables on fixed inputs, and what the walk kernels and the
+percolation sampler return on the benchmark's trees and laws under fixed
+seeds. A change that moves any number the program prints, tabulates or
+samples moves a pin; a change that does so on purpose records the pins
+again and says which moved and why.
 """
 
 import hashlib
@@ -19,8 +21,11 @@ import pytest
 import goerw.cli as cli
 from goerw.analysis import flow_energy_check
 from goerw.environment import _conductance, _potentials, _transition_table, rt_estimate
+from goerw.percolation import sample_ruin_percolation
 from goerw.tree import (DEFAULT_GAMMAS, branching_ruin_estimate, default_depths,
                         path_family, polynomial_family, regular_family)
+from goerw.walk import (ClockTable, StopRule, derive_seed, derive_seeds, extension_reach,
+                        simulate, simulate_extension, simulate_rubin)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -73,6 +78,14 @@ ROW_PINS = {
     "rt_estimate": "486d68cd38e1cc7352ea44d296b49290cd9783aa0cb393638ffcd2b121526f27",
     "branching_ruin_estimate": "145057fbb7697a72c4015ef19a229584979452cf35507d0c4284196570e5b016",
     "flow_energy_check": "f21ac38d338668e00cd79b97721bb3135c9ca481dc41be1e27bcc2107323f8b7",
+}
+
+WALK_PINS = {
+    "simulate": "bad886b6741e2b1b955563d6d4fff0595830379f70b6ab9f23137335deab3e5d",
+    "extension_reach": "b784b127f2edc38b3f7409edc74107a549d53723b31ddec0bdc3baa1338aabde",
+    "sample_ruin_percolation": "96aea18001c8072b58a30a0690d4c2fd84f1d11df7783a4dc4cba0f93e59a720",
+    "simulate_rubin": "10a7c5a3c4e7215c17c08bc73ae1e5d965fcd7906e87619b028b7ff483047480",
+    "simulate_extension": "999f53dee8c3bb8fd17a231a8a34cb24c28e1332fe22447df1a611ea9e012426",
 }
 
 
@@ -163,3 +176,56 @@ def rows(kind: str) -> list:
 def test_table_rows(kind):
     # repr of a float is the shortest text that reads back to it
     assert digest([repr(rows(kind)).encode()]) == ROW_PINS[kind]
+
+
+def env_of(tree_spec: str, law: str, seed: int):
+    return cli.build_environment(cli.parse_tree_spec(tree_spec), law, seed)
+
+
+def walk_bytes(kind: str):
+    if kind == "simulate":
+        # phase-annealed's tree and law, each stop reason met, and a law
+        # with mu != 1, whose later visits read their own list
+        env = env_of("poly:b=1.2,L=64", "alpha:two=0,3,0.5", 3)
+        stops = [StopRule(100_000, 48, 10), StopRule(3000, 48, 2), StopRule(1000, 20, 10)]
+        runs = [(env, stop) for stop in stops]
+        runs.append((env_of("regular:d=3,L=5", "det:lambda=2.5,mu=0.3", 0), StopRule(500, 5, 3)))
+        for env, stop in runs:
+            for t in range(100):
+                w = simulate(env, stop, derive_seed(5, t))
+                yield repr((w.steps, w.root_returns, w.max_depth, w.stop_reason)).encode()
+    elif kind == "extension_reach":
+        # edge-mc's tree and law toward every depth, and cluster's tree and
+        # law toward its last leaf under a cap that binds
+        env = env_of("regular:d=3,L=5", "alpha:point=1", 0)
+        runs = [(env, env.tree.leftmost_at_depth(d), 10_000_000) for d in range(1, 6)]
+        env = env_of("regular:d=3,L=7", "alpha:two=0,3,0.5", 1)
+        runs.append((env, env.tree.n_vertices - 1, 20))
+        for env, target, cap in runs:
+            yield from (a.tobytes() for a in extension_reach(env, target, derive_seeds(7, 2000), cap))
+    elif kind == "sample_ruin_percolation":
+        for s in range(3):
+            env = env_of("regular:d=3,L=7", "alpha:two=0,3,0.5", s)
+            for i in range(3):
+                sample = sample_ruin_percolation(env, 40, i)
+                yield bytes(sample.open_edges)
+                yield repr((sample.valid, sample.runs, sample.steps)).encode()
+    else:
+        # cluster's tree and law, and a law with mu != 1 that a later visit
+        # divides by; the extension runs toward a deep vertex of each subtree
+        for law in ("alpha:two=0,3,0.5", "det:lambda=2.5,mu=0.3"):
+            env = env_of("regular:d=3,L=7", law, 2)
+            targets = [env.tree.leftmost_at_depth(7), env.tree.n_vertices - 1, 200]
+            for i in range(20):
+                table = ClockTable(derive_seed(9, i))
+                if kind == "simulate_rubin":
+                    yield repr(simulate_rubin(env, StopRule(300), table).positions).encode()
+                else:
+                    for target in targets:
+                        w = simulate_extension(env, table, target, StopRule(300))
+                        yield repr(w.positions).encode()
+
+
+@pytest.mark.parametrize("kind", WALK_PINS)
+def test_walk_kernels(kind):
+    assert digest(walk_bytes(kind)) == WALK_PINS[kind]

@@ -189,9 +189,26 @@ class TestSample:
 
 
 class TestWorkCounters:
-    """runs and steps count the work a sample did, deterministically: one
-    run per chain head, and only the steps each run executed, not the
-    prefix it resumed past."""
+    """runs, steps and clocks count the work a sample did, deterministically:
+    one run per chain head, only the steps each run executed, not the
+    prefix it resumed past, and the distinct clocks its table computed."""
+
+    def test_clocks_are_the_tables_distinct_clocks(self, rng, monkeypatch):
+        tables = []
+
+        def table(seed, real=ClockTable):
+            tables.append(real(seed))
+            return tables[-1]
+
+        monkeypatch.setattr(percolation, "ClockTable", table)
+        counted = 0
+        for k in range(30):
+            _, env = random_env(rng)
+            s = sample_ruin_percolation(env, master_seed=96, sample_index=k)
+            assert s.clocks == len(tables[-1]._clock)
+            assert sample_ruin_percolation(env, master_seed=96, sample_index=k) == s
+            counted += s.clocks > 0
+        assert counted > 20
 
     def test_runs_and_steps(self, rng):
         shorter = 0

@@ -118,9 +118,9 @@ class TestClockPrefixCache:
         assert t._prefix.keys() == {(v, u) for v, u, _ in wanted}
 
     def test_a_cluster_sample_hashes_each_clock_once(self, monkeypatch):
-        """One sample on the cluster benchmark's tree: 2 hashes per
-        direction for its prefix, then 1 per distinct clock, however often
-        the sample's runs read it."""
+        """One sample on the cluster benchmark's tree: 1 hash per vertex, 1
+        more per direction for its prefix, then 1 per distinct clock,
+        however often the sample's runs read it."""
         tree = cli.parse_tree_spec("regular:d=3,L=7")
         env = cli.build_environment(tree, "alpha:two=0,3,0.5", 12)
         want = percolation.sample_ruin_percolation(env, 40, 3)
@@ -146,8 +146,36 @@ class TestClockPrefixCache:
         got = percolation.sample_ruin_percolation(env, 40, 3)
         assert got == want
         (t,) = tables
-        assert len(hashes) == 2 * len(t._prefix) + len(t._clock)
+        assert len(hashes) == len(t._vertex) + len(t._prefix) + len(t._clock)
         assert t._clock.keys() == set(reads) and len(reads) > len(t._clock)
+
+
+class TestPendingTimes:
+    """A later visit races each direction's pending time, computed the first
+    time it is needed and kept until that direction wins, so a run reads
+    each clock once: a later race reads at most the last winner's next
+    clock, and the off-path excited step keeps the loser of its race."""
+
+    @pytest.mark.parametrize("law", ["alpha:two=0,3,0.5", "det:lambda=2.5,mu=0.3"])
+    def test_a_run_reads_each_clock_once(self, law, monkeypatch):
+        reads = []
+
+        def xi(self, v, u, j, real=ClockTable.xi):
+            reads.append((v, u, j))
+            return real(self, v, u, j)
+
+        monkeypatch.setattr(ClockTable, "xi", xi)
+        env = cli.build_environment(cli.parse_tree_spec("regular:d=3,L=5"), law, 1)
+        target = env.tree.n_vertices - 1
+        later = 0
+        for i in range(20):
+            for run in (lambda t: simulate_rubin(env, StopRule(300), t),
+                        lambda t: simulate_extension(env, t, target, StopRule(300))):
+                reads.clear()
+                run(ClockTable(derive_seed(8, i)))
+                assert len(reads) == len(set(reads))
+                later += sum(j > 1 for _, _, j in reads)
+        assert later > 1000
 
 
 class TestDirectLaw:
@@ -701,6 +729,18 @@ class TestLockstep:
             seeds = derive_seeds(11, 101)
             assert (lockstep_runs(env, target, seeds, 10_000_000)
                     == scalar_runs(env, target, seeds, 10_000_000))
+
+    @pytest.mark.parametrize("law", ["det:lambda=1e-308,mu=1", "det:lambda=1,mu=1e-320"])
+    def test_clocks_over_a_tiny_rate_overflow_silently(self, law):
+        """A clock over lam 1e-308 or mu 1e-320 is +inf in the lockstep
+        sweeps as in the scalar run, so the runs stay ==, and numpy's
+        overflow warning (an error under the test suite's warning filter)
+        stays silent."""
+        env = cli.build_environment(cli.parse_tree_spec("regular:d=3,L=3"), law, 1)
+        seeds = derive_seeds(1, 100)
+        for target in (env.tree.leftmost_at_depth(3), env.tree.n_vertices - 1):
+            got = lockstep_runs(env, target, seeds, 10_000_000)
+            assert got == scalar_runs(env, target, seeds, 10_000_000)
 
     def test_needs_non_root_target(self):
         env = assign_deterministic(build_path(2))
