@@ -50,8 +50,8 @@ class GamblerChain:
 
     From site i the chain steps to i-1 with probability mu[i-1]/(1+mu[i-1])
     and to i+1 otherwise; mu lists the down/up bias ratio at the interior
-    sites 1..N-1. Entries may be any numeric type supporting arithmetic
-    (floats, Fractions, Decimals).
+    sites 1..N-1, each positive and finite, of any numeric type (floats,
+    Fractions, Decimals). N is at least 2; a bad value is an InputError.
     """
 
     N: int
@@ -60,14 +60,14 @@ class GamblerChain:
 
     def __post_init__(self):
         if self.N < 2:
-            raise ValueError("chain needs N >= 2")
+            raise InputError(f"chain needs at least two sites (N >= 2), got N = {self.N}")
         if len(self.mu) != self.N - 1:
             raise ValueError(f"need {self.N - 1} interior biases, got {len(self.mu)}")
         if not 0 <= self.start <= self.N:
             raise InputError("start must lie in [0, N]")
         for i, m in enumerate(self.mu):
-            if not m > 0:
-                raise ValueError(f"bias at site {i + 1} must be positive")
+            if not 0 < m < math.inf:  # NaN fails both
+                raise InputError(f"bias at site {i + 1} must be positive and finite, got {m}")
 
 
 def _potential(mu: Sequence, k: int):
@@ -97,16 +97,14 @@ _SWEEP_CAP = 10_000_000
 
 def gambler_ruin_mc(chain: GamblerChain, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the ruin probability with its binomial
-    standard error. All trials advance in lockstep on numpy arrays; a trial
-    still unabsorbed after _SWEEP_CAP sweeps is a refusal."""
+    standard error. Each m / (1 + m) is taken in the bias's type and rounded
+    once, so a Fraction needs no float. All trials advance in lockstep on
+    numpy arrays; a trial still unabsorbed after _SWEEP_CAP sweeps is a refusal."""
     _enough_trials(trials)
     if seed < 0:  # numpy's generators take no negative seed
         raise InputError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
-    p_down = np.zeros(chain.N + 1)
-    for i in range(1, chain.N):
-        m = float(chain.mu[i - 1])
-        p_down[i] = m / (1.0 + m)
+    p_down = np.array([0.0, *(float(m / (1 + m)) for m in chain.mu), 0.0])
     pos = np.full(trials, chain.start, dtype=np.int64)
     active = (pos > 0) & (pos < chain.N)
     sweeps = 0

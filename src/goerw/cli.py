@@ -63,6 +63,8 @@ from .tree import (
     TreeFamily,
     _atomic_write,
     _cut_depths,
+    _gammas,
+    _levels,
     branching_ruin_estimate,
     default_depths,
     path_family,
@@ -79,15 +81,17 @@ from .walk import StopRule, derive_seed, simulate
 
 
 def _kv_pairs(body: str, what: str, keys: set[str], sep: str = ",") -> dict[str, str]:
-    """The key=value entries of a spec body; every key must be one of keys."""
+    """The key=value entries of a spec body, each key one of keys, and once."""
     out: dict[str, str] = {}
     if not body:
         return out
     for part in body.split(sep):
         if "=" not in part:
             raise InputError(f"malformed {what} spec entry {part!r} (want key=value)")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in part.split("=", 1))
+        if k in out:
+            raise InputError(f"{what} spec key {k!r} is given twice")
+        out[k] = v
     unknown = set(out) - keys
     if unknown:
         raise InputError(f"unknown {what} key {sorted(unknown)[0]!r}")
@@ -122,12 +126,11 @@ def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
                   regular_family(int(kv["d"])) if kind == "regular" else
                   polynomial_family(float(kv["b"])))
         L = int(kv["L"])
+        _levels(L)
     except KeyError as e:
         raise InputError(f"tree spec {spec!r} is missing {e.args[0]}") from None
     except ValueError as e:
         raise InputError(f"tree spec {spec!r}: {e}") from None
-    if L < 0:
-        raise InputError(f"tree spec {spec!r}: L must be at least 0, got {L}")
     return family, L
 
 
@@ -135,13 +138,17 @@ def parse_env_spec(spec: str):
     """Returns ('alpha', AlphaDistribution) or ('det', (lam, mu)).
 
     Alpha bodies are semicolon-separated key=value pairs whose values may
-    hold comma lists: `alpha:point=1`, `alpha:two=0,3,0.5`,
-    `alpha:support=0,3;probs=0.5,0.5`."""
+    hold comma lists, exactly one of `alpha:point=1`, `alpha:two=0,3,0.5`
+    and `alpha:support=0,3;probs=0.5,0.5`."""
     kind, _, body = spec.partition(":")
     keys = {"alpha": {"point", "two", "support", "probs"}, "det": {"lambda", "mu"}}
     if kind not in keys:
         raise InputError(f"unknown env kind {kind!r} (expected alpha or det)")
     kv = _kv_pairs(body, "env", keys[kind], ";" if kind == "alpha" else ",")
+    forms = [k for k in ("point", "two", "support", "probs") if k in kv]
+    if kind == "alpha" and forms not in (["point"], ["two"], ["support", "probs"]):
+        raise InputError(f"env spec {spec!r} needs exactly one of point=, two=, or "
+                         "support= (with probs=)")
     try:
         if kind == "det":
             return "det", (float(kv.get("lambda", "1")), float(kv.get("mu", "1")))
@@ -150,13 +157,11 @@ def parse_env_spec(spec: str):
         if "two" in kv:
             a0, a1, p1 = (float(x) for x in kv["two"].split(","))
             return "alpha", AlphaDistribution.two_point(a0, a1, p1)
-        if "support" in kv:
-            vals = [float(x) for x in kv["support"].split(",")]
-            probs = [float(x) for x in kv["probs"].split(",")]
-            return "alpha", AlphaDistribution(tuple(vals), tuple(probs))
-    except (KeyError, ValueError) as e:
+        vals = [float(x) for x in kv["support"].split(",")]
+        probs = [float(x) for x in kv["probs"].split(",")]
+        return "alpha", AlphaDistribution(tuple(vals), tuple(probs))
+    except ValueError as e:
         raise InputError(f"env spec {spec!r}: {e}") from None
-    raise InputError(f"env spec {spec!r} needs point=, two=, or support=")
 
 
 def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
@@ -454,13 +459,17 @@ def _run_flow_check(r: Run) -> None:
     r.emit(["depth", "max_flow", "flow_total", "energy", "support_edges"], rows, stats)
 
 
-def _run_phase_scan(r: Run) -> None:
-    family, L = parse_family_spec(r.require("tree"))
+def _alpha_law(r: Run) -> AlphaDistribution:
     kind, dist = parse_env_spec(r.require("env"))
     if kind != "alpha":
-        raise InputError("phase-scan needs an alpha env spec")
+        raise InputError(f"{r.sub} needs an alpha env spec")
+    return dist
+
+
+def _run_phase_scan(r: Run) -> None:
+    family, L = parse_family_spec(r.require("tree"))
     verdict = phase_diagnostic(
-        family, dist,
+        family, _alpha_law(r),
         epsilon_margin=r.get("epsilon", 0.1),
         escape_depth=r.require("escape-depth"),
         horizon=r.get("horizon", 1_000_000),
@@ -482,31 +491,15 @@ def _run_gambler(r: Run) -> None:
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad bias list {mu_text!r}") from None
     # Biases are listed per site 1..N along the path; the final site is
-    # absorbing, so its bias never enters the answer.
-    N = len(mu_all)
-    if N < 2:
-        raise InputError("need at least two sites (two --mu entries)")
-    if any(m <= 0 for m in mu_all):
-        raise InputError("biases must be positive")
-    start = r.require("start")
-    chain = GamblerChain(N=N, mu=tuple(mu_all[:N - 1]), start=start)
+    # absorbing, so its bias is parsed but never enters the answer.
+    chain = GamblerChain(N=len(mu_all), mu=tuple(mu_all[:-1]), start=r.require("start"))
     exact = gambler_ruin_exact(chain)
     r.say(str(exact))
-    stats = {"N": N, "start": start, "exact": float(exact),
+    stats = {"N": chain.N, "start": chain.start, "exact": float(exact),
              "exact_fraction": str(exact)}
     trials = r.get("trials")
     if trials is not None:
-        mu_float = []
-        for site, m in enumerate(mu_all[:N - 1], 1):
-            try:
-                mu_float.append(float(m))
-            except OverflowError:
-                mu_float.append(math.inf)
-            if not 0.0 < mu_float[-1] < math.inf:
-                raise InputError(f"--mu entry {site} ({mu_text.split(',')[site - 1]}) "
-                                 "has no positive finite float for the Monte Carlo")
-        float_chain = GamblerChain(N=N, mu=tuple(mu_float), start=start)
-        est, se = gambler_ruin_mc(float_chain, trials, r.seed())
+        est, se = gambler_ruin_mc(chain, trials, r.seed())
         r.say(f"mc = {est!r} stderr = {se!r}")
         stats.update({"mc_estimate": est, "mc_stderr": se, "trials": trials})
     r.record(stats)
@@ -514,9 +507,7 @@ def _run_gambler(r: Run) -> None:
 
 def _run_concentration(r: Run) -> None:
     tree = parse_tree_spec(r.require("tree"))
-    kind, dist = parse_env_spec(r.require("env"))
-    if kind != "alpha":
-        raise InputError("concentration needs an alpha env spec")
+    dist = _alpha_law(r)
     depths = r.require("depths")
     epsilon = r.require("epsilon")
     rep = concentration_experiment(tree, dist, epsilon, depths,
@@ -579,7 +570,7 @@ def _format(text: str) -> str:
 
 def _parse_gamma_grid(text: str) -> list[float]:
     """start:stop:step (at most 10,000 points, rounded to 10 decimals) or a
-    comma list, sorted; every gamma finite and at least 0."""
+    comma list, sorted and checked as a gamma grid (tree._gammas)."""
     try:
         if ":" in text:
             start, stop, step = (float(x) for x in text.split(":"))
@@ -595,15 +586,13 @@ def _parse_gamma_grid(text: str) -> list[float]:
                 raise InputError(f"gamma grid {text!r}: step {step:g} is too small "
                                  "for entries rounded to 10 decimals to stay distinct")
         else:
-            grid = sorted(float(x) for x in text.split(","))
+            grid = [float(x) for x in text.split(",")]
     except InputError:
         raise
     except ValueError:  # a bad float or field count, an empty range or a NaN bound
         raise InputError(f"bad gamma grid {text!r} "
                          "(want start:stop:step or a comma list)") from None
-    if not all(0 <= g < math.inf for g in grid):  # NaN fails both
-        raise InputError(f"gamma grid {text!r}: every gamma must be finite and at least 0")
-    return grid
+    return _gammas(grid)
 
 
 TYPES: dict[str, Callable] = {

@@ -56,7 +56,9 @@ __all__ = [
 class AlphaDistribution:
     """A finitely supported law for the per-vertex excitement alpha >= 0.
 
-    m is the annealed mean E[1/(alpha+1)], computed exactly from the support.
+    The law is its atoms of positive mass: every entry given is checked,
+    then the zero-mass atoms are dropped. m is the annealed mean
+    E[1/(alpha+1)], computed exactly from the support.
     """
 
     values: tuple[float, ...]
@@ -72,6 +74,9 @@ class AlphaDistribution:
             raise InputError("alpha values must be >= 0")
         if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
             raise InputError("probs must be nonnegative and sum to 1")
+        values, probs = zip(*((a, p) for a, p in zip(self.values, self.probs) if p > 0))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def m(self) -> float:

@@ -279,16 +279,17 @@ def build_path(length: int) -> Tree:
     return _grow(_path_sizes(length), 10_000_000)
 
 
-def _regular_sizes(d: int, depth: int) -> Iterator[int]:
+# one level-size function per family kind, its parameter checked when made
+def _regular_sizes(d: int) -> Callable[[int], Iterator[int]]:
     if d < 2:
         raise InputError("regular tree needs d >= 2")
-    return (d * (d - 1) ** (n - 1) if n else 1 for n in _levels(depth))
+    return lambda depth: (d * (d - 1) ** (n - 1) if n else 1 for n in _levels(depth))
 
 
 def build_regular(d: int, depth: int) -> Tree:
     """The d-regular tree: the root has d children and every other internal
     vertex has d-1, so all non-root vertices have d neighbors."""
-    return _grow(_regular_sizes(d, depth), _MAX_VERTICES)
+    return _grow(_regular_sizes(d)(depth), _MAX_VERTICES)
 
 
 # largest level-size exponent of a poly tree, a 128 KiB integer: the
@@ -307,17 +308,17 @@ def _dyadic_floor(b: float, n: int) -> int:
     return math.floor(k)
 
 
-def _polynomial_sizes(b: float, depth: int) -> Iterator[int]:
+def _polynomial_sizes(b: float) -> Callable[[int], Iterator[int]]:
     if not 0 < b < math.inf:  # NaN fails both
         raise InputError(f"polynomial growth exponent b must be positive and finite, got {b!r}")
-    return (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
+    return lambda depth: (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
 
 
 def polynomial_level_sizes(b: float, depth: int) -> list[int]:
     """Level sizes s(n) = 2**floor(b*log2 n), the dyadic staircase tracking
     n**b: n**b/2 < s(n) <= n**b for every n >= 1 (the upper end up to a
     factor 2**1e-9, from the rounding nudge in _dyadic_floor)."""
-    return list(_polynomial_sizes(b, depth))
+    return list(_polynomial_sizes(b)(depth))
 
 
 def build_polynomial(b: float, depth: int) -> Tree:
@@ -325,7 +326,7 @@ def build_polynomial(b: float, depth: int) -> Tree:
     2**floor(b*log2 n) vertices. Each vertex of a level has the ratio of
     consecutive level sizes as children: a power of two, above 2 for b > 1
     where the dyadic staircase jumps more than one step at once."""
-    return _grow(_polynomial_sizes(b, depth), _MAX_VERTICES)
+    return _grow(_polynomial_sizes(b)(depth), _MAX_VERTICES)
 
 
 def build_from_edge_list(edges: Sequence[tuple[int, int]]) -> Tree:
@@ -378,11 +379,11 @@ def _cut_depths(depths: Iterable[int], deepest: float = math.inf) -> list[int]:
 
 
 def _gammas(grid: Sequence[float]) -> list[float]:
-    """A cutset table's gamma grid, sorted; an empty one, a NaN or a
-    negative gamma is refused."""
+    """A cutset table's gamma grid, sorted, for the library and --gamma-grid
+    alike; an empty one, or a NaN, infinite or negative gamma, is refused."""
     for g in grid:
-        if not g >= 0:  # NaN fails too
-            raise InputError(f"gamma must be at least 0, got {g!r}")
+        if not 0 <= g < math.inf:  # NaN fails both
+            raise InputError(f"gamma must be finite and at least 0, got {g!r}")
     if not grid:
         raise InputError("empty gamma grid")
     return sorted(grid)
@@ -513,13 +514,17 @@ def path_family() -> TreeFamily:
 
 
 def regular_family(d: int) -> TreeFamily:
+    """The d-regular trees; a d below 2 is refused here, before any depth."""
+    sizes = _regular_sizes(d)
     return TreeFamily(name=f"regular-{d}",
                       build=lru_cache(maxsize=1)(lambda L: build_regular(d, L)),
-                      level_sizes=lambda L: list(_regular_sizes(d, L)),
+                      level_sizes=lambda L: list(sizes(L)),
                       br_index=math.inf if d >= 3 else 0.0)
 
 
 def polynomial_family(b: float) -> TreeFamily:
+    """The poly-b trees; a b not positive and finite is refused here, before any depth."""
+    _polynomial_sizes(b)
     return TreeFamily(name=f"poly-{b:g}",
                       build=lru_cache(maxsize=1)(lambda L: build_polynomial(b, L)),
                       level_sizes=lambda L: polynomial_level_sizes(b, L), br_index=float(b))

@@ -80,14 +80,21 @@ class TestGamblerExact:
         assert all(a >= b for a, b in zip(xs, xs[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="N >= 2"):
+        with pytest.raises(ValueError, match=r"at least two sites \(N >= 2\), got N = 1"):
             GamblerChain(N=1, mu=(), start=0)
         with pytest.raises(ValueError, match="interior biases"):
             GamblerChain(N=3, mu=(1.0,), start=1)
         with pytest.raises(ValueError, match="start"):
             GamblerChain(N=3, mu=(1.0, 1.0), start=4)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="bias at site 2 must be positive and finite, got -2.0"):
             GamblerChain(N=3, mu=(1.0, -2.0), start=1)
+
+    @pytest.mark.parametrize("N,mu", [(1, ()), (0, ()), (3, (1.0, math.inf)),
+                                      (3, (math.nan, 1.0)), (2, (Fraction(0),))],
+                             ids=["one-site", "no-site", "inf", "nan", "zero"])
+    def test_bad_chain_is_an_input_error(self, N, mu):
+        with pytest.raises(InputError):
+            GamblerChain(N=N, mu=mu, start=1)
 
     def test_bridge_to_path_potentials(self):
         # On a path with biases mu, the ratio phi(u-2)/phi(u) of the tree
@@ -116,6 +123,15 @@ class TestGamblerMC:
         chain = GamblerChain(N=4, mu=(1.0, 1.0, 1.0), start=2)
         est, se = gambler_ruin_mc(chain, trials=20000, seed=6)
         assert abs(est - 0.5) < 3 * se
+
+    @pytest.mark.parametrize("bias", [Fraction(10**400), Fraction(1, 10**400)],
+                             ids=["past-the-float-range", "below-the-float-range"])
+    def test_any_positive_fraction_bias(self, bias):
+        """m / (1 + m) is computed exactly and rounded once: a bias with no
+        float of its own still has a step-down probability."""
+        chain = GamblerChain(N=4, mu=(Fraction(2), bias, Fraction(1, 2)), start=2)
+        est, se = gambler_ruin_mc(chain, trials=2000, seed=8)
+        assert abs(est - float(gambler_ruin_exact(chain))) <= 4.5 * se
 
     def test_trial_floor(self):
         with pytest.raises(ValueError, match="100"):

@@ -299,6 +299,14 @@ class TestAlphaDistribution:
         dist = AlphaDistribution.two_point(0.0, 3.0, 0.5)
         assert dist.m == pytest.approx(0.625)
 
+    @pytest.mark.parametrize("law", [AlphaDistribution.two_point(0.0, 3.0, 0.0),
+                                     AlphaDistribution((0.0, 3.0), (1.0, 0.0))],
+                             ids=["two", "support"])
+    def test_a_law_is_its_atoms_of_positive_mass(self, law):
+        assert law == AlphaDistribution.point(0.0)
+        assert law.spec_string() == "alpha:point=0"
+        assert AlphaDistribution((2.0, 0.0, 3.0), (0.5, 0.0, 0.5)).values == (2.0, 3.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AlphaDistribution((-1.0,), (1.0,))
@@ -333,6 +341,9 @@ class TestAlphaDistribution:
         ((0.0, 1.0, 3.0), (0.2, 0.3, 0.5)),
         ((2.0, 0.5, 1.0), (0.1, 0.2, 0.7)),  # cumulative 0.1, 0.30000000000000004, 1.0
         ((2.0, 0.5, 1.0), (0.7, 0.2, 0.1)),  # the last is 0.9999999999999999: clipped
+        # zero-mass atoms are dropped, and the draws stay the listed law's
+        ((0.0, 1.0, 3.0), (0.25, 0.0, 0.75)),
+        ((1.0, 0.0, 3.0), (0.0, 0.5, 0.5)),
     ])
     def test_sample_equals_searchsorted(self, values, probs):
         """The atom of each uniform is the inverse transform's: searchsorted
@@ -560,7 +571,8 @@ class TestRtEstimate:
     @pytest.mark.parametrize("gamma", [-0.5, -1e-300, math.nan, -math.inf])
     def test_negative_or_nan_gamma_refused(self, gamma):
         t = build_path(4)
-        with pytest.raises(ValueError, match=f"gamma must be at least 0, got {gamma!r}"):
+        with pytest.raises(ValueError,
+                           match=f"gamma must be finite and at least 0, got {gamma!r}"):
             rt_estimate(lambda L: (t, assign_deterministic(t)), [1.0, gamma], [4])
 
 

@@ -7,6 +7,7 @@ trips one is never read as bad input."""
 import ast
 import contextlib
 import io
+import math
 import shlex
 import tempfile
 from pathlib import Path
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 import goerw.analysis as analysis
 import goerw.cli as cli
 import goerw.percolation as percolation
+from goerw.analysis import GamblerChain
 from goerw.cli import main
 from goerw.environment import (Environment, assign_deterministic, environment_from_alpha,
                                log_Psi, psi)
 from goerw.errors import InputError
 from goerw.percolation import adapted_conductance
-from goerw.tree import Tree, build_path, build_regular
+from goerw.tree import (Tree, _cut_depths, _gammas, build_path, build_regular,
+                        polynomial_family, regular_family)
 from goerw.walk import ClockTable, StopRule, extension_reach, simulate_extension
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,9 +72,9 @@ BAD_ARGV = [
     ("epsilon--1", "phase-scan --tree poly:b=1.2,L=16 --env alpha:point=1 --escape-depth 8 "
      "--epsilon -1", "--epsilon: must be at least 0, got -1"),
     ("grid-non-finite", f"{GRID} 0.5,nan,inf",
-     "gamma grid '0.5,nan,inf': every gamma must be finite and at least 0"),
+     "--gamma-grid: gamma must be finite and at least 0, got nan"),
     ("grid-negative", f"{GRID}=-200,1",
-     "gamma grid '-200,1': every gamma must be finite and at least 0"),
+     "--gamma-grid: gamma must be finite and at least 0, got -200.0"),
     ("grid-too-long", f"{GRID} 0:1:1e-9",
      "gamma grid '0:1:1e-9' holds 1e+09 points; a range may hold at most 10,000"),
     ("grid-step", f"{GRID} 0:1e-12:1e-13", "step 1e-13 is too small for entries rounded"),
@@ -137,6 +140,22 @@ BAD_ARGV = [
     ("poly-level-past-bound-walk", f"{WALK} poly:b=1.7e308,L=3",
      "polynomial growth exponent b=1.7e+308 gives about 2**1.7e+308 vertices at depth 2"),
     ("regular-d-1-table", "estimate-br --tree regular:d=1,L=10", "regular tree needs d >= 2"),
+    # a family is checked when its spec is parsed, before any refusal reads it
+    ("regular-d-1-phase-scan", "phase-scan --tree regular:d=1,L=8 --env alpha:point=0 "
+     "--escape-depth 8 --epsilon 5", "tree spec 'regular:d=1,L=8': regular tree needs d >= 2"),
+    ("poly-negative-phase-scan", "phase-scan --tree poly:b=-1,L=8 --env alpha:point=0 "
+     "--escape-depth 8 --epsilon 5", "tree spec 'poly:b=-1,L=8': polynomial growth exponent "
+     "b must be positive and finite, got -1.0"),
+    # a spec key is given once, and an alpha law in exactly one form
+    ("tree-key-twice", "compute-psi --tree regular:d=3,L=3,L=4 --env det:lambda=2 "
+     "--edge-depth 2", "tree spec key 'L' is given twice"),
+    ("env-key-twice", "compute-psi --tree path:L=3 --env det:lambda=2,lambda=3 "
+     "--edge-depth 2", "env spec key 'lambda' is given twice"),
+    ("alpha-two-forms", f"{SIM} 'alpha:point=1;two=0,1,0.5'",
+     "needs exactly one of point=, two=, or support="),
+    ("alpha-probs-without-support", f"{SIM} 'alpha:point=1;probs=0.5'",
+     "env spec 'alpha:point=1;probs=0.5' needs exactly one of point=, two=, or support= "
+     "(with probs=)"),
     # library rules a command line reaches
     ("flow-gamma", "flow-check --tree path:L=8 --env det:mu=1 --gamma 0.5", "gamma must exceed 1"),
     ("concentration-epsilon", "concentration --tree path:L=16 --env alpha:two=0,3,0.5 "
@@ -202,6 +221,31 @@ def test_bad_argv_exits_2_with_one_error_line(inputs, argv, message):
     lines = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(lines) == 1 and message.format(tmp=inputs) in lines[0]
     assert "Traceback" not in err
+
+
+# one rule, one message: a bad value on the command line and the same value
+# given to the rule's one home in the library
+ONE_HOME = [
+    ("gamma-grid", "estimate-br --tree poly:b=1.2,L=16 --gamma-grid 0.5,inf",
+     lambda: _gammas([0.5, math.inf])),
+    ("depths", "estimate-br --tree path:L=16 --depths 0,4", lambda: _cut_depths([0, 4])),
+    ("regular-d", "estimate-br --tree regular:d=1,L=10", lambda: regular_family(1)),
+    ("poly-b", "estimate-br --tree poly:b=-1,L=10", lambda: polynomial_family(-1.0)),
+    ("depth", "simulate --env det:mu=1 --tree path:L=-1", lambda: build_path(-1)),
+    ("gambler-sites", "gambler --mu 2 --start 1", lambda: GamblerChain(N=1, mu=(), start=1)),
+]
+
+
+@pytest.mark.parametrize("argv,rule", [pytest.param(a, r, id=i) for i, a, r in ONE_HOME])
+def test_the_command_line_reports_the_library_rule(argv, rule):
+    """The command line's one error line ends with the InputError the
+    rule's owner raises for the same value, so a second copy of a rule in
+    the CLI that drifts from it fails here."""
+    with pytest.raises(InputError) as caught:
+        rule()
+    code, out, err = exit_code(shlex.split(argv))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith(f"{caught.value}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,6 +17,7 @@ from goerw.analysis import flow_energy_check, tree_max_flow
 from goerw.cli import main
 from goerw.environment import (AlphaDistribution, assign_deterministic, environment_from_alpha,
                                rt_estimate)
+from goerw.errors import InputError
 from goerw.percolation import concentration_experiment, sample_ruin_percolation
 from goerw.tree import (
     BranchingTable,
@@ -597,14 +598,15 @@ class TestBranchingEstimate:
                 assert repr(table.values[(g, L)]) == repr(want)
 
     @pytest.mark.parametrize("grid,message", [
-        ([math.nan, 0.5], "gamma must be at least 0, got nan"),
-        ([-1.0], "gamma must be at least 0, got -1.0"),
-        ([], "empty gamma grid")], ids=["nan", "negative", "empty"])
+        ([math.nan, 0.5], "gamma must be finite and at least 0, got nan"),
+        ([-1.0], "gamma must be finite and at least 0, got -1.0"),
+        ([0.5, math.inf], "gamma must be finite and at least 0, got inf"),
+        ([], "empty gamma grid")], ids=["nan", "negative", "inf", "empty"])
     def test_bad_gamma_grid_refused_as_in_rt_estimate(self, grid, message):
         t = build_path(16)
         for table in (lambda: branching_ruin_estimate(polynomial_family(1.5), grid, [8, 16]),
                       lambda: rt_estimate(lambda L: (t, assign_deterministic(t)), grid, [8, 16])):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(InputError, match=f"^{message}$"):
                 table()
 
     @pytest.mark.parametrize("depths", [[0], [0, 8], [-2, 8]])
