@@ -126,7 +126,7 @@ def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
                   regular_family(int(kv["d"])) if kind == "regular" else
                   polynomial_family(float(kv["b"])))
         L = int(kv["L"])
-        _levels(L)
+        _levels(L, family.vertex_cap)
     except KeyError as e:
         raise InputError(f"tree spec {spec!r} is missing {e.args[0]}") from None
     except ValueError as e:

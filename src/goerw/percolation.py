@@ -240,9 +240,9 @@ def concentration_experiment(tree: Tree, dist: AlphaDistribution, epsilon: float
         raise InputError("epsilon must be positive")
     _enough_trials(env_samples, 1)
     depths = _cut_depths(depths, tree.truncation_depth)
-    if len(dist.values) < 2:
-        raise RefusalError("concentration over a degenerate (single-point) alpha law says "
-                           "nothing; use a law with at least two atoms of positive mass")
+    if len(set(dist.values)) < 2:
+        raise RefusalError("concentration over a degenerate alpha law says nothing; use a law "
+                           "with at least two distinct alpha values of positive mass")
     m = dist.m
 
     def upper(d: int) -> float:

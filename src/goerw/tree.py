@@ -229,8 +229,9 @@ class Tree:
         return self.levels.starts[d]
 
 
-# vertex cap of build_regular and build_polynomial
+# vertex caps of build_regular and build_polynomial, and of build_path
 _MAX_VERTICES = 2_000_000
+_MAX_PATH_VERTICES = 10_000_000
 
 
 def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
@@ -264,19 +265,24 @@ def _grow(level_sizes: Iterable[int], max_vertices: int) -> Tree:
     return Tree(parent)
 
 
-def _levels(depth: int) -> range:
+def _levels(depth: int, cap: int = _MAX_VERTICES) -> range:
+    """Levels 0..depth; a negative depth, or one past the deepest level of a
+    tree within cap vertices, is refused before any level is listed."""
     if depth < 0:
         raise InputError(f"tree depth must be at least 0, got {depth}")
+    if depth >= cap:
+        raise InputError(f"tree depth must be at most {cap - 1}, got {depth}: a tree has at "
+                         f"least {cap + 1} vertices by depth {cap}, over the {cap} vertex cap")
     return range(depth + 1)
 
 
 def _path_sizes(length: int) -> Iterator[int]:
-    return repeat(1, len(_levels(length)))
+    return repeat(1, len(_levels(length, _MAX_PATH_VERTICES)))
 
 
 def build_path(length: int) -> Tree:
     """A single path of the given length hanging off the root."""
-    return _grow(_path_sizes(length), 10_000_000)
+    return _grow(_path_sizes(length), _MAX_PATH_VERTICES)
 
 
 # one level-size function per family kind, its parameter checked when made
@@ -496,21 +502,24 @@ class TreeFamily:
     materializing the tree. Depths nest: level_sizes(L) is the first L + 1
     entries of level_sizes(L + k), and build(L) the breadth-first prefix of
     build(L + k) through depth L. br_index is the family's exact branching-ruin
-    number (math.inf for exponentially growing families). The families
-    below keep the last tree they built and return it again for the same
-    depth, so repeated experiments on one family share one tree and the
-    tables it caches.
+    number (math.inf for exponentially growing families), and vertex_cap
+    build's vertex cap, which also bounds the depth level_sizes lists (see
+    _levels). The families below keep the last tree they built and return it
+    again for the same depth, so repeated experiments on one family share
+    one tree and the tables it caches.
     """
 
     name: str
     build: Callable[[int], Tree]
     level_sizes: Callable[[int], list[int]]
     br_index: float
+    vertex_cap: int = _MAX_VERTICES
 
 
 def path_family() -> TreeFamily:
     return TreeFamily(name="path", build=lru_cache(maxsize=1)(build_path),
-                      level_sizes=lambda L: list(_path_sizes(L)), br_index=0.0)
+                      level_sizes=lambda L: list(_path_sizes(L)), br_index=0.0,
+                      vertex_cap=_MAX_PATH_VERTICES)
 
 
 def regular_family(d: int) -> TreeFamily:

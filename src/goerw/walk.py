@@ -46,6 +46,11 @@ Three ways to run it:
   numpy arrays and a batch's last few on _extension_run: uint64 hashes,
   float64 races in the scalar order and math.log for every log kept
   (np.log is not bitwise equal to it), so every run is == its scalar run.
+  A cell is one (lane, path index), and the race state is side-major,
+  so both sides of a race are one gather. The excited race keeps no value:
+  np.log's clocks rank it across lanes, and math.log's only where two are
+  within 1e-9. A batch's last few lanes finish on _extension_run, each on
+  a clock table seeded with the hash prefixes its cells hold.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -466,35 +471,41 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     k = |target|. Returns each run's max_depth, whether it stopped on the
     cap, and its steps, each == the scalar run's.
 
-    Cell lane * k + i holds path index i: the on-path clock hash prefixes,
-    running totals and next clock indices (parent side first), and the
-    first visit's move if the excited winner is on the path, else 0 (that
-    visit races the j=1 clocks as a later one does). A run is on a first
-    visit iff past the deepest index it has left. The excited race keeps no
-    value: np.log's clocks rank it unless two are within 1e-9 relative. A
-    batch down to _HANDOFF_LANES live lanes resumes each on _extension_run
-    from its cells' race states, with no pending time kept (None past the
-    deepest index it has left)."""
+    Cell lane * k + i holds path index i; a run moves its lane's cell and
+    ends on a multiple of k (index 0 or k). pre, total and nxt (on-path hash
+    prefixes, running totals, next clock indices) are (2, n * k), row 0 the
+    parent side: a race takes both sides of its cells and puts each winner
+    at cell + side * n * k. first_mv is the first visit's move if the
+    excited winner is on the path, else 0 (a race of the j=1 clocks, as on a
+    later visit), zeroed once read. The excited race keeps no value: its
+    clocks are (row, lane), reduced across lanes, ranked on np.log's and,
+    in lanes with two within 1e-9 relative, on math.log's. A batch down to
+    _HANDOFF_LANES live lanes resumes each on _extension_run from its cells'
+    race states (no pending time kept) and a ClockTable given pre's prefixes."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
     lam, mu, stop = memoryview(env.lam), memoryview(env.mu), StopRule(cap, k, 1)
+    up, dn = [*zip(path[1:k], path)], [*zip(path[1:k], path[2:])]  # pre's (v, u) per row
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     wide = max((first[u + 1] - first[u] + 1 for u in path[1:-1]), default=1)
     batch = max(1, _CELL_BUDGET // (k + 1 + wide))
     for lo in range(0, seeds.size, batch):
         n = min(batch, seeds.size - lo)
-        pre = np.zeros((n * k, 2), np.uint64)
-        total = np.zeros((n * k, 2))
-        nxt = np.ones((n * k, 2), np.uint64)
+        pre = np.zeros((2, n * k), np.uint64)
+        total = np.zeros((2, n * k))
+        nxt = np.ones((2, n * k), np.uint64)
+        flat_total, flat_nxt = total.reshape(-1), nxt.reshape(-1)
         first_mv = np.zeros(n * k, np.int8)
         first_mv[::k] = 1  # the root always steps down
-        lane, pos, left = np.arange(n), np.zeros(n, np.int64), np.full(n, -1)
+        # each live lane's cell, and the cell of the deepest index it has left
+        lane, cell, deep = np.arange(n), np.arange(0, n * k, k), np.arange(-1, n * k - 1, k)
+        ends = np.arange(n * k + 1) % k == 0
         raced = t = 0
         while lane.size > _HANDOFF_LANES and t < cap:
-            if raced < k - 1 and pos.max() > raced:
+            if raced < k - 1 and (cell % k).max() > raced:
                 # when the first lane gets to a new index, the excited race
                 # over the full tree's j=0 clocks for every live lane (near
                 # ties by math.log); an on-path winner skips its j=1 clock
@@ -504,45 +515,50 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                 down = row.index(path[raced + 1])
                 c = lane * k + raced
                 mid = _splitmix_array(
-                    _splitmix_array(seeds[lo + lane] ^ np.uint64(u))[:, None]
-                    ^ np.array([(w << 20) & _M64 for w in row], np.uint64))
-                pre[c] = mid[:, [0, down]]
+                    _splitmix_array(seeds[lo + lane] ^ np.uint64(u))
+                    ^ np.array([(w << 20) & _M64 for w in row], np.uint64)[:, None])
+                pre[0, c], pre[1, c] = mid[0], mid[down]
                 h = _splitmix_array(mid)
-                rate = np.array([env.lam[u]] + [1.0] * (len(row) - 1))
-                race = _xi_array(h, np.log) / rate
-                near = (race <= race.min(axis=1, keepdims=True) * (1 + 1e-9)).sum(axis=1) > 1
-                race[near] = _xi_array(h[near]) / rate
-                win = race.argmin(axis=1)
+                race = _xi_array(h, np.log)
+                race[0] /= lam[u]
+                near = (race <= race.min(axis=0) * (1 + 1e-9)).sum(axis=0) > 1
+                if near.any():
+                    race[:, near] = _xi_array(h[:, near])
+                    race[0, near] /= lam[u]
+                win = race.argmin(axis=0)
                 first_mv[c] = mv = (win == down).astype(np.int8) - (win == 0)
-                nxt[c] = 1 + np.stack((mv < 0, mv > 0), axis=1)
-            cell = lane * k + pos
-            mv = np.where(pos > left, first_mv[cell], 0)
-            np.maximum(left, pos, out=left)
+                nxt[0, c], nxt[1, c] = 1 + (mv < 0), 1 + (mv > 0)
+            mv = first_mv[cell]
+            first_mv[cell] = 0  # read on the first visit only
+            np.maximum(deep, cell, out=deep)
             r = mv == 0
             if np.count_nonzero(r):
                 # race the two on-path running totals, the parent's under mu
                 c = cell[r]
-                x = _xi_array(_splitmix_array(pre[c] ^ nxt[c]))
-                x[:, 0] /= mu_path[pos[r]]
-                x += total[c]
-                side = (~(x[:, 0] <= x[:, 1])).astype(np.intp)
-                total[c, side] = x[np.arange(c.size), side]
-                nxt[c, side] += 1
-                mv[r] = 2 * side - 1
-            pos += mv
+                x = _xi_array(_splitmix_array(pre.take(c, 1) ^ nxt.take(c, 1)))
+                x[0] /= mu_path[c % k]
+                x += total.take(c, 1)
+                side = x[0] > x[1]  # a tie goes to the parent
+                win = c + side * (n * k)
+                flat_total[win] = x.min(axis=0)
+                flat_nxt[win] += 1
+                mv[r] = np.where(side, 1, -1)
+            cell += mv
             t += 1
-            done = (pos == k) | (pos == 0)
+            done = ends[cell]
             if np.count_nonzero(done):
-                reach[lo + lane[done]] = np.maximum(left, pos)[done]
-                steps[lo + lane[done]] = t
-                lane, pos, left = lane[~done], pos[~done], left[~done]
-        for j, p, lf in zip(lane.tolist(), pos.tolist(), left.tolist()):
+                gone, keep = lane[done], ~done
+                reach[lo + gone] = np.maximum(deep, cell)[done] - gone * k
+                steps[lo + gone] = t
+                lane, cell, deep = lane[keep], cell[keep], deep[keep]
+        for j, p, lf in zip(lane.tolist(), (cell - lane * k).tolist(), (deep - lane * k).tolist()):
             c = slice(j * k + 1, j * k + lf + 1)
             states = [None] * (k + 1)
-            states[1:lf + 1] = ([*tot, *nx, None, None]
-                                for tot, nx in zip(total[c].tolist(), nxt[c].tolist()))
-            run = _extension_run(first, lam, mu, ClockTable(int(seeds[lo + j])),
-                                 path, p, states, t, stop)
+            states[1:lf + 1] = ([*s, None, None]
+                                for s in zip(*total[:, c].tolist(), *nxt[:, c].tolist()))
+            table = ClockTable(int(seeds[lo + j]))
+            table._prefix.update(zip(up[:lf] + dn[:lf], pre[:, c].ravel().tolist()))
+            run = _extension_run(first, lam, mu, table, path, p, states, t, stop)
             reach[lo + j] = max(run.max_depth, lf)
             capped[lo + j], steps[lo + j] = run.stop_reason == "max_steps", run.steps
     return reach, capped, steps

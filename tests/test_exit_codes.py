@@ -26,7 +26,7 @@ from goerw.environment import (Environment, assign_deterministic, environment_fr
                                log_Psi, psi)
 from goerw.errors import InputError
 from goerw.percolation import adapted_conductance
-from goerw.tree import (Tree, _cut_depths, _gammas, build_path, build_regular,
+from goerw.tree import (Tree, _cut_depths, _gammas, build_path, build_regular, path_family,
                         polynomial_family, regular_family)
 from goerw.walk import ClockTable, StopRule, extension_reach, simulate_extension
 
@@ -233,7 +233,22 @@ ONE_HOME = [
     ("poly-b", "estimate-br --tree poly:b=-1,L=10", lambda: polynomial_family(-1.0)),
     ("depth", "simulate --env det:mu=1 --tree path:L=-1", lambda: build_path(-1)),
     ("gambler-sites", "gambler --mu 2 --start 1", lambda: GamblerChain(N=1, mu=(), start=1)),
+    # one level past the deepest a tree within the vertex cap reaches: the
+    # level-size list is refused before any of its 2,000,001 sizes is made
+    ("depth-past-cap", "estimate-br --tree poly:b=1.5,L=2000000",
+     lambda: polynomial_family(1.5).level_sizes(2_000_000)),
+    # a path has its own cap of 10,000,000 vertices, build_path's
+    ("path-depth-past-cap", "estimate-br --tree path:L=10000000",
+     lambda: path_family().level_sizes(10_000_000)),
 ]
+
+
+@pytest.mark.parametrize("spec,L", [("poly:b=1.5,L=1999999", 1_999_999),
+                                    ("path:L=9999999", 9_999_999)], ids=["poly", "path"])
+def test_the_deepest_level_within_the_cap_is_read(spec, L):
+    """One level short of each family's refused depth, the spec is read;
+    no level size is listed here."""
+    assert cli.parse_family_spec(spec)[1] == L
 
 
 @pytest.mark.parametrize("argv,rule", [pytest.param(a, r, id=i) for i, a, r in ONE_HOME])
@@ -304,6 +319,16 @@ def test_a_depth_past_the_tree_is_refused_before_any_work(monkeypatch, argv, dep
     code, out, err = exit_code(shlex.split(argv))
     assert (code, out, err) == (2, "", f"error: depth {depth} exceeds the tree depth {L}\n")
     assert calls == []
+
+
+def test_a_law_of_one_distinct_alpha_is_refused():
+    """Two atoms of one value are the point law alpha = 1, which
+    concentration refuses: exit 1, and the refusal says why."""
+    code, out, err = exit_code(shlex.split(
+        "concentration --tree path:L=8 --env alpha:two=1,1,0.5 --depths 4 --epsilon 1 "
+        "--trials 5"))
+    assert (code, out) == (1, "")
+    assert err.startswith("refused: concentration over a degenerate") and "distinct" in err
 
 
 def test_an_undotted_and_a_dotted_key_are_two_keys(tmp_path):

@@ -674,8 +674,8 @@ class TestLockstep:
         def ranking_clocks(h, log=None, exact=walk._xi_array):
             if log is None:
                 return exact(h)
-            x = exact(h)
-            x[:, 0] = np.nextafter(x[:, 0], np.inf)
+            x = exact(h)  # (row, lane): row 0 is every lane's parent clock
+            x[0] = np.nextafter(x[0], np.inf)
             return x
 
         monkeypatch.setattr(walk, "_HANDOFF_LANES", 0)
@@ -829,6 +829,46 @@ class TestHandOff:
         assert lockstep_runs(env, t.leftmost_at_depth(6), seeds, 10_000_000) == want
         assert sum(n for (stepped, _), n in tail.items() if not stepped) == 1
         assert sum(tail.values()) > 25
+
+
+class TestEdgeMcShape:
+    """What the lockstep skips on the benchmark's edge-mc shape (the README
+    percolate recipe: regular:d=3,L=5, alpha:point=1, depths 1-5)."""
+
+    def test_no_empty_exact_race_and_seeded_hand_off(self, monkeypatch):
+        """No exact _xi_array call is made on an empty selection, and each
+        handed-off lane's table already holds, for every index the lane has
+        left, the two on-path prefixes that ClockTable(seed) computes, and
+        no other."""
+        env = cli.build_environment(cli.parse_tree_spec("regular:d=3,L=5"), "alpha:point=1", 1)
+        exact_sizes, seeded = [], Counter()
+        xi_array, run = walk._xi_array, walk._extension_run
+
+        def spy_xi(h, log=None):
+            if log is None:
+                exact_sizes.append(h.size)
+                return xi_array(h)
+            return xi_array(h, log)
+
+        def spy_run(first, lam, mu, clocks, path, pos, states, *rest):
+            left = [i for i, st in enumerate(states) if st is not None]
+            assert left == list(range(1, len(left) + 1))
+            fresh = ClockTable(clocks.seed)
+            want = {}
+            for i in left:
+                for u in (path[i - 1], path[i + 1]):
+                    fresh.xi(path[i], u, 0)
+                    want[path[i], u] = fresh._prefix[path[i], u]
+            assert clocks._prefix == want
+            seeded[len(left) > 0] += 1
+            return run(first, lam, mu, clocks, path, pos, states, *rest)
+
+        monkeypatch.setattr(walk, "_xi_array", spy_xi)
+        monkeypatch.setattr(walk, "_extension_run", spy_run)
+        for d in range(1, 6):
+            extension_reach(env, env.tree.leftmost_at_depth(d), derive_seeds(d, 400), 10_000_000)
+        assert exact_sizes and min(exact_sizes) > 0
+        assert seeded[True] > 0
 
 
 class TestRestriction:
