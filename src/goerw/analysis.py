@@ -204,13 +204,10 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
     s = np.bincount(parent[1:m], weights=np.where(pos[1:m], F[1:m], 0.0), minlength=m)
     # last[c]: c is the last child of its parent with F[c] > 0
     live = np.flatnonzero(pos)
-    ends = np.ones(live.size, dtype=bool)
-    ends[:-1] = parent[live[1:]] != parent[live[:-1]]
     last = np.zeros(n, dtype=bool)
-    last[live[ends]] = True
+    last[live[-1:]] = last[live[:-1][parent[live[1:]] != parent[live[:-1]]]] = True
     theta = np.zeros(n)
     theta[0] = total
-    given = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # in discarded entries
         for d, e, chain in tree.level_runs(0, min(depth, tree.truncation_depth), 1):
             a, b = starts[d + 1], starts[e + 1]  # the levels d + 1 .. e
@@ -218,19 +215,17 @@ def proportional_flow(tree: Tree, F: Sequence[float] | np.ndarray, depth: int,
                 inflow = theta[starts[d]:a]
                 live = np.logical_and.accumulate(pos[a:b].reshape(-1, a - starts[d]), axis=0)
                 live &= inflow > 0.0
-                theta[a:b] = np.where(live, inflow, 0.0).ravel()
-                given[a:b] = live.ravel()
+                np.copyto(theta[a:b].reshape(live.shape), inflow, where=live)
                 continue
             up = parent[a:b]
-            at = up - starts[d]
             inflow = theta[up]
             live = pos[a:b] & (inflow > 0.0)
-            if not live.any():
-                break
-            share = np.where(live, inflow * F[a:b] / s[up], 0.0)
+            share = theta[a:b]
+            np.divide(inflow * F[a:b], s[up], out=share, where=live)
             rest = tree.child_sums(np.where(last[a:b], 0.0, share), d)
-            theta[a:b] = np.where(live & last[a:b], inflow - rest[at], share)
-            given[a:b] = live
+            np.subtract(inflow, rest[up - starts[d]], out=share, where=live & last[a:b])
+    given = np.zeros(n, dtype=bool)  # F > 0 and a positive inflow, at depths 1 .. depth
+    given[1:m] = pos[1:m] & (theta[parent[1:m]] > 0.0)
     return FlowShares(given, theta)
 
 

@@ -222,12 +222,13 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     the whole tree on the first call.
 
     R, phi and log Psi are running products and sums down the root paths
-    (Tree.scan_down), psi one whole-tree expression in between. Every entry
-    is the float64 operations of the scalar recursion in the same order, so
-    the tables are bitwise those of a vertex-by-vertex loop (the logs are
-    math.log's, and -inf where psi is 0). A product of mu or its running
-    sum that overflows is refused, naming the first vertex in id order
-    where R or phi is not finite, since psi would read NaN from it.
+    (Tree.scan_down), psi one whole-tree expression in between, its bias
+    factor taken once per vertex and gathered at each edge's parent. Every
+    entry is the float64 operations of the scalar recursion in the same
+    order, so the tables are bitwise those of a vertex-by-vertex loop (the
+    logs are math.log's, and -inf where psi is 0). A product of mu or its
+    running sum that overflows is refused, naming the first vertex in id
+    order where R or phi is not finite, since psi would read NaN from it.
 
     psi depends only on the edge's parent, so it repeats: under a finitely
     supported law or det: on a family tree it takes at most one value per
@@ -253,12 +254,13 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
             if bad.size:
                 raise RefusalError(f"{name} at vertex {bad[0]} is {float(table[bad[0]])!r}: "
                                    "the potential pass overflows float64")
-        # at the parent w, the mix of first- and later-visit bias that holds
-        # a fresh arrival there
+        # at the parent w, the mix of first- and later-visit bias that holds a
+        # fresh arrival there, at every vertex (a leaf, never a w, may divide by 0)
         w = parent[deep]
-        factor = (lam[w] + (deg[w] - 2) * mu[w] / (mu[w] + 1.0)) / (lam[w] + deg[w] - 1.0)
-        drop = 1.0 - ph[parent[w]] / ph[deep]
-        ps[deep] = 1.0 - drop * factor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = (lam + (deg - 2) * mu / (mu + 1.0)) / (lam + deg - 1.0)
+        drop = 1.0 - ph[parent][w] / ph[deep]
+        ps[deep] = 1.0 - drop * factor[w]
         # psi rounds to 0 where the drop is 1 and the bracket rounds to 1;
         # math.log refuses 0, its log is -inf, and Psi below is exactly 0
         values, at = np.unique(ps, return_inverse=True)
@@ -267,8 +269,7 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         logs[zero] = -math.inf
         lp = np.zeros(n)
         tree.scan_down(np.add, lp, logs[at], 1)
-        for table in (R, ph, ps, lp):
-            table.flags.writeable = False
+        R.flags.writeable = ph.flags.writeable = ps.flags.writeable = lp.flags.writeable = False
         env._pot = (R, ph, ps, lp)
     return env._pot
 

@@ -25,7 +25,6 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from itertools import accumulate, groupby, islice, pairwise, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -69,6 +68,17 @@ class Levels(NamedTuple):
     kids: np.ndarray
     first: np.ndarray
     single: list[bool]
+
+
+def _scan(op: np.ufunc, run: np.ndarray) -> None:
+    """run[..., k, :] = op(run[..., k - 1, :], run[..., k, :]) for k = 1, 2, ...,
+    in place, down a chain's columns: one op call a level where levels hold 256
+    entries or more, else one accumulate (about 5 ns an entry; a call, 1.5 us)."""
+    if run[..., 0, :].size < 256:
+        op.accumulate(run, axis=-2, out=run)
+    else:
+        for k in range(1, run.shape[-2]):
+            op(run[..., k - 1, :], run[..., k, :], out=run[..., k, :])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -190,28 +200,30 @@ class Tree:
         level d. Each sum starts from 0.0 and adds one child at a time in id
         order, as a scalar loop does: np.bincount adds its weights in index
         order, never pairwise, so the result does not depend on numpy's or
-        the interpreter's summation."""
+        the interpreter's summation. Row r of X adds into stretch r of one
+        bincount; a 1-D X's index is its parents' places on level d alone."""
         lv = self.levels
         a, b = lv.starts[d], lv.starts[d + 1]
         rows = math.prod(X.shape[:-1])
-        at = np.arange(rows)[:, None] * (b - a) + (lv.parent[b:lv.starts[d + 2]] - a)
-        sums = np.bincount(at.ravel(), weights=X.ravel(), minlength=rows * (b - a))
+        at = lv.parent[b:lv.starts[d + 2]] - a
+        at = (np.arange(rows)[:, None] * (b - a) + at).ravel() if X.ndim > 1 else at
+        sums = np.bincount(at, weights=X.ravel(), minlength=rows * (b - a))
         # with no children at all, bincount gives integer zeros
         return sums.reshape(X.shape[:-1] + (b - a,)).astype(np.float64, copy=False)
 
     def scan_down(self, op: np.ufunc, X: np.ndarray, y: np.ndarray, start: int) -> None:
         """Set X[u] = op(X[parent of u], y[u]) for every u at depth >= start,
         parents first: the scalar recursion down each root path, one level
-        at a time, and a chain of levels (see level_runs) in one
-        op.accumulate down its columns, the same operations in order."""
+        at a time, and a chain of levels (see level_runs) by _scan down its
+        columns in X (1-D, contiguous), the same operations in order."""
         starts = self.levels.starts
         for d, e, chain in self.level_runs(start - 1, self.truncation_depth, 1):
             a, b = starts[d + 1], starts[e + 1]  # the levels d + 1 .. e
             if chain:
-                run = np.concatenate((X[starts[d]:a], y[a:b]))
-                X[a:b] = op.accumulate(run.reshape(-1, a - starts[d]), axis=0)[1:].ravel()
+                X[a:b] = y[a:b]
+                _scan(op, X[starts[d]:b].reshape(-1, a - starts[d]))
             else:
-                X[a:b] = op(X[self.levels.parent[a:b]], y[a:b])
+                op(X[self.levels.parent[a:b]], y[a:b], out=X[a:b])
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root down to v, inclusive."""
@@ -409,18 +421,20 @@ def _cut_dp(tree: Tree, w: np.ndarray, cuts: Sequence[int]) -> tuple[list, np.nd
     w is an array of weights by vertex id, at least through the deepest
     cut: 1-D, or 2-D with one weighting per row, all solved in one pass.
     The child sums are sequential (Tree.child_sums), and a chain of levels
-    (Tree.level_runs) is one running minimum with the scalar step's ties,
-    so each block is what a scalar loop over the ids gives at its depth, on
-    any interpreter. Returns (values, F): values holds, per block, the sum
-    of F over the root's children (a float for 1-D w, a list with one float
-    per row for 2-D w), and F has a leading block axis and stops at the
-    deepest cut level (ids below starts[cuts[-1] + 1])."""
+    (Tree.level_runs) is one running minimum (_scan) with the scalar step's
+    ties, so each block is what a scalar loop over the ids gives at its
+    depth, on any interpreter. A repair runs only where it can change F: a
+    chain's NaN weights become +inf, and its zero F take their signs, where
+    it holds one; a level's dead ends get F = 0 where it holds one. Returns
+    (values, F): values holds, per block, the sum of F over the root's
+    children (a float for 1-D w, a list with one float per row for 2-D w),
+    and F has a leading block axis and stops at the deepest cut level (ids
+    below starts[cuts[-1] + 1])."""
     starts = tree.levels.starts
     w = np.asarray(w, dtype=np.float64)
     F = np.zeros((len(cuts),) + w.shape[:-1] + (starts[cuts[-1] + 1],))
     for block, L in zip(F, cuts):
         block[..., starts[L]:starts[L + 1]] = w[..., starts[L]:starts[L + 1]]
-    kids = tree.levels.kids
     # deepest first: the levels hi - 1 .. lo (.. 1 below the shallowest
     # cut), for the blocks F[i:], those cut at hi or deeper
     for i in reversed(range(len(cuts))):
@@ -429,21 +443,20 @@ def _cut_dp(tree: Tree, w: np.ndarray, cuts: Sequence[int]) -> tuple[list, np.nd
             a, b = starts[e + 1], starts[d + 1]  # the levels e + 1 .. d
             wl = w[..., a:b]
             if chain:
-                # below a vertex is 0.0 + F of its only child, so up a chain
-                # F is the least of F below and a running minimum of the
-                # weights, shared by the blocks, that passes over a NaN weight
-                # and keeps a NaN from below; a zero F is the weight if that
-                # is zero (and keeps its sign), else +0.0
-                width = starts[d + 2] - b
-                rows = wl.reshape(w.shape[:-1] + (d - e, width))[..., ::-1, :]
-                least = np.minimum.accumulate(np.where(np.isnan(rows), np.inf, rows), axis=-2)
-                run = np.minimum(G[..., None, b:b + width], least)
-                run = np.where(run == 0.0, np.where(rows == 0.0, rows, 0.0), run)
-                G[..., a:b] = run[..., ::-1, :].reshape(G.shape[:-1] + (b - a,))
+                # F below a vertex is 0.0 + its only child's, so up a chain F is
+                # a running minimum from F below over the weights (NaN weights as
+                # +inf, a NaN from below kept); a zero F is w if w is 0, else +0.0
+                width, run = starts[d + 2] - b, G[..., a:b]
+                run[...] = np.where(np.isnan(wl), np.inf, wl) if np.isnan(wl).any() else wl
+                _scan(np.minimum, G[..., a:b + width].reshape(
+                    G.shape[:-1] + (d - e + 1, width))[..., ::-1, :])
+                if not run.all():
+                    np.copyto(run, np.where(wl == 0.0, wl, 0.0), where=run == 0.0)
             else:
                 below = tree.child_sums(G[..., b:starts[d + 2]], d)
-                # a dead end short of the cut depth has nothing to separate
-                G[..., a:b] = np.where(kids[a:b] > 0, np.where(wl <= below, wl, below), 0.0)
+                G[..., a:b] = np.where(wl <= below, wl, below)
+                if not tree.levels.kids[a:b].all():  # dead ends above a cut separate nothing
+                    G[..., a:b][..., tree.levels.kids[a:b] == 0] = 0.0
     return tree.child_sums(F[..., 1:starts[2]], 0)[..., 0].tolist(), F
 
 
@@ -478,13 +491,14 @@ def min_level_cutset_sum(level_sizes: Sequence[int], weight_by_depth: Callable[[
 
 
 def _level_product(n: int, w: float) -> float:
-    """n * w; where n has no float, the exact product rounded once, or
-    +-inf beyond the float range."""
+    """n * w; where n has no float, the exact n * p / q (w = p / q) in one
+    int / int division, rounded once, or +-inf beyond the float range."""
     try:
         return n * w
     except OverflowError:
         try:
-            return float(n * Fraction(w))
+            p, q = w.as_integer_ratio()
+            return (n * p) / q
         except OverflowError:
             return math.copysign(math.inf, w)
 

@@ -78,6 +78,22 @@ def random_broom(rng: random.Random, max_edges: int = 20, max_depth: int = 5) ->
     return build_from_edge_list(edges)
 
 
+def chain_tree(width: int, chain: int, dead_end: bool) -> Tree:
+    """A root with `width` children, each the top of a path down `chain`
+    single-child levels (one chain of Tree.level_runs, `width` wide), whose
+    bottom vertices have two children each, the leaves at the truncation
+    depth chain + 2. With dead_end, the first bottom vertex has none: a dead
+    end on a level that is not a chain."""
+    parent = [-1] + [0] * width
+    for _ in range(chain):
+        top = len(parent) - width
+        parent += range(top, top + width)
+    top = len(parent) - width
+    for i in range(width):
+        parent += [top + i] * (0 if dead_end and i == 0 else 2)
+    return Tree(parent)
+
+
 def enumerate_cutsets(tree: Tree) -> list[frozenset[int]]:
     """All minimal cutsets, by brute force. Guarded to 20 edges; this exists
     as an oracle for the dynamic program, not for real use."""

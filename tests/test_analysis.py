@@ -37,7 +37,7 @@ from goerw.tree import (
 )
 from goerw.walk import simulate
 
-from conftest import (cut_dp_ref, escape_batch_ref, flow_energy_rows_ref, phi,
+from conftest import (chain_tree, cut_dp_ref, escape_batch_ref, flow_energy_rows_ref, phi,
                       proportional_flow_ref, random_broom, random_tree, weights_of)
 
 
@@ -256,6 +256,29 @@ class TestFlowArrays:
             want = proportional_flow_ref(t, F, depth, 1.0)
             got = proportional_flow(t, np.array(F), depth, 1.0)
             assert repr(list(got.items())) == repr(list(want.items()))
+
+    @pytest.mark.parametrize("width", [3, 300], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("dead_end", [False, True], ids=["no-dead-end", "dead-end"])
+    @pytest.mark.parametrize("blocked", [False, True], ids=["open", "blocked-chain"])
+    def test_proportional_flow_on_chains(self, width, dead_end, blocked):
+        """The shares are written into theta in place, and the vertices
+        given a share read off theta after the last level: against the
+        scalar flow on a chain narrow and wide, with F = 0 partway down it
+        under a positive F above (the flow stops there), a dead end below
+        it, and a total of 5e-324 whose shares round to 0 (a child given 0.0
+        passes nothing on)."""
+        t = chain_tree(width, 4, dead_end)
+        rng = random.Random(f"{width} {dead_end} {blocked}")
+        w = [0.0] + [rng.uniform(0.5, 2.0) for _ in range(1, t.n_vertices)]
+        for depth in range(1, t.truncation_depth + 1):
+            value, F = cut_dp_ref(t, w.__getitem__, depth)
+            if blocked and depth >= 3:
+                F[t.levels.starts[3] + 1] = 0.0
+            for total in (min(1.0, value), 5e-324, 0.0):
+                want = proportional_flow_ref(t, F, depth, total)
+                got = proportional_flow(t, np.array(F), depth, total)
+                assert repr(list(got.items())) == repr(list(want.items()))
+                assert got.ids.tolist() == list(want)
 
     def test_reads_as_a_dict_would(self):
         """theta is a read-only Mapping: a key that is not an int, names no

@@ -27,8 +27,8 @@ from goerw.cli import build_environment, parse_tree_spec
 from goerw.tree import (branching_ruin_estimate, build_path, build_regular, path_family,
                         polynomial_family, regular_family)
 
-from conftest import (cut_dp_ref, phi, potentials_ref, psi_simplified, random_broom,
-                      random_tree, resistance, rt_hypothesis_sup)
+from conftest import (chain_tree, cut_dp_ref, phi, potentials_ref, psi_simplified,
+                      random_broom, random_tree, resistance, rt_hypothesis_sup)
 
 
 def reference_potentials(env):
@@ -187,6 +187,24 @@ class TestOneLogPerDistinctPsi:
         ps = _potentials(env)[2]
         assert (ps == 0.0).any() == (t.truncation_depth >= 2)
         self.assert_bitwise(env)
+
+    @pytest.mark.parametrize("width", [3, 300], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("dead_end", [False, True], ids=["no-dead-end", "dead-end"])
+    def test_leaves_that_divide_by_zero_and_wide_chains(self, width, dead_end):
+        """The bias factor is taken at every vertex and gathered at the
+        parents. At a leaf with lam = 1e-300 its denominator rounds to 0: it
+        divides by 0 (mu = 1e8) or takes 0 / 0 (mu = 1e-300), warning nothing
+        (tier-1 turns warnings into errors), and no edge reads it. Chains are
+        narrow and wide: Tree.scan_down runs one accumulate or one op call a
+        level (tree._scan)."""
+        t = chain_tree(width, 4, dead_end)
+        rng = random.Random(f"{width} {dead_end}")
+        lam = [rng.uniform(0.1, 5.0) for _ in t.parent]
+        mu = [rng.uniform(0.1, 5.0) for _ in t.parent]
+        for leaf, m in zip(t.leaves[:2].tolist(), (1e8, 1e-300)):
+            lam[leaf], mu[leaf] = 1e-300, m
+            assert (1e-300 + t.float_degrees[leaf]) - 1.0 == 0.0
+        self.assert_bitwise(Environment(t, lam, mu))
 
     def test_one_log_per_distinct_psi(self, monkeypatch):
         """The benchmark's flow tree, poly:b=1.5,L=64 under a two-atom law:

@@ -43,7 +43,8 @@ from goerw.tree import (
 from goerw.walk import (ClockTable, StopRule, derive_seeds, extension_reach, simulate,
                         simulate_extension, simulate_rubin)
 
-from conftest import cut_dp_ref, enumerate_cutsets, random_broom, random_tree, weights_of
+from conftest import (chain_tree, cut_dp_ref, enumerate_cutsets, random_broom, random_tree,
+                      weights_of)
 
 
 def level_sizes(t):
@@ -396,6 +397,46 @@ class TestCutDpArrays:
         assert min_cutset_sum(t, np.ones((2, 1))) == [0.0, 0.0]
 
 
+class TestCutDpRepairs:
+    """Each repair of _cut_dp runs only where it can change F: a chain's NaN
+    weights read as +inf, its zero F take their signs and a level's dead
+    ends get F = 0. Both sides of each, against the scalar DP, bitwise: a
+    chain with and without a NaN weight, with and without a zero weight or
+    a zero F from below (-0.0, which the chain turns to +0.0), a level
+    with and without a dead end (weighing -1.0, so its F = 0 is seen), 1-D
+    and 2-D weights, 1 to 3 blocks, and chains narrow enough for one
+    accumulate and wide enough for one op call a level (tree._scan)."""
+
+    @pytest.mark.parametrize("width", [3, 300], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("kind", ["plain", "nan", "zero", "minus-zero", "zero-below"])
+    @pytest.mark.parametrize("dead_end", [False, True], ids=["no-dead-end", "dead-end"])
+    @pytest.mark.parametrize("rows", [1, 2], ids=["1-D", "2-D"])
+    def test_both_sides_of_each_repair(self, width, kind, dead_end, rows):
+        t = chain_tree(width, 4, dead_end)
+        starts, top = t.levels.starts, t.truncation_depth
+        rng = random.Random(f"{width} {kind} {dead_end} {rows}")
+        w = [[0.0] + [rng.uniform(0.5, 2.0) for _ in range(1, t.n_vertices)]
+             for _ in range(rows)]
+        if dead_end:
+            w[0][starts[top - 1]] = -1.0
+        # the chain is levels 1 .. 4; its first rows, bottom level 5
+        at = {"nan": (starts[3] + 1, math.nan), "zero": (starts[3] + 1, 0.0),
+              "minus-zero": (starts[3] + 1, -0.0), "zero-below": (starts[top - 1] + 1, -0.0)}
+        if kind in at:
+            v, x = at[kind]
+            w[0][v] = x
+        weights = np.array(w[0] if rows == 1 else w)
+        assert np.isnan(weights).any() == (kind == "nan")
+        for cuts in ([top], [top - 1, top], [1, top - 1, top]):
+            values, F = _cut_dp(t, weights, cuts)
+            for L, value, block in zip(cuts, values, F):
+                m = starts[L + 1]
+                refs = [TestCutDpArrays.through_cut(t, L, cut_dp_ref(t, r.__getitem__, L))
+                        for r in w]
+                want = refs[0] if rows == 1 else tuple(map(list, zip(*refs)))
+                assert repr((value, block[..., :m].tolist())) == repr(want)
+
+
 class TestChildSums:
     """Tree.child_sums against a left-to-right scalar loop from 0.0, bitwise:
     signed zeros, infinities, NaN and cancellations come out as the loop
@@ -540,6 +581,37 @@ class TestLevelShortcut:
         odd = 2**53 + 1
         (value,) = min_level_cutset_sum([1, huge, odd], lambda m: 3.0, [2])
         assert value == odd * 3.0 != float(3 * odd)
+
+    @staticmethod
+    def fraction_route(n, w):
+        """_level_product as it was: the exact product as a Fraction,
+        whose float rounds once."""
+        try:
+            return n * w
+        except OverflowError:
+            try:
+                return float(n * Fraction(w))
+            except OverflowError:
+                return math.copysign(math.inf, w)
+
+    def test_level_product_equals_the_fraction_route(self):
+        """One int / int division rounds as the Fraction's float does: repr
+        equal on level sizes up to 6,000 bits and weights of every exponent
+        down to the least subnormal, both signs, to +-inf past the range."""
+        rng = random.Random(36)
+        weights = [5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0, 1.7976931348623157e308]
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randint(1, 6000)) | 1
+            w = (rng.choice(weights) if rng.random() < 0.2
+                 else math.copysign(math.ldexp(rng.random(), rng.randint(-1074, 1023)),
+                                    rng.random() - 0.5))
+            assert repr(_level_product(n, w)) == repr(self.fraction_route(n, w))
+        huge = 10**400
+        assert _level_product(huge, math.inf) == math.inf
+        assert _level_product(huge, -math.inf) == -math.inf
+        assert repr(_level_product(huge, 0.0)) == repr(_level_product(huge, -0.0)) == "0.0"
+        with pytest.raises(ValueError):
+            _level_product(huge, math.nan)
 
 
 class TestBranchingEstimate:
