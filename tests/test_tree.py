@@ -419,7 +419,7 @@ class TestCutDpRepairs:
              for _ in range(rows)]
         if dead_end:
             w[0][starts[top - 1]] = -1.0
-        # the chain is levels 1 .. 4; its first rows, bottom level 5
+        # levels 1 .. 4 are the chain: a vertex on its level 3, or on the bottom level 5
         at = {"nan": (starts[3] + 1, math.nan), "zero": (starts[3] + 1, 0.0),
               "minus-zero": (starts[3] + 1, -0.0), "zero-below": (starts[top - 1] + 1, -0.0)}
         if kind in at:
