@@ -73,7 +73,7 @@ class Levels(NamedTuple):
 def _scan(op: np.ufunc, run: np.ndarray) -> None:
     """run[..., k, :] = op(run[..., k - 1, :], run[..., k, :]) for k = 1, 2, ...,
     in place, down a chain's columns: one op call a level where levels hold 256
-    entries or more, else one accumulate (about 5 ns an entry; a call, 1.5 us)."""
+    entries or more, else one accumulate (numpy 2.4 on a Xeon: 5 ns an entry, 1.5 us a call)."""
     if run[..., 0, :].size < 256:
         op.accumulate(run, axis=-2, out=run)
     else:
