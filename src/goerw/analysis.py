@@ -427,7 +427,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
         tree_family.build(depth), dist, escape_depth, horizon, trials, master_seed)
 
     control_family = tree_family if m < 1.0 else polynomial_family(0.25)
-    control_freq, control_ret = _escape_law(control_family.level_sizes(escape_depth))
+    control_freq, control_ret = _escape_law(list(control_family.level_sizes(escape_depth)))
 
     x = (escape_freq * trials + 1.0) / (trials + 2.0)  # Laplace-smoothed
     sigma = math.sqrt(x * (1.0 - x) / trials)

@@ -11,9 +11,9 @@ A cutset is a set of edges meeting every path from the root to the truncation
 boundary (the vertices at maximal depth). The least total weight of a cutset
 is found by the usual downward dynamic program: for each edge, either cut it
 or recurse into all edges below it. On spherically symmetric trees with
-level-constant weights the optimum is always a full level, which gives a
-closed form that scales to trees far too large to materialize; that shortcut
-is what makes the growth-index estimates workable at large depth.
+level-constant weights the optimum is always a full level, so the
+branching-ruin table reads a stream of level sizes, keeps none and builds no
+tree; that shortcut makes the growth-index estimates workable at large depth.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, groupby, islice, pairwise, repeat
+from itertools import groupby, islice, pairwise, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,9 +40,7 @@ __all__ = [
     "build_regular",
     "build_polynomial",
     "build_from_edge_list",
-    "polynomial_level_sizes",
     "min_cutset_sum",
-    "min_level_cutset_sum",
     "DEFAULT_GAMMAS",
     "DEFAULT_THRESHOLD",
     "default_depths",
@@ -327,16 +325,12 @@ def _dyadic_floor(b: float, n: int) -> int:
 
 
 def _polynomial_sizes(b: float) -> Callable[[int], Iterator[int]]:
-    if not 0 < b < math.inf:  # NaN fails both
-        raise InputError(f"polynomial growth exponent b must be positive and finite, got {b!r}")
-    return lambda depth: (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
-
-
-def polynomial_level_sizes(b: float, depth: int) -> list[int]:
     """Level sizes s(n) = 2**floor(b*log2 n), the dyadic staircase tracking
     n**b: n**b/2 < s(n) <= n**b for every n >= 1 (the upper end up to a
     factor 2**1e-9, from the rounding nudge in _dyadic_floor)."""
-    return list(_polynomial_sizes(b)(depth))
+    if not 0 < b < math.inf:  # NaN fails both
+        raise InputError(f"polynomial growth exponent b must be positive and finite, got {b!r}")
+    return lambda depth: (1 << _dyadic_floor(b, n) if n else 1 for n in _levels(depth))
 
 
 def build_polynomial(b: float, depth: int) -> Tree:
@@ -470,26 +464,6 @@ def min_cutset_sum(tree: Tree, weights: np.ndarray) -> float | list[float]:
     return value
 
 
-def min_level_cutset_sum(level_sizes: Sequence[int], weight_by_depth: Callable[[int], float],
-                         depths: Iterable[int]) -> list[float]:
-    """Per depth L of a depth list (see _cut_depths; the deepest level is
-    len(level_sizes) - 1), the minimum of _level_product(s(m), w(m)) over
-    levels m = 1 .. L. Equals min_cutset_sum on a spherically symmetric tree
-    with level weights. One pass over the levels keeps a running minimum and
-    reads it at each depth, each level's product computed once.
-
-    Why full levels suffice: weights are level-constant and the subtree below
-    any vertex of level m is a copy of every other, so replacing the cheapest
-    mixed cutset's deepest fragment by the corresponding full level never
-    increases the total.
-    """
-    reads = _cut_depths(depths, len(level_sizes) - 1)
-    # min(a, b) keeps a unless b < a, as min over the whole run does
-    minima = list(accumulate((_level_product(level_sizes[m], weight_by_depth(m))
-                              for m in range(1, reads[-1] + 1)), min))
-    return [minima[L - 1] for L in reads]
-
-
 def _level_product(n: int, w: float) -> float:
     """n * w; where n has no float, the exact n * p / q (w = p / q) in one
     int / int division, rounded once, or +-inf beyond the float range."""
@@ -511,46 +485,45 @@ def _level_product(n: int, w: float) -> float:
 class TreeFamily:
     """A tree family indexed by truncation depth.
 
-    Every family is spherically symmetric: level_sizes(L) lists the level
-    sizes of build(L), which lets the cutset analysis run without
-    materializing the tree. Depths nest: level_sizes(L) is the first L + 1
-    entries of level_sizes(L + k), and build(L) the breadth-first prefix of
-    build(L + k) through depth L. br_index is the family's exact branching-ruin
-    number (math.inf for exponentially growing families), and vertex_cap
-    build's vertex cap, which also bounds the depth level_sizes lists (see
-    _levels). The families below keep the last tree they built and return it
-    again for the same depth, so repeated experiments on one family share
-    one tree and the tables it caches.
+    Every family is spherically symmetric: level_sizes(L) yields the level
+    sizes of build(L), root first, which lets the cutset analysis run
+    without materializing the tree. Depths nest: level_sizes(L) yields the
+    first L + 1 sizes of level_sizes(L + k), and build(L) is the
+    breadth-first prefix of build(L + k) through depth L. br_index is the
+    family's exact branching-ruin number (math.inf for exponentially growing
+    families), and vertex_cap build's vertex cap, which also bounds the
+    depth level_sizes takes: a depth past it is refused at the call, before
+    any size is yielded (see _levels). The families below keep the last tree
+    they built and return it again for the same depth, so repeated
+    experiments on one family share one tree and the tables it caches.
     """
 
     name: str
     build: Callable[[int], Tree]
-    level_sizes: Callable[[int], list[int]]
+    level_sizes: Callable[[int], Iterator[int]]
     br_index: float
     vertex_cap: int = _MAX_VERTICES
 
 
 def path_family() -> TreeFamily:
     return TreeFamily(name="path", build=lru_cache(maxsize=1)(build_path),
-                      level_sizes=lambda L: list(_path_sizes(L)), br_index=0.0,
+                      level_sizes=_path_sizes, br_index=0.0,
                       vertex_cap=_MAX_PATH_VERTICES)
 
 
 def regular_family(d: int) -> TreeFamily:
     """The d-regular trees; a d below 2 is refused here, before any depth."""
-    sizes = _regular_sizes(d)
     return TreeFamily(name=f"regular-{d}",
                       build=lru_cache(maxsize=1)(lambda L: build_regular(d, L)),
-                      level_sizes=lambda L: list(sizes(L)),
+                      level_sizes=_regular_sizes(d),
                       br_index=math.inf if d >= 3 else 0.0)
 
 
 def polynomial_family(b: float) -> TreeFamily:
     """The poly-b trees; a b not positive and finite is refused here, before any depth."""
-    _polynomial_sizes(b)
     return TreeFamily(name=f"poly-{b:g}",
                       build=lru_cache(maxsize=1)(lambda L: build_polynomial(b, L)),
-                      level_sizes=lambda L: polynomial_level_sizes(b, L), br_index=float(b))
+                      level_sizes=_polynomial_sizes(b), br_index=float(b))
 
 
 @dataclass
@@ -591,9 +564,15 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
                             threshold: float = DEFAULT_THRESHOLD) -> BranchingTable:
     """Estimate the branching-ruin number of a family from min cutset sums
     with weights |e|**-gamma across a grid of gammas and truncation depths.
-    The level sizes are read once, for the deepest depth (see TreeFamily),
-    and each gamma makes one pass over them that reads every depth
-    (min_level_cutset_sum), each level's product computed once.
+    A full level is a least cutset: the weights are level-constant and the
+    subtree below any vertex of level m is a copy of every other, so
+    replacing the cheapest mixed cutset's deepest fragment by the
+    corresponding full level never increases the total. So no tree is built:
+    one pass over the level sizes for the deepest depth (see TreeFamily)
+    folds each level's _level_product(s(m), m**-gamma) into every gamma's
+    running minimum (min(best, w) keeps best on a tie, as min over the whole
+    run does), keeps no size once its level is done and reads the minima at
+    each depth. A depth past the family's last level is refused after it.
 
     Below the true index the sums stay bounded away from zero as the depth
     grows; above it they decay to zero. The estimate reported is the largest
@@ -604,11 +583,15 @@ def branching_ruin_estimate(family: TreeFamily, gamma_grid: Sequence[float],
     """
     gammas = _gammas(gamma_grid)
     depths = _cut_depths(depths)
+    reads = set(depths)
+    best = [math.inf] * len(gammas)
     values: dict[tuple[float, int], float] = {}
-    deepest = family.level_sizes(depths[-1])
-    for g in gammas:
-        minima = min_level_cutset_sum(deepest, lambda m: m ** -g, depths)
-        values.update(zip([(g, L) for L in depths], minima))
+    m = 0
+    for m, s in enumerate(islice(family.level_sizes(depths[-1]), 1, None), 1):
+        best = [min(b, _level_product(s, m ** -g)) for b, g in zip(best, gammas)]
+        if m in reads:
+            values.update(zip([(g, m) for g in gammas], best))
+    _cut_depths(depths, m)
     return BranchingTable(gammas, depths, values, threshold)
 
 

@@ -33,13 +33,12 @@ from goerw.percolation import (
     edge_connection_probability_mc,
 )
 from goerw.tree import (
+    branching_ruin_estimate,
     build_from_edge_list,
     build_path,
     build_regular,
     min_cutset_sum,
-    min_level_cutset_sum,
     polynomial_family,
-    polynomial_level_sizes,
 )
 from goerw.walk import ClockTable, StopRule, derive_seed, restriction, simulate_extension, simulate_rubin
 
@@ -227,8 +226,8 @@ def test_criterion_07_branching_ruin_trend():
     lower_ok = True
     for b in (0.5, 1.5, 3.0):
         for L in (8, 16, 32, 64, 128):
-            sizes = polynomial_level_sizes(b, L)
-            (lo,) = min_level_cutset_sum(sizes, lambda m, g=b - 0.3: m ** -g, [L])
+            g = b - 0.3
+            lo = branching_ruin_estimate(polynomial_family(b), [g], [L]).values[(g, L)]
             if lo < 0.1:
                 lower_ok = False
 
@@ -239,8 +238,8 @@ def test_criterion_07_branching_ruin_trend():
         prev = math.inf
         at = {}
         for L in depths:
-            sizes = polynomial_level_sizes(b, L)
-            (hi,) = min_level_cutset_sum(sizes, lambda m, g=b + 0.5: m ** -g, [L])
+            g = b + 0.5
+            hi = branching_ruin_estimate(polynomial_family(b), [g], [L]).values[(g, L)]
             at[L] = hi
             if hi > prev:
                 broken.append(f"1 (non-increasing) b={b:g} L={L}: "

@@ -77,6 +77,7 @@ TABLE_PINS = {
 ROW_PINS = {
     "rt_estimate": "486d68cd38e1cc7352ea44d296b49290cd9783aa0cb393638ffcd2b121526f27",
     "branching_ruin_estimate": "145057fbb7697a72c4015ef19a229584979452cf35507d0c4284196570e5b016",
+    "branching_ruin_exact_sizes": "2035f5c27df857d56f95053701f4d07c4ec053b8d4e91749cea1e7253f14632b",
     "flow_energy_check": "f21ac38d338668e00cd79b97721bb3135c9ca481dc41be1e27bcc2107323f8b7",
 }
 
@@ -166,6 +167,13 @@ def rows(kind: str) -> list:
             table = branching_ruin_estimate(fam, DEFAULT_GAMMAS, default_depths(L))
             out += [table.rows(), table.estimate]
         return out
+    if kind == "branching_ruin_exact_sizes":
+        # poly-100 sizes past the float range: 440 products are +inf, and at
+        # gamma 100.5 the minima at depths 1300 and 1500 are exact integer
+        # products rounded once (tree._level_product's int division)
+        table = branching_ruin_estimate(polynomial_family(100.0), [0.5, 100.0, 100.5],
+                                        [1024, 1300, 1500, 1700])
+        return [table.rows(), table.estimate]
     tree = cli.parse_tree_spec("poly:b=1.5,L=64")
     env = cli.build_environment(tree, "alpha:two=0,3,0.5", 5)
     return [flow_energy_check(env, gamma, default_depths(64)).rows

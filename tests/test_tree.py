@@ -32,10 +32,8 @@ from goerw.tree import (
     build_polynomial,
     build_regular,
     min_cutset_sum,
-    min_level_cutset_sum,
     path_family,
     polynomial_family,
-    polynomial_level_sizes,
     read_tree_file,
     regular_family,
     write_tree_file,
@@ -49,6 +47,19 @@ from conftest import (chain_tree, cut_dp_ref, enumerate_cutsets, random_broom, r
 
 def level_sizes(t):
     return [len(range(*t.levels.starts[d:d + 2])) for d in range(t.truncation_depth + 1)]
+
+
+def sized(sizes):
+    """A family whose level_sizes(L) is a one-shot iterator over sizes[:L + 1],
+    so a reader that indexes the sizes or reads them twice fails; it builds
+    no tree."""
+    return TreeFamily("sized", lambda L: pytest.fail("a tree was built"),
+                      lambda L: iter(sizes[:L + 1]), math.nan)
+
+
+def sized_minimum(sizes, gamma, L):
+    """The branching-ruin table's value at (gamma, L) on sized(sizes)."""
+    return branching_ruin_estimate(sized(sizes), [gamma], [L]).values[(gamma, L)]
 
 
 def full_binary(depth):
@@ -90,7 +101,7 @@ class TestBuilders:
     @pytest.mark.parametrize("depth", [0, 1, 2, 4, 9])
     def test_build_matches_family_sizes(self, family, depth):
         t = family.build(depth)
-        assert level_sizes(t) == family.level_sizes(depth)
+        assert level_sizes(t) == list(family.level_sizes(depth))
         assert t.truncation_depth == depth
 
     @pytest.mark.parametrize("b,depth", [(0.5, 64), (1.0, 64), (1.2, 64),
@@ -100,7 +111,7 @@ class TestBuilders:
         expected = [2 ** math.floor(b * math.log2(n) + 1e-9) if n else 1
                     for n in range(depth + 1)]
         assert level_sizes(t) == expected
-        assert polynomial_level_sizes(b, depth) == expected
+        assert list(polynomial_family(b).level_sizes(depth)) == expected
 
     def test_polynomial_small_b_is_a_path_at_desk_depth(self):
         t = build_polynomial(0.05, 16)
@@ -550,8 +561,7 @@ class TestLevelShortcut:
     def test_matches_explicit_dp(self, family, depth, gamma):
         tree = family.build(depth)
         explicit = min_cutset_sum(tree, weights_of(tree, lambda e: tree.depth[e] ** -gamma))
-        sizes = family.level_sizes(depth)
-        (shortcut,) = min_level_cutset_sum(sizes, lambda m: m ** -gamma, [depth])
+        shortcut = branching_ruin_estimate(family, [gamma], [depth]).values[(gamma, depth)]
         assert shortcut == pytest.approx(explicit, rel=1e-12)
 
     @pytest.mark.parametrize("family", [path_family(), regular_family(3),
@@ -565,22 +575,25 @@ class TestLevelShortcut:
         assert [sum(1 for d in b.depth if d == n) for n in range(7)] == list(family.level_sizes(6))
 
     def test_tie_prefers_shallow_level(self):
-        # sizes 2, 4 with weights 1, 1/2 tie at value 2
-        (value,) = min_level_cutset_sum([1, 2, 4], lambda m: 1.0 if m == 1 else 0.5, [2])
-        assert value == 2.0
+        # sizes 2, 4 with weights 1, 1/2 (gamma 1) tie at value 2
+        assert sized_minimum([1, 2, 4], 1.0, 2) == 2.0
 
     def test_level_size_beyond_the_float_range(self):
         """Where a level size has no float, its product is the exact one
         rounded once, or inf beyond the float range; every other product
-        stays the plain float one."""
+        stays the plain float one. In each case that product is the least
+        over the levels read, so it is the table's value."""
         huge = 10**400
-        (value,) = min_level_cutset_sum([1, huge], lambda m: 1e-300, [1])
+        # levels 1-9 give 10**400 * m**-300 >= 1e114; level 10 the exact 1e100
+        assert 10 ** -300.0 == 1e-300
+        value = sized_minimum([1] + [huge] * 10, 300.0, 10)
         assert value == float(Fraction(huge) * Fraction(1e-300)) == 1e100
-        assert min_level_cutset_sum([1, huge], lambda m: 0.5, [1]) == [math.inf]
-        # plain: float(2**53 + 1) * 3.0; the exact product rounds elsewhere
-        odd = 2**53 + 1
-        (value,) = min_level_cutset_sum([1, huge, odd], lambda m: 3.0, [2])
-        assert value == odd * 3.0 != float(3 * odd)
+        # huge * 1.0 and huge * 0.5, both past the float range
+        assert sized_minimum([1, huge, huge], 1.0, 2) == math.inf
+        # plain: float(2**53 + 1) * (1/3); the exact product rounds elsewhere
+        odd, third = 2**53 + 1, 3 ** -1.0
+        value = sized_minimum([1, huge, huge, odd], 1.0, 3)
+        assert value == odd * third != float(odd * Fraction(third))
 
     @staticmethod
     def fraction_route(n, w):
@@ -642,8 +655,8 @@ class TestBranchingEstimate:
     @pytest.mark.parametrize("family", [path_family(), regular_family(3),
                                         polynomial_family(1.5)], ids=["path", "regular", "poly"])
     def test_reads_level_sizes_once(self, family):
-        """One level_sizes list, for the deepest depth, cut to each depth:
-        every row equal to the table of that depth's own list."""
+        """One level_sizes stream, for the deepest depth, read at each depth:
+        every row equal to the table of that depth's own stream."""
         calls = []
         counted = dataclasses.replace(
             family, level_sizes=lambda L: calls.append(L) or family.level_sizes(L))
@@ -654,16 +667,28 @@ class TestBranchingEstimate:
             single = branching_ruin_estimate(family, grid, [L])
             assert repr([row for row in table.rows() if row[1] == L]) == repr(single.rows())
 
+    def test_keeps_no_level_size(self):
+        """The pass keeps no size once its level is done: the depth-4000
+        regular table, whose exact sizes take over 1 MiB as one list, peaks
+        under 64 KiB."""
+        tracemalloc.start()
+        try:
+            branching_ruin_estimate(regular_family(3), [1.0], [4000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize("family", [path_family(), regular_family(3), polynomial_family(0.25),
                                         polynomial_family(1.2), polynomial_family(1.5)],
                              ids=["path", "regular", "poly-0.25", "poly-1.2", "poly-1.5"])
     def test_one_pass_per_gamma_equals_plain_minimum(self, family):
-        """Each gamma's one pass over the deepest level list reads, at every
-        depth L, the builtin min of the level products over levels 1 .. L."""
+        """The one pass over the deepest level sizes reads, for every gamma at
+        every depth L, the builtin min of the level products over levels 1 .. L."""
         grid = [0.0, 0.25, 1.2, 1.5, 3.0]
         depths = [1, 2, 7, 7, 40]
         table = branching_ruin_estimate(family, grid, depths)
-        sizes = family.level_sizes(40)
+        sizes = list(family.level_sizes(40))
         for g in grid:
             for L in depths:
                 want = min(_level_product(sizes[m], m ** -g) for m in range(1, L + 1))
@@ -713,13 +738,10 @@ class TestCutDepths:
         and with --depths, where a depth below 1 is refused as the flag's."""
         t = build_regular(3, 4)
         env = assign_deterministic(t)
-        sizes = regular_family(3).level_sizes(4)
-        ends_at_4 = TreeFamily("regular-3 to depth 4", lambda L: t,
-                               lambda L: sizes[:L + 1], math.inf)
+        ends_at_4 = sized(list(regular_family(3).level_sizes(4)))
         callers = {
             "rt_estimate": lambda d: rt_estimate(lambda L: (t, env), [1.0], d),
             "branching_ruin_estimate": lambda d: branching_ruin_estimate(ends_at_4, [1.0], d),
-            "min_level_cutset_sum": lambda d: min_level_cutset_sum(sizes, lambda m: 1.0, d),
             "flow_energy_check": lambda d: flow_energy_check(env, 2.0, d),
             "concentration_experiment": lambda d: concentration_experiment(
                 t, AlphaDistribution.two_point(0.0, 3.0, 0.5), 0.5, d, 1, 0),

@@ -13,7 +13,7 @@ import goerw.percolation as percolation
 import goerw.walk as walk
 from goerw.environment import (Environment, Psi, _transition_table, assign_deterministic,
                                environment_from_alpha)
-from goerw.tree import build_path, build_polynomial, build_regular, polynomial_level_sizes
+from goerw.tree import build_path, build_polynomial, build_regular, polynomial_family
 from goerw.walk import (
     ClockTable,
     StopRule,
@@ -451,7 +451,7 @@ class TestEscapeExact:
 
     @pytest.mark.parametrize("b,E,K", [(1.0, 16, 2), (0.5, 8, 3), (2.0, 10, 1)])
     def test_escape_frequency(self, b, E, K):
-        sizes = polynomial_level_sizes(b, E)
+        sizes = list(polynomial_family(b).level_sizes(E))
         C = 1 / sum(Fraction(1, sizes[n]) for n in range(1, E + 1))
         exact = float(1 - (1 - C / sizes[1]) ** K)
         assert 0.1 <= exact <= 0.9
