@@ -37,7 +37,7 @@ from .environment import (
 from .errors import InputError, RefusalError, _enough_trials
 from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp,
                    branching_ruin_estimate, default_depths, polynomial_family)
-from .walk import StopRule, derive_seed, simulate
+from .walk import StopRule, _splitmix, derive_seed, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +352,21 @@ K_RETURNS = 10
 
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                   horizon: int, trials: int, seed_base: int) -> tuple[float, float, int]:
-    """Annealed escape frequency: a fresh environment and a fresh walk per
-    trial. A point mass gives the same environment whatever the seed, so
-    it is built once. Returns the escape frequency, the mean root returns
-    and the count of runs stopped by the horizon."""
+    """Annealed escape frequency: trial t walks a fresh environment, seeded
+    derive_seed(seed_base, 1, t, 0) and (..., 1) off one hashed prefix; a point
+    mass gives the same environment whatever the seed, so it is built once.
+    Returns the escape frequency, mean root returns and horizon-censored runs."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
                     root_returns=K_RETURNS)
     one_atom = len(dist.values) == 1
     env = sample_random_environment(tree, dist, seed_base) if one_atom else None
+    lane = derive_seed(seed_base, 1)
     escapes = returns_sum = censored = 0
     for t in range(trials):
+        h = _splitmix(lane ^ t)
         if not one_atom:
-            env = sample_random_environment(tree, dist,
-                                            derive_seed(seed_base, 1, t, 0))
-        traj = simulate(env, stop, derive_seed(seed_base, 1, t, 1))
+            env = sample_random_environment(tree, dist, _splitmix(h))
+        traj = simulate(env, stop, _splitmix(h ^ 1))
         escapes += traj.escaped
         returns_sum += traj.root_returns
         censored += traj.stop_reason == "max_steps"
@@ -389,11 +390,11 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
                      trials: int, master_seed: int, depth: int) -> PhaseVerdict:
     """Directional recurrence/transience diagnostic via escape frequencies.
 
-    Runs `trials` annealed simulations on the family's depth-`depth` tree,
-    each stopped at the first of: reaching `escape_depth`, returning to the
-    root K_RETURNS times, or `horizon` steps. The escape frequency is
-    compared against a matched control, simple random walk (the zero
-    environment) under the same stop rule without the horizon:
+    Runs `trials` annealed simulations on the family's tree cut at `escape_depth` (a prefix
+    of the depth-`depth` one, alphas drawn first), each stopped at the first of: reaching
+    `escape_depth` (reading nothing there), returning to the root K_RETURNS times, or
+    `horizon` steps. The escape frequency is compared against a matched control, simple
+    random walk (the zero environment) under the same stop rule without the horizon:
 
       * excited runs (m < 1) are compared with the same tree, isolating
         the excitation effect;
@@ -405,7 +406,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     _escape_law, read from the control family's level sizes.
 
     Refuses an escape_depth past depth (tree._cut_depths, as every command
-    does) and near-critical configurations: the family's exact branching-ruin
+    does), an escape_depth of 1, which every walk reaches on its first step,
+    and near-critical configurations: the family's exact branching-ruin
     index must sit at least epsilon_margin away from the threshold 2 - m.
     The verdict also carries the family's branching-ruin estimate from min
     cutset sums over the default gamma grid and probe depths of every
@@ -413,6 +415,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
     """
     _enough_trials(trials)
     _cut_depths([escape_depth], depth)
+    if escape_depth == 1:
+        raise InputError("escape depth 1 is below 2: every walk reaches it on its first step")
 
     m = dist.m
     threshold = 2.0 - m
@@ -424,7 +428,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
             f"below the declared margin {epsilon_margin}; no verdict emitted")
 
     escape_freq, mean_ret, censored = _escape_batch(
-        tree_family.build(depth), dist, escape_depth, horizon, trials, master_seed)
+        tree_family.build(escape_depth), dist, escape_depth, horizon, trials, master_seed)
 
     control_family = tree_family if m < 1.0 else polynomial_family(0.25)
     control_freq, control_ret = _escape_law(list(control_family.level_sizes(escape_depth)))

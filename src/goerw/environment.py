@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, RefusalError
-from .tree import DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp, _gammas
+from .tree import (DEFAULT_THRESHOLD, BranchingTable, Tree, _cut_depths, _cut_dp, _frozen,
+                   _gammas)
 from .tree import min_cutset_sum  # unused here; perfbench/tracer.py patches this name
 
 __all__ = [
@@ -56,9 +57,9 @@ __all__ = [
 class AlphaDistribution:
     """A finitely supported law for the per-vertex excitement alpha >= 0.
 
-    The law is its atoms of positive mass: every entry given is checked,
-    then the zero-mass atoms are dropped. m is the annealed mean
-    E[1/(alpha+1)], computed exactly from the support.
+    The law is its atoms of positive mass: every entry given is checked, then the zero-mass
+    atoms are dropped. m is the annealed mean E[1/(alpha+1)], computed exactly from the support.
+    A draw is an atom index (_index) over cumulative weights made once per law, _atoms its alpha.
     """
 
     values: tuple[float, ...]
@@ -77,6 +78,8 @@ class AlphaDistribution:
         values, probs = zip(*((a, p) for a, p in zip(self.values, self.probs) if p > 0))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_cuts", tuple(np.cumsum(probs)[:-1].tolist()))
+        object.__setattr__(self, "_atoms", _frozen(np.array(values, dtype=np.float64)))
 
     @property
     def m(self) -> float:
@@ -91,19 +94,16 @@ class AlphaDistribution:
         """Mass 1-p1 at a0 and p1 at a1."""
         return cls((float(a0), float(a1)), (1.0 - p1, p1))
 
-    @cached_property
-    def _inverse(self) -> tuple[list[float], np.ndarray]:
-        return np.cumsum(self.probs)[:-1].tolist(), np.asarray(self.values, dtype=float)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw iid alphas by inverse transform: a uniform u gets the atom
-        whose index counts the first k-1 of the k cumulative weights (made
-        once per law) at or below u, so only the generator's uniforms count."""
-        cuts, atoms = self._inverse
-        u = rng.random(size)
+    def _index(self, seed: int, size: int) -> np.ndarray:
+        """size iid atom indices by inverse transform: u counts the first k-1 of the k
+        cumulative weights at or below it. A one-atom law draws nothing, nor loads numpy.random."""
+        cuts = self._cuts
+        if not cuts:
+            return np.zeros(size, np.intp)
+        u = np.random.default_rng(seed).random(size)
         if len(cuts) == 1:  # two atoms: the comparison is the index
-            return atoms.take(cuts[0] <= u)
-        return atoms.take(sum((c <= u for c in cuts), np.zeros(size, np.intp)))
+            return cuts[0] <= u
+        return sum((c <= u for c in cuts), np.zeros(size, np.intp))
 
     def spec_string(self) -> str:
         if len(self.values) == 1:
@@ -120,8 +120,8 @@ class Environment:
     lam and mu are read-only float64 arrays by vertex id, each the
     environment's own copy, with the root's lam and mu fixed at 1. Every
     non-root bias must be finite and positive; the first vertex that is not
-    is named. alpha is None; only environment_from_alpha sets it (a
-    read-only array) and shares its tree's Tree.ones as mu.
+    is named. alpha is None but in an alpha environment (a read-only
+    array), whose mu is its tree's Tree.ones.
 
     The potential tables R, phi, psi and log Psi are flat float64 arrays
     indexed by vertex id, held in _pot. Nothing is computed before the
@@ -138,6 +138,7 @@ class Environment:
         default=None, init=False, repr=False)
     _trans: tuple[memoryview, Sequence[float]] | None = field(
         default=None, init=False, repr=False)
+    _first: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.tree.n_vertices
@@ -183,23 +184,45 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
         lam = 1.0 + a * tree.float_degrees  # exactly 1 at the root
     if not (lam.min() > 0 and lam.max() < math.inf):  # as in Environment
         Environment(tree, lam, tree.ones)  # refuses the first bad vertex
-    lam.flags.writeable = a.flags.writeable = False
-    env = object.__new__(Environment)  # no __post_init__: made and checked here
-    env.tree, env.lam, env.mu, env.alpha = tree, lam, tree.ones, a
-    env._pot = env._trans = None
+    return _alpha_env(tree, a, lam)
+
+
+def _alpha_env(tree: Tree, alpha: np.ndarray, lam: np.ndarray,
+               first: Callable[[], np.ndarray] | None = None) -> Environment:
+    """An alpha environment of checked arrays, kept uncopied; first builds its first visits."""
+    env = object.__new__(Environment)  # no __post_init__: made and checked by the caller
+    env.tree, env.lam, env.mu, env.alpha = tree, _frozen(lam), tree.ones, _frozen(alpha)
+    env._pot, env._trans, env._first = None, None, first
     return env
 
 
+@lru_cache(maxsize=16)
+def _law_tables(dist: AlphaDistribution, degrees: tuple[float, ...]) -> tuple:
+    """lam = 1.0 + a * deg and _first_visit of atom i at degree class c (Tree._classes) in entry
+    i * len(degrees) + c, as environment_from_alpha does, and if every lam is finite. alpha is
+    gathered from dist._atoms instead: as a cache key, a law with atom -0.0 equals one with 0.0."""
+    d = np.asarray(degrees)
+    with np.errstate(over="ignore"):  # an overflowing lam is refused where drawn
+        lam = 1.0 + np.multiply.outer(dist._atoms, d)  # the root's class reads degree 0: lam 1
+    return _frozen(lam.ravel()), _frozen(_first_visit(lam, d).ravel()), bool(lam.max() < math.inf)
+
+
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
-    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1:
-    one generator and one uniform per vertex. A one-atom law draws nothing:
-    every vertex gets the atom, and a run on point laws alone never loads
-    numpy.random."""
-    if len(dist.values) == 1:
-        alpha = np.full(tree.n_vertices, dist.values[0])
-    else:
-        alpha = dist.sample(np.random.default_rng(seed), tree.n_vertices)
-    return environment_from_alpha(tree, alpha)
+    """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1: one
+    uniform per vertex draws its atom index (AlphaDistribution._index); alpha,
+    lam and, on the first walk, the first-visit table are gathered by (atom,
+    degree class) from _law_tables, bitwise as environment_from_alpha and
+    _transition_table make them, and an overflowing lam is refused where drawn."""
+    cls, degrees = tree._classes
+    lam_of, first_of, finite = _law_tables(dist, degrees)
+    idx = dist._index(seed, tree.n_vertices)
+    at = cls + len(degrees) * idx
+    lam = lam_of.take(at)
+    if not (finite or lam.max() < math.inf):
+        Environment(tree, lam, tree.ones)  # refuses the first bad vertex
+    alpha = dist._atoms.take(idx)
+    alpha[0] = 0.0
+    return _alpha_env(tree, alpha, lam, partial(first_of.take, at))
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +310,32 @@ def _conductance(env: Environment, a: int, b: int) -> np.ndarray:
     return c
 
 
+def _first_visit(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """b / ((b + d) - 1), the parent step of bias b at float degree d, in the scalar order; on
+    the last axis the root (entry 0) is 0 and a leaf (degree 1) is 1, where the expression
+    can round below 1 (0.9999999999999992 for b = 0.1) and let a draw pick no child."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a leaf's (b + 1) - 1 can be 0
+        p = b / ((b + d) - 1.0)
+    p[..., d == 1.0] = 1.0
+    p[..., 0] = 0.0
+    return p
+
+
 def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
-    """Parent-step probabilities per vertex: lam/(lam + deg - 1) on the
-    first visit and mu/(mu + deg - 1) on later ones, exactly 1 at a vertex
-    with no children and 0 at the root. Built on the first walk in an
-    environment, in float64 on whole arrays as lam / ((lam + deg) - 1): the
-    scalar expression's operation order, so every entry is bitwise the
-    same. At a childless vertex that expression can round below 1
-    (0.9999999999999992 for lam = 0.1), which would let a draw pick a child
-    that is not there, so Tree.leaves are set to 1. First visits read the
-    array through a memoryview (Python floats, no copy); later ones read a
-    list, which where mu is the tree's Tree.ones or every mu is 1 is exactly
-    1/deg, the tree's shared Tree.parent_step. A root-only tree is refused:
-    the walk has no edge to step along."""
+    """Parent-step probabilities per vertex (_first_visit), lam's on the first
+    visit and mu's on later ones, built on the first walk; a sampled
+    environment gathers its first-visit ones from its law's table (_first).
+    First visits read the array through a memoryview (Python floats, no copy),
+    later ones a list: where every mu is 1, exactly 1/deg, the tree's shared
+    Tree.parent_step. A root-only tree is refused."""
     if env._trans is None:
         tree = env.tree
         if tree.n_vertices == 1:
             raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
         unit = env.mu is tree.ones or (env.mu == 1.0).all()
-        d = tree.float_degrees
-        with np.errstate(divide="ignore"):  # a leaf's (lam + 1) - 1 can be 0: set below
-            p = [b / ((b + d) - 1.0) for b in ((env.lam,) if unit else (env.lam, env.mu))]
-        for q in p:
-            q[tree.leaves] = 1.0
-            q[0] = 0.0
-        p[0].flags.writeable = False
-        env._trans = (memoryview(p[0]), tree.parent_step if unit else p[1].tolist())
+        first = env._first() if env._first else _first_visit(env.lam, tree.float_degrees)
+        later = tree.parent_step if unit else _first_visit(env.mu, tree.float_degrees).tolist()
+        env._trans, env._first = (memoryview(_frozen(first)), later), None
     return env._trans
 
 

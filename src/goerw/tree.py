@@ -96,10 +96,9 @@ class Tree:
     child_sums, scan_down). Read from parent on first use: depth[v],
     truncation_depth, levels, float_degrees (neighbor counts, read-only
     float64), ones (a read-only 1.0 per vertex, the mu every alpha
-    environment on the tree shares), leaves (the ids of the childless
-    vertices but the root), only_child (v's only child, 0 where it has none
-    or several) and parent_step (1/deg, 0 at the root, a tuple). Equal
-    parent lists make equal trees."""
+    environment on the tree shares), only_child (v's only child, 0 where it
+    has none or several) and parent_step (1/deg, 0 at the root, a tuple).
+    Equal parent lists make equal trees."""
 
     parent: list[int]
 
@@ -142,8 +141,12 @@ class Tree:
         return _frozen(np.ones(self.n_vertices))
 
     @cached_property
-    def leaves(self) -> np.ndarray:
-        return _frozen(np.flatnonzero(self.levels.kids[1:] == 0) + 1)
+    def _classes(self) -> tuple[np.ndarray, tuple[float, ...]]:
+        """(class by vertex, float degree by class): class 0 is the root's, of
+        degree 0, then one per child count below it, found by a bincount."""
+        below = np.bincount(self.levels.kids[1:]) > 0
+        cls = np.concatenate(([0], np.cumsum(below).take(self.levels.kids[1:])))
+        return _frozen(cls), (0.0, *(np.flatnonzero(below) + 1.0).tolist())
 
     @cached_property
     def only_child(self) -> list[int]:

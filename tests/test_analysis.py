@@ -31,6 +31,7 @@ from goerw.tree import (
     build_from_edge_list,
     build_path,
     build_polynomial,
+    build_regular,
     path_family,
     polynomial_family,
     regular_family,
@@ -392,12 +393,17 @@ class TestEscapeBatch:
         AlphaDistribution((0.0, 0.2, 7.0), (0.2, 0.3, 0.5)),
         AlphaDistribution((0.3, 0.7, 1e6, 0.2), (0.25, 0.25, 0.25, 0.25)),
     ], ids=["two", "three", "four"])
-    @pytest.mark.parametrize("tree", ANNEALED_TREES, ids=["poly", "regular", "random"])
+    @pytest.mark.parametrize("tree", ANNEALED_TREES + [
+        regular_family(5).build(4),
+        random_broom(random.Random(0xB800), max_edges=60, max_depth=7),
+    ], ids=["poly", "regular", "random", "regular-5", "broom"])
     def test_equals_the_per_vertex_loop(self, monkeypatch, tree, dist):
         """Each trial's environment and first-visit table equal those of
         the per-vertex loop too. At a leaf, lam = 1.2 (alpha 0.2) makes
         (lam + 1) - 1 != lam, so a first-visit entry there is 1 only by
-        the leaf fix; 0.3 rounds it above 1, 0.7 below."""
+        the leaf fix; 0.3 rounds it above 1, 0.7 below. On regular-5 the
+        root's child count is its own (5, below it 4 or 0), and the broom
+        has single-child levels above and below its branching."""
         leaf = 1.0 + 0.2
         assert leaf / ((leaf + 1) - 1) != 1.0
         walked = []
@@ -416,18 +422,28 @@ class TestEscapeBatch:
             assert walked == tables
             walked.clear()
 
-    @pytest.mark.parametrize("tree", ANNEALED_TREES, ids=["poly", "regular", "random"])
-    def test_an_overflowing_draw_is_refused_as_the_loop_refuses_it(self, tree):
+    @pytest.mark.parametrize("tree,p", [(t, 0.1) for t in ANNEALED_TREES]
+                             + [(ANNEALED_TREES[0], 1e-15)],
+                             ids=["poly", "regular", "random", "poly-undrawn"])
+    def test_an_overflowing_draw_is_refused_as_the_loop_refuses_it(self, tree, p):
         """alpha = 1e308 overflows lam at every vertex with two or more
-        neighbors; both refuse the first such vertex a trial draws."""
-        dist = AlphaDistribution((0.0, 1e308), (0.9, 0.1))
+        neighbors; both refuse the first such vertex a trial draws. At mass
+        1e-15 no vertex draws it, and both run."""
+        dist = AlphaDistribution((0.0, 1e308), (1.0 - p, p))
         args = (tree, dist, tree.truncation_depth, 1000, 40, 5)
-        with pytest.raises(InputError) as ref:
-            escape_batch_ref(*args, 1)
-        with pytest.raises(InputError) as got:
-            analysis._escape_batch(*args)
-        assert str(got.value) == str(ref.value)
-        assert str(got.value).startswith("biases must be finite, vertex ")
+
+        def outcome(batch):
+            try:
+                return batch(*args)
+            except InputError as e:
+                return str(e)
+
+        got = outcome(analysis._escape_batch)
+        assert got == outcome(lambda *a: escape_batch_ref(*a, 1))
+        if p == 0.1:
+            assert got.startswith("biases must be finite, vertex ")
+        else:
+            assert isinstance(got, tuple)
 
 
 def exact_control(sizes, K):
@@ -498,7 +514,7 @@ class TestControlLaw:
         for seed in (1, 2):
             phase_diagnostic(fam, dist, 0.1, escape_depth=16, horizon=10**5,
                              trials=120, master_seed=seed, depth=24)
-        assert len(walks) == 240 and built == [(1.2, 24)]
+        assert len(walks) == 240 and built == [(1.2, 16)]  # cut at the escape depth
         assert all(t is walks[0] for t in walks)  # one tree over both calls
 
 
@@ -594,6 +610,31 @@ class TestPhaseDiagnostic:
         assert gammas == tree_module.DEFAULT_GAMMAS
         assert v.br_estimate == tree_module.branching_ruin_estimate(
             path_family(), gammas, [8, 16, 32, 64, 128, 256]).estimate
+
+    def test_walks_the_tree_cut_at_the_escape_depth(self, monkeypatch):
+        """The walks run on the family's tree cut at the escape depth, so
+        the excited lane reads the same on regular-3 at L = 25 (over the
+        vertex cap) as at L = 8, and the deep tree is never built."""
+        built = []
+        monkeypatch.setattr(tree_module, "build_regular",
+                            lambda d, L: built.append(L) or build_regular(d, L))
+        kw = dict(escape_depth=8, horizon=10**5, trials=100, master_seed=38)
+        dist = AlphaDistribution.two_point(0.0, 3.0, 0.5)
+        deep, cut = (phase_diagnostic(regular_family(3), dist, 0.1, depth=L, **kw)
+                     for L in (25, 8))
+        for key in ("escape_freq", "mean_returns", "censored"):
+            assert getattr(deep, key) == getattr(cut, key)
+        assert (deep.depth, cut.depth) == (25, 8) and built == [8, 8]
+
+    @pytest.mark.parametrize("fam", [path_family(), regular_family(3), polynomial_family(1.2)],
+                             ids=["path", "regular", "poly"])
+    def test_escape_depth_1_is_refused(self, fam):
+        """The root's parent step is 0, so every walk, and the control,
+        reaches depth 1 on its first step."""
+        with pytest.raises(InputError, match="^escape depth 1 is below 2: every walk"):
+            phase_diagnostic(fam, AlphaDistribution.two_point(0.0, 3.0, 0.5), 0.1,
+                             escape_depth=1, horizon=10**4, trials=100, master_seed=1,
+                             depth=2)
 
     def test_point_mass_under_a_negative_seed(self):
         """A one-atom law builds one environment from the master seed

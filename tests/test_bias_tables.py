@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import goerw.cli as cli
-from goerw.environment import Environment, _transition_table, environment_from_alpha
+from goerw.environment import (AlphaDistribution, Environment, _transition_table,
+                               environment_from_alpha, sample_random_environment)
 from goerw.tree import build_path, build_polynomial, build_regular
 from goerw.walk import StopRule, derive_seed, simulate
 
@@ -85,6 +86,8 @@ def test_direct_biases_match_loop():
     "alpha:point=0",
     "alpha:two=0,3,0.5",
     "alpha:support=0,0.25,7;probs=0.2,0.3,0.5",
+    "alpha:support=0,0.25,7,1.5,40;probs=0.1,0.2,0.3,0.15,0.25",
+    "alpha:two=1e-320,3,0.5",
 ])
 @pytest.mark.parametrize("tree_spec", ["path:L=12", "regular:d=3,L=5",
                                        "poly:b=1.2,L=64"])
@@ -101,8 +104,8 @@ def test_every_cli_spec_kind_matches_loop(spec, tree_spec):
         elif len(payload.values) == 1:
             assert_tables_equal(env, *ref_alpha_env(t, [payload.values[0]] * n))
         else:
-            rng = np.random.default_rng(derive_seed(seed, 0xE17))
-            alpha = payload.sample(rng, n).tolist()
+            idx = payload._index(derive_seed(seed, 0xE17), n)
+            alpha = np.asarray(payload.values).take(idx).tolist()
             assert_tables_equal(env, *ref_alpha_env(t, alpha))
 
 
@@ -208,7 +211,7 @@ class TestStoredOnce:
         t = build_regular(3, 15)
         n = t.n_vertices
         alpha = np.random.default_rng(3).random(n)
-        t.float_degrees, t.ones, t.leaves  # built once per tree, not per environment
+        t.float_degrees, t.ones  # built once per tree, not per environment
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -224,23 +227,28 @@ class TestStoredOnce:
     def test_walked_environment_bytes_per_vertex(self):
         """A walked alpha environment keeps lam, alpha and the first-visit
         array, 24 bytes per vertex; mu and the later-visit table are the
-        tree's."""
+        tree's. A sampled one keeps its gather index (8 bytes per vertex)
+        until its first walk, and then no more."""
         t = build_regular(3, 15)
         n = t.n_vertices
         stop = StopRule(max_steps=2000)
+        law = AlphaDistribution.two_point(0.0, 3.0, 0.5)
         simulate(environment_from_alpha(t, np.zeros(n)), stop, 1)  # the tree's tables
+        simulate(sample_random_environment(t, law, 1), stop, 1)  # and the law's
         alpha = np.random.default_rng(3).random(n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            env = environment_from_alpha(t, alpha)
-            traj = simulate(env, stop, 2)
-            del traj
-            retained = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert env._trans is not None
-        assert retained <= 32 * n
+        for build, bound in ((lambda: environment_from_alpha(t, alpha), 32),
+                             (lambda: sample_random_environment(t, law, 3), 25)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                env = build()
+                traj = simulate(env, stop, 2)
+                del traj
+                retained = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert env._trans is not None
+            assert retained <= bound * n
 
     def test_alpha_environments_share_one_read_only_mu(self):
         t = build_polynomial(1.2, 20)

@@ -2,6 +2,9 @@ import csv
 import json
 import os
 import re
+import shlex
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
@@ -382,6 +385,24 @@ class TestOutputs:
         assert text.splitlines()[0].split()[-1] == f"censored={reasons['max_steps']}"
         doc = json.loads((out / "simulate.json").read_text())
         assert doc["statistics"]["censored"] == reasons["max_steps"]
+
+
+@pytest.mark.parametrize("argv", [
+    "percolate --tree regular:d=3,L=5 --env alpha:point=1 --depths 1,2,3 --trials 1000",
+    "compute-psi --tree regular:d=3,L=5 --env alpha:point=1 --edge-depth 3",
+], ids=["percolate", "compute-psi"])
+def test_point_laws_never_load_numpy_random(tmp_path, argv):
+    """A one-atom law draws nothing, so a run on point laws alone, in a
+    fresh interpreter, never imports numpy.random (about 2 MiB of peak
+    memory on the edge Monte Carlo)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys\nfrom goerw.cli import main\n"
+              f"assert main({shlex.split(argv)!r}) == 0\n"
+              "print('numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 class TestSeedEcho:

@@ -201,7 +201,7 @@ class TestOneLogPerDistinctPsi:
         rng = random.Random(f"{width} {dead_end}")
         lam = [rng.uniform(0.1, 5.0) for _ in t.parent]
         mu = [rng.uniform(0.1, 5.0) for _ in t.parent]
-        for leaf, m in zip(t.leaves[:2].tolist(), (1e8, 1e-300)):
+        for leaf, m in zip(np.flatnonzero(t.levels.kids == 0)[:2].tolist(), (1e8, 1e-300)):
             lam[leaf], mu[leaf] = 1e-300, m
             assert (1e-300 + t.float_degrees[leaf]) - 1.0 == 0.0
         self.assert_bitwise(Environment(t, lam, mu))
@@ -363,10 +363,11 @@ class TestAlphaDistribution:
         ((0.0, 1.0, 3.0), (0.25, 0.0, 0.75)),
         ((1.0, 0.0, 3.0), (0.0, 0.5, 0.5)),
     ])
-    def test_sample_equals_searchsorted(self, values, probs):
-        """The atom of each uniform is the inverse transform's: searchsorted
-        on the cumulative weights, side right, clipped to the last atom,
-        also for a uniform exactly at a cumulative weight or next to one."""
+    def test_sample_equals_searchsorted(self, monkeypatch, values, probs):
+        """The atom index of each uniform is the inverse transform's:
+        searchsorted on the cumulative weights, side right, clipped to the
+        last atom, also for a uniform exactly at a cumulative weight or next
+        to one."""
         dist = AlphaDistribution(values, probs)
         cum = np.cumsum(probs)
         edges = cum.tolist() + [0.0, 1.0 - 2.0 ** -53]
@@ -378,14 +379,16 @@ class TestAlphaDistribution:
                 assert size == u.size
                 return u.copy()
 
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Uniforms())
         want = np.asarray(values).take(np.searchsorted(cum, u, side="right"), mode="clip")
-        assert dist.sample(Uniforms(), u.size).tolist() == want.tolist()
+        got = np.asarray(dist.values).take(dist._index(0, u.size))
+        assert got.tolist() == want.tolist()
 
     def test_point_mass_draws_nothing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a one-atom law drew alphas")
 
-        monkeypatch.setattr(AlphaDistribution, "sample", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         t = build_regular(3, 3)
         ref = environment_from_alpha(t, [1.5] * t.n_vertices)
         for seed in (1, 2):

@@ -22,8 +22,8 @@ import goerw.cli as cli
 import goerw.percolation as percolation
 from goerw.analysis import GamblerChain
 from goerw.cli import main
-from goerw.environment import (Environment, assign_deterministic, environment_from_alpha,
-                               log_Psi, psi)
+from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
+                               environment_from_alpha, log_Psi, psi)
 from goerw.errors import InputError
 from goerw.percolation import adapted_conductance
 from goerw.tree import (Tree, _cut_depths, _gammas, build_path, build_regular, path_family,
@@ -240,6 +240,10 @@ ONE_HOME = [
     # a path has its own cap of 10,000,000 vertices, build_path's
     ("path-depth-past-cap", "estimate-br --tree path:L=10000000",
      lambda: path_family().level_sizes(10_000_000)),
+    # every walk and the exact control reach depth 1 on their first step
+    ("escape-depth-1", "phase-scan --tree path:L=2 --env alpha:two=0,3,0.5 --escape-depth 1 "
+     "--trials 100", lambda: analysis.phase_diagnostic(
+         path_family(), AlphaDistribution.two_point(0.0, 3.0, 0.5), 0.1, 1, 10**6, 100, 0, 2)),
 ]
 
 
