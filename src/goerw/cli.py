@@ -16,6 +16,9 @@ so reruns are byte-identical once that field is stripped.
 Exit codes (errors.py): 0 success, 1 a RefusalError, 2 an InputError (a bad
 key, spec or value, an unreadable input or an unwritable output) or
 argparse's rejection of a flag; anything else is a bug (a traceback).
+A reader that closes stdout early does not change a finished run's exit:
+every output file is written first, and the closed pipe exits 0 with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -298,7 +301,12 @@ class Run:
             with _writing(path):
                 _atomic_write(path, text)
             self.say(f"wrote {path}")
-        print("\n".join(self.lines))
+        try:
+            print("\n".join(self.lines), flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout after every file was written: the run
+            # succeeded, and stdout goes to devnull so the exit flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _converted(name: str, text: str, where: str):

@@ -16,7 +16,9 @@ bitwise equal to one scalar run per trial. A cluster sample reads one clock
 table, so its runs stay scalar; each resumes from the state in which the
 run that opened its chain head's parent first arrived there, instead of
 restarting at the root, and the table keeps every clock value, so a clock
-read by several runs is hashed once.
+read by several runs is hashed once. The sample keeps each vertex's
+excited winner, so no vertex is raced twice, and reads each head's chain
+from the tree (Tree.chain).
 
 The concentration experiment samples fresh random environments and asks how
 often the exact Psi of a deep edge leaves its polynomial band; under the
@@ -96,43 +98,55 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     c takes the steps of the run that opened x, on the same clocks, so it
     starts from that run's race states above x, pending times included,
     and step count there (the step cap binds where a restart's would). The
-    clock table keeps every clock value it has computed, so a clock that
-    several runs read is hashed once. The runs stay scalar: on one clock
-    table the lockstep kernel would run each chain as its own lane.
+    last of x's children to run takes that snapshot's states, the others a
+    copy. The clock table keeps every clock value it has computed, so a
+    clock that several runs read is hashed once, and the sample keeps the
+    excited winner of each vertex a run has raced: it depends only on the
+    clocks, the environment and the vertex, so the run for c reads x's
+    instead of racing x again. Each head's chain and fork depths come from
+    the tree's table (Tree.chain), and the sample makes one StopRule per
+    chain end depth. The runs stay scalar: on one clock table the lockstep
+    kernel would run each chain as its own lane.
     """
     tree = env.tree
-    depth, first = tree.depth, memoryview(tree.levels.first)
+    first = memoryview(tree.levels.first)
     table = ClockTable(derive_seed(master_seed, sample_index))
     lam, mu = memoryview(env.lam), memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
     cluster = []
+    won: dict[int, int] = {}  # each raced vertex's excited winner
+    rules: dict[int, StopRule] = {}  # by chain end depth
     valid = True
     runs = steps = 0
-    # pending chain heads, each with its parent x's snapshot: (root path of
-    # x, race states of its indices 1..|x|-1, steps) at the first arrival at x
-    stack = [(c, ([0], [], 0)) for c in range(first[0], first[1])]
+    # pending chain heads, each with its parent x's snapshot: (a root path
+    # through x, the index |x|, race states of indices 1..|x|-1, steps) at
+    # the first arrival at x
+    stack = [(c, [0], 0, [], 0) for c in range(first[0], first[1])]
     while stack:
-        head, (prefix, saved, t0) = stack.pop()
-        path = prefix + [head]
-        while first[path[-1]] < first[path[-1] + 1]:
-            path.append(first[path[-1]])
-        d = depth[head]
-        states = [None] * len(path)
-        states[1:d - 1] = [r.copy() for r in saved]
-        want = {i: None for i in range(d, len(path) - 1)
-                if first[path[i] + 1] - first[path[i]] > 1}
-        traj = _extension_run(first, lam, mu, table, path, d - 1, states, t0, StopRule(
-            max_steps=_EXTENSION_CAP, hit_depth=len(path) - 1, root_returns=1), snaps=want)
+        head, above, i, saved, t0 = stack.pop()
+        chain, forks = tree.chain(head)
+        path = above[:i + 1] + chain
+        k = len(path) - 1
+        states = [None] * (k + 1)
+        # head's left sibling is x's first child: this is the snapshot's last run
+        states[1:i] = saved if head == first[above[i]] + 1 else [r.copy() for r in saved]
+        stop = rules.get(k) or rules.setdefault(k, StopRule(_EXTENSION_CAP, k, 1))
+        want = dict.fromkeys(forks)
+        traj = _extension_run(first, lam, mu, table, path, i, states, t0, stop, snaps=want,
+                              winners=won)
         runs += 1
         steps += traj.steps - t0
         valid &= traj.stop_reason != "max_steps"
-        for i in range(d, traj.max_depth + 1):
-            x = path[i]
+        reach = traj.max_depth
+        opened = chain[:reach - i]
+        for x in opened:
             open_edges[x] = True
-            cluster.append(x)
-            if i in want:
-                snap = (path[:i + 1], *want[i])
-                stack.extend((c, snap) for c in range(first[x] + 1, first[x + 1]))
+        cluster += opened
+        for j in forks:
+            if j > reach:
+                break
+            x = path[j]
+            stack.extend((c, path, j, *want[j]) for c in range(first[x] + 1, first[x + 1]))
     return PercolationSample(open_edges, frozenset(cluster), valid, 0, runs, steps,
                              len(table._clock))
 

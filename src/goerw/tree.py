@@ -98,6 +98,7 @@ class Tree:
     float64), ones (a read-only 1.0 per vertex, the mu every alpha
     environment on the tree shares), only_child (v's only child, 0 where it
     has none or several) and parent_step (1/deg, 0 at the root, a tuple).
+    chain(head) keeps each head's leftmost chain once asked for it.
     Equal parent lists make equal trees."""
 
     parent: list[int]
@@ -109,6 +110,7 @@ class Tree:
                 and all(map(operator.le, parent, islice(parent, 1, None)))
                 and all(map(operator.lt, parent, range(len(parent))))):
             raise ValueError("vertex ids are not in breadth-first order")
+        self._chains: dict[int, tuple[list[int], list[int]]] = {}  # chain(head) by head
 
     @property
     def n_vertices(self) -> int:
@@ -240,6 +242,23 @@ class Tree:
         if not 0 <= d <= self.truncation_depth:
             raise ValueError(f"tree has no vertices at depth {d}")
         return self.levels.starts[d]
+
+    def chain(self, head: int) -> tuple[list[int], list[int]]:
+        """head's leftmost chain (head, its first child, that one's first
+        child, ... down to a vertex with no children) and the depths of the
+        chain's vertices with two or more children. Kept per head on its
+        first call, so only the heads asked for are ever held."""
+        got = self._chains.get(head)
+        if got is None:
+            first, v = memoryview(self.levels.first), head
+            chain = [v]
+            while first[v] < first[v + 1]:
+                v = first[v]
+                chain.append(v)
+            d = self.depth[head]
+            got = self._chains[head] = (chain, [d + i for i, v in enumerate(chain)
+                                                if first[v + 1] - first[v] > 1])
+        return got
 
 
 # vertex caps of build_regular and build_polynomial, and of build_path

@@ -40,7 +40,7 @@ Three ways to run it:
   at the root for the coupling checks, and the percolation sampler
   (sample_ruin_percolation) starts it from a snapshot, the race states and
   step count another run had at its first arrival at a vertex both paths
-  share.
+  share, with the excited winners the sample's runs have found.
   extension_reach, which serves the connection Monte Carlo (`goerw
   percolate`), runs many of these runs, one per seed, in lockstep on
   numpy arrays and a batch's last few on _extension_run: uint64 hashes,
@@ -334,7 +334,7 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
 def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
                    clocks: ClockTable, path: list[int], pos: int, states: list,
                    steps: int, stop: StopRule, positions: list | None = None,
-                   snaps: dict | None = None) -> WalkTrajectory:
+                   snaps: dict | None = None, winners: dict | None = None) -> WalkTrajectory:
     """The extension on path from index pos, never yet passed, after steps
     steps and no root return, reading lam, mu and the child offsets first
     through memoryviews (of the environment's arrays and Levels.first).
@@ -344,8 +344,13 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
     None until a race needs it and again once its side wins;
     positions, unless None, gets each position. The first arrival at an
     index i in snaps stores there (copies of states[1:i], steps), from
-    which a run on another path through path[i] can start."""
+    which a run on another path through path[i] can start. winners maps a
+    vertex to its excited race's winner: a fresh vertex in it is not raced
+    again, and one raced is added. Only a percolation sample passes it, one
+    map per sample, since the winner depends on the environment; without it
+    every fresh vertex is raced."""
     xi = clocks.xi
+    won = {} if winners is None else winners
     k = len(path) - 1
     cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     returns = 0
@@ -362,14 +367,17 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
             dn = path[pos + 1]
             st = states[pos]
             if st is None:
-                # who would have won the excited race in the full tree
-                best = xi(u, par, 0) / lam[u]
-                gwin = par
-                for w in range(first[u], first[u + 1]):
-                    val = xi(u, w, 0)
-                    if val < best:
-                        best = val
-                        gwin = w
+                gwin = won.get(u)
+                if gwin is None:
+                    # who would have won the excited race in the full tree
+                    best = xi(u, par, 0) / lam[u]
+                    gwin = par
+                    for w in range(first[u], first[u + 1]):
+                        val = xi(u, w, 0)
+                        if val < best:
+                            best = val
+                            gwin = w
+                    won[u] = gwin
                 if gwin == par:
                     states[pos] = [0.0, 0.0, 2, 1, None, None]
                     pos -= 1

@@ -8,7 +8,10 @@ import ast
 import contextlib
 import io
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,6 +51,25 @@ def test_other_errors_in_a_runner_propagate(monkeypatch, exc):
     with pytest.raises(type(exc)) as caught:
         main(["gambler", "--mu", "2,2", "--start", "1"])
     assert caught.value is exc
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_stdout_leaves_a_finished_run_at_exit_0(tmp_path, unbuffered):
+    """`goerw ... | head -1` closes the pipe once it has its line. The run has
+    finished by then, so every output file is written, nothing reaches
+    stderr (at interpreter exit neither) and the exit is 0. The read end
+    closes before the child can print: unbuffered, print meets the closed
+    pipe; buffered, its flush does."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "goerw.cli", *shlex.split(
+        "phase-scan --tree regular:d=3,L=8 --env alpha:two=0,3,0.5 --escape-depth 8 "
+        "--trials 100"), "--out-dir", str(tmp_path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (0, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phase-scan.csv", "phase-scan.json"]
 
 
 # ---------------------------------------------------------------------------

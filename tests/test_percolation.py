@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 import goerw.percolation as percolation
+import goerw.tree as tree_module
 from goerw.analysis import flow_energy_check
 from goerw.environment import (
     AlphaDistribution,
@@ -255,6 +258,27 @@ class TestOneRunPerPath:
         # both outcomes occur below depth 1, so the comparison is not vacuous
         assert open_deep > 50 and closed_deep > 50
 
+    def test_excited_winners_belong_to_one_sample(self, rng):
+        """A sample keeps the excited winner of each vertex it races, and
+        the winner depends on lam. Two environments that differ only in
+        lam, sampled on one tree with the same seed and index, must each
+        equal their own per-edge reference: a winner map that outlived its
+        sample (kept on the tree, say) would hand the first environment's
+        winners to the second."""
+        differ = 0
+        for k in range(80):
+            t = random_tree(rng, max_edges=24, max_depth=6)
+            mu = [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)]
+            envs = [Environment(t, [rng.uniform(0.05, 20.0) for _ in range(t.n_vertices)], mu)
+                    for _ in range(2)]
+            got = [sample_ruin_percolation(env, master_seed=120, sample_index=k)
+                   for env in envs]
+            for env, s in zip(envs, got):
+                assert (s.open_edges, s.root_cluster, s.valid) == sample_ref(env, 120, k)[:3]
+            differ += got[0].open_edges != got[1].open_edges
+        # lam moves only the excited races, so these samples differ by a winner
+        assert differ > 10
+
     def test_connection_mc_matches_per_edge_runs(self, rng):
         connected = closed = 0
         for k in range(200):
@@ -343,6 +367,61 @@ class TestOneRunPerPath:
             except RefusalError:
                 assert conditioned == 0
             assert runs == [a] * 100 + [b] * conditioned
+
+
+class TestSampleReuse:
+    """What a sample computes once and reads again: each vertex's excited
+    winner (one race, however many runs pass it) and each chain head's
+    leftmost chain (kept on the tree, for the heads run only)."""
+
+    def test_no_excited_clock_is_read_twice(self, rng, monkeypatch):
+        reads = Counter()
+        real = ClockTable.xi
+
+        def counted(table, v, u, j):
+            reads[v, u, j] += 1
+            return real(table, v, u, j)
+
+        monkeypatch.setattr(ClockTable, "xi", counted)
+        t = build_regular(3, 7)
+        envs = [(t, environment_from_alpha(t, [rng.choice((0.0, 3.0)) for _ in t.parent]))
+                for _ in range(5)]
+        envs += [random_env(rng) for _ in range(60)]
+        resumed = 0
+        for k, (t, env) in enumerate(envs):
+            reads.clear()
+            s = sample_ruin_percolation(env, master_seed=130, sample_index=k)
+            assert [key for key, n in reads.items() if key[2] == 0 and n > 1] == []
+            # a run for a head below depth 1 resumed at a fork the sample had raced
+            resumed += s.runs > t.levels.kids[0]
+        assert resumed > 20
+
+    def test_chain_table_holds_only_the_heads_run(self, monkeypatch):
+        """regular:d=3,L=14 has 49,150 vertices. Under mu = 4 the root
+        cluster stays small, and the chain table holds exactly the heads
+        the samples ran: 312 of them (their summed runs are 797), about
+        131 KB, where a table of every head would take about 15 MB."""
+        heads = set()
+
+        def watched(first, lam, mu, table, path, pos, *args, **kwargs):
+            heads.add(path[pos + 1])
+            return _extension_run(first, lam, mu, table, path, pos, *args, **kwargs)
+
+        monkeypatch.setattr(percolation, "_extension_run", watched)
+        t = build_regular(3, 14)
+        env = assign_deterministic(t, mu=4.0)
+        t.levels, t.depth  # built before tracing: the whole-tree arrays
+        tracemalloc.start()
+        try:
+            runs = sum(sample_ruin_percolation(env, master_seed=5, sample_index=i).runs
+                       for i in range(40))
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, tree_module.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert set(t._chains) == heads
+        assert len(heads) <= runs < t.n_vertices // 50
+        assert sum(stat.size for stat in traces.statistics("filename")) < 256 * 1024
 
 
 class TestCapHits:

@@ -98,6 +98,26 @@ def test_traced_phase_unit_sees_every_direct_walk():
     assert st.longest > 0
 
 
+def test_traced_cluster_unit_sees_every_sample():
+    """The tracer wraps percolation.sample_ruin_percolation and
+    ClockTable.xi, so one cluster unit must show every sample, SAMPLES of
+    them, and the clocks they read inside that span (charged to it as child
+    time): a sampler that ran through another name would leave the tracer's
+    cluster rows blind."""
+    tracer = load_tracer()
+    wl = load("workloads").WORKLOADS["cluster"]
+    tr = tracer.Tracer()
+    with tracer.patched(tracer.replacements(tr)):
+        st = wl.setup(5)
+        with tracer.patched(wl.observers(st)):
+            wl.prepare(st, 0)
+            wl.run(st, 0)
+            wl.settle(st, 0)
+    assert tr.counts["percolation.sample.calls"] == wl.SAMPLES
+    assert tr.counts["walk.xi.calls"] > 0
+    assert tr.self_ns["percolation.sample"] < tr.busy_ns["percolation.sample"]
+
+
 def test_ruin_tables_unit_hands_every_flow_to_the_observer():
     """The flow-conservation gate checks only the flows that the workload's
     observer of analysis.proportional_flow collects, so one ruin-tables unit
