@@ -16,9 +16,9 @@ bitwise equal to one scalar run per trial. A cluster sample reads one clock
 table, so its runs stay scalar; each resumes from the state in which the
 run that opened its chain head's parent first arrived there, instead of
 restarting at the root, and the table keeps every clock value, so a clock
-read by several runs is hashed once. The sample keeps each vertex's
-excited winner, so no vertex is raced twice, and reads each head's chain
-from the tree (Tree.chain).
+read by several runs is hashed once. Every run through a vertex reads its
+first step from the same uniform of the table (ClockTable.draw), and the
+sample reads each head's chain from the tree (Tree.chain).
 
 The concentration experiment samples fresh random environments and asks how
 often the exact Psi of a deep edge leaves its polynomial band; under the
@@ -36,14 +36,15 @@ from .environment import (
     Environment,
     Psi,
     _conductance,
+    _transition_table,
     psi,  # unused here; perfbench/tracer.py patches this name
     sample_random_environment,
 )
 from .errors import InputError, RefusalError, _enough_trials
 from .tree import Tree, _cut_depths
 # simulate_extension is not called here; perfbench/tracer.py wraps this name
-from .walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
-                   extension_reach, simulate_extension)
+from .walk import (ClockTable, _extension_run, derive_seed, derive_seeds, extension_reach,
+                   simulate_extension)
 
 __all__ = [
     "PercolationSample",
@@ -100,22 +101,18 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     and step count there (the step cap binds where a restart's would). The
     last of x's children to run takes that snapshot's states, the others a
     copy. The clock table keeps every clock value it has computed, so a
-    clock that several runs read is hashed once, and the sample keeps the
-    excited winner of each vertex a run has raced: it depends only on the
-    clocks, the environment and the vertex, so the run for c reads x's
-    instead of racing x again. Each head's chain and fork depths come from
-    the tree's table (Tree.chain), and the sample makes one StopRule per
-    chain end depth. The runs stay scalar: on one clock table the lockstep
+    clock that several runs read is hashed once; a vertex's first step is
+    one hash of the table (ClockTable.draw), the same for every run through
+    it. Each head's chain and fork depths come from the tree's table
+    (Tree.chain). The runs stay scalar: on one clock table the lockstep
     kernel would run each chain as its own lane.
     """
     tree = env.tree
     first = memoryview(tree.levels.first)
     table = ClockTable(derive_seed(master_seed, sample_index))
-    lam, mu = memoryview(env.lam), memoryview(env.mu)
+    pf, mu = _transition_table(env)[0], memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
     cluster = []
-    won: dict[int, int] = {}  # each raced vertex's excited winner
-    rules: dict[int, StopRule] = {}  # by chain end depth
     valid = True
     runs = steps = 0
     # pending chain heads, each with its parent x's snapshot: (a root path
@@ -130,10 +127,9 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
         states = [None] * (k + 1)
         # head's left sibling is x's first child: this is the snapshot's last run
         states[1:i] = saved if head == first[above[i]] + 1 else [r.copy() for r in saved]
-        stop = rules.get(k) or rules.setdefault(k, StopRule(_EXTENSION_CAP, k, 1))
         want = dict.fromkeys(forks)
-        traj = _extension_run(first, lam, mu, table, path, i, states, t0, stop, snaps=want,
-                              winners=won)
+        traj = _extension_run(first, pf, mu, table, path, i, states, t0, _EXTENSION_CAP, k, 1,
+                              snaps=want)
         runs += 1
         steps += traj.steps - t0
         valid &= traj.stop_reason != "max_steps"

@@ -14,43 +14,40 @@ Three ways to run it:
   Levels.first or Tree.only_child, and the depth only on a first visit;
   where mu == 1 its later-visit list is the tree's (Tree.parent_step). The
   trajectory is bitwise the plain loop's, kept in the tests as the referee.
-- simulate_rubin: the clock construction. Every oriented edge (v, u) owns a
-  sequence of unit exponential clocks xi(v, u, j); a visit to v races the
-  pending clock of each neighbor scaled by that direction's rate, the
-  smallest total wins, and the excited first step simply races the j=0
-  clocks under the first-visit rates. The winner of the excited step has its
-  j=1 clock skipped (its later-visit race starts at j=2), everyone else
-  starts at j=1. Running totals per direction make this exactly the
-  classical race: consumed time accumulates, and each comparison is between
-  totals since the vertex was first left. As in Gibson and Bruck's
-  next-reaction method, each direction keeps its pending time (total plus
-  next clock over rate) from the race that first needs it until it wins, so
-  a later visit reads at most one clock. No command runs it: it is the
-  full walk that the coupling checks (criterion 02, the benchmark's
-  cluster replay) restrict to a path.
+- simulate_rubin: the clock construction. A first visit to v makes
+  simulate's step on the table's uniform for v (ClockTable.draw) and the
+  first-visit probabilities simulate reads (_transition_table). Every
+  oriented edge (v, u) owns a sequence of unit exponential clocks
+  xi(v, u, j), j >= 1; a later visit races the pending clock of each
+  neighbor scaled by that direction's later-visit rate, and the smallest
+  total wins. Running totals per direction make this exactly the classical
+  race: consumed time accumulates, and each comparison is between totals
+  since the vertex was first left. As in Gibson and Bruck's next-reaction
+  method, each direction keeps its pending time (total plus next clock
+  over rate) from the race that first needs it until it wins, so a later
+  visit reads at most one clock. No command runs it: it is the full walk
+  that the coupling checks (criterion 02, the benchmark's cluster replay)
+  restrict to a path.
 - simulate_extension: a walk on a single root path that reads the same
-  clock table. At a fresh interior vertex it first checks which neighbor of
-  the full tree would have won the excited race; if that winner is on the
-  path it moves there (skipping that direction's j=1 clock), otherwise it
-  races the two on-path j=1 clocks under the later-visit rates, consumes
-  the winner and keeps the loser's pending time. Later visits race the two
-  on-path pending times, kept as in simulate_rubin. At the root
-  it always moves down the path, and at the path's end it reflects.
-  One runner (_extension_run) holds this race: simulate_extension starts it
-  at the root for the coupling checks, and the percolation sampler
-  (sample_ruin_percolation) starts it from a snapshot, the race states and
-  step count another run had at its first arrival at a vertex both paths
-  share, with the excited winners the sample's runs have found.
-  extension_reach, which serves the connection Monte Carlo (`goerw
-  percolate`), runs many of these runs, one per seed, in lockstep on
-  numpy arrays and a batch's last few on _extension_run: uint64 hashes,
-  float64 races in the scalar order and math.log for every log kept
-  (np.log is not bitwise equal to it), so every run is == its scalar run.
-  A cell is one (lane, path index), and the race state is side-major,
-  so both sides of a race are one gather. The excited race keeps no value:
-  np.log's clocks rank it across lanes, and math.log's only where two are
-  within 1e-9. A batch's last few lanes finish on _extension_run, each on
-  a clock table seeded with the hash prefixes its cells hold.
+  clock table. At a fresh interior vertex it makes the full walk's first
+  step from the same uniform; if that step is on the path it moves there,
+  otherwise it races the two on-path j=1 clocks under the later-visit
+  rates, consumes the winner and keeps the loser's pending time. Later
+  visits race the two on-path pending times, kept as in simulate_rubin. At
+  the root it always moves down the path, and at the path's end it
+  reflects. One runner (_extension_run) holds this race: simulate_extension
+  starts it at the root for the coupling checks, and the percolation
+  sampler (sample_ruin_percolation) starts it from a snapshot, the race
+  states and step count another run had at its first arrival at a vertex
+  both paths share. extension_reach, which serves the connection Monte
+  Carlo (`goerw percolate`), runs many of these runs, one per seed, in
+  lockstep on numpy arrays and a batch's last few on _extension_run:
+  uint64 hashes, float64 races in the scalar order and math.log for every
+  log (np.log is not bitwise equal to it), so every run is == its scalar
+  run. A cell is one (lane, path index), and the race state is side-major,
+  so both sides of a race are one gather. A batch's last few lanes finish
+  on _extension_run, each on a clock table seeded with the hash prefixes
+  its cells hold.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -59,9 +56,10 @@ only spend time, they never touch an on-path clock. That exact coincidence
 is what the percolation layer relies on, and it is asserted wholesale in the
 test suite.
 
-The scalar kernels read lam, mu and the child offsets Levels.first through
-memoryviews made once per call or percolation sample: no copy, no child
-lists, and plain Python floats and ints, faster to read than numpy scalars.
+The scalar kernels read the first-visit probabilities, mu and the child
+offsets Levels.first through memoryviews made once per call or percolation
+sample: no copy, no child lists, and plain Python floats and ints, faster
+to read than numpy scalars.
 
 Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
@@ -71,7 +69,8 @@ All randomness is derived from explicit integer seeds by a splitmix-style
 mixer, so every run is reproducible bit for bit across platforms. A
 ClockTable keeps three memo levels: the hash of (seed, v) per vertex, of
 (seed, v, u) per direction and every clock value, so a new direction costs
-one hash and runs that share a table hash a clock once.
+one hash and runs that share a table hash a clock once; a vertex's
+first-step uniform costs one hash each time it is drawn.
 """
 
 from __future__ import annotations
@@ -118,17 +117,20 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 class ClockTable:
-    """Deterministic table of unit-rate exponential clocks xi(v, u, j).
+    """Deterministic table of unit-rate exponential clocks xi(v, u, j) and
+    of one first-step uniform per vertex, draw(v).
 
-    A clock is a pure function of (seed, v, u, j), so two processes handed
-    the same table read literally the same numbers; that is the whole
-    coupling. The table computes each clock on its first read and keeps
-    every value it returns, keyed by (v, u, j), so a later read of it
-    hashes nothing; it also keeps the hash of (seed, v) of each vertex and
+    Both are pure functions of the seed and their arguments, so two
+    processes handed the same table read literally the same numbers; that
+    is the whole coupling. The table computes each clock on its first read
+    and keeps every value it returns, keyed by (v, u, j), so a later read of
+    it hashes nothing; it also keeps the hash of (seed, v) of each vertex and
     of (seed, v, u) of each direction asked for, so a new clock costs one
-    _splitmix, and a new direction one more, not two. All three grow with
-    the distinct clocks read over the table's life (one percolation sample
-    or one walk) and go with the table.
+    _splitmix, and a new direction one more, not two. draw(v) hashes v's
+    kept hash under key 1, which no direction's key u << 20 (even) takes,
+    and keeps nothing more. The memos grow with the distinct clocks read
+    over the table's life (one percolation sample or one walk) and go with
+    the table.
     """
 
     __slots__ = ("seed", "_vertex", "_prefix", "_clock")
@@ -138,6 +140,12 @@ class ClockTable:
         self._vertex: dict[int, int] = {}
         self._prefix: dict[tuple[int, int], int] = {}
         self._clock: dict[tuple[int, int, int], float] = {}
+
+    def draw(self, v: int) -> float:
+        g = self._vertex.get(v)
+        if g is None:
+            g = self._vertex[v] = _splitmix(self.seed ^ v)
+        return ((_splitmix(g ^ 1) >> 11) + 0.5) * (2.0 ** -53)
 
     def xi(self, v: int, u: int, j: int) -> float:
         x = self._clock.get((v, u, j))
@@ -248,17 +256,20 @@ def simulate_rubin(env: Environment, stop: StopRule,
                    clocks: ClockTable) -> WalkTrajectory:
     """Run the walk by racing exponential clocks, recording every position.
 
-    Per visited vertex the race state is (neighbors, running totals, next
-    clock indices, pending times) per direction. A pending time, the total
-    plus the next clock over the rate, is None until a later race needs it
-    and again once its direction wins. Neighbors are listed parent first then
-    children, which is ascending id order, so a strict minimum scan breaks
-    the measure-zero ties toward the lowest id.
+    A first visit to v steps as simulate does, on r = clocks.draw(v): up if
+    r < p (v's first-visit parent-step probability, from _transition_table),
+    else to child first[v] + min(int((r - p) / (1 - p) * k), k - 1) of its
+    k. Per visited vertex the race state is (neighbors, running totals, next
+    clock indices, pending times) per direction, every index starting at 1.
+    A pending time, the total plus the next clock over the rate, is None
+    until a later race needs it and again once its direction wins. Neighbors
+    are listed parent first then children, which is ascending id order, so a
+    strict minimum scan breaks the measure-zero ties toward the lowest id.
     """
-    xi = clocks.xi
+    xi, draw, pf = clocks.xi, clocks.draw, _transition_table(env)[0]
     tree = env.tree
     parent, depth, first = tree.parent, tree.depth, memoryview(tree.levels.first)
-    lam, mu = memoryview(env.lam), memoryview(env.mu)
+    mu = memoryview(env.mu)
     cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     state: dict[int, tuple[list[int], list[float], list[int]]] = {}
     positions = [0]
@@ -267,21 +278,11 @@ def simulate_rubin(env: Environment, stop: StopRule,
     while steps < cap:
         st = state.get(v)
         if st is None:
-            # excited departure: race the j=0 clocks under first-visit rates
-            # (at the root, whose lam is 1, the first child's clock as it is)
-            kids = range(first[v], first[v + 1])
-            neis = [parent[v], *kids] if v else list(kids)
-            best = xi(v, neis[0], 0) / lam[v]
-            widx = 0
-            for i in range(1, len(neis)):
-                val = xi(v, neis[i], 0)
-                if val < best:
-                    best = val
-                    widx = i
-            nxt = [1] * len(neis)
-            nxt[widx] = 2  # the excited winner's j=1 clock is never raced
-            state[v] = (neis, [0.0] * len(neis), nxt, [None] * len(neis))
-            v = neis[widx]
+            c, n = first[v], first[v + 1] - first[v]
+            neis = [parent[v], *range(c, c + n)] if v else list(range(c, c + n))
+            state[v] = (neis, [0.0] * len(neis), [1] * len(neis), [None] * len(neis))
+            r, p = draw(v), pf[v]  # p is 0 at the root and 1 at a leaf
+            v = parent[v] if r < p else c + min(int((r - p) / (1.0 - p) * n), n - 1)
         else:
             neis, elapsed, nxt, pending = st
             best = math.inf
@@ -327,32 +328,28 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path = env.tree.root_path(target)
-    return _extension_run(*map(memoryview, (env.tree.levels.first, env.lam, env.mu)), clocks,
-                          path, 0, [None] * len(path), 0, stop, [0])
+    return _extension_run(memoryview(env.tree.levels.first), _transition_table(env)[0],
+                          memoryview(env.mu), clocks, path, 0, [None] * len(path), 0,
+                          stop.max_steps, stop.hit_depth, stop.root_returns, [0])
 
 
-def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
+def _extension_run(first: memoryview, pf: memoryview, mu: memoryview,
                    clocks: ClockTable, path: list[int], pos: int, states: list,
-                   steps: int, stop: StopRule, positions: list | None = None,
-                   snaps: dict | None = None, winners: dict | None = None) -> WalkTrajectory:
+                   steps: int, cap: int, hd: float, rr: float,
+                   positions: list | None = None, snaps: dict | None = None) -> WalkTrajectory:
     """The extension on path from index pos, never yet passed, after steps
-    steps and no root return, reading lam, mu and the child offsets first
-    through memoryviews (of the environment's arrays and Levels.first).
-    states[i] is index i's race state, [total_up, total_down, next_j_up,
-    next_j_down, pending_up, pending_down] or None before its first visit,
-    updated in place; a pending time (total plus next clock over rate) is
-    None until a race needs it and again once its side wins;
-    positions, unless None, gets each position. The first arrival at an
-    index i in snaps stores there (copies of states[1:i], steps), from
-    which a run on another path through path[i] can start. winners maps a
-    vertex to its excited race's winner: a fresh vertex in it is not raced
-    again, and one raced is added. Only a percolation sample passes it, one
-    map per sample, since the winner depends on the environment; without it
-    every fresh vertex is raced."""
-    xi = clocks.xi
-    won = {} if winners is None else winners
+    steps and no root return, until the step cap, the hit depth hd or the
+    rr-th root return. It reads the first-visit probabilities pf, mu and the
+    child offsets first through memoryviews (of _transition_table's array,
+    the environment's and Levels.first). states[i] is index i's race state,
+    [total_up, total_down, next_j_up, next_j_down, pending_up, pending_down]
+    or None before its first visit, updated in place; a pending time (total
+    plus next clock over rate) is None until a race needs it and again once
+    its side wins; positions, unless None, gets each position. The first
+    arrival at an index i in snaps stores there (copies of states[1:i],
+    steps), from which a run on another path through path[i] can start."""
+    xi, draw = clocks.xi, clocks.draw
     k = len(path) - 1
-    cap, hd, rr = stop.max_steps, stop.hit_depth, stop.root_returns
     returns = 0
     maxd = pos
     reason = "max_steps"
@@ -367,27 +364,17 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
             dn = path[pos + 1]
             st = states[pos]
             if st is None:
-                gwin = won.get(u)
-                if gwin is None:
-                    # who would have won the excited race in the full tree
-                    best = xi(u, par, 0) / lam[u]
-                    gwin = par
-                    for w in range(first[u], first[u + 1]):
-                        val = xi(u, w, 0)
-                        if val < best:
-                            best = val
-                            gwin = w
-                    won[u] = gwin
-                if gwin == par:
-                    states[pos] = [0.0, 0.0, 2, 1, None, None]
-                    pos -= 1
-                elif gwin == dn:
-                    states[pos] = [0.0, 0.0, 1, 2, None, None]
-                    pos += 1
+                # the full walk's first step from u, as in simulate_rubin
+                r, p = draw(u), pf[u]
+                c, n = first[u], first[u + 1] - first[u]
+                w = par if r < p else c + min(int((r - p) / (1.0 - p) * n), n - 1)
+                if w == par or w == dn:
+                    states[pos] = [0.0, 0.0, 1, 1, None, None]
+                    pos += 1 if w == dn else -1
                 else:
-                    # excited step went off the path: race the two on-path
-                    # j=1 clocks under later-visit rates, consume the winner
-                    # and keep the loser's (a total of 0.0 plus it is itself)
+                    # the step went off the path: race the two on-path j=1
+                    # clocks under later-visit rates, consume the winner and
+                    # keep the loser's (a total of 0.0 plus it is itself)
                     a = xi(u, par, 1) / mu[u]
                     b = xi(u, dn, 1)
                     if a <= b:
@@ -434,7 +421,7 @@ def _extension_run(first: memoryview, lam: memoryview, mu: memoryview,
 # ---------------------------------------------------------------------------
 # the extension in lockstep
 
-# most cells one batch of extension_reach holds: lanes x (path + widest race).
+# most cells one batch of extension_reach holds: lanes x (path + 1).
 # Criterion 01's 10 x 100k trials run as fast as at 1 << 20 (2-core x86
 # host) and peak at half the memory, 38 MB instead of 77 MB.
 _CELL_BUDGET = 1 << 16
@@ -463,43 +450,42 @@ def derive_seeds(master: int, n: int) -> np.ndarray:
     return _splitmix_array(np.uint64(_splitmix(master & _M64)) ^ np.arange(n, dtype=np.uint64))
 
 
-def _xi_array(h: np.ndarray, log=lambda u: _each(math.log, u)) -> np.ndarray:
+def _xi_array(h: np.ndarray) -> np.ndarray:
     """ClockTable.xi from its last hashes h: the same float64 uniform, and
-    its log by math.log, since np.log is not bitwise equal to it; log=np.log
-    is about 30 times faster and at most an ulp off, enough to rank clocks."""
-    return -log(((h >> _S11) + 0.5) * (2.0 ** -53))
+    its log by math.log, since np.log is not bitwise equal to it."""
+    return -_each(math.log, ((h >> _S11) + 0.5) * (2.0 ** -53))
 
 
-@np.errstate(over="ignore")  # a clock over a tiny lam or mu is +inf, as in the scalar run
+# a clock over a tiny mu is +inf, as in the scalar run; a first step's
+# (r - p) / (1 - p) is -inf where p is 1, and there r < p decides
+@np.errstate(over="ignore", divide="ignore")
 def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                     cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """simulate_extension toward target under StopRule(max_steps=cap,
     hit_depth=|target|, root_returns=1) on ClockTable(s) for every seed s,
-    in lockstep batches of _CELL_BUDGET // (k + 1 + widest race) lanes,
-    k = |target|. Returns each run's max_depth, whether it stopped on the
-    cap, and its steps, each == the scalar run's.
+    in lockstep batches of _CELL_BUDGET // (k + 1) lanes, k = |target|.
+    Returns each run's max_depth, whether it stopped on the cap, and its
+    steps, each == the scalar run's.
 
     Cell lane * k + i holds path index i; a run moves its lane's cell and
     ends on a multiple of k (index 0 or k). pre, total and nxt (on-path hash
     prefixes, running totals, next clock indices) are (2, n * k), row 0 the
     parent side: a race takes both sides of its cells and puts each winner
-    at cell + side * n * k. first_mv is the first visit's move if the
-    excited winner is on the path, else 0 (a race of the j=1 clocks, as on a
-    later visit), zeroed once read. The excited race keeps no value: its
-    clocks are (row, lane), reduced across lanes, ranked on np.log's and,
-    in lanes with two within 1e-9 relative, on math.log's. A batch down to
-    _HANDOFF_LANES live lanes resumes each on _extension_run from its cells'
-    race states (no pending time kept) and a ClockTable given pre's prefixes."""
+    at cell + side * n * k. first_mv is the first visit's move if the full
+    walk's first step (ClockTable.draw's uniform, simulate's rule) is on the
+    path, else 0 (a race of the j=1 clocks, as on a later visit), zeroed
+    once read. A batch down to _HANDOFF_LANES live lanes resumes each on
+    _extension_run from its cells' race states (no pending time kept) and a
+    ClockTable given pre's prefixes."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
-    lam, mu, stop = memoryview(env.lam), memoryview(env.mu), StopRule(cap, k, 1)
+    pf, mu = _transition_table(env)[0], memoryview(env.mu)
     up, dn = [*zip(path[1:k], path)], [*zip(path[1:k], path[2:])]  # pre's (v, u) per row
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
-    wide = max((first[u + 1] - first[u] + 1 for u in path[1:-1]), default=1)
-    batch = max(1, _CELL_BUDGET // (k + 1 + wide))
+    batch = max(1, _CELL_BUDGET // (k + 1))
     for lo in range(0, seeds.size, batch):
         n = min(batch, seeds.size - lo)
         pre = np.zeros((2, n * k), np.uint64)
@@ -514,28 +500,18 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         raced = t = 0
         while lane.size > _HANDOFF_LANES and t < cap:
             if raced < k - 1 and (cell % k).max() > raced:
-                # when the first lane gets to a new index, the excited race
-                # over the full tree's j=0 clocks for every live lane (near
-                # ties by math.log); an on-path winner skips its j=1 clock
+                # when the first lane gets to a new index, every live lane's
+                # first step there and its two on-path hash prefixes
                 raced += 1
                 u = path[raced]
-                row = [path[raced - 1], *range(first[u], first[u + 1])]
-                down = row.index(path[raced + 1])
                 c = lane * k + raced
-                mid = _splitmix_array(
-                    _splitmix_array(seeds[lo + lane] ^ np.uint64(u))
-                    ^ np.array([(w << 20) & _M64 for w in row], np.uint64)[:, None])
-                pre[0, c], pre[1, c] = mid[0], mid[down]
-                h = _splitmix_array(mid)
-                race = _xi_array(h, np.log)
-                race[0] /= lam[u]
-                near = (race <= race.min(axis=0) * (1 + 1e-9)).sum(axis=0) > 1
-                if near.any():
-                    race[:, near] = _xi_array(h[:, near])
-                    race[0, near] /= lam[u]
-                win = race.argmin(axis=0)
-                first_mv[c] = mv = (win == down).astype(np.int8) - (win == 0)
-                nxt[0, c], nxt[1, c] = 1 + (mv < 0), 1 + (mv > 0)
+                g = _splitmix_array(seeds[lo + lane] ^ np.uint64(u))
+                for side, w in enumerate((path[raced - 1], path[raced + 1])):
+                    pre[side, c] = _splitmix_array(g ^ np.uint64((w << 20) & _M64))
+                r = ((_splitmix_array(g ^ np.uint64(1)) >> _S11) + 0.5) * (2.0 ** -53)
+                p, a, kids = pf[u], first[u], first[u + 1] - first[u]
+                idx = np.minimum(np.floor((r - p) / (1.0 - p) * kids), kids - 1)
+                first_mv[c] = np.where(r < p, -1, idx == path[raced + 1] - a)
             mv = first_mv[cell]
             first_mv[cell] = 0  # read on the first visit only
             np.maximum(deep, cell, out=deep)
@@ -566,7 +542,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                                 for s in zip(*total[:, c].tolist(), *nxt[:, c].tolist()))
             table = ClockTable(int(seeds[lo + j]))
             table._prefix.update(zip(up[:lf] + dn[:lf], pre[:, c].ravel().tolist()))
-            run = _extension_run(first, lam, mu, table, path, p, states, t, stop)
+            run = _extension_run(first, pf, mu, table, path, p, states, t, cap, k, 1)
             reach[lo + j] = max(run.max_depth, lf)
             capped[lo + j], steps[lo + j] = run.stop_reason == "max_steps", run.steps
     return reach, capped, steps

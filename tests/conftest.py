@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product as _iproduct
 
 import numpy as np
@@ -388,6 +389,70 @@ def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
 # the quasi-independence chain: the constant M = (1 + K)^2 e^(2K) of the
 # transience proof, from the sup of R/phi, and the desk-scale statistic that
 # checks the inequality on one pair of edges by rejection conditioning
+
+
+def escape_exact(env: Environment, E: int, K: int) -> Fraction:
+    """The exact probability that the walk on env reaches depth E before
+    its K-th return to the root, for a referee of the walk kernels on small
+    trees (Kemeny and Snell, Finite Markov Chains, ch. 3).
+
+    The state is the position v, the visited set S (a rooted subtree), and
+    the returns j. For fixed (S, j) the values x_v of being at v in S, every
+    vertex of S visited, solve one linear system of the later-visit moves
+    (biases mu); a move to a new vertex u makes one first-visit step from it
+    (biases lam) into the system of S + u, and a root arrival goes to the
+    system of j + 1 (0 once j + 1 = K). Those systems form a DAG, each
+    solved once in Fractions of the environment's float biases. Keep to
+    about 20 vertices above level E: the count of rooted subtrees there
+    sets the cost."""
+    tree = env.tree
+    kids, parent, depth = tree.children, tree.parent, tree.depth
+    lam, mu = ([Fraction(float(b)) for b in bias] for bias in (env.lam, env.mu))
+
+    def moves(v, bias):
+        ks = kids[v]
+        if v == 0:
+            return [(Fraction(1, len(ks)), c) for c in ks]
+        total = bias[v] + len(ks)  # lam + deg - 1; a leaf steps up with 1
+        return [(bias[v] / total, parent[v])] + [(1 / total, c) for c in ks]
+
+    systems = {}
+
+    def value(u, S, j):
+        """The value of a move to u while S is visited and j returns made."""
+        if u == 0:
+            return solve(S, j + 1)[0] if j + 1 < K else Fraction(0)
+        if u in S:
+            return solve(S, j)[u]
+        if depth[u] >= E:
+            return Fraction(1)
+        S = S | {u}
+        return sum(q * value(w, S, j) for q, w in moves(u, lam))
+
+    def solve(S, j):
+        if (S, j) not in systems:
+            order = sorted(S)
+            at = {v: i for i, v in enumerate(order)}
+            a = [[Fraction(int(i == k)) for k in range(len(order))] for i in range(len(order))]
+            b = [Fraction(0)] * len(order)
+            for i, v in enumerate(order):
+                for q, u in moves(v, mu):
+                    if u and u in S:
+                        a[i][at[u]] -= q
+                    else:
+                        b[i] += q * value(u, S, j)
+            for i in range(len(order)):  # Gauss-Jordan, exact
+                p = next(r for r in range(i, len(order)) if a[r][i])
+                a[i], a[p], b[i], b[p] = a[p], a[i], b[p], b[i]
+                for r in range(len(order)):
+                    if r != i and a[r][i]:
+                        f = a[r][i] / a[i][i]
+                        a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+                        b[r] -= f * b[i]
+            systems[S, j] = {v: b[i] / a[i][i] for i, v in enumerate(order)}
+        return systems[S, j]
+
+    return solve(frozenset([0]), 0)[0]
 
 
 def rt_hypothesis_sup(env: Environment) -> float:

@@ -592,6 +592,21 @@ class TestPhaseDiagnostic:
                                  master_seed=5, depth=20)
             assert v.verdict == verdict
 
+    @pytest.mark.parametrize("freq,verdict", [(0.0, "recurrent-leaning"),
+                                              (0.03, "inconclusive"),
+                                              (0.05, "transient-leaning")])
+    def test_a_small_escape_above_the_control_is_inconclusive(self, monkeypatch, freq, verdict):
+        """Against an exact control of 0 and sigma of about 0.0017 at 10,000
+        trials, an escape frequency of 0.03 clears control + 3 sigma but
+        not 0.05: neither lean is shown, and the verdict is inconclusive."""
+        monkeypatch.setattr(analysis, "_escape_batch", lambda *args: (freq, 1.0, 0))
+        monkeypatch.setattr(analysis, "_escape_law", lambda sizes: (0.0, 1.0))
+        v = phase_diagnostic(self.fam, AlphaDistribution.point(1.0), 0.1, escape_depth=12,
+                             horizon=10**4, trials=10_000, master_seed=5, depth=20)
+        assert v.verdict == verdict
+        if verdict == "inconclusive":
+            assert v.control_escape_freq + 3 * v.sigma < freq < 0.05
+
     def test_probe_depths_are_the_shared_defaults(self, monkeypatch):
         """The branching-ruin reading takes the default grid and probe
         depths of every cutset table, so at L = 300 it reads depth 256."""

@@ -199,6 +199,25 @@ BAD_ARGV = [
      "--escape-depth 32", "depth 32 exceeds the tree depth 16"),
     ("two-parents", f"{WALK} file:{{tmp}}/parents.txt",
      "vertex 2 has two parents; not a tree"),
+    # parser and writer errors of their own
+    ("tree-entry-no-value", "compute-psi --tree poly:b --env det:mu=1 --edge-depth 2",
+     "malformed tree spec entry 'b'"),
+    ("table-on-a-tree-file", "estimate-br --tree file:t.txt",
+     "needs a parametric tree family"),
+    ("config-no-equals", "--config {tmp}/noeq.ini simulate --tree path:L=4 --env det:mu=1",
+     "{tmp}/noeq.ini:1: expected key = value"),
+    ("config-unknown-subcommand", "--config {tmp}/bogus.ini simulate --tree path:L=4 "
+     "--env det:mu=1", "unknown config key 'bogus.trials' (no subcommand 'bogus')"),
+    ("config-absent", "--config {tmp}/absent.ini simulate --tree path:L=4 --env det:mu=1",
+     "cannot read config {tmp}/absent.ini: No such file or directory"),
+    ("seed-not-a-number", "gambler --mu 2,2 --start 1 --seed abc", "--seed: cannot parse 'abc'"),
+    ("phase-scan-det", "phase-scan --tree poly:b=1.2,L=16 --env det:mu=1 --escape-depth 8",
+     "needs an alpha env spec"),
+    ("bias-list", "gambler --mu 2,x --start 1", "bad bias list"),
+    ("grid-step-0", f"{GRID} 1:0:1", "bad gamma grid"),
+    ("grid-not-a-number", f"{GRID} 1,x", "bad gamma grid"),
+    ("output-is-a-directory", "gen-tree --tree path:L=4 --output {tmp}/D",
+     "cannot write {tmp}/D: Is a directory"),
 ]
 
 
@@ -216,9 +235,12 @@ def inputs(tmp_path):
         "depth.txt": "# goerw-tree v1 depth=x\n0 1\n",
         "vertex.txt": "# goerw-tree v1 depth=1\n0 1\n0 a\n",
         "parents.txt": "# goerw-tree v1 depth=2\n0 1\n0 2\n1 2\n",
+        "noeq.ini": "trials 5\n",
+        "bogus.ini": "bogus.trials = 5\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "D").mkdir()
     (tmp_path / "bytes.txt").write_bytes(b"\xff\xfe# goerw-tree v1 depth=0\n")
     (tmp_path / "bytes.ini").write_bytes(b"seed = 1 # caf\xe9\n")
     return str(tmp_path)
@@ -243,6 +265,14 @@ def test_bad_argv_exits_2_with_one_error_line(inputs, argv, message):
     lines = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(lines) == 1 and message.format(tmp=inputs) in lines[0]
     assert "Traceback" not in err
+
+
+def test_a_failed_write_leaves_no_temp_file(inputs):
+    """An output path that is a directory fails the rename of the temp file
+    written next to it, and that temp file is removed."""
+    code, out, _ = exit_code(["gen-tree", "--tree", "path:L=4", "--output", f"{inputs}/D"])
+    assert (code, out) == (2, "")
+    assert list(Path(inputs).rglob("*.tmp")) == []
 
 
 # one rule, one message: a bad value on the command line and the same value

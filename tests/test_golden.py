@@ -56,7 +56,7 @@ RECIPES = {
 RECIPE_PINS = {
     "psi": "c986db5a09922e91e62d64d8755d2d92a26d2c3dcd94cca681c46c1609cff3e1",
     "gambler": "f081806a95c5dbc12e03330ea2deda7ce0fc1489702901142b08b72285a002ea",
-    "percolate": "c36da563a098857b426fdf01e0c398c013ffe354174446669d22f8360d90d7ea",
+    "percolate": "43095b2d4fb0ee03f6e1a28419bf5a704f39ce893019bce9d6987a28d4ef0638",
     "phase-scan": "d572c5a86dbb793030bd55790b546da8873f1c82567995a1a527cf2a56bd4208",
     "gen-tree": "572cc226c0270dab459edf85d4210c3264a6e636924af3b3c464e56f972fbfd3",
     "simulate": "bf0696b591e277d9125622c7882281e3885f12126f3083935db65b8805bcd3bd",
@@ -83,10 +83,10 @@ ROW_PINS = {
 
 WALK_PINS = {
     "simulate": "bad886b6741e2b1b955563d6d4fff0595830379f70b6ab9f23137335deab3e5d",
-    "extension_reach": "b784b127f2edc38b3f7409edc74107a549d53723b31ddec0bdc3baa1338aabde",
-    "sample_ruin_percolation": "96aea18001c8072b58a30a0690d4c2fd84f1d11df7783a4dc4cba0f93e59a720",
-    "simulate_rubin": "10a7c5a3c4e7215c17c08bc73ae1e5d965fcd7906e87619b028b7ff483047480",
-    "simulate_extension": "999f53dee8c3bb8fd17a231a8a34cb24c28e1332fe22447df1a611ea9e012426",
+    "extension_reach": "286136f6a1438161a621baa663025ea455e7c062a8de9bd60a955d22a339738c",
+    "sample_ruin_percolation": "28b4f60d8ce61c0f1eda4fcbb1e5550799d2d958b833d9844e01b50d9861e992",
+    "simulate_rubin": "1bde7a4fd12d7a81b1dd0409b5dc50c627b954fa093807631c19abf2b367b8ba",
+    "simulate_extension": "9f1c706a9aa5422988f76df1f063c6a36f143e66717305ed3c03f26d210ca009",
 }
 
 

@@ -24,8 +24,8 @@ from goerw.percolation import (
     sample_ruin_percolation,
 )
 from goerw.tree import build_from_edge_list, build_path, build_regular
-from goerw.walk import (ClockTable, StopRule, _extension_run, derive_seed, extension_reach,
-                        simulate_extension)
+from goerw.walk import (ClockTable, StopRule, _extension_run, derive_seed, derive_seeds,
+                        extension_reach, simulate_extension, simulate_rubin)
 
 from conftest import (flow_energy_rows_ref, quasi_independence_constant,
                       quasi_independence_statistic, random_broom, random_tree)
@@ -205,7 +205,7 @@ class TestWorkCounters:
 
         monkeypatch.setattr(percolation, "ClockTable", table)
         counted = 0
-        for k in range(30):
+        for k in range(40):
             _, env = random_env(rng)
             s = sample_ruin_percolation(env, master_seed=96, sample_index=k)
             assert s.clocks == len(tables[-1]._clock)
@@ -259,12 +259,11 @@ class TestOneRunPerPath:
         assert open_deep > 50 and closed_deep > 50
 
     def test_excited_winners_belong_to_one_sample(self, rng):
-        """A sample keeps the excited winner of each vertex it races, and
-        the winner depends on lam. Two environments that differ only in
-        lam, sampled on one tree with the same seed and index, must each
-        equal their own per-edge reference: a winner map that outlived its
-        sample (kept on the tree, say) would hand the first environment's
-        winners to the second."""
+        """A vertex's first step depends on lam. Two environments that
+        differ only in lam, sampled on one tree with the same seed and
+        index, must each equal their own per-edge reference: a first step
+        kept past its sample (on the tree, say) would hand the first
+        environment's steps to the second."""
         differ = 0
         for k in range(80):
             t = random_tree(rng, max_edges=24, max_depth=6)
@@ -276,7 +275,7 @@ class TestOneRunPerPath:
             for env, s in zip(envs, got):
                 assert (s.open_edges, s.root_cluster, s.valid) == sample_ref(env, 120, k)[:3]
             differ += got[0].open_edges != got[1].open_edges
-        # lam moves only the excited races, so these samples differ by a winner
+        # lam moves only the first steps, so these samples differ by one
         assert differ > 10
 
     def test_connection_mc_matches_per_edge_runs(self, rng):
@@ -330,9 +329,9 @@ class TestOneRunPerPath:
         without capping."""
         runs = []
 
-        def counted(children, lam, mu, table, path, *args, **kwargs):
+        def counted(first, pf, mu, table, path, *args, **kwargs):
             runs.append(path[-1])
-            return _extension_run(children, lam, mu, table, path, *args, **kwargs)
+            return _extension_run(first, pf, mu, table, path, *args, **kwargs)
 
         def counted_lanes(env, target, seeds, cap):
             runs.extend([target] * seeds.size)
@@ -370,31 +369,48 @@ class TestOneRunPerPath:
 
 
 class TestSampleReuse:
-    """What a sample computes once and reads again: each vertex's excited
-    winner (one race, however many runs pass it) and each chain head's
-    leftmost chain (kept on the tree, for the heads run only)."""
+    """What the clock kernels read and a sample keeps: no kernel reads a
+    j = 0 clock, since a first step is a draw, and each chain head's
+    leftmost chain is kept on the tree, for the heads run only."""
 
-    def test_no_excited_clock_is_read_twice(self, rng, monkeypatch):
-        reads = Counter()
+    def test_no_kernel_reads_a_j0_clock(self, rng, monkeypatch):
+        """The sampler, the full walk and the extension read clocks j >= 1
+        only, and every direction's reads on a table are j = 1, 2, ... with
+        none skipped: a first step's direction starts at 1 as every other
+        does. The lockstep's handed-off runs, which go on from the indices
+        their sweep reached, read j >= 1 too."""
+        reads = []
         real = ClockTable.xi
 
         def counted(table, v, u, j):
-            reads[v, u, j] += 1
+            reads.append((id(table), v, u, j))
             return real(table, v, u, j)
+
+        def check(from_one=True):
+            by_direction = {}
+            for key in reads:
+                by_direction.setdefault(key[:3], set()).add(key[3])
+            for js in by_direction.values():
+                assert js == set(range(1, len(js) + 1)) if from_one else min(js) >= 1
+            reads.clear()
+            return len(by_direction)
 
         monkeypatch.setattr(ClockTable, "xi", counted)
         t = build_regular(3, 7)
         envs = [(t, environment_from_alpha(t, [rng.choice((0.0, 3.0)) for _ in t.parent]))
                 for _ in range(5)]
         envs += [random_env(rng) for _ in range(60)]
-        resumed = 0
+        directions = Counter()
         for k, (t, env) in enumerate(envs):
-            reads.clear()
-            s = sample_ruin_percolation(env, master_seed=130, sample_index=k)
-            assert [key for key, n in reads.items() if key[2] == 0 and n > 1] == []
-            # a run for a head below depth 1 resumed at a fork the sample had raced
-            resumed += s.runs > t.levels.kids[0]
-        assert resumed > 20
+            sample_ruin_percolation(env, master_seed=130, sample_index=k)
+            directions["sample"] += check()
+            table = ClockTable(derive_seed(131, k))
+            simulate_rubin(env, StopRule(max_steps=300), table)
+            simulate_extension(env, table, t.n_vertices - 1, StopRule(max_steps=300))
+            directions["walks"] += check()
+            extension_reach(env, t.n_vertices - 1, derive_seeds(132 + k, 40), 10_000_000)
+            directions["hand-off"] += check(from_one=False)
+        assert min(directions.values()) > 200
 
     def test_chain_table_holds_only_the_heads_run(self, monkeypatch):
         """regular:d=3,L=14 has 49,150 vertices. Under mu = 4 the root
@@ -403,14 +419,14 @@ class TestSampleReuse:
         131 KB, where a table of every head would take about 15 MB."""
         heads = set()
 
-        def watched(first, lam, mu, table, path, pos, *args, **kwargs):
+        def watched(first, pf, mu, table, path, pos, *args, **kwargs):
             heads.add(path[pos + 1])
-            return _extension_run(first, lam, mu, table, path, pos, *args, **kwargs)
+            return _extension_run(first, pf, mu, table, path, pos, *args, **kwargs)
 
         monkeypatch.setattr(percolation, "_extension_run", watched)
         t = build_regular(3, 14)
         env = assign_deterministic(t, mu=4.0)
-        t.levels, t.depth  # built before tracing: the whole-tree arrays
+        t.levels, t.depth, t.float_degrees  # built before tracing: the whole-tree arrays
         tracemalloc.start()
         try:
             runs = sum(sample_ruin_percolation(env, master_seed=5, sample_index=i).runs
@@ -504,13 +520,13 @@ class TestCapHits:
         assert rep.kept + rep.invalid_runs == 2000
 
     def test_invalid_trials_withhold_holds(self, monkeypatch):
-        """Same pair at 4,000 trials: 868 invalid trials bias p_a to 0.0057
+        """Same pair at 4,000 trials: 873 invalid trials bias p_a to 0.0057
         against 0.054 uncapped, so the report may not claim holds."""
         t, env = ternary_excited(5)
         a, b = t.levels.starts[5], t.levels.starts[6] - 1
         monkeypatch.setattr(percolation, "_EXTENSION_CAP", 6)
         rep = quasi_independence_statistic(env, a, b, 4000, master_seed=17)
-        assert (rep.invalid_runs, rep.invalid_fraction) == (868, 868 / 4000)
+        assert (rep.invalid_runs, rep.invalid_fraction) == (873, 873 / 4000)
         assert rep.p_joint <= rep.bound + 3 * rep.sigma_joint
         assert not rep.holds
 
@@ -545,12 +561,11 @@ class TestResumedUnderCaps:
         envs = [random_lams(rng, t) for t in trees]
         resumed_binds = []
 
-        def watched(children, lam, mu, table, path, pos, states, steps, stop,
-                    *args, **kwargs):
-            out = _extension_run(children, lam, mu, table, path, pos, states, steps,
-                                 stop, *args, **kwargs)
-            if pos > 0 and steps < stop.max_steps and out.stop_reason == "max_steps":
-                resumed_binds.append((pos, steps, stop.max_steps))
+        def watched(first, pf, mu, table, path, pos, states, steps, cap, *args, **kwargs):
+            out = _extension_run(first, pf, mu, table, path, pos, states, steps, cap,
+                                 *args, **kwargs)
+            if pos > 0 and steps < cap and out.stop_reason == "max_steps":
+                resumed_binds.append((pos, steps, cap))
             return out
 
         monkeypatch.setattr(percolation, "_extension_run", watched)

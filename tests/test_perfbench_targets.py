@@ -38,8 +38,8 @@ def test_every_patched_attribute_exists():
 # unit above runs it; a change that moves a trajectory, a clock or a sample
 # moves it. ruin-tables is gated by perfbench/reference.json instead.
 UNIT_DIGESTS = {
-    "edge-mc": "36d7378929d7f4b283c6b46ea9565e96d5573a92f9b640740be4f23d628b13a8",
-    "cluster": "3f5063c53b4a6c2de340fb5640bd434d2d34c44ab6fdde58b920ac07a5bc697e",
+    "edge-mc": "bf4272805f2af29a52486b1c4b088c7f762a7e36c69bcacf09521200ffd12136",
+    "cluster": "b239567746561b902dca690331b8e7e961da1a7a005d369186abd81c0a886549",
     "phase-annealed": "b513738739c8b396e635a33e77c93a5cd1673cfff9a6633679885b08c087d62f",
 }
 

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import goerw.analysis as analysis
 import goerw.cli as cli
 import goerw.percolation as percolation
 import goerw.walk as walk
 from goerw.environment import (Environment, Psi, _transition_table, assign_deterministic,
                                environment_from_alpha)
-from goerw.tree import build_path, build_polynomial, build_regular, polynomial_family
+from goerw.tree import (build_path, build_polynomial, build_regular, polynomial_family,
+                        regular_family)
 from goerw.walk import (
     ClockTable,
     StopRule,
@@ -26,7 +28,8 @@ from goerw.walk import (
     simulate_rubin,
 )
 
-from conftest import random_broom, random_tree, simulate_recorded, simulate_ref
+from conftest import (escape_exact, random_broom, random_tree, simulate_recorded,
+                      simulate_ref)
 
 
 class TestClockTable:
@@ -120,7 +123,8 @@ class TestClockPrefixCache:
     def test_a_cluster_sample_hashes_each_clock_once(self, monkeypatch):
         """One sample on the cluster benchmark's tree: 1 hash per vertex, 1
         more per direction for its prefix, then 1 per distinct clock,
-        however often the sample's runs read it."""
+        however often the sample's runs read it, and 1 per first-step draw,
+        however often a vertex is drawn."""
         tree = cli.parse_tree_spec("regular:d=3,L=7")
         env = cli.build_environment(tree, "alpha:two=0,3,0.5", 12)
         want = percolation.sample_ruin_percolation(env, 40, 3)
@@ -138,16 +142,23 @@ class TestClockPrefixCache:
             reads.append((v, u, j))
             return real(self, v, u, j)
 
+        def draw(self, v, real=ClockTable.draw):
+            draws.append(v)
+            return real(self, v)
+
         # the sample's seed is derived before the count starts: only the table hashes
+        draws = []
         monkeypatch.setattr(percolation, "derive_seed", lambda m, i: seed)
         monkeypatch.setattr(percolation, "ClockTable", table)
         monkeypatch.setattr(walk, "_splitmix", splitmix)
         monkeypatch.setattr(ClockTable, "xi", xi)
+        monkeypatch.setattr(ClockTable, "draw", draw)
         got = percolation.sample_ruin_percolation(env, 40, 3)
         assert got == want
         (t,) = tables
-        assert len(hashes) == len(t._vertex) + len(t._prefix) + len(t._clock)
+        assert len(hashes) == len(t._vertex) + len(t._prefix) + len(t._clock) + len(draws)
         assert t._clock.keys() == set(reads) and len(reads) > len(t._clock)
+        assert t._vertex.keys() >= set(draws) and len(draws) > len(set(draws))
 
 
 class TestPendingTimes:
@@ -465,6 +476,37 @@ class TestEscapeExact:
         assert abs(z) <= 4.5
 
 
+class TestExactReferee:
+    """simulate and simulate_rubin against the exact law of the excited
+    walk (conftest.escape_exact): the probability of reaching depth E
+    before the K-th root return, on trees small enough to solve exactly.
+    Swapping lam and mu moves the second case from 0.6305 to 0.8625."""
+
+    CASES = [("regular:d=2,L=3", "det:lambda=2", 3, 2, 0.3779),
+             ("regular:d=3,L=3", "det:lambda=3,mu=0.5", 3, 2, 0.6305),
+             ("poly:b=1.5,L=4", "det:lambda=2.5", 4, 1, 0.2860)]
+
+    @pytest.mark.parametrize("spec,law,E,K,approx", CASES, ids=[c[0] for c in CASES])
+    def test_escape_frequency(self, spec, law, E, K, approx):
+        env = cli.build_environment(cli.parse_tree_spec(spec), law, 0)
+        exact = float(escape_exact(env, E, K))
+        assert exact == pytest.approx(approx, abs=1e-4)
+        stop = StopRule(max_steps=10**6, hit_depth=E, root_returns=K)
+        trials = 4000
+        for run in (lambda i: simulate(env, stop, derive_seed(61, i)),
+                    lambda i: simulate_rubin(env, stop, ClockTable(derive_seed(62, i)))):
+            reasons = Counter(run(i).stop_reason for i in range(trials))
+            assert reasons["max_steps"] == 0
+            z = (reasons["hit_depth"] / trials - exact) / math.sqrt(exact * (1 - exact) / trials)
+            assert abs(z) <= 4.5
+
+    def test_zero_environment_is_the_control_law(self):
+        """With lam = mu = 1 the solver gives _escape_law's value exactly."""
+        env = cli.build_environment(cli.parse_tree_spec("regular:d=2,L=3"), "det:mu=1", 0)
+        want = analysis._escape_law(list(regular_family(2).level_sizes(3)))[0]
+        assert float(escape_exact(env, 3, analysis.K_RETURNS)) == want
+
+
 class TestRubin:
     def test_first_departure_matches_law(self):
         t = build_path(2)
@@ -557,6 +599,93 @@ class TestRubin:
             assert p > 1e-4
 
 
+class TestFirstStep:
+    """The clock kernels' first step from a vertex is simulate's, on the
+    clock table's uniform for it (ClockTable.draw). With the uniforms
+    stubbed, one per fresh vertex in the order simulate draws them, the
+    vertex simulate moves to from a fresh v is the one simulate_rubin moves
+    to, and the extension through v moves there too whenever it is on its
+    path. The cases: the root (p = 0), an interior vertex, one whose lam of
+    1e308 rounds p to 1 and a leaf (p = 1); the uniforms include p itself,
+    which goes to the first child (r < p is up)."""
+
+    @staticmethod
+    def env():
+        t = build_regular(3, 3)
+        lam = [2.5] * t.n_vertices
+        lam[6] = 1e308  # depth 2, under vertex 2
+        return Environment(t, lam, [0.7] * t.n_vertices)
+
+    @staticmethod
+    def steer(env, path, r):
+        """{vertex: uniform} that takes a first-visit walk down path and
+        then draws r at its end."""
+        pf, first = _transition_table(env)[0], env.tree.levels.first
+        out = {}
+        for v, c in zip(path, path[1:]):
+            k, p = first[v + 1] - first[v], pf[v]
+            out[v] = p + (c - first[v] + 0.5) / k * (1 - p)
+            assert int((out[v] - p) / (1 - p) * k) == c - first[v]
+        return {**out, path[-1]: r}
+
+    @pytest.mark.parametrize("v", [0, 1, 6, 12])
+    def test_rubin_and_extension_step_as_simulate(self, v, monkeypatch):
+        env = self.env()
+        t, pf = env.tree, _transition_table(env)[0]
+        p = pf[v]
+        assert p == {0: 0.0, 1: 2.5 / 4.5, 6: 1.0, 12: 1.0}[v]
+        path, d = t.root_path(v), t.depth[v]
+        kids = t.children[v]
+        rs = {2 ** -54, 0.5, 1 - 2 ** -53, p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)}
+        rs |= {p + (i + 0.5) / len(kids) * (1 - p) for i in range(len(kids))} if p < 1 else set()
+        seen = set()
+        for r in sorted(x for x in rs if 0 < x < 1):
+            script = self.steer(env, path, r)
+
+            class Script:
+                def __init__(self, seed):
+                    self.draws = iter(script[u] for u in path)
+
+                def random(self):
+                    return next(self.draws)
+
+            monkeypatch.setattr(random, "Random", Script)
+            monkeypatch.setattr(ClockTable, "draw", lambda self, u: script[u])
+            w = simulate_recorded(env, StopRule(d + 1), 0).positions[d + 1]
+            assert w == (t.parent[v] if r < p else kids[min(int((r - p) / (1 - p) * len(kids)),
+                                                            len(kids) - 1)])
+            seen.add(w)
+            assert simulate_rubin(env, StopRule(d + 1), ClockTable(1)).positions[d + 1] == w
+            for c in kids if v else ():
+                ext = simulate_extension(env, ClockTable(1), c, StopRule(d + 1))
+                if w in (t.parent[v], c):
+                    assert ext.positions[d + 1] == w
+        # every neighbor a first step can reach is reached
+        assert seen == ({t.parent[v]} if p == 1 else {t.parent[v], *kids} if v else set(kids))
+
+    def test_lockstep_steps_down_at_r_equal_p(self, monkeypatch):
+        """lam at vertex 1 is set so that its first-visit p equals one
+        seed's draw there: that lane steps to the first child, as simulate
+        would, in the lockstep sweep and on the scalar runner alike."""
+        t = build_regular(3, 3)
+        seeds = derive_seeds(5, 30)
+        s = seeds.tolist()[0]
+        r = ClockTable(s).draw(1)
+        lam = 2 * r / (1 - r)
+        for _ in range(100):
+            if lam / (lam + 2) == r:
+                break
+            lam = math.nextafter(lam, math.inf if lam / (lam + 2) < r else 0.0)
+        env = Environment(t, [1.0, lam] + [2.0] * (t.n_vertices - 2), [0.5] * t.n_vertices)
+        assert _transition_table(env)[0][1] == r
+        target = t.children[1][0]
+        for lanes in (0, 30):  # every lane swept, or handed off before its first step
+            monkeypatch.setattr(walk, "_HANDOFF_LANES", lanes)
+            got = lockstep_runs(env, target, seeds, 10_000_000)
+            assert got == scalar_runs(env, target, seeds, 10_000_000)
+            assert got[0] == (2, False, 2)
+
+
 class TestExtension:
     def test_depth_one_edge_always_open(self):
         t = build_regular(3, 3)
@@ -641,50 +770,6 @@ class TestLockstep:
         assert walk._xi_array(h).tolist() == want
         assert walk._xi_array(h.reshape(-1, 4)).ravel().tolist() == want
 
-    def test_np_log_ranks_within_an_ulp(self, rng):
-        """The excited race is ranked on np.log's clocks, redone on
-        math.log's where two racers are within 1e-9 relative; that is sound
-        while the two logs stay far closer, as they do (at most an ulp)."""
-        h = np.array(self.WORDS + [(2 ** 53 - 1) << 11, 1 << 11]
-                     + [rng.getrandbits(64) for _ in range(100_000)], dtype=np.uint64)
-        fast, exact = walk._xi_array(h, np.log), walk._xi_array(h)
-        assert np.all(np.abs(fast - exact) <= 1e-15 * exact)
-
-    def test_near_tie_is_raced_on_math_log(self, monkeypatch):
-        """lam at vertex 1 is set so that the first lane's parent clock over
-        lam ties its down clock exactly, and the ranking clocks put the
-        parent clock an ulp high (np.log's may be an ulp off): the tie is
-        redone on math.log's clocks and goes to the parent, as in the
-        scalar run."""
-        t = build_regular(3, 3)
-        dn, other = t.children[1]
-        seeds = derive_seeds(5, 30)
-        for s in seeds.tolist():
-            x, y, z = (ClockTable(s).xi(1, w, 0) for w in (0, dn, other))
-            if z > y:  # the tie is for the smallest
-                break
-        lam = x / y
-        for _ in range(100):
-            if x / lam == y:
-                break
-            lam = math.nextafter(lam, math.inf if x / lam > y else 0.0)
-        assert x / lam == y
-        env = Environment(t, [1.0, lam] + [2.0] * (t.n_vertices - 2), [0.5] * t.n_vertices)
-
-        def ranking_clocks(h, log=None, exact=walk._xi_array):
-            if log is None:
-                return exact(h)
-            x = exact(h)  # (row, lane): row 0 is every lane's parent clock
-            x[0] = np.nextafter(x[0], np.inf)
-            return x
-
-        monkeypatch.setattr(walk, "_HANDOFF_LANES", 0)
-        monkeypatch.setattr(walk, "_xi_array", ranking_clocks)
-        target = t.children[dn][0]
-        got = lockstep_runs(env, target, seeds, 10_000_000)
-        assert got == scalar_runs(env, target, seeds, 10_000_000)
-        assert got[seeds.tolist().index(s)] == (1, False, 2)
-
     def test_random_trees_every_depth(self, rng):
         """Random lam and mu (mu != 1), a target at every depth, and every
         leaf."""
@@ -719,9 +804,9 @@ class TestLockstep:
         assert capped > 0
 
     def test_runs_span_batches(self, rng, monkeypatch):
-        """A cell budget of 40 holds 4 lanes toward a depth-6 target in the
-        ternary tree, so 101 seeds take 26 batches."""
-        monkeypatch.setattr(walk, "_CELL_BUDGET", 40)
+        """A cell budget of 28 holds 4 lanes toward a depth-6 target, so 101
+        seeds take 26 batches."""
+        monkeypatch.setattr(walk, "_CELL_BUDGET", 28)
         t = build_regular(3, 6)
         env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
                           [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
@@ -815,15 +900,15 @@ class TestHandOff:
                 assert tail.keys() == {(True, "max_steps")}
 
     def test_batches_each_hand_off(self, rng, monkeypatch):
-        """101 lanes in batches of 4 toward a depth-6 target, handing off at
+        """201 lanes in batches of 4 toward a depth-6 target, handing off at
         2 live lanes: each batch finishes its own last lanes, and the lone
         lane of the last batch is handed off before its first step."""
-        monkeypatch.setattr(walk, "_CELL_BUDGET", 40)
+        monkeypatch.setattr(walk, "_CELL_BUDGET", 28)
         monkeypatch.setattr(walk, "_HANDOFF_LANES", 2)
         t = build_regular(3, 6)
         env = Environment(t, [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)],
                           [rng.uniform(0.2, 4.0) for _ in range(t.n_vertices)])
-        seeds = derive_seeds(12, 101)
+        seeds = derive_seeds(12, 201)
         want = scalar_runs(env, t.leftmost_at_depth(6), seeds, 10_000_000)
         tail = self.spy_tail(monkeypatch)
         assert lockstep_runs(env, t.leftmost_at_depth(6), seeds, 10_000_000) == want
@@ -836,7 +921,7 @@ class TestEdgeMcShape:
     percolate recipe: regular:d=3,L=5, alpha:point=1, depths 1-5)."""
 
     def test_no_empty_exact_race_and_seeded_hand_off(self, monkeypatch):
-        """No exact _xi_array call is made on an empty selection, and each
+        """No _xi_array call is made on an empty selection, and each
         handed-off lane's table already holds, for every index the lane has
         left, the two on-path prefixes that ClockTable(seed) computes, and
         no other."""
@@ -844,24 +929,22 @@ class TestEdgeMcShape:
         exact_sizes, seeded = [], Counter()
         xi_array, run = walk._xi_array, walk._extension_run
 
-        def spy_xi(h, log=None):
-            if log is None:
-                exact_sizes.append(h.size)
-                return xi_array(h)
-            return xi_array(h, log)
+        def spy_xi(h):
+            exact_sizes.append(h.size)
+            return xi_array(h)
 
-        def spy_run(first, lam, mu, clocks, path, pos, states, *rest):
+        def spy_run(first, pf, mu, clocks, path, pos, states, *rest):
             left = [i for i, st in enumerate(states) if st is not None]
             assert left == list(range(1, len(left) + 1))
             fresh = ClockTable(clocks.seed)
             want = {}
             for i in left:
                 for u in (path[i - 1], path[i + 1]):
-                    fresh.xi(path[i], u, 0)
+                    fresh.xi(path[i], u, 1)
                     want[path[i], u] = fresh._prefix[path[i], u]
             assert clocks._prefix == want
             seeded[len(left) > 0] += 1
-            return run(first, lam, mu, clocks, path, pos, states, *rest)
+            return run(first, pf, mu, clocks, path, pos, states, *rest)
 
         monkeypatch.setattr(walk, "_xi_array", spy_xi)
         monkeypatch.setattr(walk, "_extension_run", spy_run)
