@@ -136,7 +136,7 @@ class Environment:
     alpha: np.ndarray | None = field(default=None, init=False)
     _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False)
-    _trans: tuple[memoryview, Sequence[float]] | None = field(
+    _trans: tuple[memoryview, Sequence[float] | None] | None = field(
         default=None, init=False, repr=False)
     _first: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
@@ -321,21 +321,25 @@ def _first_visit(b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return p
 
 
-def _transition_table(env: Environment) -> tuple[memoryview, Sequence[float]]:
-    """Parent-step probabilities per vertex (_first_visit), lam's on the first
-    visit and mu's on later ones, built on the first walk; a sampled
-    environment gathers its first-visit ones from its law's table (_first).
-    First visits read the array through a memoryview (Python floats, no copy),
-    later ones a list: where every mu is 1, exactly 1/deg, the tree's shared
-    Tree.parent_step. A root-only tree is refused."""
+def _transition_table(env: Environment,
+                      later: bool = True) -> tuple[memoryview, Sequence[float] | None]:
+    """Parent-step probabilities per vertex (_first_visit), lam's on the first visit
+    and mu's on later ones, each built on the first walk that reads it; a sampled
+    environment gathers its first-visit ones from its law's table (_first). First
+    visits read the array through a memoryview (Python floats, no copy), later ones
+    a list: where every mu is 1, exactly 1/deg, the tree's shared Tree.parent_step.
+    The clock kernels pass later=False, which leaves an unbuilt later-visit table
+    None. A root-only tree is refused."""
+    tree = env.tree
     if env._trans is None:
-        tree = env.tree
         if tree.n_vertices == 1:
             raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
-        unit = env.mu is tree.ones or (env.mu == 1.0).all()
         first = env._first() if env._first else _first_visit(env.lam, tree.float_degrees)
-        later = tree.parent_step if unit else _first_visit(env.mu, tree.float_degrees).tolist()
-        env._trans, env._first = (memoryview(_frozen(first)), later), None
+        env._trans, env._first = (memoryview(_frozen(first)), None), None
+    if later and env._trans[1] is None:
+        unit = env.mu is tree.ones or (env.mu == 1.0).all()
+        pl = tree.parent_step if unit else _first_visit(env.mu, tree.float_degrees).tolist()
+        env._trans = (env._trans[0], pl)
     return env._trans
 
 

@@ -110,7 +110,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     tree = env.tree
     first = memoryview(tree.levels.first)
     table = ClockTable(derive_seed(master_seed, sample_index))
-    pf, mu = _transition_table(env)[0], memoryview(env.mu)
+    pf, mu = _transition_table(env, later=False)[0], memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
     cluster = []
     valid = True

@@ -107,6 +107,17 @@ def _splitmix(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _uniform(h):
+    """The float64 uniform in (0, 1) of a 64-bit hash h, an int or a uint64 array."""
+    return ((h >> 11) + 0.5) * (2.0 ** -53)
+
+
+def _first_step(r: float, p: float, up: int, c: int, n: int) -> int:
+    """simulate's first-visit step on the uniform r: to up if r < p (0 at the root, 1 at
+    a leaf), else to child c + min(int((r - p) / (1 - p) * n), n - 1) of c .. c + n - 1."""
+    return up if r < p else c + min(int((r - p) / (1.0 - p) * n), n - 1)
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Stable child seed from a master seed and indices (trial number,
     replica number and so on)."""
@@ -124,13 +135,13 @@ class ClockTable:
     processes handed the same table read literally the same numbers; that
     is the whole coupling. The table computes each clock on its first read
     and keeps every value it returns, keyed by (v, u, j), so a later read of
-    it hashes nothing; it also keeps the hash of (seed, v) of each vertex and
-    of (seed, v, u) of each direction asked for, so a new clock costs one
-    _splitmix, and a new direction one more, not two. draw(v) hashes v's
-    kept hash under key 1, which no direction's key u << 20 (even) takes,
-    and keeps nothing more. The memos grow with the distinct clocks read
-    over the table's life (one percolation sample or one walk) and go with
-    the table.
+    it hashes nothing; it also keeps the hash of (seed, v) of each vertex
+    (_vertex_hash) and of (seed, v, u) of each direction asked for, so a new
+    clock costs one _splitmix, and a new direction one more, not two.
+    draw(v) hashes v's kept hash under key 1, which no direction's key
+    u << 20 (even) takes, and keeps nothing more. The memos grow with the
+    distinct clocks read over the table's life (one percolation sample or
+    one walk) and go with the table.
     """
 
     __slots__ = ("seed", "_vertex", "_prefix", "_clock")
@@ -141,23 +152,22 @@ class ClockTable:
         self._prefix: dict[tuple[int, int], int] = {}
         self._clock: dict[tuple[int, int, int], float] = {}
 
-    def draw(self, v: int) -> float:
+    def _vertex_hash(self, v: int) -> int:
         g = self._vertex.get(v)
         if g is None:
             g = self._vertex[v] = _splitmix(self.seed ^ v)
-        return ((_splitmix(g ^ 1) >> 11) + 0.5) * (2.0 ** -53)
+        return g
+
+    def draw(self, v: int) -> float:
+        return _uniform(_splitmix(self._vertex_hash(v) ^ 1))
 
     def xi(self, v: int, u: int, j: int) -> float:
         x = self._clock.get((v, u, j))
         if x is None:
             h = self._prefix.get((v, u))
             if h is None:
-                g = self._vertex.get(v)
-                if g is None:
-                    g = self._vertex[v] = _splitmix(self.seed ^ v)
-                h = self._prefix[v, u] = _splitmix(g ^ (u << 20))
-            h = _splitmix(h ^ j)
-            x = self._clock[v, u, j] = -math.log(((h >> 11) + 0.5) * (2.0 ** -53))
+                h = self._prefix[v, u] = _splitmix(self._vertex_hash(v) ^ (u << 20))
+            x = self._clock[v, u, j] = -math.log(_uniform(_splitmix(h ^ j)))
         return x
 
 
@@ -256,17 +266,16 @@ def simulate_rubin(env: Environment, stop: StopRule,
                    clocks: ClockTable) -> WalkTrajectory:
     """Run the walk by racing exponential clocks, recording every position.
 
-    A first visit to v steps as simulate does, on r = clocks.draw(v): up if
-    r < p (v's first-visit parent-step probability, from _transition_table),
-    else to child first[v] + min(int((r - p) / (1 - p) * k), k - 1) of its
-    k. Per visited vertex the race state is (neighbors, running totals, next
-    clock indices, pending times) per direction, every index starting at 1.
+    A first visit to v steps as simulate does (_first_step), on the uniform
+    clocks.draw(v) and v's first-visit p from _transition_table. Per visited
+    vertex the race state is (neighbors, running totals, next clock indices,
+    pending times) per direction, every index starting at 1.
     A pending time, the total plus the next clock over the rate, is None
     until a later race needs it and again once its direction wins. Neighbors
     are listed parent first then children, which is ascending id order, so a
     strict minimum scan breaks the measure-zero ties toward the lowest id.
     """
-    xi, draw, pf = clocks.xi, clocks.draw, _transition_table(env)[0]
+    xi, draw, pf = clocks.xi, clocks.draw, _transition_table(env, later=False)[0]
     tree = env.tree
     parent, depth, first = tree.parent, tree.depth, memoryview(tree.levels.first)
     mu = memoryview(env.mu)
@@ -281,8 +290,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
             c, n = first[v], first[v + 1] - first[v]
             neis = [parent[v], *range(c, c + n)] if v else list(range(c, c + n))
             state[v] = (neis, [0.0] * len(neis), [1] * len(neis), [None] * len(neis))
-            r, p = draw(v), pf[v]  # p is 0 at the root and 1 at a leaf
-            v = parent[v] if r < p else c + min(int((r - p) / (1.0 - p) * n), n - 1)
+            v = _first_step(draw(v), pf[v], parent[v], c, n)
         else:
             neis, elapsed, nxt, pending = st
             best = math.inf
@@ -327,9 +335,9 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     """
     if target == 0:
         raise ValueError("extension needs a non-root target")
-    path = env.tree.root_path(target)
-    return _extension_run(memoryview(env.tree.levels.first), _transition_table(env)[0],
-                          memoryview(env.mu), clocks, path, 0, [None] * len(path), 0,
+    path, pf = env.tree.root_path(target), _transition_table(env, later=False)[0]
+    return _extension_run(memoryview(env.tree.levels.first), pf, memoryview(env.mu), clocks,
+                          path, 0, [None] * len(path), 0,
                           stop.max_steps, stop.hit_depth, stop.root_returns, [0])
 
 
@@ -364,10 +372,7 @@ def _extension_run(first: memoryview, pf: memoryview, mu: memoryview,
             dn = path[pos + 1]
             st = states[pos]
             if st is None:
-                # the full walk's first step from u, as in simulate_rubin
-                r, p = draw(u), pf[u]
-                c, n = first[u], first[u + 1] - first[u]
-                w = par if r < p else c + min(int((r - p) / (1.0 - p) * n), n - 1)
+                w = _first_step(draw(u), pf[u], par, first[u], first[u + 1] - first[u])
                 if w == par or w == dn:
                     states[pos] = [0.0, 0.0, 1, 1, None, None]
                     pos += 1 if w == dn else -1
@@ -422,16 +427,16 @@ def _extension_run(first: memoryview, pf: memoryview, mu: memoryview,
 # the extension in lockstep
 
 # most cells one batch of extension_reach holds: lanes x (path + 1).
-# Criterion 01's 10 x 100k trials run as fast as at 1 << 20 (2-core x86
-# host) and peak at half the memory, 38 MB instead of 77 MB.
+# Criterion 01's 10 x 100k trials run as fast as at 1 << 20 and peak at
+# 39 MiB RSS instead of 69 MiB (2-core Xeon, Python 3.11, numpy 2.4).
 _CELL_BUDGET = 1 << 16
 
 _HANDOFF_LANES = 8  # live lanes at which a batch stops sweeping
 
 # 0-d arrays, which numpy combines with arrays faster than its scalars
-_GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (
+_GOLDEN, _MIX1, _MIX2, _S27, _S30, _S31 = (
     np.array(c, np.uint64) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
-                                     0x94D049BB133111EB, 11, 27, 30, 31))
+                                     0x94D049BB133111EB, 27, 30, 31))
 
 
 def _splitmix_array(x: np.ndarray) -> np.ndarray:
@@ -453,7 +458,7 @@ def derive_seeds(master: int, n: int) -> np.ndarray:
 def _xi_array(h: np.ndarray) -> np.ndarray:
     """ClockTable.xi from its last hashes h: the same float64 uniform, and
     its log by math.log, since np.log is not bitwise equal to it."""
-    return -_each(math.log, ((h >> _S11) + 0.5) * (2.0 ** -53))
+    return -_each(math.log, _uniform(h))
 
 
 # a clock over a tiny mu is +inf, as in the scalar run; a first step's
@@ -481,7 +486,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
-    pf, mu = _transition_table(env)[0], memoryview(env.mu)
+    pf, mu = _transition_table(env, later=False)[0], memoryview(env.mu)
     up, dn = [*zip(path[1:k], path)], [*zip(path[1:k], path[2:])]  # pre's (v, u) per row
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
@@ -508,7 +513,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
                 g = _splitmix_array(seeds[lo + lane] ^ np.uint64(u))
                 for side, w in enumerate((path[raced - 1], path[raced + 1])):
                     pre[side, c] = _splitmix_array(g ^ np.uint64((w << 20) & _M64))
-                r = ((_splitmix_array(g ^ np.uint64(1)) >> _S11) + 0.5) * (2.0 ** -53)
+                r = _uniform(_splitmix_array(g ^ np.uint64(1)))
                 p, a, kids = pf[u], first[u], first[u + 1] - first[u]
                 idx = np.minimum(np.floor((r - p) / (1.0 - p) * kids), kids - 1)
                 first_mv[c] = np.where(r < p, -1, idx == path[raced + 1] - a)

@@ -14,7 +14,9 @@ import goerw.cli as cli
 from goerw.environment import (AlphaDistribution, Environment, _transition_table,
                                environment_from_alpha, sample_random_environment)
 from goerw.tree import build_path, build_polynomial, build_regular
-from goerw.walk import StopRule, derive_seed, simulate
+from goerw.percolation import sample_ruin_percolation
+from goerw.walk import (ClockTable, StopRule, derive_seed, derive_seeds, extension_reach,
+                        simulate, simulate_extension, simulate_rubin)
 
 from conftest import random_tree, ref_alpha_env, ref_deg, ref_tables
 
@@ -134,6 +136,27 @@ def test_table_is_built_on_first_walk_only():
     assert env._trans is None
     first = _transition_table(env)
     assert _transition_table(env) is first
+
+
+@pytest.mark.parametrize("spec", ["det:lambda=2,mu=3", "det:lambda=2,mu=1",
+                                  "alpha:two=0,3,0.5"])
+def test_clock_kernels_leave_the_later_visits_unbuilt(spec):
+    """The clock kernels read first visits only: after every one of them has
+    walked, no later-visit table is built, not even the tree's parent_step,
+    and simulate's first call keeps their first-visit array."""
+    t = build_regular(3, 5)
+    env = cli.build_environment(t, spec, 4)
+    table = ClockTable(7)
+    simulate_rubin(env, StopRule(200), table)
+    simulate_extension(env, table, t.leftmost_at_depth(4), StopRule(200))
+    extension_reach(env, t.leftmost_at_depth(3), derive_seeds(5, 40), 500)
+    sample_ruin_percolation(env, 3, 0)
+    pf, pl = env._trans
+    assert pl is None and "parent_step" not in vars(t)
+    assert _transition_table(env, later=False) == (pf, None)
+    simulate(env, StopRule(200), 1)
+    assert env._trans[0] is pf and env._trans[1] is not None
+    assert list(pf) == ref_tables(t, env.lam.tolist(), env.mu.tolist())[0]
 
 
 class TestSharedLaterVisits:
