@@ -352,21 +352,22 @@ K_RETURNS = 10
 
 def _escape_batch(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                   horizon: int, trials: int, seed_base: int) -> tuple[float, float, int]:
-    """Annealed escape frequency: trial t walks a fresh environment, seeded
-    derive_seed(seed_base, 1, t, 0) and (..., 1) off one hashed prefix; a point
-    mass gives the same environment whatever the seed, so it is built once.
-    Returns the escape frequency, mean root returns and horizon-censored runs."""
-    stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
-                    root_returns=K_RETURNS)
-    one_atom = len(dist.values) == 1
-    env = sample_random_environment(tree, dist, seed_base) if one_atom else None
+    """Annealed escape frequency, mean root returns and horizon-censored runs, every
+    trial in one environment: alpha* = 1/m - 1, m = E[1/(1 + alpha)] exact under the law
+    _index draws (an atom's mass is the part of [0, 1) between its cuts), rounded once.
+    Those masses are >= 0 and sum to 1, so alpha* >= 0; a one-atom law keeps its atom.
+    The law is annealed: mu is 1, so a walk reads alpha_v once, on v's first visit,
+    independent of its past, and that step, affine in 1/(1 + alpha), goes to each child
+    with mean probability m/deg, as under alpha*; the root steps uniformly in both. Trial
+    t walks with seed _splitmix(h ^ 1), h = _splitmix(derive_seed(seed_base, 1) ^ t)."""
+    stop = StopRule(max_steps=horizon, hit_depth=escape_depth, root_returns=K_RETURNS)
+    cuts = [0, *(min(Fraction(c), 1) for c in dist._cuts), 1]  # probs may sum to 1 + 1e-12
+    m = sum((b - a) / (1 + Fraction(x)) for a, b, x in zip(cuts, cuts[1:], dist.values))
+    env = sample_random_environment(tree, AlphaDistribution.point(float(1 / m - 1)), seed_base)
     lane = derive_seed(seed_base, 1)
     escapes = returns_sum = censored = 0
     for t in range(trials):
-        h = _splitmix(lane ^ t)
-        if not one_atom:
-            env = sample_random_environment(tree, dist, _splitmix(h))
-        traj = simulate(env, stop, _splitmix(h ^ 1))
+        traj = simulate(env, stop, _splitmix(_splitmix(lane ^ t) ^ 1))
         escapes += traj.escaped
         returns_sum += traj.root_returns
         censored += traj.stop_reason == "max_steps"
@@ -390,11 +391,15 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
                      trials: int, master_seed: int, depth: int) -> PhaseVerdict:
     """Directional recurrence/transience diagnostic via escape frequencies.
 
-    Runs `trials` annealed simulations on the family's tree cut at `escape_depth` (a prefix
-    of the depth-`depth` one, alphas drawn first), each stopped at the first of: reaching
-    `escape_depth` (reading nothing there), returning to the root K_RETURNS times, or
-    `horizon` steps. The escape frequency is compared against a matched control, simple
-    random walk (the zero environment) under the same stop rule without the horizon:
+    Runs `trials` annealed walks on the family's tree cut at `escape_depth` (a prefix of
+    the depth-`depth` one), each stopped at the first of: reaching `escape_depth` (reading
+    nothing there), returning to the root K_RETURNS times, or `horizon` steps. All walk the
+    one environment of alpha* = 1/m - 1 (_escape_batch): a walk reads alpha_v once,
+    independent of its past, and its step there is affine in 1/(1 + alpha), so it has the
+    law's mean, alpha*'s, and the root is uniform in both; the escape law depends on the
+    law only through m, as the threshold 2 - m does. The escape frequency is compared with
+    a matched control, simple random walk (the zero environment) under the same stop rule
+    without the horizon:
 
       * excited runs (m < 1) are compared with the same tree, isolating
         the excitation effect;

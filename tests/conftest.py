@@ -355,30 +355,76 @@ def simulate_recorded(env: Environment, stop: StopRule, seed: int) -> WalkTrajec
     return replace(traj, positions=positions)
 
 
+def ref_alphas(dist: AlphaDistribution, seed: int, n: int) -> list[float]:
+    """n alphas by inverse transform from np.random.default_rng(seed): a
+    uniform takes the first atom whose cumulative weight is above it, the
+    last atom if none is."""
+    u = np.random.default_rng(seed).random(n)
+    idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
+    return np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)].tolist()
+
+
 def escape_batch_ref(tree: Tree, dist: AlphaDistribution, escape_depth: int,
                      horizon: int, trials: int, seed_base: int,
                      lane: int, tables: list | None = None) -> tuple[float, float, int]:
-    """analysis._escape_batch as a plain loop with its seeds derived under
-    `lane` (the shipped batch is lane 1): every trial draws its alphas
-    by inverse transform from its own generator (even for a one-atom law,
-    whose draws all land on the atom), builds lam and mu one vertex at a
-    time (ref_alpha_env), hands them to Environment, which copies and
-    checks them, and walks with simulate_ref; each trial's ref_tables are
-    appended to tables if it is given. Returns (escape frequency, mean
-    root returns, censored runs)."""
+    """The annealed escape batch by its definition, a fresh environment per
+    trial, as a plain loop with its seeds derived under `lane` (the
+    shipped batch walks lane 1): every trial draws its alphas by inverse
+    transform from its own generator (even for a one-atom law, whose draws
+    all land on the atom), builds lam and mu one vertex at a time
+    (ref_alpha_env), hands them to Environment, which copies and checks
+    them, and walks with simulate_ref; each trial's ref_tables are
+    appended to tables if it is given. analysis._escape_batch walks one
+    environment instead (escape_one_env_ref), so this loop is its referee
+    in law, and bitwise only for a one-atom law. Returns (escape
+    frequency, mean root returns, censored runs)."""
     stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
                     root_returns=K_RETURNS)
     n = tree.n_vertices
     escapes = returns = censored = 0
     for t in range(trials):
-        u = np.random.default_rng(derive_seed(seed_base, lane, t, 0)).random(n)
-        idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
-        alpha = np.asarray(dist.values, dtype=float)[np.minimum(idx, len(dist.values) - 1)]
-        _, lam, mu = ref_alpha_env(tree, alpha.tolist())
+        _, lam, mu = ref_alpha_env(tree, ref_alphas(dist, derive_seed(seed_base, lane, t, 0), n))
         env = Environment(tree, lam, mu)
         if tables is not None:
             tables.append(ref_tables(tree, lam, mu))
         traj = simulate_ref(env, stop, derive_seed(seed_base, lane, t, 1), record=False)
+        escapes += traj.escaped
+        returns += traj.root_returns
+        censored += traj.stop_reason == "max_steps"
+    return escapes / trials, returns / trials, censored
+
+
+def annealed_alpha(dist: AlphaDistribution) -> float:
+    """alpha* = E[alpha/(1 + alpha)] / E[1/(1 + alpha)], that is 1/m - 1, in
+    Fractions under the law escape_batch_ref draws: atom i takes the
+    uniforms in [0, 1) from the i-th cumulative weight of np.cumsum(probs)
+    (0 for the first) up to the next, the last atom up to 1; a weight past
+    1 by rounding takes none. Rounded once."""
+    cum = [0, *(min(Fraction(c), 1) for c in np.cumsum(dist.probs)[:-1].tolist()), 1]
+    mass = [b - a for a, b in zip(cum, cum[1:])]
+    inv = [1 / (1 + Fraction(a)) for a in dist.values]
+    return float(sum(p * (1 - q) for p, q in zip(mass, inv)) /
+                 sum(p * q for p, q in zip(mass, inv)))
+
+
+def escape_one_env_ref(tree: Tree, alpha: float, escape_depth: int, horizon: int,
+                       trials: int, seed_base: int,
+                       tables: list | None = None) -> tuple[float, float, int]:
+    """analysis._escape_batch as a plain loop: one Environment of the alpha
+    family with alpha at every vertex, built one vertex at a time
+    (ref_alpha_env), and trial t walked on it by simulate_ref with seed
+    derive_seed(seed_base, 1, t, 1); its ref_tables are appended to tables
+    once per trial if it is given. Returns (escape frequency, mean root
+    returns, censored runs)."""
+    stop = StopRule(max_steps=horizon, hit_depth=escape_depth,
+                    root_returns=K_RETURNS)
+    _, lam, mu = ref_alpha_env(tree, [alpha] * tree.n_vertices)
+    env = Environment(tree, lam, mu)
+    if tables is not None:
+        tables.extend([ref_tables(tree, lam, mu)] * trials)
+    escapes = returns = censored = 0
+    for t in range(trials):
+        traj = simulate_ref(env, stop, derive_seed(seed_base, 1, t, 1), record=False)
         escapes += traj.escaped
         returns += traj.root_returns
         censored += traj.stop_reason == "max_steps"

@@ -24,7 +24,8 @@ from goerw.analysis import (
 )
 from goerw.cli import build_environment, parse_tree_spec
 from goerw.environment import (AlphaDistribution, Environment, _transition_table,
-                               assign_deterministic, sample_random_environment)
+                               assign_deterministic, environment_from_alpha,
+                               sample_random_environment)
 from goerw.errors import InputError, RefusalError
 from goerw.percolation import edge_connection_probability_mc
 from goerw.tree import (
@@ -38,8 +39,9 @@ from goerw.tree import (
 )
 from goerw.walk import simulate
 
-from conftest import (chain_tree, cut_dp_ref, escape_batch_ref, flow_energy_rows_ref, phi,
-                      proportional_flow_ref, random_broom, random_tree, weights_of)
+from conftest import (annealed_alpha, chain_tree, cut_dp_ref, escape_batch_ref, escape_exact,
+                      escape_one_env_ref, flow_energy_rows_ref, phi, proportional_flow_ref,
+                      random_broom, random_tree, ref_alpha_env, ref_alphas, weights_of)
 
 
 class TestGamblerExact:
@@ -369,8 +371,11 @@ ANNEALED_TREES = [build_polynomial(1.2, 24), regular_family(3).build(6),
 
 
 class TestEscapeBatch:
-    """The annealed lane equals, bit for bit, the plain loop that draws
-    every trial's environment itself and walks it with the referee loop."""
+    """The annealed lane walks every trial in one environment, that of
+    alpha* = 1/m - 1 (conftest.annealed_alpha), and equals, bit for bit,
+    the plain loop that builds that environment one vertex at a time and
+    walks it with the referee loop. A one-atom law's alpha* is its atom,
+    so there it also equals the loop that draws every trial's own."""
 
     @pytest.mark.parametrize("dist", [
         AlphaDistribution.point(0.0),
@@ -384,7 +389,10 @@ class TestEscapeBatch:
         for seed, horizon in ((11, 10**6), (12, 400)):
             args = (tree, dist, 30, horizon, 60, seed)
             got = analysis._escape_batch(*args)
-            assert got == escape_batch_ref(*args, lane)
+            if len(dist.values) == 1:
+                assert got == escape_batch_ref(*args, lane)
+            else:
+                assert got == escape_one_env_ref(tree, annealed_alpha(dist), *args[2:])
             if horizon == 400:
                 assert got[2] > 0  # the short horizon censors some runs
 
@@ -398,14 +406,11 @@ class TestEscapeBatch:
         random_broom(random.Random(0xB800), max_edges=60, max_depth=7),
     ], ids=["poly", "regular", "random", "regular-5", "broom"])
     def test_equals_the_per_vertex_loop(self, monkeypatch, tree, dist):
-        """Each trial's environment and first-visit table equal those of
-        the per-vertex loop too. At a leaf, lam = 1.2 (alpha 0.2) makes
-        (lam + 1) - 1 != lam, so a first-visit entry there is 1 only by
-        the leaf fix; 0.3 rounds it above 1, 0.7 below. On regular-5 the
-        root's child count is its own (5, below it 4 or 0), and the broom
-        has single-child levels above and below its branching."""
-        leaf = 1.0 + 0.2
-        assert leaf / ((leaf + 1) - 1) != 1.0
+        """Every trial walks the first-visit table of the per-vertex loop's
+        one alpha* environment (ref_tables), and gives its outcome. On
+        regular-5 the root's child count is its own (5, below it 4 or 0),
+        and the broom has single-child levels above and below its
+        branching."""
         walked = []
 
         def spy(env, stop, seed):
@@ -418,7 +423,7 @@ class TestEscapeBatch:
             args = (tree, dist, depth, horizon, 40, seed)
             tables = []
             got = analysis._escape_batch(*args)
-            assert got == escape_batch_ref(*args, 1, tables)
+            assert got == escape_one_env_ref(tree, annealed_alpha(dist), *args[2:], tables)
             assert walked == tables
             walked.clear()
 
@@ -427,23 +432,86 @@ class TestEscapeBatch:
                              ids=["poly", "regular", "random", "poly-undrawn"])
     def test_an_overflowing_draw_is_refused_as_the_loop_refuses_it(self, tree, p):
         """alpha = 1e308 overflows lam at every vertex with two or more
-        neighbors; both refuse the first such vertex a trial draws. At mass
-        1e-15 no vertex draws it, and both run."""
+        neighbors: sample_random_environment refuses the first such vertex
+        the reference draw (ref_alphas, escape_batch_ref's) gives it, as
+        Environment refuses the per-vertex loop's lam. At mass 1e-15 no
+        vertex draws it, and both build. The annealed lane draws no alpha:
+        its alpha* is finite, and it runs either way."""
         dist = AlphaDistribution((0.0, 1e308), (1.0 - p, p))
-        args = (tree, dist, tree.truncation_depth, 1000, 40, 5)
 
-        def outcome(batch):
+        def outcome(build):
             try:
-                return batch(*args)
+                return build().lam.tolist()
             except InputError as e:
                 return str(e)
 
-        got = outcome(analysis._escape_batch)
-        assert got == outcome(lambda *a: escape_batch_ref(*a, 1))
-        if p == 0.1:
-            assert got.startswith("biases must be finite, vertex ")
-        else:
-            assert isinstance(got, tuple)
+        for seed in (5, 6):
+            alpha = ref_alphas(dist, seed, tree.n_vertices)
+            got = outcome(lambda: sample_random_environment(tree, dist, seed))
+            want = outcome(lambda: Environment(tree, *ref_alpha_env(tree, alpha)[1:]))
+            assert got == want
+            if p == 0.1:
+                assert got.startswith("biases must be finite, vertex ")
+            else:
+                assert isinstance(got, list)
+        got = analysis._escape_batch(tree, dist, tree.truncation_depth, 1000, 40, 5)
+        assert got == escape_one_env_ref(tree, annealed_alpha(dist),
+                                         tree.truncation_depth, 1000, 40, 5)
+
+
+# the annealed-law gates: small enough for the exact solver at K = 10
+EXACT_FAMILIES = [("path:L=4", 4), ("regular:d=2,L=3", 3), ("poly:b=1.5,L=4", 4)]
+
+
+class TestAnnealedLaw:
+    """The one environment gives the annealed law. Against the exact escape
+    law of the alpha* environment (conftest.escape_exact), and against the
+    loop that draws a fresh environment per trial, the batch's escape
+    frequency stays within 4.5 sigma. The three-atom law's m (0.4125) is
+    far from its alpha* (1.42), so an alpha* of m fails it."""
+
+    LAWS = [AlphaDistribution.two_point(0.0, 3.0, 0.5),
+            AlphaDistribution((0.0, 1.0, 7.0), (0.2, 0.3, 0.5))]
+
+    @pytest.mark.parametrize("K", [1, 10])
+    @pytest.mark.parametrize("dist", LAWS, ids=["two", "three"])
+    @pytest.mark.parametrize("spec,E", EXACT_FAMILIES, ids=["path", "regular", "poly"])
+    def test_escape_frequency_is_the_exact_law(self, monkeypatch, spec, E, dist, K):
+        tree = parse_tree_spec(spec)
+        env = environment_from_alpha(tree, [annealed_alpha(dist)] * tree.n_vertices)
+        exact = float(escape_exact(env, E, K))
+        monkeypatch.setattr(analysis, "K_RETURNS", K)
+        trials = 4000
+        freq, _, censored = analysis._escape_batch(tree, dist, E, 10**6, trials, 41 + K)
+        assert censored == 0
+        assert abs(freq - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / trials)
+
+    @pytest.mark.parametrize("dist", LAWS, ids=["two", "three"])
+    def test_escape_frequency_is_the_fresh_environment_loop(self, dist):
+        tree = parse_tree_spec("poly:b=1.5,L=4")
+        trials = 4000
+        ours = analysis._escape_batch(tree, dist, 4, 10**6, trials, 51)[0]
+        theirs = escape_batch_ref(tree, dist, 4, 10**6, trials, 52, 1)[0]
+        pooled = (ours + theirs) / 2
+        assert abs(ours - theirs) <= 4.5 * math.sqrt(2 * pooled * (1 - pooled) / trials)
+
+    @pytest.mark.parametrize("dist", [
+        AlphaDistribution((0.0, 0.0), (0.5, 0.5 + 1e-13)),
+        AlphaDistribution((0.0, 0.0, 5.0), (0.5, 0.5 + 1e-13, 1e-16)),
+    ], ids=["two", "cut-past-1"])
+    def test_masses_off_one_by_rounding_give_alpha_zero(self, dist):
+        """Probs summing to 1 + 1e-13 pass the law's check, and the masses
+        the draw reads sum to 1: atoms at 0 run as the zero law, bit for
+        bit, where 1/m - 1 from the given probs would be negative. In the
+        second law the last cut is past 1, so the draw never gives 5.0;
+        masses read between unclipped cuts would put -1e-13 on it."""
+        assert 1 / dist.m - 1 < 0
+        kw = dict(escape_depth=16, horizon=10**5, trials=100, master_seed=3, depth=24)
+        got, want = (phase_diagnostic(polynomial_family(1.2), d, 0.1, **kw)
+                     for d in (dist, AlphaDistribution.point(0.0)))
+        assert got.verdict == want.verdict
+        assert ((got.escape_freq, got.mean_returns, got.censored, got.sigma)
+                == (want.escape_freq, want.mean_returns, want.censored, want.sigma))
 
 
 def exact_control(sizes, K):

@@ -111,6 +111,26 @@ def test_every_cli_spec_kind_matches_loop(spec, tree_spec):
             assert_tables_equal(env, *ref_alpha_env(t, alpha))
 
 
+@pytest.mark.parametrize("law", [
+    AlphaDistribution.two_point(0.2, 3.0, 0.5),
+    AlphaDistribution((0.3, 0.7, 1e6, 0.2), (0.25, 0.25, 0.25, 0.25)),
+], ids=["two", "four"])
+def test_sampled_laws_match_loop_at_leaves(law):
+    """At a leaf, lam = 1.2 (alpha 0.2) makes (lam + 1) - 1 != lam, so a
+    first-visit entry there is 1 only by the leaf fix; 0.3 rounds it above
+    1, 0.7 below. The sampler's per-law tables give the per-vertex loop's
+    entries on random trees, whose leaves sit above their deepest level too."""
+    leaf = 1.0 + 0.2
+    assert leaf / ((leaf + 1) - 1) != 1.0
+    rng = random.Random(0x1EAF)
+    for _ in range(20):
+        t = random_tree(rng, max_edges=80, max_depth=9)
+        for seed in range(2):
+            alpha = law._atoms.take(law._index(seed, t.n_vertices)).tolist()
+            assert_tables_equal(sample_random_environment(t, law, seed),
+                                *ref_alpha_env(t, alpha))
+
+
 def test_caller_sequences_left_alone():
     t = build_regular(3, 2)
     n = t.n_vertices

@@ -40,7 +40,7 @@ def test_every_patched_attribute_exists():
 UNIT_DIGESTS = {
     "edge-mc": "bf4272805f2af29a52486b1c4b088c7f762a7e36c69bcacf09521200ffd12136",
     "cluster": "b239567746561b902dca690331b8e7e961da1a7a005d369186abd81c0a886549",
-    "phase-annealed": "b513738739c8b396e635a33e77c93a5cd1673cfff9a6633679885b08c087d62f",
+    "phase-annealed": "10a32fb23aae47c575f49aef54efd28ce2541323b38533570829d6252cf9eba5",
 }
 
 
