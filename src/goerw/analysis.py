@@ -35,7 +35,7 @@ from .environment import (
     sample_random_environment,
 )
 from .errors import InputError, RefusalError, _enough_trials
-from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp,
+from .tree import (DEFAULT_GAMMAS, Tree, TreeFamily, _cut_depths, _cut_dp, _cut_tree,
                    branching_ruin_estimate, default_depths, polynomial_family)
 from .walk import StopRule, _splitmix, derive_seed, simulate
 
@@ -262,11 +262,11 @@ def flow_energy_check(env: Environment, gamma: float,
     sum theta(e)^2 / c(e) of the proportionally routed flow, at each depth,
     c the adapted conductance (environment._conductance).
 
-    The capacities are evaluated only where a cut can read them, on the
-    cut depths and at the vertices with two or more children, and are +inf
-    elsewhere (see environment._ruin_weights). That leaves F, so the max
-    flow, theta and the energy, bitwise those of every capacity evaluated:
-    Psi never increases down a root path, and gamma > 1.
+    The capacities are evaluated only on the cut depths and at the
+    vertices with two or more children, and are +inf elsewhere (see
+    environment._ruin_weights). That leaves F, so the max flow, theta and
+    the energy, bitwise those of every capacity evaluated: Psi never
+    increases down a root path, and gamma > 1.
 
     The flow is scaled so the total leaving the root is min(1, max flow).
     It is read as arrays, the ids given a share and theta by id
@@ -278,11 +278,8 @@ def flow_energy_check(env: Environment, gamma: float,
         raise InputError("gamma must exceed 1")
     tree = env.tree
     depths = _cut_depths(depths, tree.truncation_depth)
-
-    # cap and conductance are needed down to the deepest cut only
-    m = tree.levels.starts[depths[-1] + 1]
-    cap = _ruin_weights(tree, _potentials(env)[3][:m], gamma, depths)
-    conductance = _conductance(env, 0, m)
+    cap = _ruin_weights(tree, _potentials(env)[3], gamma, depths)
+    conductance = _conductance(env, 0, tree.n_vertices)
     rows = []
     for L in depths:
         max_flow, F = tree_max_flow(tree, cap, L)
@@ -391,35 +388,31 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
                      trials: int, master_seed: int, depth: int) -> PhaseVerdict:
     """Directional recurrence/transience diagnostic via escape frequencies.
 
-    Runs `trials` annealed walks on the family's tree cut at `escape_depth` (a prefix of
-    the depth-`depth` one), each stopped at the first of: reaching `escape_depth` (reading
-    nothing there), returning to the root K_RETURNS times, or `horizon` steps. All walk the
-    one environment of alpha* = 1/m - 1 (_escape_batch): a walk reads alpha_v once,
-    independent of its past, and its step there is affine in 1/(1 + alpha), so it has the
-    law's mean, alpha*'s, and the root is uniform in both; the escape law depends on the
-    law only through m, as the threshold 2 - m does. The escape frequency is compared with
-    a matched control, simple random walk (the zero environment) under the same stop rule
-    without the horizon:
+    Runs `trials` annealed walks on the family's tree cut at `escape_depth` by the one cut
+    rule (tree._cut_tree: the depth-`depth` tree's prefix, so each walk is that tree's bit
+    for bit), each stopped at the first of: reaching `escape_depth` (reading nothing there),
+    returning to the root K_RETURNS times, or `horizon` steps. All walk the one environment
+    of alpha* = 1/m - 1 (_escape_batch): a walk reads alpha_v once, independent of its past,
+    and its step there is affine in 1/(1 + alpha), so it has the law's mean, alpha*'s, and
+    the root is uniform in both; the escape law depends on the law only through m, as the
+    threshold 2 - m does. The escape frequency is compared with a matched control, simple
+    random walk (the zero environment) under the same stop rule without the horizon: on
+    the same tree for excited runs (m < 1), isolating the excitation effect, and on the
+    thin b = 0.25 polynomial tree, deep in the recurrent regime, for unexcited ones.
 
-      * excited runs (m < 1) are compared with the same tree, isolating
-        the excitation effect;
-      * unexcited runs are compared with the thin b = 0.25 polynomial
-        tree, a configuration deep in the recurrent regime.
+    Every family is spherically symmetric, so the control walks nothing: its escape
+    frequency and mean returns are the exact law of _escape_law, read from the control
+    family's level sizes.
 
-    Every family is spherically symmetric, so the control walks nothing:
-    its escape frequency and mean returns are the exact law of
-    _escape_law, read from the control family's level sizes.
-
-    Refuses an escape_depth past depth (tree._cut_depths, as every command
-    does), an escape_depth of 1, which every walk reaches on its first step,
-    and near-critical configurations: the family's exact branching-ruin
-    index must sit at least epsilon_margin away from the threshold 2 - m.
-    The verdict also carries the family's branching-ruin estimate from min
-    cutset sums over the default gamma grid and probe depths of every
-    cutset table (tree.DEFAULT_GAMMAS, tree.default_depths).
+    Refuses an escape_depth past depth (by the cut rule, before anything else, as every
+    command does), an escape_depth of 1, which every walk reaches on its first step, and
+    near-critical configurations: the family's exact branching-ruin index must sit at least
+    epsilon_margin away from the threshold 2 - m. The verdict also carries the family's
+    branching-ruin estimate from min cutset sums over the default gamma grid and probe
+    depths of every cutset table (tree.DEFAULT_GAMMAS, tree.default_depths).
     """
     _enough_trials(trials)
-    _cut_depths([escape_depth], depth)
+    tree = _cut_tree(tree_family.build, depth, [escape_depth])
     if escape_depth == 1:
         raise InputError("escape depth 1 is below 2: every walk reaches it on its first step")
 
@@ -432,8 +425,8 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
             f"near-critical configuration: |br_r - (2 - m)| = {gap:.4f} is "
             f"below the declared margin {epsilon_margin}; no verdict emitted")
 
-    escape_freq, mean_ret, censored = _escape_batch(
-        tree_family.build(escape_depth), dist, escape_depth, horizon, trials, master_seed)
+    escape_freq, mean_ret, censored = _escape_batch(tree, dist, escape_depth, horizon, trials,
+                                                    master_seed)
 
     control_family = tree_family if m < 1.0 else polynomial_family(0.25)
     control_freq, control_ret = _escape_law(list(control_family.level_sizes(escape_depth)))

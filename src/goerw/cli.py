@@ -33,7 +33,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analysis import (
     GamblerChain,
@@ -66,6 +66,7 @@ from .tree import (
     TreeFamily,
     _atomic_write,
     _cut_depths,
+    _cut_tree,
     _gammas,
     _levels,
     branching_ruin_estimate,
@@ -101,17 +102,24 @@ def _kv_pairs(body: str, what: str, keys: set[str], sep: str = ",") -> dict[str,
     return out
 
 
-def parse_tree_spec(spec: str) -> Tree:
-    """Concrete tree from `path:L=5`, `regular:d=3,L=5`, `poly:b=1.5,L=64`,
-    or `file:PATH`."""
+def parse_tree_spec(spec: str, depths: Iterable[int] | None = None) -> Tree:
+    """spec's tree (_tree_source) cut at the deepest of depths, or whole, by tree._cut_tree."""
+    return _cut_tree(*_tree_source(spec), depths)
+
+
+def _tree_source(spec: str) -> tuple[Callable[[int], Tree], int]:
+    """build(D), the breadth-first prefix through depth D of the tree of `path:L=5`,
+    `regular:d=3,L=5`, `poly:b=1.5,L=64` or `file:PATH` (read whole), and its L."""
     kind, _, body = spec.partition(":")
-    if kind == "file":
-        try:
-            return read_tree_file(body)
-        except OSError as e:
-            raise InputError(f"cannot read tree file {body}: {e.strerror}") from None
-    fam, L = parse_family_spec(spec)
-    return fam.build(L)
+    if kind != "file":
+        family, L = parse_family_spec(spec)
+        return family.build, L
+    try:
+        t = read_tree_file(body)
+    except OSError as e:
+        raise InputError(f"cannot read tree file {body}: {e.strerror}") from None
+    L = t.truncation_depth
+    return (lambda D: t if D == L else Tree(t.parent[:t.levels.starts[D + 1]])), L
 
 
 def parse_family_spec(spec: str) -> tuple[TreeFamily, int]:
@@ -170,8 +178,7 @@ def parse_env_spec(spec: str):
 def build_environment(tree: Tree, env_spec: str, seed: int) -> Environment:
     kind, payload = parse_env_spec(env_spec)
     if kind == "det":
-        lam, mu = payload
-        return assign_deterministic(tree, lam, mu)
+        return assign_deterministic(tree, *payload)
     return sample_random_environment(tree, payload, derive_seed(seed, 0xE17))
 
 
@@ -352,8 +359,8 @@ def _run_gen_tree(r: Run) -> None:
 
 
 def _run_compute_psi(r: Run) -> None:
-    tree = parse_tree_spec(r.require("tree"))
-    (d,) = _cut_depths([r.require("edge-depth")], tree.truncation_depth)
+    d = r.require("edge-depth")
+    tree = parse_tree_spec(r.require("tree"), [d])
     env = build_environment(tree, r.require("env"), r.seed())
     edge = tree.leftmost_at_depth(d)
     stats = {"edge": edge, "depth": d, "psi": psi_of(env, edge),
@@ -367,11 +374,9 @@ def _run_compute_psi(r: Run) -> None:
 def _run_simulate(r: Run) -> None:
     trials = r.get("trials", 100)
     _enough_trials(trials, 1)
-    tree = parse_tree_spec(r.require("tree"))
-    depth = r.get("depth", math.inf)
-    if depth < math.inf:
-        _cut_depths([depth], tree.truncation_depth)
-    stop = StopRule(max_steps=r.get("max-steps", 100_000), hit_depth=depth,
+    depth = r.get("depth")
+    tree = parse_tree_spec(r.require("tree"), None if depth is None else [depth])
+    stop = StopRule(max_steps=r.get("max-steps", 100_000), hit_depth=depth or math.inf,
                     root_returns=r.get("returns", math.inf))
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
@@ -394,8 +399,8 @@ def _run_simulate(r: Run) -> None:
 
 
 def _run_percolate(r: Run) -> None:
-    tree = parse_tree_spec(r.require("tree"))
-    depths = _cut_depths(r.require("depths"), tree.truncation_depth)
+    depths = r.require("depths")
+    tree = parse_tree_spec(r.require("tree"), depths)
     seed = r.seed()
     env = build_environment(tree, r.require("env"), seed)
     trials = r.get("trials", 10_000)
@@ -450,10 +455,9 @@ def _run_estimate_rt(r: Run) -> None:
 
 
 def _run_flow_check(r: Run) -> None:
-    tree = parse_tree_spec(r.require("tree"))
-    L = tree.truncation_depth
-    depths = _cut_depths(r.get("depths", default_depths(L)), L)
-    env = build_environment(tree, r.require("env"), r.seed())
+    build, L = _tree_source(r.require("tree"))
+    depths = r.get("depths", default_depths(L))
+    env = build_environment(_cut_tree(build, L, depths), r.require("env"), r.seed())
     gamma = r.require("gamma")
     rep = flow_energy_check(env, gamma, depths)
     rows = [[row.depth, row.max_flow, row.flow_total, row.energy,
@@ -514,18 +518,14 @@ def _run_gambler(r: Run) -> None:
 
 
 def _run_concentration(r: Run) -> None:
-    tree = parse_tree_spec(r.require("tree"))
-    dist = _alpha_law(r)
     depths = r.require("depths")
-    epsilon = r.require("epsilon")
-    rep = concentration_experiment(tree, dist, epsilon, depths,
-                                   env_samples=r.get("trials", 200),
-                                   master_seed=r.seed())
+    tree = parse_tree_spec(r.require("tree"), depths)
+    rep = concentration_experiment(tree, _alpha_law(r), r.require("epsilon"), depths,
+                                   env_samples=r.get("trials", 200), master_seed=r.seed())
     rows = [list(row) for row in zip(rep.depths, rep.violations, rep.frequencies)]
     for d, v, f in rows:
         r.say(f"depth={d} violations={v}/{rep.n_environments} freq={f!r}")
-    stats = {"m": rep.m, "epsilon": rep.epsilon,
-             "n_environments": rep.n_environments,
+    stats = {"m": rep.m, "epsilon": rep.epsilon, "n_environments": rep.n_environments,
              "violations": rep.violations, "frequencies": rep.frequencies}
     r.emit(["depth", "violations", "frequency"], rows, stats)
 

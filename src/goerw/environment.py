@@ -413,9 +413,7 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     pair_family(L) returns a tree of truncation depth at least L and its
     environment. It is called once, for the deepest depth, and depth L cuts
     that tree at level L, as in flow_energy_check (tree._cut_depths checks
-    the depths). psi at depth <= L reads no bias or degree at depth L or
-    below, so with environments that nest as a family's trees do (the CLI's
-    draw alphas in id order from one seed) each row is its own tree's.
+    the depths); by the cut rule (tree._cut_tree), each row is its own tree's.
 
     Only the weights a cut can read are evaluated (see _ruin_weights): on
     the cut levels and at the vertices with two or more children, +inf

@@ -412,6 +412,15 @@ def _cut_depths(depths: Iterable[int], deepest: float = math.inf) -> list[int]:
     return cuts
 
 
+def _cut_tree(build: Callable[[int], Tree], L: int, depths: Iterable[int] | None) -> Tree:
+    """The one cut rule: build(D), the depth-L tree's breadth-first prefix through the
+    deepest D of depths (checked against L, _cut_depths), or build(L) for None. Values read
+    at depths up to D come from the levels above D (an edge's psi and Psi, a walk stopped on
+    reaching D); ids are breadth first and alpha draws nest, so each is the depth-L tree's
+    bit for bit, and the vertex cap and bias or overflow refusals meet only the cut tree."""
+    return build(L if depths is None else _cut_depths(depths, L)[-1])
+
+
 def _gammas(grid: Sequence[float]) -> list[float]:
     """A cutset table's gamma grid, sorted, for the library and --gamma-grid
     alike; an empty one, or a NaN, infinite or negative gamma, is refused."""

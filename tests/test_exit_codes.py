@@ -154,7 +154,7 @@ BAD_ARGV = [
     ("poly-nan-table", "estimate-br --tree poly:b=nan,L=16",
      "polynomial growth exponent b must be positive and finite, got nan"),
     ("cap-past-the-str-limit", "compute-psi --tree poly:b=1e5,L=3 --env alpha:point=1 "
-     "--edge-depth 1", "tree has at least 2**100000 vertices by depth 2, over the 2000000 "
+     "--edge-depth 2", "tree has at least 2**100000 vertices by depth 2, over the 2000000 "
      "vertex cap"),
     ("poly-level-past-bound", "estimate-br --tree poly:b=1e300,L=16",
      "polynomial growth exponent b=1e+300 gives about 2**1e+300 vertices at depth 2, past "
