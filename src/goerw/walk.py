@@ -46,8 +46,7 @@ Three ways to run it:
   log (np.log is not bitwise equal to it), so every run is == its scalar
   run. A cell is one (lane, path index), and the race state is side-major,
   so both sides of a race are one gather. A batch's last few lanes finish
-  on _extension_run, each on a clock table seeded with the hash prefixes
-  its cells hold.
+  on _extension_run, each on a fresh clock table of its seed.
 
 Built this way, the extension reproduces the restriction of the full walk
 to the path, position by position, on the same clock table: the on-path
@@ -65,12 +64,11 @@ Every run stops at the first bound of its StopRule it meets. The step
 budget is required and honoured as given; no module-wide cap lowers it.
 An unset probe depth or return count is math.inf, which no run reaches.
 
-All randomness is derived from explicit integer seeds by a splitmix-style
-mixer, so every run is reproducible bit for bit across platforms. A
-ClockTable keeps three memo levels: the hash of (seed, v) per vertex, of
-(seed, v, u) per direction and every clock value, so a new direction costs
-one hash and runs that share a table hash a clock once; a vertex's
-first-step uniform costs one hash each time it is drawn.
+Every run is reproducible bit for bit from integer seeds: simulate draws
+from Mersenne Twister seeded by derive_seed, environments from numpy, and
+the clock kernels from a ClockTable, a splitmix hash of (seed, v, u, j)
+with two memo levels: the vertex hash h_v, whose uniform is v's first-step
+draw, and every clock, keyed off h_v by (u << 32) ^ j.
 """
 
 from __future__ import annotations
@@ -133,23 +131,25 @@ class ClockTable:
 
     Both are pure functions of the seed and their arguments, so two
     processes handed the same table read literally the same numbers; that
-    is the whole coupling. The table computes each clock on its first read
-    and keeps every value it returns, keyed by (v, u, j), so a later read of
-    it hashes nothing; it also keeps the hash of (seed, v) of each vertex
-    (_vertex_hash) and of (seed, v, u) of each direction asked for, so a new
-    clock costs one _splitmix, and a new direction one more, not two.
-    draw(v) hashes v's kept hash under key 1, which no direction's key
-    u << 20 (even) takes, and keeps nothing more. The memos grow with the
-    distinct clocks read over the table's life (one percolation sample or
-    one walk) and go with the table.
+    is the whole coupling. The key layout, with U(h) = _uniform(h):
+
+        h_v = splitmix(seed ^ v)        kept per vertex (_vertex_hash)
+        draw(v) = U(h_v)
+        xi(v, u, j) = -log U(splitmix(h_v ^ (u << 32) ^ j))
+
+    on the key domain 0 <= v, u < 2^32 (the tree caps) and 1 <= j < 2^32
+    (the step caps), where the clock key (u << 32) ^ j is nonzero and
+    distinct per (u, j). Two memo levels, h_v and every clock value by
+    (v, u, j): a new clock costs one _splitmix, a direction none, a draw
+    none after its vertex's first hash. The memos live as long as the
+    table (one percolation sample or one walk).
     """
 
-    __slots__ = ("seed", "_vertex", "_prefix", "_clock")
+    __slots__ = ("seed", "_vertex", "_clock")
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
         self._vertex: dict[int, int] = {}
-        self._prefix: dict[tuple[int, int], int] = {}
         self._clock: dict[tuple[int, int, int], float] = {}
 
     def _vertex_hash(self, v: int) -> int:
@@ -159,15 +159,13 @@ class ClockTable:
         return g
 
     def draw(self, v: int) -> float:
-        return _uniform(_splitmix(self._vertex_hash(v) ^ 1))
+        return _uniform(self._vertex_hash(v))
 
     def xi(self, v: int, u: int, j: int) -> float:
         x = self._clock.get((v, u, j))
         if x is None:
-            h = self._prefix.get((v, u))
-            if h is None:
-                h = self._prefix[v, u] = _splitmix(self._vertex_hash(v) ^ (u << 20))
-            x = self._clock[v, u, j] = -math.log(_uniform(_splitmix(h ^ j)))
+            h = _splitmix(self._vertex_hash(v) ^ (u << 32) ^ j)
+            x = self._clock[v, u, j] = -math.log(_uniform(h))
         return x
 
 
@@ -473,21 +471,22 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
     steps, each == the scalar run's.
 
     Cell lane * k + i holds path index i; a run moves its lane's cell and
-    ends on a multiple of k (index 0 or k). pre, total and nxt (on-path hash
-    prefixes, running totals, next clock indices) are (2, n * k), row 0 the
-    parent side: a race takes both sides of its cells and puts each winner
-    at cell + side * n * k. first_mv is the first visit's move if the full
-    walk's first step (ClockTable.draw's uniform, simulate's rule) is on the
+    ends on a multiple of k (index 0 or k). pre, total and nxt (on-path
+    keys, running totals, next clock indices) are (2, n * k), row 0 the
+    parent side. They follow ClockTable's key layout, whose two memo levels
+    are h_v and the clocks: pre holds the unhashed h_v ^ (w << 32), so a
+    race hashes pre ^ nxt once per clock and puts each winner at cell +
+    side * n * k. first_mv is the first visit's move if the full walk's
+    first step (on ClockTable.draw's U(h_v), simulate's rule) is on the
     path, else 0 (a race of the j=1 clocks, as on a later visit), zeroed
     once read. A batch down to _HANDOFF_LANES live lanes resumes each on
-    _extension_run from its cells' race states (no pending time kept) and a
-    ClockTable given pre's prefixes."""
+    _extension_run from its cells' race states (no pending time kept) on a
+    fresh table of its seed."""
     if target == 0:
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
     pf, mu = _transition_table(env, later=False)[0], memoryview(env.mu)
-    up, dn = [*zip(path[1:k], path)], [*zip(path[1:k], path[2:])]  # pre's (v, u) per row
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     batch = max(1, _CELL_BUDGET // (k + 1))
@@ -506,14 +505,14 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         while lane.size > _HANDOFF_LANES and t < cap:
             if raced < k - 1 and (cell % k).max() > raced:
                 # when the first lane gets to a new index, every live lane's
-                # first step there and its two on-path hash prefixes
+                # first step there and its two on-path clock keys
                 raced += 1
                 u = path[raced]
                 c = lane * k + raced
                 g = _splitmix_array(seeds[lo + lane] ^ np.uint64(u))
                 for side, w in enumerate((path[raced - 1], path[raced + 1])):
-                    pre[side, c] = _splitmix_array(g ^ np.uint64((w << 20) & _M64))
-                r = _uniform(_splitmix_array(g ^ np.uint64(1)))
+                    pre[side, c] = g ^ np.uint64(w << 32)
+                r = _uniform(g)
                 p, a, kids = pf[u], first[u], first[u + 1] - first[u]
                 idx = np.minimum(np.floor((r - p) / (1.0 - p) * kids), kids - 1)
                 first_mv[c] = np.where(r < p, -1, idx == path[raced + 1] - a)
@@ -545,9 +544,8 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
             states = [None] * (k + 1)
             states[1:lf + 1] = ([*s, None, None]
                                 for s in zip(*total[:, c].tolist(), *nxt[:, c].tolist()))
-            table = ClockTable(int(seeds[lo + j]))
-            table._prefix.update(zip(up[:lf] + dn[:lf], pre[:, c].ravel().tolist()))
-            run = _extension_run(first, pf, mu, table, path, p, states, t, cap, k, 1)
+            run = _extension_run(first, pf, mu, ClockTable(int(seeds[lo + j])), path, p, states,
+                                 t, cap, k, 1)
             reach[lo + j] = max(run.max_depth, lf)
             capped[lo + j], steps[lo + j] = run.stop_reason == "max_steps", run.steps
     return reach, capped, steps

@@ -56,7 +56,7 @@ RECIPES = {
 RECIPE_PINS = {
     "psi": "c986db5a09922e91e62d64d8755d2d92a26d2c3dcd94cca681c46c1609cff3e1",
     "gambler": "f081806a95c5dbc12e03330ea2deda7ce0fc1489702901142b08b72285a002ea",
-    "percolate": "43095b2d4fb0ee03f6e1a28419bf5a704f39ce893019bce9d6987a28d4ef0638",
+    "percolate": "6de72f31873464097fa1444af94bdf7e5e8c21282abecff9ad57a6f51af941fa",
     "phase-scan": "d572c5a86dbb793030bd55790b546da8873f1c82567995a1a527cf2a56bd4208",
     "gen-tree": "572cc226c0270dab459edf85d4210c3264a6e636924af3b3c464e56f972fbfd3",
     "simulate": "bf0696b591e277d9125622c7882281e3885f12126f3083935db65b8805bcd3bd",
@@ -83,10 +83,10 @@ ROW_PINS = {
 
 WALK_PINS = {
     "simulate": "bad886b6741e2b1b955563d6d4fff0595830379f70b6ab9f23137335deab3e5d",
-    "extension_reach": "286136f6a1438161a621baa663025ea455e7c062a8de9bd60a955d22a339738c",
-    "sample_ruin_percolation": "28b4f60d8ce61c0f1eda4fcbb1e5550799d2d958b833d9844e01b50d9861e992",
-    "simulate_rubin": "1bde7a4fd12d7a81b1dd0409b5dc50c627b954fa093807631c19abf2b367b8ba",
-    "simulate_extension": "9f1c706a9aa5422988f76df1f063c6a36f143e66717305ed3c03f26d210ca009",
+    "extension_reach": "2fb6276d45f99eeb2816868464c4b50483edff469c18859c1ddb6dfe5429f64b",
+    "sample_ruin_percolation": "2dec0fb37ffe5d89a942de01086345139f1d32e8ad6adb562e4a168fd064432f",
+    "simulate_rubin": "b4fb53e3fd1e6a6d46d1406e28a0b1761d6e5e79be1fcd09261fd211c395839d",
+    "simulate_extension": "b36610e3a75aa52fc735fd814e8348c8eed3c2b2204584b5204e2baef0ce9ec9",
 }
 
 

@@ -38,8 +38,8 @@ def test_every_patched_attribute_exists():
 # unit above runs it; a change that moves a trajectory, a clock or a sample
 # moves it. ruin-tables is gated by perfbench/reference.json instead.
 UNIT_DIGESTS = {
-    "edge-mc": "bf4272805f2af29a52486b1c4b088c7f762a7e36c69bcacf09521200ffd12136",
-    "cluster": "b239567746561b902dca690331b8e7e961da1a7a005d369186abd81c0a886549",
+    "edge-mc": "7eb99781d6af39c5a4271da0c6eea9a7322613e7890c0c85576471f3fab2f732",
+    "cluster": "662b3402d78d4860ff02daf0cd8aeb88843dc5baab67ece7ff021c602e18230c",
     "phase-annealed": "10a32fb23aae47c575f49aef54efd28ce2541323b38533570829d6252cf9eba5",
 }
 

@@ -11,6 +11,7 @@ from scipy import stats
 import goerw.analysis as analysis
 import goerw.cli as cli
 import goerw.percolation as percolation
+import goerw.tree as tree_module
 import goerw.walk as walk
 from goerw.environment import (Environment, Psi, _transition_table, assign_deterministic,
                                environment_from_alpha)
@@ -58,77 +59,107 @@ class TestClockTable:
 
 
 def xi_ref(seed, v, u, j):
-    """The clock with all three hashes computed, as before the prefix cache."""
+    """The clock by ClockTable's one-hash key layout, computed afresh."""
     h = walk._splitmix((seed & walk._M64) ^ v)
-    h = walk._splitmix(h ^ (u << 20))
-    h = walk._splitmix(h ^ j)
+    h = walk._splitmix(h ^ (u << 32) ^ j)
     return -math.log(((h >> 11) + 0.5) * (2.0 ** -53))
 
 
+def tree_caps():
+    return tree_module._MAX_VERTICES, tree_module._MAX_PATH_VERTICES
+
+
 class TestClockPrefixCache:
-    """ClockTable keeps the hash of (seed, v, u) and every clock value it has
-    computed; every clock it returns, first or repeated, in any order, is
-    still == the three-hash formula."""
+    """ClockTable keeps one hash prefix, the vertex hash h_v that every key
+    of v extends, and every clock value it has computed; every clock it
+    returns, first or repeated, in any order, is still == the one-hash
+    formula xi(v, u, j) = -log U(splitmix(h_v ^ (u << 32) ^ j)), and v's
+    draw is h_v's own uniform."""
 
     def test_repeated_and_interleaved_queries(self, rng):
         t = ClockTable(2024)
         keys = [(rng.randrange(50), rng.randrange(50)) for _ in range(20)]
         for _ in range(3000):
             v, u = rng.choice(keys)
-            j = rng.randrange(6)
+            j = rng.randrange(1, 7)
             assert t.xi(v, u, j) == xi_ref(2024, v, u, j)
-        assert len(t._prefix) == len(set(keys))
+            if rng.random() < 0.2:
+                assert t.draw(v) == walk._uniform(walk._splitmix(2024 ^ v))
+        assert t._vertex.keys() == {v for v, _ in keys}
 
     def test_wide_directions(self, rng):
-        """u << 20 passes 64 bits from u = 2^44 on; the cached prefix must
-        wrap exactly as the formula does."""
+        """Directions up to 2^32 - 1, the top of the key domain, and the
+        largest vertex ids the tree caps allow."""
         t = ClockTable(-7)
-        wide = [(1 << 30) + 1, (1 << 43) + 3, 1 << 44, (1 << 44) + 1, (1 << 50) + 12345,
-                (1 << 64) - 1, 1 << 70]
+        wide = [0, 1, (1 << 20) + 3, (1 << 31) + 12345, (1 << 32) - 1]
         for _ in range(2):
             for u in wide:
-                for v in (0, 3, (1 << 64) - 1):
-                    for j in (0, 1, 9):
+                for v in (0, 3, *(cap - 1 for cap in tree_caps())):
+                    for j in (1, 2, 9):
                         assert t.xi(v, u, j) == xi_ref(-7, v, u, j)
 
     def test_large_clock_index(self, rng):
+        """Clock indices up to 2^32 - 1, the top of the key domain."""
         t = ClockTable(11)
-        for j in [1 << 20, 1 << 32, (1 << 63) + 5, (1 << 64) - 1, 1 << 66,
-                  *(rng.getrandbits(64) for _ in range(50))]:
+        for j in [1, 1 << 20, percolation._EXTENSION_CAP, (1 << 32) - 1,
+                  *(rng.randrange(1, 1 << 32) for _ in range(50))]:
             assert t.xi(4, 5, j) == xi_ref(11, 4, 5, j)
             assert t.xi(5, 4, j) == xi_ref(11, 5, 4, j)
+
+    def test_key_domain(self, rng):
+        """Vertex ids lie below the tree caps and clock indices below the
+        step cap, each below 2^32, and there every clock key (u << 32) ^ j
+        is a nonzero 64-bit word from which (u, j) reads back, so keys are
+        distinct; the draw's key is 0."""
+        assert max(*tree_caps(), percolation._EXTENSION_CAP) < 1 << 32
+        edge = [0, 1, 2, (1 << 31) - 1, (1 << 32) - 2, (1 << 32) - 1]
+        us = edge + [rng.randrange(1 << 32) for _ in range(40)]
+        js = edge[1:] + [rng.randrange(1, 1 << 32) for _ in range(40)]
+        keys = {(u << 32) ^ j: (u, j) for u in us for j in js}
+        assert len(keys) == len(set(us)) * len(set(js))
+        assert all(0 < key <= walk._M64 and (key >> 32, key & 0xFFFFFFFF) == uj
+                   for key, uj in keys.items())
+
+    def test_draw_is_the_vertex_hash_uniform(self, rng):
+        for seed in (0, 5, -1, rng.getrandbits(64)):
+            t = ClockTable(seed)
+            for v in (0, 1, 7, *(cap - 1 for cap in tree_caps())):
+                assert t.draw(v) == walk._uniform(t._vertex_hash(v))
+                assert t.draw(v) == walk._uniform(walk._splitmix((seed & walk._M64) ^ v))
+            assert not t._clock
 
     def test_tables_never_share_a_prefix(self, rng):
         a, b = ClockTable(1), ClockTable(2)
         keys = [(rng.randrange(30), rng.randrange(30)) for _ in range(200)]
         for v, u in keys:
-            j = rng.randrange(4)
+            j = rng.randrange(1, 5)
             assert a.xi(v, u, j) == xi_ref(1, v, u, j)
             assert b.xi(v, u, j) == xi_ref(2, v, u, j)
-        assert a._prefix is not b._prefix
-        assert a._prefix.keys() == b._prefix.keys() == set(keys)
-        assert all(a._prefix[key] != b._prefix[key] for key in keys)
+        assert a._vertex is not b._vertex
+        assert a._vertex.keys() == b._vertex.keys() == {v for v, _ in keys}
+        assert all(a._vertex[v] != b._vertex[v] for v, _ in keys)
 
     def test_shuffled_and_repeated_reads(self, rng):
         t = ClockTable(31)
-        wanted = [(v, u, j) for v, u in [(0, 1), (1, 0), (1, 2), (5, 2)] for j in (2, 1, 0, 7)]
+        wanted = [(v, u, j) for v, u in [(0, 1), (1, 0), (1, 2), (5, 2)] for j in (2, 1, 3, 7)]
         reads = [*wanted, *rng.choices(wanted, k=60)]
         rng.shuffle(reads)
         reads = [(1, 2, 2), (1, 2, 1), (1, 2, 2), *reads]  # j=2 before j=1, then again
         for v, u, j in reads:
             assert t.xi(v, u, j) == xi_ref(31, v, u, j)
         assert t._clock.keys() == set(wanted)
-        assert t._prefix.keys() == {(v, u) for v, u, _ in wanted}
+        assert t._vertex.keys() == {v for v, _, _ in wanted}
 
     def test_a_cluster_sample_hashes_each_clock_once(self, monkeypatch):
-        """One sample on the cluster benchmark's tree: 1 hash per vertex, 1
-        more per direction for its prefix, then 1 per distinct clock,
-        however often the sample's runs read it, and 1 per first-step draw,
-        however often a vertex is drawn."""
+        """Five samples on the cluster benchmark's tree: each table makes 1
+        hash per vertex, then 1 per distinct clock, however often the
+        sample's runs read it; a first-step draw, however often a vertex is
+        drawn, hashes nothing."""
         tree = cli.parse_tree_spec("regular:d=3,L=7")
         env = cli.build_environment(tree, "alpha:two=0,3,0.5", 12)
-        want = percolation.sample_ruin_percolation(env, 40, 3)
-        seed, tables, hashes, reads = derive_seed(40, 3), [], [], []
+        want = [percolation.sample_ruin_percolation(env, 40, i) for i in range(5)]
+        seeds, tables, hashes = {i: derive_seed(40, i) for i in range(5)}, [], []
+        reads, draws = Counter(), Counter()
 
         def table(s):
             tables.append(ClockTable(s))
@@ -139,26 +170,81 @@ class TestClockPrefixCache:
             return real(x)
 
         def xi(self, v, u, j, real=ClockTable.xi):
-            reads.append((v, u, j))
+            reads[self, v, u, j] += 1
             return real(self, v, u, j)
 
         def draw(self, v, real=ClockTable.draw):
-            draws.append(v)
+            draws[self, v] += 1
             return real(self, v)
 
-        # the sample's seed is derived before the count starts: only the table hashes
-        draws = []
-        monkeypatch.setattr(percolation, "derive_seed", lambda m, i: seed)
+        # each sample's seed is derived before the count starts: only the tables hash
+        monkeypatch.setattr(percolation, "derive_seed", lambda m, i: seeds[i])
         monkeypatch.setattr(percolation, "ClockTable", table)
         monkeypatch.setattr(walk, "_splitmix", splitmix)
         monkeypatch.setattr(ClockTable, "xi", xi)
         monkeypatch.setattr(ClockTable, "draw", draw)
-        got = percolation.sample_ruin_percolation(env, 40, 3)
-        assert got == want
-        (t,) = tables
-        assert len(hashes) == len(t._vertex) + len(t._prefix) + len(t._clock) + len(draws)
-        assert t._clock.keys() == set(reads) and len(reads) > len(t._clock)
-        assert t._vertex.keys() >= set(draws) and len(draws) > len(set(draws))
+        assert [percolation.sample_ruin_percolation(env, 40, i) for i in range(5)] == want
+        assert len(tables) == 5
+        assert len(hashes) == sum(len(t._vertex) + len(t._clock) for t in tables)
+        for t in tables:
+            assert t._clock.keys() == {(v, u, j) for s, v, u, j in reads if s is t}
+            assert t._vertex.keys() >= {v for s, v in draws if s is t}
+        assert sum(reads.values()) > len(reads) and sum(draws.values()) > len(draws)
+
+
+class TestClockIndependence:
+    """A draw reads the same vertex hash h_v that keys v's clocks. Over 10^6
+    table seeds (derive_seeds, as the samplers make them) at a few (v, u, j),
+    draw(v) against xi(v, u, 1) and xi(v, u, j) against xi(v, u, j + 1), each
+    as a uniform (exp(-xi)), must pass a 10 x 10 joint chi-square against
+    n / 100 per cell (99 degrees of freedom) and a correlation |z| bound,
+    each at a false alarm rate near 1e-6. The bounds are calibrated on
+    numpy's independent uniforms, which pass them (chi-square mean about
+    100 over such pairs), and a draw equal to a j = 1 clock's uniform fails
+    both."""
+
+    N = 1_000_000
+    CHI2 = float(stats.chi2.isf(1e-6, 99))  # 180.8
+    Z = 5.0
+    SITES = [(1, 0, 1), (4, 13, 7), (1_999_999, 666_666, 1), (9_999_999, 9_999_998, 2 ** 32 - 2)]
+
+    @staticmethod
+    def statistic(x, y):
+        """(chi-square of the decile pairs, |z| of the correlation) of two uniform arrays."""
+        n = x.size
+        cells = np.bincount((x * 10).astype(np.int64) * 10 + (y * 10).astype(np.int64),
+                            minlength=100)
+        return (float(((cells - n / 100) ** 2).sum() / (n / 100)),
+                abs(float(np.corrcoef(x, y)[0, 1])) * math.sqrt(n))
+
+    def passes(self, x, y):
+        chi, z = self.statistic(x, y)
+        return chi < self.CHI2 and z < self.Z
+
+    def test_draw_and_consecutive_clocks_are_independent(self):
+        seeds = derive_seeds(43, self.N)
+        spot = seeds[:: self.N // 100].tolist()
+        for v, u, j in self.SITES:
+            h = walk._splitmix_array(seeds ^ np.uint64(v))
+
+            def clock(i):
+                return walk._uniform(walk._splitmix_array(h ^ np.uint64((u << 32) ^ i)))
+
+            draw, first, xj, xj1 = walk._uniform(h), clock(1), clock(j), clock(j + 1)
+            # the arrays are the table's own numbers
+            for k, s in enumerate(spot):
+                t, i = ClockTable(s), k * (self.N // 100)
+                assert t.draw(v) == draw[i]
+                assert (t.xi(v, u, 1), t.xi(v, u, j), t.xi(v, u, j + 1)) == (
+                    -math.log(first[i]), -math.log(xj[i]), -math.log(xj1[i]))
+            assert self.passes(draw, first), (v, u, j, self.statistic(draw, first))
+            assert self.passes(xj, xj1), (v, u, j, self.statistic(xj, xj1))
+        # calibration: numpy's independent uniforms pass; a draw equal to
+        # its j = 1 clock's uniform fails both bounds
+        gen = np.random.default_rng(43)
+        assert self.passes(gen.random(self.N), gen.random(self.N))
+        chi, z = self.statistic(first, first)
+        assert chi > self.CHI2 and z > self.Z
 
 
 class TestPendingTimes:
@@ -666,16 +752,17 @@ class TestFirstStep:
     def test_lockstep_steps_down_at_r_equal_p(self, monkeypatch):
         """lam at vertex 1 is set so that its first-visit p equals one
         seed's draw there: that lane steps to the first child, as simulate
-        would, in the lockstep sweep and on the scalar runner alike."""
+        would, in the lockstep sweep and on the scalar runner alike. The
+        search computes p in _first_visit's order at degree 3."""
         t = build_regular(3, 3)
         seeds = derive_seeds(5, 30)
         s = seeds.tolist()[0]
         r = ClockTable(s).draw(1)
         lam = 2 * r / (1 - r)
         for _ in range(100):
-            if lam / (lam + 2) == r:
+            if lam / ((lam + 3.0) - 1.0) == r:
                 break
-            lam = math.nextafter(lam, math.inf if lam / (lam + 2) < r else 0.0)
+            lam = math.nextafter(lam, math.inf if lam / ((lam + 3.0) - 1.0) < r else 0.0)
         env = Environment(t, [1.0, lam] + [2.0] * (t.n_vertices - 2), [0.5] * t.n_vertices)
         assert _transition_table(env)[0][1] == r
         target = t.children[1][0]
@@ -762,10 +849,10 @@ class TestLockstep:
         seeds = [rng.getrandbits(64) for _ in range(n)]
         v = [rng.randrange(1 << 20) for _ in range(n)]
         u = [rng.randrange(1 << 20) for _ in range(n)]
-        j = [rng.randrange(50) for _ in range(n)]
+        j = [rng.randrange(1, 50) for _ in range(n)]
         h = walk._splitmix_array(np.array(seeds, dtype=np.uint64) ^ np.array(v, dtype=np.uint64))
-        h = walk._splitmix_array(h ^ (np.array(u, dtype=np.uint64) << np.uint64(20)))
-        h = walk._splitmix_array(h ^ np.array(j, dtype=np.uint64))
+        h = walk._splitmix_array(h ^ (np.array(u, dtype=np.uint64) << np.uint64(32))
+                                 ^ np.array(j, dtype=np.uint64))
         want = [ClockTable(s).xi(a, b, c) for s, a, b, c in zip(seeds, v, u, j)]
         assert walk._xi_array(h).tolist() == want
         assert walk._xi_array(h.reshape(-1, 4)).ravel().tolist() == want
@@ -922,11 +1009,10 @@ class TestEdgeMcShape:
 
     def test_no_empty_exact_race_and_seeded_hand_off(self, monkeypatch):
         """No _xi_array call is made on an empty selection, and each
-        handed-off lane's table already holds, for every index the lane has
-        left, the two on-path prefixes that ClockTable(seed) computes, and
-        no other."""
+        handed-off lane runs on the table its seed makes, with nothing
+        seeded into it: no vertex hash and no clock kept yet."""
         env = cli.build_environment(cli.parse_tree_spec("regular:d=3,L=5"), "alpha:point=1", 1)
-        exact_sizes, seeded = [], Counter()
+        exact_sizes, handed = [], Counter()
         xi_array, run = walk._xi_array, walk._extension_run
 
         def spy_xi(h):
@@ -936,22 +1022,19 @@ class TestEdgeMcShape:
         def spy_run(first, pf, mu, clocks, path, pos, states, *rest):
             left = [i for i, st in enumerate(states) if st is not None]
             assert left == list(range(1, len(left) + 1))
-            fresh = ClockTable(clocks.seed)
-            want = {}
-            for i in left:
-                for u in (path[i - 1], path[i + 1]):
-                    fresh.xi(path[i], u, 1)
-                    want[path[i], u] = fresh._prefix[path[i], u]
-            assert clocks._prefix == want
-            seeded[len(left) > 0] += 1
+            assert clocks.seed in lane_seeds
+            assert not clocks._vertex and not clocks._clock
+            handed[len(left) > 0] += 1
             return run(first, pf, mu, clocks, path, pos, states, *rest)
 
         monkeypatch.setattr(walk, "_xi_array", spy_xi)
         monkeypatch.setattr(walk, "_extension_run", spy_run)
         for d in range(1, 6):
-            extension_reach(env, env.tree.leftmost_at_depth(d), derive_seeds(d, 400), 10_000_000)
+            seeds = derive_seeds(d, 400)
+            lane_seeds = set(seeds.tolist())
+            extension_reach(env, env.tree.leftmost_at_depth(d), seeds, 10_000_000)
         assert exact_sizes and min(exact_sizes) > 0
-        assert seeded[True] > 0
+        assert handed[True] > 0
 
 
 class TestRestriction:
