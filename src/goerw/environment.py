@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,8 +119,9 @@ class Environment:
     lam and mu are read-only float64 arrays by vertex id, each the
     environment's own copy, with the root's lam and mu fixed at 1. Every
     non-root bias must be finite and positive; the first vertex that is not
-    is named. alpha is None but in an alpha environment (a read-only
-    array), whose mu is its tree's Tree.ones.
+    is named. alpha is None but in an alpha environment, which only
+    environment_from_alpha builds, sampled ones included: there alpha is a
+    read-only array and mu is its tree's Tree.ones.
 
     The potential tables R, phi, psi and log Psi are flat float64 arrays
     indexed by vertex id, held in _pot. Nothing is computed before the
@@ -138,7 +138,6 @@ class Environment:
         default=None, init=False, repr=False)
     _trans: tuple[memoryview, Sequence[float] | None] | None = field(
         default=None, init=False, repr=False)
-    _first: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.tree.n_vertices
@@ -168,7 +167,8 @@ def assign_deterministic(tree: Tree, lam: float = 1.0, mu: float = 1.0) -> Envir
 
 
 def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
-    """The alpha family: lam = 1 + alpha * deg, mu == 1.
+    """The alpha family: lam = 1 + alpha * deg, mu == 1; every alpha
+    environment, sampled or given, is built here.
 
     alpha (a list or an array, never written to) has one entry per vertex;
     the root's is read as 0. lam is float64 arithmetic on whole arrays, the
@@ -184,45 +184,17 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
         lam = 1.0 + a * tree.float_degrees  # exactly 1 at the root
     if not (lam.min() > 0 and lam.max() < math.inf):  # as in Environment
         Environment(tree, lam, tree.ones)  # refuses the first bad vertex
-    return _alpha_env(tree, a, lam)
-
-
-def _alpha_env(tree: Tree, alpha: np.ndarray, lam: np.ndarray,
-               first: Callable[[], np.ndarray] | None = None) -> Environment:
-    """An alpha environment of checked arrays, kept uncopied; first builds its first visits."""
-    env = object.__new__(Environment)  # no __post_init__: made and checked by the caller
-    env.tree, env.lam, env.mu, env.alpha = tree, _frozen(lam), tree.ones, _frozen(alpha)
-    env._pot, env._trans, env._first = None, None, first
+    env = object.__new__(Environment)  # no __post_init__: made and checked here
+    env.tree, env.lam, env.mu, env.alpha = tree, _frozen(lam), tree.ones, _frozen(a)
+    env._pot = env._trans = None
     return env
-
-
-@lru_cache(maxsize=16)
-def _law_tables(dist: AlphaDistribution, degrees: tuple[float, ...]) -> tuple:
-    """lam = 1.0 + a * deg and _first_visit of atom i at degree class c (Tree._classes) in entry
-    i * len(degrees) + c, as environment_from_alpha does, and if every lam is finite. alpha is
-    gathered from dist._atoms instead: as a cache key, a law with atom -0.0 equals one with 0.0."""
-    d = np.asarray(degrees)
-    with np.errstate(over="ignore"):  # an overflowing lam is refused where drawn
-        lam = 1.0 + np.multiply.outer(dist._atoms, d)  # the root's class reads degree 0: lam 1
-    return _frozen(lam.ravel()), _frozen(_first_visit(lam, d).ravel()), bool(lam.max() < math.inf)
 
 
 def sample_random_environment(tree: Tree, dist: AlphaDistribution, seed: int) -> Environment:
     """Fresh iid alphas for every vertex, lam = 1 + alpha * deg, mu == 1: one
-    uniform per vertex draws its atom index (AlphaDistribution._index); alpha,
-    lam and, on the first walk, the first-visit table are gathered by (atom,
-    degree class) from _law_tables, bitwise as environment_from_alpha and
-    _transition_table make them, and an overflowing lam is refused where drawn."""
-    cls, degrees = tree._classes
-    lam_of, first_of, finite = _law_tables(dist, degrees)
-    idx = dist._index(seed, tree.n_vertices)
-    at = cls + len(degrees) * idx
-    lam = lam_of.take(at)
-    if not (finite or lam.max() < math.inf):
-        Environment(tree, lam, tree.ones)  # refuses the first bad vertex
-    alpha = dist._atoms.take(idx)
-    alpha[0] = 0.0
-    return _alpha_env(tree, alpha, lam, partial(first_of.take, at))
+    uniform per vertex draws its atom index (AlphaDistribution._index), and
+    environment_from_alpha builds on the drawn atoms."""
+    return environment_from_alpha(tree, dist._atoms.take(dist._index(seed, tree.n_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +283,20 @@ def _conductance(env: Environment, a: int, b: int) -> np.ndarray:
 
 
 def _first_visit(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """b / ((b + d) - 1), the parent step of bias b at float degree d, in the scalar order; on
-    the last axis the root (entry 0) is 0 and a leaf (degree 1) is 1, where the expression
-    can round below 1 (0.9999999999999992 for b = 0.1) and let a draw pick no child."""
+    """b / ((b + d) - 1), the parent step of bias b at float degree d, in the scalar order; the
+    root (entry 0) is 0 and a leaf (degree 1) is 1, where the expression can round below 1
+    (0.9999999999999992 for b = 0.1) and let a draw pick no child."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a leaf's (b + 1) - 1 can be 0
         p = b / ((b + d) - 1.0)
-    p[..., d == 1.0] = 1.0
-    p[..., 0] = 0.0
+    p[d == 1.0] = 1.0
+    p[0] = 0.0
     return p
 
 
 def _transition_table(env: Environment,
                       later: bool = True) -> tuple[memoryview, Sequence[float] | None]:
     """Parent-step probabilities per vertex (_first_visit), lam's on the first visit
-    and mu's on later ones, each built on the first walk that reads it; a sampled
-    environment gathers its first-visit ones from its law's table (_first). First
+    and mu's on later ones, each built on the first walk that reads it. First
     visits read the array through a memoryview (Python floats, no copy), later ones
     a list: where every mu is 1, exactly 1/deg, the tree's shared Tree.parent_step.
     The clock kernels pass later=False, which leaves an unbuilt later-visit table
@@ -334,8 +305,7 @@ def _transition_table(env: Environment,
     if env._trans is None:
         if tree.n_vertices == 1:
             raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
-        first = env._first() if env._first else _first_visit(env.lam, tree.float_degrees)
-        env._trans, env._first = (memoryview(_frozen(first)), None), None
+        env._trans = (memoryview(_frozen(_first_visit(env.lam, tree.float_degrees))), None)
     if later and env._trans[1] is None:
         unit = env.mu is tree.ones or (env.mu == 1.0).all()
         pl = tree.parent_step if unit else _first_visit(env.mu, tree.float_degrees).tolist()

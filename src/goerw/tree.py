@@ -143,14 +143,6 @@ class Tree:
         return _frozen(np.ones(self.n_vertices))
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, tuple[float, ...]]:
-        """(class by vertex, float degree by class): class 0 is the root's, of
-        degree 0, then one per child count below it, found by a bincount."""
-        below = np.bincount(self.levels.kids[1:]) > 0
-        cls = np.concatenate(([0], np.cumsum(below).take(self.levels.kids[1:])))
-        return _frozen(cls), (0.0, *(np.flatnonzero(below) + 1.0).tolist())
-
-    @cached_property
     def only_child(self) -> list[int]:
         """The only child of each vertex, or 0 (never a child) where it has
         none or several: the direct walk's down-step from a single-child

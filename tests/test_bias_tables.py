@@ -118,8 +118,8 @@ def test_every_cli_spec_kind_matches_loop(spec, tree_spec):
 def test_sampled_laws_match_loop_at_leaves(law):
     """At a leaf, lam = 1.2 (alpha 0.2) makes (lam + 1) - 1 != lam, so a
     first-visit entry there is 1 only by the leaf fix; 0.3 rounds it above
-    1, 0.7 below. The sampler's per-law tables give the per-vertex loop's
-    entries on random trees, whose leaves sit above their deepest level too."""
+    1, 0.7 below. Sampled environments give the per-vertex loop's entries
+    on random trees, whose leaves sit above their deepest level too."""
     leaf = 1.0 + 0.2
     assert leaf / ((leaf + 1) - 1) != 1.0
     rng = random.Random(0x1EAF)
@@ -267,11 +267,30 @@ class TestStoredOnce:
         assert env.mu is t.ones
         assert retained <= 24 * n
 
+    def test_sampled_environment_retains_no_more_than_its_alphas(self):
+        """An unwalked sampled environment keeps lam and alpha, 16 bytes per
+        vertex, as environment_from_alpha's does: the drawn atom indices
+        are dropped once the alphas are gathered."""
+        t = build_regular(3, 15)
+        n = t.n_vertices
+        law = AlphaDistribution.two_point(0.0, 3.0, 0.5)
+        t.float_degrees, t.ones  # built once per tree, not per environment
+        sample_random_environment(t, law, 1)  # numpy.random and the law's own tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            env = sample_random_environment(t, law, 3)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert n == 98_302 and env.alpha is not None and env._trans is None
+        assert env.mu is t.ones
+        assert retained <= 17 * n
+
     def test_walked_environment_bytes_per_vertex(self):
-        """A walked alpha environment keeps lam, alpha and the first-visit
-        array, 24 bytes per vertex; mu and the later-visit table are the
-        tree's. A sampled one keeps its gather index (8 bytes per vertex)
-        until its first walk, and then no more."""
+        """A walked alpha environment, sampled or given, keeps lam, alpha
+        and the first-visit array, 24 bytes per vertex; mu and the
+        later-visit table are the tree's."""
         t = build_regular(3, 15)
         n = t.n_vertices
         stop = StopRule(max_steps=2000)
@@ -383,3 +402,31 @@ class TestRejection:
         t = build_regular(3, 2)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite, vertex 1$"):
             environment_from_alpha(t, [1e308] * t.n_vertices)
+
+    @pytest.mark.parametrize("seed, vertex", [(0, 1), (1, 3), (2, 1), (3, 1)])
+    def test_sampled_overflow_names_the_first_vertex_that_drew_it(self, seed, vertex):
+        """Under alpha:two=0,1e308,0.5, lam = 1 + 1e308 * 3 overflows at a
+        vertex of degree 3 that draws 1e308, and the refusal names the first
+        such vertex in id order, with no overflow warning raised first
+        (warnings are errors here). A leaf that draws it, degree 1, is finite."""
+        t = cli.parse_tree_spec("regular:d=3,L=3")
+        law = "alpha:two=0,1e308,0.5"
+        idx = cli.parse_env_spec(law)[1]._index(derive_seed(seed, 0xE17), t.n_vertices)
+        drew = [v for v in range(1, t.n_vertices) if idx[v] and t.float_degrees[v] == 3.0]
+        assert drew[0] == vertex
+        with pytest.raises(ValueError) as err:
+            cli.build_environment(t, law, seed)
+        assert str(err.value) == f"biases must be finite, vertex {vertex}"
+
+    def test_sampled_overflowing_atom_builds_at_the_leaves(self):
+        """On regular:d=3,L=1 every non-root vertex is a leaf, 1 + 1e308 is
+        finite, and the same law builds."""
+        t = cli.parse_tree_spec("regular:d=3,L=1")
+        law = cli.parse_env_spec("alpha:two=0,1e308,0.5")[1]
+        drawn = set()
+        for seed in range(4):
+            env = cli.build_environment(t, "alpha:two=0,1e308,0.5", seed)
+            alpha = law._atoms.take(law._index(derive_seed(seed, 0xE17), t.n_vertices)).tolist()
+            assert_tables_equal(env, *ref_alpha_env(t, alpha))
+            drawn.update(alpha[1:])
+        assert 1e308 in drawn

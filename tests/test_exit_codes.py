@@ -405,6 +405,16 @@ def test_an_overflowing_alpha_law_prints_only_the_refusal():
     assert (code, out, err) == (2, "", "error: biases must be finite, vertex 1\n")
 
 
+@pytest.mark.parametrize("seed, vertex", [(0, 1), (1, 3), (2, 1), (3, 1)])
+def test_an_overflowing_atom_of_a_two_atom_law_prints_only_the_refusal(seed, vertex):
+    """Under alpha:two=0,1e308,0.5 the refusal names the first vertex of
+    degree 3 that draws 1e308, one error line and exit 2."""
+    code, out, err = exit_code(shlex.split(
+        f"simulate --tree regular:d=3,L=3 --env alpha:two=0,1e308,0.5 --seed {seed} "
+        "--max-steps 5 --trials 1"))
+    assert (code, out, err) == (2, "", f"error: biases must be finite, vertex {vertex}\n")
+
+
 @pytest.mark.parametrize("argv", [
     "estimate-rt --tree regular:d=3,L=5 --env alpha:point=1 --seed 3 --depths 1,2,3 "
     "--gamma-grid 1e308",
