@@ -28,7 +28,6 @@ from .environment import (
     AlphaDistribution,
     Environment,
     _conductance,
-    _potentials,
     _ruin_weights,
     environment_from_alpha,  # unused here; perfbench/tracer.py patches this name
     log_Psi,  # likewise
@@ -278,7 +277,7 @@ def flow_energy_check(env: Environment, gamma: float,
         raise InputError("gamma must exceed 1")
     tree = env.tree
     depths = _cut_depths(depths, tree.truncation_depth)
-    cap = _ruin_weights(tree, _potentials(env)[3], gamma, depths)
+    cap = _ruin_weights(tree, env.potentials[3], gamma, depths)
     conductance = _conductance(env, 0, tree.n_vertices)
     rows = []
     for L in depths:
@@ -308,6 +307,9 @@ class PhaseVerdict:
     control + 3 sigma, `inconclusive` otherwise. sigma is the standard
     error of the excited lane's Laplace-smoothed escape frequency: the
     control values are exact (see _escape_law), so they add no variance.
+    An escape frequency is at most 1, so a control within 3 sigma of 1
+    leaves `transient-leaning` out of reach: the verdict then reads
+    `recurrent-leaning` even when every walk escapes.
 
     censored counts the excited runs stopped by the horizon. Such a run
     counts as a non-escape though it never decided, so more than
@@ -402,7 +404,7 @@ def phase_diagnostic(tree_family: TreeFamily, dist: AlphaDistribution,
 
     Every family is spherically symmetric, so the control walks nothing: its escape
     frequency and mean returns are the exact law of _escape_law, read from the control
-    family's level sizes.
+    family's level sizes; a control within 3 sigma of 1 leaves `transient-leaning` out of reach.
 
     Refuses an escape_depth past depth (by the cut rule, before anything else, as every
     command does), an escape_depth of 1, which every walk reaches on its first step, and

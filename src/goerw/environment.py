@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,21 +124,16 @@ class Environment:
     environment_from_alpha builds, sampled ones included: there alpha is a
     read-only array and mu is its tree's Tree.ones.
 
-    The potential tables R, phi, psi and log Psi are flat float64 arrays
-    indexed by vertex id, held in _pot. Nothing is computed before the
-    first query; that query fills all four for the whole tree in one pass,
-    level by level (see _potentials), and _trans the direct walk's
-    parent-step probabilities (see _transition_table).
+    Its derived tables by vertex id are cached attributes, each built for
+    the whole tree on its first read: potentials, the read-only R, phi, psi
+    and log Psi of one pass (_potentials), and first_visit and later_visit,
+    the walk kernels' parent-step probabilities (_first_visit).
     """
 
     tree: Tree
     lam: np.ndarray
     mu: np.ndarray
     alpha: np.ndarray | None = field(default=None, init=False)
-    _pot: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False)
-    _trans: tuple[memoryview, Sequence[float] | None] | None = field(
-        default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.tree.n_vertices
@@ -158,6 +154,24 @@ class Environment:
                         raise InputError(f"biases must be positive, vertex {v}")
         lam.flags.writeable = mu.flags.writeable = False
         self.lam, self.mu = lam, mu
+
+    @cached_property
+    def potentials(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _potentials(self)
+
+    @cached_property
+    def first_visit(self) -> memoryview:
+        """lam's, through a memoryview (Python floats, no copy); a root-only tree is refused."""
+        if self.tree.n_vertices == 1:
+            raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
+        return memoryview(_frozen(_first_visit(self.lam, self.tree.float_degrees)))
+
+    @cached_property
+    def later_visit(self) -> Sequence[float]:
+        """mu's, a list: where every mu is 1, exactly 1/deg, the tree's Tree.parent_step."""
+        t = self.tree
+        unit = self.mu is t.ones or (self.mu == 1.0).all()
+        return t.parent_step if unit else _first_visit(self.mu, t.float_degrees).tolist()
 
 
 def assign_deterministic(tree: Tree, lam: float = 1.0, mu: float = 1.0) -> Environment:
@@ -186,7 +200,6 @@ def environment_from_alpha(tree: Tree, alpha: Sequence[float]) -> Environment:
         Environment(tree, lam, tree.ones)  # refuses the first bad vertex
     env = object.__new__(Environment)  # no __post_init__: made and checked here
     env.tree, env.lam, env.mu, env.alpha = tree, _frozen(lam), tree.ones, _frozen(a)
-    env._pot = env._trans = None
     return env
 
 
@@ -213,8 +226,8 @@ def _each(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only tables (R, phi, psi, log Psi) by vertex id, filled for
-    the whole tree on the first call.
+    """The read-only tables (R, phi, psi, log Psi) by vertex id for the
+    whole tree, which Environment.potentials keeps.
 
     R, phi and log Psi are running products and sums down the root paths
     (Tree.scan_down), psi one whole-tree expression in between, its bias
@@ -230,43 +243,41 @@ def _potentials(env: Environment) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     (atom, degree) pair on a level. math.log is taken once per distinct
     psi and gathered back to every edge, which is exact since equal floats
     have equal logs."""
-    if env._pot is None:
-        tree = env.tree
-        n = tree.n_vertices
-        parent = tree.levels.parent
-        deep = slice(tree.levels.starts[2], None)  # the edges at depth >= 2
-        lam, mu = env.lam, env.mu
-        deg = tree.float_degrees
-        # the root names no edge: R and phi 0 and an empty product; depth-1
-        # edges have R = phi = psi = 1
-        R, ph, ps = np.ones(n), np.zeros(n), np.ones(n)
-        R[0] = 0.0
-        with np.errstate(over="ignore"):  # refused below, by vertex
-            tree.scan_down(np.multiply, R, mu[parent], 2)  # reads no y at the root
-            tree.scan_down(np.add, ph, R, 1)
-        for name, table in (("R", R), ("phi", ph)):
-            bad = np.flatnonzero(~np.isfinite(table))
-            if bad.size:
-                raise RefusalError(f"{name} at vertex {bad[0]} is {float(table[bad[0]])!r}: "
-                                   "the potential pass overflows float64")
-        # at the parent w, the mix of first- and later-visit bias that holds a
-        # fresh arrival there, at every vertex (a leaf, never a w, may divide by 0)
-        w = parent[deep]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = (lam + (deg - 2) * mu / (mu + 1.0)) / (lam + deg - 1.0)
-        drop = 1.0 - ph[parent][w] / ph[deep]
-        ps[deep] = 1.0 - drop * factor[w]
-        # psi rounds to 0 where the drop is 1 and the bracket rounds to 1;
-        # math.log refuses 0, its log is -inf, and Psi below is exactly 0
-        values, at = np.unique(ps, return_inverse=True)
-        zero = values == 0.0
-        logs = _each(math.log, np.where(zero, 1.0, values))
-        logs[zero] = -math.inf
-        lp = np.zeros(n)
-        tree.scan_down(np.add, lp, logs[at], 1)
-        R.flags.writeable = ph.flags.writeable = ps.flags.writeable = lp.flags.writeable = False
-        env._pot = (R, ph, ps, lp)
-    return env._pot
+    tree = env.tree
+    n = tree.n_vertices
+    parent = tree.levels.parent
+    deep = slice(tree.levels.starts[2], None)  # the edges at depth >= 2
+    lam, mu = env.lam, env.mu
+    deg = tree.float_degrees
+    # the root names no edge: R and phi 0 and an empty product; depth-1
+    # edges have R = phi = psi = 1
+    R, ph, ps = np.ones(n), np.zeros(n), np.ones(n)
+    R[0] = 0.0
+    with np.errstate(over="ignore"):  # refused below, by vertex
+        tree.scan_down(np.multiply, R, mu[parent], 2)  # reads no y at the root
+        tree.scan_down(np.add, ph, R, 1)
+    for name, table in (("R", R), ("phi", ph)):
+        bad = np.flatnonzero(~np.isfinite(table))
+        if bad.size:
+            raise RefusalError(f"{name} at vertex {bad[0]} is {float(table[bad[0]])!r}: "
+                               "the potential pass overflows float64")
+    # at the parent w, the mix of first- and later-visit bias that holds a
+    # fresh arrival there, at every vertex (a leaf, never a w, may divide by 0)
+    w = parent[deep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = (lam + (deg - 2) * mu / (mu + 1.0)) / (lam + deg - 1.0)
+    drop = 1.0 - ph[parent][w] / ph[deep]
+    ps[deep] = 1.0 - drop * factor[w]
+    # psi rounds to 0 where the drop is 1 and the bracket rounds to 1;
+    # math.log refuses 0, its log is -inf, and Psi below is exactly 0
+    values, at = np.unique(ps, return_inverse=True)
+    zero = values == 0.0
+    logs = _each(math.log, np.where(zero, 1.0, values))
+    logs[zero] = -math.inf
+    lp = np.zeros(n)
+    tree.scan_down(np.add, lp, logs[at], 1)
+    R.flags.writeable = ph.flags.writeable = ps.flags.writeable = lp.flags.writeable = False
+    return R, ph, ps, lp
 
 
 def _conductance(env: Environment, a: int, b: int) -> np.ndarray:
@@ -274,7 +285,7 @@ def _conductance(env: Environment, a: int, b: int) -> np.ndarray:
     depth 1, below it Psi(e) / (1 - psi(e)), the root-connection
     probability over that of the edge closing under a connected parent
     end, and +inf where psi is 1 (resistance 0), whatever Psi."""
-    _, _, ps, lp = (table[a:b] for table in _potentials(env))
+    _, _, ps, lp = (table[a:b] for table in env.potentials)
     with np.errstate(divide="ignore", invalid="ignore"):  # set below
         c = _each(math.exp, lp) / (1.0 - ps)
     c[ps == 1.0] = math.inf
@@ -293,26 +304,6 @@ def _first_visit(b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return p
 
 
-def _transition_table(env: Environment,
-                      later: bool = True) -> tuple[memoryview, Sequence[float] | None]:
-    """Parent-step probabilities per vertex (_first_visit), lam's on the first visit
-    and mu's on later ones, each built on the first walk that reads it. First
-    visits read the array through a memoryview (Python floats, no copy), later ones
-    a list: where every mu is 1, exactly 1/deg, the tree's shared Tree.parent_step.
-    The clock kernels pass later=False, which leaves an unbuilt later-visit table
-    None. A root-only tree is refused."""
-    tree = env.tree
-    if env._trans is None:
-        if tree.n_vertices == 1:
-            raise InputError("a walk needs a tree with an edge; this one is a root only (depth 0)")
-        env._trans = (memoryview(_frozen(_first_visit(env.lam, tree.float_degrees))), None)
-    if later and env._trans[1] is None:
-        unit = env.mu is tree.ones or (env.mu == 1.0).all()
-        pl = tree.parent_step if unit else _first_visit(env.mu, tree.float_degrees).tolist()
-        env._trans = (env._trans[0], pl)
-    return env._trans
-
-
 def psi(env: Environment, u: int) -> float:
     """Single-edge ruin factor for the edge above u.
 
@@ -324,13 +315,13 @@ def psi(env: Environment, u: int) -> float:
     """
     if u == 0:
         raise ValueError("the root names no edge")
-    return float(_potentials(env)[2][u])
+    return float(env.potentials[2][u])
 
 
 def log_Psi(env: Environment, u: int) -> float:
     if u == 0:
         raise ValueError("the root names no edge")
-    return float(_potentials(env)[3][u])
+    return float(env.potentials[3][u])
 
 
 def Psi(env: Environment, u: int) -> float:
@@ -404,7 +395,7 @@ def rt_estimate(pair_family: Callable[[int], tuple[Tree, Environment]],
     fits = len(depths) * starts[depths[-1] + 1] <= _RT_CELLS
     values: dict[tuple[float, int], float] = {}
     for cuts in [depths] if fits else [[L] for L in depths]:
-        lp = _potentials(env)[3][:starts[cuts[-1] + 1]]  # through the deepest cut
+        lp = env.potentials[3][:starts[cuts[-1] + 1]]  # through the deepest cut
         rows = max(1, _RT_CELLS // (len(cuts) * lp.size))
         for k in range(0, len(gammas), rows):
             # w = exp(g * log Psi), one row per gamma of the chunk

@@ -36,7 +36,6 @@ from .environment import (
     Environment,
     Psi,
     _conductance,
-    _transition_table,
     psi,  # unused here; perfbench/tracer.py patches this name
     sample_random_environment,
 )
@@ -110,7 +109,7 @@ def sample_ruin_percolation(env: Environment, master_seed: int,
     tree = env.tree
     first = memoryview(tree.levels.first)
     table = ClockTable(derive_seed(master_seed, sample_index))
-    pf, mu = _transition_table(env, later=False)[0], memoryview(env.mu)
+    pf, mu = env.first_visit, memoryview(env.mu)
     open_edges = [False] * tree.n_vertices
     cluster = []
     valid = True

@@ -12,11 +12,11 @@ Three ways to run it:
   excited lane, which read only the trajectory summary, so it records no
   positions. A step reads the bias of the vertex it reaches, a child off
   Levels.first or Tree.only_child, and the depth only on a first visit;
-  where mu == 1 its later-visit list is the tree's (Tree.parent_step). The
+  where mu == 1 env.later_visit is the tree's Tree.parent_step. The
   trajectory is bitwise the plain loop's, kept in the tests as the referee.
 - simulate_rubin: the clock construction. A first visit to v makes
   simulate's step on the table's uniform for v (ClockTable.draw) and the
-  first-visit probabilities simulate reads (_transition_table). Every
+  first-visit probabilities simulate reads (Environment.first_visit). Every
   oriented edge (v, u) owns a sequence of unit exponential clocks
   xi(v, u, j), j >= 1; a later visit races the pending clock of each
   neighbor scaled by that direction's later-visit rate, and the smallest
@@ -31,9 +31,9 @@ Three ways to run it:
 - simulate_extension: a walk on a single root path that reads the same
   clock table. At a fresh interior vertex it makes the full walk's first
   step from the same uniform; if that step is on the path it moves there,
-  otherwise it races the two on-path j=1 clocks under the later-visit
-  rates, consumes the winner and keeps the loser's pending time. Later
-  visits race the two on-path pending times, kept as in simulate_rubin. At
+  otherwise it races as on a later visit: the two on-path pending times,
+  kept as in simulate_rubin, here the j=1 clocks under the later-visit
+  rates, the winner consumed and the loser's pending time kept. At
   the root it always moves down the path, and at the path's end it
   reflects. One runner (_extension_run) holds this race: simulate_extension
   starts it at the root for the coupling checks, and the percolation
@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Environment, _each, _transition_table
+from .environment import Environment, _each
 
 __all__ = [
     "ClockTable",
@@ -210,9 +210,9 @@ def simulate(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     an up-step, onto a visited vertex, a root return; a down-step the visited
     flag, and a first visit, the only arrival that can go deeper, the depth.
     Trajectories are == the plain loop's, which tests both bounds at every
-    step. p comes from _transition_table: first visits read a memoryview of
-    an array, later ones a list, both Python floats. positions is None."""
-    pf, pl = _transition_table(env)
+    step. p comes from env.first_visit, a memoryview of an array, and
+    env.later_visit, a list, both Python floats. positions is None."""
+    pf, pl = env.first_visit, env.later_visit
     tree = env.tree
     parent, depth, only = tree.parent, tree.depth, tree.only_child
     first = memoryview(tree.levels.first)
@@ -265,7 +265,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
     """Run the walk by racing exponential clocks, recording every position.
 
     A first visit to v steps as simulate does (_first_step), on the uniform
-    clocks.draw(v) and v's first-visit p from _transition_table. Per visited
+    clocks.draw(v) and v's first-visit p from env.first_visit. Per visited
     vertex the race state is (neighbors, running totals, next clock indices,
     pending times) per direction, every index starting at 1.
     A pending time, the total plus the next clock over the rate, is None
@@ -273,7 +273,7 @@ def simulate_rubin(env: Environment, stop: StopRule,
     are listed parent first then children, which is ascending id order, so a
     strict minimum scan breaks the measure-zero ties toward the lowest id.
     """
-    xi, draw, pf = clocks.xi, clocks.draw, _transition_table(env, later=False)[0]
+    xi, draw, pf = clocks.xi, clocks.draw, env.first_visit
     tree = env.tree
     parent, depth, first = tree.parent, tree.depth, memoryview(tree.levels.first)
     mu = memoryview(env.mu)
@@ -333,7 +333,7 @@ def simulate_extension(env: Environment, clocks: ClockTable, target: int,
     """
     if target == 0:
         raise ValueError("extension needs a non-root target")
-    path, pf = env.tree.root_path(target), _transition_table(env, later=False)[0]
+    path, pf = env.tree.root_path(target), env.first_visit
     return _extension_run(memoryview(env.tree.levels.first), pf, memoryview(env.mu), clocks,
                           path, 0, [None] * len(path), 0,
                           stop.max_steps, stop.hit_depth, stop.root_returns, [0])
@@ -344,16 +344,17 @@ def _extension_run(first: memoryview, pf: memoryview, mu: memoryview,
                    steps: int, cap: int, hd: float, rr: float,
                    positions: list | None = None, snaps: dict | None = None) -> WalkTrajectory:
     """The extension on path from index pos, never yet passed, after steps
-    steps and no root return, until the step cap, the hit depth hd or the
-    rr-th root return. It reads the first-visit probabilities pf, mu and the
-    child offsets first through memoryviews (of _transition_table's array,
-    the environment's and Levels.first). states[i] is index i's race state,
-    [total_up, total_down, next_j_up, next_j_down, pending_up, pending_down]
-    or None before its first visit, updated in place; a pending time (total
-    plus next clock over rate) is None until a race needs it and again once
-    its side wins; positions, unless None, gets each position. The first
-    arrival at an index i in snaps stores there (copies of states[1:i],
-    steps), from which a run on another path through path[i] can start."""
+    steps and no root return, until the step cap, the hit depth hd or the rr-th
+    root return. It reads pf (Environment.first_visit), mu and the child
+    offsets first through memoryviews. states[i] is index i's race state,
+    [total_up, total_down, next_j_up, next_j_down, pending_up, pending_down],
+    updated in place; the first visit sets it to [0.0, 0.0, 1, 1, None, None]
+    and makes the full walk's first step, which races as a later visit if it
+    leaves the path. A pending time (total plus next clock over rate) is None
+    until a race needs it and again once its side wins; positions, unless None,
+    gets each position. The first arrival at an index i in snaps stores there
+    (copies of states[1:i], steps), from which a run on another path through
+    path[i] can start."""
     xi, draw = clocks.xi, clocks.draw
     k = len(path) - 1
     returns = 0
@@ -369,24 +370,16 @@ def _extension_run(first: memoryview, pf: memoryview, mu: memoryview,
             par = path[pos - 1]
             dn = path[pos + 1]
             st = states[pos]
+            w = -1  # no first step; never par, which at index 1 is the root 0
             if st is None:
+                st = states[pos] = [0.0, 0.0, 1, 1, None, None]
                 w = _first_step(draw(u), pf[u], par, first[u], first[u + 1] - first[u])
-                if w == par or w == dn:
-                    states[pos] = [0.0, 0.0, 1, 1, None, None]
-                    pos += 1 if w == dn else -1
-                else:
-                    # the step went off the path: race the two on-path j=1
-                    # clocks under later-visit rates, consume the winner and
-                    # keep the loser's (a total of 0.0 plus it is itself)
-                    a = xi(u, par, 1) / mu[u]
-                    b = xi(u, dn, 1)
-                    if a <= b:
-                        states[pos] = [a, 0.0, 2, 1, None, b]
-                        pos -= 1
-                    else:
-                        states[pos] = [0.0, b, 1, 2, a, None]
-                        pos += 1
+            if w == par:
+                pos -= 1
+            elif w == dn:
+                pos += 1
             else:
+                # a later visit, or a first step off the path (0.0 + a clock is that clock)
                 a = st[4]
                 if a is None:
                     a = st[4] = st[0] + xi(u, par, st[2]) / mu[u]
@@ -486,7 +479,7 @@ def extension_reach(env: Environment, target: int, seeds: np.ndarray,
         raise ValueError("extension needs a non-root target")
     path, first = env.tree.root_path(target), memoryview(env.tree.levels.first)
     k, mu_path = len(path) - 1, env.mu[path]
-    pf, mu = _transition_table(env, later=False)[0], memoryview(env.mu)
+    pf, mu = env.first_visit, memoryview(env.mu)
     seeds = np.asarray(seeds, dtype=np.uint64)
     reach, capped, steps = (np.zeros(seeds.size, t) for t in (np.int64, bool, np.int64))
     batch = max(1, _CELL_BUDGET // (k + 1))

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import goerw.percolation as percolation
-import goerw.walk as walk
 from goerw.analysis import K_RETURNS, FlowEnergyRow
-from goerw.environment import AlphaDistribution, Environment, _potentials, log_Psi
+from goerw.environment import AlphaDistribution, Environment, log_Psi
 from goerw.errors import RefusalError
 from goerw.percolation import adapted_conductance
 from goerw.tree import Tree, build_from_edge_list
@@ -30,12 +29,12 @@ def psi_simplified(alpha_parent: float, edge_depth: int) -> float:
 
 def resistance(env: Environment, e: int) -> float:
     """R(e), read from the potential tables."""
-    return float(_potentials(env)[0][e])
+    return float(env.potentials[0][e])
 
 
 def phi(env: Environment, x: int) -> float:
     """phi(x), read from the potential tables."""
-    return float(_potentials(env)[1][x])
+    return float(env.potentials[1][x])
 
 
 def weights_of(tree: Tree, w) -> np.ndarray:
@@ -331,26 +330,26 @@ class _ReadLog(list):
 
 def simulate_recorded(env: Environment, stop: StopRule, seed: int) -> WalkTrajectory:
     """walk.simulate(env, stop, seed) with its positions, read off the
-    kernel's own reads: for the one call, both tables of the pair
-    _transition_table hands it and tree.parent are lists that log each
-    read. Every arrival reads the bias of the vertex it arrives at, one of
-    the two tables (the root's first-visit bias before the first step), and
-    an up-step reads parent[v], the vertex it moves to, first, so a run that
-    ends on a root return, which reads no bias after it, is recorded too.
-    The walk never stays put, so the positions are the log with
-    consecutive repeats collapsed. The tree's tables that read parent are
-    built first, and the tree's list and the kernel's table reader put back
-    after, since family trees are shared."""
+    kernel's own reads: for the one call, env.first_visit, env.later_visit
+    (instance attributes, which win over the cached properties) and
+    tree.parent are lists that log each read. Every arrival reads the bias
+    of the vertex it arrives at, one of the two tables (the root's
+    first-visit bias before the first step), and an up-step reads parent[v], the
+    vertex it moves to, first, so a run that ends on a root return, which
+    reads no bias after it, is recorded too. The walk never stays put, so
+    the positions are the log with consecutive repeats collapsed. The tree's
+    tables that read parent are built first, and the tree's list and the
+    environment's tables put back after, since family trees are shared."""
     tree = env.tree
     tree.levels, tree.only_child  # built from the plain list
-    parent, table = tree.parent, walk._transition_table
+    parent, pair = tree.parent, (env.first_visit, env.later_visit)
     log: list[int] = []
-    pair = tuple(_ReadLog(t, log, False) for t in table(env))
-    tree.parent, walk._transition_table = _ReadLog(parent, log, True), lambda env: pair
+    env.first_visit, env.later_visit = (_ReadLog(t, log, False) for t in pair)
+    tree.parent = _ReadLog(parent, log, True)
     try:
         traj = simulate(env, stop, seed)
     finally:
-        tree.parent, walk._transition_table = parent, table
+        tree.parent, (env.first_visit, env.later_visit) = parent, pair
     positions = [v for v, u in zip(log, [-1, *log]) if v != u]
     return replace(traj, positions=positions)
 
@@ -514,7 +513,7 @@ def rt_hypothesis_sup(env: Environment) -> float:
         warnings.warn("tree has no edges at depth >= 2; hypothesis is vacuous",
                       stacklevel=2)
         return 0.0
-    R, ph = _potentials(env)[:2]
+    R, ph = env.potentials[:2]
     a = tree.levels.starts[2]
     # fmax skips a NaN ratio, as the scalar running max did
     return float(np.fmax.reduce(R[a:] / ph[tree.levels.parent[a:]], initial=0.0))

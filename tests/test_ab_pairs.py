@@ -55,6 +55,33 @@ def test_medians_ratio_pairs_and_iqr():
                                      "attempted_ops": 40, "failed_ops": 0}
 
 
+def test_paired_ratio_stays_tight_where_the_medians_drift():
+    """The machine slows by a quarter halfway through, on both sides of
+    each pair alike: the medians and the parent's IQR move with it, and
+    every pair still reads the change 2% faster."""
+    runs = []
+    for seed, speed in zip(range(1, 9), [1.0] * 4 + [0.75] * 4):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            ops = 100.0 * speed * (1.02 if side == "change" else 1.0)
+            runs.append(run(seed, side, ops, 1.0 / ops))
+    s = ab_pairs.summarize(runs, END_TO_END)
+    ops, wall = s["metrics"]["ops_per_s"], s["metrics"]["wall_s"]
+    assert ops["parent_iqr"] == pytest.approx(25.0)
+    assert ops["parent"]["median"] == pytest.approx(87.5)
+    assert ops["change_better_pairs"] == 8
+    for key in ("q1", "median", "q3"):
+        assert ops["paired_ratio"][key] == pytest.approx(1.02)
+        assert wall["paired_ratio"][key] == pytest.approx(1 / 1.02)
+    # a pair with a missing or zero parent value has no ratio
+    runs[0]["result"]["metrics"]["ops_per_s"]["value"] = 0.0
+    del runs[2]["result"]["metrics"]["ops_per_s"]
+    assert ab_pairs.summarize(runs, END_TO_END)["metrics"]["ops_per_s"]["paired_ratio"][
+        "median"] == pytest.approx(1.02)
+    assert ab_pairs.summarize(runs[:2], END_TO_END)["metrics"]["ops_per_s"][
+        "paired_ratio"] is None
+
+
 @pytest.mark.parametrize("better, parent, change, worse", [
     ("higher", 100.0, 81.0, False), ("higher", 100.0, 79.0, True),
     ("lower", 1.0, 1.19, False), ("lower", 1.0, 1.21, True),

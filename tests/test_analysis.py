@@ -23,9 +23,8 @@ from goerw.analysis import (
     tree_max_flow,
 )
 from goerw.cli import build_environment, parse_tree_spec
-from goerw.environment import (AlphaDistribution, Environment, _transition_table,
-                               assign_deterministic, environment_from_alpha,
-                               sample_random_environment)
+from goerw.environment import (AlphaDistribution, Environment, assign_deterministic,
+                               environment_from_alpha, sample_random_environment)
 from goerw.errors import InputError, RefusalError
 from goerw.percolation import edge_connection_probability_mc
 from goerw.tree import (
@@ -414,7 +413,7 @@ class TestEscapeBatch:
         walked = []
 
         def spy(env, stop, seed):
-            walked.append(tuple(map(list, _transition_table(env))))
+            walked.append(tuple(map(list, (env.first_visit, env.later_visit))))
             return simulate(env, stop, seed)
 
         monkeypatch.setattr(analysis, "simulate", spy)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import goerw.cli as cli
-from goerw.environment import (AlphaDistribution, Environment, _transition_table,
-                               environment_from_alpha, sample_random_environment)
+from goerw.environment import (AlphaDistribution, Environment, environment_from_alpha,
+                               sample_random_environment)
 from goerw.tree import build_path, build_polynomial, build_regular
 from goerw.percolation import sample_ruin_percolation
 from goerw.walk import (ClockTable, StopRule, derive_seed, derive_seeds, extension_reach,
@@ -34,7 +34,7 @@ def assert_tables_equal(env, alpha, lam, mu):
     assert env.lam.dtype == env.mu.dtype == np.float64
     assert env.lam.tolist() == lam
     assert env.mu.tolist() == mu
-    pf, pl = _transition_table(env)
+    pf, pl = env.first_visit, env.later_visit
     # pf is a memoryview of an array, pl a list or the tree's tuple; every
     # entry the walk reads is a Python float
     pf, pl = list(pf), list(pl)
@@ -143,7 +143,7 @@ def test_caller_sequences_left_alone():
     lam = [5.0] * n
     mu = [3.0] * n
     env = Environment(t, lam, mu)
-    _transition_table(env)
+    env.first_visit, env.later_visit
     assert lam == [5.0] * n and mu == [3.0] * n
     lam_arr, mu_arr = np.full(n, 5.0), np.full(n, 3.0)
     Environment(t, lam_arr, mu_arr)
@@ -153,9 +153,9 @@ def test_caller_sequences_left_alone():
 def test_table_is_built_on_first_walk_only():
     t = build_path(4)
     env = environment_from_alpha(t, [1.0] * t.n_vertices)
-    assert env._trans is None
-    first = _transition_table(env)
-    assert _transition_table(env) is first
+    assert not {"first_visit", "later_visit"} & vars(env).keys()
+    pf, pl = env.first_visit, env.later_visit
+    assert env.first_visit is pf and env.later_visit is pl
 
 
 @pytest.mark.parametrize("spec", ["det:lambda=2,mu=3", "det:lambda=2,mu=1",
@@ -171,11 +171,11 @@ def test_clock_kernels_leave_the_later_visits_unbuilt(spec):
     simulate_extension(env, table, t.leftmost_at_depth(4), StopRule(200))
     extension_reach(env, t.leftmost_at_depth(3), derive_seeds(5, 40), 500)
     sample_ruin_percolation(env, 3, 0)
-    pf, pl = env._trans
-    assert pl is None and "parent_step" not in vars(t)
-    assert _transition_table(env, later=False) == (pf, None)
+    pf = vars(env)["first_visit"]
+    assert "later_visit" not in vars(env) and "parent_step" not in vars(t)
+    assert env.first_visit is pf and "later_visit" not in vars(env)
     simulate(env, StopRule(200), 1)
-    assert env._trans[0] is pf and env._trans[1] is not None
+    assert env.first_visit is pf and "later_visit" in vars(env)
     assert list(pf) == ref_tables(t, env.lam.tolist(), env.mu.tolist())[0]
 
 
@@ -189,7 +189,7 @@ class TestSharedLaterVisits:
         n = t.n_vertices
         envs = [cli.build_environment(t, "alpha:two=0,3,0.5", seed) for seed in (1, 2)]
         envs.append(environment_from_alpha(t, np.full(n, 0.5)))
-        tables = [_transition_table(env) for env in envs]
+        tables = [(env.first_visit, env.later_visit) for env in envs]
         assert all(pl is t.parent_step for _, pl in tables)
         assert type(t.parent_step) is tuple
         assert all(pf.readonly and pf.format == "d" for pf, _ in tables)
@@ -201,7 +201,7 @@ class TestSharedLaterVisits:
         alpha = np.full(n, 0.5)
         lam = (1.0 + alpha * t.float_degrees).tolist()
         env = Environment(t, lam, np.full(n, 3.0))
-        pl = _transition_table(env)[1]
+        pl = env.later_visit
         assert pl is not t.parent_step and type(pl) is list
         assert_tables_equal(env, None, [1.0, *lam[1:]], [1.0] + [3.0] * (n - 1))
 
@@ -211,7 +211,7 @@ class TestSharedLaterVisits:
     def test_deterministic_mu_one_shares(self, spec, shared):
         t = build_regular(3, 4)
         env = cli.build_environment(t, spec, 0)
-        assert (_transition_table(env)[1] is t.parent_step) == shared
+        assert (env.later_visit is t.parent_step) == shared
 
 
 class TestStoredOnce:
@@ -283,7 +283,8 @@ class TestStoredOnce:
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert n == 98_302 and env.alpha is not None and env._trans is None
+        assert n == 98_302 and env.alpha is not None
+        assert not {"first_visit", "later_visit"} & vars(env).keys()
         assert env.mu is t.ones
         assert retained <= 17 * n
 
@@ -309,7 +310,7 @@ class TestStoredOnce:
                 retained = tracemalloc.get_traced_memory()[0] - base
             finally:
                 tracemalloc.stop()
-            assert env._trans is not None
+            assert {"first_visit", "later_visit"} <= vars(env).keys()
             assert retained <= bound * n
 
     def test_alpha_environments_share_one_read_only_mu(self):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -15,7 +14,6 @@ from goerw.environment import (
     AlphaDistribution,
     Environment,
     Psi,
-    _potentials,
     assign_deterministic,
     environment_from_alpha,
     log_Psi,
@@ -121,7 +119,7 @@ class TestPotentialPass:
         with pytest.raises(RefusalError) as e:
             psi(env, 1)
         assert str(e.value) == f"{table} at vertex 3 is inf: the potential pass overflows float64"
-        assert env._pot is None
+        assert "potentials" not in vars(env)
 
     def test_largest_finite_tables_kept(self):
         """mu = 1e154 leaves R(3) = 1e308 and phi(3) below the float range:
@@ -133,25 +131,25 @@ class TestPotentialPass:
 
     def test_root_only_tree(self):
         env = assign_deterministic(build_regular(3, 0))
-        assert (phi(env, 0), env._pot[0].tolist()) == (0.0, [0.0])
+        assert (phi(env, 0), vars(env)["potentials"][0].tolist()) == (0.0, [0.0])
 
     def test_nothing_computed_before_first_query(self):
         t = build_regular(3, 5)
         env = assign_deterministic(t, lam=2.0)
-        assert env._pot is None and env._trans is None
+        assert not {"potentials", "first_visit", "later_visit"} & vars(env).keys()
         psi(env, 4)
-        assert [len(table) for table in env._pot] == [t.n_vertices] * 4
+        assert [len(table) for table in vars(env)["potentials"]] == [t.n_vertices] * 4
 
 
 class TestOneLogPerDistinctPsi:
-    """_potentials takes math.log once per distinct psi and gathers it back
+    """The potential pass takes math.log once per distinct psi and gathers it back
     to every edge: the four tables are bitwise the per-entry form
     (conftest.potentials_ref) where no psi repeats, where they repeat and
     where one is 0."""
 
     @staticmethod
     def assert_bitwise(env):
-        got, want = _potentials(env), potentials_ref(env)
+        got, want = env.potentials, potentials_ref(env)
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
 
     @settings(max_examples=100, deadline=None)
@@ -162,7 +160,7 @@ class TestOneLogPerDistinctPsi:
         env = Environment(t, [rng.uniform(0.1, 5.0) for _ in t.parent],
                           [rng.uniform(0.1, 5.0) for _ in t.parent])
         deep = slice(t.levels.starts[2], None)  # psi is one value per parent there
-        assert np.unique(_potentials(env)[2][deep]).size == np.unique(t.levels.parent[deep]).size
+        assert np.unique(env.potentials[2][deep]).size == np.unique(t.levels.parent[deep]).size
         self.assert_bitwise(env)
 
     @settings(max_examples=60, deadline=None)
@@ -184,7 +182,7 @@ class TestOneLogPerDistinctPsi:
         t = (random_tree if seed % 2 else random_broom)(rng, max_edges=40, max_depth=8)
         lam = [1e300 if t.depth[v] == 1 else rng.uniform(0.1, 5.0) for v in range(t.n_vertices)]
         env = Environment(t, lam, [rng.uniform(0.1, 5.0) for _ in t.parent])
-        ps = _potentials(env)[2]
+        ps = env.potentials[2]
         assert (ps == 0.0).any() == (t.truncation_depth >= 2)
         self.assert_bitwise(env)
 
@@ -214,7 +212,7 @@ class TestOneLogPerDistinctPsi:
         log = math.log
         with monkeypatch.context() as m:
             m.setattr(math, "log", lambda x: calls.append(x) or log(x))
-            ps = _potentials(env)[2]
+            ps = env.potentials[2]
         assert len(calls) == np.unique(ps).size < env.tree.n_vertices // 50
         assert sorted(calls) == np.unique(ps).tolist()
 
@@ -619,16 +617,17 @@ class TestValidation:
             environment_from_alpha(t, [1.0, 1.0])
 
 
-def test_only_environment_touches_private_fields():
-    """environment.py is the one module that reads or writes the private
-    fields of an Environment."""
-    private = {f.name for f in dataclasses.fields(Environment) if f.name.startswith("_")}
-    assert private
+def test_tables_are_derived_only_through_the_attributes():
+    """environment.py is the one module that names the table builders
+    _potentials and _first_visit: every other module reads an environment's
+    tables through Environment.potentials, first_visit and later_visit."""
+    builders = {"_potentials", "_first_visit"}
     touched = []
     for path in sorted(Path(environment.__file__).parent.glob("*.py")):
         if path.name == "environment.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in private:
-                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+            # a Name's id, an Attribute's attr, an import alias's or a def's name
+            names = (getattr(node, key, None) for key in ("id", "attr", "name"))
+            touched += [f"{path.name}:{node.lineno} {x}" for x in names if x in builders]
     assert touched == []

@@ -20,7 +20,7 @@ import pytest
 
 import goerw.cli as cli
 from goerw.analysis import flow_energy_check
-from goerw.environment import _conductance, _potentials, _transition_table, rt_estimate
+from goerw.environment import _conductance, rt_estimate
 from goerw.percolation import sample_ruin_percolation
 from goerw.tree import (DEFAULT_GAMMAS, branching_ruin_estimate, default_depths,
                         path_family, polynomial_family, regular_family)
@@ -136,9 +136,9 @@ def table_bytes(kind: str):
             for seed in range(3):
                 env = cli.build_environment(t, spec, seed)
                 if kind == "potentials":
-                    yield from (table.tobytes() for table in _potentials(env))
+                    yield from (table.tobytes() for table in env.potentials)
                 elif kind == "transition":
-                    pf, pl = _transition_table(env)
+                    pf, pl = env.first_visit, env.later_visit
                     yield pf.tobytes()
                     yield np.array(pl, dtype=np.float64).tobytes()
                 else:

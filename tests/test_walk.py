@@ -13,8 +13,7 @@ import goerw.cli as cli
 import goerw.percolation as percolation
 import goerw.tree as tree_module
 import goerw.walk as walk
-from goerw.environment import (Environment, Psi, _transition_table, assign_deterministic,
-                               environment_from_alpha)
+from goerw.environment import Environment, Psi, assign_deterministic, environment_from_alpha
 from goerw.tree import (build_path, build_polynomial, build_regular, polynomial_family,
                         regular_family)
 from goerw.walk import (
@@ -424,7 +423,7 @@ class TestSimulate:
             laws = [assign_deterministic(t, lam=rng.uniform(0.2, 4.0), mu=rng.uniform(0.2, 0.9)),
                     assign_deterministic(t, lam=rng.uniform(0.2, 4.0)),
                     cli.build_environment(t, "alpha:two=0,3,0.5", i)]
-            assert [_transition_table(env)[1] is t.parent_step for env in laws] == [
+            assert [env.later_visit is t.parent_step for env in laws] == [
                 False, True, True]
             bounds = itertools.product(
                 laws, (1, 2, 3, math.inf), (*range(1, t.truncation_depth + 1), math.inf))
@@ -513,8 +512,8 @@ class TestRecorder:
     def test_positions_equal_the_plain_loop(self):
         """Regular, poly, path and random trees (a family's shared tree
         among them), det and alpha laws, each stop bound: 252 runs == the
-        plain loop's, and the tree keeps its own lists and the kernel its
-        table reader."""
+        plain loop's, and the tree keeps its own lists and each environment
+        its own tables."""
         rng = random.Random(0x2EC0)
         trees = [build_regular(3, 5), build_polynomial(1.5, 20), build_path(12),
                  cli.parse_family_spec("poly:b=1.5,L=20")[0].build(20)]
@@ -533,7 +532,8 @@ class TestRecorder:
                     assert simulate_recorded(env, stop, seed) == simulate_ref(env, stop, seed)
                     runs += 1
                 assert t.parent is parent and t.depth is depth
-                assert walk._transition_table is _transition_table
+                assert all(type(env.first_visit) is memoryview
+                           and type(env.later_visit) in (list, tuple) for env in laws)
                 assert type(parent) is list and type(depth) is list
         assert runs == 252
 
@@ -706,7 +706,7 @@ class TestFirstStep:
     def steer(env, path, r):
         """{vertex: uniform} that takes a first-visit walk down path and
         then draws r at its end."""
-        pf, first = _transition_table(env)[0], env.tree.levels.first
+        pf, first = env.first_visit, env.tree.levels.first
         out = {}
         for v, c in zip(path, path[1:]):
             k, p = first[v + 1] - first[v], pf[v]
@@ -717,7 +717,7 @@ class TestFirstStep:
     @pytest.mark.parametrize("v", [0, 1, 6, 12])
     def test_rubin_and_extension_step_as_simulate(self, v, monkeypatch):
         env = self.env()
-        t, pf = env.tree, _transition_table(env)[0]
+        t, pf = env.tree, env.first_visit
         p = pf[v]
         assert p == {0: 0.0, 1: 2.5 / 4.5, 6: 1.0, 12: 1.0}[v]
         path, d = t.root_path(v), t.depth[v]
@@ -764,7 +764,7 @@ class TestFirstStep:
                 break
             lam = math.nextafter(lam, math.inf if lam / ((lam + 3.0) - 1.0) < r else 0.0)
         env = Environment(t, [1.0, lam] + [2.0] * (t.n_vertices - 2), [0.5] * t.n_vertices)
-        assert _transition_table(env)[0][1] == r
+        assert env.first_visit[1] == r
         target = t.children[1][0]
         for lanes in (0, 30):  # every lane swept, or handed off before its first step
             monkeypatch.setattr(walk, "_HANDOFF_LANES", lanes)

@@ -15,10 +15,14 @@ the change first on even ones.
 
 For each end-to-end metric of BENCHMARK.json (read from this checkout) the
 summary gives both medians and their quartiles (numpy's linear
-percentiles), the ratio change/parent of the medians, the pairs in which the
-change is better (a tie counts for neither side), the parent's IQR, and
-whether the change's median is worse than the parent's by more than the
-metric's bound, taken relative to the parent's median. A run that exits
+percentiles), the ratio change/parent of the medians, the median and
+quartiles of the per-pair ratios change/parent (paired_ratio), the pairs in
+which the change is better (a tie counts for neither side), the parent's
+IQR, and whether the change's median is worse than the parent's by more
+than the metric's bound, taken relative to the parent's median. The machine
+can drift between runs far more than the change moves a metric, and the two
+runs of a pair drift alike: the paired ratio stays tight where the medians
+and the parent's IQR move with the drift. A run that exits
 nonzero or reports correct: false is listed and counted per side, never
 dropped; a metric it did not report is left out of that metric's medians
 and of its pair.
@@ -112,13 +116,17 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         stats = {side: _quartiles([v for v in per_side[side] if v is not None])
                  for side in SIDES}
         better = ties = 0
+        ratios = []
         for p, c in zip(per_side["parent"], per_side["change"]):
             if p is not None and c is not None:
                 better += sign * (c - p) > 0
                 ties += c == p
+                if p:
+                    ratios.append(c / p)
         entry = {"better": m["better"], "bound": bound, **stats,
                  "parent_runs": per_side["parent"], "change_runs": per_side["change"],
-                 "ratio": None, "change_better_pairs": better, "tied_pairs": ties,
+                 "ratio": None, "paired_ratio": _quartiles(ratios),
+                 "change_better_pairs": better, "tied_pairs": ties,
                  "parent_iqr": None, "worse_than_bound": stats["change"] is None}
         if stats["parent"] and stats["change"]:
             p, c = stats["parent"]["median"], stats["change"]["median"]
